@@ -3,7 +3,7 @@
 // Part of ramloc, a reproduction of "Optimizing the flash-RAM energy
 // trade-off in deeply embedded systems" (Pallister et al., CGO 2015).
 //
-// The perf harness for the solve-once/branch-cheap split. Three levels:
+// The perf harness for the solve-once/branch-cheap split. Four levels:
 //
 //  - Tableau level: the bounded-variable simplex keeps one row per
 //    constraint — variable boxes are data, not rows — where the
@@ -23,14 +23,7 @@
 //  - Pricing level: the warm node mix re-run under each SolverConfig::
 //    Pricing rule. All rules are exact, so only pivot counts move; the
 //    steepest-edge / Dantzig dual-pivot ratio is the headline number and
-//    CI asserts it stays <= 0.7. A strong-branching pass (K=8 root
-//    probes) records how the seeded pseudo-costs shape the tree.
-//
-//  - Parallel level: the same warm-noded solves with the branch & bound
-//    tree fanned out over SolverConfig::Threads work-stealing workers,
-//    each re-optimizing its own clone of the solved root tableau.
-//    par_nodes_per_sec over warm_nodes_per_sec is the tree-level
-//    scaling; CI asserts >= 1.8x at 4 threads.
+//    CI asserts it stays <= 0.7.
 //
 //  - Knob-axis level: a {Rspare} x {Xlimit} grid over one extracted
 //    model, solved per-point from scratch (build + cold solve each
@@ -51,10 +44,11 @@
 #include "support/Metrics.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cmath>
-#include <thread>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace ramloc;
@@ -107,7 +101,7 @@ double measureFor(double MinSeconds, unsigned &Iters, Fn &&Body) {
 struct SolverEffort {
   uint64_t Solves = 0, WarmStarts = 0;
   uint64_t Nodes = 0, Primal = 0, Dual = 0;
-  uint64_t PricingUpdates = 0, Probes = 0;
+  uint64_t PricingUpdates = 0;
 };
 
 template <typename Fn> SolverEffort counterWindow(Fn &&Body) {
@@ -117,8 +111,7 @@ template <typename Fn> SolverEffort counterWindow(Fn &&Body) {
                       M.counterValue("mip.nodes"),
                       M.counterValue("mip.primal_pivots"),
                       M.counterValue("mip.dual_pivots"),
-                      M.counterValue("mip.pricing.updates"),
-                      M.counterValue("mip.strongbranch.probes")};
+                      M.counterValue("mip.pricing.updates")};
   Body();
   SolverEffort E;
   E.Solves = M.counterValue("mip.solves") - Before.Solves;
@@ -127,7 +120,6 @@ template <typename Fn> SolverEffort counterWindow(Fn &&Body) {
   E.Primal = M.counterValue("mip.primal_pivots") - Before.Primal;
   E.Dual = M.counterValue("mip.dual_pivots") - Before.Dual;
   E.PricingUpdates = M.counterValue("mip.pricing.updates") - Before.PricingUpdates;
-  E.Probes = M.counterValue("mip.strongbranch.probes") - Before.Probes;
   return E;
 }
 
@@ -190,15 +182,11 @@ int main() {
   constexpr unsigned MaxNodes = 1500;
 
   // --- node level: cold two-phase vs warm dual re-optimization -----------
-  auto solveAll = [&](bool WarmNodes, unsigned Threads = 1,
-                      Pricing Rule = Pricing::SteepestEdge,
-                      unsigned StrongBranchK = 0) {
+  auto solveAll = [&](bool WarmNodes, Pricing Rule = Pricing::SteepestEdge) {
     SolverConfig Cfg;
     Cfg.WarmNodes = WarmNodes;
     Cfg.MaxNodes = MaxNodes;
-    Cfg.Threads = Threads;
     Cfg.PricingRule = Rule;
-    Cfg.StrongBranchK = StrongBranchK;
     for (const ModelParams &MP : Set.Models)
       for (const ModelKnobs &K : Set.Knobs)
         (void)solvePlacement(MP, K, Cfg);
@@ -250,10 +238,9 @@ int main() {
   };
   RulePass RulePasses[] = {{Pricing::SteepestEdge, {}},
                            {Pricing::Dantzig, {}},
-                           {Pricing::PartialDantzig, {}},
                            {Pricing::Bland, {}}};
   for (RulePass &RP : RulePasses) {
-    RP.E = counterWindow([&] { solveAll(true, 1, RP.Rule); });
+    RP.E = counterWindow([&] { solveAll(true, RP.Rule); });
     std::printf("pricing %-13s %llu dual + %llu primal pivots per warm "
                 "pass (%llu weight updates)\n",
                 pricingName(RP.Rule),
@@ -267,35 +254,6 @@ int main() {
           : 1.0;
   std::printf("pricing steepest-edge/dantzig dual-pivot ratio: %.2fx\n",
               SteepestVsDantzigDual);
-
-  // --- strong branching: root probes vs tree size ------------------------
-  SolverEffort SbPass =
-      counterWindow([&] { solveAll(true, 1, Pricing::SteepestEdge, 8); });
-  std::printf("strong branching (K=8): %llu nodes per pass (vs %llu "
-              "without), %llu root probes\n",
-              static_cast<unsigned long long>(SbPass.Nodes),
-              static_cast<unsigned long long>(RulePasses[0].E.Nodes),
-              static_cast<unsigned long long>(SbPass.Probes));
-
-  // --- parallel level: the warm tree search over a work-stealing pool ----
-  // Node throughput, not wall time per config: tree shapes legitimately
-  // differ across thread counts (pruning races resolve canonically but
-  // explore different frontiers), so the fair scaling measure is nodes
-  // retired per second.
-  constexpr unsigned SolverThreads = 4;
-  unsigned HwThreads = std::max(1u, std::thread::hardware_concurrency());
-  SolverEffort ParPass = counterWindow([&] { solveAll(true, SolverThreads); });
-  uint64_t ParNodes = ParPass.Nodes;
-  unsigned ParIters = 0;
-  double ParSecs =
-      measureFor(1.0, ParIters, [&] { solveAll(true, SolverThreads); });
-  double ParNodesPerSec = ParNodes * ParIters / ParSecs;
-  double ParallelNodeSpeedup = ParNodesPerSec / WarmNodesPerSec;
-  std::printf("parallel tree search: %.0f nodes/sec at %u threads (%llu "
-              "nodes per pass): %.1fx serial warm [%u hardware threads]\n",
-              ParNodesPerSec, SolverThreads,
-              static_cast<unsigned long long>(ParNodes),
-              ParallelNodeSpeedup, HwThreads);
 
   // --- knob-axis level: per-point rebuild vs one warm-started solver -----
   size_t KnobConfigs = Set.Models.size() * Set.Knobs.size();
@@ -337,9 +295,10 @@ int main() {
               static_cast<unsigned long long>(AxisCold),
               static_cast<unsigned long long>(AxisWarm));
 
+  unsigned HwThreads = std::max(1u, std::thread::hardware_concurrency());
   JsonWriter W;
   W.beginObject();
-  W.field("schema", "ramloc-bench-mip-throughput-v4");
+  W.field("schema", "ramloc-bench-mip-throughput-v5");
   W.field("benchmarks", static_cast<uint64_t>(Set.Models.size()));
   W.field("knob_points", static_cast<uint64_t>(Set.Knobs.size()));
   W.field("bounded_tableau_rows", BoundedRows);
@@ -366,13 +325,7 @@ int main() {
     W.field((Prefix + "_weight_updates").c_str(), RP.E.PricingUpdates);
   }
   W.field("pricing_steepest_vs_dantzig_dual_ratio", SteepestVsDantzigDual);
-  W.field("strongbranch_nodes_per_pass", SbPass.Nodes);
-  W.field("strongbranch_probes_per_pass", SbPass.Probes);
-  W.field("solver_threads", static_cast<uint64_t>(SolverThreads));
   W.field("hardware_concurrency", static_cast<uint64_t>(HwThreads));
-  W.field("par_nodes_per_pass", ParNodes);
-  W.field("par_nodes_per_sec", ParNodesPerSec);
-  W.field("parallel_node_speedup", ParallelNodeSpeedup);
   W.field("coldaxis_configs_per_sec", ColdAxisPerSec);
   W.field("warmaxis_configs_per_sec", WarmAxisPerSec);
   W.field("knob_axis_speedup", AxisSpeedup);

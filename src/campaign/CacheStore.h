@@ -218,11 +218,15 @@ public:
   /// Binds the journal to <dir>/progress.jsonl (requires a prior
   /// successful open()). With \p Resume, valid entries under a matching
   /// header — fingerprint() plus \p ConfigToken, which must encode
-  /// anything that changes results (solver limits; NOT --jobs or
-  /// --solver-threads, resume is byte-identical across those) — are
-  /// loaded into journalEntries(); a missing, stale, or mismatched
-  /// journal simply yields none. Without \p Resume any previous journal
-  /// is discarded and a fresh header written.
+  /// anything that can change a report's bytes (solverConfigToken(): the
+  /// limits, and also the pricing rule, node order and warm/cold switch,
+  /// since those are byte-neutral only when every solve proves
+  /// optimality — --pricing=dantzig labels 2 of the 1080 canonical
+  /// configs feasible-limit that the default proves optimal; NOT --jobs,
+  /// resume is byte-identical across that) — are loaded into
+  /// journalEntries(); a missing, stale, or mismatched journal simply
+  /// yields none. Without \p Resume any previous journal is discarded and
+  /// a fresh header written.
   bool beginJournal(const std::string &ConfigToken, bool Resume,
                     std::string *Error = nullptr);
 

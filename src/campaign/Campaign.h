@@ -37,7 +37,12 @@
 /// whose optimal placements coincide — they often do — additionally share
 /// one apply+measure call, keyed by the assignment itself. Warm and cold
 /// solves are both exact, so reports are byte-identical with solve reuse
-/// on or off (CampaignOptions::ReuseSolves, `--no-solve-reuse`).
+/// on or off (CampaignOptions::ReuseSolves, `--reuse` without `solve`)
+/// whenever every solve proves optimality. A different pivot path can get
+/// numerically stuck where another does not and lose a proof — measured:
+/// `--pricing=dantzig` labels 2 of the 1080 canonical-grid configs
+/// feasible-limit that the default proves optimal — and a degraded label
+/// may then differ between the two runs.
 ///
 /// Even the group's first solve need not start from nothing: an
 /// IncumbentStore remembers the best-known placement per solve group —
@@ -45,13 +50,13 @@
 /// seeds its first cold solve with it. The seed is re-validated at zero
 /// tolerance under the actual knobs before it may prune anything, so a
 /// stale assignment costs nothing and results stay byte-identical with
-/// seeding on or off (CampaignOptions::SeedIncumbents,
-/// `--no-incumbent-seed`) whenever the optimal placement is unique —
-/// two distinct placements with bit-equal modelled energy being the one
-/// case any pair of exact solvers may legitimately disagree on, the
-/// same caveat warm knob chaining has carried since PR 4; what a fresh
-/// grid gains is a proven-quality incumbent before the first node is
-/// explored.
+/// seeding on or off (CampaignOptions::SeedIncumbents, `--reuse` without
+/// `incumbent`) whenever every solve proves optimality and the optimal
+/// placement is unique — two distinct placements with bit-equal modelled
+/// energy being the one case any pair of exact solvers may legitimately
+/// disagree on, the same caveat warm knob chaining has carried since
+/// PR 4; what a fresh grid gains is a proven-quality incumbent before the
+/// first node is explored.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -245,7 +250,8 @@ struct CampaignOptions {
   /// Group jobs that differ only in the Xlimit/Rspare knobs and run each
   /// group as one task: parameters extracted and the ILP built once, knob
   /// points solved as warm-started RHS patches, coinciding placements
-  /// measured once (reports stay byte-identical either way). The knob
+  /// measured once (reports stay byte-identical either way whenever every
+  /// solve proves optimality; see the file comment). The knob
   /// points of a group serialize on one worker by design — that is what
   /// buys the 1-extraction/1-cold-solve guarantee — so a grid's
   /// parallelism is its benchmark x level x device x freq spread; a grid
@@ -266,8 +272,8 @@ struct CampaignOptions {
   /// byte-identical either way whenever the optimal placement is unique
   /// (seeds are re-validated at zero tolerance and both paths are exact;
   /// bit-equal-energy ties are the one legitimate divergence, as for
-  /// warm knob chaining); `--no-incumbent-seed` is the A/B escape hatch
-  /// that proves it.
+  /// warm knob chaining); `--reuse` without `incumbent` is the A/B
+  /// escape hatch that proves it.
   bool SeedIncumbents = true;
   /// Registry the campaign records its counters into (campaign.* keys:
   /// extractions, cold/warm solves, incumbent seeds, full sims vs

@@ -106,11 +106,11 @@ void ramloc::writeJobResult(JsonWriter &W, const JobResult &R) {
     W.endObject();
     return;
   }
-  // The trust label, written only when degraded: a limit-truncated
-  // result must say so in the report, while unlimited runs — always
-  // Optimal — keep the exact bytes every identity gate (threads x node
-  // order x shard x cache x telemetry) has always compared. A missing
-  // field parses as Optimal for the same reason.
+  // The trust label, written only when degraded: a truncated proof must
+  // say so in the report, while runs whose every solve proves optimality
+  // keep the exact bytes every identity gate (jobs x shard x cache x
+  // telemetry) has always compared. A missing field parses as Optimal
+  // for the same reason.
   if (R.SolveOutcome != SolveStatus::Optimal)
     W.field("solve_status", solveStatusName(R.SolveOutcome));
   if (R.Spec.Kind == JobKind::Measure) {
@@ -143,8 +143,8 @@ void ramloc::writeJobResult(JsonWriter &W, const JobResult &R) {
   // Solver-effort counters (ColdSolves/WarmSolves/IncumbentSeeds/pivots)
   // are deliberately NOT serialized: reports must not depend on how a
   // result was obtained, or the byte-identity guarantees (cached vs
-  // computed, warm vs --no-solve-reuse, seeded vs --no-incumbent-seed,
-  // any node order) would be unachievable. parseJobResult still accepts
+  // computed, warm vs cold solves, seeded vs unseeded, any node order)
+  // would be unachievable. parseJobResult still accepts
   // an optional "solver" block from diagnostic dialects, and --diff
   // ignores it.
   W.endObject();

@@ -148,10 +148,7 @@ public:
 
   /// Solves the placement for \p Knobs (structural knob fields must match
   /// construction). With Cfg.WarmNodes disabled every call is a fully
-  /// cold reference solve; Cfg.Threads > 1 searches each tree in
-  /// parallel (the retained cross-solve state stays single-owner — the
-  /// "not thread-safe" note above is about concurrent solve() calls,
-  /// not about the solver's internal worker pool).
+  /// cold reference solve.
   Assignment solve(const ModelKnobs &Knobs, const SolverConfig &Cfg = {},
                    MipSolution *Out = nullptr);
 

@@ -70,8 +70,8 @@ struct PipelineOptions {
   PowerModel Power = PowerModel::stm32f100();
   LinkOptions Link;
   SimOptions Sim;
-  /// Exact-solver knobs (LP engine, branch & bound, tree-search
-  /// parallelism) — one struct through the whole solve stage.
+  /// Exact-solver knobs (LP engine, branch & bound, limits) — one struct
+  /// through the whole solve stage.
   SolverConfig Solver;
   /// Profile the unoptimized binary first and use measured block
   /// frequencies (the Figure 5 "w/Frequency" variant) instead of the

@@ -10,15 +10,10 @@
 #include "support/Metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
 #include <limits>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 using namespace ramloc;
@@ -74,9 +69,8 @@ void snapIntegers(const LpProblem &P, std::vector<double> &V, double IntTol) {
 /// replaces the current best only on a strictly smaller objective, or a
 /// bit-equal objective with a lexicographically smaller assignment. The
 /// relation is a total order on candidate points, so the surviving
-/// incumbent is independent of the order candidates arrive in — the
-/// property the parallel search's determinism rests on. The serial path
-/// applies the same rule so thread counts agree.
+/// incumbent is independent of the order candidates arrive in — which is
+/// what keeps the node orders' answers consistent with each other.
 bool canonicallyBetter(double Obj, const std::vector<double> &V, bool HaveCur,
                        double CurObj, const std::vector<double> &CurV) {
   if (!HaveCur)
@@ -139,9 +133,8 @@ void finalizeOutcome(MipSolution &Sol) {
 
 /// Per-variable branching history: average objective degradation per unit
 /// of fraction moved, one estimate per direction. Reset for every
-/// solveMip call (and kept per worker in the parallel search) so a
-/// solve's branching decisions depend only on its own tree, not on what a
-/// previous knob point explored.
+/// solveMip call so a solve's branching decisions depend only on its own
+/// tree, not on what a previous knob point explored.
 struct PseudoCosts {
   std::vector<double> DownSum, UpSum;
   std::vector<unsigned> DownCnt, UpCnt;
@@ -235,9 +228,9 @@ int pickBranchVariable(const LpProblem &P, const std::vector<double> &X,
 }
 
 /// Splits \p N on \p BranchVar and hands both children to \p Push,
-/// closer side last: a LIFO shard pops the last pushed node, and the
-/// heap breaks bound ties towards the younger Seq — either way the
-/// search dives into the half the relaxation already leans towards.
+/// closer side last: the stack pops the last pushed node, and the heap
+/// breaks bound ties towards the younger Seq — either way the search
+/// dives into the half the relaxation already leans towards.
 template <typename PushFn>
 void branchNode(Node &&N, int BranchVar, double Frac, double Bound,
                 PushFn &&Push) {
@@ -255,414 +248,6 @@ void branchNode(Node &&N, int BranchVar, double Frac, double Bound,
     Push(std::move(Zero));
   }
 }
-
-//===----------------------------------------------------------------------===//
-// Root strong branching.
-//===----------------------------------------------------------------------===//
-
-/// Probes the top-K branching candidates at the root by actually solving
-/// both children with bounded dual re-solves, and seeds the pseudo-cost
-/// history with the observed degradations — so the very first branching
-/// decision already ranks by measured impact instead of raw fraction.
-/// Candidates are ranked most-fractional-first (no pseudo-costs exist at
-/// the root yet), two probes per candidate, fanned over up to
-/// SolverConfig::Threads worker threads.
-///
-/// Determinism: every probe re-optimizes its *own clone* of the solved
-/// root tableau, so each probe's outcome and pivot count are independent
-/// of which thread ran it and in what order; results land in fixed
-/// per-probe slots and are folded into the pseudo-cost history in
-/// candidate order after all probes finish. Probes only inform the
-/// branching order (inconclusive ones are simply skipped), so the
-/// search's answer is byte-identical with strong branching on or off.
-void strongBranchRoot(const LpProblem &P, const SolverConfig &Cfg,
-                      const SearchLimits &Limits, const WarmStart &RootWs,
-                      const std::vector<double> &RootLo,
-                      const std::vector<double> &RootHi,
-                      const LpSolution &Root, PseudoCosts &PC,
-                      SolverStats &St) {
-  struct Cand {
-    unsigned Var;
-    double DownDist; ///< V - floor(V); up distance is 1 - DownDist
-  };
-  std::vector<Cand> Cands;
-  for (unsigned J = 0, E = P.numVariables(); J != E; ++J) {
-    if (!P.Variables[J].Integer)
-      continue;
-    double V = Root.Values[J];
-    double Down = V - std::floor(V);
-    if (std::min(Down, 1.0 - Down) > Cfg.IntegerTolerance)
-      Cands.push_back({J, Down});
-  }
-  std::stable_sort(Cands.begin(), Cands.end(),
-                   [](const Cand &A, const Cand &B) {
-                     return std::min(A.DownDist, 1.0 - A.DownDist) >
-                            std::min(B.DownDist, 1.0 - B.DownDist);
-                   });
-  if (Cands.size() > Cfg.StrongBranchK)
-    Cands.resize(Cfg.StrongBranchK);
-  if (Cands.empty())
-    return;
-
-  struct Probe {
-    unsigned Var;
-    bool Up;
-    double Dist;
-  };
-  std::vector<Probe> Probes;
-  Probes.reserve(Cands.size() * 2);
-  for (const Cand &C : Cands) {
-    Probes.push_back({C.Var, false, C.DownDist});
-    Probes.push_back({C.Var, true, 1.0 - C.DownDist});
-  }
-
-  struct Result {
-    bool Conclusive = false;
-    double Degradation = 0.0;
-  };
-  std::vector<Result> Results(Probes.size());
-  unsigned Pool = std::min<size_t>(std::max(1u, Cfg.Threads), Probes.size());
-  std::vector<SolverStats> ProbeStats(Pool);
-  std::atomic<size_t> NextProbe{0};
-
-  auto runProbes = [&](unsigned T) {
-    SolverStats &S = ProbeStats[T];
-    for (;;) {
-      size_t I = NextProbe.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Probes.size())
-        return;
-      // A passed deadline drains the remaining probes unrun (their
-      // slots stay inconclusive): probes are a head start, never owed.
-      if (Limits.deadlinePassed())
-        continue;
-      const Probe &Pr = Probes[I];
-      WarmStart W = RootWs.clone();
-      std::vector<double> Lo = RootLo, Hi = RootHi;
-      if (Pr.Up)
-        Lo[Pr.Var] = 1.0;
-      else
-        Hi[Pr.Var] = 0.0;
-      LpSolution Child = resolveLpFromBasis(P, Lo, Hi, W, Cfg);
-      ++S.StrongBranchProbes;
-      S.PrimalPivots += Child.Iterations;
-      S.DualPivots += Child.DualIterations;
-      S.BoundFlips += Child.BoundFlips;
-      S.PricingUpdates += Child.PricingUpdates;
-      S.PricingRecomputes += Child.PricingRecomputes;
-      S.PricingDrift += Child.PricingDrift;
-      if (Child.Status == LpStatus::Optimal)
-        Results[I] = {true, Child.Objective - Root.Objective};
-    }
-  };
-
-  if (Pool <= 1) {
-    runProbes(0);
-  } else {
-    std::vector<std::thread> Threads;
-    Threads.reserve(Pool);
-    for (unsigned T = 0; T != Pool; ++T)
-      Threads.emplace_back([&, T] { runProbes(T); });
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  // Seed in fixed probe order so the pseudo-cost sums are bit-identical
-  // regardless of thread scheduling.
-  for (size_t I = 0; I != Probes.size(); ++I) {
-    if (!Results[I].Conclusive)
-      continue;
-    PC.observe(Probes[I].Var, Probes[I].Up, Results[I].Degradation,
-               Probes[I].Dist);
-    ++St.StrongBranchSeeds;
-  }
-  for (const SolverStats &S : ProbeStats)
-    St.merge(S);
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel tree search.
-//===----------------------------------------------------------------------===//
-
-/// Work-stealing search over the open list, JobQueue-style: one deque
-/// shard per worker, own-end pops, sibling steals when dry. Dfs shards
-/// pop their own back (diving) and steal a victim's *front* — the oldest
-/// node, closest to the root, i.e. the largest unexplored subtree, which
-/// keeps steals rare. Best-bound shards maintain the heap discipline
-/// in-place (deque iterators are random-access), and a steal takes the
-/// victim's heap top; Hybrid shards convert to heaps lazily once the
-/// shared incumbent exists. Termination and result selection are in
-/// BranchBound.h's file comment: Pending/Queued counters close the
-/// search, the canonical incumbent order makes the answer independent of
-/// worker scheduling.
-struct ParallelTree {
-  struct Shard {
-    std::deque<Node> Q;
-    std::mutex Mu;
-    bool Heap = false;
-  };
-
-  const LpProblem &P;
-  const SolverConfig &Cfg;
-  const SearchLimits &Limits;
-  unsigned NumWorkers;
-  const WarmStart *RootWs; ///< solved root tableau each worker clones
-
-  std::vector<Shard> Shards;
-
-  std::mutex StateMu;
-  std::condition_variable WorkCv;
-  size_t Queued = 0;  ///< unclaimed nodes across all shards
-  size_t Pending = 0; ///< unclaimed + in-flight nodes
-  bool Stopping = false; ///< hard abort (unbounded relaxation)
-
-  // Shared incumbent. BestObj is a monotone non-increasing pruning bound
-  // read with relaxed loads on the hot path; installs go through IncMu
-  // and the canonical order.
-  std::atomic<bool> HaveInc{false};
-  std::atomic<double> BestObj{std::numeric_limits<double>::infinity()};
-  std::mutex IncMu;
-  double IncObjective = 0.0;
-  std::vector<double> IncValues;
-
-  std::atomic<uint64_t> NextSeq{0};
-  std::atomic<unsigned> Explored{0};
-  std::atomic<bool> LostProof{false};
-  std::atomic<bool> SawUnbounded{false};
-  /// Simplex pivots spent search-wide (root solve seeds it; every node
-  /// adds its own after the LP returns). Only read when a PivotLimit is
-  /// set; one relaxed add per node keeps it off the hot path.
-  std::atomic<uint64_t> PivotsUsed{0};
-
-  std::vector<SolverStats> WorkerStats;
-
-  ParallelTree(const LpProblem &P, const SolverConfig &Cfg,
-               const SearchLimits &Limits, unsigned NumWorkers,
-               const WarmStart *RootWs)
-      : P(P), Cfg(Cfg), Limits(Limits), NumWorkers(NumWorkers), RootWs(RootWs),
-        Shards(NumWorkers), WorkerStats(NumWorkers) {
-    if (Cfg.Order == NodeOrder::BestBound)
-      for (Shard &S : Shards)
-        S.Heap = true;
-  }
-
-  void seedIncumbent(double Obj, std::vector<double> Values) {
-    IncObjective = Obj;
-    IncValues = std::move(Values);
-    BestObj.store(Obj, std::memory_order_relaxed);
-    HaveInc.store(true, std::memory_order_relaxed);
-  }
-
-  void offerIncumbent(std::vector<double> &&V, double Obj) {
-    std::lock_guard<std::mutex> L(IncMu);
-    if (canonicallyBetter(Obj, V, HaveInc.load(std::memory_order_relaxed),
-                          IncObjective, IncValues)) {
-      IncObjective = Obj;
-      IncValues = std::move(V);
-      BestObj.store(Obj, std::memory_order_relaxed);
-      HaveInc.store(true, std::memory_order_release);
-    }
-  }
-
-  /// Hybrid shards flip to the heap discipline the first time they are
-  /// touched after the shared incumbent appears. Caller holds S.Mu.
-  void maybeConvert(Shard &S) {
-    if (!S.Heap && Cfg.Order == NodeOrder::Hybrid &&
-        HaveInc.load(std::memory_order_relaxed)) {
-      std::make_heap(S.Q.begin(), S.Q.end(), worseThan);
-      S.Heap = true;
-    }
-  }
-
-  /// Direct push during single-threaded setup (root children).
-  void pushInitial(Node &&N) {
-    N.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
-    Shard &S = Shards[0];
-    S.Q.push_back(std::move(N));
-    if (S.Heap)
-      std::push_heap(S.Q.begin(), S.Q.end(), worseThan);
-    ++Queued;
-    ++Pending;
-  }
-
-  void pushChild(unsigned Me, Node &&N) {
-    N.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
-    Shard &S = Shards[Me];
-    {
-      std::lock_guard<std::mutex> L(S.Mu);
-      maybeConvert(S);
-      S.Q.push_back(std::move(N));
-      if (S.Heap)
-        std::push_heap(S.Q.begin(), S.Q.end(), worseThan);
-    }
-    {
-      std::lock_guard<std::mutex> L(StateMu);
-      ++Queued;
-      ++Pending;
-    }
-    WorkCv.notify_one();
-  }
-
-  /// Pops one node from \p Victim. Owners and thieves use the same heap
-  /// pop in heap mode (the best-bound node matters more than locality);
-  /// in diving mode the owner takes its newest node and a thief the
-  /// victim's oldest.
-  bool tryPop(unsigned Victim, bool Stealing, Node &Out) {
-    Shard &S = Shards[Victim];
-    std::lock_guard<std::mutex> L(S.Mu);
-    maybeConvert(S);
-    if (S.Q.empty())
-      return false;
-    if (S.Heap) {
-      std::pop_heap(S.Q.begin(), S.Q.end(), worseThan);
-      Out = std::move(S.Q.back());
-      S.Q.pop_back();
-    } else if (Stealing) {
-      Out = std::move(S.Q.front());
-      S.Q.pop_front();
-    } else {
-      Out = std::move(S.Q.back());
-      S.Q.pop_back();
-    }
-    return true;
-  }
-
-  /// Blocks until a node is claimed or the search is over. A claim
-  /// reserves one node by decrementing Queued (pushes make the node
-  /// visible in its shard *before* incrementing Queued, so a reservation
-  /// is always backed); the scan then walks own shard first, siblings
-  /// after, retrying on the rare transient miss where concurrent claims
-  /// and pushes shuffle which shard holds the backing node.
-  bool claimNode(unsigned Me, Node &Out) {
-    {
-      std::unique_lock<std::mutex> L(StateMu);
-      WorkCv.wait(L, [&] { return Stopping || Pending == 0 || Queued > 0; });
-      if (Stopping || Queued == 0)
-        return false;
-      --Queued;
-    }
-    for (;;) {
-      for (unsigned K = 0; K != NumWorkers; ++K)
-        if (tryPop((Me + K) % NumWorkers, /*Stealing=*/K != 0, Out))
-          return true;
-      std::this_thread::yield();
-      std::lock_guard<std::mutex> L(StateMu);
-      if (Stopping)
-        return false;
-    }
-  }
-
-  void finishNode() {
-    std::lock_guard<std::mutex> L(StateMu);
-    --Pending;
-    if (Pending == 0)
-      WorkCv.notify_all();
-  }
-
-  void abortSearch() {
-    {
-      std::lock_guard<std::mutex> L(StateMu);
-      Stopping = true;
-    }
-    WorkCv.notify_all();
-  }
-
-  void processNode(unsigned Me, Node N, WarmStart &W, PseudoCosts &PC,
-                   SolverStats &St) {
-    // Cooperative deadline / pivot-budget check. Unlike the node cap,
-    // these limits stop the *whole* search, not just this node: the
-    // budget is global, so once it is spent every shard's remaining
-    // nodes are equally unaffordable and waking siblings to re-discover
-    // that wastes the caller's deadline.
-    if (Limits.deadlinePassed() ||
-        Limits.pivotsExhausted(PivotsUsed.load(std::memory_order_relaxed))) {
-      LostProof.store(true, std::memory_order_relaxed);
-      abortSearch();
-      return;
-    }
-    if (N.Bound >= BestObj.load(std::memory_order_relaxed) - Cfg.GapTolerance)
-      return;
-    uint64_t Ticket = Explored.fetch_add(1, std::memory_order_relaxed);
-    if (Ticket >= Limits.NodeCap) {
-      Explored.fetch_sub(1, std::memory_order_relaxed);
-      LostProof.store(true, std::memory_order_relaxed);
-      return;
-    }
-
-    LpSolution Relax = Cfg.WarmNodes
-                           ? solveLpWarm(P, N.Lower, N.Upper, W, Cfg)
-                           : solveLpWithBounds(P, N.Lower, N.Upper, Cfg);
-    accumulateLp(St, Relax);
-    PivotsUsed.fetch_add(Relax.Iterations + Relax.DualIterations,
-                         std::memory_order_relaxed);
-
-    if (N.BranchVar >= 0 && std::isfinite(N.Bound) &&
-        Relax.Status == LpStatus::Optimal)
-      PC.observe(static_cast<unsigned>(N.BranchVar), N.BranchUp,
-                 Relax.Objective - N.Bound, N.FracDist);
-
-    if (Relax.Status == LpStatus::Infeasible)
-      return;
-    if (Relax.Status == LpStatus::Unbounded) {
-      SawUnbounded.store(true, std::memory_order_relaxed);
-      abortSearch();
-      return;
-    }
-    if (Relax.Status == LpStatus::IterLimit) {
-      LostProof.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (Relax.Objective >=
-        BestObj.load(std::memory_order_relaxed) - Cfg.GapTolerance)
-      return;
-
-    int BranchVar = pickBranchVariable(P, Relax.Values, Cfg, PC);
-    if (BranchVar < 0) {
-      std::vector<double> Cand = std::move(Relax.Values);
-      snapIntegers(P, Cand, Cfg.IntegerTolerance);
-      double Obj = P.objectiveValue(Cand);
-      offerIncumbent(std::move(Cand), Obj);
-      return;
-    }
-
-    if (!HaveInc.load(std::memory_order_relaxed)) {
-      std::vector<double> Rounded;
-      if (roundToFeasible(P, Relax.Values, Rounded)) {
-        double Obj = P.objectiveValue(Rounded);
-        offerIncumbent(std::move(Rounded), Obj);
-      }
-    }
-
-    double Frac = Relax.Values[static_cast<unsigned>(BranchVar)];
-    branchNode(std::move(N), BranchVar, Frac, Relax.Objective,
-               [&](Node &&Child) { pushChild(Me, std::move(Child)); });
-  }
-
-  /// Root pseudo-cost history (strong-branching seeds) every worker
-  /// starts its own copy from; null = start empty.
-  const PseudoCosts *SeedPC = nullptr;
-
-  void worker(unsigned Me) {
-    WarmStart W;
-    if (Cfg.WarmNodes && RootWs)
-      W = RootWs->clone();
-    PseudoCosts PC = SeedPC ? *SeedPC : PseudoCosts(P.numVariables());
-    SolverStats &St = WorkerStats[Me];
-    Node N;
-    while (claimNode(Me, N)) {
-      processNode(Me, std::move(N), W, PC, St);
-      finishNode();
-    }
-  }
-
-  void run() {
-    std::vector<std::thread> Threads;
-    Threads.reserve(NumWorkers);
-    for (unsigned I = 0; I != NumWorkers; ++I)
-      Threads.emplace_back([this, I] { worker(I); });
-    for (std::thread &T : Threads)
-      T.join();
-  }
-};
 
 /// The search proper. The public solveMip wraps this to stamp the
 /// Outcome label and publish effort metrics on every exit path, so the
@@ -706,95 +291,6 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
     Best.Objective = P.objectiveValue(Warm->Incumbent);
     Best.Values = Warm->Incumbent;
   }
-
-  unsigned Threads = std::max(1u, Cfg.Threads);
-
-  if (Threads > 1) {
-    //===--- Parallel tree search ------------------------------------------===//
-    // The root relaxation is solved serially on the caller's tableau —
-    // preserving the cross-solve warm-start semantics and the campaign's
-    // cold/warm accounting — then the tree below it fans out over the
-    // work-stealing pool, each worker re-optimizing its own clone of the
-    // solved root tableau.
-    if (Limits.NodeCap == 0) {
-      Best.Proven = false;
-      return Best;
-    }
-    ++Best.NodesExplored;
-    LpSolution Relax = Cfg.WarmNodes
-                           ? solveLpWarm(P, RootLo, RootHi, Ws, Cfg)
-                           : solveLpWithBounds(P, RootLo, RootHi, Cfg);
-    accumulateLp(Best.Stats, Relax);
-
-    if (Relax.Status == LpStatus::Unbounded) {
-      Best.Status = LpStatus::Unbounded;
-      return Best;
-    }
-    if (Relax.Status == LpStatus::IterLimit) {
-      Best.Proven = false;
-      return Best;
-    }
-    if (Relax.Status == LpStatus::Optimal &&
-        !(HaveIncumbent &&
-          Relax.Objective >= Best.Objective - Cfg.GapTolerance)) {
-      ParallelTree PT(P, Cfg, Limits, Threads, Cfg.WarmNodes ? &Ws : nullptr);
-      if (HaveIncumbent)
-        PT.seedIncumbent(Best.Objective, Best.Values);
-
-      PseudoCosts RootPC(P.numVariables());
-      if (Cfg.StrongBranchK && Cfg.WarmNodes && Ws.valid())
-        strongBranchRoot(P, Cfg, Limits, Ws, RootLo, RootHi, Relax, RootPC,
-                         Best.Stats);
-      PT.SeedPC = &RootPC;
-      // The root solve's (and any strong-branch probes') pivots count
-      // against the search-wide budget.
-      PT.PivotsUsed.store(Best.Stats.PrimalPivots + Best.Stats.DualPivots,
-                          std::memory_order_relaxed);
-      int BranchVar = pickBranchVariable(P, Relax.Values, Cfg, RootPC);
-      if (BranchVar < 0) {
-        std::vector<double> Cand = std::move(Relax.Values);
-        snapIntegers(P, Cand, Cfg.IntegerTolerance);
-        double Obj = P.objectiveValue(Cand);
-        PT.offerIncumbent(std::move(Cand), Obj);
-      } else {
-        if (!PT.HaveInc.load(std::memory_order_relaxed)) {
-          std::vector<double> Rounded;
-          if (roundToFeasible(P, Relax.Values, Rounded)) {
-            double Obj = P.objectiveValue(Rounded);
-            PT.offerIncumbent(std::move(Rounded), Obj);
-          }
-        }
-        Node Root;
-        Root.Lower = std::move(RootLo);
-        Root.Upper = std::move(RootHi);
-        double Frac = Relax.Values[static_cast<unsigned>(BranchVar)];
-        branchNode(std::move(Root), BranchVar, Frac, Relax.Objective,
-                   [&](Node &&Child) { PT.pushInitial(std::move(Child)); });
-        PT.run();
-      }
-
-      Best.NodesExplored += PT.Explored.load(std::memory_order_relaxed);
-      for (const SolverStats &St : PT.WorkerStats)
-        Best.Stats.merge(St);
-      if (PT.SawUnbounded.load(std::memory_order_relaxed)) {
-        Best.Status = LpStatus::Unbounded;
-        return Best;
-      }
-      if (PT.LostProof.load(std::memory_order_relaxed))
-        Best.Proven = false;
-      if (PT.HaveInc.load(std::memory_order_acquire)) {
-        Best.Status = LpStatus::Optimal;
-        Best.Objective = PT.IncObjective;
-        Best.Values = std::move(PT.IncValues);
-      }
-    }
-    if (Warm)
-      Warm->Incumbent =
-          Best.feasible() ? Best.Values : std::vector<double>();
-    return Best;
-  }
-
-  //===--- Serial tree search ----------------------------------------------===//
 
   PseudoCosts PC(P.numVariables());
 
@@ -848,15 +344,6 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
                            : solveLpWithBounds(P, N.Lower, N.Upper, Cfg);
     accumulateLp(Best.Stats, Relax);
 
-    // Root strong branching, serial flavour: the root is the first node
-    // popped (no creating branch), and its solved tableau is the one Ws
-    // holds right now — the probes clone it just like the parallel path
-    // clones the serially-solved root.
-    if (N.BranchVar < 0 && Cfg.StrongBranchK && Cfg.WarmNodes &&
-        Ws.valid() && Relax.Status == LpStatus::Optimal)
-      strongBranchRoot(P, Cfg, Limits, Ws, N.Lower, N.Upper, Relax, PC,
-                       Best.Stats);
-
     // Feed the branching history: this node's relaxation tells us what
     // its creating branch actually cost per unit of fraction moved.
     if (N.BranchVar >= 0 && std::isfinite(N.Bound) &&
@@ -883,8 +370,8 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
     int BranchVar = pickBranchVariable(P, Relax.Values, Cfg, PC);
 
     if (BranchVar < 0) {
-      // Integral: candidate incumbent, installed under the same
-      // canonical order the parallel search uses so thread counts agree.
+      // Integral: candidate incumbent, installed under the canonical
+      // order so the surviving point does not depend on arrival order.
       std::vector<double> Cand = std::move(Relax.Values);
       snapIntegers(P, Cand, Cfg.IntegerTolerance);
       double Obj = P.objectiveValue(Cand);
@@ -948,8 +435,6 @@ MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
   M.counter("mip.pricing.updates").add(Sol.Stats.PricingUpdates);
   M.counter("mip.pricing.recomputes").add(Sol.Stats.PricingRecomputes);
   M.counter("mip.pricing.drift").add(Sol.Stats.PricingDrift);
-  M.counter("mip.strongbranch.probes").add(Sol.Stats.StrongBranchProbes);
-  M.counter("mip.strongbranch.seeds").add(Sol.Stats.StrongBranchSeeds);
   if (Sol.Stats.WarmStarted)
     M.counter("mip.warm_starts").add();
   if (Sol.Stats.SeededIncumbent)

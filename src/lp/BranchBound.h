@@ -29,7 +29,11 @@
 ///    runs where there is no retained basis to thrash.
 ///
 /// All orders are exact and return an optimal solution; on problems with
-/// a unique optimum they return bit-identical assignments.
+/// a unique optimum they return bit-identical assignments. Incumbents are
+/// installed under a canonical order — a candidate replaces the current
+/// best only when its objective is strictly smaller, or bit-equal with a
+/// lexicographically smaller assignment — so which of several candidates
+/// survives never depends on the order the search found them in.
 ///
 /// Solve once, branch cheap: each child node differs from its parent in
 /// exactly one variable bound, which — with the bounded-variable tableau
@@ -45,23 +49,6 @@
 /// neighbour instead of starting over, and an externally seeded incumbent
 /// (e.g. the persistent cache's best-known assignment) opens the search
 /// with most of the tree already pruned.
-///
-/// With SolverConfig::Threads > 1 the tree itself is searched in
-/// parallel: the root relaxation is solved once on the caller's warm
-/// tableau (preserving the cross-solve reuse semantics above), then the
-/// open list is sharded across workers with JobQueue-style deque
-/// stealing — each worker dives its own shard front-to-back in the
-/// configured order and steals from a sibling's tail when dry — and each
-/// worker re-optimizes its own deep copy of the solved root tableau.
-/// The shared incumbent makes pruning global. Determinism comes from
-/// *canonical result selection*, not from scheduling: a candidate
-/// incumbent's integer values are snapped exactly and it replaces the
-/// current best only when its objective is strictly smaller, or bit-equal
-/// with a lexicographically smaller assignment. That rule is independent
-/// of tree shape and arrival order, and the serial path applies the same
-/// rule, so any thread count returns the same assignment whenever the
-/// optimum is unique (multiple bit-equal-energy optima remain the one
-/// documented divergence, exactly as for node-order and warm/cold A/Bs).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,8 +76,7 @@ struct MipSolution {
   /// infeasibility was established; Aborted otherwise.
   SolveStatus Outcome = SolveStatus::Aborted;
 
-  /// The solve's effort ledger (merged across workers when the tree was
-  /// searched in parallel), also published into the mip.* metrics
+  /// The solve's effort ledger, also published into the mip.* metrics
   /// counters. Use the accessors below for the common reads.
   SolverStats Stats;
 
@@ -125,9 +111,7 @@ struct MipWarmStart {
 
 /// Solves \p P to optimality (integer variables must be binary). With
 /// \p Warm, re-optimizes from the previous solve's basis and incumbent
-/// and leaves the state primed for the next call. Cfg.Threads > 1
-/// searches the tree with a work-stealing worker pool; results are
-/// canonical across thread counts (see the file comment).
+/// and leaves the state primed for the next call.
 MipSolution solveMip(const LpProblem &P, const SolverConfig &Cfg = {},
                      MipWarmStart *Warm = nullptr);
 

@@ -233,11 +233,6 @@ struct WarmState {
     Sol.PricingDrift = static_cast<unsigned>(DseDrift - S.Drift);
   }
 
-  /// Rotating start column for Pricing::PartialDantzig's candidate-
-  /// section scan; advanced past each chosen entering column so sections
-  /// take turns supplying pivots.
-  unsigned PartialCursor = 0;
-
   bool needsRefactor(const SolverConfig &Opts) const {
     return Opts.RefactorInterval != 0 &&
            PivotsSinceBuild >
@@ -365,7 +360,6 @@ bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
   PivotsSinceBuild = 0;
   DseValid = false;
   DseEnabled = false;
-  PartialCursor = 0;
 
   // Structural columns: box from the overrides, nonbasic at a finite
   // bound (lower preferred), free when both bounds are infinite. Any
@@ -676,57 +670,42 @@ bool WarmState::anyEmptyBox() const {
 LpStatus WarmState::primalIterate(const SolverConfig &Opts,
                                   unsigned &Iterations,
                                   unsigned &BoundFlips) {
-  const Pricing Rule = Opts.effectivePricing();
+  const Pricing Rule = Opts.PricingRule;
   // Steepest-edge weights are a dual-side investment: maintaining them
   // through every primal pivot would cost O(rows^2) each, while the next
   // dual entry can recompute them all in one O(rows^2) pass. So primal
   // pivots invalidate (via eliminate()) and the dual recomputes lazily.
   DseEnabled = false;
-  // Partial pricing scans columns in rotating sections; the section size
-  // balances scan savings against pivot quality.
-  const unsigned Section = std::max(32u, NumCols / 8);
   unsigned StallCount = 0;
   while (Iterations < Opts.MaxIterations) {
     bool Bland = Rule == Pricing::Bland || StallCount > NumRows + 16;
-    bool Partial = !Bland && Rule == Pricing::PartialDantzig;
 
     // Entering column: an at-lower (or free) variable with negative
     // reduced cost moves up, an at-upper (or free) one with positive
     // reduced cost moves down. Dantzig picks the worst violation over
-    // all columns; Bland the first; Partial the worst within the first
-    // rotating section that offers any candidate.
+    // all columns; Bland the first.
     int Entering = -1;
     double Dir = 0.0, Best = Opts.Tolerance;
-    unsigned Start = Partial ? PartialCursor % NumCols : 0;
-    for (unsigned O = 0; O != NumCols; ++O) {
-      unsigned C = Start + O;
-      if (C >= NumCols)
-        C -= NumCols;
-      if (Stat[C] != VStat::Basic && !fixed(C)) {
-        double RC = Obj[C];
-        double D = 0.0;
-        if (RC < -Opts.Tolerance && Stat[C] != VStat::AtUpper)
-          D = 1.0;
-        else if (RC > Opts.Tolerance && Stat[C] != VStat::AtLower)
-          D = -1.0;
-        if (D != 0.0 && std::abs(RC) > Best) {
-          Entering = static_cast<int>(C);
-          Dir = D;
-          if (Bland)
-            break;
-          Best = std::abs(RC);
-        }
+    for (unsigned C = 0; C != NumCols; ++C) {
+      if (Stat[C] == VStat::Basic || fixed(C))
+        continue;
+      double RC = Obj[C];
+      double D = 0.0;
+      if (RC < -Opts.Tolerance && Stat[C] != VStat::AtUpper)
+        D = 1.0;
+      else if (RC > Opts.Tolerance && Stat[C] != VStat::AtLower)
+        D = -1.0;
+      if (D != 0.0 && std::abs(RC) > Best) {
+        Entering = static_cast<int>(C);
+        Dir = D;
+        if (Bland)
+          break;
+        Best = std::abs(RC);
       }
-      // Section boundary: partial pricing stops at the first section
-      // that produced a candidate.
-      if (Partial && Entering >= 0 && (O + 1) % Section == 0)
-        break;
     }
     if (Entering < 0)
       return LpStatus::Optimal;
     unsigned Q = static_cast<unsigned>(Entering);
-    if (Partial)
-      PartialCursor = (Q + 1) % NumCols;
 
     // Ratio test: how far can the entering variable travel before a
     // basic variable hits a bound — or before its own span runs out (a
@@ -807,7 +786,7 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
 LpStatus WarmState::dualIterate(const SolverConfig &Opts,
                                 unsigned &Iterations,
                                 unsigned &BoundFlips) {
-  const Pricing Rule = Opts.effectivePricing();
+  const Pricing Rule = Opts.PricingRule;
   DseEnabled = Rule == Pricing::SteepestEdge;
   if (DseEnabled && !DseValid)
     computeDseWeights(); // first activation, or primal pivots intervened
@@ -1131,13 +1110,6 @@ WarmStart &WarmStart::operator=(WarmStart &&) noexcept = default;
 bool WarmStart::valid() const { return S && S->Usable; }
 
 void WarmStart::reset() { S.reset(); }
-
-WarmStart WarmStart::clone() const {
-  WarmStart C;
-  if (S)
-    C.S = std::make_unique<WarmState>(*S);
-  return C;
-}
 
 LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
                                       const std::vector<double> &Lower,

@@ -10,8 +10,8 @@
 /// here; lp/BranchBound.h layers 0/1 search on top. Problem sizes in this
 /// project are small (tens to a few hundred variables), so a dense tableau
 /// is plenty; pivot selection is pluggable (SolverConfig::Pricing — dual
-/// steepest-edge by default, Dantzig / partial Dantzig / Bland behind the
-/// enum, all with the Bland anti-cycling fallback when stalled).
+/// steepest-edge by default, Dantzig / Bland behind the enum, all with the
+/// Bland anti-cycling fallback when stalled).
 ///
 /// Variables carry their [lb, ub] box implicitly: a nonbasic variable sits
 /// *at* its lower or upper bound (or at zero when free) and the tableau
@@ -124,10 +124,6 @@ public:
   bool valid() const;
   /// Drops the retained state; the next solveLpWarm builds from scratch.
   void reset();
-  /// Deep-copies the retained tableau into an independent handle. The
-  /// parallel branch & bound clones the solved root tableau once per
-  /// worker so each thread re-optimizes its own copy with no sharing.
-  WarmStart clone() const;
 
 private:
   std::unique_ptr<WarmState> S;

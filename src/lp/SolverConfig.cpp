@@ -2,6 +2,8 @@
 
 #include "lp/SolverConfig.h"
 
+#include "support/Format.h"
+
 namespace ramloc {
 
 const char *nodeOrderName(NodeOrder O) {
@@ -34,8 +36,6 @@ const char *pricingName(Pricing P) {
     return "steepest-edge";
   case Pricing::Dantzig:
     return "dantzig";
-  case Pricing::PartialDantzig:
-    return "partial";
   case Pricing::Bland:
     return "bland";
   }
@@ -47,8 +47,6 @@ bool pricingFromName(const std::string &Name, Pricing &Out) {
     Out = Pricing::SteepestEdge;
   else if (Name == "dantzig")
     Out = Pricing::Dantzig;
-  else if (Name == "partial")
-    Out = Pricing::PartialDantzig;
   else if (Name == "bland")
     Out = Pricing::Bland;
   else
@@ -84,21 +82,16 @@ bool solveStatusFromName(const std::string &Name, SolveStatus &Out) {
   return true;
 }
 
-SolverStats &SolverStats::merge(const SolverStats &Other) {
-  ColdNodeSolves += Other.ColdNodeSolves;
-  WarmNodeSolves += Other.WarmNodeSolves;
-  PrimalPivots += Other.PrimalPivots;
-  DualPivots += Other.DualPivots;
-  BoundFlips += Other.BoundFlips;
-  Refactorizations += Other.Refactorizations;
-  PricingUpdates += Other.PricingUpdates;
-  PricingRecomputes += Other.PricingRecomputes;
-  PricingDrift += Other.PricingDrift;
-  StrongBranchProbes += Other.StrongBranchProbes;
-  StrongBranchSeeds += Other.StrongBranchSeeds;
-  WarmStarted = WarmStarted || Other.WarmStarted;
-  SeededIncumbent = SeededIncumbent || Other.SeededIncumbent;
-  return *this;
+std::string solverConfigToken(const SolverConfig &Cfg) {
+  return formatString(
+      "lp:tol%.17g:it%u:%s:rf%u;mip:itol%.17g:mn%u:gap%.17g:%s:%s:pc%d;"
+      "limits:t%u:n%llu:p%llu",
+      Cfg.Tolerance, Cfg.MaxIterations, pricingName(Cfg.PricingRule),
+      Cfg.RefactorInterval, Cfg.IntegerTolerance, Cfg.MaxNodes,
+      Cfg.GapTolerance, Cfg.WarmNodes ? "warm" : "cold",
+      nodeOrderName(Cfg.Order), Cfg.PseudoCostBranching ? 1 : 0,
+      Cfg.TimeLimitMs, static_cast<unsigned long long>(Cfg.NodeLimit),
+      static_cast<unsigned long long>(Cfg.PivotLimit));
 }
 
 } // namespace ramloc

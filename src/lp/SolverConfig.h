@@ -16,10 +16,9 @@
 /// PlacementSolver down to resolveLpFromBasis. SolverConfig flattens the
 /// knobs into a single value that rides unchanged through
 /// PlacementSolver -> solveMip -> solveLpWarm -> resolveLpFromBasis;
-/// thread count, pricing rule and refactorization cadence plug in here
-/// and nowhere else. SolverStats is the matching effort ledger: one
-/// instance per solve (or per worker in the parallel tree search, merged
-/// at the end), mirrored into the mip.* metrics so per-thread counts
+/// pricing rule, node order and refactorization cadence plug in here and
+/// nowhere else. SolverStats is the matching effort ledger: one instance
+/// per solve, mirrored into the mip.* metrics so concurrent solves
 /// aggregate through the registry instead of ad-hoc summing.
 ///
 //===----------------------------------------------------------------------===//
@@ -43,10 +42,15 @@ enum class NodeOrder : uint8_t {
 const char *nodeOrderName(NodeOrder O);
 bool nodeOrderFromName(const std::string &Name, NodeOrder &Out);
 
-/// How the simplex prices its pivots. Every rule is exact — the optimum
-/// (and therefore every campaign report) is byte-identical across rules;
-/// what changes is how many pivots the search spends getting there, which
-/// is the solver's hot-path currency on warm re-solve chains.
+/// How the simplex prices its pivots. Every rule is exact: a solve that
+/// proves optimality returns the same optimum under any rule. What changes
+/// is how many pivots the search spends getting there, which is the
+/// solver's hot-path currency on warm re-solve chains — and, because a
+/// different pivot path can get numerically stuck where another does not,
+/// which solves lose their proof. Campaign reports are byte-identical
+/// across rules only when every solve proves optimality: on the canonical
+/// 1080-config grid, --pricing=dantzig labels 2 configs feasible-limit
+/// that the default proves optimal.
 enum class Pricing : uint8_t {
   /// Dual steepest-edge (Forrest–Goldfarb): the leaving row is the one
   /// whose box violation is largest *per unit of basis-inverse row norm*,
@@ -60,11 +64,6 @@ enum class Pricing : uint8_t {
   /// Textbook most-violated selection, both simplexes. The pre-PR-10
   /// behaviour, kept as the A/B baseline the perf gates compare against.
   Dantzig,
-  /// Dantzig with a rotating candidate-section scan on the primal side:
-  /// the entering column is the best of the first section that offers
-  /// one, not of all columns. Cheaper per iteration on cold phase-1
-  /// passes over wide tableaux; the dual side prices as Dantzig.
-  PartialDantzig,
   /// Bland's least-index rule everywhere. Immune to cycling by
   /// construction; exists so the degenerate-pivot regressions can pin
   /// the fallback every other rule switches to when stalled.
@@ -102,13 +101,9 @@ struct SolverConfig {
   double Tolerance = 1e-9;
   /// Pivot budget per simplex phase.
   unsigned MaxIterations = 100000;
-  /// Pivot selection rule (see Pricing). Exact and report-neutral either
-  /// way; SteepestEdge spends the fewest dual pivots on warm chains.
+  /// Pivot selection rule (see Pricing). Exact either way; SteepestEdge
+  /// spends the fewest dual pivots on warm chains.
   Pricing PricingRule = Pricing::SteepestEdge;
-  /// Deprecated alias for PricingRule = Pricing::Bland, kept so pre-PR-10
-  /// callers compile and behave identically; the solver reads only
-  /// effectivePricing(). Prefer setting PricingRule directly.
-  bool ForceBland = false;
   /// Refactorization cadence: after RefactorInterval * (rows + vars + 1)
   /// pivots, a retained warm tableau is re-derived *from its current
   /// basis* — the rows are rebuilt from original problem data and
@@ -121,13 +116,6 @@ struct SolverConfig {
   /// Only a numerically singular basis degrades to the old
   /// rebuild-from-scratch path. 0 disables the cadence entirely.
   unsigned RefactorInterval = 64;
-
-  /// The pricing rule the solver actually applies: the deprecated
-  /// ForceBland flag wins (mapping onto Pricing::Bland) so old callers
-  /// keep their exact semantics without scattered special cases.
-  Pricing effectivePricing() const {
-    return ForceBland ? Pricing::Bland : PricingRule;
-  }
 
   //===--- MIP search (branch & bound) ------------------------------------===//
 
@@ -149,16 +137,6 @@ struct SolverConfig {
   /// until a variable has observed degradations. Disable for plain
   /// most-fractional branching.
   bool PseudoCostBranching = true;
-  /// Strong branching at the root: probe the top-K branching candidates
-  /// (pseudo-cost ranked; most-fractional until costs exist) by actually
-  /// solving both children with bounded dual re-solves on clones of the
-  /// solved root tableau, fanned over the Threads worker pool, and seed
-  /// the pseudo-cost history with the observed degradations before the
-  /// first real branch is chosen. Exact and report-neutral — probes only
-  /// inform the branching order, never the answer. 0 disables (default);
-  /// probing needs a warm root tableau, so fully cold runs
-  /// (WarmNodes = false) skip it.
-  unsigned StrongBranchK = 0;
 
   //===--- Cooperative limits (graceful degradation) ----------------------===//
   //
@@ -167,36 +145,30 @@ struct SolverConfig {
   // and a limited search always returns the best incumbent found so far
   // with a truthful MipSolution::Outcome — FeasibleLimit when one
   // exists, Aborted when the limit fired first. Time limits make results
-  // machine-dependent by nature; node and pivot limits are deterministic
-  // for a fixed thread count.
+  // machine-dependent by nature; node and pivot limits are deterministic.
 
   /// Wall-clock deadline for one solveMip call, in milliseconds.
   unsigned TimeLimitMs = 0;
   /// Node cap for one solveMip call. Effectively min'ed with MaxNodes
   /// (the long-standing safety backstop, which keeps its own default).
   uint64_t NodeLimit = 0;
-  /// Cap on total simplex pivots (primal + dual, summed over nodes and
-  /// workers) for one solveMip call.
+  /// Cap on total simplex pivots (primal + dual, summed over nodes) for
+  /// one solveMip call.
   uint64_t PivotLimit = 0;
-
-  //===--- Parallel tree search -------------------------------------------===//
-
-  /// Worker threads for the branch & bound tree (--solver-threads). 1 =
-  /// serial. Each worker carries its own warm tableau cloned from the
-  /// solved root and a work-stealing shard of the open list; the shared
-  /// incumbent is installed under a canonical tie-break (strictly better
-  /// objective, else bit-equal objective and lexicographically smaller
-  /// assignment), so the result never depends on worker arrival order
-  /// and reports stay byte-identical across thread counts whenever the
-  /// optimum is unique — the same caveat every other exact-path A/B
-  /// switch in this repo carries.
-  unsigned Threads = 1;
 };
+
+/// Spells every SolverConfig field as one string. Any field can move a
+/// solve's answer or its trust label (a limit truncates the proof; a
+/// pricing rule, node order or warm/cold switch takes a different pivot
+/// path that may get numerically stuck where another does not), so this
+/// is the token a campaign progress journal pins: a resume under a
+/// different solver config replays nothing. Campaign parallelism (--jobs)
+/// is not a solver setting and does not appear.
+std::string solverConfigToken(const SolverConfig &Cfg);
 
 /// The solver's effort ledger: how each explored node's relaxation was
 /// satisfied and what the simplex spent doing it. One instance per
-/// solveMip call — the parallel tree search keeps one per worker and
-/// merges them — published into the mip.* metrics registry counters by
+/// solveMip call, published into the mip.* metrics registry counters by
 /// the solve itself, so campaign summaries, perf harnesses and --metrics
 /// snapshots all read one source.
 struct SolverStats {
@@ -226,20 +198,12 @@ struct SolverStats {
   /// the spot (the recompute wins); a nonzero count is a numerics canary,
   /// not an error.
   uint64_t PricingDrift = 0;
-  /// Root strong-branching child probes performed (two per candidate).
-  uint64_t StrongBranchProbes = 0;
-  /// Pseudo-cost observations seeded from conclusive root probes.
-  uint64_t StrongBranchSeeds = 0;
   /// True when the solve itself started from a caller-provided
   /// MipWarmStart basis (knob-axis reuse) rather than a cold root.
   bool WarmStarted = false;
   /// True when the caller-provided incumbent survived the zero-tolerance
   /// feasibility re-check and opened the search.
   bool SeededIncumbent = false;
-
-  /// Folds \p Other in (parallel workers' ledgers into the solve's).
-  /// Counters add; the per-solve flags are root-level facts and OR in.
-  SolverStats &merge(const SolverStats &Other);
 };
 
 } // namespace ramloc

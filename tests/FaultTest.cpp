@@ -366,6 +366,45 @@ TEST(Journal, ConfigTokenMismatchDiscardsTheJournal) {
   EXPECT_EQ(Third.journalSkipped(), 0u);
 }
 
+TEST(Journal, SolverConfigTokenPinsSolverSettingsButNotJobs) {
+  // The token ramloc-batch pins: a resume at a different --jobs replays
+  // the journal, while one under a different pricing rule, node order or
+  // warm/cold switch — any of which can move a degraded label — replays
+  // nothing and recomputes under its own settings.
+  std::string Dir = freshDir("journal-solver-token");
+  CampaignOptions Written;
+  Written.Jobs = 1;
+  {
+    CacheStore Store;
+    ASSERT_TRUE(Store.open(Dir));
+    std::string Error;
+    ASSERT_TRUE(Store.beginJournal(solverConfigToken(Written.Base.Solver),
+                                   false, &Error))
+        << Error;
+    ASSERT_TRUE(Store.appendJournal(makeResult(256), &Error)) << Error;
+  }
+
+  auto replayed = [&](const CampaignOptions &Opts) {
+    CacheStore Store;
+    EXPECT_TRUE(Store.open(Dir));
+    std::string Error;
+    EXPECT_TRUE(Store.beginJournal(solverConfigToken(Opts.Base.Solver),
+                                   true, &Error))
+        << Error;
+    return Store.journalEntries().size();
+  };
+  CampaignOptions MoreJobs = Written;
+  MoreJobs.Jobs = 4;
+  EXPECT_EQ(replayed(MoreJobs), 1u);
+
+  CampaignOptions Dantzig = Written;
+  Dantzig.Base.Solver.PricingRule = Pricing::Dantzig;
+  EXPECT_EQ(replayed(Dantzig), 0u);
+  // That mismatched resume re-headed the journal under Dantzig's token,
+  // so the original settings now find nothing to replay either.
+  EXPECT_EQ(replayed(Written), 0u);
+}
+
 TEST(Journal, ClearRemovesTheFile) {
   std::string Dir = freshDir("journal-clear");
   CacheStore Store;
@@ -489,41 +528,39 @@ TEST_P(LimitedMip, BestEffortNeverMislabelled) {
   EXPECT_NEAR(Full.Objective, Reference, 1e-6);
 
   SplitMix64 Rng(static_cast<uint64_t>(GetParam()) * 31 + 5);
-  for (unsigned Threads : {1u, 2u})
-    for (int Budget = 0; Budget != 3; ++Budget) {
-      SolverConfig Cfg;
-      Cfg.Threads = Threads;
-      Cfg.NodeLimit = 1 + Rng.nextBelow(4);
-      if (Budget == 1)
-        Cfg.PivotLimit = 1 + Rng.nextBelow(20);
-      if (Budget == 2)
-        Cfg.NodeLimit = 0, Cfg.PivotLimit = 1; // pivot budget alone
-      MipSolution S = solveMip(P, Cfg);
-      switch (S.Outcome) {
-      case SolveStatus::Optimal:
-        // A completed proof under a budget is still a proof.
-        EXPECT_TRUE(S.Proven);
-        EXPECT_NEAR(S.Objective, Reference, 1e-6);
-        break;
-      case SolveStatus::FeasibleLimit:
-        // Best effort: feasible, and never better than the optimum.
-        ASSERT_TRUE(S.feasible());
-        EXPECT_FALSE(S.Proven);
-        EXPECT_TRUE(P.isFeasible(S.Values));
-        EXPECT_GE(S.Objective, Reference - 1e-6);
-        break;
-      case SolveStatus::Aborted:
-        // No incumbent found before the budget ran out.
-        EXPECT_FALSE(S.feasible());
-        break;
-      case SolveStatus::InfeasibleProven:
-        ADD_FAILURE() << "feasible problem proven infeasible";
-        break;
-      }
+  for (int Budget = 0; Budget != 3; ++Budget) {
+    SolverConfig Cfg;
+    Cfg.NodeLimit = 1 + Rng.nextBelow(4);
+    if (Budget == 1)
+      Cfg.PivotLimit = 1 + Rng.nextBelow(20);
+    if (Budget == 2)
+      Cfg.NodeLimit = 0, Cfg.PivotLimit = 1; // pivot budget alone
+    MipSolution S = solveMip(P, Cfg);
+    switch (S.Outcome) {
+    case SolveStatus::Optimal:
+      // A completed proof under a budget is still a proof.
+      EXPECT_TRUE(S.Proven);
+      EXPECT_NEAR(S.Objective, Reference, 1e-6);
+      break;
+    case SolveStatus::FeasibleLimit:
+      // Best effort: feasible, and never better than the optimum.
+      ASSERT_TRUE(S.feasible());
+      EXPECT_FALSE(S.Proven);
+      EXPECT_TRUE(P.isFeasible(S.Values));
+      EXPECT_GE(S.Objective, Reference - 1e-6);
+      break;
+    case SolveStatus::Aborted:
+      // No incumbent found before the budget ran out.
+      EXPECT_FALSE(S.feasible());
+      break;
+    case SolveStatus::InfeasibleProven:
+      ADD_FAILURE() << "feasible problem proven infeasible";
+      break;
     }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, LimitedMip, ::testing::Range(0, 15));
+INSTANTIATE_TEST_SUITE_P(Sweep, LimitedMip, ::testing::Range(0, 30));
 
 TEST(Limits, InfeasibleIsProvenEvenUnderBudgets) {
   LpProblem P;

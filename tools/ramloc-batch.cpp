@@ -23,12 +23,6 @@
 //                           --freq=profiled the baseline still simulates
 //                           once per job to collect the profile)
 //     --jobs=N              worker threads (default: hardware concurrency)
-//     --solver-threads=N    branch & bound worker threads per solve
-//                           (default 1, 0 = hardware concurrency): the
-//                           tree search fans out over a work-stealing
-//                           node pool with a shared incumbent; result
-//                           selection is canonical, so the reports are
-//                           byte-identical at any thread count
 //     --reuse=LIST          which reuse layers stay on (default: all):
 //                           cache (persistent result cache), profile
 //                           (recost shared execution profiles), solve
@@ -37,26 +31,22 @@
 //                           incumbent (open a group's first solve with
 //                           the persisted best-known placement); layers
 //                           not listed are disabled, and every layer is
-//                           report-neutral — byte-identical either way
-//                           (incumbent: unless distinct placements tie
-//                           on modelled energy). all/none select or
-//                           clear every layer at once.
-//     --no-cache            deprecated alias: --reuse minus 'cache'
-//     --no-profile-reuse    deprecated alias: --reuse minus 'profile'
-//     --no-solve-reuse      deprecated alias: --reuse minus 'solve'
-//     --no-incumbent-seed   deprecated alias: --reuse minus 'incumbent'
+//                           exact — byte-identical either way whenever
+//                           every solve proves optimality (incumbent:
+//                           and no distinct placements tie on modelled
+//                           energy). all/none select or clear every
+//                           layer at once.
 //     --node-order=ORDER    branch & bound node selection: dfs (default;
 //                           warm-friendliest), best-bound, or hybrid
 //                           (dive until an incumbent exists, then
 //                           best-bound; every order is exact)
 //     --pricing=RULE        simplex pivot pricing: steepest-edge
-//                           (default), dantzig, partial, or bland —
-//                           every rule is exact and report-neutral;
-//                           only the pivot counts move
-//     --strong-branch=K     probe the top-K root branching candidates
-//                           with bounded dual re-solves over the
-//                           --solver-threads pool and seed pseudo-costs
-//                           (exact and report-neutral; 0 = off)
+//                           (default), dantzig, or bland — every rule is
+//                           exact; reports are byte-identical only when
+//                           every solve proves optimality (dantzig labels
+//                           2 of the 1080 canonical configs
+//                           feasible-limit that the default proves
+//                           optimal)
 //     --cache-dir=DIR       persistent result + profile cache: load
 //                           before running, append after, so repeated
 //                           runs are incremental
@@ -64,8 +54,9 @@
 //                           journal of finished jobs an interrupted run
 //                           left behind — and run only what is missing;
 //                           the final report is byte-identical to the
-//                           uninterrupted run at any --jobs or
-//                           --solver-threads (needs --cache-dir)
+//                           uninterrupted run at any --jobs; a journal
+//                           written under other solver settings replays
+//                           nothing (needs --cache-dir)
 //     --time-limit-ms=N     per-solve wall-clock budget; a solve that
 //                           hits it returns its best incumbent labelled
 //                           feasible-limit, never silently optimal
@@ -146,7 +137,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace ramloc;
@@ -176,9 +166,6 @@ void usage(std::FILE *Out) {
       "\n"
       "execution:\n"
       "  --jobs=N                  campaign worker threads (0 = all cores)\n"
-      "  --solver-threads=N        branch & bound worker threads per solve\n"
-      "                            (0 = all cores; default 1); reports are\n"
-      "                            byte-identical across thread counts\n"
       "  --reuse=LIST              which reuse layers stay on (default:\n"
       "                            all): comma list of cache, profile,\n"
       "                            solve, incumbent, or all/none; layers\n"
@@ -187,20 +174,13 @@ void usage(std::FILE *Out) {
       "                            branch & bound node selection policy\n"
       "  --pricing=RULE            simplex pivot pricing: steepest-edge\n"
       "                            (default; fewest pivots on warm chains),\n"
-      "                            dantzig (textbook baseline), partial\n"
-      "                            (rotating candidate sections on cold\n"
-      "                            passes), or bland (least-index). Every\n"
-      "                            rule is exact: reports are byte-\n"
-      "                            identical, only pivot counts move\n"
-      "  --strong-branch=K         probe the top-K root branching\n"
-      "                            candidates with bounded dual re-solves\n"
-      "                            (fanned over --solver-threads) and seed\n"
-      "                            the pseudo-cost history; exact and\n"
-      "                            report-neutral (0 = off, the default)\n"
-      "  --no-cache                deprecated: --reuse without 'cache'\n"
-      "  --no-profile-reuse        deprecated: --reuse without 'profile'\n"
-      "  --no-solve-reuse          deprecated: --reuse without 'solve'\n"
-      "  --no-incumbent-seed       deprecated: --reuse without 'incumbent'\n"
+      "                            dantzig (textbook baseline), or bland\n"
+      "                            (least-index). Every rule is exact, but\n"
+      "                            reports are byte-identical only when\n"
+      "                            every solve proves optimality: dantzig\n"
+      "                            labels 2 of the 1080 canonical configs\n"
+      "                            feasible-limit that the default proves\n"
+      "                            optimal\n"
       "\n"
       "persistence and distribution:\n"
       "  --cache-dir=DIR           persistent result/profile/incumbent cache\n"
@@ -213,7 +193,9 @@ void usage(std::FILE *Out) {
       "  --resume                  replay the progress journal of an\n"
       "                            interrupted run and compute only what\n"
       "                            is missing; the report is byte-identical\n"
-      "                            to the uninterrupted run (needs\n"
+      "                            to the uninterrupted run at any --jobs;\n"
+      "                            a journal written under other solver\n"
+      "                            settings replays nothing (needs\n"
       "                            --cache-dir)\n"
       "  --time-limit-ms=N         per-solve wall-clock budget; on expiry\n"
       "                            the best incumbent is returned labelled\n"
@@ -630,36 +612,6 @@ int main(int Argc, char **Argv) {
       Opts.ReuseSolves = Solve;
       Opts.Base.Solver.WarmNodes = Solve;
       Opts.SeedIncumbents = Incumbent;
-    } else if (Arg.rfind("--solver-threads=", 0) == 0) {
-      unsigned N = 0;
-      if (!parseUnsigned(val(17), N)) {
-        std::fprintf(stderr, "error: bad --solver-threads value '%s'\n",
-                     val(17).c_str());
-        return 2;
-      }
-      if (N == 0) {
-        N = std::thread::hardware_concurrency();
-        if (N == 0)
-          N = 1;
-      }
-      Opts.Base.Solver.Threads = N;
-    } else if (Arg == "--no-cache") {
-      std::fprintf(stderr, "warning: --no-cache is deprecated; use "
-                           "--reuse=profile,solve,incumbent\n");
-      Opts.UseCache = false;
-    } else if (Arg == "--no-profile-reuse") {
-      std::fprintf(stderr, "warning: --no-profile-reuse is deprecated; use "
-                           "--reuse=cache,solve,incumbent\n");
-      Opts.ReuseProfiles = false;
-    } else if (Arg == "--no-solve-reuse") {
-      std::fprintf(stderr, "warning: --no-solve-reuse is deprecated; use "
-                           "--reuse=cache,profile,incumbent\n");
-      Opts.ReuseSolves = false;
-      Opts.Base.Solver.WarmNodes = false;
-    } else if (Arg == "--no-incumbent-seed") {
-      std::fprintf(stderr, "warning: --no-incumbent-seed is deprecated; use "
-                           "--reuse=cache,profile,solve\n");
-      Opts.SeedIncumbents = false;
     } else if (Arg.rfind("--node-order=", 0) == 0) {
       if (!nodeOrderFromName(val(13), Opts.Base.Solver.Order)) {
         std::fprintf(stderr, "error: unknown node order '%s'\n",
@@ -670,12 +622,6 @@ int main(int Argc, char **Argv) {
       if (!pricingFromName(val(10), Opts.Base.Solver.PricingRule)) {
         std::fprintf(stderr, "error: unknown pricing rule '%s'\n",
                      val(10).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--strong-branch=", 0) == 0) {
-      if (!parseUnsigned(val(16), Opts.Base.Solver.StrongBranchK)) {
-        std::fprintf(stderr, "error: bad --strong-branch value '%s'\n",
-                     val(16).c_str());
         return 2;
       }
     } else if (Arg.rfind("--time-limit-ms=", 0) == 0) {
@@ -996,21 +942,16 @@ int main(int Argc, char **Argv) {
     // into recosts wherever the images match.
     if (Opts.ReuseProfiles)
       Opts.Profiles = &Store.profiles();
-    // Incumbents always collect (offers keep the store fresh);
-    // --no-incumbent-seed only stops them opening new searches.
+    // Incumbents always collect (offers keep the store fresh); --reuse
+    // without 'incumbent' only stops them opening new searches.
     Opts.Incumbents = &Store.incumbents();
 
     // Progress journal: every finished job is appended as it completes,
-    // so a kill loses at most one torn line. The config token pins the
-    // solver limits (they change results) but not --jobs,
-    // --solver-threads, --pricing or --strong-branch — reports are
-    // byte-identical across those, so a resume may use different
-    // parallelism or pricing.
-    std::string ConfigToken = formatString(
-        "limits:t%u:n%llu:p%llu", Opts.Base.Solver.TimeLimitMs,
-        static_cast<unsigned long long>(Opts.Base.Solver.NodeLimit),
-        static_cast<unsigned long long>(Opts.Base.Solver.PivotLimit));
-    if (!Store.beginJournal(ConfigToken, Resume, &Error)) {
+    // so a kill loses at most one torn line. The config token pins every
+    // solver setting (any of them can move a degraded label) but not
+    // --jobs, so a resume may use different parallelism.
+    if (!Store.beginJournal(solverConfigToken(Opts.Base.Solver), Resume,
+                            &Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 2;
     }
