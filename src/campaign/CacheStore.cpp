@@ -9,46 +9,27 @@
 
 #include "campaign/Report.h"
 #include "power/DeviceRegistry.h"
-#include "support/Checksum.h"
-#include "support/FaultInjector.h"
 #include "support/FileLock.h"
 #include "support/Format.h"
 #include "support/Hash.h"
 #include "support/Json.h"
-#include "support/Metrics.h"
-#include "support/Random.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <functional>
-#include <thread>
-
-#include <fcntl.h>
-#include <signal.h>
-#include <unistd.h>
 
 using namespace ramloc;
 
 namespace {
 
-// The v1 -> v2 bump is the framing change: every line (headers included)
-// now carries a CRC32C prefix. Schemas feed the fingerprints, so v1
-// stores can never match and are retired wholesale instead of half-read.
+// v2 is the CRC32C line framing. Schemas feed the fingerprints, so v1
+// stores never match and are retired wholesale instead of half-read.
 constexpr const char *StoreSchema = "ramloc-cache-v2";
 constexpr const char *ReportSchema = "ramloc-campaign-v2";
-constexpr const char *StoreFileName = "results.jsonl";
 constexpr const char *ProfileSchema = "ramloc-profiles-v2";
-constexpr const char *ProfileFileName = "profiles.jsonl";
 constexpr const char *IncumbentSchema = "ramloc-incumbents-v2";
-constexpr const char *IncumbentFileName = "incumbents.jsonl";
 constexpr const char *JournalSchema = "ramloc-progress-v2";
-constexpr const char *JournalFileName = "progress.jsonl";
 /// Bump when the interpreter's architectural behaviour (instruction
 /// semantics, block accounting, halt conventions) changes in a way that
 /// alters recorded profiles. Timing/power changes do NOT bump it.
@@ -64,329 +45,6 @@ void hashDouble(uint64_t &H, double V) {
   // Hash the canonical decimal spelling, not raw bits, so the fingerprint
   // is stable across platforms that agree on the value.
   hashBytes(H, jsonNumber(V));
-}
-
-/// One complete framed store line: CRC32C prefix, payload, newline.
-std::string framedLine(const std::string &Payload) {
-  return frameRecord(Payload) + "\n";
-}
-
-std::string headerLine(const char *Schema, const std::string &Fingerprint) {
-  JsonWriter W(/*Pretty=*/false);
-  W.beginObject();
-  W.field("schema", Schema);
-  W.field("fingerprint", Fingerprint);
-  W.endObject();
-  return framedLine(W.str());
-}
-
-/// The journal's header additionally pins the run configuration token:
-/// resuming under different solver limits must recompute, not replay.
-std::string journalHeaderLine(const std::string &Fingerprint,
-                              const std::string &Config) {
-  JsonWriter W(/*Pretty=*/false);
-  W.beginObject();
-  W.field("schema", JournalSchema);
-  W.field("fingerprint", Fingerprint);
-  W.field("config", Config);
-  W.endObject();
-  return framedLine(W.str());
-}
-
-bool headerMatches(const JsonValue &V, const char *Schema,
-                   const std::string &Fingerprint) {
-  const JsonValue *S = V.find("schema");
-  const JsonValue *Fp = V.find("fingerprint");
-  return S && S->kind() == JsonValue::Kind::String &&
-         S->string() == Schema && Fp &&
-         Fp->kind() == JsonValue::Kind::String &&
-         Fp->string() == Fingerprint;
-}
-
-bool endsWithNewline(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary | std::ios::ate);
-  if (!In || In.tellg() == std::streampos(0))
-    return false;
-  In.seekg(-1, std::ios::end);
-  char C = 0;
-  In.get(C);
-  return C == '\n';
-}
-
-/// How save() may add lines to \p Path *right now*. Checked at save()
-/// time, not open() time, so a concurrent writer that created or
-/// repaired the file since we opened it is appended to instead of
-/// clobbered.
-///
-/// - Rewrite: missing, foreign, or damaged header — the file holds
-///   nothing worth keeping, replace it wholesale.
-/// - Append: matching header, newline-terminated tail.
-/// - AppendAfterNewline: matching header but a torn tail line — another
-///   writer's short write, or a SIGKILL mid-append. The torn fragment
-///   must not demote the file to a rewrite: a rewrite here would
-///   discard every record other writers appended since we opened.
-///   Leading our append with a newline terminates the fragment into one
-///   corrupt line the next load quarantines, and every durable record
-///   survives.
-enum class AppendState { Rewrite, Append, AppendAfterNewline };
-
-AppendState appendableState(const std::string &Path, const char *Schema,
-                            const std::string &Fingerprint) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return AppendState::Rewrite;
-  std::string Header;
-  if (!std::getline(In, Header))
-    return AppendState::Rewrite;
-  std::string_view Payload;
-  if (!unframeRecord(Header, Payload))
-    return AppendState::Rewrite;
-  JsonValue V;
-  if (!JsonValue::parse(std::string(Payload), V) ||
-      !headerMatches(V, Schema, Fingerprint))
-    return AppendState::Rewrite;
-  return endsWithNewline(Path) ? AppendState::Append
-                               : AppendState::AppendAfterNewline;
-}
-
-/// Atomic whole-file replacement: temporary in the same directory,
-/// renamed over the target. The temporary's name carries the writer's
-/// PID: `--shard` runs sharing one cache directory may repair the same
-/// file concurrently, and with a fixed ".tmp" name one writer's rename
-/// could ship a half-written temporary belonging to another. Distinct
-/// names make each rename atomic over its own complete document;
-/// last-rename-wins is then safe because every writer produces a valid
-/// file.
-bool replaceFile(const std::string &Path, const std::string &Doc,
-                 std::string *Error) {
-  std::string Tmp =
-      Path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  if (!writeTextFile(Tmp, Doc, Error))
-    return false;
-  // Fault site: the rename itself fails (e.g. EIO on the directory).
-  bool RenameFailed = FaultInjector::shouldFail("cache.rename") ||
-                      std::rename(Tmp.c_str(), Path.c_str()) != 0;
-  if (RenameFailed) {
-    std::remove(Tmp.c_str());
-    if (Error)
-      *Error = "cannot rename '" + Tmp + "' to '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
-/// Appends \p Doc with O_APPEND and a single write(2) call, so the whole
-/// batch of lines lands contiguously even when other processes append
-/// concurrently (one write to a regular file is not interleaved by the
-/// kernel; an ofstream would split a large Doc across several writes and
-/// let another writer tear a record mid-line). A short write — ENOSPC or
-/// a signal mid-transfer — is reported as an error; the partial tail
-/// line it may leave is skipped by the next open().
-bool appendToFile(const std::string &Path, const std::string &Doc,
-                  std::string *Error) {
-  // Fault site: the open itself fails (transient EIO / EMFILE class).
-  if (FaultInjector::shouldFail("cache.append.eio")) {
-    if (Error)
-      *Error = "cannot open '" + Path + "' for append (injected EIO)";
-    return false;
-  }
-  int Fd = ::open(Path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                  0644);
-  if (Fd < 0) {
-    if (Error)
-      *Error = "cannot open '" + Path + "' for append";
-    return false;
-  }
-  // Fault site: a short write — half the batch actually lands on disk,
-  // exactly the torn-tail shape ENOSPC or a mid-transfer signal leaves.
-  // The injected partial data is real: the load-time tail skip and the
-  // retry path's line termination must cope with it, not a simulation
-  // of it.
-  size_t ToWrite = Doc.size();
-  if (FaultInjector::shouldFail("cache.append.short"))
-    ToWrite = Doc.size() / 2;
-  ssize_t Written = ::write(Fd, Doc.data(), ToWrite);
-  ::close(Fd);
-  if (Written != static_cast<ssize_t>(Doc.size())) {
-    if (Error)
-      *Error = "short append to '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
-/// Bounded, jittered retry around one transient-I/O operation. \p Op is
-/// attempted up to three times; every re-attempt bumps the
-/// `cachestore.retries` counter and sleeps a doubling ~1-3 ms backoff
-/// with deterministic jitter (seeded from \p Site, so tests replay). The
-/// operation owns its own cleanup between attempts.
-template <typename Fn> bool withRetries(Fn &&Op, const std::string &Site) {
-  constexpr unsigned MaxAttempts = 3;
-  SplitMix64 Jitter(fnv1a64(Site));
-  for (unsigned Attempt = 0;; ++Attempt) {
-    if (Op(Attempt))
-      return true;
-    if (Attempt + 1 == MaxAttempts)
-      return false;
-    globalMetrics().counter("cachestore.retries").add();
-    unsigned DelayUs = (1000u << Attempt) +
-                       static_cast<unsigned>(Jitter.nextBelow(1000));
-    std::this_thread::sleep_for(std::chrono::microseconds(DelayUs));
-  }
-}
-
-/// appendToFile with recovery. A failed attempt may have landed part of
-/// \p Doc (a short write leaves a torn tail line), so every retry leads
-/// with a newline: it terminates whatever junk the failure left, the
-/// junk fails its CRC as one quarantined line the next load skips, and
-/// any complete lines the partial write did land become duplicates the
-/// load's first-wins rule folds away. Nothing is ever lost or fused.
-bool appendWithRetries(const std::string &Path, const std::string &Doc,
-                       std::string *Error) {
-  return withRetries(
-      [&](unsigned Attempt) {
-        return appendToFile(Path, Attempt == 0 ? Doc : "\n" + Doc, Error);
-      },
-      Path);
-}
-
-/// replaceFile with recovery: the temporary is rebuilt from scratch each
-/// attempt, so a failed write or rename leaves nothing to clean up but
-/// the temp file replaceFile already removed.
-bool replaceWithRetries(const std::string &Path, const std::string &Doc,
-                        std::string *Error) {
-  return withRetries(
-      [&](unsigned) { return replaceFile(Path, Doc, Error); }, Path);
-}
-
-/// replaceWithRetries under the file's rewrite lock (`<file>.lock`), so
-/// two processes rebuilding the same store file serialize instead of
-/// last-rename-wins silently dropping one side's survivors. Appends do
-/// not take this lock — a single O_APPEND write of whole lines needs no
-/// coordination, and the rewrite it might race produces a valid file
-/// either way (the appended records re-append at the next save).
-bool lockedReplace(const std::string &Path, const std::string &Doc,
-                   unsigned LockWaitMs, std::string *Error) {
-  FileLock Lock;
-  if (!Lock.acquire(Path + ".lock", LockWaitMs, Error))
-    return false;
-  return replaceWithRetries(Path, Doc, Error);
-}
-
-/// Preserves damaged lines by appending them verbatim to the store
-/// file's `.quarantine` sibling — corruption is evidence (of bad RAM, a
-/// lying NFS server, a half-dead disk), and evidence should survive the
-/// repair that removes it from the store. Deduplicated against the
-/// quarantine's existing lines so re-opening the same damaged store does
-/// not grow the file. Deliberately plain, unfaulted I/O: quarantining
-/// runs on load paths, and routing it through the injected append sites
-/// would shift every later site's deterministic call index.
-class Quarantine {
-public:
-  explicit Quarantine(const std::string &StorePath)
-      : QPath(StorePath + ".quarantine") {}
-
-  void add(const std::string &RawLine) {
-    if (RawLine.empty())
-      return;
-    if (!Loaded) {
-      Loaded = true;
-      std::ifstream In(QPath, std::ios::binary);
-      std::string Line;
-      while (In && std::getline(In, Line))
-        Existing.insert(Line);
-    }
-    if (!Existing.insert(RawLine).second)
-      return;
-    std::ofstream Out(QPath, std::ios::binary | std::ios::app);
-    Out << RawLine << "\n";
-  }
-
-private:
-  std::string QPath;
-  std::set<std::string> Existing;
-  bool Loaded = false;
-};
-
-/// What one pass of scanStore() saw.
-struct ScanStats {
-  bool Present = false;       ///< Readable (exists, no injected EIO).
-  bool SawFirstLine = false;  ///< Had at least one non-empty line.
-  bool HeaderOk = false;      ///< Header framed, parsed, and accepted.
-  bool HeaderDamaged = false; ///< Header failed its framing/CRC check.
-  size_t CrcFailures = 0;     ///< Framing/CRC failures, header included.
-  size_t Damaged = 0;         ///< Record lines not servable (CRC or JSON).
-  size_t Stranded = 0;        ///< Record lines under an unusable header.
-};
-
-/// Walks one framed store file. The first non-empty line is the header:
-/// it must unframe, parse, and satisfy \p AcceptHeader for any record to
-/// be served; otherwise the remaining lines are merely counted as
-/// stranded and \p OnRecord never fires. Record lines that fail the
-/// frame check or JSON parse are counted, reported to the
-/// `cachestore.crc_mismatch` metric (frame failures), and quarantined.
-/// Read-side fault sites: `cache.load.eio` fails the whole read (the
-/// file loads as absent), `cache.load.flip` flips one bit in a line
-/// about to be checked — which the CRC must catch.
-void scanStore(
-    const std::string &FilePath,
-    const std::function<bool(const JsonValue &)> &AcceptHeader,
-    const std::function<void(const JsonValue &, const std::string &)>
-        &OnRecord,
-    ScanStats &S, std::string *RawHeader = nullptr) {
-  if (FaultInjector::shouldFail("cache.load.eio"))
-    return; // transient EIO: this load sees no file
-  std::ifstream In(FilePath, std::ios::binary);
-  if (!In)
-    return;
-  S.Present = true;
-  Quarantine Q(FilePath);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    if (FaultInjector::shouldFail("cache.load.flip"))
-      Line[Line.size() / 2] ^= 0x01;
-    std::string_view Payload;
-    if (!S.SawFirstLine) {
-      S.SawFirstLine = true;
-      if (!unframeRecord(Line, Payload)) {
-        // A damaged header is counted but not quarantined: with no
-        // trusted header there is no trusted world to sort lines into,
-        // and the whole file is already preserved in place (loads never
-        // modify the store; only a --repair rewrite would).
-        S.HeaderDamaged = true;
-        ++S.CrcFailures;
-        globalMetrics().counter("cachestore.crc_mismatch").add();
-        continue;
-      }
-      JsonValue V;
-      if (!JsonValue::parse(std::string(Payload), V) || !AcceptHeader(V))
-        continue; // stale header: keep scanning, serve nothing
-      S.HeaderOk = true;
-      if (RawHeader)
-        *RawHeader = Line;
-      continue;
-    }
-    if (!S.HeaderOk) {
-      ++S.Stranded;
-      continue;
-    }
-    if (!unframeRecord(Line, Payload)) {
-      ++S.CrcFailures;
-      ++S.Damaged;
-      globalMetrics().counter("cachestore.crc_mismatch").add();
-      Q.add(Line);
-      continue;
-    }
-    JsonValue V;
-    if (!JsonValue::parse(std::string(Payload), V)) {
-      ++S.Damaged;
-      Q.add(Line);
-      continue;
-    }
-    OnRecord(V, Line);
-  }
 }
 
 /// Hashes every device's power table and timing model into \p H: the
@@ -450,7 +108,74 @@ bool parseIncumbent(const JsonValue &V, std::string &Group,
   return !Group.empty();
 }
 
+std::string resultJson(const JobResult &R) {
+  JsonWriter W(/*Pretty=*/false);
+  writeJobResult(W, R);
+  return W.str();
+}
+
+bool servable(const JobResult &R) {
+  return R.ok() && R.SolveOutcome == SolveStatus::Optimal;
+}
+
+// Decoders stash the typed value in \p Out for the visitor that runs
+// right after them (FramedLog::Visitor).
+FramedLog::Decoder decodeResult(JobResult &Out, bool ServableOnly) {
+  return [&Out, ServableOnly](const JsonValue &V, FramedLog::Record &K) {
+    Out = JobResult();
+    if (!parseJobResult(V, Out) || (ServableOnly && !servable(Out)))
+      return false;
+    K.Key = Out.Spec.cacheKey();
+    return true;
+  };
+}
+
+FramedLog::Decoder decodeProfile(std::shared_ptr<ExecutionProfile> &Out) {
+  return [&Out](const JsonValue &V, FramedLog::Record &K) {
+    Out = std::make_shared<ExecutionProfile>();
+    return parseExecutionProfile(V, K.Key, *Out);
+  };
+}
+
+FramedLog::Decoder decodeIncumbent(IncumbentStore::Entry &Out) {
+  return [&Out](const JsonValue &V, FramedLog::Record &K) {
+    bool Ok = parseIncumbent(V, K.Key, Out);
+    K.Rank = Out.EnergyMilliJoules;
+    return Ok;
+  };
+}
+
+/// Hands a sorted in-memory snapshot to FramedLog::persist: \p Rank
+/// gives each entry's merge rank, \p Encode its payload.
+template <typename Entry, typename RankFn, typename EncodeFn>
+bool persistSnapshot(FramedLog &Log,
+                     const std::vector<std::pair<std::string, Entry>> &Snap,
+                     RankFn Rank, EncodeFn Encode, bool Rewrite,
+                     unsigned LockWaitMs, std::string *Error) {
+  return Log.persist(
+      Snap.size(),
+      [&](size_t I) {
+        return FramedLog::Record{Snap[I].first, Rank(Snap[I].second)};
+      },
+      [&](size_t I) { return Encode(Snap[I].first, Snap[I].second); },
+      Rewrite, LockWaitMs, Error);
+}
+
 } // namespace
+
+CacheStore::CacheStore()
+    : Results("results", "results.jsonl", StoreSchema, fingerprint(),
+              MergePolicy::FirstWins),
+      ProfileLog("profiles", "profiles.jsonl", ProfileSchema,
+                 profileFingerprint(), MergePolicy::NewestWins),
+      IncumbentLog("incumbents", "incumbents.jsonl", IncumbentSchema,
+                   incumbentFingerprint(), MergePolicy::BestWins),
+      Journal("progress", "progress.jsonl", JournalSchema, fingerprint(),
+              MergePolicy::FirstWins) {
+  // The journal's header also pins the run configuration: resuming under
+  // different solver settings must recompute, not replay.
+  Journal.setHeaderField("config", "");
+}
 
 std::string CacheStore::fingerprint() {
   uint64_t H = Fnv1aOffset;
@@ -474,17 +199,21 @@ std::string CacheStore::profileFingerprint() {
   return formatString("%016llx", static_cast<unsigned long long>(H));
 }
 
+bool CacheStore::opened(std::string *Error) const {
+  if (!Results.path().empty())
+    return true;
+  if (Error)
+    *Error = "cache store was never opened";
+  return false;
+}
+
+ScanStats CacheStore::tally(ScanStats S) {
+  CrcMismatches += S.CrcFailures;
+  return S;
+}
+
 bool CacheStore::open(const std::string &Dir, std::string *Error) {
   TraceSpan Span("cache.load", "cache");
-  Loaded = Skipped = LoadedProfs = SkippedProfs = 0;
-  LoadedIncs = SkippedIncs = 0;
-  CrcMismatches = 0;
-  Invalidated = false;
-  PersistedKeys.clear();
-  PersistedProfKeys.clear();
-  PersistedIncEnergy.clear();
-  SweptTemps.clear();
-
   std::error_code EC;
   std::filesystem::create_directories(Dir, EC);
   if (EC) {
@@ -493,470 +222,160 @@ bool CacheStore::open(const std::string &Dir, std::string *Error) {
                "': " + EC.message();
     return false;
   }
-  Path = (std::filesystem::path(Dir) / StoreFileName).string();
-  ProfPath = (std::filesystem::path(Dir) / ProfileFileName).string();
-  IncPath = (std::filesystem::path(Dir) / IncumbentFileName).string();
+  CrcMismatches = 0;
+  SweptTemps.clear();
+  for (FramedLog *Log : {&Results, &ProfileLog, &IncumbentLog, &Journal})
+    Log->bind(Dir, SweptTemps);
+  std::sort(SweptTemps.begin(), SweptTemps.end());
 
-  // Sweep orphaned rewrite temporaries: a writer killed between
-  // temp-write and rename leaks `<file>.tmp.<pid>` forever. Only a dead
-  // writer's temps go — a live shard's in-flight rewrite must not have
-  // its temporary pulled out from under the rename (probed with
-  // kill(pid, 0); EPERM means alive-but-not-ours, equally untouchable).
-  {
-    std::error_code DirEC;
-    std::filesystem::directory_iterator It(Dir, DirEC);
-    if (!DirEC) {
-      for (const auto &Entry : It) {
-        std::error_code StatEC;
-        if (!Entry.is_regular_file(StatEC) || StatEC)
-          continue;
-        std::string Name = Entry.path().filename().string();
-        size_t Pos = Name.rfind(".tmp.");
-        if (Pos == std::string::npos || Pos + 5 >= Name.size())
-          continue;
-        std::string PidStr = Name.substr(Pos + 5);
-        if (PidStr.find_first_not_of("0123456789") != std::string::npos)
-          continue;
-        long Pid = std::strtol(PidStr.c_str(), nullptr, 10);
-        if (Pid <= 0 || Pid == static_cast<long>(::getpid()))
-          continue;
-        if (::kill(static_cast<pid_t>(Pid), 0) == 0 || errno == EPERM)
-          continue; // writer still alive: its rename is coming
-        std::error_code RmEC;
-        std::filesystem::remove(Entry.path(), RmEC);
-        if (!RmEC)
-          SweptTemps.push_back(Name);
-      }
-    }
-    std::sort(SweptTemps.begin(), SweptTemps.end());
-  }
-
-  // --- results.jsonl ------------------------------------------------------
-  {
-    ScanStats S;
-    scanStore(
-        Path,
-        [](const JsonValue &V) {
-          return headerMatches(V, StoreSchema, fingerprint());
-        },
-        [&](const JsonValue &V, const std::string &) {
-          JobResult R;
-          if (!parseJobResult(V, R)) {
-            ++Skipped;
-            return;
-          }
-          // Degraded or failed entries are never servable from this
-          // store (we never write them; an external tool may have).
-          // Skipped *before* the dedup insert, so a valid Optimal entry
-          // appended later for the same key still loads.
-          if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal) {
-            ++Skipped;
-            return;
-          }
-          // Concurrent appenders may have raced the same configuration
-          // to disk; the records are deterministic, so duplicates are
-          // mere bytes — first one counts, the rest are ignored until
-          // compact() folds them away.
-          std::string Key = R.Spec.cacheKey();
-          if (!PersistedKeys.insert(Key).second)
-            return;
-          Cache.insert(Key, R);
-          ++Loaded;
-        },
-        S);
-    Skipped += S.Damaged;
-    CrcMismatches += S.CrcFailures;
-    // A results file whose header is damaged, stale, or from another
-    // schema generation is a different world: discard everything.
-    Invalidated = S.SawFirstLine && !S.HeaderOk;
-    if (Invalidated)
-      PersistedKeys.clear();
-  }
-
-  // --- profiles.jsonl -----------------------------------------------------
-  {
-    ScanStats S;
-    scanStore(
-        ProfPath,
-        [](const JsonValue &V) {
-          // Stale simulator semantics: drop, do not serve.
-          return headerMatches(V, ProfileSchema, profileFingerprint());
-        },
-        [&](const JsonValue &V, const std::string &) {
-          std::string Key;
-          auto P = std::make_shared<ExecutionProfile>();
-          if (!parseExecutionProfile(V, Key, *P)) {
-            ++SkippedProfs;
-            return;
-          }
-          if (!PersistedProfKeys.insert(Key).second)
-            return;
-          Profiles.preload(Key, std::move(P));
-          ++LoadedProfs;
-        },
-        S);
-    SkippedProfs += S.Damaged;
-    CrcMismatches += S.CrcFailures;
-  }
-
-  // --- incumbents.jsonl ---------------------------------------------------
-  {
-    ScanStats S;
-    scanStore(
-        IncPath,
-        [](const JsonValue &V) {
-          // Different model world: seeds would only miss.
-          return headerMatches(V, IncumbentSchema, incumbentFingerprint());
-        },
-        [&](const JsonValue &V, const std::string &) {
-          std::string Group;
-          IncumbentStore::Entry E;
-          if (!parseIncumbent(V, Group, E)) {
-            ++SkippedIncs;
-            return;
-          }
-          // Concurrent appenders race improved entries to disk;
-          // offer()'s best-wins rule folds duplicates whatever order
-          // they load in.
-          Incumbents.offer(Group, E.InRam, E.EnergyMilliJoules);
-          auto It = PersistedIncEnergy.find(Group);
-          if (It == PersistedIncEnergy.end())
-            PersistedIncEnergy.emplace(Group, E.EnergyMilliJoules);
-          else
-            It->second = std::min(It->second, E.EnergyMilliJoules);
-          ++LoadedIncs;
-        },
-        S);
-    SkippedIncs += S.Damaged;
-    CrcMismatches += S.CrcFailures;
-  }
+  // Degraded or failed results are never servable (we never write them;
+  // an external tool may have). They are refused before the first-wins
+  // fold, so a valid entry appended later for the same key still loads.
+  JobResult R;
+  ResultStats = tally(Results.scan(
+      decodeResult(R, /*ServableOnly=*/true),
+      [&](const FramedLog::Record &K, const std::string &) {
+        Cache.insert(K.Key, R);
+      }));
+  std::shared_ptr<ExecutionProfile> P;
+  ProfileStats = tally(ProfileLog.scan(
+      decodeProfile(P), [&](const FramedLog::Record &K, const std::string &) {
+        Profiles.preload(K.Key, std::move(P));
+      }));
+  // offer() keeps the best assignment whatever order records arrive in.
+  IncumbentStore::Entry E;
+  IncumbentStats = tally(IncumbentLog.scan(
+      decodeIncumbent(E), [&](const FramedLog::Record &K, const std::string &) {
+        Incumbents.offer(K.Key, E.InRam, E.EnergyMilliJoules);
+      }));
   return true;
 }
 
-bool CacheStore::rewriteResults(std::string *Error) {
-  std::string Doc = headerLine(StoreSchema, fingerprint());
-  std::set<std::string> Keys;
-  for (const auto &[Key, R] : Cache.snapshot()) {
-    // Failures are not durable: they may stem from a bug the next build
-    // fixes, and the fingerprint tracks the device tables, not the code.
-    // Serving a stale failure forever is worse than re-running the job.
-    // Degraded (limit-truncated) results follow the same rule — a
-    // best-effort answer must not be served where a later unlimited run
-    // could compute the true optimum; the journal, not this cache, is
-    // where degraded results persist.
-    if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal)
-      continue;
-    JsonWriter W(/*Pretty=*/false);
-    writeJobResult(W, R);
-    Doc += framedLine(W.str());
-    Keys.insert(Key);
+bool CacheStore::persist(FramedLog &Log, bool Rewrite, std::string *Error) {
+  auto NoRank = [](const auto &) { return 0.0; };
+  if (&Log == &Results) {
+    // Failed and degraded results are not durable (see save()); the
+    // journal, not this cache, is where degraded results persist.
+    auto Snap = Cache.snapshot();
+    std::erase_if(Snap, [](const auto &KV) { return !servable(KV.second); });
+    return persistSnapshot(
+        Log, Snap, NoRank,
+        [](const std::string &, const JobResult &R) { return resultJson(R); },
+        Rewrite, LockWaitMs, Error);
   }
-  if (!lockedReplace(Path, Doc, LockWaitMs, Error))
-    return false;
-  PersistedKeys = std::move(Keys);
-  return true;
-}
-
-bool CacheStore::appendResults(bool TerminateTornTail, std::string *Error) {
-  std::string Doc;
-  std::vector<std::string> NewKeys;
-  for (const auto &[Key, R] : Cache.snapshot()) {
-    if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal ||
-        PersistedKeys.count(Key))
-      continue;
-    JsonWriter W(/*Pretty=*/false);
-    writeJobResult(W, R);
-    Doc += framedLine(W.str());
-    NewKeys.push_back(Key);
-  }
-  if (Doc.empty())
-    return true;
-  if (!appendWithRetries(Path, TerminateTornTail ? "\n" + Doc : Doc, Error))
-    return false;
-  PersistedKeys.insert(NewKeys.begin(), NewKeys.end());
-  return true;
-}
-
-bool CacheStore::rewriteProfiles(std::string *Error) {
-  std::string Doc = headerLine(ProfileSchema, profileFingerprint());
-  std::set<std::string> Keys;
-  for (const auto &[Key, P] : Profiles.snapshot()) {
-    JsonWriter W(/*Pretty=*/false);
-    writeExecutionProfile(W, Key, *P);
-    Doc += framedLine(W.str());
-    Keys.insert(Key);
-  }
-  if (!lockedReplace(ProfPath, Doc, LockWaitMs, Error))
-    return false;
-  PersistedProfKeys = std::move(Keys);
-  return true;
-}
-
-bool CacheStore::appendProfiles(bool TerminateTornTail, std::string *Error) {
-  std::string Doc;
-  std::vector<std::string> NewKeys;
-  for (const auto &[Key, P] : Profiles.snapshot()) {
-    if (PersistedProfKeys.count(Key))
-      continue;
-    JsonWriter W(/*Pretty=*/false);
-    writeExecutionProfile(W, Key, *P);
-    Doc += framedLine(W.str());
-    NewKeys.push_back(Key);
-  }
-  if (Doc.empty())
-    return true;
-  if (!appendWithRetries(ProfPath, TerminateTornTail ? "\n" + Doc : Doc,
-                         Error))
-    return false;
-  PersistedProfKeys.insert(NewKeys.begin(), NewKeys.end());
-  return true;
-}
-
-bool CacheStore::rewriteIncumbents(std::string *Error) {
-  std::string Doc = headerLine(IncumbentSchema, incumbentFingerprint());
-  std::map<std::string, double> Energies;
-  for (const auto &[Group, E] : Incumbents.snapshot()) {
-    Doc += framedLine(incumbentPayload(Group, E));
-    Energies.emplace(Group, E.EnergyMilliJoules);
-  }
-  if (!lockedReplace(IncPath, Doc, LockWaitMs, Error))
-    return false;
-  PersistedIncEnergy = std::move(Energies);
-  return true;
-}
-
-bool CacheStore::appendIncumbents(bool TerminateTornTail,
-                                  std::string *Error) {
-  std::string Doc;
-  std::vector<std::pair<std::string, double>> NewEnergies;
-  for (const auto &[Group, E] : Incumbents.snapshot()) {
-    // Only improvements hit the disk: load-time best-wins folding makes
-    // a re-appended better entry supersede the old line without a
-    // rewrite.
-    auto It = PersistedIncEnergy.find(Group);
-    if (It != PersistedIncEnergy.end() &&
-        E.EnergyMilliJoules >= It->second)
-      continue;
-    Doc += framedLine(incumbentPayload(Group, E));
-    NewEnergies.push_back({Group, E.EnergyMilliJoules});
-  }
-  if (Doc.empty())
-    return true;
-  if (!appendWithRetries(IncPath, TerminateTornTail ? "\n" + Doc : Doc,
-                         Error))
-    return false;
-  for (auto &[Group, Energy] : NewEnergies)
-    PersistedIncEnergy[Group] = Energy;
-  return true;
+  if (&Log == &ProfileLog)
+    return persistSnapshot(
+        Log, Profiles.snapshot(), NoRank,
+        [](const std::string &Key, const auto &Profile) {
+          JsonWriter W(/*Pretty=*/false);
+          writeExecutionProfile(W, Key, *Profile);
+          return W.str();
+        },
+        Rewrite, LockWaitMs, Error);
+  // Only improvements hit the disk on append: the load-time best-wins
+  // fold lets a re-appended better entry supersede the old line.
+  return persistSnapshot(
+      Log, Incumbents.snapshot(),
+      [](const IncumbentStore::Entry &E) { return E.EnergyMilliJoules; },
+      incumbentPayload, Rewrite, LockWaitMs, Error);
 }
 
 bool CacheStore::save(std::string *Error) {
   TraceSpan Span("cache.append", "cache");
-  if (Path.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
-    return false;
-  }
-  AppendState RS = appendableState(Path, StoreSchema, fingerprint());
-  if (!(RS == AppendState::Rewrite
-            ? rewriteResults(Error)
-            : appendResults(RS == AppendState::AppendAfterNewline, Error)))
-    return false;
-  AppendState PS =
-      appendableState(ProfPath, ProfileSchema, profileFingerprint());
-  if (!(PS == AppendState::Rewrite
-            ? rewriteProfiles(Error)
-            : appendProfiles(PS == AppendState::AppendAfterNewline, Error)))
-    return false;
-  AppendState IS =
-      appendableState(IncPath, IncumbentSchema, incumbentFingerprint());
-  return IS == AppendState::Rewrite
-             ? rewriteIncumbents(Error)
-             : appendIncumbents(IS == AppendState::AppendAfterNewline,
-                                Error);
+  return opened(Error) && persist(Results, false, Error) &&
+         persist(ProfileLog, false, Error) &&
+         persist(IncumbentLog, false, Error);
 }
 
 bool CacheStore::compact(std::string *Error) {
   TraceSpan Span("cache.compact", "cache");
-  if (Path.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
-    return false;
-  }
-  return rewriteResults(Error) && rewriteProfiles(Error) &&
-         rewriteIncumbents(Error);
+  return opened(Error) && persist(Results, true, Error) &&
+         persist(ProfileLog, true, Error) && persist(IncumbentLog, true, Error);
 }
 
 bool CacheStore::compactIncumbents(std::string *Error) {
   TraceSpan Span("cache.compact", "cache");
-  if (IncPath.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
-    return false;
-  }
-  return rewriteIncumbents(Error);
+  return opened(Error) && persist(IncumbentLog, true, Error);
 }
 
 bool CacheStore::gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
                             std::string *Error) {
   TraceSpan Span("cache.compact", "cache");
-  if (ProfPath.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
+  if (!opened(Error))
     return false;
-  }
   Stats = ProfileGcStats();
 
-  // The whole read-dedupe-rewrite cycle runs under the file's lock: a
-  // concurrent GC or --repair reading the same generation would
-  // otherwise decide survivorship from bytes the other is about to
-  // replace.
+  // The whole read-fold-rewrite cycle holds the file's lock: a concurrent
+  // GC or --repair reading the same generation would otherwise decide
+  // survivorship from bytes the other is about to replace.
   FileLock Lock;
-  if (!Lock.acquire(ProfPath + ".lock", LockWaitMs, Error))
+  if (!Lock.acquire(ProfileLog.lockPath(), LockWaitMs, Error))
     return false;
+  std::error_code EC;
+  uint64_t Size = std::filesystem::file_size(ProfileLog.path(), EC);
+  Stats.BytesBefore = EC ? 0 : Size;
 
-  {
-    std::error_code EC;
-    uint64_t Size = std::filesystem::file_size(ProfPath, EC);
-    Stats.BytesBefore = EC ? 0 : Size;
-  }
-
-  // Collect the surviving (key, raw line) pairs in file order. Lines are
-  // kept verbatim, framing included — GC must not perturb bytes it
-  // decided to keep.
-  std::vector<std::pair<std::string, std::string>> Entries;
-  {
-    ScanStats S;
-    scanStore(
-        ProfPath,
-        [](const JsonValue &V) {
-          return headerMatches(V, ProfileSchema, profileFingerprint());
-        },
-        [&](const JsonValue &V, const std::string &Raw) {
-          std::string Key;
-          auto P = std::make_shared<ExecutionProfile>();
-          if (!parseExecutionProfile(V, Key, *P)) {
-            ++Stats.DroppedInvalid;
-            return;
-          }
-          Entries.push_back({std::move(Key), Raw});
-        },
-        S);
-    CrcMismatches += S.CrcFailures;
-    Stats.DroppedInvalid += S.Damaged + S.Stranded;
-    if (S.SawFirstLine && !S.HeaderOk)
-      ++Stats.DroppedInvalid; // stale or damaged header: every entry goes
-  }
-
-  // Duplicate keys: concurrent appenders may have raced; the newest
-  // (latest-appended) occurrence wins, matching what a load would use
-  // after compaction.
-  {
-    std::set<std::string> Seen;
-    std::vector<std::pair<std::string, std::string>> Deduped;
-    for (auto It = Entries.rbegin(); It != Entries.rend(); ++It) {
-      if (!Seen.insert(It->first).second) {
-        ++Stats.DroppedInvalid;
-        continue;
-      }
-      Deduped.push_back(std::move(*It));
-    }
-    std::reverse(Deduped.begin(), Deduped.end()); // back to file order
-    Entries = std::move(Deduped);
-  }
+  // Survivors are kept verbatim, framing included — GC must not perturb
+  // bytes it decided to keep. A stale or damaged header drops them all.
+  std::shared_ptr<ExecutionProfile> P;
+  ScanStats S;
+  auto Lines = ProfileLog.survivors(decodeProfile(P), S);
+  tally(S);
+  Stats.DroppedInvalid = S.skipped() + S.Stranded + (S.Records - S.Keys) +
+                         (S.invalidated() ? 1 : 0);
 
   // Size cap: evict from the front (oldest appends) until the rewritten
   // file — header plus surviving lines — fits.
-  std::string Header = headerLine(ProfileSchema, profileFingerprint());
-  if (MaxBytes != 0) {
-    uint64_t Need = Header.size();
-    for (const auto &[Key, Line] : Entries)
-      Need += Line.size() + 1;
-    size_t Drop = 0;
-    while (Drop != Entries.size() && Need > MaxBytes) {
-      Need -= Entries[Drop].second.size() + 1;
-      ++Drop;
-    }
-    Stats.Evicted = Drop;
-    Entries.erase(Entries.begin(),
-                  Entries.begin() + static_cast<ptrdiff_t>(Drop));
+  std::string Doc = ProfileLog.header();
+  uint64_t Need = Doc.size();
+  for (const auto &Line : Lines)
+    Need += Line.second.size() + 1;
+  size_t Drop = 0;
+  for (; MaxBytes != 0 && Drop != Lines.size() && Need > MaxBytes; ++Drop)
+    Need -= Lines[Drop].second.size() + 1;
+  std::map<std::string, double> Keys;
+  for (size_t I = Drop; I != Lines.size(); ++I) {
+    Doc += Lines[I].second + "\n";
+    Keys.emplace(Lines[I].first.Key, 0.0);
   }
-
-  std::string Doc = Header;
-  std::set<std::string> Keys;
-  for (const auto &[Key, Line] : Entries) {
-    Doc += Line + "\n";
-    Keys.insert(Key);
-  }
-  if (!replaceWithRetries(ProfPath, Doc, Error))
+  if (!ProfileLog.rewrite(Doc, LockWaitMs, Error, /*Locked=*/true))
     return false;
-  Stats.Kept = Entries.size();
+  Stats.Kept = Keys.size();
+  Stats.Evicted = Drop;
   Stats.BytesAfter = Doc.size();
-  PersistedProfKeys = std::move(Keys);
+  ProfileLog.setDurable(std::move(Keys));
   return true;
 }
 
 bool CacheStore::beginJournal(const std::string &ConfigToken, bool Resume,
                               std::string *Error) {
-  if (Path.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
+  if (!opened(Error))
     return false;
-  }
-  JournalPath =
-      (std::filesystem::path(Path).parent_path() / JournalFileName).string();
+  JournalPath = Journal.path();
   JournalResults.clear();
-  SkippedJournal = 0;
-
-  std::string Header = journalHeaderLine(fingerprint(), ConfigToken);
-  if (!Resume)
-    return lockedReplace(JournalPath, Header, LockWaitMs, Error);
-
-  ScanStats S;
-  {
-    std::set<std::string> Seen;
-    scanStore(
-        JournalPath,
-        [&](const JsonValue &V) {
-          // Different world or solver limits: nothing to replay.
-          const JsonValue *Config = V.find("config");
-          return headerMatches(V, JournalSchema, fingerprint()) && Config &&
-                 Config->kind() == JsonValue::Kind::String &&
-                 Config->string() == ConfigToken;
-        },
-        [&](const JsonValue &V, const std::string &) {
-          JobResult R;
-          if (!parseJobResult(V, R)) {
-            ++SkippedJournal;
-            return;
-          }
-          // A retried short write may have left the same job twice; the
-          // first occurrence is the one the interrupted run reported.
-          if (!Seen.insert(R.Spec.cacheKey()).second)
-            return;
+  JournalStats = ScanStats();
+  Journal.setHeaderField("config", ConfigToken);
+  if (Resume) {
+    // A retried short write may have left a job twice; the first
+    // occurrence is the one the interrupted run reported.
+    JobResult R;
+    JournalStats = tally(Journal.scan(
+        decodeResult(R, /*ServableOnly=*/false),
+        [&](const FramedLog::Record &, const std::string &) {
           JournalResults.push_back(std::move(R));
-        },
-        S);
-    SkippedJournal += S.Damaged;
-    CrcMismatches += S.CrcFailures;
+        }));
+    // Extend a journal whose header matches; any torn tail there is
+    // terminated by our first append's leading newline.
+    if (JournalStats.HeaderOk)
+      return true;
   }
-  if (!S.HeaderOk)
-    return lockedReplace(JournalPath, Header, LockWaitMs, Error);
-  // Extend the existing journal. If the previous writer was killed
-  // mid-append, its torn tail must not fuse with our first append —
-  // terminate it now (the orphaned fragment fails its CRC as one
-  // quarantined line the next resume skips).
-  if (!endsWithNewline(JournalPath))
-    return appendWithRetries(JournalPath, "\n", Error);
-  return true;
+  return Journal.rewrite(Journal.header(), LockWaitMs, Error);
 }
 
 bool CacheStore::appendJournal(const JobResult &R, std::string *Error) {
   if (JournalPath.empty())
     return true;
-  JsonWriter W(/*Pretty=*/false);
-  writeJobResult(W, R);
-  return appendWithRetries(JournalPath, framedLine(W.str()), Error);
+  return Journal.append(framedLine(resultJson(R)), Error);
 }
 
 void CacheStore::clearJournal() {
@@ -968,146 +387,50 @@ void CacheStore::clearJournal() {
 
 bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
   TraceSpan Span("cache.fsck", "cache");
-  if (Path.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
+  if (!opened(Error))
     return false;
-  }
   Report = FsckReport();
   Report.OrphanedTemps = SweptTemps;
 
-  std::string JPath =
-      (std::filesystem::path(Path).parent_path() / JournalFileName)
-          .string();
-
-  // Walks one file into an FsckFile. KeyOf classifies a CRC-valid JSON
-  // record: false means semantically unreadable (corrupt), true yields
-  // the dedup key. RawValid collects servable lines verbatim for the
-  // journal's repair rewrite.
-  auto Walk =
-      [&](const char *Name, const std::string &FPath,
-          const std::function<bool(const JsonValue &)> &AcceptHeader,
-          const std::function<bool(const JsonValue &, std::string &)>
-              &KeyOf,
-          std::string *RawHeader, std::vector<std::string> *RawValid) {
-        FsckFile F;
-        F.Name = Name;
-        F.Path = FPath;
-        ScanStats S;
-        std::set<std::string> Keys;
-        scanStore(
-            FPath, AcceptHeader,
-            [&](const JsonValue &V, const std::string &Raw) {
-              std::string Key;
-              if (!KeyOf(V, Key)) {
-                ++F.Corrupt;
-                return;
-              }
-              if (!Keys.insert(Key).second) {
-                ++F.Duplicate;
-                return;
-              }
-              ++F.Valid;
-              if (RawValid)
-                RawValid->push_back(Raw);
-            },
-            S, RawHeader);
-        CrcMismatches += S.CrcFailures;
-        F.Present = S.Present;
-        F.HeaderOk = !S.SawFirstLine || S.HeaderOk;
-        F.Corrupt += S.Damaged + (S.HeaderDamaged ? 1 : 0);
-        F.Stale = S.Stranded;
-        // A header that framed correctly but names another world is a
-        // stale line, not a corrupt one.
-        if (S.SawFirstLine && !S.HeaderOk && !S.HeaderDamaged)
-          ++F.Stale;
-        Report.Files.push_back(F);
-        return F;
-      };
-
-  auto ResultKey = [](const JsonValue &V, std::string &Key) {
-    JobResult R;
-    if (!parseJobResult(V, R))
-      return false;
-    Key = R.Spec.cacheKey();
-    return true;
-  };
-
-  FsckFile FR = Walk(
-      "results", Path,
-      [](const JsonValue &V) {
-        return headerMatches(V, StoreSchema, fingerprint());
+  JobResult R;
+  std::shared_ptr<ExecutionProfile> P;
+  IncumbentStore::Entry E;
+  std::string JournalLines;
+  std::pair<FramedLog *, FramedLog::Decoder> Walks[] = {
+      {&Results, decodeResult(R, /*ServableOnly=*/true)},
+      {&ProfileLog, decodeProfile(P)},
+      {&IncumbentLog, decodeIncumbent(E)}};
+  auto Ignore = [](const FramedLog::Record &, const std::string &) {};
+  for (auto &[Log, Decode] : Walks)
+    Report.Files.push_back(Log->summarize(tally(Log->scan(Decode, Ignore))));
+  // The journal is checked under any configuration token (which solver
+  // settings a run used is resume's business, not integrity's); its
+  // first-wins survivors are collected for its repair.
+  ScanStats J = tally(Journal.scan(
+      decodeResult(R, /*ServableOnly=*/false),
+      [&](const FramedLog::Record &, const std::string &Raw) {
+        JournalLines += Raw + "\n";
       },
-      ResultKey, nullptr, nullptr);
-
-  FsckFile FP = Walk(
-      "profiles", ProfPath,
-      [](const JsonValue &V) {
-        return headerMatches(V, ProfileSchema, profileFingerprint());
-      },
-      [](const JsonValue &V, std::string &Key) {
-        auto P = std::make_shared<ExecutionProfile>();
-        return parseExecutionProfile(V, Key, *P);
-      },
-      nullptr, nullptr);
-
-  FsckFile FI = Walk(
-      "incumbents", IncPath,
-      [](const JsonValue &V) {
-        return headerMatches(V, IncumbentSchema, incumbentFingerprint());
-      },
-      [](const JsonValue &V, std::string &Key) {
-        IncumbentStore::Entry E;
-        return parseIncumbent(V, Key, E);
-      },
-      nullptr, nullptr);
-
-  // The journal is checked under *any* configuration token: fsck is a
-  // maintenance pass, and which solver limits an interrupted run used is
-  // the resume path's business, not an integrity question.
-  std::string JournalRawHeader;
-  std::vector<std::string> JournalRawValid;
-  FsckFile FJ = Walk(
-      "progress", JPath,
-      [](const JsonValue &V) {
-        const JsonValue *Config = V.find("config");
-        return headerMatches(V, JournalSchema, fingerprint()) && Config &&
-               Config->kind() == JsonValue::Kind::String;
-      },
-      ResultKey, &JournalRawHeader, &JournalRawValid);
-
+      /*AnyExtraValues=*/true));
+  Report.Files.push_back(Journal.summarize(J));
   if (!Repair)
     return true;
 
-  // Results, profiles, and incumbents repair from what open() served —
-  // the locked compaction rewrite: valid records only, deduplicated,
-  // fresh framed header. Corrupt lines were quarantined during the walk;
-  // lines stranded under an untrusted header fall with it.
-  if (FR.damaged() && !rewriteResults(Error))
-    return false;
-  if (FP.damaged() && !rewriteProfiles(Error))
-    return false;
-  if (FI.damaged() && !rewriteIncumbents(Error))
-    return false;
+  // The record files repair from what open() served: the compaction
+  // rewrite. Lines stranded under an untrusted header fall with it.
+  for (size_t I = 0; I != 3; ++I)
+    if (Report.Files[I].damaged() && !persist(*Walks[I].first, true, Error))
+      return false;
 
-  // The journal is not loaded by open(), so it repairs from its own
-  // walk: header kept verbatim (the pinned configuration must survive
-  // untouched for --resume to honour it), servable lines kept verbatim
-  // first-wins. A journal whose header cannot be trusted is removed —
-  // replaying records from an unknown world is worse than recomputing.
-  if (FJ.Present) {
-    if (!FJ.HeaderOk) {
-      std::remove(JPath.c_str());
-    } else if (FJ.damaged()) {
-      std::string Doc = JournalRawHeader + "\n";
-      for (const std::string &Line : JournalRawValid)
-        Doc += Line + "\n";
-      if (!lockedReplace(JPath, Doc, LockWaitMs, Error))
-        return false;
-    }
-  }
-
-  // Orphaned temporaries were already swept by open(); they appear in
-  // the report so the operator knows a writer died mid-rewrite.
+  // The journal repairs from its own walk with its header verbatim, so
+  // --resume still honours the pinned configuration; one whose header
+  // cannot be trusted is removed — recomputing beats replaying records
+  // from an unknown world.
+  const FsckFile &JF = Report.Files.back();
+  if (JF.Present && !JF.HeaderOk)
+    std::remove(Journal.path().c_str());
+  else if (JF.damaged())
+    return Journal.rewrite(J.RawHeader + "\n" + JournalLines, LockWaitMs,
+                           Error);
   return true;
 }

@@ -12,60 +12,33 @@
 /// produced it is unchanged, and a benchmark simulated once is recosted —
 /// not re-executed — even across processes and device-table changes.
 ///
-/// Format: three JSON-lines files inside the cache directory.
+/// Format: four JSON-lines files inside the cache directory, each a
+/// FramedLog (campaign/FramedLog.h: CRC32C-framed lines, fingerprinted
+/// header, quarantine, lock-free appends, locked atomic rewrites, orphan
+/// sweep, fsck walk).
 ///  - `results.jsonl`: one JobResult per line in the report dialect
-///    (campaign/Report.h), keyed implicitly by its spec's cacheKey().
-///    Its header fingerprint covers the device registry's power tables
-///    and timing models — results computed under a different power model
-///    must never be served.
+///    (campaign/Report.h), keyed by its spec's cacheKey(), first wins.
+///    The fingerprint covers the device registry's power tables and
+///    timing models: results from another power model are never served.
 ///  - `profiles.jsonl`: one ExecutionProfile per line keyed by execution
-///    key (image fingerprint + arguments). Profiles are device-
-///    independent, so their header fingerprint covers only the simulator
-///    semantics version: a power recalibration retires every cached
-///    *result* yet keeps every cached *profile*, turning the re-sweep
-///    into recosts instead of re-simulations.
+///    key (image fingerprint + arguments), newest wins. Profiles are
+///    device-independent, so the fingerprint covers only the simulator
+///    semantics: a power recalibration retires every cached *result* yet
+///    keeps every *profile*, turning the re-sweep into recosts.
 ///  - `incumbents.jsonl`: the best-known placement per solve group
-///    (block bitstring + model energy), the seed for a later process's
-///    first cold MIP solve. Same fingerprint discipline as results (the
-///    device registry shapes the model), but staleness here is harmless
-///    by construction — a seed is re-validated at zero tolerance before
-///    it may prune anything, and a surviving seed can only steer which
-///    of several bit-equal-energy optima wins (the unique-optimum caveat
-///    every exact-solver reuse path in this repo shares) — so the
-///    fingerprint only avoids pointless seeding attempts, it is not a
-///    correctness gate.
+///    (block bitstring + model energy), best wins — the seed for a later
+///    process's first cold MIP solve. Staleness is harmless: a seed is
+///    re-validated at zero tolerance before it may prune anything, and
+///    can only steer which of several bit-equal-energy optima wins (the
+///    unique-optimum caveat every exact-solver reuse path shares).
+///  - `progress.jsonl`: the resume journal (see beginJournal()).
 ///
-/// Writes are append-mode: save() appends only entries not yet on disk,
-/// one complete record per line with no fsync, so concurrent writers
+/// save() appends only entries not yet on disk, so concurrent writers
 /// sharing a directory interleave whole lines instead of losing each
-/// other's work to a rewrite race, and a killed writer truncates at most
-/// its final line (skipped on load). A file that needs repair — absent,
-/// corrupt, truncated mid-line, or carrying a stale fingerprint — is
-/// instead rewritten atomically (temporary + rename). compact() forces
-/// that sorted, deduplicated rewrite; report merging is its natural home
-/// (`ramloc-batch --merge --cache-dir=...`).
-///
-/// Integrity (all four files, headers included):
-///  - Every line is CRC32C-framed (support/Checksum.h): eight hex digits
-///    plus a space prefix the JSON payload. A line whose checksum does
-///    not match — a flipped bit, a torn tail, a fused pair of lines — is
-///    never served: it is counted (`cachestore.crc_mismatch` metric and
-///    crcMismatches()), preserved by appending it to `<file>.quarantine`
-///    (deduplicated, so repeated loads do not grow the file), and
-///    skipped. A file whose *header* line is damaged or stale yields an
-///    empty-but-usable store. Pre-framing (v1) stores are retired by the
-///    store-schema bump: their fingerprints can no longer match.
-///  - Atomic rewrites and compactions take a per-file advisory flock
-///    (`<file>.lock`, support/FileLock.h) with a bounded wait, so two
-///    `--merge` or `--fsck --repair` processes sharing a directory
-///    serialize their read-then-rename cycles. Append paths stay
-///    lock-free whole-line appends.
-///  - open() sweeps orphaned `<file>.tmp.<pid>` temporaries whose writer
-///    is no longer alive (a rewrite killed between temp-write and
-///    rename); fsck() reports them.
-///  - fsck() walks every store file and reports per-file valid/corrupt/
-///    stale/duplicate counts; with Repair it performs the locked
-///    compaction rewrite (`ramloc-batch --fsck [--repair]`).
+/// other's work, and a killed writer truncates at most its final line.
+/// compact() forces the sorted, deduplicated rewrite (`ramloc-batch
+/// --merge --cache-dir=...`); fsck() reports and repairs damage
+/// (`ramloc-batch --fsck [--repair]`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,56 +46,50 @@
 #define RAMLOC_CAMPAIGN_CACHESTORE_H
 
 #include "campaign/Campaign.h"
+#include "campaign/FramedLog.h"
 #include "sim/ProfileCache.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 #include <string>
+#include <vector>
 
 namespace ramloc {
 
 class CacheStore {
 public:
-  /// The fingerprint a valid results store must carry: a stable hash over
-  /// the store schema, the report schema, and the full device registry
-  /// (names, power tables, timing models). Any change to those — a new
-  /// power calibration, a device table edit, a serialization bump —
-  /// yields a new fingerprint and retires every existing cache.
+  CacheStore();
+
+  /// The results fingerprint: a stable hash over the store and report
+  /// schemas and the full device registry (names, power tables, timing
+  /// models). Any change to those retires every existing cache.
   static std::string fingerprint();
 
-  /// The fingerprint of the profile store: a stable hash over the profile
-  /// schema and the simulator-semantics tag (bumped by hand whenever the
-  /// interpreter's architectural behaviour changes). Deliberately
-  /// independent of the device registry — execution profiles are
-  /// device-independent, which is their whole value.
+  /// The profile fingerprint: the profile schema and the hand-bumped
+  /// simulator-semantics tag — deliberately not the device registry,
+  /// since execution profiles are device-independent.
   static std::string profileFingerprint();
 
-  /// The fingerprint of the incumbent store: its own schema plus the
-  /// device registry (the registry shapes the placement models the
-  /// assignments were optimal for).
+  /// The incumbent fingerprint: its own schema plus the device registry
+  /// (the registry shapes the placement models).
   static std::string incumbentFingerprint();
 
-  /// Binds the store to <Dir>/results.jsonl and <Dir>/profiles.jsonl,
-  /// creating \p Dir when missing, and loads whatever valid entries the
-  /// files hold. Returns false only when the directory cannot be
-  /// created; invalid content merely yields an empty cache (see
-  /// invalidated() / skippedLines()).
+  /// Binds the store to the four files under \p Dir (created when
+  /// missing), sweeps dead writers' temporaries, and loads the results,
+  /// profile and incumbent files. Returns false only when the directory
+  /// cannot be created; invalid content merely yields an empty cache.
   bool open(const std::string &Dir, std::string *Error = nullptr);
 
   /// Persists every *successful* entry not yet on disk. Healthy files
-  /// grow by appended lines; a torn tail line (another writer killed
-  /// mid-append) is terminated with a newline and appended past, never
-  /// rewritten away — a rewrite would discard records other writers
-  /// appended since we opened. Only a file whose *header* is missing,
-  /// damaged, or stale-fingerprinted is rewritten atomically.
-  /// Failed results stay in-memory only: a failure may be a bug the next
-  /// build fixes, and the fingerprint cannot see code changes, so
-  /// persisting it would serve a stale error forever. Invalid profiles
-  /// are never persisted.
+  /// grow by appended lines, past any torn tail another writer left; only
+  /// a file whose header is missing, damaged or stale is rewritten.
+  /// Failed and degraded results stay in memory: a failure may be a bug
+  /// the next build fixes, and the fingerprint cannot see code changes.
+  /// Invalid profiles are never persisted.
   bool save(std::string *Error = nullptr);
 
-  /// Sorted, deduplicated atomic rewrite of both files — the repair and
-  /// garbage-collection path for stores grown by many appenders.
+  /// Sorted, deduplicated atomic rewrite of the results, profile and
+  /// incumbent files — the repair path for stores grown by many
+  /// appenders.
   bool compact(std::string *Error = nullptr);
 
   /// What a profile-store GC pass did.
@@ -137,106 +104,63 @@ public:
     uint64_t BytesAfter = 0;
   };
 
-  /// Garbage-collects profiles.jsonl in place (atomic rewrite): drops
-  /// corrupt lines and entries whose semantics fingerprint no longer
-  /// matches, folds duplicate keys to their newest occurrence, and — when
+  /// Garbage-collects profiles.jsonl in place: drops corrupt and stale
+  /// lines, folds duplicate keys to their newest occurrence, and — when
   /// \p MaxBytes is non-zero — evicts the least-recently-appended entries
-  /// until the file fits. Append order is the recency signal: save()
-  /// appends new profiles, so earlier lines are older (a GC rewrite
-  /// preserves the surviving order, keeping later passes meaningful).
-  /// Operates on the file, not the in-memory cache; run it as a
-  /// maintenance pass (`ramloc-batch --gc-profiles`), not mid-campaign —
-  /// a later save() from this process may re-append evicted entries it
-  /// still holds in memory.
+  /// (earliest lines) until the file fits. Works on the file, not the
+  /// in-memory cache: a later save() may re-append evicted entries, so
+  /// run it as a maintenance pass (`ramloc-batch --gc-profiles`).
   bool gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
                   std::string *Error = nullptr);
 
-  /// Sorted, deduplicated atomic rewrite of incumbents.jsonl alone:
-  /// drops corrupt lines and stale-fingerprint entries, folds duplicate
-  /// groups to their best assignment. The incumbent-side companion of
-  /// gcProfiles (`ramloc-batch --gc-profiles` runs both).
+  /// compact() for incumbents.jsonl alone; `--gc-profiles` runs both.
   bool compactIncumbents(std::string *Error = nullptr);
 
-  //===--- Store verification (--fsck) -------------------------------------===//
-
-  /// One store file's health as seen by fsck().
-  struct FsckFile {
-    std::string Name; ///< "results", "profiles", "incumbents", "progress".
-    std::string Path;
-    bool Present = false; ///< The file exists (possibly empty).
-    /// The first line framed, parsed, and matched the expected schema and
-    /// fingerprint. Vacuously true for absent or empty files.
-    bool HeaderOk = true;
-    size_t Valid = 0;     ///< CRC-valid, parseable records.
-    size_t Corrupt = 0;   ///< Framing/CRC/parse failures (header included).
-    size_t Stale = 0;     ///< Lines stranded under an unusable header.
-    size_t Duplicate = 0; ///< Repeated keys — benign appender races.
-    /// Damage repair would fix; duplicates alone are healthy appends.
-    bool damaged() const {
-      return (Present && !HeaderOk) || Corrupt != 0 || Stale != 0;
-    }
-  };
+  using FsckFile = ramloc::FsckFile;
 
   /// What fsck() found across the whole cache directory.
   struct FsckReport {
     std::vector<FsckFile> Files;
-    /// Orphaned `*.tmp.<pid>` temporaries of dead writers that open()
-    /// swept from the directory.
+    /// Temporaries of dead writers that open() swept.
     std::vector<std::string> OrphanedTemps;
     bool damaged() const {
-      if (!OrphanedTemps.empty())
-        return true;
-      for (const FsckFile &F : Files)
-        if (F.damaged())
-          return true;
-      return false;
+      return !OrphanedTemps.empty() ||
+             std::any_of(Files.begin(), Files.end(),
+                         [](const FsckFile &F) { return F.damaged(); });
     }
   };
 
-  /// Walks all four store files (requires a prior successful open()) and
-  /// fills \p Report; damaged record lines are quarantined as they are
-  /// found. With \p Repair, every damaged file is rewritten under its
-  /// lock — valid records only, deduplicated — and a journal whose
-  /// header cannot be trusted is removed (corrupt lines are quarantined;
-  /// valid lines stranded under a stale header fall with it). Returns
-  /// false only when a repair rewrite itself fails.
+  /// Walks all four store files (after open()) into \p Report,
+  /// quarantining damaged lines. With \p Repair, every damaged file is
+  /// rewritten under its lock — valid records only, deduplicated — and a
+  /// journal whose header cannot be trusted is removed. Returns false
+  /// only when a repair rewrite fails.
   bool fsck(bool Repair, FsckReport &Report, std::string *Error = nullptr);
 
   //===--- Campaign progress journal (crash-safe resume) -------------------===//
   //
-  // A fourth file, <dir>/progress.jsonl, records every *finished* job of
-  // an in-flight campaign as one report-dialect line, appended as jobs
-  // complete. A killed campaign loses at most its torn final line; a new
-  // run with `--resume` replays the journal through the result cache,
-  // re-runs only what is missing, and produces a report byte-identical
-  // to the uninterrupted run (the report dialect round-trips exactly).
-  // Unlike results.jsonl, the journal intentionally keeps failed and
-  // degraded entries — its contract is "reproduce the interrupted run's
-  // report", not "store trustworthy optima" — which is why it is a
-  // separate file that is removed once the final report is safely out.
+  // progress.jsonl records every *finished* job of an in-flight campaign
+  // as one report-dialect line. A killed campaign loses at most its torn
+  // final line; `--resume` replays the journal through the result cache
+  // and re-runs only what is missing, byte-identical to an uninterrupted
+  // run. Unlike results.jsonl it keeps failed and degraded entries — its
+  // contract is "reproduce the interrupted run's report" — and it is
+  // removed once the final report is out.
 
-  /// Binds the journal to <dir>/progress.jsonl (requires a prior
-  /// successful open()). With \p Resume, valid entries under a matching
-  /// header — fingerprint() plus \p ConfigToken, which must encode
-  /// anything that can change a report's bytes (solverConfigToken(): the
-  /// limits, and also the pricing rule, node order and warm/cold switch,
-  /// since those are byte-neutral only when every solve proves
-  /// optimality — --pricing=dantzig labels 2 of the 1080 canonical
-  /// configs feasible-limit that the default proves optimal; NOT --jobs,
-  /// resume is byte-identical across that) — are loaded into
-  /// journalEntries(); a missing, stale, or mismatched journal simply
-  /// yields none. Without \p Resume any previous journal is discarded and
-  /// a fresh header written.
+  /// Starts the journal (after open()). With \p Resume, entries under a
+  /// matching header — fingerprint() plus \p ConfigToken, which must
+  /// encode everything that can change a report's bytes
+  /// (solverConfigToken(): limits, pricing rule, node order, warm/cold;
+  /// not --jobs) — load into journalEntries(); a missing or mismatched
+  /// journal yields none. Otherwise a fresh header replaces any journal.
   bool beginJournal(const std::string &ConfigToken, bool Resume,
                     std::string *Error = nullptr);
 
-  /// Appends one finished job to the journal (one line, retried with
-  /// backoff like every other append). No-op before beginJournal().
+  /// Appends one finished job (retried like every append). No-op before
+  /// beginJournal().
   bool appendJournal(const JobResult &R, std::string *Error = nullptr);
 
-  /// Removes the journal file — call once the final report is durable;
-  /// an orphaned journal is harmless but would be replayed by a later
-  /// --resume of the same configuration.
+  /// Removes the journal once the final report is durable.
   void clearJournal();
 
   /// Entries a resuming beginJournal() recovered, in journal order
@@ -244,43 +168,34 @@ public:
   const std::vector<JobResult> &journalEntries() const {
     return JournalResults;
   }
-  /// Corrupt/torn journal lines skipped during resume (diagnostics).
-  size_t journalSkipped() const { return SkippedJournal; }
+  /// Corrupt/torn journal lines skipped during resume.
+  size_t journalSkipped() const { return JournalStats.skipped(); }
   const std::string &journalPath() const { return JournalPath; }
 
-  /// The in-memory result cache backing this store. Point
-  /// CampaignOptions::Cache here; runCampaign both serves lookups from it
-  /// and inserts new results into it.
+  /// The in-memory caches backing the store; point CampaignOptions'
+  /// Cache, Profiles and Incumbents here.
   ResultCache &cache() { return Cache; }
   const ResultCache &cache() const { return Cache; }
-
-  /// The execution-profile cache backing this store. Point
-  /// CampaignOptions::Profiles here so simulations recorded by earlier
-  /// processes are recosted instead of re-run.
   ProfileCache &profiles() { return Profiles; }
-
-  /// The incumbent store backing this store. Point
-  /// CampaignOptions::Incumbents here so a solve group's first cold
-  /// solve opens with the best-known placement from prior invocations.
   IncumbentStore &incumbents() { return Incumbents; }
 
-  const std::string &path() const { return Path; }
-  const std::string &profilePath() const { return ProfPath; }
-  const std::string &incumbentPath() const { return IncPath; }
+  const std::string &path() const { return Results.path(); }
+  const std::string &profilePath() const { return ProfileLog.path(); }
+  const std::string &incumbentPath() const { return IncumbentLog.path(); }
 
-  /// Diagnostics from the last open().
-  size_t loadedEntries() const { return Loaded; }
-  size_t skippedLines() const { return Skipped; }
-  size_t loadedProfiles() const { return LoadedProfs; }
-  size_t skippedProfileLines() const { return SkippedProfs; }
-  size_t loadedIncumbents() const { return LoadedIncs; }
-  size_t skippedIncumbentLines() const { return SkippedIncs; }
-  /// True when a results store existed but carried a different
-  /// fingerprint (its entries were discarded wholesale).
-  bool invalidated() const { return Invalidated; }
-  /// Framing/CRC failures seen across every load since open() — each one
-  /// also bumps the `cachestore.crc_mismatch` metric and lands in the
-  /// owning file's `.quarantine` sibling.
+  /// Diagnostics from the last open(): per file, the records served
+  /// (incumbents: each record that set or improved its group's best)
+  /// and the lines skipped as corrupt or unservable.
+  size_t loadedEntries() const { return ResultStats.Kept; }
+  size_t skippedLines() const { return ResultStats.skipped(); }
+  size_t loadedProfiles() const { return ProfileStats.Kept; }
+  size_t skippedProfileLines() const { return ProfileStats.skipped(); }
+  size_t loadedIncumbents() const { return IncumbentStats.Kept; }
+  size_t skippedIncumbentLines() const { return IncumbentStats.skipped(); }
+  /// A results store existed under another header; nothing was served.
+  bool invalidated() const { return ResultStats.invalidated(); }
+  /// Frame/CRC failures across every scan since open(); each also bumps
+  /// `cachestore.crc_mismatch` and lands in a `.quarantine` sibling.
   size_t crcMismatches() const { return CrcMismatches; }
   /// Orphaned `*.tmp.<pid>` temporaries (dead writer) swept by open().
   const std::vector<std::string> &sweptTempFiles() const {
@@ -292,42 +207,29 @@ public:
   void setLockWaitMs(unsigned Ms) { LockWaitMs = Ms; }
 
 private:
-  bool rewriteResults(std::string *Error);
-  bool appendResults(bool TerminateTornTail, std::string *Error);
-  bool rewriteProfiles(std::string *Error);
-  bool appendProfiles(bool TerminateTornTail, std::string *Error);
-  bool rewriteIncumbents(std::string *Error);
-  bool appendIncumbents(bool TerminateTornTail, std::string *Error);
+  /// The one persist path behind save(), compact() and repairs: hands
+  /// \p Log the in-memory snapshot of its record kind.
+  bool persist(FramedLog &Log, bool Rewrite, std::string *Error);
+  bool opened(std::string *Error) const;
+  /// Adds a scan's frame failures to crcMismatches().
+  ScanStats tally(ScanStats S);
 
   ResultCache Cache;
   ProfileCache Profiles;
   IncumbentStore Incumbents;
-  std::string Path;
-  std::string ProfPath;
-  std::string IncPath;
-  /// Cache keys already durable in each file (loaded or saved by us).
-  /// save() appends only entries outside these sets; whether appending is
-  /// safe is probed from the file itself at save() time (valid matching
-  /// header, newline-terminated tail) so a concurrent writer's appends
-  /// are extended, never clobbered.
-  std::set<std::string> PersistedKeys;
-  std::set<std::string> PersistedProfKeys;
-  /// Incumbents durable per group *at an energy*: an improved assignment
-  /// re-appends (best-wins on load), an unchanged one does not.
-  std::map<std::string, double> PersistedIncEnergy;
-  std::string JournalPath;
+  FramedLog Results;
+  FramedLog ProfileLog;
+  FramedLog IncumbentLog;
+  FramedLog Journal;
+  std::string JournalPath; ///< Set while a journal is in flight.
   std::vector<JobResult> JournalResults;
-  size_t SkippedJournal = 0;
-  size_t Loaded = 0;
-  size_t Skipped = 0;
-  size_t LoadedProfs = 0;
-  size_t SkippedProfs = 0;
-  size_t LoadedIncs = 0;
-  size_t SkippedIncs = 0;
+  ScanStats ResultStats;
+  ScanStats ProfileStats;
+  ScanStats IncumbentStats;
+  ScanStats JournalStats;
   size_t CrcMismatches = 0;
   std::vector<std::string> SweptTemps;
   unsigned LockWaitMs = 10000;
-  bool Invalidated = false;
 };
 
 } // namespace ramloc

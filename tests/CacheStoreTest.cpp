@@ -394,21 +394,20 @@ TEST(CacheStore, CompactFoldsDuplicateAppends) {
   ASSERT_TRUE(B.save());
 
   // Duplicated lines on disk, deduplicated in memory.
-  std::string Doc = slurp(A.path());
-  size_t Lines = 0;
-  for (char C : Doc)
-    Lines += C == '\n';
-  EXPECT_EQ(Lines, 1u + 4u); // header + 2 entries per writer
+  // Appends lead with a newline, so count non-empty lines.
+  auto lines = [](const std::string &Doc) {
+    size_t N = 0;
+    for (size_t I = 0; I != Doc.size(); ++I)
+      N += Doc[I] == '\n' && I != 0 && Doc[I - 1] != '\n';
+    return N;
+  };
+  EXPECT_EQ(lines(slurp(A.path())), 1u + 4u); // header + 2 per writer
   CacheStore Before;
   ASSERT_TRUE(Before.open(Dir));
   EXPECT_EQ(Before.loadedEntries(), 2u);
 
   ASSERT_TRUE(Before.compact());
-  std::string Compacted = slurp(Before.path());
-  Lines = 0;
-  for (char C : Compacted)
-    Lines += C == '\n';
-  EXPECT_EQ(Lines, 1u + 2u);
+  EXPECT_EQ(lines(slurp(Before.path())), 1u + 2u);
   CacheStore After;
   ASSERT_TRUE(After.open(Dir));
   EXPECT_EQ(After.loadedEntries(), 2u);
@@ -658,8 +657,12 @@ TEST(CacheStore, AppendedImprovementWinsOnLoadAndCompactFolds) {
   }
   std::string Path =
       (std::filesystem::path(Dir) / "incumbents.jsonl").string();
+  // Appends lead with a newline, so count non-empty lines.
   std::string TwoAppends = slurp(Path);
-  EXPECT_EQ(std::count(TwoAppends.begin(), TwoAppends.end(), '\n'), 3);
+  size_t NonEmpty = 0;
+  for (size_t I = 0; I != TwoAppends.size(); ++I)
+    NonEmpty += TwoAppends[I] == '\n' && I != 0 && TwoAppends[I - 1] != '\n';
+  EXPECT_EQ(NonEmpty, 3u);
 
   CacheStore Reload;
   ASSERT_TRUE(Reload.open(Dir));

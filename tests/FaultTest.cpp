@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -273,6 +274,79 @@ TEST_F(FaultTestGuard, InjectedRenameFailureLeavesOldFileIntact) {
   // Atomic replace: a failed rename must leave the original bytes.
   EXPECT_EQ(slurp((std::filesystem::path(Dir) / "results.jsonl").string()),
             Before);
+}
+
+TEST_F(FaultTestGuard, StoreOperationsConsultEachSiteAFixedNumberOfTimes) {
+  // Every seeded fault test picks its seed by a site's call index, so the
+  // number of consultations per store operation is part of the contract.
+  // Rate 0 never fires but still counts calls.
+  const char *const Sites[] = {"cache.load.eio",     "cache.load.flip",
+                               "cache.append.eio",   "cache.append.short",
+                               "cache.rename",       "cache.lock"};
+  FaultInjector F;
+  for (const char *Site : Sites)
+    F.arm(Site, 0.0);
+  F.install();
+  using Counts = std::array<uint64_t, 6>;
+  auto counts = [&] {
+    Counts C;
+    for (size_t I = 0; I != C.size(); ++I)
+      C[I] = F.callCount(Sites[I]);
+    return C;
+  };
+  auto profile = [](uint64_t Instructions) {
+    auto P = std::make_shared<ExecutionProfile>();
+    P->Instructions = Instructions;
+    P->Valid = true;
+    return P;
+  };
+
+  std::string Dir = freshDir("site-sequence");
+  CacheStore Store;
+  ASSERT_TRUE(Store.open(Dir));
+  EXPECT_EQ(counts(), (Counts{3, 0, 0, 0, 0, 0})) << "open";
+
+  // Fresh files: three locked rewrites.
+  Store.cache().insert(makeResult(256).Spec.cacheKey(), makeResult(256));
+  Store.profiles().preload("p1", profile(10));
+  Store.incumbents().offer("g", {false, true}, 9.0);
+  std::string Error;
+  ASSERT_TRUE(Store.save(&Error)) << Error;
+  EXPECT_EQ(counts(), (Counts{3, 0, 0, 0, 3, 3})) << "first save";
+
+  // Healthy files: one append per file with new records.
+  Store.cache().insert(makeResult(512).Spec.cacheKey(), makeResult(512));
+  Store.profiles().preload("p2", profile(20));
+  Store.incumbents().offer("g", {true, true}, 3.0);
+  ASSERT_TRUE(Store.save(&Error)) << Error;
+  EXPECT_EQ(counts(), (Counts{3, 0, 3, 3, 3, 3})) << "appending save";
+
+  ASSERT_TRUE(Store.compact(&Error)) << Error;
+  EXPECT_EQ(counts(), (Counts{3, 0, 3, 3, 6, 6})) << "compact";
+
+  // One damaged results line: fsck walks all four files (the journal is
+  // absent) and repair rewrites results alone.
+  {
+    std::ofstream Out(Store.path(), std::ios::binary | std::ios::app);
+    Out << "never framed\n";
+  }
+  CacheStore::FsckReport Report;
+  ASSERT_TRUE(Store.fsck(/*Repair=*/true, Report, &Error)) << Error;
+  EXPECT_EQ(counts(), (Counts{7, 9, 3, 3, 7, 7})) << "fsck --repair";
+
+  ASSERT_TRUE(Store.beginJournal("cfg", /*Resume=*/false, &Error)) << Error;
+  EXPECT_EQ(counts(), (Counts{7, 9, 3, 3, 8, 8})) << "fresh journal";
+  ASSERT_TRUE(Store.appendJournal(makeResult(256), &Error)) << Error;
+  ASSERT_TRUE(Store.appendJournal(makeResult(512), &Error)) << Error;
+  EXPECT_EQ(counts(), (Counts{7, 9, 5, 5, 8, 8})) << "journal appends";
+  ASSERT_TRUE(Store.beginJournal("cfg", /*Resume=*/true, &Error)) << Error;
+  EXPECT_EQ(Store.journalEntries().size(), 2u);
+  EXPECT_EQ(counts(), (Counts{8, 12, 5, 5, 8, 8})) << "resumed journal";
+
+  // A reload reads every line of the three record files once.
+  CacheStore Reload;
+  ASSERT_TRUE(Reload.open(Dir));
+  EXPECT_EQ(counts(), (Counts{11, 20, 5, 5, 8, 8})) << "reload";
 }
 
 //===----------------------------------------------------------------------===//

@@ -47,7 +47,8 @@
 //                           2 of the 1080 canonical configs
 //                           feasible-limit that the default proves
 //                           optimal)
-//     --cache-dir=DIR       persistent result + profile cache: load
+//     --cache-dir=DIR       persistent store of results, profiles,
+//                           incumbents and the resume journal: load
 //                           before running, append after, so repeated
 //                           runs are incremental
 //     --resume              replay <cache-dir>/progress.jsonl — the
@@ -845,8 +846,9 @@ int main(int Argc, char **Argv) {
                      Error.c_str());
       else if (!Quiet)
         std::fprintf(stderr, "cache: compacted %zu result(s), %zu "
-                             "profile(s)\n",
-                     Store.loadedEntries(), Store.loadedProfiles());
+                             "profile(s), %zu incumbent(s)\n",
+                     Store.cache().size(), Store.profiles().size(),
+                     Store.incumbents().size());
     }
     return Rc;
   }
@@ -924,9 +926,14 @@ int main(int Argc, char **Argv) {
     if (Store.invalidated())
       std::fprintf(stderr,
                    "cache: fingerprint changed, discarding old store\n");
-    if (Store.skippedLines() + Store.skippedProfileLines() > 0)
-      std::fprintf(stderr, "cache: skipped %zu corrupt line(s)\n",
-                   Store.skippedLines() + Store.skippedProfileLines());
+    size_t Skipped = Store.skippedLines() + Store.skippedProfileLines() +
+                     Store.skippedIncumbentLines();
+    if (Skipped > 0)
+      std::fprintf(stderr,
+                   "cache: skipped %zu corrupt line(s): %zu result, %zu "
+                   "profile, %zu incumbent\n",
+                   Skipped, Store.skippedLines(), Store.skippedProfileLines(),
+                   Store.skippedIncumbentLines());
     if (Store.crcMismatches() > 0)
       std::fprintf(stderr,
                    "cache: %zu checksum-failed line(s) quarantined "
