@@ -10,110 +10,8 @@
 // results came from the persistent cache, and whether the grid ran whole
 // or as merged --shard parts.
 //
-// Usage:
-//   ramloc-batch [options]
-//     --benchmarks=a,b|all  BEEBS benchmarks (default: all)
-//     --levels=O0,..,Os     optimisation levels (default: O2)
-//     --devices=a,b|all     device registry names (default: stm32f100)
-//     --rspare=N,N,...      RAM-spare axis in bytes (default: 512)
-//     --xlimit=F,F,...      execution-time-limit axis (default: 1.5)
-//     --freq=static,profiled  frequency-mode axis (default: static)
-//     --repeat=N            kernel iterations, 0 = suite default
-//     --model-only          stop at the ILP; skip simulation (with
-//                           --freq=profiled the baseline still simulates
-//                           once per job to collect the profile)
-//     --jobs=N              worker threads (default: hardware concurrency)
-//     --reuse=LIST          which reuse layers stay on (default: all):
-//                           cache (persistent result cache), profile
-//                           (recost shared execution profiles), solve
-//                           (share the ILP across a knob axis and
-//                           warm-start from neighbouring solves), and
-//                           incumbent (open a group's first solve with
-//                           the persisted best-known placement); layers
-//                           not listed are disabled, and every layer is
-//                           exact — byte-identical either way whenever
-//                           every solve proves optimality (incumbent:
-//                           and no distinct placements tie on modelled
-//                           energy). all/none select or clear every
-//                           layer at once.
-//     --node-order=ORDER    branch & bound node selection: dfs (default;
-//                           warm-friendliest), best-bound, or hybrid
-//                           (dive until an incumbent exists, then
-//                           best-bound; every order is exact)
-//     --pricing=RULE        simplex pivot pricing: steepest-edge
-//                           (default), dantzig, or bland — every rule is
-//                           exact; reports are byte-identical only when
-//                           every solve proves optimality (dantzig labels
-//                           2 of the 1080 canonical configs
-//                           feasible-limit that the default proves
-//                           optimal)
-//     --cache-dir=DIR       persistent store of results, profiles,
-//                           incumbents and the resume journal: load
-//                           before running, append after, so repeated
-//                           runs are incremental
-//     --resume              replay <cache-dir>/progress.jsonl — the
-//                           journal of finished jobs an interrupted run
-//                           left behind — and run only what is missing;
-//                           the final report is byte-identical to the
-//                           uninterrupted run at any --jobs; a journal
-//                           written under other solver settings replays
-//                           nothing (needs --cache-dir)
-//     --time-limit-ms=N     per-solve wall-clock budget; a solve that
-//                           hits it returns its best incumbent labelled
-//                           feasible-limit, never silently optimal
-//                           (0 = unlimited, the default)
-//     --node-limit=N        per-solve branch & bound node budget, same
-//                           best-effort contract (0 = unlimited)
-//     --pivot-limit=N       per-solve simplex pivot budget, same
-//                           best-effort contract (0 = unlimited)
-//     --fault=SITE:RATE[:SEED]
-//                           arm the deterministic fault injector
-//                           (repeatable): each pass through SITE fails
-//                           with probability RATE, decided purely by
-//                           (seed, per-site call index). Sites:
-//                           cache.append.short, cache.append.eio,
-//                           cache.rename, cache.lock, cache.load.eio,
-//                           cache.load.flip, job.abort, solver.degrade.
-//                           Testing only; off by default
-//     --gc-profiles         compact the profile + incumbent stores
-//                           instead of running: drop corrupt/stale-
-//                           fingerprint lines and fold duplicate keys,
-//                           then enforce the size cap (needs --cache-dir)
-//     --fsck [--repair]     verify every store file's CRC32C framing and
-//                           report valid/corrupt/stale/duplicate counts,
-//                           exiting non-zero on damage; with --repair,
-//                           rewrite damaged files under their locks,
-//                           quarantining corrupt lines (needs --cache-dir)
-//     --max-profile-bytes=N with --gc-profiles: evict least-recently-
-//                           appended profiles until profiles.jsonl is at
-//                           most N bytes (0 = no cap, the default)
-//     --shard=K/N           run only the K-th of N contiguous slices of
-//                           the expanded grid (1-based)
-//     --merge F1 F2 ...     combine shard JSON reports instead of running;
-//                           write the merged report via --json/--csv;
-//                           with --cache-dir the store is compacted
-//     --diff A.json B.json  compare two reports config-by-config; exits
-//                           non-zero when any metric moves more than
-//                           --diff-threshold or the config sets differ
-//     --diff-threshold=PCT  |delta| tolerance for --diff (default 0)
-//     --json=FILE           write the JSON report ('-' = stdout)
-//     --csv=FILE            write the CSV report ('-' = stdout)
-//     --trace=FILE          record spans across the run (extract, solves,
-//                           simulations, cache I/O, one lane per worker)
-//                           and write Chrome trace_event JSON: open it in
-//                           chrome://tracing or ui.perfetto.dev
-//     --metrics=FILE        write a JSON snapshot of the metrics registry
-//                           (solver pivots/nodes, full sims vs recosts,
-//                           cache hits, queue idle time) after the run
-//                           Telemetry is a side channel: reports are
-//                           byte-identical with these on, off, or at any
-//                           --jobs value.
-//     --dry-run             print the expanded job list and exit
-//     --list-devices        print the device registry and exit
-//     --list-benchmarks     print the benchmark registry and exit
-//     --verbose             per-job progress on stderr
-//     --quiet               suppress the summary table
-//     --help                print the flag summary and exit
+// Flags: see `ramloc-batch --help`; the table in main() is their only
+// definition.
 //
 //===----------------------------------------------------------------------===//
 
@@ -123,17 +21,15 @@
 #include "campaign/Report.h"
 #include "power/DeviceRegistry.h"
 #include "support/FaultInjector.h"
+#include "support/Flags.h"
 #include "support/Format.h"
 #include "support/Metrics.h"
 #include "support/Table.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -144,154 +40,23 @@ using namespace ramloc;
 
 namespace {
 
-void usage(std::FILE *Out) {
-  std::fprintf(
-      Out,
-      "usage: ramloc-batch [options]\n"
-      "       ramloc-batch --merge SHARD.json... [--json=FILE] [--csv=FILE]\n"
-      "                    [--cache-dir=DIR]\n"
-      "       ramloc-batch --diff A.json B.json [--diff-threshold=PCT]\n"
-      "       ramloc-batch --gc-profiles --cache-dir=DIR\n"
-      "                    [--max-profile-bytes=N]\n"
-      "       ramloc-batch --fsck [--repair] --cache-dir=DIR\n"
-      "\n"
-      "grid selection:\n"
-      "  --benchmarks=a,b|all      BEEBS benchmarks to run (default: all)\n"
-      "  --levels=O2,Os            optimization levels\n"
-      "  --devices=a,b|all         target devices (see --list-devices)\n"
-      "  --rspare=N,...            spare-RAM knob points, bytes\n"
-      "  --xlimit=F,...            execution-time budget knob points\n"
-      "  --freq=static,profiled    block-frequency estimate modes\n"
-      "  --repeat=N                repeat each job N times\n"
-      "  --model-only              solve placements without simulating\n"
-      "\n"
-      "execution:\n"
-      "  --jobs=N                  campaign worker threads (0 = all cores)\n"
-      "  --reuse=LIST              which reuse layers stay on (default:\n"
-      "                            all): comma list of cache, profile,\n"
-      "                            solve, incumbent, or all/none; layers\n"
-      "                            not listed are disabled\n"
-      "  --node-order=dfs|best-bound|hybrid\n"
-      "                            branch & bound node selection policy\n"
-      "  --pricing=RULE            simplex pivot pricing: steepest-edge\n"
-      "                            (default; fewest pivots on warm chains),\n"
-      "                            dantzig (textbook baseline), or bland\n"
-      "                            (least-index). Every rule is exact, but\n"
-      "                            reports are byte-identical only when\n"
-      "                            every solve proves optimality: dantzig\n"
-      "                            labels 2 of the 1080 canonical configs\n"
-      "                            feasible-limit that the default proves\n"
-      "                            optimal\n"
-      "\n"
-      "persistence and distribution:\n"
-      "  --cache-dir=DIR           persistent result/profile/incumbent cache\n"
-      "  --shard=K/N               run shard K of N (merge with --merge)\n"
-      "  --merge                   merge shard reports (positional files)\n"
-      "  --gc-profiles             garbage-collect cached profiles\n"
-      "  --max-profile-bytes=N     profile cache size budget for GC\n"
-      "\n"
-      "robustness:\n"
-      "  --resume                  replay the progress journal of an\n"
-      "                            interrupted run and compute only what\n"
-      "                            is missing; the report is byte-identical\n"
-      "                            to the uninterrupted run at any --jobs;\n"
-      "                            a journal written under other solver\n"
-      "                            settings replays nothing (needs\n"
-      "                            --cache-dir)\n"
-      "  --time-limit-ms=N         per-solve wall-clock budget; on expiry\n"
-      "                            the best incumbent is returned labelled\n"
-      "                            feasible-limit (0 = unlimited)\n"
-      "  --node-limit=N            per-solve branch & bound node budget\n"
-      "                            (0 = unlimited)\n"
-      "  --pivot-limit=N           per-solve simplex pivot budget\n"
-      "                            (0 = unlimited)\n"
-      "  --fsck                    verify the cache store instead of\n"
-      "                            running: walk all four files (results,\n"
-      "                            profiles, incumbents, progress), check\n"
-      "                            every line's CRC32C frame, and report\n"
-      "                            valid/corrupt/stale/duplicate counts\n"
-      "                            plus swept orphaned temporaries; exits\n"
-      "                            non-zero on damage (needs --cache-dir)\n"
-      "  --repair                  with --fsck: rewrite each damaged file\n"
-      "                            under its lock keeping only valid\n"
-      "                            records (corrupt lines are preserved in\n"
-      "                            <file>.quarantine), then verify the\n"
-      "                            store walks clean\n"
-      "  --fault=SITE:RATE[:SEED]  arm the deterministic fault injector at\n"
-      "                            SITE (repeatable; testing only)\n"
-      "\n"
-      "reports and diagnostics:\n"
-      "  --json=FILE               write the JSON report\n"
-      "  --csv=FILE                write the CSV report\n"
-      "  --diff                    compare two reports (positional files)\n"
-      "  --diff-threshold=PCT      regression threshold for --diff\n"
-      "  --trace=FILE              write a Chrome trace_event JSON trace\n"
-      "  --metrics=FILE            write a metrics-registry snapshot\n"
-      "  --dry-run                 list the job grid without running it\n"
-      "  --list-devices            print the device registry and exit\n"
-      "  --list-benchmarks         print the benchmark suite and exit\n"
-      "  --verbose                 per-job progress output\n"
-      "  --quiet                   suppress the summary\n"
-      "  --help                    print this help and exit\n");
-}
-
-std::vector<std::string> splitList(const std::string &S) {
-  std::vector<std::string> Out;
-  size_t Start = 0;
-  while (Start <= S.size()) {
-    size_t Comma = S.find(',', Start);
-    if (Comma == std::string::npos)
-      Comma = S.size();
-    if (Comma > Start)
-      Out.push_back(S.substr(Start, Comma - Start));
-    Start = Comma + 1;
+/// Writes \p Doc to \p Path ('-' = stdout); reports a failure on stderr.
+bool writeReport(const std::string &Path, const std::string &Doc) {
+  std::string Error;
+  if (Path == "-")
+    std::fputs(Doc.c_str(), stdout);
+  else if (!writeTextFile(Path, Doc, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return false;
   }
-  return Out;
-}
-
-/// Strict numeric parsing: the whole token must be consumed, so a typo
-/// fails here instead of silently running a grid the user never asked for.
-bool parseUnsigned(const std::string &S, unsigned &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  unsigned long V = std::strtoul(S.c_str(), &End, 0);
-  if (*End != '\0' || V > 0xFFFFFFFFul)
-    return false;
-  Out = static_cast<unsigned>(V);
   return true;
 }
 
-/// 64-bit variant for byte counts: profile stores grown by many
-/// appenders can legitimately exceed 4 GiB.
-bool parseUnsigned64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 0);
-  if (*End != '\0' || errno == ERANGE)
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parseDouble(const std::string &S, double &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtod(S.c_str(), &End);
-  return *End == '\0';
-}
-
-/// "K/N" with 1 <= K <= N.
-bool parseShard(const std::string &S, unsigned &Index, unsigned &Count) {
-  size_t Slash = S.find('/');
-  if (Slash == std::string::npos)
-    return false;
-  return parseUnsigned(S.substr(0, Slash), Index) &&
-         parseUnsigned(S.substr(Slash + 1), Count) && Index >= 1 &&
-         Count >= 1 && Index <= Count;
+/// Writes the --json and --csv reports that were asked for.
+bool writeReports(const CampaignResult &CR, const std::string &JsonPath,
+                  const std::string &CsvPath) {
+  return (JsonPath.empty() || writeReport(JsonPath, campaignToJson(CR))) &&
+         (CsvPath.empty() || writeReport(CsvPath, campaignToCsv(CR)));
 }
 
 /// Merge mode: parse the shard reports, concatenate in argument order,
@@ -299,7 +64,7 @@ bool parseShard(const std::string &S, unsigned &Index, unsigned &Count) {
 /// have written.
 int runMerge(const std::vector<std::string> &Files,
              const std::string &JsonPath, const std::string &CsvPath,
-             bool Quiet) {
+             const std::string &CacheDir, bool Quiet) {
   if (Files.empty()) {
     std::fprintf(stderr, "error: --merge needs at least one report\n");
     return 2;
@@ -325,25 +90,22 @@ int runMerge(const std::vector<std::string> &Files,
                  "failed\n",
                  Files.size(), CR.Summary.Total, CR.Summary.Succeeded,
                  CR.Summary.Failed);
-  if (!JsonPath.empty()) {
-    std::string Doc = campaignToJson(CR);
-    if (JsonPath == "-")
-      std::fputs(Doc.c_str(), stdout);
-    else if (!writeTextFile(JsonPath, Doc, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
+  if (!writeReports(CR, JsonPath, CsvPath) || CR.Summary.Failed != 0)
+    return 1;
+  if (!CacheDir.empty()) {
+    // Merge is the natural compaction point: shard workers appended
+    // into the shared store; fold their lines into one sorted file.
+    CacheStore Store;
+    if (!Store.open(CacheDir, &Error) || !Store.compact(&Error))
+      std::fprintf(stderr, "warning: cache compaction failed: %s\n",
+                   Error.c_str());
+    else if (!Quiet)
+      std::fprintf(stderr, "cache: compacted %zu result(s), %zu "
+                           "profile(s), %zu incumbent(s)\n",
+                   Store.cache().size(), Store.profiles().size(),
+                   Store.incumbents().size());
   }
-  if (!CsvPath.empty()) {
-    std::string Doc = campaignToCsv(CR);
-    if (CsvPath == "-")
-      std::fputs(Doc.c_str(), stdout);
-    else if (!writeTextFile(CsvPath, Doc, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-  }
-  return CR.Summary.Failed == 0 ? 0 : 1;
+  return 0;
 }
 
 /// Relative movement of \p New against \p Old in percent. Equal values
@@ -493,6 +255,129 @@ int runDiff(const std::vector<std::string> &Files, double ThresholdPct,
   return Fail ? 1 : 0;
 }
 
+/// Fsck mode: verify (and with \p Repair, heal) every store file.
+int runFsck(const std::string &CacheDir, bool Repair, bool Quiet) {
+  CacheStore Store;
+  std::string Error;
+  if (!Store.open(CacheDir, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+  CacheStore::FsckReport Report;
+  if (!Store.fsck(Repair, Report, &Error)) {
+    std::fprintf(stderr, "error: fsck: %s\n", Error.c_str());
+    return 1;
+  }
+  if (!Quiet) {
+    for (const CacheStore::FsckFile &F : Report.Files) {
+      if (!F.Present) {
+        std::fprintf(stderr, "%-10s absent\n", F.Name.c_str());
+        continue;
+      }
+      std::fprintf(stderr,
+                   "%-10s %zu valid, %zu corrupt, %zu stale, "
+                   "%zu duplicate%s\n",
+                   F.Name.c_str(), F.Valid, F.Corrupt, F.Stale,
+                   F.Duplicate, F.HeaderOk ? "" : " [bad header]");
+    }
+    for (const std::string &T : Report.OrphanedTemps)
+      std::fprintf(stderr, "swept orphaned temp: %s\n", T.c_str());
+  }
+  if (!Repair) {
+    if (Report.damaged()) {
+      std::fprintf(stderr, "store is damaged (rerun with --repair)\n");
+      return 1;
+    }
+    if (!Quiet)
+      std::fprintf(stderr, "store is clean\n");
+    return 0;
+  }
+  // Repair must converge: a fresh walk of the rewritten store has to
+  // come back clean, or the "repaired" store would fail its next fsck.
+  CacheStore Verify;
+  CacheStore::FsckReport After;
+  if (!Verify.open(CacheDir, &Error) ||
+      !Verify.fsck(/*Repair=*/false, After, &Error) || After.damaged()) {
+    std::fprintf(stderr, "error: repair did not converge%s%s\n",
+                 Error.empty() ? "" : ": ", Error.c_str());
+    return 1;
+  }
+  if (!Quiet)
+    std::fprintf(stderr, Report.damaged() ? "store repaired\n"
+                                          : "store was already clean\n");
+  return 0;
+}
+
+/// GC mode: compact the profile and incumbent stores.
+int runGcProfiles(const std::string &CacheDir, uint64_t MaxProfileBytes,
+                  bool Quiet) {
+  CacheStore Store;
+  CacheStore::ProfileGcStats Stats;
+  std::string Error;
+  if (!Store.open(CacheDir, &Error) ||
+      !Store.gcProfiles(MaxProfileBytes, Stats, &Error) ||
+      !Store.compactIncumbents(&Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+  if (!Quiet) {
+    std::fprintf(stderr,
+                 "profiles: %zu kept, %zu stale/duplicate dropped, %zu "
+                 "evicted over cap; %llu -> %llu bytes\n",
+                 Stats.Kept, Stats.DroppedInvalid, Stats.Evicted,
+                 static_cast<unsigned long long>(Stats.BytesBefore),
+                 static_cast<unsigned long long>(Stats.BytesAfter));
+    std::fprintf(stderr, "incumbents: %zu kept\n",
+                 Store.incumbents().size());
+  }
+  return 0;
+}
+
+/// A comma list of registry names, or "all" for \p All().
+FlagSetter bindNames(std::vector<std::string> &Out,
+                     std::vector<std::string> (*All)(),
+                     bool (*Known)(const std::string &)) {
+  FlagSetter List = bindList(Out, [Known](const std::string &S,
+                                          std::string &Name) {
+    Name = S;
+    return Known(S);
+  });
+  return [&Out, All, List](const std::string &Value, std::string &Why) {
+    if (Value != "all")
+      return List(Value, Why);
+    Out = All();
+    return true;
+  };
+}
+
+bool isKnownDevice(const std::string &Name) { return findDevice(Name); }
+
+bool freqModeFromName(const std::string &Name, FreqMode &Out) {
+  for (FreqMode M : {FreqMode::Static, FreqMode::Profiled})
+    if (Name == freqModeName(M)) {
+      Out = M;
+      return true;
+    }
+  return false;
+}
+
+bool isReuseLayer(const std::string &S, std::string &Out) {
+  Out = S;
+  return S == "cache" || S == "profile" || S == "solve" ||
+         S == "incumbent" || S == "all" || S == "none";
+}
+
+/// "K/N" with 1 <= K <= N.
+FlagSetter bindShard(unsigned &Index, unsigned &Count) {
+  return [&Index, &Count](const std::string &S, std::string &) {
+    size_t Slash = S.find('/');
+    return Slash != std::string::npos &&
+           parseUnsigned(S.substr(0, Slash), Index) &&
+           parseUnsigned(S.substr(Slash + 1), Count) && Index >= 1 &&
+           Index <= Count;
+  };
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -500,370 +385,263 @@ int main(int Argc, char **Argv) {
   Grid.Benchmarks = beebsNames();
   CampaignOptions Opts;
   Opts.Jobs = 0; // hardware concurrency
+  SolverConfig &Solver = Opts.Base.Solver;
+  std::vector<std::string> Reuse = {"all"};
   std::string JsonPath, CsvPath, CacheDir, TracePath, MetricsPath;
-  std::vector<std::string> MergeFiles, DiffFiles;
   unsigned ShardIndex = 1, ShardCount = 1;
   uint64_t MaxProfileBytes = 0;
   double DiffThreshold = 0.0;
-  bool DryRun = false, Verbose = false, Quiet = false, Merge = false,
-       Diff = false, GcProfiles = false, Resume = false, Fsck = false,
-       FsckRepair = false;
+  bool ModelOnly = false, DryRun = false, Verbose = false, Quiet = false,
+       Merge = false, Diff = false, GcProfiles = false, Resume = false,
+       Fsck = false, Repair = false, ListDevices = false,
+       ListBenchmarks = false, Help = false;
   // Outlives every worker thread; installs only when --fault arms a site.
   FaultInjector Faults;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto val = [&Arg](size_t Prefix) { return Arg.substr(Prefix); };
-    if (Arg.rfind("--benchmarks=", 0) == 0) {
-      std::string V = val(13);
-      Grid.Benchmarks = V == "all" ? beebsNames() : splitList(V);
-    } else if (Arg.rfind("--levels=", 0) == 0) {
-      Grid.Levels.clear();
-      for (const std::string &Name : splitList(val(9))) {
-        OptLevel L;
-        if (!optLevelFromName(Name, L)) {
-          std::fprintf(stderr, "error: unknown level '%s'\n", Name.c_str());
-          return 2;
-        }
-        Grid.Levels.push_back(L);
-      }
-    } else if (Arg.rfind("--devices=", 0) == 0) {
-      std::string V = val(10);
-      Grid.Devices = V == "all" ? deviceNames() : splitList(V);
-    } else if (Arg.rfind("--rspare=", 0) == 0) {
-      Grid.RsparePoints.clear();
-      for (const std::string &N : splitList(val(9))) {
-        unsigned V;
-        if (!parseUnsigned(N, V)) {
-          std::fprintf(stderr, "error: bad --rspare value '%s'\n",
-                       N.c_str());
-          return 2;
-        }
-        Grid.RsparePoints.push_back(V);
-      }
-    } else if (Arg.rfind("--xlimit=", 0) == 0) {
-      Grid.XlimitPoints.clear();
-      for (const std::string &N : splitList(val(9))) {
-        double V;
-        if (!parseDouble(N, V)) {
-          std::fprintf(stderr, "error: bad --xlimit value '%s'\n",
-                       N.c_str());
-          return 2;
-        }
-        Grid.XlimitPoints.push_back(V);
-      }
-    } else if (Arg.rfind("--freq=", 0) == 0) {
-      Grid.FreqModes.clear();
-      for (const std::string &Name : splitList(val(7))) {
-        if (Name == "static")
-          Grid.FreqModes.push_back(FreqMode::Static);
-        else if (Name == "profiled")
-          Grid.FreqModes.push_back(FreqMode::Profiled);
-        else {
-          std::fprintf(stderr, "error: unknown freq mode '%s'\n",
-                       Name.c_str());
-          return 2;
-        }
-      }
-    } else if (Arg.rfind("--repeat=", 0) == 0) {
-      if (!parseUnsigned(val(9), Grid.Repeat)) {
-        std::fprintf(stderr, "error: bad --repeat value '%s'\n",
-                     val(9).c_str());
-        return 2;
-      }
-    } else if (Arg == "--model-only") {
-      Grid.Kind = JobKind::ModelOnly;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUnsigned(val(7), Opts.Jobs)) {
-        std::fprintf(stderr, "error: bad --jobs value '%s'\n",
-                     val(7).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--reuse=", 0) == 0) {
-      bool Cache = false, Profile = false, Solve = false, Incumbent = false;
-      bool OK = true;
-      for (const std::string &Tok : splitList(val(8))) {
-        if (Tok == "cache")
-          Cache = true;
-        else if (Tok == "profile")
-          Profile = true;
-        else if (Tok == "solve")
-          Solve = true;
-        else if (Tok == "incumbent")
-          Incumbent = true;
-        else if (Tok == "all")
-          Cache = Profile = Solve = Incumbent = true;
-        else if (Tok == "none")
-          ; // explicit empty set
-        else {
-          std::fprintf(stderr,
-                       "error: unknown --reuse layer '%s' (want cache, "
-                       "profile, solve, incumbent, all or none)\n",
-                       Tok.c_str());
-          OK = false;
-        }
-      }
-      if (!OK)
-        return 2;
-      Opts.UseCache = Cache;
-      Opts.ReuseProfiles = Profile;
-      // Disabling solve reuse is fully cold: no knob-axis grouping, and
-      // every branch & bound node re-solves from scratch (which also
-      // leaves incumbent seeds unread — they ride on the warm state).
-      Opts.ReuseSolves = Solve;
-      Opts.Base.Solver.WarmNodes = Solve;
-      Opts.SeedIncumbents = Incumbent;
-    } else if (Arg.rfind("--node-order=", 0) == 0) {
-      if (!nodeOrderFromName(val(13), Opts.Base.Solver.Order)) {
-        std::fprintf(stderr, "error: unknown node order '%s'\n",
-                     val(13).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--pricing=", 0) == 0) {
-      if (!pricingFromName(val(10), Opts.Base.Solver.PricingRule)) {
-        std::fprintf(stderr, "error: unknown pricing rule '%s'\n",
-                     val(10).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--time-limit-ms=", 0) == 0) {
-      if (!parseUnsigned(val(16), Opts.Base.Solver.TimeLimitMs)) {
-        std::fprintf(stderr, "error: bad --time-limit-ms value '%s'\n",
-                     val(16).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--node-limit=", 0) == 0) {
-      if (!parseUnsigned64(val(13), Opts.Base.Solver.NodeLimit)) {
-        std::fprintf(stderr, "error: bad --node-limit value '%s'\n",
-                     val(13).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--pivot-limit=", 0) == 0) {
-      if (!parseUnsigned64(val(14), Opts.Base.Solver.PivotLimit)) {
-        std::fprintf(stderr, "error: bad --pivot-limit value '%s'\n",
-                     val(14).c_str());
-        return 2;
-      }
-    } else if (Arg == "--resume") {
-      Resume = true;
-    } else if (Arg.rfind("--fault=", 0) == 0) {
-      std::string Error;
-      if (!Faults.armSpec(val(8), Error)) {
-        std::fprintf(stderr, "error: bad --fault spec '%s': %s\n",
-                     val(8).c_str(), Error.c_str());
-        return 2;
-      }
-    } else if (Arg == "--help") {
-      usage(stdout);
-      return 0;
-    } else if (Arg == "--gc-profiles") {
-      GcProfiles = true;
-    } else if (Arg == "--fsck") {
-      Fsck = true;
-    } else if (Arg == "--repair") {
-      FsckRepair = true;
-    } else if (Arg.rfind("--max-profile-bytes=", 0) == 0) {
-      if (!parseUnsigned64(val(20), MaxProfileBytes)) {
-        std::fprintf(stderr, "error: bad --max-profile-bytes value '%s'\n",
-                     val(20).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--cache-dir=", 0) == 0) {
-      CacheDir = val(12);
-      if (CacheDir.empty()) {
-        std::fprintf(stderr, "error: empty --cache-dir\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--shard=", 0) == 0) {
-      if (!parseShard(val(8), ShardIndex, ShardCount)) {
-        std::fprintf(stderr,
-                     "error: bad --shard value '%s' (want K/N, 1<=K<=N)\n",
-                     val(8).c_str());
-        return 2;
-      }
-    } else if (Arg == "--merge") {
-      Merge = true;
-    } else if (Arg == "--diff") {
-      Diff = true;
-    } else if (Arg.rfind("--diff-threshold=", 0) == 0) {
-      if (!parseDouble(val(17), DiffThreshold) || DiffThreshold < 0) {
-        std::fprintf(stderr, "error: bad --diff-threshold value '%s'\n",
-                     val(17).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--json=", 0) == 0) {
-      JsonPath = val(7);
-    } else if (Arg.rfind("--csv=", 0) == 0) {
-      CsvPath = val(6);
-    } else if (Arg.rfind("--trace=", 0) == 0) {
-      TracePath = val(8);
-      if (TracePath.empty()) {
-        std::fprintf(stderr, "error: empty --trace path\n");
-        return 2;
-      }
-    } else if (Arg.rfind("--metrics=", 0) == 0) {
-      MetricsPath = val(10);
-      if (MetricsPath.empty()) {
-        std::fprintf(stderr, "error: empty --metrics path\n");
-        return 2;
-      }
-    } else if (Arg == "--dry-run") {
-      DryRun = true;
-    } else if (Arg == "--list-devices") {
-      Table T({"device", "clock", "wait states", "sleep", "description"});
-      for (const DeviceInfo &D : deviceRegistry())
-        T.addRow({D.Name, formatString("%.0f MHz", D.Model.ClockHz / 1e6),
-                  formatString("%u", D.Timing.FlashWaitStates),
-                  formatString("%.1f mW", D.Model.SleepMilliWatts),
-                  D.Description});
-      std::printf("%s", T.render().c_str());
-      return 0;
-    } else if (Arg == "--list-benchmarks") {
-      for (const BeebsInfo &Info : beebsSuite())
-        std::printf("%s\n", Info.Name);
-      return 0;
-    } else if (Arg == "--verbose") {
-      Verbose = true;
-    } else if (Arg == "--quiet") {
-      Quiet = true;
-    } else if (Arg.rfind("--", 0) != 0 && Diff) {
-      DiffFiles.push_back(Arg);
-    } else if (Arg.rfind("--", 0) != 0 && Merge) {
-      MergeFiles.push_back(Arg);
-    } else {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", Arg.c_str());
-      usage(stderr);
-      return 2;
-    }
-  }
+  FlagTable Flags(
+      "usage: ramloc-batch [options]\n"
+      "       ramloc-batch --merge SHARD.json... [--json=FILE] [--csv=FILE]\n"
+      "                    [--cache-dir=DIR]\n"
+      "       ramloc-batch --diff A.json B.json [--diff-threshold=PCT]\n"
+      "       ramloc-batch --gc-profiles --cache-dir=DIR "
+      "[--max-profile-bytes=N]\n"
+      "       ramloc-batch --fsck [--repair] --cache-dir=DIR\n");
+  Flags.section("grid selection");
+  Flags.add("benchmarks", "LIST",
+            "BEEBS benchmarks, or 'all' (default: all; see "
+            "--list-benchmarks)",
+            bindNames(Grid.Benchmarks, beebsNames, isKnownBeebs));
+  Flags.add("levels", "LIST", "optimisation levels O0..Os (default: O2)",
+            bindList(Grid.Levels, optLevelFromName));
+  Flags.add("devices", "LIST",
+            "target devices, or 'all' (default: stm32f100; see "
+            "--list-devices)",
+            bindNames(Grid.Devices, deviceNames, isKnownDevice));
+  Flags.add("rspare", "LIST", "RAM-spare axis in bytes (default: 512)",
+            bindList(Grid.RsparePoints, parseUnsigned));
+  Flags.add("xlimit", "LIST", "execution-time-limit axis (default: 1.5)",
+            bindList(Grid.XlimitPoints, parseFiniteDouble));
+  Flags.add("freq", "LIST",
+            "block-frequency modes: static, profiled (default: static)",
+            bindList(Grid.FreqModes, freqModeFromName));
+  Flags.add("repeat", "N",
+            "kernel iterations per run; 0 (the default) keeps each "
+            "benchmark's suite default",
+            bindValue(Grid.Repeat, parseUnsigned));
+  Flags.add("model-only",
+            "stop at the ILP and skip simulation; with --freq=profiled the "
+            "baseline still simulates once per job to collect the profile",
+            ModelOnly);
 
-  if (Resume && CacheDir.empty()) {
-    std::fprintf(stderr, "error: --resume needs --cache-dir\n");
+  Flags.section("execution");
+  Flags.add("jobs", "N", "worker threads (default 0: all cores)",
+            bindValue(Opts.Jobs, parseUnsigned));
+  Flags.add("reuse", "LIST",
+            "reuse layers that stay on: cache (persistent results), profile "
+            "(recost shared execution profiles), solve (share the ILP "
+            "across a knob axis and warm-start from neighbouring solves), "
+            "incumbent (open a group's first solve with the persisted "
+            "best-known placement), or all (the default) / none. Every "
+            "layer is exact: reports are byte-identical whenever every "
+            "solve proves optimality",
+            bindList(Reuse, isReuseLayer));
+  Flags.add("node-order", "ORDER",
+            "branch & bound node selection: dfs (default; warm-friendliest),"
+            " best-bound, or hybrid (dive until an incumbent exists, then "
+            "best-bound); every order is exact",
+            bindValue(Solver.Order, nodeOrderFromName));
+  Flags.add("pricing", "RULE",
+            "simplex pivot pricing: steepest-edge (default; fewest pivots "
+            "on warm chains), dantzig or bland. Every rule is exact, but "
+            "reports are byte-identical only when every solve proves "
+            "optimality: dantzig labels 2 of the 1080 canonical configs "
+            "feasible-limit that the default proves optimal",
+            bindValue(Solver.PricingRule, pricingFromName));
+
+  Flags.section("persistence and distribution");
+  Flags.add("cache-dir", "DIR",
+            "persistent store of results, profiles, incumbents and the "
+            "resume journal: loaded before the run and appended after, so "
+            "repeated runs are incremental",
+            bindValue(CacheDir, parsePath));
+  Flags.add("shard", "K/N",
+            "run only the K-th of N contiguous slices of the grid (1-based; "
+            "combine the parts with --merge)",
+            bindShard(ShardIndex, ShardCount));
+  Flags.add("merge",
+            "combine the shard reports given as arguments instead of "
+            "running; writes the merged report via --json/--csv and, with "
+            "--cache-dir, compacts the store",
+            Merge);
+  Flags.add("gc-profiles",
+            "compact the profile and incumbent stores instead of running: "
+            "drop corrupt and stale lines, fold duplicate keys, then "
+            "enforce --max-profile-bytes (needs --cache-dir)",
+            GcProfiles);
+  Flags.add("max-profile-bytes", "N",
+            "with --gc-profiles: evict the least recently appended profiles "
+            "until profiles.jsonl is at most N bytes (0 = no cap, the "
+            "default)",
+            bindValue(MaxProfileBytes, parseUInt64));
+
+  Flags.section("robustness");
+  Flags.add("resume",
+            "replay the progress journal an interrupted run left in "
+            "--cache-dir and compute only what is missing; the report is "
+            "byte-identical to the uninterrupted run at any --jobs, and a "
+            "journal written under other solver settings replays nothing",
+            Resume);
+  Flags.add("time-limit-ms", "N",
+            "per-solve wall-clock budget; a solve that hits it returns its "
+            "best incumbent labelled feasible-limit, never silently optimal "
+            "(0 = unlimited, the default)",
+            bindValue(Solver.TimeLimitMs, parseUnsigned));
+  Flags.add("node-limit", "N",
+            "per-solve branch & bound node budget, same best-effort "
+            "contract (0 = unlimited)",
+            bindValue(Solver.NodeLimit, parseUInt64));
+  Flags.add("pivot-limit", "N",
+            "per-solve simplex pivot budget, same best-effort contract "
+            "(0 = unlimited)",
+            bindValue(Solver.PivotLimit, parseUInt64));
+  Flags.add("fsck",
+            "verify the store instead of running: check every line's "
+            "CRC32C frame in all four files, report valid/corrupt/stale/"
+            "duplicate counts and swept orphaned temporaries, and exit "
+            "non-zero on damage (needs --cache-dir)",
+            Fsck);
+  Flags.add("repair",
+            "with --fsck: rewrite each damaged file under its lock keeping "
+            "only valid records (corrupt lines go to <file>.quarantine), "
+            "then check that the store walks clean",
+            Repair);
+  Flags.add("fault", "SITE:RATE[:SEED]",
+            "arm the deterministic fault injector (repeatable; testing "
+            "only): each pass through SITE fails with probability RATE. "
+            "Sites: cache.append.short, cache.append.eio, cache.rename, "
+            "cache.lock, cache.load.eio, cache.load.flip, job.abort, "
+            "solver.degrade",
+            [&Faults](const std::string &Spec, std::string &Why) {
+              return Faults.armSpec(Spec, Why);
+            });
+
+  Flags.section("reports and diagnostics");
+  Flags.add("json", "FILE", "write the JSON report ('-' = stdout)",
+            bindValue(JsonPath, parsePath));
+  Flags.add("csv", "FILE", "write the CSV report ('-' = stdout)",
+            bindValue(CsvPath, parsePath));
+  Flags.add("diff",
+            "compare the two reports given as arguments config by config; "
+            "exits non-zero when any metric moves more than "
+            "--diff-threshold or the config sets differ",
+            Diff);
+  Flags.add("diff-threshold", "PCT",
+            "|delta| tolerance for --diff in percent (default 0)",
+            [&DiffThreshold](const std::string &V, std::string &) {
+              return parseFiniteDouble(V, DiffThreshold) &&
+                     DiffThreshold >= 0;
+            });
+  Flags.add("trace", "FILE",
+            "record spans across the run (one lane per worker) and write "
+            "Chrome trace_event JSON for chrome://tracing or ui.perfetto.dev",
+            bindValue(TracePath, parsePath));
+  Flags.add("metrics", "FILE",
+            "write a JSON snapshot of the metrics registry (solver effort, "
+            "full sims vs recosts, cache hits, queue idle time) after the "
+            "run. Telemetry never changes the reports",
+            bindValue(MetricsPath, parsePath));
+  Flags.add("dry-run", "print the expanded job list and exit", DryRun);
+  Flags.add("list-devices", "print the device registry and exit",
+            ListDevices);
+  Flags.add("list-benchmarks", "print the benchmark registry and exit",
+            ListBenchmarks);
+  Flags.add("verbose", "per-job progress on stderr", Verbose);
+  Flags.add("quiet", "suppress the summary", Quiet);
+  Flags.add("help", "print this help and exit", Help);
+
+  std::vector<std::string> Files;
+  std::string Error;
+  if (!Flags.parse(Argc, Argv, Files, Error)) {
+    std::fprintf(stderr, "error: %s (see --help)\n", Error.c_str());
     return 2;
   }
+  if (Help) {
+    std::fputs(Flags.help().c_str(), stdout);
+    return 0;
+  }
+  if (ListDevices) {
+    Table T({"device", "clock", "wait states", "sleep", "description"});
+    for (const DeviceInfo &D : deviceRegistry())
+      T.addRow({D.Name, formatString("%.0f MHz", D.Model.ClockHz / 1e6),
+                formatString("%u", D.Timing.FlashWaitStates),
+                formatString("%.1f mW", D.Model.SleepMilliWatts),
+                D.Description});
+    std::printf("%s", T.render().c_str());
+    return 0;
+  }
+  if (ListBenchmarks) {
+    for (const BeebsInfo &Info : beebsSuite())
+      std::printf("%s\n", Info.Name);
+    return 0;
+  }
+
+  // The four modes replace the grid run, so at most one may be asked for.
+  const char *Mode = nullptr;
+  const std::pair<const char *, bool> Modes[] = {
+      {"--merge", Merge}, {"--diff", Diff}, {"--fsck", Fsck},
+      {"--gc-profiles", GcProfiles}};
+  for (auto [Name, On] : Modes) {
+    if (On && Mode) {
+      std::fprintf(stderr, "error: %s and %s are exclusive\n", Mode, Name);
+      return 2;
+    }
+    if (On)
+      Mode = Name;
+  }
+  if (!Files.empty() && !Merge && !Diff) {
+    std::fprintf(stderr,
+                 "error: unexpected argument '%s' (report files need "
+                 "--merge or --diff)\n",
+                 Files.front().c_str());
+    return 2;
+  }
+  if (Repair && !Fsck) {
+    std::fprintf(stderr, "error: --repair needs --fsck\n");
+    return 2;
+  }
+  const std::pair<const char *, bool> NeedStore[] = {
+      {"--resume", Resume}, {"--fsck", Fsck}, {"--gc-profiles", GcProfiles}};
+  for (auto [Name, On] : NeedStore)
+    if (On && CacheDir.empty()) {
+      std::fprintf(stderr, "error: %s needs --cache-dir\n", Name);
+      return 2;
+    }
   // Install before any I/O so injection covers the initial cache load.
   if (!Faults.armedSites().empty())
     Faults.install();
 
   if (Diff)
-    return runDiff(DiffFiles, DiffThreshold, Quiet);
+    return runDiff(Files, DiffThreshold, Quiet);
+  if (Fsck)
+    return runFsck(CacheDir, Repair, Quiet);
+  if (GcProfiles)
+    return runGcProfiles(CacheDir, MaxProfileBytes, Quiet);
+  if (Merge)
+    return runMerge(Files, JsonPath, CsvPath, CacheDir, Quiet);
 
-  if (FsckRepair && !Fsck) {
-    std::fprintf(stderr, "error: --repair needs --fsck\n");
-    return 2;
-  }
-  if (Fsck) {
-    if (CacheDir.empty()) {
-      std::fprintf(stderr, "error: --fsck needs --cache-dir\n");
-      return 2;
-    }
-    CacheStore Store;
-    std::string Error;
-    if (!Store.open(CacheDir, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    CacheStore::FsckReport Report;
-    if (!Store.fsck(FsckRepair, Report, &Error)) {
-      std::fprintf(stderr, "error: fsck: %s\n", Error.c_str());
-      return 1;
-    }
-    if (!Quiet) {
-      for (const CacheStore::FsckFile &F : Report.Files) {
-        if (!F.Present) {
-          std::fprintf(stderr, "%-10s absent\n", F.Name.c_str());
-          continue;
-        }
-        std::fprintf(stderr,
-                     "%-10s %zu valid, %zu corrupt, %zu stale, "
-                     "%zu duplicate%s\n",
-                     F.Name.c_str(), F.Valid, F.Corrupt, F.Stale,
-                     F.Duplicate, F.HeaderOk ? "" : " [bad header]");
-      }
-      for (const std::string &T : Report.OrphanedTemps)
-        std::fprintf(stderr, "swept orphaned temp: %s\n", T.c_str());
-    }
-    if (!FsckRepair) {
-      if (Report.damaged()) {
-        std::fprintf(stderr, "store is damaged (rerun with --repair)\n");
-        return 1;
-      }
-      if (!Quiet)
-        std::fprintf(stderr, "store is clean\n");
-      return 0;
-    }
-    // Repair must converge: a fresh walk of the rewritten store has to
-    // come back clean, or the "repaired" store would fail its next fsck.
-    CacheStore Verify;
-    CacheStore::FsckReport After;
-    if (!Verify.open(CacheDir, &Error) ||
-        !Verify.fsck(/*Repair=*/false, After, &Error) || After.damaged()) {
-      std::fprintf(stderr, "error: repair did not converge%s%s\n",
-                   Error.empty() ? "" : ": ", Error.c_str());
-      return 1;
-    }
-    if (!Quiet)
-      std::fprintf(stderr, Report.damaged() ? "store repaired\n"
-                                            : "store was already clean\n");
-    return 0;
-  }
-
-  if (GcProfiles) {
-    if (CacheDir.empty()) {
-      std::fprintf(stderr, "error: --gc-profiles needs --cache-dir\n");
-      return 2;
-    }
-    CacheStore Store;
-    CacheStore::ProfileGcStats Stats;
-    std::string Error;
-    if (!Store.open(CacheDir, &Error) ||
-        !Store.gcProfiles(MaxProfileBytes, Stats, &Error) ||
-        !Store.compactIncumbents(&Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    if (!Quiet) {
-      std::fprintf(stderr,
-                   "profiles: %zu kept, %zu stale/duplicate dropped, %zu "
-                   "evicted over cap; %llu -> %llu bytes\n",
-                   Stats.Kept, Stats.DroppedInvalid, Stats.Evicted,
-                   static_cast<unsigned long long>(Stats.BytesBefore),
-                   static_cast<unsigned long long>(Stats.BytesAfter));
-      std::fprintf(stderr, "incumbents: %zu kept\n",
-                   Store.incumbents().size());
-    }
-    return 0;
-  }
-
-  if (Merge) {
-    int Rc = runMerge(MergeFiles, JsonPath, CsvPath, Quiet);
-    if (Rc == 0 && !CacheDir.empty()) {
-      // Merge is the natural compaction point: shard workers appended
-      // into the shared store; fold their lines into one sorted file.
-      CacheStore Store;
-      std::string Error;
-      if (!Store.open(CacheDir, &Error) || !Store.compact(&Error))
-        std::fprintf(stderr, "warning: cache compaction failed: %s\n",
-                     Error.c_str());
-      else if (!Quiet)
-        std::fprintf(stderr, "cache: compacted %zu result(s), %zu "
-                             "profile(s), %zu incumbent(s)\n",
-                     Store.cache().size(), Store.profiles().size(),
-                     Store.incumbents().size());
-    }
-    return Rc;
-  }
-
-  // Validate axis names up front so a typo fails before a long run.
-  for (const std::string &B : Grid.Benchmarks)
-    if (!isKnownBeebs(B)) {
-      std::fprintf(stderr, "error: unknown benchmark '%s'\n", B.c_str());
-      return 2;
-    }
-  for (const std::string &D : Grid.Devices)
-    if (!findDevice(D)) {
-      std::fprintf(stderr, "error: unknown device '%s'\n", D.c_str());
-      return 2;
-    }
+  if (ModelOnly)
+    Grid.Kind = JobKind::ModelOnly;
+  auto Reused = [&Reuse](const char *Layer) {
+    return std::find(Reuse.begin(), Reuse.end(), Layer) != Reuse.end() ||
+           std::find(Reuse.begin(), Reuse.end(), "all") != Reuse.end();
+  };
+  Opts.UseCache = Reused("cache");
+  Opts.ReuseProfiles = Reused("profile");
+  // Disabling solve reuse is fully cold: no knob-axis grouping, and every
+  // branch & bound node re-solves from scratch (which also leaves
+  // incumbent seeds unread — they ride on the warm state).
+  Opts.ReuseSolves = Solver.WarmNodes = Reused("solve");
+  Opts.SeedIncumbents = Reused("incumbent");
 
   // Probe the report paths too: a bad --json/--csv must fail now, not
   // after a multi-hour grid has run and its results are about to be lost.
@@ -918,7 +696,6 @@ int main(int Argc, char **Argv) {
   // campaign serves hits from it and inserts what it computes.
   CacheStore Store;
   if (!CacheDir.empty()) {
-    std::string Error;
     if (!Store.open(CacheDir, &Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 2;
@@ -997,7 +774,6 @@ int main(int Argc, char **Argv) {
 
   if (!CacheDir.empty()) {
     size_t NewEntries = Store.cache().size() - Store.loadedEntries();
-    std::string Error;
     if (!Store.save(&Error))
       std::fprintf(stderr, "warning: cache save failed: %s\n",
                    Error.c_str());
@@ -1061,25 +837,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "wall time %.2fs\n", CR.Summary.WallSeconds);
   }
 
-  std::string Error;
-  if (!JsonPath.empty()) {
-    std::string Doc = campaignToJson(CR);
-    if (JsonPath == "-")
-      std::fputs(Doc.c_str(), stdout);
-    else if (!writeTextFile(JsonPath, Doc, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-  }
-  if (!CsvPath.empty()) {
-    std::string Doc = campaignToCsv(CR);
-    if (CsvPath == "-")
-      std::fputs(Doc.c_str(), stdout);
-    else if (!writeTextFile(CsvPath, Doc, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-  }
+  if (!writeReports(CR, JsonPath, CsvPath))
+    return 1;
   // Every requested report is durable: the journal has served its
   // purpose, and leaving it would make a later --resume replay this
   // (completed) run.

@@ -9,84 +9,52 @@
 // transformation itself happens at the very end of compilation") makes a
 // standalone tool the natural packaging.
 //
-// Usage:
-//   ramloc-opt [options] input.s
-//     --rspare=N     RAM bytes available for code (default 2048)
-//     --xlimit=F     max execution-time ratio (default 1.5)
-//     --profile      profile the baseline for Fb instead of estimating
-//     --no-calls     do not model cross-memory calls
-//     --out=FILE     write optimized assembly here (default stdout)
-//     --quiet        suppress the report
-//
 //===----------------------------------------------------------------------===//
 
 #include "asmio/Parser.h"
 #include "asmio/Printer.h"
+#include "campaign/Report.h"
 #include "core/Pipeline.h"
+#include "support/Flags.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace ramloc;
 
-namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: ramloc-opt [--rspare=N] [--xlimit=F] [--profile] "
-               "[--no-calls] [--out=FILE] [--quiet] input.s\n");
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
   PipelineOptions Opts;
-  std::string InputPath;
   std::string OutPath;
-  bool Quiet = false;
+  bool NoCalls = false, Quiet = false;
+  FlagTable Flags("usage: ramloc-opt [options] input.s\n");
+  Flags.section("options");
+  Flags.add("rspare", "N", "RAM bytes available for code (default 2048)",
+            bindValue(Opts.Knobs.RspareBytes, parseUnsigned));
+  Flags.add("xlimit", "F", "max execution-time ratio (default 1.5)",
+            bindValue(Opts.Knobs.Xlimit, parseFiniteDouble));
+  Flags.add("profile", "profile the baseline for Fb instead of estimating",
+            Opts.UseProfiledFrequencies);
+  Flags.add("no-calls", "do not model cross-memory calls", NoCalls);
+  Flags.add("out", "FILE", "write optimized assembly here (default stdout)",
+            bindValue(OutPath, parsePath));
+  Flags.add("quiet", "suppress the report", Quiet);
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--rspare=", 0) == 0) {
-      Opts.Knobs.RspareBytes =
-          static_cast<unsigned>(std::strtoul(Arg.c_str() + 9, nullptr, 0));
-    } else if (Arg.rfind("--xlimit=", 0) == 0) {
-      Opts.Knobs.Xlimit = std::strtod(Arg.c_str() + 9, nullptr);
-    } else if (Arg == "--profile") {
-      Opts.UseProfiledFrequencies = true;
-    } else if (Arg == "--no-calls") {
-      Opts.Knobs.ModelCallEdges = false;
-    } else if (Arg.rfind("--out=", 0) == 0) {
-      OutPath = Arg.substr(6);
-    } else if (Arg == "--quiet") {
-      Quiet = true;
-    } else if (Arg[0] == '-') {
-      usage();
-      return 2;
-    } else {
-      InputPath = Arg;
-    }
-  }
-  if (InputPath.empty()) {
-    usage();
+  std::vector<std::string> Inputs;
+  std::string Error, Text;
+  if (!Flags.parse(Argc, Argv, Inputs, Error) || Inputs.size() != 1) {
+    std::fprintf(stderr, "error: %s\n%s",
+                 Error.empty() ? "expected one input file" : Error.c_str(),
+                 Flags.help().c_str());
     return 2;
   }
-
-  std::ifstream In(InputPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", InputPath.c_str());
+  Opts.Knobs.ModelCallEdges = !NoCalls;
+  if (!readTextFile(Inputs[0], Text, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-
-  ParseResult PR = parseAssembly(Buffer.str());
+  ParseResult PR = parseAssembly(Text);
   if (!PR.ok()) {
     for (const std::string &E : PR.Errors)
-      std::fprintf(stderr, "%s: %s\n", InputPath.c_str(), E.c_str());
+      std::fprintf(stderr, "%s: %s\n", Inputs[0].c_str(), E.c_str());
     return 1;
   }
 
@@ -99,13 +67,9 @@ int main(int Argc, char **Argv) {
   std::string Asm = printModule(R.Optimized);
   if (OutPath.empty()) {
     std::fputs(Asm.c_str(), stdout);
-  } else {
-    std::ofstream Out(OutPath);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", OutPath.c_str());
-      return 1;
-    }
-    Out << Asm;
+  } else if (!writeTextFile(OutPath, Asm, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
   }
 
   if (!Quiet) {

@@ -8,66 +8,55 @@
 // simulator, and reports energy/time/power with optional breakdowns —
 // the software stand-in for the paper's power-instrumented board.
 //
-// Usage:
-//   ramloc-sim [options] input.s
-//     --profile        print per-block execution counts
-//     --breakdown      print the cycle/energy attribution matrix
-//     --no-startup     skip the startup-copy cost
-//     --max-cycles=N   abort threshold (default 4e9)
-//
 //===----------------------------------------------------------------------===//
 
 #include "asmio/Parser.h"
+#include "campaign/Report.h"
 #include "core/Pipeline.h"
+#include "mir/Verifier.h"
+#include "support/Flags.h"
 #include "support/Table.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 using namespace ramloc;
 
 int main(int Argc, char **Argv) {
-  std::string InputPath;
-  bool Profile = false;
-  bool Breakdown = false;
+  bool Profile = false, Breakdown = false, NoStartup = false;
   SimOptions Sim;
+  FlagTable Flags("usage: ramloc-sim [options] input.s\n");
+  Flags.section("options");
+  Flags.add("profile", "print per-block execution counts", Profile);
+  Flags.add("breakdown", "print the cycle/energy attribution matrix",
+            Breakdown);
+  Flags.add("no-startup", "skip the startup-copy cost", NoStartup);
+  Flags.add("max-cycles", "N", "abort threshold (default 4000000000)",
+            bindValue(Sim.MaxCycles, parseUInt64));
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--profile") {
-      Profile = true;
-    } else if (Arg == "--breakdown") {
-      Breakdown = true;
-    } else if (Arg == "--no-startup") {
-      Sim.IncludeStartupCopy = false;
-    } else if (Arg.rfind("--max-cycles=", 0) == 0) {
-      Sim.MaxCycles = std::strtoull(Arg.c_str() + 13, nullptr, 0);
-    } else if (Arg[0] == '-') {
-      std::fprintf(stderr, "usage: ramloc-sim [--profile] [--breakdown] "
-                           "[--no-startup] [--max-cycles=N] input.s\n");
-      return 2;
-    } else {
-      InputPath = Arg;
-    }
-  }
-  if (InputPath.empty()) {
-    std::fprintf(stderr, "error: no input file\n");
+  std::vector<std::string> Inputs;
+  std::string Error, Text;
+  if (!Flags.parse(Argc, Argv, Inputs, Error) || Inputs.size() != 1) {
+    std::fprintf(stderr, "error: %s\n%s",
+                 Error.empty() ? "expected one input file" : Error.c_str(),
+                 Flags.help().c_str());
     return 2;
   }
-
-  std::ifstream In(InputPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", InputPath.c_str());
+  Sim.IncludeStartupCopy = !NoStartup;
+  if (!readTextFile(Inputs[0], Text, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  ParseResult PR = parseAssembly(Buffer.str());
+  // The linker relies on a verified module (an entry function, resolvable
+  // targets). Scratch-register discipline only matters to the instrumenter,
+  // which never runs here.
+  ParseResult PR = parseAssembly(Text);
+  if (PR.ok())
+    for (const std::string &D :
+         verifyModule(PR.M, {/*EnforceScratchDiscipline=*/false}))
+      PR.Errors.push_back("verifier: " + D);
   if (!PR.ok()) {
     for (const std::string &E : PR.Errors)
-      std::fprintf(stderr, "%s: %s\n", InputPath.c_str(), E.c_str());
+      std::fprintf(stderr, "%s: %s\n", Inputs[0].c_str(), E.c_str());
     return 1;
   }
 
