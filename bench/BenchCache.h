@@ -5,16 +5,17 @@
 //
 // The figure/table drivers rerun the same pipeline grids on every
 // invocation; this header gives each of them an optional persistent
-// result cache with one line of setup:
+// result cache:
 //
-//   BenchCache Cache(argc, argv);      // honours --cache-dir=DIR
+//   std::string CacheDir = parseBenchFlags(argc, argv); // --cache-dir, --help
+//   BenchCache Cache(CacheDir);
 //   CampaignOptions Opts;
 //   Cache.attach(Opts);
 //   ... runCampaign(...) ...
 //   Cache.save();                      // no-op without --cache-dir
 //
-// Not part of the library on purpose: it is argv-parsing convenience for
-// standalone drivers, nothing more.
+// Not part of the library on purpose: it is convenience for standalone
+// drivers, nothing more.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,22 +24,45 @@
 
 #include "campaign/CacheStore.h"
 #include "campaign/Campaign.h"
+#include "support/Flags.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace ramloc {
 
+/// Parses a driver's command line and returns its --cache-dir (empty when
+/// absent). Prints the help and exits 0 on --help; exits 2 on anything
+/// else the table does not accept.
+inline std::string parseBenchFlags(int Argc, char **Argv) {
+  std::string Dir;
+  bool Help = false;
+  FlagTable Flags(std::string("usage: ") + Argv[0] + " [options]\n");
+  Flags.section("options");
+  Flags.add("cache-dir", "DIR",
+            "serve repeated runs from the persistent result cache in DIR",
+            bindValue(Dir, parsePath));
+  Flags.add("help", "print this help and exit", Help);
+  std::vector<std::string> Positional;
+  std::string Error;
+  if (!Flags.parse(Argc, Argv, Positional, Error) || !Positional.empty()) {
+    std::fprintf(stderr, "error: %s\n%s",
+                 Error.empty() ? "unexpected argument" : Error.c_str(),
+                 Flags.help().c_str());
+    std::exit(2);
+  }
+  if (Help) {
+    std::fputs(Flags.help().c_str(), stdout);
+    std::exit(0);
+  }
+  return Dir;
+}
+
 class BenchCache {
 public:
-  BenchCache(int Argc, char **Argv) {
-    // Last flag wins, as in ramloc-batch; the store is opened once.
-    std::string Dir;
-    for (int I = 1; I < Argc; ++I) {
-      std::string Arg = Argv[I];
-      if (Arg.rfind("--cache-dir=", 0) == 0)
-        Dir = Arg.substr(12);
-    }
+  explicit BenchCache(const std::string &Dir) {
     if (Dir.empty())
       return;
     std::string Error;

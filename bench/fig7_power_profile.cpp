@@ -52,6 +52,7 @@ void drawProfile(const char *Title, const std::vector<double> &MilliWatts,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  std::string CacheDir = parseBenchFlags(Argc, Argv);
   std::printf("== Figure 7: power profile of a periodic application, "
               "before and after ==\n\n");
 
@@ -62,7 +63,7 @@ int main(int Argc, char **Argv) {
   Spec.RspareBytes = 1024;
   Spec.Xlimit = 1.5;
 
-  BenchCache Cache(Argc, Argv);
+  BenchCache Cache(CacheDir);
   CampaignOptions CampOpts;
   Cache.attach(CampOpts);
   CampaignResult CR = runCampaign(std::vector<JobSpec>{Spec}, CampOpts);

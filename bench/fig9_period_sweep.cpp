@@ -27,6 +27,7 @@
 using namespace ramloc;
 
 int main(int Argc, char **Argv) {
+  std::string CacheDir = parseBenchFlags(Argc, Argv);
   std::printf("== Figure 9: energy after optimization vs period T "
               "(PS = 3.5 mW, Rspare = 1024 B) ==\n\n");
 
@@ -38,7 +39,7 @@ int main(int Argc, char **Argv) {
   Grid.RsparePoints = {1024};
   Grid.XlimitPoints = {1.5};
 
-  BenchCache Cache(Argc, Argv);
+  BenchCache Cache(CacheDir);
   CampaignOptions Opts;
   Opts.Jobs = 0; // hardware concurrency
   Cache.attach(Opts);

@@ -26,6 +26,7 @@
 using namespace ramloc;
 
 int main(int Argc, char **Argv) {
+  std::string CacheDir = parseBenchFlags(Argc, Argv);
   std::printf("== Section 6 averages across 10 benchmarks x 5 levels "
               "(Rspare = 512 B, Xlimit = 1.5) ==\n\n");
 
@@ -36,7 +37,7 @@ int main(int Argc, char **Argv) {
   Grid.RsparePoints = {512};
   Grid.XlimitPoints = {1.5};
 
-  BenchCache Cache(Argc, Argv);
+  BenchCache Cache(CacheDir);
   CampaignOptions Opts;
   Opts.Jobs = 0; // hardware concurrency
   Cache.attach(Opts);

@@ -28,6 +28,7 @@
 using namespace ramloc;
 
 int main(int Argc, char **Argv) {
+  std::string CacheDir = parseBenchFlags(Argc, Argv);
   std::printf("== Section 7 case study: periodic sensing with fdct ==\n\n");
 
   // ~28M cycles at 24 MHz is the paper's 1.18 s active region.
@@ -38,7 +39,7 @@ int main(int Argc, char **Argv) {
   Spec.RspareBytes = 1024;
   Spec.Xlimit = 1.5;
 
-  BenchCache Cache(Argc, Argv);
+  BenchCache Cache(CacheDir);
   CampaignOptions Opts;
   Cache.attach(Opts);
   CampaignResult CR = runCampaign(std::vector<JobSpec>{Spec}, Opts);

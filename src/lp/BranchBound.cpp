@@ -419,10 +419,11 @@ MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
   finalizeOutcome(Sol);
 
   // Publish this solve's effort and outcome into the global metrics
-  // registry. The registry is the one source the campaign summaries, the
-  // perf harnesses and --metrics snapshots all read, so nobody re-derives
-  // pivot counts by hand; recording happens once per solve (never per
-  // node or pivot), so the cost is a handful of relaxed atomic adds.
+  // registry. The registry is the one source the campaign summaries,
+  // SolverEffortTest's count gates and --metrics snapshots all read, so
+  // nobody re-derives pivot counts by hand; recording happens once per
+  // solve (never per node or pivot), so the cost is a handful of relaxed
+  // atomic adds.
   MetricsRegistry &M = globalMetrics();
   M.counter("mip.solves").add();
   M.counter("mip.nodes").add(Sol.NodesExplored);

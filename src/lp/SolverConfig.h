@@ -62,7 +62,7 @@ enum class Pricing : uint8_t {
   /// are dual-simplex dominated, and this is where their pivots go.
   SteepestEdge,
   /// Textbook most-violated selection, both simplexes. The pre-PR-10
-  /// behaviour, kept as the A/B baseline the perf gates compare against.
+  /// behaviour, kept as the A/B baseline SolverEffortTest compares against.
   Dantzig,
   /// Bland's least-index rule everywhere. Immune to cycling by
   /// construction; exists so the degenerate-pivot regressions can pin
@@ -169,8 +169,8 @@ std::string solverConfigToken(const SolverConfig &Cfg);
 /// The solver's effort ledger: how each explored node's relaxation was
 /// satisfied and what the simplex spent doing it. One instance per
 /// solveMip call, published into the mip.* metrics registry counters by
-/// the solve itself, so campaign summaries, perf harnesses and --metrics
-/// snapshots all read one source.
+/// the solve itself, so campaign summaries, SolverEffortTest's count
+/// gates and --metrics snapshots all read one source.
 struct SolverStats {
   /// A cold search has ColdNodeSolves == NodesExplored; the warm path
   /// pays one cold solve (the root, unless a MipWarmStart seeded it) and

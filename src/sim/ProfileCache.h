@@ -17,8 +17,8 @@
 /// campaign run counters assert.
 ///
 /// The cache also tallies how runs were satisfied (full simulations vs
-/// recosts), which the campaign engine surfaces as diagnostics and the
-/// perf harness turns into a throughput ratio.
+/// recosts), which the campaign engine surfaces as diagnostics and
+/// CampaignTest's DeviceAxisIsOneSimulationPlusRecosts gates on.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,9 +10,9 @@
 /// "how much work did that take": solver pivots and branch & bound
 /// nodes, simulation-vs-recost counts, cache traffic, queue idle time.
 /// The campaign engine's Summary counters are views over a registry
-/// (campaign.* keys), the perf harnesses read the same counters their
-/// BENCH_*.json gates assert on, and `ramloc-batch --metrics=FILE`
-/// snapshots everything to machine-readable JSON.
+/// (campaign.* keys), SolverEffortTest's count gates read the mip.*
+/// counters, and `ramloc-batch --metrics=FILE` snapshots everything to
+/// machine-readable JSON.
 ///
 /// Three instrument kinds:
 ///  - Counter: monotonic uint64, lock-free add. The workhorse.

@@ -287,6 +287,21 @@ TEST(Campaign, MeasurementsMatchDirectPipelineRun) {
   EXPECT_EQ(R.MovedBlocks, PR.MovedBlocks.size());
 }
 
+TEST(Campaign, Figure5GridRunsEveryBenchmarkCleanly) {
+  // The Figure 5 measurement grid at the suite's default repeat: every
+  // BEEBS benchmark at O2 and Os under both frequency sources.
+  GridSpec Grid;
+  Grid.Benchmarks = beebsNames();
+  Grid.Levels = {OptLevel::O2, OptLevel::Os};
+  Grid.FreqModes = {FreqMode::Static, FreqMode::Profiled};
+  Grid.RsparePoints = {512};
+  CampaignResult CR = runCampaign(Grid);
+  EXPECT_EQ(CR.Summary.Total, 4 * beebsNames().size());
+  EXPECT_EQ(CR.Summary.Failed, 0u);
+  for (const JobResult &R : CR.Results)
+    EXPECT_TRUE(R.ok()) << R.Spec.Benchmark << ": " << R.Error;
+}
+
 TEST(DeviceRegistry, NamesAreUniqueAndResolvable) {
   std::set<std::string> Seen;
   for (const DeviceInfo &D : deviceRegistry()) {
@@ -429,7 +444,9 @@ TEST(Campaign, DeviceAxisIsOneSimulationPlusRecosts) {
   // (1 benchmark x all registry devices) performs exactly one full
   // simulation — every other device derives its numbers by recosting the
   // shared profile — and the report is byte-identical to the
-  // all-simulated run.
+  // all-simulated run. A recost visits each static instruction once while
+  // the simulation it replaces steps every dynamic one, so the profile's
+  // dynamic/static ratio is the work one recosted config saves.
   GridSpec Grid;
   Grid.Benchmarks = {"crc32"};
   Grid.Levels = {OptLevel::O1};
@@ -439,12 +456,20 @@ TEST(Campaign, DeviceAxisIsOneSimulationPlusRecosts) {
   Grid.FreqModes = {FreqMode::Profiled}; // one baseline simulation per job
   ASSERT_GE(Grid.Devices.size(), 9u);
 
+  ProfileCache Profiles;
   CampaignOptions Reuse;
   Reuse.Jobs = 4;
+  Reuse.Profiles = &Profiles;
   CampaignResult WithReuse = runCampaign(Grid, Reuse);
   ASSERT_EQ(WithReuse.Summary.Failed, 0u);
   EXPECT_EQ(WithReuse.Summary.FullSims, 1u);
   EXPECT_EQ(WithReuse.Summary.Recosts, Grid.Devices.size() - 1);
+  auto Recosted = Profiles.snapshot();
+  ASSERT_EQ(Recosted.size(), 1u);
+  const ExecutionProfile &P = *Recosted.front().second;
+  EXPECT_GE(P.Instructions, 5 * P.Instrs.size())
+      << P.Instructions << " dynamic vs " << P.Instrs.size()
+      << " static instructions";
 
   CampaignOptions NoReuse;
   NoReuse.Jobs = 4;
