@@ -93,16 +93,16 @@ int main(int Argc, char **Argv) {
     LinkResult LR = linkModule(Mod);
     if (!LR.ok())
       return false;
-    SimOptions SO;
     // First run to size the interval so the active region spans the
     // requested number of columns.
     RunStats Probe = runImage(LR.Img);
-    SO.SampleIntervalCycles =
-        std::max<uint64_t>(1, Probe.Cycles / ActiveColumns);
-    RunStats S = runImage(LR.Img, SO);
+    std::vector<PowerSample> Samples;
+    RunStats S = runImageSampled(
+        LR.Img, {}, std::max<uint64_t>(1, Probe.Cycles / ActiveColumns),
+        Samples);
     if (!S.ok())
       return false;
-    for (const PowerSample &Sample : S.Samples)
+    for (const PowerSample &Sample : Samples)
       Out.push_back(PM.averageMilliWatts(Sample));
     Seconds = PM.integrate(S).Seconds;
     return true;

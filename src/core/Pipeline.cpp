@@ -41,8 +41,7 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
     return Out;
   }
 
-  // Power-profile sampling is timing-dependent output: always simulate.
-  if (!Profiles || Sim.SampleIntervalCycles != 0) {
+  if (!Profiles) {
     TraceSpan Span("fullsim", "sim");
     Out.Stats = runImage(LR.Img, Sim);
     Out.Energy = Power.integrate(Out.Stats);
@@ -78,9 +77,8 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
     if (Recosted) {
       Profiles->noteRecost();
     } else {
-      // No usable profile (the profiling run faulted, or this timing
-      // model would exceed the cycle budget): full simulation,
-      // bit-identical by definition.
+      // No usable profile (the owner's run faulted or ran out of steps,
+      // or a stored profile is mis-shaped): simulate this run.
       TraceSpan Span("fullsim", "sim");
       Out.Stats = runImage(LR.Img, Sim);
       Profiles->noteFullSim();

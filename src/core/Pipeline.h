@@ -30,7 +30,7 @@
 #include "core/Instrumenter.h"
 #include "layout/Linker.h"
 #include "power/PowerModel.h"
-#include "sim/Simulator.h"
+#include "sim/ExecutionProfile.h"
 
 #include <string>
 #include <vector>
@@ -55,8 +55,9 @@ struct Measurement {
 /// this timing model in O(#instructions) (bit-identical to a full run),
 /// and a miss simulates once while recording the profile for every later
 /// caller — across devices, jobs and (via the persistent store)
-/// processes. Timing-dependent output (Sim.SampleIntervalCycles != 0)
-/// always takes the full-simulation path.
+/// processes. A run over Sim.MaxCycles is priced and fails with
+/// HitCycleLimit like any other; only a key whose first run faulted or
+/// ran out of steps is simulated again.
 Measurement measureModule(const Module &M, const PowerModel &Power,
                           const LinkOptions &Link = {},
                           const SimOptions &Sim = {},

@@ -68,27 +68,37 @@ double PowerModel::powerFor(MemKind Fetch, InstrClass C,
   return MilliWatts[F][static_cast<unsigned>(C)];
 }
 
+namespace {
+
+/// Energy (mJ) of the cycles fetched from memory \p F: the class table
+/// for all but loads, the load split for loads. The one energy formula
+/// behind both whole runs and power-profile samples.
+double fetchMilliJoules(const PowerModel &PM,
+                        const uint64_t (&ClassCycles)[2][7],
+                        const uint64_t (&LoadCycles)[2][2], unsigned F) {
+  double MilliJ = 0.0;
+  for (unsigned C = 0; C != 7; ++C) {
+    if (C == static_cast<unsigned>(InstrClass::Load))
+      continue;
+    MilliJ += static_cast<double>(ClassCycles[F][C]) * PM.MilliWatts[F][C] /
+              PM.ClockHz;
+  }
+  for (unsigned D = 0; D != 2; ++D)
+    MilliJ += static_cast<double>(LoadCycles[F][D]) *
+              PM.LoadMilliWatts[F][D] / PM.ClockHz;
+  return MilliJ;
+}
+
+} // namespace
+
 EnergyReport PowerModel::integrate(const RunStats &Stats) const {
   assert(ClockHz > 0 && "clock must be positive");
   EnergyReport R;
   R.Seconds = static_cast<double>(Stats.Cycles) / ClockHz;
-
-  for (unsigned F = 0; F != 2; ++F) {
-    double MilliJ = 0.0;
-    for (unsigned C = 0; C != 7; ++C) {
-      if (C == static_cast<unsigned>(InstrClass::Load))
-        continue;
-      MilliJ += static_cast<double>(Stats.ClassCycles[F][C]) *
-                MilliWatts[F][C] / ClockHz;
-    }
-    for (unsigned D = 0; D != 2; ++D)
-      MilliJ += static_cast<double>(Stats.LoadCycles[F][D]) *
-                LoadMilliWatts[F][D] / ClockHz;
-    if (F == 0)
-      R.FlashMilliJoules = MilliJ;
-    else
-      R.RamMilliJoules = MilliJ;
-  }
+  R.FlashMilliJoules =
+      fetchMilliJoules(*this, Stats.ClassCycles, Stats.LoadCycles, 0);
+  R.RamMilliJoules =
+      fetchMilliJoules(*this, Stats.ClassCycles, Stats.LoadCycles, 1);
   R.MilliJoules = R.FlashMilliJoules + R.RamMilliJoules;
   R.AvgMilliWatts = R.Seconds > 0 ? R.MilliJoules / R.Seconds : 0.0;
   return R;
@@ -97,18 +107,9 @@ EnergyReport PowerModel::integrate(const RunStats &Stats) const {
 double PowerModel::averageMilliWatts(const PowerSample &Sample) const {
   if (Sample.Cycles == 0)
     return 0.0;
-  double MilliJ = 0.0;
-  for (unsigned F = 0; F != 2; ++F) {
-    for (unsigned C = 0; C != 7; ++C) {
-      if (C == static_cast<unsigned>(InstrClass::Load))
-        continue;
-      MilliJ += static_cast<double>(Sample.ClassCycles[F][C]) *
-                MilliWatts[F][C] / ClockHz;
-    }
-    for (unsigned D = 0; D != 2; ++D)
-      MilliJ += static_cast<double>(Sample.LoadCycles[F][D]) *
-                LoadMilliWatts[F][D] / ClockHz;
-  }
+  double MilliJ =
+      fetchMilliJoules(*this, Sample.ClassCycles, Sample.LoadCycles, 0) +
+      fetchMilliJoules(*this, Sample.ClassCycles, Sample.LoadCycles, 1);
   double Seconds = static_cast<double>(Sample.Cycles) / ClockHz;
   return MilliJ / Seconds;
 }

@@ -7,8 +7,11 @@
 
 #include "sim/ExecutionProfile.h"
 
+#include "sim/Simulator.h"
 #include "support/Format.h"
 #include "support/Json.h"
+
+#include <cassert>
 
 using namespace ramloc;
 
@@ -20,123 +23,202 @@ std::string ramloc::executionKey(const Image &Img, uint32_t Arg0,
       Arg2);
 }
 
-RunStats ramloc::runImageProfiled(const Image &Img, const SimOptions &Opts,
-                                  ExecutionProfile &Profile, uint32_t Arg0,
-                                  uint32_t Arg1, uint32_t Arg2) {
-  Simulator Sim(Img, Opts);
-  Sim.collectProfile(Profile);
-  Sim.state().R[R0] = Arg0;
-  Sim.state().R[R1] = Arg1;
-  Sim.state().R[R2] = Arg2;
-  Sim.run();
-  RunStats Stats = Sim.takeStats();
-  Profile.BlockCounts = Stats.BlockCounts;
-  Profile.Instructions = Stats.Instructions;
-  Profile.SleepEvents = Stats.SleepEvents;
-  Profile.ExitCode = Stats.ExitCode;
-  Profile.Valid = Stats.ok() && !Stats.HitCycleLimit;
-  return Stats;
+std::map<std::string, uint64_t> RunStats::profileMap(const Module &M) const {
+  std::map<std::string, uint64_t> Out;
+  for (unsigned F = 0, NF = BlockCounts.size(); F != NF; ++F) {
+    assert(F < M.Functions.size() && "stats do not match module");
+    const Function &Fn = M.Functions[F];
+    for (unsigned B = 0, NB = BlockCounts[F].size(); B != NB; ++B)
+      Out[Fn.Name + ":" + Fn.Blocks[B].Label] = BlockCounts[F][B];
+  }
+  return Out;
 }
 
-bool ramloc::recostProfile(const Image &Img,
-                           const ExecutionProfile &Profile,
-                           const SimOptions &Opts, RunStats &Out) {
-  // Sample boundaries depend on per-step cycle costs: timing-dependent
-  // output that only a full simulation can produce.
-  if (!Profile.Valid || Opts.SampleIntervalCycles != 0)
-    return false;
-  if (Profile.Instrs.size() != Img.Instrs.size())
-    return false;
-  if (Profile.BlockCounts.size() != Img.BlockAddr.size())
-    return false;
-  for (unsigned F = 0, NF = Img.BlockAddr.size(); F != NF; ++F)
-    if (Profile.BlockCounts[F].size() != Img.BlockAddr[F].size())
-      return false;
+namespace {
 
-  const TimingModel &T = Opts.Timing;
-  RunStats RS;
+/// Adds what \p C — the dynamic counts of static instruction \p I of
+/// \p Img, over a whole run or a single step — costs under \p T to \p RS.
+/// Returns false on counts no run can produce.
+bool priceInstr(const Image &Img, size_t I, const InstrCounts &C,
+                const TimingModel &T, RunStats &RS) {
+  const PlacedInstr &P = Img.Instrs[I];
+  unsigned F = static_cast<unsigned>(Img.Map.regionOf(P.Addr));
+  unsigned Cls = static_cast<unsigned>(opClass(P.I.Kind));
+  uint64_t Wait =
+      F == static_cast<unsigned>(MemKind::Flash) ? T.FlashWaitStates : 0;
+  OpKind K = P.I.Kind;
+  bool CondBranch =
+      K == OpKind::BCond || K == OpKind::Cbz || K == OpKind::Cbnz;
+
+  // A condition-failed instruction costs a skip cycle (plus the fetch's
+  // wait states) against its own class, with no load side effects.
+  uint64_t Cyc = C.Skipped * (T.SkippedCycles + Wait);
+  if (Cls == static_cast<unsigned>(InstrClass::Load)) {
+    // Each load execution is split by its data memory; a RAM fetch that
+    // loads RAM pays the RAM-port contention stall (the model's Lb).
+    if (C.LoadData[0] + C.LoadData[1] != C.Exec)
+      return false;
+    uint64_t Per = T.cycles(P.I, /*Taken=*/false) + Wait;
+    for (unsigned D = 0; D != 2; ++D) {
+      uint64_t Stall = F == static_cast<unsigned>(MemKind::Ram) &&
+                               D == static_cast<unsigned>(MemKind::Ram)
+                           ? T.RamContentionStall
+                           : 0;
+      RS.ContentionStalls += C.LoadData[D] * Stall;
+      RS.LoadCycles[F][D] += C.LoadData[D] * (Per + Stall);
+      Cyc += C.LoadData[D] * (Per + Stall);
+    }
+  } else if (CondBranch) {
+    if (C.Taken > C.Exec)
+      return false;
+    Cyc += (C.Exec - C.Taken) * (T.cycles(P.I, /*Taken=*/false) + Wait) +
+           C.Taken * (T.cycles(P.I, /*Taken=*/true) + Wait);
+  } else {
+    // Unconditional control flow always transfers; cycles() ignores the
+    // flag outside conditional branches either way.
+    bool Taken = K == OpKind::B || K == OpKind::Bl || K == OpKind::Blx ||
+                 K == OpKind::Bx;
+    Cyc += C.Exec * (T.cycles(P.I, Taken) + Wait);
+  }
+  RS.Cycles += Cyc;
+  RS.ClassCycles[F][Cls] += Cyc;
+  RS.FlashWaitCycles += (C.Exec + C.Skipped) * Wait;
+  return true;
+}
+
+/// Completes \p RS, whose instruction costs are already priced: the
+/// whole-run fields of \p Profile, the startup copy, the cycle budget.
+void finishStats(const Image &Img, const ExecutionProfile &Profile,
+                 const SimOptions &Opts, RunStats &RS) {
   RS.BlockCounts = Profile.BlockCounts;
   RS.Instructions = Profile.Instructions;
   RS.SleepEvents = Profile.SleepEvents;
   RS.ExitCode = Profile.ExitCode;
-
   if (Opts.IncludeStartupCopy && Img.StartupCopyCycles > 0) {
+    // The boot loop runs from flash, streaming words from flash to RAM.
     RS.Cycles += Img.StartupCopyCycles;
     RS.ClassCycles[0][static_cast<unsigned>(InstrClass::Load)] +=
         Img.StartupCopyCycles;
     RS.LoadCycles[0][0] += Img.StartupCopyCycles;
   }
+  if (RS.Cycles > Opts.MaxCycles) {
+    RS.HitCycleLimit = true;
+    RS.Error = "cycle limit exceeded";
+  }
+}
 
+/// Prices \p Profile whether or not it is Valid; false if mis-shaped.
+bool priceProfile(const Image &Img, const ExecutionProfile &Profile,
+                  const SimOptions &Opts, RunStats &Out) {
+  if (Profile.Instrs.size() != Img.Instrs.size() ||
+      Profile.BlockCounts.size() != Img.BlockAddr.size())
+    return false;
+  for (unsigned F = 0, NF = Img.BlockAddr.size(); F != NF; ++F)
+    if (Profile.BlockCounts[F].size() != Img.BlockAddr[F].size())
+      return false;
+
+  RunStats RS;
   for (size_t I = 0, N = Img.Instrs.size(); I != N; ++I) {
     const InstrCounts &C = Profile.Instrs[I];
-    if (C.Exec == 0 && C.Skipped == 0)
-      continue;
-    const PlacedInstr &P = Img.Instrs[I];
-    unsigned F = static_cast<unsigned>(Img.Map.regionOf(P.Addr));
-    unsigned Cls = static_cast<unsigned>(opClass(P.I.Kind));
-    uint64_t Wait =
-        F == static_cast<unsigned>(MemKind::Flash) ? T.FlashWaitStates : 0;
-    OpKind K = P.I.Kind;
-    bool CondBranch =
-        K == OpKind::BCond || K == OpKind::Cbz || K == OpKind::Cbnz;
-    bool IsLoad = Cls == static_cast<unsigned>(InstrClass::Load);
-
-    if (IsLoad) {
-      // The simulator splits each load execution by its data memory and
-      // adds the RAM-port contention stall when a RAM fetch loads RAM.
-      if (C.LoadData[0] + C.LoadData[1] != C.Exec)
-        return false; // malformed profile
-      for (unsigned D = 0; D != 2; ++D) {
-        uint64_t Count = C.LoadData[D];
-        if (Count == 0)
-          continue;
-        uint64_t Per = T.cycles(P.I, /*Taken=*/false) + Wait;
-        if (F == static_cast<unsigned>(MemKind::Ram) &&
-            D == static_cast<unsigned>(MemKind::Ram)) {
-          Per += T.RamContentionStall;
-          RS.ContentionStalls += Count * T.RamContentionStall;
-        }
-        uint64_t Cyc = Count * Per;
-        RS.Cycles += Cyc;
-        RS.ClassCycles[F][Cls] += Cyc;
-        RS.LoadCycles[F][D] += Cyc;
-      }
-    } else if (CondBranch) {
-      if (C.Taken > C.Exec)
-        return false; // malformed profile
-      uint64_t Cyc =
-          (C.Exec - C.Taken) * (T.cycles(P.I, /*Taken=*/false) + Wait) +
-          C.Taken * (T.cycles(P.I, /*Taken=*/true) + Wait);
-      RS.Cycles += Cyc;
-      RS.ClassCycles[F][Cls] += Cyc;
-    } else {
-      // Unconditional control flow is accounted with Taken=true by the
-      // simulator; everything else with Taken=false (cycles() ignores the
-      // flag outside conditional branches either way).
-      bool Taken = K == OpKind::B || K == OpKind::Bl ||
-                   K == OpKind::Blx || K == OpKind::Bx;
-      uint64_t Cyc = C.Exec * (T.cycles(P.I, Taken) + Wait);
-      RS.Cycles += Cyc;
-      RS.ClassCycles[F][Cls] += Cyc;
-    }
-
-    if (C.Skipped > 0) {
-      uint64_t Cyc = C.Skipped * (T.SkippedCycles + Wait);
-      RS.Cycles += Cyc;
-      RS.ClassCycles[F][Cls] += Cyc;
-    }
-    RS.FlashWaitCycles += (C.Exec + C.Skipped) * Wait;
+    if ((C.Exec != 0 || C.Skipped != 0) &&
+        !priceInstr(Img, I, C, Opts.Timing, RS))
+      return false;
   }
-
-  // A full simulation aborts when the running total reaches MaxCycles
-  // before a step; totals at or under the budget can never have tripped
-  // that check mid-run. Past it, abort timing is device-dependent — fall
-  // back to full simulation rather than guess.
-  if (RS.Cycles > Opts.MaxCycles)
-    return false;
-
+  finishStats(Img, Profile, Opts, RS);
   Out = std::move(RS);
   return true;
+}
+
+/// Records why \p Sim stopped short of a clean halt: a fault, or the step
+/// budget, which only a run over the cycle budget can exhaust.
+void noteStop(const Simulator &Sim, RunStats &RS) {
+  if (!Sim.error().empty()) {
+    RS.Error = Sim.error();
+    RS.HitCycleLimit = false;
+  } else if (!Sim.halted()) {
+    RS.HitCycleLimit = true;
+    RS.Error = "cycle limit exceeded";
+  }
+}
+
+} // namespace
+
+RunStats ramloc::runImage(const Image &Img, const SimOptions &Opts,
+                          uint32_t Arg0, uint32_t Arg1, uint32_t Arg2) {
+  ExecutionProfile Profile;
+  return runImageProfiled(Img, Opts, Profile, Arg0, Arg1, Arg2);
+}
+
+RunStats ramloc::runImageProfiled(const Image &Img, const SimOptions &Opts,
+                                  ExecutionProfile &Profile, uint32_t Arg0,
+                                  uint32_t Arg1, uint32_t Arg2) {
+  Simulator Sim(Img, Profile, Opts.MaxCycles);
+  Sim.state().R[R0] = Arg0;
+  Sim.state().R[R1] = Arg1;
+  Sim.state().R[R2] = Arg2;
+  Sim.run();
+  RunStats RS;
+  bool Priced = priceProfile(Img, Profile, Opts, RS);
+  assert(Priced && "the simulator's own profile is well-formed");
+  (void)Priced;
+  noteStop(Sim, RS);
+  return RS;
+}
+
+RunStats ramloc::runImageSampled(const Image &Img, const SimOptions &Opts,
+                                 uint64_t IntervalCycles,
+                                 std::vector<PowerSample> &Samples) {
+  ExecutionProfile Profile;
+  Simulator Sim(Img, Profile, Opts.MaxCycles);
+  // Per static instruction, the counts priced so far: a step's price is
+  // that of its change in counts.
+  std::vector<InstrCounts> Priced(Img.Instrs.size());
+  RunStats RS, Mark; // Mark: RS at the last sample boundary
+  auto closeSample = [&] {
+    PowerSample S;
+    S.Cycles = RS.Cycles - Mark.Cycles;
+    for (unsigned F = 0; F != 2; ++F) {
+      for (unsigned C = 0; C != 7; ++C)
+        S.ClassCycles[F][C] = RS.ClassCycles[F][C] - Mark.ClassCycles[F][C];
+      for (unsigned D = 0; D != 2; ++D)
+        S.LoadCycles[F][D] = RS.LoadCycles[F][D] - Mark.LoadCycles[F][D];
+    }
+    Samples.push_back(S);
+    Mark = RS;
+  };
+
+  for (bool More = true; More;) {
+    More = Sim.step();
+    uint32_t I = Sim.lastIndex();
+    if (I >= Priced.size())
+      continue;
+    const InstrCounts &Now = Profile.Instrs[I];
+    InstrCounts &Was = Priced[I];
+    InstrCounts Step{Now.Exec - Was.Exec,
+                     Now.Taken - Was.Taken,
+                     Now.Skipped - Was.Skipped,
+                     {Now.LoadData[0] - Was.LoadData[0],
+                      Now.LoadData[1] - Was.LoadData[1]}};
+    if (Step == InstrCounts{})
+      continue; // nothing executed (halted, faulted on fetch, budget)
+    Was = Now;
+    bool Ok = priceInstr(Img, I, Step, Opts.Timing, RS);
+    assert(Ok && "one step's counts are well-formed");
+    (void)Ok;
+    if (RS.Cycles - Mark.Cycles >= IntervalCycles)
+      closeSample();
+  }
+  if (RS.Cycles > Mark.Cycles)
+    closeSample(); // short tail interval
+  finishStats(Img, Profile, Opts, RS);
+  noteStop(Sim, RS);
+  return RS;
+}
+
+bool ramloc::recostProfile(const Image &Img,
+                           const ExecutionProfile &Profile,
+                           const SimOptions &Opts, RunStats &Out) {
+  return Profile.Valid && priceProfile(Img, Profile, Opts, Out);
 }
 
 namespace {

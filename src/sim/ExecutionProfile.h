@@ -6,35 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The execute/recost split. The architectural instruction stream of a run
-/// depends only on (image, initial arguments): a TimingModel changes how
-/// many cycles each step costs and how they are attributed, never which
-/// instructions execute or what values they compute. So one simulation can
-/// record a device-independent ExecutionProfile — per-block execution
-/// counts plus, per static instruction, the dynamic facts timing cannot
-/// predict (condition-failed skips, taken conditional branches, load data
-/// memories) — and recostProfile() then derives the exact RunStats any
-/// TimingModel would have produced, in one pass over the static
-/// instructions instead of one pass over the dynamic trace. This is the
-/// trace-once/cost-many structure the paper's own Fb/Cb/Lb model implies:
-/// the campaign engine uses it to make the device axis of a grid nearly
-/// free (1 full simulation + N-1 recosts instead of N simulations).
+/// The execute/price split, and the one timing path. The architectural
+/// instruction stream of a run depends only on (image, initial
+/// arguments): a TimingModel changes how many cycles each step costs and
+/// how they are attributed, never which instructions execute or what
+/// values they compute. So the simulator (sim/Simulator.h) only records a
+/// device-independent ExecutionProfile — per-block execution counts plus,
+/// per static instruction, the dynamic facts timing cannot predict
+/// (condition-failed skips, taken conditional branches, load data
+/// memories) — and every RunStats is priced from such a profile, in one
+/// pass over the static instructions: runImage prices the profile it just
+/// recorded, recostProfile prices a shared one under another device. This
+/// is the trace-once/cost-many structure the paper's own Fb/Cb/Lb model
+/// implies: the campaign engine uses it to make the device axis of a grid
+/// nearly free (1 full simulation + N-1 recosts instead of N simulations).
 ///
-/// Equivalence is exact, not approximate: every RunStats counter —
-/// Cycles, ClassCycles, LoadCycles, ContentionStalls, FlashWaitCycles,
-/// BlockCounts, ExitCode — matches direct simulation bit-for-bit, so
-/// downstream energy integration produces byte-identical reports.
-/// recostProfile() refuses (returns false) whenever equivalence cannot be
-/// guaranteed: an invalid profile, a run that would exceed the cycle
-/// budget under the new timing, or a request for timing-dependent output
-/// (power-profile samples); callers fall back to full simulation.
+/// A run and a recost of the same execution are bit-identical by
+/// construction, cycle budget included: a priced total above
+/// SimOptions::MaxCycles is a "cycle limit exceeded" failure either way.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAMLOC_SIM_EXECUTIONPROFILE_H
 #define RAMLOC_SIM_EXECUTIONPROFILE_H
 
-#include "sim/Simulator.h"
+#include "isa/Timing.h"
+#include "layout/Image.h"
+#include "sim/RunStats.h"
 
 #include <cstdint>
 #include <string>
@@ -44,6 +42,17 @@ namespace ramloc {
 
 class JsonValue;
 class JsonWriter;
+
+/// How a run is priced and bounded.
+struct SimOptions {
+  TimingModel Timing;
+  /// Cycle budget: a run whose priced total exceeds it fails with
+  /// HitCycleLimit. The simulator stops after this many steps (every step
+  /// costs at least one cycle), so runaway programs stay bounded.
+  uint64_t MaxCycles = 4'000'000'000ULL;
+  /// Account the startup .data/.ramcode copy loop (flash-fetched loads).
+  bool IncludeStartupCopy = true;
+};
 
 /// Dynamic facts about one static instruction that a TimingModel cannot
 /// predict. Everything else a recost needs (opcode, fetch memory, size,
@@ -75,9 +84,9 @@ struct ExecutionProfile {
   uint64_t Instructions = 0;
   uint64_t SleepEvents = 0;
   uint32_t ExitCode = 0;
-  /// True only when the profiled run completed cleanly (no fault, no
-  /// cycle-limit abort). Invalid profiles must never be recosted or
-  /// persisted.
+  /// True only when the profiled run halted cleanly (no fault, not cut
+  /// off by the step budget), whatever it costs. Invalid profiles must
+  /// never be recosted or persisted.
   bool Valid = false;
 
   bool operator==(const ExecutionProfile &O) const = default;
@@ -89,19 +98,29 @@ struct ExecutionProfile {
 std::string executionKey(const Image &Img, uint32_t Arg0 = 0,
                          uint32_t Arg1 = 0, uint32_t Arg2 = 0);
 
-/// Runs \p Img once, collecting both the \p Opts-timed RunStats and the
-/// device-independent profile (into \p Profile). The returned stats are
-/// identical to runImage() with the same options.
+/// Runs \p Img from its entry to completion and prices the run under
+/// \p Opts. \p Arg0..2 preload r0..r2 (workload parameters).
+RunStats runImage(const Image &Img, const SimOptions &Opts = {},
+                  uint32_t Arg0 = 0, uint32_t Arg1 = 0, uint32_t Arg2 = 0);
+
+/// runImage() that also hands back the run's profile (into \p Profile).
 RunStats runImageProfiled(const Image &Img, const SimOptions &Opts,
                           ExecutionProfile &Profile, uint32_t Arg0 = 0,
                           uint32_t Arg1 = 0, uint32_t Arg2 = 0);
 
-/// Derives the RunStats a full simulation of \p Img under \p Opts would
-/// produce, from \p Profile, in O(#static instructions). Returns false —
-/// leaving \p Out untouched — when exact equivalence cannot be
-/// guaranteed: the profile is invalid or shaped for a different image,
-/// Opts requests power-profile samples (SampleIntervalCycles != 0), or
-/// the recosted run would hit Opts.MaxCycles.
+/// runImage() that also records the power profile behind Figure 7: each
+/// executed step is priced on its own, and a PowerSample is closed
+/// whenever it holds at least \p IntervalCycles cycles (the last one may
+/// be short). Samples exclude the startup copy. The returned stats are
+/// the sum of the per-step prices and equal runImage()'s.
+RunStats runImageSampled(const Image &Img, const SimOptions &Opts,
+                         uint64_t IntervalCycles,
+                         std::vector<PowerSample> &Samples);
+
+/// Prices \p Profile under \p Opts: the RunStats runImage() would return
+/// on this device, in O(#static instructions). Returns false — leaving
+/// \p Out untouched — only when the profile is invalid or shaped for a
+/// different image.
 bool recostProfile(const Image &Img, const ExecutionProfile &Profile,
                    const SimOptions &Opts, RunStats &Out);
 

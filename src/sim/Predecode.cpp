@@ -11,8 +11,7 @@
 
 using namespace ramloc;
 
-DecodedImage ramloc::predecodeImage(const Image &Img,
-                                    const TimingModel &Timing) {
+DecodedImage ramloc::predecodeImage(const Image &Img) {
   TraceSpan Span("predecode", "sim");
   DecodedImage Dec;
   Dec.reserve(Img.Instrs.size());
@@ -21,21 +20,12 @@ DecodedImage ramloc::predecodeImage(const Image &Img,
     D.P = &P;
     D.NextAddr = P.Addr + P.Size;
     D.TargetAddr = P.TargetAddr;
-    MemKind Fetch = Img.Map.regionOf(P.Addr);
-    D.Fetch = static_cast<uint8_t>(Fetch);
-    D.Class = static_cast<uint8_t>(opClass(P.I.Kind));
     D.Kind = P.I.Kind;
     D.CondCode = P.I.CondCode;
     D.CheckCond = P.I.CondCode != Cond::AL && P.I.Kind != OpKind::BCond;
     D.IsBlockHead = P.IsBlockHead;
     D.FuncIdx = P.FuncIdx;
     D.BlockIdx = P.BlockIdx;
-    D.FlashWait = Fetch == MemKind::Flash ? Timing.FlashWaitStates : 0;
-    D.ContentionStall =
-        Fetch == MemKind::Ram ? Timing.RamContentionStall : 0;
-    D.CyclesNotTaken = Timing.cycles(P.I, /*Taken=*/false) + D.FlashWait;
-    D.CyclesTaken = Timing.cycles(P.I, /*Taken=*/true) + D.FlashWait;
-    D.CyclesSkipped = Timing.SkippedCycles + D.FlashWait;
     Dec.push_back(D);
   }
   return Dec;

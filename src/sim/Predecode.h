@@ -6,22 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The interpreter's per-step decode work — fetch-region classification,
-/// instruction-class lookup, the TimingModel cycle switch, condition-gate
-/// detection — depends only on (image, timing model), never on machine
+/// The interpreter's per-step decode work — operand and successor lookup,
+/// condition-gate detection — depends only on the image, never on machine
 /// state. predecodeImage() hoists all of it out of the hot loop into a
 /// dense array parallel to Image::Instrs, built once per simulation, so
-/// each step is an index, a handler dispatch on the pre-resolved opcode,
-/// and pre-added cycle constants (flash wait states are folded into every
-/// cycle figure; the RAM-port contention stall stays dynamic because it
-/// depends on the executed load's data address).
+/// each step is an index and a handler dispatch on the pre-resolved
+/// opcode. Nothing here is timed: cycles are priced afterwards from the
+/// run's ExecutionProfile (sim/ExecutionProfile.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAMLOC_SIM_PREDECODE_H
 #define RAMLOC_SIM_PREDECODE_H
 
-#include "isa/Timing.h"
 #include "layout/Image.h"
 
 #include <cstdint>
@@ -38,22 +35,10 @@ struct DecodedInstr {
   uint32_t NextAddr = 0;
   /// Resolved branch target / literal-pool slot (copy of P->TargetAddr).
   uint32_t TargetAddr = 0;
-  /// Cycle cost with flash wait states already folded in.
-  uint32_t CyclesNotTaken = 0;
-  uint32_t CyclesTaken = 0;   ///< taken cost for conditional control flow
-  uint32_t CyclesSkipped = 0; ///< condition-failed predicated execution
-  /// FlashWaitStates when fetched from flash, else 0 (the per-fetch tax
-  /// already included in the Cycles* fields, kept for stat attribution).
-  uint32_t FlashWait = 0;
-  /// RamContentionStall when fetched from RAM, else 0: the extra stall a
-  /// RAM-data load pays on the shared RAM port (applied dynamically).
-  uint32_t ContentionStall = 0;
   uint16_t FuncIdx = 0;
   uint16_t BlockIdx = 0;
   OpKind Kind = OpKind::Nop;
   Cond CondCode = Cond::AL;
-  uint8_t Fetch = 0; ///< MemKind of the fetch: 0 = flash, 1 = RAM
-  uint8_t Class = 0; ///< InstrClass of the opcode
   /// True for predicated non-branch instructions: the hot loop must gate
   /// them on condPasses before executing.
   bool CheckCond = false;
@@ -64,8 +49,8 @@ struct DecodedInstr {
 /// Image::Instrs[i], addressed through Image::instrIndexAt.
 using DecodedImage = std::vector<DecodedInstr>;
 
-/// Builds the decode table for \p Img under \p Timing.
-DecodedImage predecodeImage(const Image &Img, const TimingModel &Timing);
+/// Builds the decode table for \p Img.
+DecodedImage predecodeImage(const Image &Img);
 
 } // namespace ramloc
 

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// What the simulator measures: cycle counts attributed per (fetch memory,
+/// What a priced run reports: cycle counts attributed per (fetch memory,
 /// instruction class), load cycles further split by data memory (for the
 /// Figure 1 "RAM code loading flash" case), contention stalls, and
 /// per-block execution counts (the profiled Fb of Figure 5).
@@ -26,8 +26,8 @@
 
 namespace ramloc {
 
-/// Cycle attribution for one sampling interval: the same matrices as the
-/// whole-run statistics, windowed. PowerModel::averageMilliWatts turns a
+/// Cycle attribution for one sampling interval of runImageSampled: the
+/// same matrices as the whole-run statistics, windowed. PowerModel::averageMilliWatts turns a
 /// sample into a point on a power-vs-time profile (Figure 7).
 struct PowerSample {
   uint64_t Cycles = 0;
@@ -35,7 +35,7 @@ struct PowerSample {
   uint64_t LoadCycles[2][2] = {};
 };
 
-/// Execution statistics of one simulated run.
+/// Execution statistics of one run, priced under one timing model.
 struct RunStats {
   uint64_t Cycles = 0;
   uint64_t Instructions = 0;
@@ -54,9 +54,6 @@ struct RunStats {
   uint64_t SleepEvents = 0;
   /// Per-block execution counts, indexed [function][block].
   std::vector<std::vector<uint64_t>> BlockCounts;
-  /// Power-profile samples (only when SimOptions::SampleIntervalCycles
-  /// is non-zero). The last sample may cover a short tail interval.
-  std::vector<PowerSample> Samples;
   /// r0 at the halting bkpt: workload checksum by convention.
   uint32_t ExitCode = 0;
   /// Non-empty if the run faulted (bad memory access, cycle budget, ...).

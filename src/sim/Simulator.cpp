@@ -35,55 +35,31 @@ AddResult addWithCarry(uint32_t A, uint32_t B, bool CarryIn) {
 
 } // namespace
 
-std::map<std::string, uint64_t> RunStats::profileMap(const Module &M) const {
-  std::map<std::string, uint64_t> Out;
-  for (unsigned F = 0, NF = BlockCounts.size(); F != NF; ++F) {
-    assert(F < M.Functions.size() && "stats do not match module");
-    const Function &Fn = M.Functions[F];
-    for (unsigned B = 0, NB = BlockCounts[F].size(); B != NB; ++B)
-      Out[Fn.Name + ":" + Fn.Blocks[B].Label] = BlockCounts[F][B];
-  }
-  return Out;
-}
-
-Simulator::Simulator(const Image &Img, const SimOptions &Opts)
-    : Img(Img), Opts(Opts), Dec(predecodeImage(Img, Opts.Timing)),
+Simulator::Simulator(const Image &Img, ExecutionProfile &Prof,
+                     uint64_t MaxSteps)
+    : Img(Img), Prof(Prof), MaxSteps(MaxSteps), Dec(predecodeImage(Img)),
       Ram(Img.RamBytes) {
   State.R[SP] = Img.Map.stackTop();
   State.R[LR] = ExitAddress;
   PcAddr = Img.EntryAddr;
-  Stats.BlockCounts.resize(Img.BlockAddr.size());
+  Prof = ExecutionProfile{};
+  Prof.Instrs.assign(Img.Instrs.size(), InstrCounts{});
+  Prof.BlockCounts.resize(Img.BlockAddr.size());
   for (unsigned F = 0, NF = Img.BlockAddr.size(); F != NF; ++F)
-    Stats.BlockCounts[F].assign(Img.BlockAddr[F].size(), 0);
-
-  if (Opts.IncludeStartupCopy && Img.StartupCopyCycles > 0) {
-    // The boot loop runs from flash, streaming words from flash to RAM.
-    Stats.Cycles += Img.StartupCopyCycles;
-    Stats.ClassCycles[0][static_cast<unsigned>(InstrClass::Load)] +=
-        Img.StartupCopyCycles;
-    Stats.LoadCycles[0][0] += Img.StartupCopyCycles;
-  }
-}
-
-void Simulator::collectProfile(ExecutionProfile &P) {
-  Prof = &P;
-  P = ExecutionProfile{};
-  P.Instrs.assign(Img.Instrs.size(), InstrCounts{});
+    Prof.BlockCounts[F].assign(Img.BlockAddr[F].size(), 0);
 }
 
 void Simulator::fault(const std::string &Msg) {
-  if (Stats.Error.empty())
-    Stats.Error = Msg;
+  if (Error.empty())
+    Error = Msg;
+  Prof.Valid = false;
   Halted = true;
 }
 
 void Simulator::halt() {
-  Stats.ExitCode = State.R[R0];
+  Prof.ExitCode = State.R[R0];
+  Prof.Valid = Error.empty();
   Halted = true;
-  if (Opts.SampleIntervalCycles != 0 && CurSample.Cycles > 0) {
-    Stats.Samples.push_back(CurSample); // short tail interval
-    CurSample = PowerSample{};
-  }
 }
 
 bool Simulator::checkAddr(uint32_t Addr, uint32_t Bytes, bool Write) {
@@ -154,46 +130,8 @@ void Simulator::write8(uint32_t Addr, uint8_t Value) {
   Ram[Addr - Img.Map.RamBase] = Value;
 }
 
-void Simulator::book(const DecodedInstr &D, unsigned Cycles, bool IsLoad,
-                     unsigned DataMem) {
-  // Flash wait states are pre-added to the decoded cycle costs; only the
-  // attribution counter remains per-step.
-  Stats.FlashWaitCycles += D.FlashWait;
-  Stats.Cycles += Cycles;
-  Stats.ClassCycles[D.Fetch][D.Class] += Cycles;
-  if (IsLoad)
-    Stats.LoadCycles[D.Fetch][DataMem] += Cycles;
-
-  if (Opts.SampleIntervalCycles != 0) {
-    CurSample.Cycles += Cycles;
-    CurSample.ClassCycles[D.Fetch][D.Class] += Cycles;
-    if (IsLoad)
-      CurSample.LoadCycles[D.Fetch][DataMem] += Cycles;
-    if (CurSample.Cycles >= Opts.SampleIntervalCycles) {
-      Stats.Samples.push_back(CurSample);
-      CurSample = PowerSample{};
-    }
-  }
-}
-
-void Simulator::account(const DecodedInstr &D, unsigned Cycles, bool IsLoad,
-                        unsigned DataMem, bool TakenBranch) {
-  if (IsLoad && DataMem == static_cast<unsigned>(MemKind::Ram) &&
-      D.ContentionStall != 0) {
-    // Fetch and data contend for the single RAM port (the model's Lb).
-    Cycles += D.ContentionStall;
-    Stats.ContentionStalls += D.ContentionStall;
-  }
-  book(D, Cycles, IsLoad, DataMem);
-
-  if (Prof) {
-    InstrCounts &C = Prof->Instrs[CurIdx];
-    ++C.Exec;
-    if (TakenBranch)
-      ++C.Taken;
-    if (IsLoad)
-      ++C.LoadData[DataMem];
-  }
+void Simulator::countLoad(unsigned DataMem) {
+  ++Prof.Instrs[CurIdx].LoadData[DataMem];
 }
 
 void Simulator::branchTo(uint32_t Addr) {
@@ -206,13 +144,8 @@ void Simulator::branchTo(uint32_t Addr) {
 }
 
 bool Simulator::step() {
-  if (Halted)
+  if (Halted || Prof.Instructions >= MaxSteps)
     return false;
-  if (Stats.Cycles >= Opts.MaxCycles) {
-    Stats.HitCycleLimit = true;
-    fault("cycle limit exceeded");
-    return false;
-  }
 
   int Idx = Img.instrIndexAt(PcAddr);
   if (Idx < 0) {
@@ -222,17 +155,13 @@ bool Simulator::step() {
   CurIdx = static_cast<uint32_t>(Idx);
   const DecodedInstr &D = Dec[CurIdx];
   if (D.IsBlockHead)
-    ++Stats.BlockCounts[D.FuncIdx][D.BlockIdx];
-  ++Stats.Instructions;
+    ++Prof.BlockCounts[D.FuncIdx][D.BlockIdx];
+  ++Prof.Instructions;
 
-  // Predicated non-branch instruction whose condition fails: one skipped
-  // cycle, no architectural effect.
+  // Predicated non-branch instruction whose condition fails: no
+  // architectural effect, counted as a skip.
   if (D.CheckCond && !condPasses(D.CondCode, State.F)) {
-    if (Prof)
-      ++Prof->Instrs[CurIdx].Skipped;
-    // The skip costs one cycle (plus the fetch's wait states) against the
-    // instruction's own class; no load/contention side effects.
-    book(D, D.CyclesSkipped, /*IsLoad=*/false, 0);
+    ++Prof.Instrs[CurIdx].Skipped;
     PcAddr = D.NextAddr;
     return !Halted;
   }
@@ -248,16 +177,16 @@ void Simulator::run() {
 
 void Simulator::execute(const DecodedInstr &D) {
   const Instr &I = D.P->I;
+  ++Prof.Instrs[CurIdx].Exec;
 
   switch (D.Kind) {
   // --- control flow -------------------------------------------------------
   case OpKind::B:
-    account(D, D.CyclesTaken, false, 0);
     branchTo(D.TargetAddr);
     return;
   case OpKind::BCond: {
     bool Taken = condPasses(D.CondCode, State.F);
-    account(D, Taken ? D.CyclesTaken : D.CyclesNotTaken, false, 0, Taken);
+    Prof.Instrs[CurIdx].Taken += Taken;
     if (Taken)
       branchTo(D.TargetAddr);
     else
@@ -268,7 +197,7 @@ void Simulator::execute(const DecodedInstr &D) {
   case OpKind::Cbnz: {
     bool Zero = reg(I.Regs[0]) == 0;
     bool Taken = D.Kind == OpKind::Cbz ? Zero : !Zero;
-    account(D, Taken ? D.CyclesTaken : D.CyclesNotTaken, false, 0, Taken);
+    Prof.Instrs[CurIdx].Taken += Taken;
     if (Taken)
       branchTo(D.TargetAddr);
     else
@@ -276,33 +205,27 @@ void Simulator::execute(const DecodedInstr &D) {
     return;
   }
   case OpKind::Bl:
-    account(D, D.CyclesTaken, false, 0);
     reg(LR) = D.NextAddr;
     branchTo(D.TargetAddr);
     return;
   case OpKind::Blx: {
-    account(D, D.CyclesTaken, false, 0);
     uint32_t Target = reg(I.Regs[0]);
     reg(LR) = D.NextAddr;
     branchTo(Target);
     return;
   }
   case OpKind::Bx:
-    account(D, D.CyclesTaken, false, 0);
     branchTo(reg(I.Regs[0]));
     return;
   case OpKind::It:
   case OpKind::Nop:
-    account(D, D.CyclesNotTaken, false, 0);
     PcAddr = D.NextAddr;
     return;
   case OpKind::Wfi:
-    ++Stats.SleepEvents;
-    account(D, D.CyclesNotTaken, false, 0);
+    ++Prof.SleepEvents;
     PcAddr = D.NextAddr;
     return;
   case OpKind::Bkpt:
-    account(D, D.CyclesNotTaken, false, 0);
     halt();
     return;
 
@@ -347,40 +270,37 @@ void Simulator::executeMem(const DecodedInstr &D) {
   case OpKind::LdrImm:
   case OpKind::LdrReg: {
     uint32_t EA = effectiveAddr(D.Kind == OpKind::LdrReg);
-    account(D, D.CyclesNotTaken, /*IsLoad=*/true, dataMem(EA));
+    countLoad(dataMem(EA));
     reg(I.Regs[0]) = read32(EA);
     break;
   }
   case OpKind::LdrbImm:
   case OpKind::LdrbReg: {
     uint32_t EA = effectiveAddr(D.Kind == OpKind::LdrbReg);
-    account(D, D.CyclesNotTaken, true, dataMem(EA));
+    countLoad(dataMem(EA));
     reg(I.Regs[0]) = read8(EA);
     break;
   }
   case OpKind::LdrhImm: {
     uint32_t EA = effectiveAddr(false);
-    account(D, D.CyclesNotTaken, true, dataMem(EA));
+    countLoad(dataMem(EA));
     reg(I.Regs[0]) = read16(EA);
     break;
   }
   case OpKind::StrImm:
   case OpKind::StrReg: {
     uint32_t EA = effectiveAddr(D.Kind == OpKind::StrReg);
-    account(D, D.CyclesNotTaken, false, dataMem(EA));
     write32(EA, Rt);
     break;
   }
   case OpKind::StrbImm:
   case OpKind::StrbReg: {
     uint32_t EA = effectiveAddr(D.Kind == OpKind::StrbReg);
-    account(D, D.CyclesNotTaken, false, dataMem(EA));
     write8(EA, static_cast<uint8_t>(Rt));
     break;
   }
   case OpKind::StrhImm: {
     uint32_t EA = effectiveAddr(false);
-    account(D, D.CyclesNotTaken, false, dataMem(EA));
     write16(EA, static_cast<uint16_t>(Rt));
     break;
   }
@@ -389,7 +309,7 @@ void Simulator::executeMem(const DecodedInstr &D) {
     // data-side power (RAM code with flash pools is the expensive Figure 1
     // case; our pools co-locate with the code, so RAM code pools are RAM).
     uint32_t Value = read32(D.TargetAddr);
-    account(D, D.CyclesNotTaken, true, dataMem(D.TargetAddr));
+    countLoad(dataMem(D.TargetAddr));
     if (I.Regs[0] == PC) {
       branchTo(Value);
       return;
@@ -401,8 +321,6 @@ void Simulator::executeMem(const DecodedInstr &D) {
     uint32_t Mask = static_cast<uint32_t>(I.Imm);
     unsigned Count = regMaskCount(Mask);
     uint32_t Addr = reg(SP) - 4 * Count;
-    account(D, D.CyclesNotTaken, false,
-            static_cast<unsigned>(MemKind::Ram));
     reg(SP) = Addr;
     for (unsigned R = 0; R < 16; ++R) {
       if (!(Mask & (1u << R)))
@@ -414,8 +332,7 @@ void Simulator::executeMem(const DecodedInstr &D) {
   }
   case OpKind::Pop: {
     uint32_t Mask = static_cast<uint32_t>(I.Imm);
-    account(D, D.CyclesNotTaken, /*IsLoad=*/true,
-            static_cast<unsigned>(MemKind::Ram));
+    countLoad(static_cast<unsigned>(MemKind::Ram));
     uint32_t Addr = reg(SP);
     uint32_t NewPC = 0;
     bool HasPC = false;
@@ -446,7 +363,6 @@ void Simulator::executeMem(const DecodedInstr &D) {
 
 void Simulator::executeAlu(const DecodedInstr &D) {
   const Instr &I = D.P->I;
-  account(D, D.CyclesNotTaken, false, 0);
 
   uint32_t Rn = reg(I.Regs[1]);
   uint32_t RmV = reg(I.Regs[2]);
@@ -652,14 +568,4 @@ void Simulator::executeAlu(const DecodedInstr &D) {
     }
   }
   PcAddr = D.NextAddr;
-}
-
-RunStats ramloc::runImage(const Image &Img, const SimOptions &Opts,
-                          uint32_t Arg0, uint32_t Arg1, uint32_t Arg2) {
-  Simulator Sim(Img, Opts);
-  Sim.state().R[R0] = Arg0;
-  Sim.state().R[R1] = Arg1;
-  Sim.state().R[R2] = Arg2;
-  Sim.run();
-  return Sim.takeStats();
 }

@@ -6,17 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A cycle-approximate interpreter for linked images, standing in for the
-/// paper's power-instrumented STM32VLDISCOVERY board. It attributes every
-/// cycle to the memory the instruction was fetched from, applies the RAM
-/// fetch/data contention stall the paper's Lb term models, and counts
-/// per-block executions for profiling.
+/// A functional interpreter for linked images, standing in for the
+/// paper's power-instrumented STM32VLDISCOVERY board. It only counts: per
+/// block and per static instruction it records what executed (condition
+/// skips, taken branches, load data memories) into an ExecutionProfile.
+/// It knows nothing about cycles; every RunStats comes from pricing that
+/// profile under a TimingModel (runImage, recostProfile in
+/// sim/ExecutionProfile.h), so a run and a recost share one timing path.
 ///
 /// The hot loop dispatches over a predecoded image (sim/Predecode.h): the
-/// fetch-region, instruction-class and cycle-cost lookups are resolved
-/// once per image instead of once per step. Optionally it records a
-/// device-independent ExecutionProfile (sim/ExecutionProfile.h) so later
-/// runs of the same image can be recosted without re-execution.
+/// operand and successor lookups are resolved once per image instead of
+/// once per step.
 ///
 /// Architectural conventions:
 ///  - Registers r0-r12, sp (full-descending), lr, pc; NZCV flags.
@@ -29,30 +29,15 @@
 #ifndef RAMLOC_SIM_SIMULATOR_H
 #define RAMLOC_SIM_SIMULATOR_H
 
-#include "isa/Timing.h"
 #include "layout/Image.h"
 #include "sim/Predecode.h"
-#include "sim/RunStats.h"
 
 #include <cstdint>
+#include <string>
 
 namespace ramloc {
 
 struct ExecutionProfile;
-
-/// Simulation knobs.
-struct SimOptions {
-  TimingModel Timing;
-  /// Abort threshold, to keep runaway programs bounded.
-  uint64_t MaxCycles = 4'000'000'000ULL;
-  /// Account the startup .data/.ramcode copy loop (flash-fetched loads).
-  bool IncludeStartupCopy = true;
-  /// When non-zero, record a PowerSample roughly every this many cycles
-  /// (the power-profile instrumentation behind Figure 7). Sample
-  /// boundaries depend on the timing model, so runs with sampling cannot
-  /// be served by recosting a shared profile.
-  uint64_t SampleIntervalCycles = 0;
-};
 
 /// The magic return address that terminates simulation when jumped to.
 inline constexpr uint32_t ExitAddress = 0xFFFFFFF0;
@@ -63,59 +48,45 @@ struct MachineState {
   Flags F;
 };
 
-/// Runs \p Img from its entry to completion and returns statistics.
-/// \p Argv0..2 preload r0..r2 (workload parameters).
-RunStats runImage(const Image &Img, const SimOptions &Opts = {},
-                  uint32_t Arg0 = 0, uint32_t Arg1 = 0, uint32_t Arg2 = 0);
-
-/// Single-stepping simulator for tests and tooling.
+/// Single-stepping functional executor.
 class Simulator {
 public:
-  Simulator(const Image &Img, const SimOptions &Opts);
+  /// Binds \p Prof as the run's profile: it is (re)initialized to the
+  /// image's shape, and every step's counts accumulate into it. The run
+  /// stops after \p MaxSteps steps; a run that halts cleanly marks the
+  /// profile Valid.
+  Simulator(const Image &Img, ExecutionProfile &Prof,
+            uint64_t MaxSteps = UINT64_MAX);
 
-  /// Binds \p P as the run's execution-profile sink: per-instruction
-  /// dynamic counts accumulate into it as the run proceeds. \p P is
-  /// (re)initialized to the image's shape; the caller finalizes the
-  /// whole-run fields (see runImageProfiled).
-  void collectProfile(ExecutionProfile &P);
-
-  /// Executes one instruction; returns false once halted or faulted.
+  /// Executes one instruction; returns false once halted, faulted or out
+  /// of steps.
   bool step();
 
-  /// Runs until halt/fault/cycle-limit.
+  /// Runs until halt, fault or the step budget.
   void run();
 
   const MachineState &state() const { return State; }
   MachineState &state() { return State; }
-  const RunStats &stats() const { return Stats; }
-  RunStats takeStats() { return std::move(Stats); }
+  /// True once the run halted or faulted (false if it ran out of steps).
   bool halted() const { return Halted; }
-
-  /// Direct memory access for tests and workload setup/inspection.
-  uint32_t read32(uint32_t Addr);
-  void write32(uint32_t Addr, uint32_t Value);
-  uint8_t read8(uint32_t Addr);
+  /// The fault message; empty unless the run faulted.
+  const std::string &error() const { return Error; }
+  /// Index (into Image::Instrs) of the instruction the last step fetched.
+  uint32_t lastIndex() const { return CurIdx; }
 
 private:
+  uint32_t read32(uint32_t Addr);
   uint16_t read16(uint32_t Addr);
+  uint8_t read8(uint32_t Addr);
+  void write32(uint32_t Addr, uint32_t Value);
   void write16(uint32_t Addr, uint16_t Value);
   void write8(uint32_t Addr, uint8_t Value);
   bool checkAddr(uint32_t Addr, uint32_t Bytes, bool Write);
 
   void fault(const std::string &Msg);
   void halt();
-  /// Attributes \p Cycles to the decoded instruction's fetch memory and
-  /// class (and, for loads, to \p DataMem), including the sampling
-  /// accumulator — the single bookkeeping path shared by executed and
-  /// condition-skipped instructions.
-  void book(const DecodedInstr &D, unsigned Cycles, bool IsLoad,
-            unsigned DataMem);
-  /// Books \p Cycles (flash wait states pre-added by the predecoder)
-  /// against the decoded instruction's fetch memory and class, adding the
-  /// RAM-port contention stall for RAM-data loads. \p TakenBranch marks a
-  /// taken conditional branch for the profile.
-  void account(const DecodedInstr &D, unsigned Cycles, bool IsLoad,
-               unsigned DataMem, bool TakenBranch = false);
+  /// Counts a load of data memory \p DataMem by the current instruction.
+  void countLoad(unsigned DataMem);
   void execute(const DecodedInstr &D);
   void executeAlu(const DecodedInstr &D);
   void executeMem(const DecodedInstr &D);
@@ -124,19 +95,16 @@ private:
   uint32_t &reg(Reg R) { return State.R[R]; }
 
   const Image &Img;
-  SimOptions Opts;
+  ExecutionProfile &Prof;
+  uint64_t MaxSteps;
   MachineState State;
-  RunStats Stats;
-  /// Pre-resolved handlers/operands/cycle costs, parallel to Img.Instrs.
+  /// Pre-resolved handlers/operands, parallel to Img.Instrs.
   DecodedImage Dec;
-  /// Profile sink (optional); per-instruction counts index CurIdx.
-  ExecutionProfile *Prof = nullptr;
   uint32_t PcAddr = 0;
   /// Index of the instruction being executed (into Img.Instrs / Dec).
   uint32_t CurIdx = 0;
   bool Halted = false;
-  /// Accumulator for the current sampling interval.
-  PowerSample CurSample;
+  std::string Error;
   /// RAM contents (mutable); flash is read from the image (writes fault).
   std::vector<uint8_t> Ram;
 };

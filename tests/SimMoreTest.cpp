@@ -7,6 +7,7 @@
 
 #include "layout/Linker.h"
 #include "power/PowerModel.h"
+#include "sim/ExecutionProfile.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
@@ -116,10 +117,12 @@ TEST(SimMore, StackGrowsDownFromTop) {
   Image Img = linkSnippet({
       movReg(R0, SP),
   });
-  Simulator Sim(Img, {});
+  ExecutionProfile Profile;
+  Simulator Sim(Img, Profile);
   EXPECT_EQ(Sim.state().R[SP], Img.Map.stackTop());
   Sim.run();
-  EXPECT_EQ(Sim.stats().ExitCode, Img.Map.stackTop());
+  EXPECT_TRUE(Profile.Valid);
+  EXPECT_EQ(Profile.ExitCode, Img.Map.stackTop());
 }
 
 TEST(SimMore, PopReturnToExitHalts) {
@@ -184,17 +187,17 @@ TEST(SimMore, PowerSamplingCoversAllCycles) {
   Image Img = linkSnippet(std::move(Body), std::move(Extra));
   SimOptions SO;
   SO.IncludeStartupCopy = false;
-  SO.SampleIntervalCycles = 10;
-  RunStats S = runImage(Img, SO);
+  std::vector<PowerSample> Samples;
+  RunStats S = runImageSampled(Img, SO, 10, Samples);
   ASSERT_TRUE(S.ok()) << S.Error;
-  ASSERT_FALSE(S.Samples.empty());
+  ASSERT_FALSE(Samples.empty());
   uint64_t SampleTotal = 0;
-  for (const PowerSample &Sample : S.Samples)
+  for (const PowerSample &Sample : Samples)
     SampleTotal += Sample.Cycles;
   EXPECT_EQ(SampleTotal, S.Cycles);
   // Every full interval reaches the threshold.
-  for (unsigned I = 0; I + 1 < S.Samples.size(); ++I)
-    EXPECT_GE(S.Samples[I].Cycles, 10u);
+  for (unsigned I = 0; I + 1 < Samples.size(); ++I)
+    EXPECT_GE(Samples[I].Cycles, 10u);
 }
 
 TEST(SimMore, SampledPowerMatchesOverallAverage) {
@@ -207,24 +210,18 @@ TEST(SimMore, SampledPowerMatchesOverallAverage) {
   Image Img = linkSnippet(std::move(Body), std::move(Extra));
   SimOptions SO;
   SO.IncludeStartupCopy = false;
-  SO.SampleIntervalCycles = 8;
-  RunStats S = runImage(Img, SO);
+  std::vector<PowerSample> Samples;
+  RunStats S = runImageSampled(Img, SO, 8, Samples);
   ASSERT_TRUE(S.ok());
   PowerModel PM = PowerModel::stm32f100();
   EnergyReport R = PM.integrate(S);
   // Cycle-weighted mean of the sample powers equals the run average.
   double WeightedSum = 0;
-  for (const PowerSample &Sample : S.Samples)
+  for (const PowerSample &Sample : Samples)
     WeightedSum +=
         PM.averageMilliWatts(Sample) * static_cast<double>(Sample.Cycles);
   EXPECT_NEAR(WeightedSum / static_cast<double>(S.Cycles),
               R.AvgMilliWatts, 1e-9);
-}
-
-TEST(SimMore, SamplingOffByDefault) {
-  Image Img = linkSnippet({movImm(R0, 1)});
-  RunStats S = runImage(Img);
-  EXPECT_TRUE(S.Samples.empty());
 }
 
 TEST(SimMore, ZeroVariationIsIdentity) {

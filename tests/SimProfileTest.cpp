@@ -6,8 +6,9 @@
 // The acceptance bar for the simulate-once/cost-many split: RunStats
 // derived by recosting a shared ExecutionProfile must equal direct
 // simulation on EVERY counter, for every registry device (wait-stated
-// parts included), across the whole BEEBS suite — plus round-trip checks
-// for the predecoded dispatch table and the profile serialization.
+// parts included), across the whole BEEBS suite; pricing every step on its
+// own must add up to the same totals; plus round-trip checks for the
+// predecoded dispatch table and the profile serialization.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +55,6 @@ void expectStatsEqual(const RunStats &A, const RunStats &B,
   EXPECT_EQ(A.FlashWaitCycles, B.FlashWaitCycles) << Context;
   EXPECT_EQ(A.SleepEvents, B.SleepEvents) << Context;
   EXPECT_EQ(A.BlockCounts, B.BlockCounts) << Context;
-  EXPECT_EQ(A.Samples.size(), B.Samples.size()) << Context;
   EXPECT_EQ(A.ExitCode, B.ExitCode) << Context;
   EXPECT_EQ(A.Error, B.Error) << Context;
   EXPECT_EQ(A.HitCycleLimit, B.HitCycleLimit) << Context;
@@ -144,38 +144,71 @@ TEST(ExecutionProfile, RecostCoversOptimizedImagesWithRamCode) {
   }
 }
 
-TEST(ExecutionProfile, RecostRefusesTimingDependentOutput) {
-  Image Img = linkBeebs("crc32");
-  ExecutionProfile Profile;
-  SimOptions Sim;
-  (void)runImageProfiled(Img, Sim, Profile);
-  ASSERT_TRUE(Profile.Valid);
+TEST(ExecutionProfile, SampledRunsPriceEachStepLikeTheRecost) {
+  // runImageSampled prices every step on its own as it executes; runImage
+  // prices the finished profile in one pass. The per-step totals must
+  // equal the one-pass price, and the samples must partition the run
+  // (the startup copy aside, which samples exclude).
+  for (const BeebsInfo &Info : beebsSuite()) {
+    Image Img = linkBeebs(Info.Name);
+    for (const DeviceInfo &D : deviceRegistry()) {
+      std::string Context = std::string(Info.Name) + " on " + D.Name;
+      SimOptions Sim;
+      Sim.Timing = D.Timing;
+      RunStats Whole = runImage(Img, Sim);
+      ASSERT_TRUE(Whole.ok()) << Context;
+      std::vector<PowerSample> Samples;
+      RunStats Stepped =
+          runImageSampled(Img, Sim, Whole.Cycles / 32 + 1, Samples);
+      expectStatsEqual(Whole, Stepped, Context);
 
-  SimOptions Sampling;
-  Sampling.SampleIntervalCycles = 1000;
-  RunStats Out;
-  EXPECT_FALSE(recostProfile(Img, Profile, Sampling, Out));
+      PowerSample Sum;
+      Sum.Cycles = Img.StartupCopyCycles;
+      Sum.ClassCycles[0][static_cast<unsigned>(InstrClass::Load)] =
+          Img.StartupCopyCycles;
+      Sum.LoadCycles[0][0] = Img.StartupCopyCycles;
+      for (const PowerSample &S : Samples) {
+        Sum.Cycles += S.Cycles;
+        for (unsigned F = 0; F != 2; ++F) {
+          for (unsigned C = 0; C != 7; ++C)
+            Sum.ClassCycles[F][C] += S.ClassCycles[F][C];
+          for (unsigned M = 0; M != 2; ++M)
+            Sum.LoadCycles[F][M] += S.LoadCycles[F][M];
+        }
+      }
+      EXPECT_GE(Samples.size(), 16u) << Context;
+      EXPECT_EQ(Sum.Cycles, Whole.Cycles) << Context;
+      for (unsigned F = 0; F != 2; ++F) {
+        for (unsigned C = 0; C != 7; ++C)
+          EXPECT_EQ(Sum.ClassCycles[F][C], Whole.ClassCycles[F][C])
+              << Context << " ClassCycles[" << F << "][" << C << "]";
+        for (unsigned M = 0; M != 2; ++M)
+          EXPECT_EQ(Sum.LoadCycles[F][M], Whole.LoadCycles[F][M])
+              << Context << " LoadCycles[" << F << "][" << M << "]";
+      }
+    }
+  }
 }
 
-TEST(ExecutionProfile, RecostRefusesCycleBudgetOverflow) {
+TEST(ExecutionProfile, CycleBudgetIsOneRuleForRunAndRecost) {
+  // A priced total above MaxCycles fails the same way whether the run was
+  // simulated or recost; at exactly the run's cost both succeed.
   Image Img = linkBeebs("crc32");
   ExecutionProfile Profile;
-  SimOptions Sim;
-  RunStats Stats = runImageProfiled(Img, Sim, Profile);
-  ASSERT_TRUE(Profile.Valid);
-
-  // A budget below the run's cost must force the full-simulation path
-  // (whose abort point depends on the device), never a recost.
-  SimOptions Tight;
-  Tight.MaxCycles = Stats.Cycles - 1;
-  RunStats Out;
-  EXPECT_FALSE(recostProfile(Img, Profile, Tight, Out));
-  // At exactly the run's cost the simulator completes (the limit check
-  // runs before each step, and the last step lands on the budget).
-  SimOptions Exact;
-  Exact.MaxCycles = Stats.Cycles;
-  ASSERT_TRUE(recostProfile(Img, Profile, Exact, Out));
-  expectStatsEqual(runImage(Img, Exact), Out, "exact-budget recost");
+  RunStats Stats = runImageProfiled(Img, SimOptions{}, Profile);
+  ASSERT_TRUE(Stats.ok());
+  for (uint64_t Budget : {Stats.Cycles - 1, Stats.Cycles}) {
+    std::string Context = "budget " + std::to_string(Budget);
+    bool Over = Budget < Stats.Cycles;
+    SimOptions Sim;
+    Sim.MaxCycles = Budget;
+    RunStats Run = runImage(Img, Sim);
+    EXPECT_EQ(Run.HitCycleLimit, Over) << Context;
+    EXPECT_EQ(Run.Error, Over ? "cycle limit exceeded" : "") << Context;
+    RunStats Recost;
+    ASSERT_TRUE(recostProfile(Img, Profile, Sim, Recost)) << Context;
+    expectStatsEqual(Run, Recost, Context);
+  }
 }
 
 TEST(ExecutionProfile, InvalidProfilesAreNeverRecost) {
@@ -233,9 +266,8 @@ TEST(ExecutionProfile, SerializationRoundTripsExactly) {
 }
 
 TEST(Predecode, RoundTripsAgainstTheRawInstructionStream) {
-  // Predecode an optimized image (code in both memories) under a
-  // wait-stated timing model and check every pre-resolved field against
-  // a fresh computation from the placed instruction.
+  // Predecode an optimized image (code in both memories) and check every
+  // pre-resolved field against the placed instruction.
   Module M = buildBeebs("crc32", OptLevel::O1, 2);
   PipelineOptions PO;
   PO.Knobs.RspareBytes = 1024;
@@ -245,22 +277,13 @@ TEST(Predecode, RoundTripsAgainstTheRawInstructionStream) {
   ASSERT_TRUE(LR.ok());
   const Image &Img = LR.Img;
 
-  TimingModel T = findDevice("stm32f100-2ws")->Timing;
-  ASSERT_GT(T.FlashWaitStates, 0u);
-  DecodedImage Dec = predecodeImage(Img, T);
+  DecodedImage Dec = predecodeImage(Img);
   ASSERT_EQ(Dec.size(), Img.Instrs.size());
 
-  bool SawRamFetch = false;
   for (size_t I = 0; I != Dec.size(); ++I) {
     const DecodedInstr &D = Dec[I];
     const PlacedInstr &P = Img.Instrs[I];
     ASSERT_EQ(D.P, &P);
-    MemKind Fetch = Img.Map.regionOf(P.Addr);
-    unsigned Wait =
-        Fetch == MemKind::Flash ? T.FlashWaitStates : 0;
-    SawRamFetch |= Fetch == MemKind::Ram;
-    EXPECT_EQ(D.Fetch, static_cast<uint8_t>(Fetch));
-    EXPECT_EQ(D.Class, static_cast<uint8_t>(opClass(P.I.Kind)));
     EXPECT_EQ(D.Kind, P.I.Kind);
     EXPECT_EQ(D.CondCode, P.I.CondCode);
     EXPECT_EQ(D.NextAddr, P.Addr + P.Size);
@@ -270,14 +293,7 @@ TEST(Predecode, RoundTripsAgainstTheRawInstructionStream) {
     EXPECT_EQ(D.IsBlockHead, P.IsBlockHead);
     EXPECT_EQ(D.CheckCond, P.I.CondCode != Cond::AL &&
                                P.I.Kind != OpKind::BCond);
-    EXPECT_EQ(D.CyclesNotTaken, T.cycles(P.I, false) + Wait);
-    EXPECT_EQ(D.CyclesTaken, T.cycles(P.I, true) + Wait);
-    EXPECT_EQ(D.CyclesSkipped, T.SkippedCycles + Wait);
-    EXPECT_EQ(D.FlashWait, Wait);
-    EXPECT_EQ(D.ContentionStall,
-              Fetch == MemKind::Ram ? T.RamContentionStall : 0u);
   }
-  EXPECT_TRUE(SawRamFetch); // the image really exercised both regions
 }
 
 TEST(ProfileCache, ComputeOnceUnderConcurrency) {
@@ -330,17 +346,39 @@ TEST(ProfileCache, MeasureModuleSharesOneSimulationAcrossDevices) {
   EXPECT_EQ(C.Recosts, deviceRegistry().size() - 1);
 }
 
-TEST(ProfileCache, SamplingRunsBypassTheCache) {
+TEST(ProfileCache, OverBudgetDeviceIsPricedNotResimulated) {
+  // A budget the fast device meets exactly and the slow (wait-stated) one
+  // exceeds: in either device order the slow device fails by pricing the
+  // shared profile, so the pair costs one simulation and one recost.
   Module M = buildBeebs("crc32", OptLevel::O1, 2);
-  ProfileCache Profiles;
-  SimOptions Sim;
-  Sim.SampleIntervalCycles = 500;
-  Measurement Got = measureModule(M, PowerModel::stm32f100(), {}, Sim,
-                                  &Profiles);
-  ASSERT_TRUE(Got.ok());
-  EXPECT_FALSE(Got.Stats.Samples.empty());
-  ProfileCache::Counters C = Profiles.counters();
-  EXPECT_EQ(C.FullSims, 0u);
-  EXPECT_EQ(C.Recosts, 0u);
-  EXPECT_EQ(Profiles.size(), 0u);
+  const DeviceInfo *Fast = findDevice("stm32f100");
+  const DeviceInfo *Slow = findDevice("stm32f103-72mhz");
+  ASSERT_TRUE(Fast && Slow);
+  SimOptions FastSim;
+  FastSim.Timing = Fast->Timing;
+  Measurement Uncapped = measureModule(M, Fast->Model, {}, FastSim);
+  ASSERT_TRUE(Uncapped.ok());
+
+  for (bool FastFirst : {true, false}) {
+    std::string Context = FastFirst ? "fast first" : "slow first";
+    ProfileCache Profiles;
+    auto measure = [&](const DeviceInfo *D) {
+      SimOptions Sim;
+      Sim.Timing = D->Timing;
+      Sim.MaxCycles = Uncapped.Stats.Cycles;
+      return measureModule(M, D->Model, {}, Sim, &Profiles);
+    };
+    Measurement First = measure(FastFirst ? Fast : Slow);
+    Measurement Second = measure(FastFirst ? Slow : Fast);
+    const Measurement &GotFast = FastFirst ? First : Second;
+    const Measurement &GotSlow = FastFirst ? Second : First;
+
+    EXPECT_TRUE(GotSlow.Stats.HitCycleLimit) << Context;
+    EXPECT_EQ(GotSlow.Stats.Error, "cycle limit exceeded") << Context;
+    ASSERT_TRUE(GotFast.ok()) << Context << ": " << GotFast.Stats.Error;
+    expectStatsEqual(Uncapped.Stats, GotFast.Stats, Context);
+    ProfileCache::Counters C = Profiles.counters();
+    EXPECT_EQ(C.FullSims, 1u) << Context;
+    EXPECT_EQ(C.Recosts, 1u) << Context;
+  }
 }

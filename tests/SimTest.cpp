@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "layout/Linker.h"
-#include "sim/Simulator.h"
+#include "sim/ExecutionProfile.h"
 
 #include <gtest/gtest.h>
 

@@ -7,7 +7,7 @@
 
 #include "layout/Linker.h"
 #include "power/PowerModel.h"
-#include "sim/Simulator.h"
+#include "sim/ExecutionProfile.h"
 
 #include <gtest/gtest.h>
 

@@ -4,9 +4,10 @@
 // trade-off in deeply embedded systems" (Pallister et al., CGO 2015).
 //
 // Loads a module in the ramloc assembly dialect, links it for the
-// STM32F100-like memory map, executes it on the cycle-approximate
-// simulator, and reports energy/time/power with optional breakdowns —
-// the software stand-in for the paper's power-instrumented board.
+// STM32F100-like memory map, executes it on the simulator, prices the
+// run under the reference timing model, and reports energy/time/power
+// with optional breakdowns — the software stand-in for the paper's
+// power-instrumented board.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +31,10 @@ int main(int Argc, char **Argv) {
   Flags.add("breakdown", "print the cycle/energy attribution matrix",
             Breakdown);
   Flags.add("no-startup", "skip the startup-copy cost", NoStartup);
-  Flags.add("max-cycles", "N", "abort threshold (default 4000000000)",
+  Flags.add("max-cycles", "N",
+            "cycle budget: a run whose total, startup copy included, "
+            "exceeds N fails with 'cycle limit exceeded' (default "
+            "4000000000)",
             bindValue(Sim.MaxCycles, parseUInt64));
 
   std::vector<std::string> Inputs;
