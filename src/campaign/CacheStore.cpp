@@ -9,7 +9,6 @@
 
 #include "campaign/Report.h"
 #include "power/DeviceRegistry.h"
-#include "support/FileLock.h"
 #include "support/Format.h"
 #include "support/Hash.h"
 #include "support/Json.h"
@@ -291,60 +290,6 @@ bool CacheStore::compact(std::string *Error) {
   TraceSpan Span("cache.compact", "cache");
   return opened(Error) && persist(Results, true, Error) &&
          persist(ProfileLog, true, Error) && persist(IncumbentLog, true, Error);
-}
-
-bool CacheStore::compactIncumbents(std::string *Error) {
-  TraceSpan Span("cache.compact", "cache");
-  return opened(Error) && persist(IncumbentLog, true, Error);
-}
-
-bool CacheStore::gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
-                            std::string *Error) {
-  TraceSpan Span("cache.compact", "cache");
-  if (!opened(Error))
-    return false;
-  Stats = ProfileGcStats();
-
-  // The whole read-fold-rewrite cycle holds the file's lock: a concurrent
-  // GC or --repair reading the same generation would otherwise decide
-  // survivorship from bytes the other is about to replace.
-  FileLock Lock;
-  if (!Lock.acquire(ProfileLog.lockPath(), LockWaitMs, Error))
-    return false;
-  std::error_code EC;
-  uint64_t Size = std::filesystem::file_size(ProfileLog.path(), EC);
-  Stats.BytesBefore = EC ? 0 : Size;
-
-  // Survivors are kept verbatim, framing included — GC must not perturb
-  // bytes it decided to keep. A stale or damaged header drops them all.
-  std::shared_ptr<ExecutionProfile> P;
-  ScanStats S;
-  auto Lines = ProfileLog.survivors(decodeProfile(P), S);
-  tally(S);
-  Stats.DroppedInvalid = S.skipped() + S.Stranded + (S.Records - S.Keys) +
-                         (S.invalidated() ? 1 : 0);
-
-  // Size cap: evict from the front (oldest appends) until the rewritten
-  // file — header plus surviving lines — fits.
-  std::string Doc = ProfileLog.header();
-  uint64_t Need = Doc.size();
-  for (const auto &Line : Lines)
-    Need += Line.second.size() + 1;
-  size_t Drop = 0;
-  for (; MaxBytes != 0 && Drop != Lines.size() && Need > MaxBytes; ++Drop)
-    Need -= Lines[Drop].second.size() + 1;
-  std::map<std::string, double> Keys;
-  for (size_t I = Drop; I != Lines.size(); ++I) {
-    Doc += Lines[I].second + "\n";
-    Keys.emplace(Lines[I].first.Key, 0.0);
-  }
-  if (!ProfileLog.rewrite(Doc, LockWaitMs, Error, /*Locked=*/true))
-    return false;
-  Stats.Kept = Keys.size();
-  Stats.Evicted = Drop;
-  Stats.BytesAfter = Doc.size();
-  ProfileLog.setDurable(std::move(Keys));
-  return true;
 }
 
 bool CacheStore::beginJournal(const std::string &ConfigToken, bool Resume,

@@ -92,30 +92,6 @@ public:
   /// appenders.
   bool compact(std::string *Error = nullptr);
 
-  /// What a profile-store GC pass did.
-  struct ProfileGcStats {
-    size_t Kept = 0;
-    /// Corrupt lines, entries under a stale semantics fingerprint, and
-    /// duplicate keys (the newest occurrence wins).
-    size_t DroppedInvalid = 0;
-    /// Valid entries evicted to honour the size cap.
-    size_t Evicted = 0;
-    uint64_t BytesBefore = 0;
-    uint64_t BytesAfter = 0;
-  };
-
-  /// Garbage-collects profiles.jsonl in place: drops corrupt and stale
-  /// lines, folds duplicate keys to their newest occurrence, and — when
-  /// \p MaxBytes is non-zero — evicts the least-recently-appended entries
-  /// (earliest lines) until the file fits. Works on the file, not the
-  /// in-memory cache: a later save() may re-append evicted entries, so
-  /// run it as a maintenance pass (`ramloc-batch --gc-profiles`).
-  bool gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
-                  std::string *Error = nullptr);
-
-  /// compact() for incumbents.jsonl alone; `--gc-profiles` runs both.
-  bool compactIncumbents(std::string *Error = nullptr);
-
   using FsckFile = ramloc::FsckFile;
 
   /// What fsck() found across the whole cache directory.

@@ -35,6 +35,24 @@ const char *ramloc::jobKindName(JobKind K) {
   return K == JobKind::Measure ? "measure" : "model-only";
 }
 
+bool ramloc::freqModeFromName(const std::string &Name, FreqMode &Out) {
+  for (FreqMode M : {FreqMode::Static, FreqMode::Profiled})
+    if (Name == freqModeName(M)) {
+      Out = M;
+      return true;
+    }
+  return false;
+}
+
+bool ramloc::jobKindFromName(const std::string &Name, JobKind &Out) {
+  for (JobKind K : {JobKind::Measure, JobKind::ModelOnly})
+    if (Name == jobKindName(K)) {
+      Out = K;
+      return true;
+    }
+  return false;
+}
+
 std::string JobSpec::cacheKey() const {
   // jsonNumber gives Xlimit a canonical round-trippable spelling, so
   // 1.5 from the CLI and 1.5 from a GridSpec literal share a key.
@@ -374,20 +392,15 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                      : Sol.Outcome == SolveStatus::InfeasibleProven
                          ? SolveStatus::InfeasibleProven
                          : SolveStatus::FeasibleLimit;
-    R.Extractions = FirstJob ? 1 : 0;
-    // A group's later solves are seeded by the knob chain itself; only
-    // the first one can have been opened by the persistent store.
-    R.IncumbentSeeds = FirstJob && Seeded && Sol.seededIncumbent() ? 1 : 0;
-    if (Sol.warmStarted())
-      R.WarmSolves = 1;
-    else
-      R.ColdSolves = 1;
-    // The registry is the campaign's book of record for these counters;
-    // the Summary fields are read back out of it as deltas.
-    Reg.counter("campaign.solve.extractions").add(R.Extractions);
-    Reg.counter("campaign.solve.cold").add(R.ColdSolves);
-    Reg.counter("campaign.solve.warm").add(R.WarmSolves);
-    Reg.counter("campaign.solve.incumbent_seeds").add(R.IncumbentSeeds);
+    // The registry is the campaign's book of record for solver effort;
+    // the Summary fields are read back out of it as deltas. A group's
+    // later solves are seeded by the knob chain itself; only the first
+    // one can have been opened by the persistent store.
+    bool SeededHere = FirstJob && Seeded && Sol.seededIncumbent();
+    Reg.counter("campaign.solve.extractions").add(FirstJob ? 1 : 0);
+    Reg.counter("campaign.solve.cold").add(Sol.warmStarted() ? 0 : 1);
+    Reg.counter("campaign.solve.warm").add(Sol.warmStarted() ? 1 : 0);
+    Reg.counter("campaign.solve.incumbent_seeds").add(SeededHere ? 1 : 0);
     if (R.ok() && R.SolveOutcome != SolveStatus::Optimal)
       Reg.counter("campaign.solve.degraded").add();
     Reg.histogram("campaign.solve.nodes")

@@ -92,6 +92,8 @@ enum class JobKind : uint8_t { Measure, ModelOnly };
 
 const char *freqModeName(FreqMode M);
 const char *jobKindName(JobKind K);
+bool freqModeFromName(const std::string &Name, FreqMode &Out);
+bool jobKindFromName(const std::string &Name, JobKind &Out);
 
 /// One fully-specified experiment configuration.
 struct JobSpec {
@@ -149,15 +151,10 @@ struct JobResult {
   /// result is labelled in the report and never persisted to the
   /// results cache.
   SolveStatus SolveOutcome = SolveStatus::Optimal;
-  /// Provenance/solver diagnostics. Never serialized: reports must not
-  /// depend on how a result was obtained (--diff ignores these fields for
-  /// the same reason — node-order or seeding changes must never read as
-  /// result drift).
+  /// Provenance. Never serialized: reports must not depend on how a
+  /// result was obtained. (Solver effort is counted in the campaign.solve.*
+  /// metrics, not per job.)
   bool CacheHit = false;
-  unsigned Extractions = 0; ///< parameter extractions this result ran
-  unsigned ColdSolves = 0;  ///< MIP solves performed from scratch
-  unsigned WarmSolves = 0;  ///< MIP solves re-optimized from a neighbour
-  unsigned IncumbentSeeds = 0; ///< solves opened by a persisted incumbent
 
   /// Measured (JobKind::Measure only).
   double BaseEnergyMilliJoules = 0.0, OptEnergyMilliJoules = 0.0;

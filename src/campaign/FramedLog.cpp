@@ -275,26 +275,6 @@ FsckFile FramedLog::summarize(const ScanStats &S) const {
   return F;
 }
 
-std::vector<std::pair<FramedLog::Record, std::string>>
-FramedLog::survivors(const Decoder &Decode, ScanStats &Stats) {
-  std::vector<std::pair<Record, std::string>> Out;
-  std::vector<bool> Live;
-  std::map<std::string, size_t> At;
-  Stats = scan(Decode, [&](const Record &R, const std::string &Raw) {
-    auto [It, New] = At.try_emplace(R.Key, Out.size());
-    if (!New)
-      Live[It->second] = false; // superseded by this later occurrence
-    It->second = Out.size();
-    Out.push_back({R, Raw});
-    Live.push_back(true);
-  });
-  std::vector<std::pair<Record, std::string>> Kept;
-  for (size_t I = 0; I != Out.size(); ++I)
-    if (Live[I])
-      Kept.push_back(std::move(Out[I]));
-  return Kept;
-}
-
 bool FramedLog::persist(size_t N, const std::function<Record(size_t)> &Key,
                         const std::function<std::string(size_t)> &Encode,
                         bool Rewrite, unsigned LockWaitMs,
@@ -349,12 +329,12 @@ bool FramedLog::append(const std::string &Lines, std::string *Error) const {
 }
 
 bool FramedLog::rewrite(const std::string &Doc, unsigned LockWaitMs,
-                        std::string *Error, bool Locked) const {
+                        std::string *Error) const {
   // The lock serializes rewriters; appends never take it — the rewrite
   // it might race yields a valid file either way, and the appended
   // records re-append at the writer's next save.
   FileLock Lock;
-  if (!Locked && !Lock.acquire(lockPath(), LockWaitMs, Error))
+  if (!Lock.acquire(lockPath(), LockWaitMs, Error))
     return false;
   return withRetries([&] { return replaceFile(Path, Doc, Error); }, Path);
 }

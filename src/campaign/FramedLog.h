@@ -140,11 +140,6 @@ public:
   /// A scan's counts as one fsck report line.
   FsckFile summarize(const ScanStats &Stats) const;
 
-  /// What a compaction of the file itself keeps: one record per key as
-  /// the policy folds them, in file order, with its raw line.
-  std::vector<std::pair<Record, std::string>>
-  survivors(const Decoder &Decode, ScanStats &Stats);
-
   /// Persists an in-memory snapshot of \p N records: Key(I) is the I-th
   /// one's identity, Encode(I) its payload, run only for records that go
   /// to disk. A file under our header grows by the records not yet
@@ -157,23 +152,17 @@ public:
   /// Appends already-framed lines (each newline-terminated).
   bool append(const std::string &Lines, std::string *Error) const;
 
-  /// Replaces the whole file with \p Doc, under the lock unless
-  /// \p Locked says the caller holds it already.
+  /// Replaces the whole file with \p Doc under the lock.
   bool rewrite(const std::string &Doc, unsigned LockWaitMs,
-               std::string *Error, bool Locked = false) const;
+               std::string *Error) const;
 
   /// This log's header as one framed, newline-terminated line.
   std::string header() const;
 
-  /// The lock file rewrites serialize on.
-  std::string lockPath() const { return Path + ".lock"; }
-
-  void setDurable(std::map<std::string, double> Keys) {
-    Durable = std::move(Keys);
-  }
-
 private:
   bool headerMatches(const JsonValue &V, bool AnyExtraValues) const;
+  /// The lock file rewrites serialize on.
+  std::string lockPath() const { return Path + ".lock"; }
 
   std::string Name;
   std::string FileName;

@@ -95,6 +95,116 @@ bool needU64(const JsonValue &V, const char *Key, uint64_t &Out,
   return true;
 }
 
+/// Maps \p Name through an enum's inverse; an unknown name fails with
+/// "unknown <What> '<Name>'".
+template <typename E>
+bool needEnum(const std::string &Name, bool (*FromName)(const std::string &,
+                                                        E &),
+              E &Out, const char *What, std::string *Error) {
+  return FromName(Name, Out) ||
+         fail(Error, std::string("unknown ") + What + " '" + Name + "'");
+}
+
+// --- the result numbers ---------------------------------------------------
+
+/// The JSON objects a successful job's numbers live in, in report order.
+/// Measure jobs carry all four; ModelOnly jobs only the model section.
+enum Section { Base, Opt, Delta, Model, NumSections };
+constexpr const char *SectionNames[NumSections] = {"base", "opt", "delta",
+                                                   "model"};
+
+/// One number of the job record: where the JSON report and the CSV put
+/// it, and where it lives in JobResult — a stored member of one of three
+/// widths, or (the delta percentages only) a getter deriving it from
+/// stored members. Exactly one of the four pointers is set.
+struct Field {
+  Section Sec;
+  const char *Key;    ///< JSON key inside SectionNames[Sec]
+  const char *Column; ///< CSV column
+  double JobResult::*Real = nullptr;
+  unsigned JobResult::*U32 = nullptr;
+  uint64_t JobResult::*U64 = nullptr;
+  double (JobResult::*Derived)() const = nullptr;
+
+  constexpr Field(Section S, const char *K, const char *C,
+                  double JobResult::*M)
+      : Sec(S), Key(K), Column(C), Real(M) {}
+  constexpr Field(Section S, const char *K, const char *C,
+                  unsigned JobResult::*M)
+      : Sec(S), Key(K), Column(C), U32(M) {}
+  constexpr Field(Section S, const char *K, const char *C,
+                  uint64_t JobResult::*M)
+      : Sec(S), Key(K), Column(C), U64(M) {}
+  constexpr Field(Section S, const char *K, const char *C,
+                  double (JobResult::*M)() const)
+      : Sec(S), Key(K), Column(C), Derived(M) {}
+
+  /// Whether \p R's serialized forms carry this number at all.
+  bool carriedBy(const JobResult &R) const {
+    return R.ok() && (Sec == Model || R.Spec.Kind == JobKind::Measure);
+  }
+  double number(const JobResult &R) const {
+    return Real      ? R.*Real
+           : U32     ? static_cast<double>(R.*U32)
+           : U64     ? static_cast<double>(R.*U64)
+                     : (R.*Derived)();
+  }
+  bool same(const JobResult &A, const JobResult &B) const {
+    return Real  ? A.*Real == B.*Real
+           : U32 ? A.*U32 == B.*U32
+           : U64 ? A.*U64 == B.*U64
+                 : true; // derived: equal whenever its inputs are
+  }
+  void write(JsonWriter &W, const JobResult &R) const {
+    if (U32)
+      W.field(Key, R.*U32);
+    else if (U64)
+      W.field(Key, R.*U64);
+    else
+      W.field(Key, number(R));
+  }
+  std::string csv(const JobResult &R) const {
+    if (U32)
+      return formatString("%u", R.*U32);
+    if (U64)
+      return formatString("%llu", static_cast<unsigned long long>(R.*U64));
+    return jsonNumber(number(R));
+  }
+  /// Reads the stored member back from \p Obj; derived numbers are
+  /// recomputed, not read.
+  bool parse(const JsonValue &Obj, JobResult &R, std::string *Error) const {
+    return Real  ? needNumber(Obj, Key, R.*Real, Error)
+           : U32 ? needUnsigned(Obj, Key, R.*U32, Error)
+           : U64 ? needU64(Obj, Key, R.*U64, Error)
+                 : true;
+  }
+};
+
+/// Every number of the record, in CSV column order. Filtered by section,
+/// this is also each JSON object's key order.
+const Field Fields[] = {
+    {Base, "energy_mj", "base_energy_mj", &JobResult::BaseEnergyMilliJoules},
+    {Opt, "energy_mj", "opt_energy_mj", &JobResult::OptEnergyMilliJoules},
+    {Base, "seconds", "base_seconds", &JobResult::BaseSeconds},
+    {Opt, "seconds", "opt_seconds", &JobResult::OptSeconds},
+    {Base, "power_mw", "base_power_mw", &JobResult::BaseAvgMilliWatts},
+    {Opt, "power_mw", "opt_power_mw", &JobResult::OptAvgMilliWatts},
+    {Base, "cycles", "base_cycles", &JobResult::BaseCycles},
+    {Opt, "cycles", "opt_cycles", &JobResult::OptCycles},
+    {Delta, "energy_pct", "energy_pct", &JobResult::energyPct},
+    {Delta, "time_pct", "time_pct", &JobResult::timePct},
+    {Delta, "power_pct", "power_pct", &JobResult::powerPct},
+    {Model, "base_energy_mj", "model_base_energy_mj",
+     &JobResult::PredictedBaseEnergyMilliJoules},
+    {Model, "opt_energy_mj", "model_opt_energy_mj",
+     &JobResult::PredictedOptEnergyMilliJoules},
+    {Model, "base_cycles", "model_base_cycles",
+     &JobResult::PredictedBaseCycles},
+    {Model, "opt_cycles", "model_opt_cycles", &JobResult::PredictedOptCycles},
+    {Model, "ram_bytes", "ram_bytes", &JobResult::RamBytes},
+    {Model, "moved_blocks", "moved_blocks", &JobResult::MovedBlocks},
+};
+
 } // namespace
 
 void ramloc::writeJobResult(JsonWriter &W, const JobResult &R) {
@@ -113,40 +223,17 @@ void ramloc::writeJobResult(JsonWriter &W, const JobResult &R) {
   // for the same reason.
   if (R.SolveOutcome != SolveStatus::Optimal)
     W.field("solve_status", solveStatusName(R.SolveOutcome));
-  if (R.Spec.Kind == JobKind::Measure) {
-    W.key("base").beginObject();
-    W.field("energy_mj", R.BaseEnergyMilliJoules);
-    W.field("seconds", R.BaseSeconds);
-    W.field("power_mw", R.BaseAvgMilliWatts);
-    W.field("cycles", R.BaseCycles);
-    W.endObject();
-    W.key("opt").beginObject();
-    W.field("energy_mj", R.OptEnergyMilliJoules);
-    W.field("seconds", R.OptSeconds);
-    W.field("power_mw", R.OptAvgMilliWatts);
-    W.field("cycles", R.OptCycles);
-    W.endObject();
-    W.key("delta").beginObject();
-    W.field("energy_pct", R.energyPct());
-    W.field("time_pct", R.timePct());
-    W.field("power_pct", R.powerPct());
+  for (int S = Base; S != NumSections; ++S) {
+    if (S != Model && R.Spec.Kind != JobKind::Measure)
+      continue;
+    W.key(SectionNames[S]).beginObject();
+    for (const Field &F : Fields)
+      if (F.Sec == S)
+        F.write(W, R);
     W.endObject();
   }
-  W.key("model").beginObject();
-  W.field("base_energy_mj", R.PredictedBaseEnergyMilliJoules);
-  W.field("opt_energy_mj", R.PredictedOptEnergyMilliJoules);
-  W.field("base_cycles", R.PredictedBaseCycles);
-  W.field("opt_cycles", R.PredictedOptCycles);
-  W.field("ram_bytes", R.RamBytes);
-  W.field("moved_blocks", R.MovedBlocks);
-  W.endObject();
-  // Solver-effort counters (ColdSolves/WarmSolves/IncumbentSeeds/pivots)
-  // are deliberately NOT serialized: reports must not depend on how a
-  // result was obtained, or the byte-identity guarantees (cached vs
-  // computed, warm vs cold solves, seeded vs unseeded, any node order)
-  // would be unachievable. parseJobResult still accepts
-  // an optional "solver" block from diagnostic dialects, and --diff
-  // ignores it.
+  // How a result was obtained (cache hits, solver effort) is deliberately
+  // absent: reports must be byte-identical whatever path produced them.
   W.endObject();
 }
 
@@ -164,22 +251,11 @@ bool ramloc::parseJobResult(const JsonValue &V, JobResult &Out,
       !needUnsigned(V, "rspare_bytes", Out.Spec.RspareBytes, Error) ||
       !needNumber(V, "xlimit", Out.Spec.Xlimit, Error) ||
       !needString(V, "freq", Freq, Error) ||
-      !needString(V, "kind", Kind, Error))
+      !needString(V, "kind", Kind, Error) ||
+      !needEnum(Level, optLevelFromName, Out.Spec.Level, "level", Error) ||
+      !needEnum(Freq, freqModeFromName, Out.Spec.Freq, "freq mode", Error) ||
+      !needEnum(Kind, jobKindFromName, Out.Spec.Kind, "job kind", Error))
     return false;
-  if (!optLevelFromName(Level, Out.Spec.Level))
-    return fail(Error, "unknown level '" + Level + "'");
-  if (Freq == freqModeName(FreqMode::Static))
-    Out.Spec.Freq = FreqMode::Static;
-  else if (Freq == freqModeName(FreqMode::Profiled))
-    Out.Spec.Freq = FreqMode::Profiled;
-  else
-    return fail(Error, "unknown freq mode '" + Freq + "'");
-  if (Kind == jobKindName(JobKind::Measure))
-    Out.Spec.Kind = JobKind::Measure;
-  else if (Kind == jobKindName(JobKind::ModelOnly))
-    Out.Spec.Kind = JobKind::ModelOnly;
-  else
-    return fail(Error, "unknown job kind '" + Kind + "'");
 
   const JsonValue *Ok = need(V, "ok", Error);
   if (!Ok)
@@ -199,62 +275,35 @@ bool ramloc::parseJobResult(const JsonValue &V, JobResult &Out,
   if (const JsonValue *Status = V.find("solve_status")) {
     if (Status->kind() != JsonValue::Kind::String)
       return fail(Error, "field 'solve_status' is not a string");
-    if (!solveStatusFromName(Status->string(), Out.SolveOutcome))
-      return fail(Error,
-                  "unknown solve_status '" + Status->string() + "'");
-  }
-
-  if (Out.Spec.Kind == JobKind::Measure) {
-    const JsonValue *Base = need(V, "base", Error);
-    const JsonValue *Opt = Base ? need(V, "opt", Error) : nullptr;
-    if (!Base || !Opt)
-      return false;
-    if (!needNumber(*Base, "energy_mj", Out.BaseEnergyMilliJoules, Error) ||
-        !needNumber(*Base, "seconds", Out.BaseSeconds, Error) ||
-        !needNumber(*Base, "power_mw", Out.BaseAvgMilliWatts, Error) ||
-        !needU64(*Base, "cycles", Out.BaseCycles, Error) ||
-        !needNumber(*Opt, "energy_mj", Out.OptEnergyMilliJoules, Error) ||
-        !needNumber(*Opt, "seconds", Out.OptSeconds, Error) ||
-        !needNumber(*Opt, "power_mw", Out.OptAvgMilliWatts, Error) ||
-        !needU64(*Opt, "cycles", Out.OptCycles, Error))
+    if (!needEnum(Status->string(), solveStatusFromName, Out.SolveOutcome,
+                  "solve_status", Error))
       return false;
   }
 
-  const JsonValue *Model = need(V, "model", Error);
-  if (!Model)
-    return false;
-  if (!(needNumber(*Model, "base_energy_mj",
-                   Out.PredictedBaseEnergyMilliJoules, Error) &&
-        needNumber(*Model, "opt_energy_mj",
-                   Out.PredictedOptEnergyMilliJoules, Error) &&
-        needNumber(*Model, "base_cycles", Out.PredictedBaseCycles,
-                   Error) &&
-        needNumber(*Model, "opt_cycles", Out.PredictedOptCycles, Error) &&
-        needUnsigned(*Model, "ram_bytes", Out.RamBytes, Error) &&
-        needUnsigned(*Model, "moved_blocks", Out.MovedBlocks, Error)))
-    return false;
-
-  // Optional solver-effort diagnostics (not part of the canonical
-  // dialect; never re-serialized): tolerate and absorb them so a report
-  // annotated by an external tool still parses, compares and merges —
-  // and so --diff can never mistake effort drift (a node-order or
-  // incumbent-seeding change) for result drift. Unknown subfields
-  // (pivot counts and whatever a future dialect adds) are skipped.
-  if (const JsonValue *Solver = V.find("solver")) {
-    if (Solver->kind() == JsonValue::Kind::Object) {
-      auto grab = [&](const char *Key, unsigned &Field) {
-        const JsonValue *F = Solver->find(Key);
-        if (F && F->kind() == JsonValue::Kind::Number && F->number() >= 0 &&
-            F->number() <= 4294967295.0)
-          Field = static_cast<unsigned>(F->number());
-      };
-      grab("extractions", Out.Extractions);
-      grab("cold_solves", Out.ColdSolves);
-      grab("warm_solves", Out.WarmSolves);
-      grab("incumbent_seeds", Out.IncumbentSeeds);
+  // Stored numbers only: the derived delta section is never read, and
+  // unknown keys (a diagnostic "solver" block, say) are ignored.
+  for (int S = Base; S != NumSections; ++S) {
+    const JsonValue *Obj = nullptr;
+    for (const Field &F : Fields) {
+      if (F.Sec != S || F.Derived || !F.carriedBy(Out))
+        continue;
+      if (!Obj && !(Obj = need(V, SectionNames[S], Error)))
+        return false;
+      if (!F.parse(*Obj, Out, Error))
+        return false;
     }
   }
   return true;
+}
+
+std::vector<MetricChange> ramloc::changedMetrics(const JobResult &A,
+                                                 const JobResult &B) {
+  std::vector<MetricChange> Changes;
+  for (const Field &F : Fields)
+    if (!F.Derived && (F.carriedBy(A) || F.carriedBy(B)) && !F.same(A, B))
+      Changes.push_back({std::string(SectionNames[F.Sec]) + "." + F.Key,
+                         F.number(A), F.number(B)});
+  return Changes;
 }
 
 std::string ramloc::campaignToJson(const CampaignResult &R, bool Pretty) {
@@ -326,13 +375,10 @@ bool ramloc::mergeCampaignReports(const std::vector<std::string> &Docs,
 
 std::string ramloc::campaignToCsv(const CampaignResult &R) {
   std::string Out = "benchmark,level,repeat,device,rspare_bytes,xlimit,"
-                    "freq,kind,ok,error,"
-                    "base_energy_mj,opt_energy_mj,base_seconds,opt_seconds,"
-                    "base_power_mw,opt_power_mw,base_cycles,opt_cycles,"
-                    "energy_pct,time_pct,power_pct,"
-                    "model_base_energy_mj,model_opt_energy_mj,"
-                    "model_base_cycles,model_opt_cycles,"
-                    "ram_bytes,moved_blocks\n";
+                    "freq,kind,ok,error";
+  for (const Field &F : Fields)
+    Out += std::string(",") + F.Column;
+  Out += "\n";
   auto csvField = [](const std::string &S) {
     if (S.find_first_of(",\"\n") == std::string::npos)
       return S;
@@ -355,35 +401,11 @@ std::string ramloc::campaignToCsv(const CampaignResult &R) {
     Out += std::string(freqModeName(S.Freq)) + ",";
     Out += std::string(jobKindName(S.Kind)) + ",";
     Out += std::string(J.ok() ? "1" : "0") + ",";
-    Out += csvField(J.Error) + ",";
-    if (J.ok() && S.Kind == JobKind::Measure) {
-      Out += jsonNumber(J.BaseEnergyMilliJoules) + ",";
-      Out += jsonNumber(J.OptEnergyMilliJoules) + ",";
-      Out += jsonNumber(J.BaseSeconds) + ",";
-      Out += jsonNumber(J.OptSeconds) + ",";
-      Out += jsonNumber(J.BaseAvgMilliWatts) + ",";
-      Out += jsonNumber(J.OptAvgMilliWatts) + ",";
-      Out += formatString("%llu",
-                          static_cast<unsigned long long>(J.BaseCycles)) +
-             ",";
-      Out += formatString("%llu",
-                          static_cast<unsigned long long>(J.OptCycles)) +
-             ",";
-      Out += jsonNumber(J.energyPct()) + ",";
-      Out += jsonNumber(J.timePct()) + ",";
-      Out += jsonNumber(J.powerPct()) + ",";
-    } else {
-      Out += ",,,,,,,,,,,";
-    }
-    if (J.ok()) {
-      Out += jsonNumber(J.PredictedBaseEnergyMilliJoules) + ",";
-      Out += jsonNumber(J.PredictedOptEnergyMilliJoules) + ",";
-      Out += jsonNumber(J.PredictedBaseCycles) + ",";
-      Out += jsonNumber(J.PredictedOptCycles) + ",";
-      Out += formatString("%u", J.RamBytes) + ",";
-      Out += formatString("%u", J.MovedBlocks);
-    } else {
-      Out += ",,,,,";
+    Out += csvField(J.Error);
+    for (const Field &F : Fields) {
+      Out += ',';
+      if (F.carriedBy(J))
+        Out += F.csv(J);
     }
     Out += "\n";
   }
@@ -395,7 +417,12 @@ std::string ramloc::campaignToTable(const CampaignResult &R) {
            "energy", "time", "power", "RAM", "status"});
   for (const JobResult &J : R.Results) {
     const JobSpec &S = J.Spec;
-    std::string Status = !J.ok() ? "FAIL" : J.CacheHit ? "cached" : "ok";
+    // A degraded row names its label: "ok" would read as a proven optimum.
+    std::string Status = !J.ok() ? "FAIL"
+                         : J.SolveOutcome != SolveStatus::Optimal
+                             ? solveStatusName(J.SolveOutcome)
+                         : J.CacheHit ? "cached"
+                                      : "ok";
     if (J.ok() && S.Kind == JobKind::Measure)
       T.addRow({S.Benchmark, optLevelName(S.Level), S.Device,
                 formatString("%u", S.RspareBytes), formatDouble(S.Xlimit, 2),

@@ -51,10 +51,23 @@ std::string campaignToTable(const CampaignResult &R);
 void writeJobResult(JsonWriter &W, const JobResult &R);
 
 /// Parses one per-job object back into \p Out. The derived fields
-/// (config_hash, delta percentages) are ignored; CacheHit is left false.
-/// Returns false and fills \p Error on a malformed object.
+/// (config_hash, delta percentages) and unknown keys are ignored;
+/// CacheHit is left false. Returns false and fills \p Error on a
+/// malformed object.
 bool parseJobResult(const JsonValue &V, JobResult &Out,
                     std::string *Error = nullptr);
+
+/// One stored number that differs between two records of a job.
+struct MetricChange {
+  std::string Name; ///< "<section>.<key>" as in the JSON report
+  double Old = 0.0, New = 0.0;
+};
+
+/// Every stored number either record carries (measured and model
+/// sections; the delta percentages are derived, so they are not
+/// compared) that differs between \p A and \p B, in CSV column order.
+std::vector<MetricChange> changedMetrics(const JobResult &A,
+                                         const JobResult &B);
 
 /// Parses a full JSON report produced by campaignToJson. The summary is
 /// recomputed from the parsed jobs (not trusted from the document), so a

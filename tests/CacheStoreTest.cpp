@@ -447,116 +447,6 @@ TEST(CacheStore, ProfilesPersistAndServeNewDevices) {
   EXPECT_EQ(CR2.Summary.Recosts, 1u);
 }
 
-TEST(CacheStore, GcProfilesDropsStaleAndDuplicates) {
-  std::string Dir = freshDir("gc-basic");
-  CampaignOptions Opts;
-  {
-    CacheStore Store;
-    ASSERT_TRUE(Store.open(Dir));
-    Opts.Cache = &Store.cache();
-    Opts.Profiles = &Store.profiles();
-    runCampaign(tinyGrid(), Opts);
-    ASSERT_TRUE(Store.save());
-  }
-
-  // Duplicate a line (a concurrent appender racing the same execution)
-  // and inject a corrupt one.
-  CacheStore Store;
-  ASSERT_TRUE(Store.open(Dir));
-  std::string Doc = slurp(Store.profilePath());
-  size_t FirstEntry = Doc.find('\n') + 1;
-  size_t SecondLine = Doc.find('\n', FirstEntry) + 1;
-  std::string Dup = Doc.substr(FirstEntry, SecondLine - FirstEntry);
-  {
-    std::ofstream Out(Store.profilePath(), std::ios::app);
-    Out << "{\"broken\": tru\n" << Dup;
-  }
-
-  CacheStore::ProfileGcStats Stats;
-  ASSERT_TRUE(Store.gcProfiles(/*MaxBytes=*/0, Stats));
-  EXPECT_EQ(Stats.DroppedInvalid, 2u); // corrupt line + duplicate key
-  EXPECT_EQ(Stats.Evicted, 0u);
-  EXPECT_GT(Stats.Kept, 0u);
-  EXPECT_LE(Stats.BytesAfter, Stats.BytesBefore);
-
-  // The rewritten store loads cleanly with no skipped lines.
-  CacheStore After;
-  ASSERT_TRUE(After.open(Dir));
-  EXPECT_EQ(After.skippedProfileLines(), 0u);
-  EXPECT_EQ(After.loadedProfiles(), Stats.Kept);
-}
-
-TEST(CacheStore, GcProfilesEvictsOldestOverTheCap) {
-  std::string Dir = freshDir("gc-cap");
-  {
-    CacheStore Store;
-    ASSERT_TRUE(Store.open(Dir));
-    CampaignOptions Opts;
-    Opts.Cache = &Store.cache();
-    Opts.Profiles = &Store.profiles();
-    runCampaign(tinyGrid(), Opts);
-    ASSERT_TRUE(Store.save());
-  }
-  CacheStore Store;
-  ASSERT_TRUE(Store.open(Dir));
-  size_t Before = Store.loadedProfiles();
-  ASSERT_GT(Before, 1u);
-
-  // Cap low enough that only the newest entry survives.
-  std::string Doc = slurp(Store.profilePath());
-  size_t LastLineStart = Doc.rfind('\n', Doc.size() - 2) + 1;
-  std::string LastLine = Doc.substr(LastLineStart);
-  size_t HeaderLen = Doc.find('\n') + 1;
-  uint64_t Cap = HeaderLen + LastLine.size() + 8;
-
-  CacheStore::ProfileGcStats Stats;
-  ASSERT_TRUE(Store.gcProfiles(Cap, Stats));
-  EXPECT_EQ(Stats.Kept, 1u);
-  EXPECT_EQ(Stats.Evicted, Before - 1);
-  EXPECT_LE(Stats.BytesAfter, Cap);
-
-  // The survivor is the newest (last-appended) entry, kept verbatim.
-  std::string AfterDoc = slurp(Store.profilePath());
-  EXPECT_NE(AfterDoc.find(LastLine), std::string::npos);
-
-  CacheStore After;
-  ASSERT_TRUE(After.open(Dir));
-  EXPECT_EQ(After.loadedProfiles(), 1u);
-}
-
-TEST(CacheStore, GcProfilesDiscardsStaleFingerprintWholesale) {
-  std::string Dir = freshDir("gc-stale");
-  {
-    CacheStore Store;
-    ASSERT_TRUE(Store.open(Dir));
-    CampaignOptions Opts;
-    Opts.Cache = &Store.cache();
-    Opts.Profiles = &Store.profiles();
-    runCampaign(tinyGrid(), Opts);
-    ASSERT_TRUE(Store.save());
-  }
-  CacheStore Store;
-  ASSERT_TRUE(Store.open(Dir));
-  // Rewrite the header with a bogus fingerprint: simulator semantics
-  // moved on, every entry must go.
-  std::string Doc = slurp(Store.profilePath());
-  size_t HeaderLen = Doc.find('\n') + 1;
-  std::string Tampered =
-      "{\"schema\":\"ramloc-profiles-v1\",\"fingerprint\":\"0000\"}\n" +
-      Doc.substr(HeaderLen);
-  ASSERT_TRUE(writeTextFile(Store.profilePath(), Tampered));
-
-  CacheStore::ProfileGcStats Stats;
-  ASSERT_TRUE(Store.gcProfiles(0, Stats));
-  EXPECT_EQ(Stats.Kept, 0u);
-  EXPECT_GT(Stats.DroppedInvalid, 0u);
-
-  CacheStore After;
-  ASSERT_TRUE(After.open(Dir));
-  EXPECT_EQ(After.loadedProfiles(), 0u);
-  EXPECT_EQ(After.skippedProfileLines(), 0u); // clean, just empty
-}
-
 TEST(CacheStore, IncumbentsRoundTripAcrossProcesses) {
   std::string Dir = freshDir("incumbents");
   GridSpec Grid = tinyGrid();
@@ -672,8 +562,8 @@ TEST(CacheStore, AppendedImprovementWinsOnLoadAndCompactFolds) {
   EXPECT_EQ(E.EnergyMilliJoules, 3.0);
   EXPECT_EQ(E.InRam, Assignment({true, false}));
 
-  // compactIncumbents folds the duplicates to one line per group.
-  ASSERT_TRUE(Reload.compactIncumbents());
+  // compact() folds the duplicates to one line per group.
+  ASSERT_TRUE(Reload.compact());
   std::string Compacted = slurp(Path);
   EXPECT_EQ(std::count(Compacted.begin(), Compacted.end(), '\n'), 2);
   CacheStore Again;

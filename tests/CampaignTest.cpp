@@ -776,8 +776,9 @@ TEST(Campaign, PricingRulesProduceByteIdenticalReports) {
 
 TEST(Campaign, ReportWithSolverDiagnosticsParsesAndDiffsClean) {
   // A report annotated with a "solver" effort block (a diagnostic
-  // dialect extension) must parse, absorb the counters, and reserialize
-  // to the canonical byte stream — effort is provenance, not results.
+  // dialect extension) must parse, ignore the block, diff clean and
+  // reserialize to the canonical byte stream — effort is provenance,
+  // not results.
   GridSpec Grid;
   Grid.Benchmarks = {"crc32"};
   Grid.Levels = {OptLevel::O1};
@@ -803,9 +804,9 @@ TEST(Campaign, ReportWithSolverDiagnosticsParsesAndDiffsClean) {
   std::string Error;
   ASSERT_TRUE(parseCampaignReport(Annotated, Parsed, &Error)) << Error;
   ASSERT_EQ(Parsed.Results.size(), CR.Results.size());
-  EXPECT_EQ(Parsed.Results[0].ColdSolves, 3u);
-  EXPECT_EQ(Parsed.Results[0].WarmSolves, 9u);
-  EXPECT_EQ(Parsed.Results[0].IncumbentSeeds, 1u);
+  for (size_t I = 0; I != CR.Results.size(); ++I)
+    EXPECT_TRUE(changedMetrics(CR.Results[I], Parsed.Results[I]).empty())
+        << CR.Results[I].Spec.cacheKey();
   // Re-serialization drops the diagnostics: back to canonical bytes.
   EXPECT_EQ(campaignToJson(Parsed), Canonical);
 }

@@ -182,49 +182,11 @@ int runDiff(const std::vector<std::string> &Files, double ThresholdPct,
       continue;
     }
 
-    // The compared metric set is deliberately closed over *results*.
-    // Solver-effort counters (extractions, cold/warm solves, incumbent
-    // seeds, pivot counts) are provenance, not results: a node-order or
-    // seeding change legitimately moves them while every measured and
-    // modelled quantity stays bit-identical, so they must never be able
-    // to report drift — reports carrying a diagnostic "solver" block
-    // parse fine and diff clean here.
-    struct Metric {
-      const char *Name;
-      double Old, New;
-      bool Active;
-    };
-    bool Measured = A.Spec.Kind == JobKind::Measure;
-    const Metric Metrics[] = {
-        {"base.energy_mj", A.BaseEnergyMilliJoules,
-         B.BaseEnergyMilliJoules, Measured},
-        {"opt.energy_mj", A.OptEnergyMilliJoules, B.OptEnergyMilliJoules,
-         Measured},
-        {"base.seconds", A.BaseSeconds, B.BaseSeconds, Measured},
-        {"opt.seconds", A.OptSeconds, B.OptSeconds, Measured},
-        {"base.cycles", static_cast<double>(A.BaseCycles),
-         static_cast<double>(B.BaseCycles), Measured},
-        {"opt.cycles", static_cast<double>(A.OptCycles),
-         static_cast<double>(B.OptCycles), Measured},
-        {"model.base_energy_mj", A.PredictedBaseEnergyMilliJoules,
-         B.PredictedBaseEnergyMilliJoules, true},
-        {"model.opt_energy_mj", A.PredictedOptEnergyMilliJoules,
-         B.PredictedOptEnergyMilliJoules, true},
-        {"model.base_cycles", A.PredictedBaseCycles,
-         B.PredictedBaseCycles, true},
-        {"model.opt_cycles", A.PredictedOptCycles, B.PredictedOptCycles,
-         true},
-        {"model.ram_bytes", static_cast<double>(A.RamBytes),
-         static_cast<double>(B.RamBytes), true},
-        {"model.moved_blocks", static_cast<double>(A.MovedBlocks),
-         static_cast<double>(B.MovedBlocks), true},
-    };
-    for (const Metric &M : Metrics) {
-      if (!M.Active)
-        continue;
+    // Every stored number is compared; how a result was obtained
+    // (cache hits, solver effort) is not part of the record, so a
+    // node-order or seeding change can never read as drift.
+    for (const MetricChange &M : changedMetrics(A, B)) {
       double Delta = metricDeltaPct(M.Old, M.New);
-      if (Delta == 0.0)
-        continue;
       MaxDelta = std::max(MaxDelta, std::fabs(Delta));
       Changed = true;
       T.addRow({Key, M.Name, formatString("%.6g", M.Old),
@@ -308,31 +270,6 @@ int runFsck(const std::string &CacheDir, bool Repair, bool Quiet) {
   return 0;
 }
 
-/// GC mode: compact the profile and incumbent stores.
-int runGcProfiles(const std::string &CacheDir, uint64_t MaxProfileBytes,
-                  bool Quiet) {
-  CacheStore Store;
-  CacheStore::ProfileGcStats Stats;
-  std::string Error;
-  if (!Store.open(CacheDir, &Error) ||
-      !Store.gcProfiles(MaxProfileBytes, Stats, &Error) ||
-      !Store.compactIncumbents(&Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  if (!Quiet) {
-    std::fprintf(stderr,
-                 "profiles: %zu kept, %zu stale/duplicate dropped, %zu "
-                 "evicted over cap; %llu -> %llu bytes\n",
-                 Stats.Kept, Stats.DroppedInvalid, Stats.Evicted,
-                 static_cast<unsigned long long>(Stats.BytesBefore),
-                 static_cast<unsigned long long>(Stats.BytesAfter));
-    std::fprintf(stderr, "incumbents: %zu kept\n",
-                 Store.incumbents().size());
-  }
-  return 0;
-}
-
 /// A comma list of registry names, or "all" for \p All().
 FlagSetter bindNames(std::vector<std::string> &Out,
                      std::vector<std::string> (*All)(),
@@ -351,15 +288,6 @@ FlagSetter bindNames(std::vector<std::string> &Out,
 }
 
 bool isKnownDevice(const std::string &Name) { return findDevice(Name); }
-
-bool freqModeFromName(const std::string &Name, FreqMode &Out) {
-  for (FreqMode M : {FreqMode::Static, FreqMode::Profiled})
-    if (Name == freqModeName(M)) {
-      Out = M;
-      return true;
-    }
-  return false;
-}
 
 bool isReuseLayer(const std::string &S, std::string &Out) {
   Out = S;
@@ -389,10 +317,9 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> Reuse = {"all"};
   std::string JsonPath, CsvPath, CacheDir, TracePath, MetricsPath;
   unsigned ShardIndex = 1, ShardCount = 1;
-  uint64_t MaxProfileBytes = 0;
   double DiffThreshold = 0.0;
   bool ModelOnly = false, DryRun = false, Verbose = false, Quiet = false,
-       Merge = false, Diff = false, GcProfiles = false, Resume = false,
+       Merge = false, Diff = false, Resume = false,
        Fsck = false, Repair = false, ListDevices = false,
        ListBenchmarks = false, Help = false;
   // Outlives every worker thread; installs only when --fault arms a site.
@@ -403,8 +330,6 @@ int main(int Argc, char **Argv) {
       "       ramloc-batch --merge SHARD.json... [--json=FILE] [--csv=FILE]\n"
       "                    [--cache-dir=DIR]\n"
       "       ramloc-batch --diff A.json B.json [--diff-threshold=PCT]\n"
-      "       ramloc-batch --gc-profiles --cache-dir=DIR "
-      "[--max-profile-bytes=N]\n"
       "       ramloc-batch --fsck [--repair] --cache-dir=DIR\n");
   Flags.section("grid selection");
   Flags.add("benchmarks", "LIST",
@@ -473,16 +398,6 @@ int main(int Argc, char **Argv) {
             "running; writes the merged report via --json/--csv and, with "
             "--cache-dir, compacts the store",
             Merge);
-  Flags.add("gc-profiles",
-            "compact the profile and incumbent stores instead of running: "
-            "drop corrupt and stale lines, fold duplicate keys, then "
-            "enforce --max-profile-bytes (needs --cache-dir)",
-            GcProfiles);
-  Flags.add("max-profile-bytes", "N",
-            "with --gc-profiles: evict the least recently appended profiles "
-            "until profiles.jsonl is at most N bytes (0 = no cap, the "
-            "default)",
-            bindValue(MaxProfileBytes, parseUInt64));
 
   Flags.section("robustness");
   Flags.add("resume",
@@ -585,11 +500,10 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  // The four modes replace the grid run, so at most one may be asked for.
+  // The three modes replace the grid run, so at most one may be asked for.
   const char *Mode = nullptr;
   const std::pair<const char *, bool> Modes[] = {
-      {"--merge", Merge}, {"--diff", Diff}, {"--fsck", Fsck},
-      {"--gc-profiles", GcProfiles}};
+      {"--merge", Merge}, {"--diff", Diff}, {"--fsck", Fsck}};
   for (auto [Name, On] : Modes) {
     if (On && Mode) {
       std::fprintf(stderr, "error: %s and %s are exclusive\n", Mode, Name);
@@ -609,8 +523,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: --repair needs --fsck\n");
     return 2;
   }
-  const std::pair<const char *, bool> NeedStore[] = {
-      {"--resume", Resume}, {"--fsck", Fsck}, {"--gc-profiles", GcProfiles}};
+  const std::pair<const char *, bool> NeedStore[] = {{"--resume", Resume},
+                                                      {"--fsck", Fsck}};
   for (auto [Name, On] : NeedStore)
     if (On && CacheDir.empty()) {
       std::fprintf(stderr, "error: %s needs --cache-dir\n", Name);
@@ -624,8 +538,6 @@ int main(int Argc, char **Argv) {
     return runDiff(Files, DiffThreshold, Quiet);
   if (Fsck)
     return runFsck(CacheDir, Repair, Quiet);
-  if (GcProfiles)
-    return runGcProfiles(CacheDir, MaxProfileBytes, Quiet);
   if (Merge)
     return runMerge(Files, JsonPath, CsvPath, CacheDir, Quiet);
 
@@ -791,9 +703,15 @@ int main(int Argc, char **Argv) {
                 "%u unique run(s)\n",
                 CR.Summary.Total, CR.Summary.Succeeded, CR.Summary.Failed,
                 CR.Summary.CacheHits, CR.Summary.UniqueRuns);
+    // Blame a limit only when one was set: with none, a degraded label
+    // means the solver lost a proof on its own.
+    bool Limited = Solver.TimeLimitMs != 0 || Solver.NodeLimit != 0 ||
+                   Solver.PivotLimit != 0;
     if (CR.Summary.Degraded > 0)
-      std::printf("%u best-effort result(s): a solver limit was hit; "
-                  "their solve_status labels the truncation\n",
+      std::printf(Limited ? "%u best-effort result(s): a solver limit was "
+                            "hit; their solve_status labels the truncation\n"
+                          : "%u result(s) not proven optimal with no solver "
+                            "limit set; their solve_status labels them\n",
                   CR.Summary.Degraded);
     if (CR.Summary.FullSims + CR.Summary.Recosts > 0)
       std::printf("%llu full simulation(s), %llu recost(s) from shared "
