@@ -24,7 +24,10 @@
 /// by recosting that profile in O(#instructions). The cache's
 /// compute-once semantics make the grouping scheduler-independent, so a
 /// 1-benchmark x N-device grid performs exactly one full simulation per
-/// distinct image however many workers run.
+/// distinct image however many workers run. An optimized image is not
+/// even that: its profile is derived from its baseline's
+/// (deriveOptimizedProfile) and recost, so a Measure grid simulates only
+/// its distinct baselines.
 ///
 /// The optimizer gets the same treatment on the knob axis: jobs that
 /// share everything but Xlimit/Rspare form a *solve group*. A group runs
@@ -242,7 +245,9 @@ struct CampaignOptions {
   ResultCache *Cache = nullptr;
   /// Share device-independent execution profiles between jobs, so grid
   /// points differing only in device recost one simulation instead of
-  /// re-executing (reports stay byte-identical either way).
+  /// re-executing, and derive optimized images' profiles from their
+  /// baselines' (reports stay byte-identical either way; false simulates
+  /// every run).
   bool ReuseProfiles = true;
   /// Group jobs that differ only in the Xlimit/Rspare knobs and run each
   /// group as one task: parameters extracted and the ILP built once, knob

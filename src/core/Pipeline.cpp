@@ -10,8 +10,11 @@
 #include "mir/Verifier.h"
 #include "sim/ProfileCache.h"
 #include "support/Format.h"
+#include "support/Metrics.h"
 #include "support/Statistics.h"
 #include "support/Trace.h"
+
+#include <cassert>
 
 using namespace ramloc;
 
@@ -33,7 +36,9 @@ double PipelineResult::powerChangePct() const {
 Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
                                   const LinkOptions &Link,
                                   const SimOptions &Sim,
-                                  ProfileCache *Profiles) {
+                                  ProfileCache *Profiles,
+                                  const ProfiledImage *Baseline,
+                                  ProfiledImage *Ran) {
   Measurement Out;
   LinkResult LR = linkModule(M, Link);
   if (!LR.ok()) {
@@ -48,7 +53,34 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
     return Out;
   }
 
-  std::string Key = executionKey(LR.Img);
+  if (Baseline && *Baseline) {
+    // A placement of a profiled baseline: derive its profile and price
+    // it, without simulating or even fingerprinting the image.
+    TraceSpan Span("recost", "sim");
+    ExecutionProfile Derived;
+    std::string Why;
+    if (deriveOptimizedProfile(*Baseline->Img, *Baseline->Profile, LR.Img,
+                               Derived, &Why)) {
+      RunStats RS;
+      bool Priced = recostProfile(LR.Img, Derived, Sim, RS);
+      assert(Priced && "a derived profile is shaped for its image");
+      (void)Priced;
+      if (!RS.HitCycleLimit) {
+        Span.arg("derived", "1");
+        Profiles->noteRecost(/*Derived=*/true);
+        Out.Stats = std::move(RS);
+        Out.Energy = Power.integrate(Out.Stats);
+        return Out;
+      }
+      Why = "over-budget";
+    }
+    Span.arg("fallback", Why);
+    globalMetrics().counter("sim.derive_fallback." + Why).add();
+  }
+
+  auto Img = std::make_shared<const Image>(std::move(LR.Img));
+  std::shared_ptr<const ExecutionProfile> Used;
+  std::string Key = executionKey(*Img);
   bool Owner = false;
   std::shared_ptr<const ExecutionProfile> Shared =
       Profiles->acquire(Key, Owner);
@@ -61,29 +93,34 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
     Span.arg("profiled", "1");
     auto Fresh = std::make_shared<ExecutionProfile>();
     try {
-      Out.Stats = runImageProfiled(LR.Img, Sim, *Fresh);
+      Out.Stats = runImageProfiled(*Img, Sim, *Fresh);
     } catch (...) {
       Profiles->publish(Key, nullptr);
       throw;
     }
     Profiles->noteFullSim();
-    Profiles->publish(Key, Fresh->Valid ? std::move(Fresh) : nullptr);
+    if (Fresh->Valid)
+      Used = std::move(Fresh);
+    Profiles->publish(Key, Used);
   } else {
     bool Recosted = false;
     if (Shared) {
       TraceSpan Span("recost", "sim");
-      Recosted = recostProfile(LR.Img, *Shared, Sim, Out.Stats);
+      Recosted = recostProfile(*Img, *Shared, Sim, Out.Stats);
     }
     if (Recosted) {
       Profiles->noteRecost();
+      Used = std::move(Shared);
     } else {
       // No usable profile (the owner's run faulted or ran out of steps,
       // or a stored profile is mis-shaped): simulate this run.
       TraceSpan Span("fullsim", "sim");
-      Out.Stats = runImage(LR.Img, Sim);
+      Out.Stats = runImage(*Img, Sim);
       Profiles->noteFullSim();
     }
   }
+  if (Ran)
+    *Ran = {Used ? std::move(Img) : nullptr, std::move(Used)};
   Out.Energy = Power.integrate(Out.Stats);
   return Out;
 }
@@ -104,8 +141,8 @@ ExtractedModule ramloc::extractModule(const Module &M,
   // requested.
   ModuleFrequency Freq;
   if (NeedBaseline || Opts.UseProfiledFrequencies) {
-    EM.MeasuredBase =
-        measureModule(M, Opts.Power, Opts.Link, Opts.Sim, Opts.Profiles);
+    EM.MeasuredBase = measureModule(M, Opts.Power, Opts.Link, Opts.Sim,
+                                    Opts.Profiles, nullptr, &EM.Base);
     if (!EM.MeasuredBase.ok()) {
       EM.Error = "baseline run failed: " + EM.MeasuredBase.Stats.Error;
       return EM;
@@ -148,7 +185,7 @@ PipelineResult ramloc::applyAndMeasure(const Module &M,
   }
 
   R.MeasuredOpt = measureModule(R.Optimized, Opts.Power, Opts.Link,
-                                Opts.Sim, Opts.Profiles);
+                                Opts.Sim, Opts.Profiles, &EM.Base);
   if (!R.MeasuredOpt.ok()) {
     R.Error = "optimized run failed: " + R.MeasuredOpt.Stats.Error;
     return R;

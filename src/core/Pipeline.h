@@ -15,7 +15,9 @@
 /// extraction, everything knob-independent), the solve stage
 /// (core/IlpModel's PlacementSolver: the ILP built once, knob points as
 /// warm-started RHS patches) and applyAndMeasure (transform + verify +
-/// measure). The campaign engine drives the stages directly so a knob
+/// measure). With a ProfileCache, extraction keeps the baseline's linked
+/// image and recorded profile, and each optimized image's profile is
+/// derived from them (deriveOptimizedProfile) and priced, not simulated. The campaign engine drives the stages directly so a knob
 /// grid pays one extraction and one cold solve per (benchmark, device)
 /// instead of one per grid point; optimizeModule is exactly the staged
 /// composition, so the two paths cannot drift apart.
@@ -32,6 +34,7 @@
 #include "power/PowerModel.h"
 #include "sim/ExecutionProfile.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,6 +50,15 @@ struct Measurement {
   bool ok() const { return Stats.ok(); }
 };
 
+/// A linked image and the valid profile its run recorded, shared rather
+/// than copied: what an optimized image's profile is derived from.
+struct ProfiledImage {
+  std::shared_ptr<const Image> Img;
+  std::shared_ptr<const ExecutionProfile> Profile;
+
+  explicit operator bool() const { return Img && Profile; }
+};
+
 /// Links and runs \p M, integrating energy with \p Power. Link or run
 /// failures are reported through Measurement::Stats.Error.
 ///
@@ -58,10 +70,28 @@ struct Measurement {
 /// processes. A run over Sim.MaxCycles is priced and fails with
 /// HitCycleLimit like any other; only a key whose first run faulted or
 /// ran out of steps is simulated again.
+///
+/// With a cache and a profiled \p Baseline — the run of the module \p M
+/// is a placement of — the profile is first derived from the baseline's
+/// (deriveOptimizedProfile) and priced: a recost, counted as derived,
+/// with no execution key computed. Derivation is exact only when
+///  - every block matches its baseline block or a Figure 4 rewrite of it;
+///  - every RAM data/bss symbol keeps its address;
+///  - the baseline run touched no RAM between its static RAM end and the
+///    optimized image's (ExecutionProfile::RamLow);
+///  - no non-literal load read code or pool bytes (ReadsCode);
+///  - the priced total is within Sim.MaxCycles.
+/// Any failure counts under sim.derive_fallback.<reason> ("shape",
+/// "ram-overlap", "code-read", "no-mark", "over-budget") and takes the
+/// cache/simulation path above, unchanged. \p Ran, when given, receives
+/// the linked image and its valid profile (null when the run was
+/// simulated without one).
 Measurement measureModule(const Module &M, const PowerModel &Power,
                           const LinkOptions &Link = {},
                           const SimOptions &Sim = {},
-                          ProfileCache *Profiles = nullptr);
+                          ProfileCache *Profiles = nullptr,
+                          const ProfiledImage *Baseline = nullptr,
+                          ProfiledImage *Ran = nullptr);
 
 /// Pipeline configuration.
 struct PipelineOptions {
@@ -129,6 +159,10 @@ struct ExtractedModule {
   /// Filled when the baseline was measured (\p NeedBaseline, or profiled
   /// frequencies requested).
   Measurement MeasuredBase;
+  /// The baseline's linked image and recorded profile, when it was
+  /// measured through a ProfileCache: applyAndMeasure derives every
+  /// optimized image's profile from them. Shared by every apply.
+  ProfiledImage Base;
   ModelParams MP;
   ModelEstimate PredictedBase;
   std::string Error;

@@ -64,6 +64,14 @@ struct Image {
 
   uint32_t EntryAddr = 0;
   SectionSizes Sizes;
+  /// Static layout bounds: .rodata is [RodataBegin, RodataEnd) in flash,
+  /// after all code and literal pools; .ramcode and its pools are
+  /// [RamCodeBegin, RamEnd) in RAM, after .data/.bss; the stack owns the
+  /// RAM above RamEnd.
+  uint32_t RodataBegin = 0;
+  uint32_t RodataEnd = 0;
+  uint32_t RamCodeBegin = 0;
+  uint32_t RamEnd = 0;
   /// Modeled cycles for the startup loop that copies .data and .ramcode
   /// from flash to RAM (the paper: "loaded to RAM at start-up by the
   /// runtime").

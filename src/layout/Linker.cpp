@@ -99,6 +99,7 @@ private:
     uint32_t FlashCursor = Opts.Map.FlashBase;
     uint32_t RamCodeStart = alignUp(RamCursor, 4);
     RamCursor = RamCodeStart;
+    Img.RamCodeBegin = RamCodeStart;
     Img.BlockAddr.resize(M.Functions.size());
 
     for (unsigned F = 0, NF = M.Functions.size(); F != NF; ++F) {
@@ -159,6 +160,7 @@ private:
     }
 
     // .rodata after flash code.
+    Img.RodataBegin = FlashCursor;
     for (const DataObject &D : M.Data) {
       if (D.Sect != DataObject::Section::Rodata)
         continue;
@@ -167,6 +169,7 @@ private:
       FlashCursor += D.sizeBytes();
       Img.Sizes.Rodata += D.sizeBytes();
     }
+    Img.RodataEnd = FlashCursor;
 
     // .data load image lives in flash after rodata (copied out at boot).
     FlashCursor = alignUp(FlashCursor, 4);
@@ -174,7 +177,7 @@ private:
     FlashCursor += Img.Sizes.Data;
 
     FlashEnd = FlashCursor;
-    RamEnd = RamCursor;
+    Img.RamEnd = RamCursor;
   }
 
   /// A fallthrough block must be immediately followed, in its own region,
@@ -347,10 +350,10 @@ private:
             FlashEnd - Opts.Map.FlashBase, Opts.Map.FlashSize);
     uint32_t RamLimit =
         Opts.Map.RamBase + Opts.Map.RamSize - Opts.StackReserve;
-    if (RamEnd > RamLimit)
+    if (Img.RamEnd > RamLimit)
       error("RAM overflow: data+code end 0x%08x exceeds stack reserve "
             "boundary 0x%08x",
-            RamEnd, RamLimit);
+            Img.RamEnd, RamLimit);
   }
 
   struct FuncPoolInfo {
@@ -368,7 +371,6 @@ private:
   std::vector<FuncPoolInfo> FuncPools;
   uint32_t RamCursor = 0;
   uint32_t FlashEnd = 0;
-  uint32_t RamEnd = 0;
   uint32_t DataLoadBase = 0;
 };
 

@@ -245,6 +245,11 @@ void ramloc::writeExecutionProfile(JsonWriter &W, const std::string &Key,
   W.field("instructions", Profile.Instructions);
   W.field("sleep_events", Profile.SleepEvents);
   W.field("exit_code", static_cast<uint64_t>(Profile.ExitCode));
+  // Optional keys (older parsers ignore them): no ram_low means unknown.
+  if (Profile.RamLow != 0)
+    W.field("ram_low", static_cast<uint64_t>(Profile.RamLow));
+  if (Profile.ReadsCode)
+    W.field("reads_code", true);
   W.key("blocks").beginArray();
   for (const std::vector<uint64_t> &F : Profile.BlockCounts) {
     W.beginArray();
@@ -295,6 +300,17 @@ bool ramloc::parseExecutionProfile(const JsonValue &V, std::string &Key,
       ExitCode > 0xFFFFFFFFull)
     return false;
   P.ExitCode = static_cast<uint32_t>(ExitCode);
+  if (const JsonValue *Low = V.find("ram_low")) {
+    uint64_t RamLow = 0;
+    if (!asCount(*Low, RamLow) || RamLow > 0xFFFFFFFFull)
+      return false;
+    P.RamLow = static_cast<uint32_t>(RamLow);
+  }
+  if (const JsonValue *Code = V.find("reads_code")) {
+    if (Code->kind() != JsonValue::Kind::Bool)
+      return false;
+    P.ReadsCode = Code->boolean();
+  }
 
   for (const JsonValue &F : Blocks->items()) {
     if (F.kind() != JsonValue::Kind::Array)

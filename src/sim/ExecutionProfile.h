@@ -25,6 +25,20 @@
 /// construction, cycle budget included: a priced total above
 /// SimOptions::MaxCycles is a "cycle limit exceeded" failure either way.
 ///
+/// The same model makes the placement axis nearly free too. An optimized
+/// image differs from its baseline only in block homes and the fixed
+/// Figure 4 sequences, so its profile follows from the baseline's
+/// (deriveOptimizedProfile, core/Instrumenter.h): the Fb/Cb/Lb
+/// prediction, made exact. The derivation proves its preconditions per
+/// run — the rewrite matches instruction by instruction, RAM data stays
+/// put, the baseline run's stack stayed clear of the optimized image's
+/// .ramcode (RamLow), no load read code or pool bytes as data
+/// (ReadsCode) — and falls back to simulation otherwise. One assumption
+/// cannot be checked per run: no program branches on, or computes with,
+/// the value of a code or .rodata address (both move with the placement;
+/// a pointer is only ever dereferenced or called). DeriveTest's
+/// bit-identity sweep over BEEBS is its evidence.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAMLOC_SIM_EXECUTIONPROFILE_H
@@ -84,6 +98,15 @@ struct ExecutionProfile {
   uint64_t Instructions = 0;
   uint64_t SleepEvents = 0;
   uint32_t ExitCode = 0;
+  /// The lowest RAM address the run read or wrote at or above the image's
+  /// static RAM end (Image::RamEnd) — in practice the deepest stack
+  /// reach; the RAM top when the run touched none. 0 means unknown (a
+  /// profile persisted without it), and such a profile never derives.
+  uint32_t RamLow = 0;
+  /// True when a non-literal load read code or literal-pool bytes (flash
+  /// outside .rodata, or .ramcode): such a run's data depend on the
+  /// placement, so its profile never derives.
+  bool ReadsCode = false;
   /// True only when the profiled run halted cleanly (no fault, not cut
   /// off by the step budget), whatever it costs. Invalid profiles must
   /// never be recosted or persisted.

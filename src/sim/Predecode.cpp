@@ -20,6 +20,8 @@ DecodedImage ramloc::predecodeImage(const Image &Img) {
     D.P = &P;
     D.NextAddr = P.Addr + P.Size;
     D.TargetAddr = P.TargetAddr;
+    D.NextIdx = decodedIndexAt(Img, D.NextAddr);
+    D.TargetIdx = decodedIndexAt(Img, D.TargetAddr);
     D.Kind = P.I.Kind;
     D.CondCode = P.I.CondCode;
     D.CheckCond = P.I.CondCode != Cond::AL && P.I.Kind != OpKind::BCond;

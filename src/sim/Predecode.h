@@ -26,6 +26,15 @@
 
 namespace ramloc {
 
+/// The index of "no instruction starts here" (including ExitAddress).
+inline constexpr uint32_t NoInstrIdx = UINT32_MAX;
+
+/// Image::instrIndexAt, with NoInstrIdx for a miss.
+inline uint32_t decodedIndexAt(const Image &Img, uint32_t Addr) {
+  int Idx = Img.instrIndexAt(Addr);
+  return Idx < 0 ? NoInstrIdx : static_cast<uint32_t>(Idx);
+}
+
 /// One pre-resolved instruction: everything the interpreter's hot loop
 /// needs that does not depend on machine state.
 struct DecodedInstr {
@@ -35,6 +44,10 @@ struct DecodedInstr {
   uint32_t NextAddr = 0;
   /// Resolved branch target / literal-pool slot (copy of P->TargetAddr).
   uint32_t TargetAddr = 0;
+  /// Indices of the instructions at NextAddr and TargetAddr, or
+  /// NoInstrIdx: direct transfers follow them without an address lookup.
+  uint32_t NextIdx = NoInstrIdx;
+  uint32_t TargetIdx = NoInstrIdx;
   uint16_t FuncIdx = 0;
   uint16_t BlockIdx = 0;
   OpKind Kind = OpKind::Nop;
@@ -45,8 +58,10 @@ struct DecodedInstr {
   bool IsBlockHead = false;
 };
 
-/// The dense PC-indexed decode table: DecodedInstr[i] describes
-/// Image::Instrs[i], addressed through Image::instrIndexAt.
+/// The dense decode table: DecodedInstr[i] describes Image::Instrs[i].
+/// Fall-through and direct transfers follow NextIdx/TargetIdx; only
+/// computed transfers (bx/blx reg, pop {pc}, ldr pc) go through
+/// Image::instrIndexAt.
 using DecodedImage = std::vector<DecodedInstr>;
 
 /// Builds the decode table for \p Img.

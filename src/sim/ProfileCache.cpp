@@ -67,10 +67,13 @@ void ProfileCache::noteFullSim() {
   ++Stats.FullSims;
 }
 
-void ProfileCache::noteRecost() {
+void ProfileCache::noteRecost(bool Derived) {
   globalMetrics().counter("sim.recosts").add();
+  if (Derived)
+    globalMetrics().counter("sim.derived").add();
   std::lock_guard<std::mutex> Lock(Mu);
   ++Stats.Recosts;
+  Stats.Derived += Derived;
 }
 
 ProfileCache::Counters ProfileCache::counters() const {

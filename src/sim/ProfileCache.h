@@ -43,7 +43,11 @@ public:
   /// How measurements through this cache were satisfied.
   struct Counters {
     uint64_t FullSims = 0; ///< runs that executed the interpreter
-    uint64_t Recosts = 0;  ///< runs derived from a shared profile
+    /// Runs priced from a profile instead: one shared through this cache,
+    /// or one derived from a profiled baseline's (deriveOptimizedProfile
+    /// in core/Instrumenter.h), which the cache never holds.
+    uint64_t Recosts = 0;
+    uint64_t Derived = 0; ///< the recosts of derived profiles
   };
 
   /// Looks \p Key up. If another caller owns the key's computation, blocks
@@ -67,7 +71,7 @@ public:
                std::shared_ptr<const ExecutionProfile> Profile);
 
   void noteFullSim();
-  void noteRecost();
+  void noteRecost(bool Derived = false);
   Counters counters() const;
 
   /// Valid, ready profiles sorted by key (the persistence order).

@@ -42,7 +42,9 @@ Simulator::Simulator(const Image &Img, ExecutionProfile &Prof,
   State.R[SP] = Img.Map.stackTop();
   State.R[LR] = ExitAddress;
   PcAddr = Img.EntryAddr;
+  PcIdx = decodedIndexAt(Img, PcAddr);
   Prof = ExecutionProfile{};
+  Prof.RamLow = Img.Map.RamBase + Img.Map.RamSize;
   Prof.Instrs.assign(Img.Instrs.size(), InstrCounts{});
   Prof.BlockCounts.resize(Img.BlockAddr.size());
   for (unsigned F = 0, NF = Img.BlockAddr.size(); F != NF; ++F)
@@ -64,8 +66,11 @@ void Simulator::halt() {
 
 bool Simulator::checkAddr(uint32_t Addr, uint32_t Bytes, bool Write) {
   if (Img.Map.inRam(Addr) &&
-      Addr + Bytes <= Img.Map.RamBase + Img.Map.RamSize)
+      Addr + Bytes <= Img.Map.RamBase + Img.Map.RamSize) {
+    if (Addr + Bytes > Img.RamEnd && Addr < Prof.RamLow)
+      Prof.RamLow = Addr;
     return true;
+  }
   if (!Write && Img.Map.inFlash(Addr) &&
       Addr + Bytes <= Img.Map.FlashBase + Img.Map.FlashSize)
     return true;
@@ -134,6 +139,20 @@ void Simulator::countLoad(unsigned DataMem) {
   ++Prof.Instrs[CurIdx].LoadData[DataMem];
 }
 
+void Simulator::countDataLoad(uint32_t Addr, uint32_t Bytes) {
+  // Code and pool bytes move with the placement; .rodata and RAM data
+  // do not.
+  if (Img.Map.inFlash(Addr)) {
+    Prof.ReadsCode |= Addr < Img.RodataBegin || Addr + Bytes > Img.RodataEnd;
+    countLoad(static_cast<unsigned>(MemKind::Flash));
+    return;
+  }
+  Prof.ReadsCode |= Addr + Bytes > Img.RamCodeBegin && Addr < Img.RamEnd;
+  // Unmapped addresses count as flash; the read itself faults.
+  countLoad(static_cast<unsigned>(Img.Map.inRam(Addr) ? MemKind::Ram
+                                                      : MemKind::Flash));
+}
+
 void Simulator::branchTo(uint32_t Addr) {
   Addr &= ~1u; // ignore the Thumb bit
   if (Addr == ExitAddress) {
@@ -141,18 +160,32 @@ void Simulator::branchTo(uint32_t Addr) {
     return;
   }
   PcAddr = Addr;
+  PcIdx = decodedIndexAt(Img, Addr);
+}
+
+void Simulator::jumpTo(const DecodedInstr &D) {
+  if (D.TargetIdx == NoInstrIdx) {
+    branchTo(D.TargetAddr);
+    return;
+  }
+  PcAddr = D.TargetAddr & ~1u;
+  PcIdx = D.TargetIdx;
+}
+
+void Simulator::fallThrough(const DecodedInstr &D) {
+  PcAddr = D.NextAddr;
+  PcIdx = D.NextIdx;
 }
 
 bool Simulator::step() {
   if (Halted || Prof.Instructions >= MaxSteps)
     return false;
 
-  int Idx = Img.instrIndexAt(PcAddr);
-  if (Idx < 0) {
+  if (PcIdx == NoInstrIdx) {
     fault(formatString("fetch fault at 0x%08x", PcAddr));
     return false;
   }
-  CurIdx = static_cast<uint32_t>(Idx);
+  CurIdx = PcIdx;
   const DecodedInstr &D = Dec[CurIdx];
   if (D.IsBlockHead)
     ++Prof.BlockCounts[D.FuncIdx][D.BlockIdx];
@@ -162,7 +195,7 @@ bool Simulator::step() {
   // architectural effect, counted as a skip.
   if (D.CheckCond && !condPasses(D.CondCode, State.F)) {
     ++Prof.Instrs[CurIdx].Skipped;
-    PcAddr = D.NextAddr;
+    fallThrough(D);
     return !Halted;
   }
 
@@ -182,15 +215,15 @@ void Simulator::execute(const DecodedInstr &D) {
   switch (D.Kind) {
   // --- control flow -------------------------------------------------------
   case OpKind::B:
-    branchTo(D.TargetAddr);
+    jumpTo(D);
     return;
   case OpKind::BCond: {
     bool Taken = condPasses(D.CondCode, State.F);
     Prof.Instrs[CurIdx].Taken += Taken;
     if (Taken)
-      branchTo(D.TargetAddr);
+      jumpTo(D);
     else
-      PcAddr = D.NextAddr;
+      fallThrough(D);
     return;
   }
   case OpKind::Cbz:
@@ -199,14 +232,14 @@ void Simulator::execute(const DecodedInstr &D) {
     bool Taken = D.Kind == OpKind::Cbz ? Zero : !Zero;
     Prof.Instrs[CurIdx].Taken += Taken;
     if (Taken)
-      branchTo(D.TargetAddr);
+      jumpTo(D);
     else
-      PcAddr = D.NextAddr;
+      fallThrough(D);
     return;
   }
   case OpKind::Bl:
     reg(LR) = D.NextAddr;
-    branchTo(D.TargetAddr);
+    jumpTo(D);
     return;
   case OpKind::Blx: {
     uint32_t Target = reg(I.Regs[0]);
@@ -219,11 +252,11 @@ void Simulator::execute(const DecodedInstr &D) {
     return;
   case OpKind::It:
   case OpKind::Nop:
-    PcAddr = D.NextAddr;
+    fallThrough(D);
     return;
   case OpKind::Wfi:
     ++Prof.SleepEvents;
-    PcAddr = D.NextAddr;
+    fallThrough(D);
     return;
   case OpKind::Bkpt:
     halt();
@@ -261,29 +294,25 @@ void Simulator::executeMem(const DecodedInstr &D) {
     return RegForm ? Base + reg(I.Regs[2])
                    : Base + static_cast<uint32_t>(I.Imm);
   };
-  auto dataMem = [&](uint32_t Addr) {
-    return static_cast<unsigned>(
-        Img.Map.isMapped(Addr) ? Img.Map.regionOf(Addr) : MemKind::Flash);
-  };
 
   switch (D.Kind) {
   case OpKind::LdrImm:
   case OpKind::LdrReg: {
     uint32_t EA = effectiveAddr(D.Kind == OpKind::LdrReg);
-    countLoad(dataMem(EA));
+    countDataLoad(EA, 4);
     reg(I.Regs[0]) = read32(EA);
     break;
   }
   case OpKind::LdrbImm:
   case OpKind::LdrbReg: {
     uint32_t EA = effectiveAddr(D.Kind == OpKind::LdrbReg);
-    countLoad(dataMem(EA));
+    countDataLoad(EA, 1);
     reg(I.Regs[0]) = read8(EA);
     break;
   }
   case OpKind::LdrhImm: {
     uint32_t EA = effectiveAddr(false);
-    countLoad(dataMem(EA));
+    countDataLoad(EA, 2);
     reg(I.Regs[0]) = read16(EA);
     break;
   }
@@ -309,7 +338,9 @@ void Simulator::executeMem(const DecodedInstr &D) {
     // data-side power (RAM code with flash pools is the expensive Figure 1
     // case; our pools co-locate with the code, so RAM code pools are RAM).
     uint32_t Value = read32(D.TargetAddr);
-    countLoad(dataMem(D.TargetAddr));
+    countLoad(static_cast<unsigned>(Img.Map.inRam(D.TargetAddr)
+                                        ? MemKind::Ram
+                                        : MemKind::Flash));
     if (I.Regs[0] == PC) {
       branchTo(Value);
       return;
@@ -358,7 +389,7 @@ void Simulator::executeMem(const DecodedInstr &D) {
   default:
     assert(false && "not a memory opcode");
   }
-  PcAddr = D.NextAddr;
+  fallThrough(D);
 }
 
 void Simulator::executeAlu(const DecodedInstr &D) {
@@ -567,5 +598,5 @@ void Simulator::executeAlu(const DecodedInstr &D) {
       State.F.V = NewV;
     }
   }
-  PcAddr = D.NextAddr;
+  fallThrough(D);
 }

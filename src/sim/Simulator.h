@@ -87,10 +87,18 @@ private:
   void halt();
   /// Counts a load of data memory \p DataMem by the current instruction.
   void countLoad(unsigned DataMem);
+  /// Counts a non-literal load of \p Bytes at \p Addr, noting a read of
+  /// code or pool bytes (ExecutionProfile::ReadsCode).
+  void countDataLoad(uint32_t Addr, uint32_t Bytes);
   void execute(const DecodedInstr &D);
   void executeAlu(const DecodedInstr &D);
   void executeMem(const DecodedInstr &D);
+  /// A computed transfer: resolves \p Addr to an instruction (or halts on
+  /// ExitAddress).
   void branchTo(uint32_t Addr);
+  /// A direct transfer to D's pre-resolved target.
+  void jumpTo(const DecodedInstr &D);
+  void fallThrough(const DecodedInstr &D);
 
   uint32_t &reg(Reg R) { return State.R[R]; }
 
@@ -101,6 +109,8 @@ private:
   /// Pre-resolved handlers/operands, parallel to Img.Instrs.
   DecodedImage Dec;
   uint32_t PcAddr = 0;
+  /// Index of the instruction at PcAddr, or NoInstrIdx (a fetch fault).
+  uint32_t PcIdx = NoInstrIdx;
   /// Index of the instruction being executed (into Img.Instrs / Dec).
   uint32_t CurIdx = 0;
   bool Halted = false;

@@ -447,6 +447,42 @@ TEST(CacheStore, ProfilesPersistAndServeNewDevices) {
   EXPECT_EQ(CR2.Summary.Recosts, 1u);
 }
 
+TEST(CacheStore, MeasureGridsPersistOnlyBaselineProfiles) {
+  // Optimized images derive their profiles from the baseline's, so a
+  // Measure grid simulates and persists the baseline alone, and a later
+  // process's new knob points are all recosts.
+  std::string Dir = freshDir("baseline-profiles");
+  GridSpec Grid = tinyGrid();
+
+  CacheStore First;
+  ASSERT_TRUE(First.open(Dir));
+  CampaignOptions Opts;
+  Opts.Cache = &First.cache();
+  Opts.Profiles = &First.profiles();
+  CampaignResult CR1 = runCampaign(Grid, Opts);
+  ASSERT_EQ(CR1.Summary.Failed, 0u);
+  EXPECT_EQ(CR1.Summary.FullSims, 1u);
+  EXPECT_GE(CR1.Summary.Recosts, 1u);
+  EXPECT_EQ(CR1.Summary.Recosts, First.profiles().counters().Derived);
+  EXPECT_EQ(First.profiles().size(), 1u);
+  ASSERT_TRUE(First.save());
+
+  CacheStore Second;
+  ASSERT_TRUE(Second.open(Dir));
+  EXPECT_EQ(Second.loadedProfiles(), 1u);
+  Grid.RsparePoints = {384, 768, 1024};
+  CampaignOptions Opts2;
+  Opts2.Cache = &Second.cache();
+  Opts2.Profiles = &Second.profiles();
+  CampaignResult CR2 = runCampaign(Grid, Opts2);
+  ASSERT_EQ(CR2.Summary.Failed, 0u);
+  EXPECT_EQ(CR2.Summary.FullSims, 0u);
+  EXPECT_GE(Second.profiles().counters().Derived, 1u);
+  EXPECT_EQ(CR2.Summary.Recosts,
+            1 + Second.profiles().counters().Derived);
+  EXPECT_EQ(Second.profiles().size(), 1u);
+}
+
 TEST(CacheStore, IncumbentsRoundTripAcrossProcesses) {
   std::string Dir = freshDir("incumbents");
   GridSpec Grid = tinyGrid();

@@ -252,7 +252,25 @@ TEST(ExecutionProfile, SerializationRoundTripsExactly) {
   std::string BackKey;
   ASSERT_TRUE(parseExecutionProfile(V, BackKey, Back));
   EXPECT_EQ(BackKey, Key);
+  EXPECT_NE(Profile.RamLow, 0u);
   EXPECT_EQ(Back, Profile);
+
+  // The derivation marks are optional keys: an unknown RamLow is not
+  // written and parses back as unknown; a code read round-trips.
+  for (bool ReadsCode : {false, true}) {
+    ExecutionProfile Variant = Profile;
+    Variant.RamLow = 0;
+    Variant.ReadsCode = ReadsCode;
+    JsonWriter VW(/*Pretty=*/false);
+    writeExecutionProfile(VW, Key, Variant);
+    EXPECT_EQ(VW.str().find("ram_low"), std::string::npos);
+    EXPECT_EQ(VW.str().find("reads_code") != std::string::npos, ReadsCode);
+    JsonValue VV;
+    ASSERT_TRUE(JsonValue::parse(VW.str(), VV, &Error)) << Error;
+    ExecutionProfile VariantBack;
+    ASSERT_TRUE(parseExecutionProfile(VV, BackKey, VariantBack));
+    EXPECT_EQ(VariantBack, Variant);
+  }
 
   // And the parsed profile recosts identically to the original.
   for (const DeviceInfo &D : deviceRegistry()) {
@@ -266,8 +284,13 @@ TEST(ExecutionProfile, SerializationRoundTripsExactly) {
 }
 
 TEST(Predecode, RoundTripsAgainstTheRawInstructionStream) {
-  // Predecode an optimized image (code in both memories) and check every
-  // pre-resolved field against the placed instruction.
+  // Predecode every BEEBS image plus an optimized one (code in both
+  // memories) and check every pre-resolved field against the placed
+  // instruction, successor indices included.
+  std::vector<Image> Images;
+  for (const BeebsInfo &Info : beebsSuite())
+    for (OptLevel Level : {OptLevel::O1, OptLevel::O2})
+      Images.push_back(linkBeebs(Info.Name, Level));
   Module M = buildBeebs("crc32", OptLevel::O1, 2);
   PipelineOptions PO;
   PO.Knobs.RspareBytes = 1024;
@@ -275,24 +298,31 @@ TEST(Predecode, RoundTripsAgainstTheRawInstructionStream) {
   ASSERT_TRUE(PR.ok()) << PR.Error;
   LinkResult LR = linkModule(PR.Optimized, {});
   ASSERT_TRUE(LR.ok());
-  const Image &Img = LR.Img;
+  Images.push_back(LR.Img);
 
-  DecodedImage Dec = predecodeImage(Img);
-  ASSERT_EQ(Dec.size(), Img.Instrs.size());
-
-  for (size_t I = 0; I != Dec.size(); ++I) {
-    const DecodedInstr &D = Dec[I];
-    const PlacedInstr &P = Img.Instrs[I];
-    ASSERT_EQ(D.P, &P);
-    EXPECT_EQ(D.Kind, P.I.Kind);
-    EXPECT_EQ(D.CondCode, P.I.CondCode);
-    EXPECT_EQ(D.NextAddr, P.Addr + P.Size);
-    EXPECT_EQ(D.TargetAddr, P.TargetAddr);
-    EXPECT_EQ(D.FuncIdx, P.FuncIdx);
-    EXPECT_EQ(D.BlockIdx, P.BlockIdx);
-    EXPECT_EQ(D.IsBlockHead, P.IsBlockHead);
-    EXPECT_EQ(D.CheckCond, P.I.CondCode != Cond::AL &&
-                               P.I.Kind != OpKind::BCond);
+  auto indexAt = [](const Image &Img, uint32_t Addr) {
+    int Idx = Img.instrIndexAt(Addr);
+    return Idx < 0 ? NoInstrIdx : static_cast<uint32_t>(Idx);
+  };
+  for (const Image &Img : Images) {
+    DecodedImage Dec = predecodeImage(Img);
+    ASSERT_EQ(Dec.size(), Img.Instrs.size());
+    for (size_t I = 0; I != Dec.size(); ++I) {
+      const DecodedInstr &D = Dec[I];
+      const PlacedInstr &P = Img.Instrs[I];
+      ASSERT_EQ(D.P, &P);
+      EXPECT_EQ(D.Kind, P.I.Kind);
+      EXPECT_EQ(D.CondCode, P.I.CondCode);
+      EXPECT_EQ(D.NextAddr, P.Addr + P.Size);
+      EXPECT_EQ(D.TargetAddr, P.TargetAddr);
+      EXPECT_EQ(D.NextIdx, indexAt(Img, D.NextAddr));
+      EXPECT_EQ(D.TargetIdx, indexAt(Img, D.TargetAddr));
+      EXPECT_EQ(D.FuncIdx, P.FuncIdx);
+      EXPECT_EQ(D.BlockIdx, P.BlockIdx);
+      EXPECT_EQ(D.IsBlockHead, P.IsBlockHead);
+      EXPECT_EQ(D.CheckCond, P.I.CondCode != Cond::AL &&
+                                 P.I.Kind != OpKind::BCond);
+    }
   }
 }
 

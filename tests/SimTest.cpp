@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 using namespace ramloc;
 using namespace ramloc::build;
 
@@ -300,6 +302,33 @@ TEST(Sim, Faults) {
   S = runSnippet({ldrLitConst(R1, 0x40000000), ldrImm(R0, R1, 0)});
   EXPECT_FALSE(S.ok());
   EXPECT_NE(S.Error.find("read fault"), std::string::npos);
+}
+
+TEST(Sim, FetchFaultsNameTheAddress) {
+  // Falling off the end of the code, and a computed jump to data: both
+  // fetch where no instruction starts.
+  Module M;
+  M.EntryFunction = "t";
+  M.addRodataWords("tab", {1});
+  Function F("t");
+  BasicBlock BB("entry");
+  BB.Instrs = {movImm(R0, 1)};
+  F.Blocks.push_back(BB);
+  M.Functions.push_back(F);
+  LinkResult LR = linkModule(M);
+  ASSERT_TRUE(LR.ok());
+  const PlacedInstr &Last = LR.Img.Instrs.back();
+  char Want[64];
+  std::snprintf(Want, sizeof(Want), "fetch fault at 0x%08x",
+                Last.Addr + Last.Size);
+  EXPECT_EQ(runImage(LR.Img).Error, Want);
+
+  M.Functions[0].Blocks[0].Instrs = {ldrLitSym(R1, "tab"), bx(R1)};
+  LR = linkModule(M);
+  ASSERT_TRUE(LR.ok());
+  std::snprintf(Want, sizeof(Want), "fetch fault at 0x%08x",
+                LR.Img.SymbolAddr.at("tab"));
+  EXPECT_EQ(runImage(LR.Img).Error, Want);
 }
 
 TEST(Sim, CycleLimit) {

@@ -363,12 +363,13 @@ int main(int Argc, char **Argv) {
             bindValue(Opts.Jobs, parseUnsigned));
   Flags.add("reuse", "LIST",
             "reuse layers that stay on: cache (persistent results), profile "
-            "(recost shared execution profiles), solve (share the ILP "
+            "(recost shared execution profiles, and derive each optimized "
+            "image's profile from its baseline's), solve (share the ILP "
             "across a knob axis and warm-start from neighbouring solves), "
             "incumbent (open a group's first solve with the persisted "
-            "best-known placement), or all (the default) / none. Every "
-            "layer is exact: reports are byte-identical whenever every "
-            "solve proves optimality",
+            "best-known placement), or all (the default) / none (every "
+            "image simulated). Every layer is exact: reports are "
+            "byte-identical whenever every solve proves optimality",
             bindList(Reuse, isReuseLayer));
   Flags.add("node-order", "ORDER",
             "branch & bound node selection: dfs (default; warm-friendliest),"
