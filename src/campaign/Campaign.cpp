@@ -16,6 +16,7 @@
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
+#include "support/OnceMap.h"
 #include "support/Statistics.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -245,6 +246,21 @@ void fillMeasureFields(JobResult &R, const PipelineResult &PR) {
   R.MovedBlocks = static_cast<unsigned>(PR.MovedBlocks.size());
 }
 
+/// One solve group's knob chain as it was solved live: the knob points in
+/// solve order and what each solve returned.
+struct SolveChain {
+  struct Point {
+    unsigned RspareBytes = 0;
+    double Xlimit = 0.0;
+    MipSolution Sol;
+  };
+  std::vector<Point> Points;
+};
+
+/// Campaign-scoped memo of solve chains by PlacementSolver::chainKey: one
+/// live chain per distinct ILP, replayed by every other group posing it.
+using SolveChainMemo = OnceMap<uint64_t, std::shared_ptr<const SolveChain>>;
+
 /// Runs one solve group: jobs agreeing on everything but the
 /// Xlimit/Rspare knobs, visited in the order given. The module is built,
 /// the baseline measured and the parameters extracted once; each knob
@@ -253,8 +269,9 @@ void fillMeasureFields(JobResult &R, const PipelineResult &PR) {
 /// share one apply+measure call. Every per-job outcome — including every
 /// error string — is produced by the same staged functions the
 /// single-job path uses, so grouped and ungrouped runs cannot drift
-/// apart. \p OnDone is invoked after each job's slot in \p Results is
-/// final.
+/// apart. With \p Chains, a group whose ILP another group already solves
+/// replays that group's solves instead of repeating them. \p OnDone is
+/// invoked after each job's slot in \p Results is final.
 void runSolveGroup(const std::vector<JobSpec> &Jobs,
                    const std::vector<size_t> &Indices,
                    const PipelineOptions &Base,
@@ -262,7 +279,8 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                    const std::function<void(size_t)> &OnDone,
                    MetricsRegistry &Reg,
                    IncumbentStore *Incumbents = nullptr,
-                   bool SeedIncumbents = true) {
+                   bool SeedIncumbents = true,
+                   SolveChainMemo *Chains = nullptr) {
   const JobSpec &First = Jobs[Indices.front()];
   TraceSpan GroupSpan("solve-group", "campaign");
   if (GroupSpan.active()) {
@@ -326,6 +344,31 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
       Seeded = Solver.seedIncumbent(EM.MP, Known.InRam);
   }
 
+  // Groups posing a bit-identical ILP under the same seed and solver
+  // config share one solve chain. The first group to reach the key owns
+  // it, solves live and records each point; every other group waits for
+  // the recording and replays it while its knob points follow the
+  // donor's. The wait sits after extraction has published the baseline
+  // profile and before any apply, so a waiting group owns no unpublished
+  // ProfileCache key and no wait cycle can form. The Claim publishes on
+  // every path out of an owner.
+  std::shared_ptr<const SolveChain> Donor;
+  SolveChainMemo::Claim Owned =
+      Chains ? Chains->claim(Solver.chainKey(Opts.Solver), Donor)
+             : SolveChainMemo::Claim();
+  auto Recording = Owned ? std::make_shared<SolveChain>() : nullptr;
+  size_t Replayed = 0; // donor points replayed and not re-solved
+  auto solveLive = [&](const ModelKnobs &Knobs, MipSolution &Sol) {
+    Assignment InRam = Solver.solve(Knobs, Opts.Solver, &Sol);
+    Reg.histogram("campaign.solve.nodes")
+        .record(static_cast<double>(Sol.NodesExplored));
+    Reg.histogram("campaign.solve.pivots")
+        .record(static_cast<double>(Sol.primalPivots() + Sol.dualPivots()));
+    if (Owned)
+      Recording->Points.push_back({Knobs.RspareBytes, Knobs.Xlimit, Sol});
+    return InRam;
+  };
+
   // Knob points whose optimal placements coincide produce bit-identical
   // opt images; one apply+measure serves them all.
   std::map<Assignment, JobResult> ByPlacement;
@@ -351,7 +394,37 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
     Knobs.Xlimit = Spec.Xlimit;
 
     MipSolution Sol;
-    Assignment InRam = Solver.solve(Knobs, Opts.Solver, &Sol);
+    Assignment InRam;
+    const SolveChain::Point *Next =
+        Donor && Replayed < Donor->Points.size() ? &Donor->Points[Replayed]
+                                                 : nullptr;
+    if (Next && Next->RspareBytes == Knobs.RspareBytes &&
+        Next->Xlimit == Knobs.Xlimit) {
+      Sol = Next->Sol;
+      InRam = Solver.model().decode(Sol);
+      ++Replayed;
+    } else {
+      if (Donor) {
+        // The chains part here (a cached or aborted job in either
+        // group). Re-solve the replayed prefix so this solver's warm
+        // basis and incumbent are exactly what solving it live would
+        // have left, then continue live.
+        for (size_t K = 0; K != Replayed; ++K) {
+          ModelKnobs Prefix = Knobs;
+          Prefix.RspareBytes = Donor->Points[K].RspareBytes;
+          Prefix.Xlimit = Donor->Points[K].Xlimit;
+          MipSolution Discard;
+          solveLive(Prefix, Discard);
+        }
+        Replayed = 0;
+        Donor.reset();
+      }
+      InRam = solveLive(Knobs, Sol);
+    }
+    // Followers need only the solves, so hand the chain over as soon as
+    // the last one is recorded rather than after the last apply.
+    if (I == Indices.back())
+      Owned.publish(Recording);
     // Offer the *opening* point's optimum, not every point's: a re-run
     // of the same grid seeds at the same opening point, where this
     // assignment re-validates exactly and opens the search with the true
@@ -393,9 +466,10 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                          ? SolveStatus::InfeasibleProven
                          : SolveStatus::FeasibleLimit;
     // The registry is the campaign's book of record for solver effort;
-    // the Summary fields are read back out of it as deltas. A group's
-    // later solves are seeded by the knob chain itself; only the first
-    // one can have been opened by the persistent store.
+    // the Summary fields are read back out of it as deltas. A replayed
+    // job keeps its donor's labels. A group's later solves are seeded by
+    // the knob chain itself; only the first one can have been opened by
+    // the persistent store.
     bool SeededHere = FirstJob && Seeded && Sol.seededIncumbent();
     Reg.counter("campaign.solve.extractions").add(FirstJob ? 1 : 0);
     Reg.counter("campaign.solve.cold").add(Sol.warmStarted() ? 0 : 1);
@@ -403,14 +477,12 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
     Reg.counter("campaign.solve.incumbent_seeds").add(SeededHere ? 1 : 0);
     if (R.ok() && R.SolveOutcome != SolveStatus::Optimal)
       Reg.counter("campaign.solve.degraded").add();
-    Reg.histogram("campaign.solve.nodes")
-        .record(static_cast<double>(Sol.NodesExplored));
-    Reg.histogram("campaign.solve.pivots")
-        .record(static_cast<double>(Sol.primalPivots() + Sol.dualPivots()));
     Results[I] = std::move(R);
     OnDone(I);
     FirstJob = false;
   }
+  Owned.publish(Recording);
+  Reg.counter("campaign.solve.replayed").add(Replayed);
 }
 
 } // namespace
@@ -430,7 +502,7 @@ namespace {
 /// sequential campaigns (globalMetrics(), typically) still yields exact
 /// per-campaign summaries.
 struct CampaignBaseline {
-  uint64_t Extractions, ColdSolves, WarmSolves, IncumbentSeeds;
+  uint64_t Extractions, ColdSolves, WarmSolves, IncumbentSeeds, Replayed;
   uint64_t FullSims, Recosts, CacheHits, UniqueRuns;
 
   explicit CampaignBaseline(const MetricsRegistry &Reg)
@@ -438,6 +510,7 @@ struct CampaignBaseline {
         ColdSolves(Reg.counterValue("campaign.solve.cold")),
         WarmSolves(Reg.counterValue("campaign.solve.warm")),
         IncumbentSeeds(Reg.counterValue("campaign.solve.incumbent_seeds")),
+        Replayed(Reg.counterValue("campaign.solve.replayed")),
         FullSims(Reg.counterValue("campaign.sim.full_sims")),
         Recosts(Reg.counterValue("campaign.sim.recosts")),
         CacheHits(Reg.counterValue("campaign.cache.hits")),
@@ -528,6 +601,13 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
       Groups.push_back({I});
   }
 
+  // Solve groups that pose a bit-identical ILP share one solve chain
+  // (runSolveGroup). The memo lives and dies with this campaign, and it
+  // is off with solve reuse, so `--reuse` without `solve` stays the
+  // all-solved reference.
+  SolveChainMemo Chains;
+  SolveChainMemo *ChainMemo = Opts.ReuseSolves ? &Chains : nullptr;
+
   unsigned Workers = Opts.Jobs != 0 ? Opts.Jobs
                                     : std::thread::hardware_concurrency();
   {
@@ -552,7 +632,7 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
                   Opts.Progress(CR.Results[I], Done, CR.Summary.UniqueRuns);
               }
             },
-            Reg, Opts.Incumbents, Opts.SeedIncumbents);
+            Reg, Opts.Incumbents, Opts.SeedIncumbents, ChainMemo);
       });
     Pool.wait();
   }
@@ -601,6 +681,8 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   S.IncumbentSeeds =
       Reg.counterValue("campaign.solve.incumbent_seeds") -
       Start.IncumbentSeeds;
+  S.Replayed =
+      Reg.counterValue("campaign.solve.replayed") - Start.Replayed;
   S.WallSeconds = Timer.stop();
   CR.Summary = S;
   return CR;

@@ -38,7 +38,19 @@
 /// extraction + 1 cold solve + 8 re-optimizations
 /// (Summary.Extractions/ColdSolves/WarmSolves assert it). Knob points
 /// whose optimal placements coincide — they often do — additionally share
-/// one apply+measure call, keyed by the assignment itself. Warm and cold
+/// one apply+measure call, keyed by the assignment itself. Solve groups
+/// whose ILPs are bit-identical share one solve chain: Eqs. 1-9 see a
+/// placement only in cycles and per-memory power, so most BEEBS
+/// benchmarks pose the same ILP at O1 and O2, and a device that differs
+/// only in clock rate poses its sibling's (the canonical grid's 180
+/// groups hold 96 distinct ILPs). The first group to reach a chain key
+/// (PlacementSolver::chainKey: model, seed incumbent, solver config)
+/// solves live and records each point; the others replay the recording
+/// while their knob points follow it, and at the first point that does
+/// not (a cached or aborted job) re-solve the replayed prefix on their
+/// own solver and continue live, so warm chains, labels and incumbent
+/// offers are exactly what solving every group would give
+/// (Summary.Replayed counts the replayed jobs). Warm and cold
 /// solves are both exact, so reports are byte-identical with solve reuse
 /// on or off (CampaignOptions::ReuseSolves, `--reuse` without `solve`)
 /// whenever every solve proves optimality. A different pivot path can get
@@ -252,7 +264,8 @@ struct CampaignOptions {
   /// Group jobs that differ only in the Xlimit/Rspare knobs and run each
   /// group as one task: parameters extracted and the ILP built once, knob
   /// points solved as warm-started RHS patches, coinciding placements
-  /// measured once (reports stay byte-identical either way whenever every
+  /// measured once, and groups posing a bit-identical ILP sharing one
+  /// solve chain (reports stay byte-identical either way whenever every
   /// solve proves optimality; see the file comment). The knob
   /// points of a group serialize on one worker by design — that is what
   /// buys the 1-extraction/1-cold-solve guarantee — so a grid's
@@ -278,7 +291,7 @@ struct CampaignOptions {
   /// escape hatch that proves it.
   bool SeedIncumbents = true;
   /// Registry the campaign records its counters into (campaign.* keys:
-  /// extractions, cold/warm solves, incumbent seeds, full sims vs
+  /// extractions, cold/warm/replayed solves, incumbent seeds, full sims vs
   /// recosts, cache hits, solve histograms). The Summary counter fields
   /// are views over this registry — computed as before/after deltas, so
   /// a registry shared across sequential campaigns still yields exact
@@ -336,6 +349,11 @@ struct CampaignSummary {
   /// Solve groups whose first solve was opened by a persisted incumbent
   /// (diagnostics only, excluded from serialized reports).
   uint64_t IncumbentSeeds = 0;
+  /// Jobs whose solve was replayed from another solve group posing a
+  /// bit-identical ILP instead of being solved (diagnostics only).
+  /// ColdSolves/WarmSolves still count a replayed job under its donor's
+  /// label, so the live MIP solves are ColdSolves + WarmSolves - Replayed.
+  uint64_t Replayed = 0;
   /// Succeeded jobs whose SolveOutcome is not Optimal — best-effort
   /// answers under a solver limit. Deterministic (derived from Results
   /// by computeSummary), surfaced in the CLI summary, excluded from

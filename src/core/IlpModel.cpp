@@ -8,9 +8,11 @@
 #include "core/IlpModel.h"
 
 #include "support/Format.h"
+#include "support/Hash.h"
 #include "support/Trace.h"
 
 #include <cassert>
+#include <cstring>
 
 using namespace ramloc;
 
@@ -120,6 +122,41 @@ Assignment PlacementModel::decode(const MipSolution &Sol) const {
         Sol.Values[static_cast<unsigned>(XVar[B])] > 0.5)
       InRam[B] = true;
   return InRam;
+}
+
+namespace {
+
+/// Folds the bytes of a trivially copyable value into an FNV-1a state.
+template <typename T> uint64_t mixBytes(uint64_t H, const T &V) {
+  char Bytes[sizeof(T)];
+  std::memcpy(Bytes, &V, sizeof(T));
+  return fnv1a64(H, std::string_view(Bytes, sizeof(T)));
+}
+
+} // namespace
+
+uint64_t PlacementModel::contentKey() const {
+  uint64_t H = Fnv1aOffset;
+  H = mixBytes(H, P.numVariables());
+  for (const LpVariable &V : P.Variables) {
+    H = mixBytes(H, V.Lower);
+    H = mixBytes(H, V.Upper);
+    H = mixBytes(H, V.Objective);
+    H = mixBytes(H, V.Integer);
+  }
+  H = mixBytes(H, P.numConstraints());
+  for (const LpConstraint &C : P.Constraints) {
+    H = mixBytes(H, C.Sense);
+    H = mixBytes(H, C.Rhs);
+    H = mixBytes(H, C.Terms.size());
+    for (const auto &[Var, Coef] : C.Terms) {
+      H = mixBytes(H, Var);
+      H = mixBytes(H, Coef);
+    }
+  }
+  H = mixBytes(H, BaseCycles);
+  H = mixBytes(H, RamConstraint);
+  return mixBytes(H, TimeConstraint);
 }
 
 PlacementModel ramloc::buildPlacementModel(const ModelParams &MP,
@@ -344,6 +381,13 @@ bool PlacementSolver::seedIncumbent(const ModelParams &MP,
     return false;
   Warm.Incumbent = std::move(Seed);
   return true;
+}
+
+uint64_t PlacementSolver::chainKey(const SolverConfig &Cfg) const {
+  uint64_t H = mixBytes(PM.contentKey(), Warm.Incumbent.size());
+  for (double V : Warm.Incumbent)
+    H = mixBytes(H, V);
+  return fnv1a64(H, solverConfigToken(Cfg));
 }
 
 Assignment PlacementSolver::solve(const ModelKnobs &Knobs,

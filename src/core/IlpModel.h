@@ -28,6 +28,7 @@
 #include "lp/BranchBound.h"
 #include "lp/Problem.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace ramloc {
@@ -116,6 +117,17 @@ struct PlacementModel {
   /// it at zero tolerance before letting it prune anything.
   std::vector<double> encode(const ModelParams &MP,
                              const Assignment &InRam) const;
+
+  /// FNV-1a 64 over everything a solve of this model reads: each
+  /// variable's bounds, objective and integer flag; each constraint's
+  /// sense, RHS and terms; BaseCycles and the two knob-row indices (what
+  /// patchKnobs retargets). Names are left out: the solver never reads
+  /// them. Two models with equal keys pose bit-identical ILPs — the same
+  /// trust level as Image::fingerprint — which is common, because
+  /// Eqs. 1-9 see a placement only in cycles and per-memory power: most
+  /// BEEBS benchmarks build identical O1/O2 code, and a device that only
+  /// differs in clock rate poses its sibling's model exactly.
+  uint64_t contentKey() const;
 };
 
 /// Builds the ILP for \p MP under \p Knobs.
@@ -139,7 +151,9 @@ Assignment solvePlacement(const ModelParams &MP,
 /// whenever the optimal placement is unique — two distinct placements
 /// with bit-equal modelled energy being the one case any pair of exact
 /// solvers may legitimately disagree on — results do not depend on the
-/// order knob points are visited in.
+/// order knob points are visited in. The whole chain is a pure function
+/// of chainKey() and the knob points visited, which is what lets the
+/// campaign engine solve it once for every group posing the same ILP.
 /// Not thread-safe; the campaign engine runs one group per worker.
 class PlacementSolver {
 public:
@@ -162,6 +176,15 @@ public:
   /// model. Only honoured by warm-noded solves (a cold reference solve
   /// carries no cross-solve state by design).
   bool seedIncumbent(const ModelParams &MP, const Assignment &InRam);
+
+  /// The key of the solve chain this solver is about to run:
+  /// model().contentKey() plus the planted seed incumbent (if any) and
+  /// solverConfigToken(\p Cfg). Call it before the first solve. Two
+  /// solvers with equal keys return bit-identical MipSolutions for the
+  /// same sequence of knob points, so the campaign engine solves each
+  /// distinct chain once and replays it for every solve group that poses
+  /// the same ILP.
+  uint64_t chainKey(const SolverConfig &Cfg) const;
 
   const PlacementModel &model() const { return PM; }
 

@@ -15,50 +15,17 @@ using namespace ramloc;
 
 std::shared_ptr<const ExecutionProfile>
 ProfileCache::acquire(const std::string &Key, bool &Owner) {
-  Owner = false;
-  std::shared_ptr<Entry> E;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    std::shared_ptr<Entry> &Slot = Map[Key];
-    if (!Slot) {
-      Slot = std::make_shared<Entry>();
-      Owner = true;
-      return nullptr;
-    }
-    E = Slot;
-  }
-  std::unique_lock<std::mutex> Lock(E->M);
-  E->CV.wait(Lock, [&E] { return E->Done; });
-  return E->Profile;
+  return Map.acquire(Key, Owner);
 }
 
 void ProfileCache::publish(const std::string &Key,
                            std::shared_ptr<const ExecutionProfile> Profile) {
-  std::shared_ptr<Entry> E;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Map.find(Key);
-    if (It == Map.end())
-      It = Map.emplace(Key, std::make_shared<Entry>()).first;
-    E = It->second;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(E->M);
-    E->Profile = std::move(Profile);
-    E->Done = true;
-  }
-  E->CV.notify_all();
+  Map.publish(Key, std::move(Profile));
 }
 
 void ProfileCache::preload(const std::string &Key,
                            std::shared_ptr<const ExecutionProfile> Profile) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::shared_ptr<Entry> &Slot = Map[Key];
-  if (Slot)
-    return; // first publisher wins; never clobber an in-flight compute
-  Slot = std::make_shared<Entry>();
-  Slot->Profile = std::move(Profile);
-  Slot->Done = true;
+  Map.preload(Key, std::move(Profile));
 }
 
 void ProfileCache::noteFullSim() {
@@ -85,29 +52,23 @@ std::vector<std::pair<std::string, std::shared_ptr<const ExecutionProfile>>>
 ProfileCache::snapshot() const {
   std::vector<std::pair<std::string, std::shared_ptr<const ExecutionProfile>>>
       Out;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (const auto &[Key, E] : Map) {
-      // Ready/valid checks only; snapshot never blocks on in-flight
-      // computes (Done is written under E->M, but a racing writer just
-      // means the entry lands in the next snapshot).
-      std::lock_guard<std::mutex> ELock(E->M);
-      if (E->Done && E->Profile && E->Profile->Valid)
-        Out.emplace_back(Key, E->Profile);
-    }
-  }
+  Map.forEachPublished(
+      [&Out](const std::string &Key,
+             const std::shared_ptr<const ExecutionProfile> &P) {
+        if (P && P->Valid)
+          Out.emplace_back(Key, P);
+      });
   std::sort(Out.begin(), Out.end(),
             [](const auto &A, const auto &B) { return A.first < B.first; });
   return Out;
 }
 
 size_t ProfileCache::size() const {
-  std::lock_guard<std::mutex> Lock(Mu);
   size_t N = 0;
-  for (const auto &[Key, E] : Map) {
-    std::lock_guard<std::mutex> ELock(E->M);
-    if (E->Done && E->Profile && E->Profile->Valid)
-      ++N;
-  }
+  Map.forEachPublished(
+      [&N](const std::string &,
+           const std::shared_ptr<const ExecutionProfile> &P) {
+        N += P && P->Valid;
+      });
   return N;
 }

@@ -14,7 +14,9 @@
 /// key until the profile is published, then recosts. The grid therefore
 /// performs exactly one full simulation per distinct execution no matter
 /// how the scheduler interleaves the device axis — the invariant the
-/// campaign run counters assert.
+/// campaign run counters assert. The compute-once mechanics are
+/// support/OnceMap's; this class adds the profile-specific counters and
+/// persistence views.
 ///
 /// The cache also tallies how runs were satisfied (full simulations vs
 /// recosts), which the campaign engine surfaces as diagnostics and
@@ -27,12 +29,12 @@
 
 #include "sim/ExecutionProfile.h"
 
-#include <condition_variable>
+#include "support/OnceMap.h"
+
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,15 +84,8 @@ public:
   size_t size() const;
 
 private:
-  struct Entry {
-    std::mutex M;
-    std::condition_variable CV;
-    bool Done = false;
-    std::shared_ptr<const ExecutionProfile> Profile;
-  };
-
-  mutable std::mutex Mu;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> Map;
+  OnceMap<std::string, std::shared_ptr<const ExecutionProfile>> Map;
+  mutable std::mutex Mu; ///< guards Stats
   Counters Stats;
 };
 

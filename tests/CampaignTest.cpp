@@ -8,12 +8,16 @@
 #include "beebs/Beebs.h"
 #include "campaign/Campaign.h"
 #include "campaign/Report.h"
+#include "core/IlpModel.h"
 #include "power/DeviceRegistry.h"
 #include "sim/ProfileCache.h"
+#include "support/FaultInjector.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 using namespace ramloc;
@@ -809,4 +813,273 @@ TEST(Campaign, ReportWithSolverDiagnosticsParsesAndDiffsClean) {
         << CR.Results[I].Spec.cacheKey();
   // Re-serialization drops the diagnostics: back to canonical bytes.
   EXPECT_EQ(campaignToJson(Parsed), Canonical);
+}
+
+namespace {
+
+/// sha and dijkstra x O1,O2 x stm32f100 and its 48 MHz sibling x a 2x2
+/// knob grid: 8 solve groups posing only 2 distinct ILPs (both
+/// benchmarks build identical O1/O2 code, and the clock rate is not in
+/// the model).
+GridSpec sharedModelGrid(JobKind Kind) {
+  GridSpec Grid;
+  Grid.Benchmarks = {"sha", "dijkstra"};
+  Grid.Levels = {OptLevel::O1, OptLevel::O2};
+  Grid.Devices = {"stm32f100", "stm32f100-48mhz"};
+  Grid.RsparePoints = {256, 512};
+  Grid.XlimitPoints = {1.2, 1.5};
+  Grid.Repeat = 2;
+  Grid.Kind = Kind;
+  return Grid;
+}
+
+std::string rowJson(const JobResult &R) {
+  JsonWriter W(/*Pretty=*/false);
+  writeJobResult(W, R);
+  return W.str();
+}
+
+/// Each job's row from a campaign over its solve group alone, where no
+/// other group can donate a solve chain.
+std::map<std::string, JobResult> isolatedRows(const GridSpec &Grid) {
+  std::map<std::string, std::vector<JobSpec>> Groups;
+  for (const JobSpec &J : Grid.expand())
+    Groups[J.solveGroupKey()].push_back(J);
+  std::map<std::string, JobResult> Rows;
+  for (const auto &[Key, Jobs] : Groups) {
+    CampaignResult CR = runCampaign(Jobs);
+    EXPECT_EQ(CR.Summary.Replayed, 0u) << Key;
+    for (const JobResult &R : CR.Results)
+      Rows[R.Spec.cacheKey()] = R;
+  }
+  return Rows;
+}
+
+/// A campaign's solve counters against its rows: every group's first
+/// solved point is cold and the rest warm-start from it — replayed or
+/// not, since a replayed job keeps its donor's label and a follower whose
+/// chain parts from its donor's re-solves the replayed prefix first —
+/// and the live MIP solves are cold + warm - replayed.
+void expectSolveAccounting(const CampaignResult &CR, uint64_t LiveSolves) {
+  std::set<std::string> Groups;
+  uint64_t Solved = 0;
+  for (const JobResult &R : CR.Results)
+    if (R.ok() && !R.CacheHit) {
+      Groups.insert(R.Spec.solveGroupKey());
+      ++Solved;
+    }
+  EXPECT_EQ(CR.Summary.ColdSolves, Groups.size());
+  EXPECT_EQ(CR.Summary.WarmSolves, Solved - Groups.size());
+  EXPECT_EQ(LiveSolves, CR.Summary.ColdSolves + CR.Summary.WarmSolves -
+                            CR.Summary.Replayed);
+}
+
+/// Runs \p Grid and checks every row against \p Isolated and the solve
+/// accounting: live MIP solves == cold + warm - replayed.
+CampaignResult runAgainstIsolated(const GridSpec &Grid,
+                                  const CampaignOptions &Opts,
+                                  const std::map<std::string, JobResult>
+                                      &Isolated) {
+  uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
+  CampaignResult CR = runCampaign(Grid, Opts);
+  uint64_t Solves = globalMetrics().counterValue("mip.solves") - SolvesBefore;
+  EXPECT_EQ(CR.Summary.Failed, 0u);
+  expectSolveAccounting(CR, Solves);
+  for (const JobResult &R : CR.Results) {
+    auto It = Isolated.find(R.Spec.cacheKey());
+    if (It == Isolated.end()) {
+      ADD_FAILURE() << "no isolated row for " << R.Spec.cacheKey();
+      continue;
+    }
+    EXPECT_EQ(rowJson(R), rowJson(It->second)) << R.Spec.cacheKey();
+  }
+  return CR;
+}
+
+} // namespace
+
+TEST(Campaign, GroupsWithIdenticalModelsReplayOneSolveChain) {
+  for (JobKind Kind : {JobKind::Measure, JobKind::ModelOnly}) {
+    GridSpec Grid = sharedModelGrid(Kind);
+    std::map<std::string, JobResult> Isolated = isolatedRows(Grid);
+    for (unsigned Jobs : {1u, 4u}) {
+      SCOPED_TRACE(std::string(jobKindName(Kind)) + " jobs " +
+                   std::to_string(Jobs));
+      CampaignOptions Opts;
+      Opts.Jobs = Jobs;
+      uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
+      CampaignResult CR = runAgainstIsolated(Grid, Opts, Isolated);
+      // 8 groups x 4 points, 2 distinct chains: 8 live solves, and the
+      // other 6 groups replay all 24 of theirs.
+      EXPECT_EQ(CR.Summary.Replayed, 24u);
+      EXPECT_EQ(globalMetrics().counterValue("mip.solves") - SolvesBefore,
+                8u);
+      // Every group still extracts once; runAgainstIsolated checked the
+      // donor-labelled 8 cold + 24 warm solves.
+      EXPECT_EQ(CR.Summary.Extractions, 8u);
+    }
+  }
+}
+
+TEST(Campaign, SolveReuseOffSharesNoChain) {
+  CampaignOptions Opts;
+  Opts.ReuseSolves = false;
+  Opts.Base.Solver.WarmNodes = false;
+  CampaignResult CR = runCampaign(sharedModelGrid(JobKind::ModelOnly), Opts);
+  ASSERT_EQ(CR.Summary.Failed, 0u);
+  EXPECT_EQ(CR.Summary.Replayed, 0u);
+  EXPECT_EQ(CR.Summary.ColdSolves, 32u);
+}
+
+TEST(Campaign, DivergingChainsRematerializeAndMatchIsolatedRuns) {
+  // A persistent-cache hit drops a knob point from one group's chain, so
+  // the follower's points stop matching its donor's. Both sides must
+  // still give exactly the rows their groups give alone.
+  for (JobKind Kind : {JobKind::Measure, JobKind::ModelOnly}) {
+    GridSpec Grid = sharedModelGrid(Kind);
+    std::map<std::string, JobResult> Isolated = isolatedRows(Grid);
+    // At --jobs=1 the first group in expansion order (sha O1 stm32f100)
+    // owns the sha chain and sha O2 stm32f100 follows it.
+    JobSpec Middle;
+    Middle.Benchmark = "sha";
+    Middle.Repeat = Grid.Repeat;
+    Middle.Device = "stm32f100";
+    Middle.RspareBytes = 256;
+    Middle.Xlimit = 1.5;
+    Middle.Kind = Kind;
+    for (OptLevel Side : {OptLevel::O2, OptLevel::O1}) {
+      Middle.Level = Side;
+      for (unsigned Jobs : {1u, 4u}) {
+        SCOPED_TRACE(std::string(jobKindName(Kind)) + " cached " +
+                     Middle.cacheKey() + " jobs " + std::to_string(Jobs));
+        ResultCache Cache;
+        Cache.insert(Middle.cacheKey(), Isolated.at(Middle.cacheKey()));
+        CampaignOptions Opts;
+        Opts.Jobs = Jobs;
+        Opts.Cache = &Cache;
+        CampaignResult CR = runAgainstIsolated(Grid, Opts, Isolated);
+        EXPECT_EQ(CR.Summary.CacheHits, 1u);
+        if (Jobs != 1)
+          continue; // which group owns a chain depends on scheduling
+        // Follower cached: it replays one point, then re-solves it and
+        // goes live (3 jobs, none replayed). Donor cached: each of the
+        // three sha followers does the same (12 jobs, none replayed).
+        // dijkstra's 12 replays are untouched.
+        EXPECT_EQ(CR.Summary.Replayed, Side == OptLevel::O2 ? 20u : 12u);
+      }
+    }
+  }
+}
+
+TEST(Campaign, AbortedJobsRematerializeAndMatchIsolatedRuns) {
+  // An aborted job drops a knob point from its group's chain: a follower
+  // losing a point re-solves its replayed prefix, and followers of a
+  // donor that lost one do too. Every surviving row still matches the
+  // isolated run, and the warm chains are what solving every group live
+  // gives.
+  GridSpec Grid = sharedModelGrid(JobKind::ModelOnly);
+  std::map<std::string, JobResult> Isolated = isolatedRows(Grid);
+  FaultInjector F;
+  F.arm("job.abort", 0.2, 11);
+  F.install();
+  uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
+  CampaignResult CR = runCampaign(Grid, CampaignOptions{});
+  uint64_t Solves = globalMetrics().counterValue("mip.solves") - SolvesBefore;
+  FaultInjector::uninstall();
+  ASSERT_GT(CR.Summary.Failed, 0u);
+  ASSERT_GT(CR.Summary.Succeeded, 0u);
+  expectSolveAccounting(CR, Solves);
+  // Seed 11 aborts a middle point of the sha donor (every sha follower
+  // parts from it there) and points of several followers.
+  ASSERT_EQ(CR.Results[2].Spec.cacheKey(),
+            "sha|O1|r2|stm32f100|R512|X1.2|static|model-only");
+  EXPECT_FALSE(CR.Results[2].ok());
+  EXPECT_LT(CR.Summary.Replayed, 24u);
+  for (const JobResult &R : CR.Results)
+    if (R.ok())
+      EXPECT_EQ(rowJson(R), rowJson(Isolated.at(R.Spec.cacheKey())))
+          << R.Spec.cacheKey();
+}
+
+namespace {
+
+/// The ILP a solve group builds for \p Bench at \p Level on \p Device.
+PlacementModel groupModel(const std::string &Bench, OptLevel Level,
+                          const std::string &Device, ModelParams *MPOut) {
+  const DeviceInfo *Dev = findDevice(Device);
+  EXPECT_NE(Dev, nullptr) << Device;
+  PipelineOptions Opts;
+  Opts.Power = Dev->Model;
+  Opts.Sim.Timing = Dev->Timing;
+  Opts.Extract.Timing = Dev->Timing;
+  Module M = buildBeebs(Bench, Level, 2);
+  ExtractedModule EM = extractModule(M, Opts, /*NeedBaseline=*/false);
+  EXPECT_TRUE(EM.ok()) << EM.Error;
+  if (MPOut)
+    *MPOut = EM.MP;
+  return buildPlacementModel(EM.MP, Opts.Knobs);
+}
+
+} // namespace
+
+TEST(Campaign, ContentKeyIdentifiesTheIlp) {
+  uint64_t Sha = groupModel("sha", OptLevel::O1, "stm32f100", nullptr)
+                     .contentKey();
+  // The measured identical pairs: O1 == O2, and the 48 MHz sibling.
+  EXPECT_EQ(Sha, groupModel("sha", OptLevel::O2, "stm32f100", nullptr)
+                     .contentKey());
+  EXPECT_EQ(Sha, groupModel("sha", OptLevel::O1, "stm32f100-48mhz", nullptr)
+                     .contentKey());
+  EXPECT_NE(Sha, groupModel("dijkstra", OptLevel::O1, "stm32f100", nullptr)
+                     .contentKey());
+  EXPECT_NE(Sha, groupModel("sha", OptLevel::O1, "stm32f100-2ws", nullptr)
+                     .contentKey());
+
+  ModelParams MP;
+  const PlacementModel PM = groupModel("sha", OptLevel::O1, "stm32f100", &MP);
+  ASSERT_EQ(PM.contentKey(), Sha);
+  ASSERT_GE(PM.RamConstraint, 0);
+  PlacementModel Coef = PM;
+  Coef.P.Constraints[static_cast<unsigned>(PM.RamConstraint)]
+      .Terms[0]
+      .second += 1.0;
+  EXPECT_NE(Coef.contentKey(), Sha);
+  PlacementModel Objective = PM;
+  Objective.P.Variables[0].Objective *= 1.0 + 1e-12;
+  EXPECT_NE(Objective.contentKey(), Sha);
+  PlacementModel Rhs = PM;
+  ModelKnobs Knobs = PM.Knobs;
+  Knobs.RspareBytes += 1;
+  Rhs.patchKnobs(Knobs);
+  EXPECT_NE(Rhs.contentKey(), Sha);
+  PlacementModel Base = PM;
+  Base.BaseCycles += 1.0;
+  EXPECT_NE(Base.contentKey(), Sha);
+  // Names never reach the solver, so they stay out of the key.
+  PlacementModel Renamed = PM;
+  Renamed.P.Variables[0].Name += "_renamed";
+  EXPECT_EQ(Renamed.contentKey(), Sha);
+
+  // The chain key adds the seed incumbent and the solver config.
+  PlacementSolver Unseeded(MP, PM.Knobs);
+  PlacementSolver Seeded(MP, PM.Knobs);
+  PlacementSolver OtherSeed(MP, PM.Knobs);
+  SolverConfig Cfg;
+  Assignment AllFlash(MP.numBlocks(), false);
+  Assignment OneMoved = AllFlash;
+  for (unsigned B = 0; B != MP.numBlocks(); ++B)
+    if (PM.XVar[B] >= 0) {
+      OneMoved[B] = true;
+      break;
+    }
+  ASSERT_TRUE(Seeded.seedIncumbent(MP, AllFlash));
+  ASSERT_TRUE(OtherSeed.seedIncumbent(MP, OneMoved));
+  std::set<uint64_t> Keys = {Unseeded.chainKey(Cfg), Seeded.chainKey(Cfg),
+                             OtherSeed.chainKey(Cfg)};
+  EXPECT_EQ(Keys.size(), 3u);
+  SolverConfig Dantzig = Cfg;
+  Dantzig.PricingRule = Pricing::Dantzig;
+  EXPECT_NE(Unseeded.chainKey(Cfg), Unseeded.chainKey(Dantzig));
+  EXPECT_EQ(Unseeded.chainKey(Cfg),
+            PlacementSolver(MP, PM.Knobs).chainKey(Cfg));
 }

@@ -148,6 +148,32 @@ TEST(Metrics, SummaryFieldsAreViewsOverTheRegistry) {
   EXPECT_EQ(Reg.histogram("campaign.wall_seconds").stats().Count, 1u);
 }
 
+TEST(Metrics, LiveSolvesAreColdPlusWarmMinusReplayed) {
+  // stm32f100-48mhz poses stm32f100's ILP exactly, so its group replays
+  // the other's solve chain. campaign.solve.{cold,warm} keep counting
+  // per job (a replayed job under its donor's label); mip.solves counts
+  // only the solver's live work.
+  GridSpec Grid = modelOnlyGrid();
+  Grid.Devices = {"stm32f100", "stm32f100-48mhz"};
+  MetricsRegistry Reg;
+  CampaignOptions Opts;
+  Opts.Metrics = &Reg;
+  uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
+  CampaignResult CR = runCampaign(Grid, Opts);
+  uint64_t Solves = globalMetrics().counterValue("mip.solves") - SolvesBefore;
+
+  ASSERT_EQ(CR.Summary.Failed, 0u);
+  EXPECT_EQ(CR.Summary.Replayed, Reg.counterValue("campaign.solve.replayed"));
+  EXPECT_EQ(CR.Summary.Replayed, 3u);
+  EXPECT_EQ(Reg.counterValue("campaign.solve.cold"), 2u);
+  EXPECT_EQ(Reg.counterValue("campaign.solve.warm"), 4u);
+  EXPECT_EQ(Solves, Reg.counterValue("campaign.solve.cold") +
+                        Reg.counterValue("campaign.solve.warm") -
+                        Reg.counterValue("campaign.solve.replayed"));
+  // The effort histograms record live solves only.
+  EXPECT_EQ(Reg.histogram("campaign.solve.nodes").stats().Count, Solves);
+}
+
 TEST(Metrics, SharedRegistryStillYieldsPerCampaignSummaries) {
   MetricsRegistry Reg;
   CampaignOptions Opts;

@@ -365,7 +365,8 @@ int main(int Argc, char **Argv) {
             "reuse layers that stay on: cache (persistent results), profile "
             "(recost shared execution profiles, and derive each optimized "
             "image's profile from its baseline's), solve (share the ILP "
-            "across a knob axis and warm-start from neighbouring solves), "
+            "across a knob axis, warm-start from neighbouring solves, and "
+            "solve groups with bit-identical ILPs once), "
             "incumbent (open a group's first solve with the persisted "
             "best-known placement), or all (the default) / none (every "
             "image simulated). Every layer is exact: reports are "
@@ -725,6 +726,10 @@ int main(int Argc, char **Argv) {
                   static_cast<unsigned long long>(CR.Summary.Extractions),
                   static_cast<unsigned long long>(CR.Summary.ColdSolves),
                   static_cast<unsigned long long>(CR.Summary.WarmSolves));
+    if (CR.Summary.Replayed > 0)
+      std::printf("%llu solve(s) replayed from a group with an identical "
+                  "model\n",
+                  static_cast<unsigned long long>(CR.Summary.Replayed));
     if (CR.Summary.IncumbentSeeds > 0)
       std::printf("%llu solve group(s) seeded from persisted "
                   "incumbents\n",
@@ -750,6 +755,7 @@ int main(int Argc, char **Argv) {
       Row("campaign.solve.extractions");
       Row("campaign.solve.cold");
       Row("campaign.solve.warm");
+      Row("campaign.solve.replayed");
       Row("campaign.solve.incumbent_seeds");
       std::printf("%s", C.render().c_str());
     }
