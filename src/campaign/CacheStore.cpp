@@ -80,7 +80,7 @@ std::string incumbentPayload(const std::string &Group,
   W.field("energy_mj", E.EnergyMilliJoules);
   W.field("blocks", Bits);
   W.endObject();
-  return W.str();
+  return std::move(W).str();
 }
 
 bool parseIncumbent(const JsonValue &V, std::string &Group,
@@ -110,7 +110,7 @@ bool parseIncumbent(const JsonValue &V, std::string &Group,
 std::string resultJson(const JobResult &R) {
   JsonWriter W(/*Pretty=*/false);
   writeJobResult(W, R);
-  return W.str();
+  return std::move(W).str();
 }
 
 bool servable(const JobResult &R) {
@@ -268,7 +268,7 @@ bool CacheStore::persist(FramedLog &Log, bool Rewrite, std::string *Error) {
         [](const std::string &Key, const auto &Profile) {
           JsonWriter W(/*Pretty=*/false);
           writeExecutionProfile(W, Key, *Profile);
-          return W.str();
+          return std::move(W).str();
         },
         Rewrite, LockWaitMs, Error);
   // Only improvements hit the disk on append: the load-time best-wins

@@ -57,10 +57,22 @@ bool ramloc::jobKindFromName(const std::string &Name, JobKind &Out) {
 std::string JobSpec::cacheKey() const {
   // jsonNumber gives Xlimit a canonical round-trippable spelling, so
   // 1.5 from the CLI and 1.5 from a GridSpec literal share a key.
-  return Benchmark + "|" + optLevelName(Level) + "|" +
-         formatString("r%u", Repeat) + "|" + Device + "|" +
-         formatString("R%u", RspareBytes) + "|X" + jsonNumber(Xlimit) +
-         "|" + freqModeName(Freq) + "|" + jobKindName(Kind);
+  std::string Key = Benchmark;
+  Key += '|';
+  Key += optLevelName(Level);
+  Key += "|r";
+  appendDecimal(Key, Repeat);
+  Key += '|';
+  Key += Device;
+  Key += "|R";
+  appendDecimal(Key, RspareBytes);
+  Key += "|X";
+  appendJsonNumber(Key, Xlimit);
+  Key += '|';
+  Key += freqModeName(Freq);
+  Key += '|';
+  Key += jobKindName(Kind);
+  return Key;
 }
 
 uint64_t JobSpec::configHash() const { return fnv1a64(cacheKey()); }

@@ -215,7 +215,7 @@ ScanStats FramedLog::scan(const Decoder &Decode, const Visitor &Visit,
     std::string_view Payload;
     bool Framed = unframeRecord(Line, Payload);
     JsonValue V;
-    bool Parsed = Framed && JsonValue::parse(std::string(Payload), V);
+    bool Parsed = Framed && JsonValue::parse(Payload, V);
     if (IsHeader) {
       // A damaged header is counted but not quarantined: with no trusted
       // header there is no trusted world to sort lines into, and the
@@ -287,7 +287,7 @@ bool FramedLog::persist(size_t N, const std::function<Record(size_t)> &Key,
   std::string_view Payload;
   JsonValue V;
   if (Rewrite || !std::getline(In, First) || !unframeRecord(First, Payload) ||
-      !JsonValue::parse(std::string(Payload), V) || !headerMatches(V, false)) {
+      !JsonValue::parse(Payload, V) || !headerMatches(V, false)) {
     std::string Doc = header();
     std::map<std::string, double> Keys;
     for (size_t I = 0; I != N; ++I) {

@@ -27,9 +27,9 @@ void writeSpec(JsonWriter &W, const JobSpec &S) {
   W.field("xlimit", S.Xlimit);
   W.field("freq", freqModeName(S.Freq));
   W.field("kind", jobKindName(S.Kind));
-  W.field("config_hash", formatString("%016llx",
-                                      static_cast<unsigned long long>(
-                                          S.configHash())));
+  std::string Hash;
+  appendHex(Hash, S.configHash(), 16);
+  W.field("config_hash", Hash);
 }
 
 // --- parsing helpers ------------------------------------------------------
@@ -163,12 +163,13 @@ struct Field {
     else
       W.field(Key, number(R));
   }
-  std::string csv(const JobResult &R) const {
+  void csv(std::string &Out, const JobResult &R) const {
     if (U32)
-      return formatString("%u", R.*U32);
-    if (U64)
-      return formatString("%llu", static_cast<unsigned long long>(R.*U64));
-    return jsonNumber(number(R));
+      appendDecimal(Out, R.*U32);
+    else if (U64)
+      appendDecimal(Out, R.*U64);
+    else
+      appendJsonNumber(Out, number(R));
   }
   /// Reads the stored member back from \p Obj; derived numbers are
   /// recomputed, not read.
@@ -324,7 +325,9 @@ std::string ramloc::campaignToJson(const CampaignResult &R, bool Pretty) {
     writeJobResult(W, J);
   W.endArray();
   W.endObject();
-  return W.str() + "\n";
+  std::string Doc = std::move(W).str();
+  Doc += '\n';
+  return Doc;
 }
 
 bool ramloc::parseCampaignReport(const std::string &Doc, CampaignResult &Out,
@@ -376,38 +379,49 @@ bool ramloc::mergeCampaignReports(const std::vector<std::string> &Docs,
 std::string ramloc::campaignToCsv(const CampaignResult &R) {
   std::string Out = "benchmark,level,repeat,device,rspare_bytes,xlimit,"
                     "freq,kind,ok,error";
-  for (const Field &F : Fields)
-    Out += std::string(",") + F.Column;
-  Out += "\n";
-  auto csvField = [](const std::string &S) {
-    if (S.find_first_of(",\"\n") == std::string::npos)
-      return S;
-    std::string Quoted = "\"";
+  for (const Field &F : Fields) {
+    Out += ',';
+    Out += F.Column;
+  }
+  Out += '\n';
+  auto csvField = [&Out](const std::string &S) {
+    if (S.find_first_of(",\"\n") == std::string::npos) {
+      Out += S;
+      return;
+    }
+    Out += '"';
     for (char C : S) {
       if (C == '"')
-        Quoted += '"';
-      Quoted += C;
+        Out += '"';
+      Out += C;
     }
-    return Quoted + "\"";
+    Out += '"';
   };
   for (const JobResult &J : R.Results) {
     const JobSpec &S = J.Spec;
-    Out += csvField(S.Benchmark) + ",";
-    Out += std::string(optLevelName(S.Level)) + ",";
-    Out += formatString("%u", S.Repeat) + ",";
-    Out += csvField(S.Device) + ",";
-    Out += formatString("%u", S.RspareBytes) + ",";
-    Out += jsonNumber(S.Xlimit) + ",";
-    Out += std::string(freqModeName(S.Freq)) + ",";
-    Out += std::string(jobKindName(S.Kind)) + ",";
-    Out += std::string(J.ok() ? "1" : "0") + ",";
-    Out += csvField(J.Error);
+    csvField(S.Benchmark);
+    Out += ',';
+    Out += optLevelName(S.Level);
+    Out += ',';
+    appendDecimal(Out, S.Repeat);
+    Out += ',';
+    csvField(S.Device);
+    Out += ',';
+    appendDecimal(Out, S.RspareBytes);
+    Out += ',';
+    appendJsonNumber(Out, S.Xlimit);
+    Out += ',';
+    Out += freqModeName(S.Freq);
+    Out += ',';
+    Out += jobKindName(S.Kind);
+    Out += J.ok() ? ",1," : ",0,";
+    csvField(J.Error);
     for (const Field &F : Fields) {
       Out += ',';
       if (F.carriedBy(J))
-        Out += F.csv(J);
+        F.csv(Out, J);
     }
-    Out += "\n";
+    Out += '\n';
   }
   return Out;
 }

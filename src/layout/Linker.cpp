@@ -396,10 +396,13 @@ uint64_t Image::fingerprint() const {
   uint64_t H = Fnv1aOffset;
   auto word = [&H](uint64_t V) {
     // Fixed-width little-endian fold so field boundaries cannot alias.
-    for (unsigned B = 0; B != 8; ++B) {
-      H ^= static_cast<unsigned char>(V >> (B * 8));
+    // Most fields are small: the zero high bytes fold as one run.
+    unsigned B = 0;
+    for (; V != 0; V >>= 8, ++B) {
+      H ^= static_cast<unsigned char>(V);
       H *= Fnv1aPrime;
     }
+    H = fnv1a64Zeros(H, 8 - B);
   };
   word(Map.FlashBase);
   word(Map.FlashSize);
@@ -407,13 +410,15 @@ uint64_t Image::fingerprint() const {
   word(Map.RamSize);
   word(EntryAddr);
   word(StartupCopyCycles);
-  H = fnv1a64(H, std::string_view(
-                     reinterpret_cast<const char *>(FlashBytes.data()),
-                     FlashBytes.size()));
+  // The memory images are mostly zero; the sparse fold skips zero runs
+  // and gives the same value as a byte-by-byte fold.
+  H = fnv1a64Sparse(H, std::string_view(
+                           reinterpret_cast<const char *>(FlashBytes.data()),
+                           FlashBytes.size()));
   word(FlashBytes.size());
-  H = fnv1a64(H, std::string_view(
-                     reinterpret_cast<const char *>(RamBytes.data()),
-                     RamBytes.size()));
+  H = fnv1a64Sparse(H, std::string_view(
+                           reinterpret_cast<const char *>(RamBytes.data()),
+                           RamBytes.size()));
   word(RamBytes.size());
   // The byte images fix the encodings, but per-instruction profiling
   // metadata (block identity, resolved targets, operand forms) lives only

@@ -14,7 +14,9 @@
 #ifndef RAMLOC_SUPPORT_FORMAT_H
 #define RAMLOC_SUPPORT_FORMAT_H
 
+#include <charconv>
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 
 namespace ramloc {
@@ -32,6 +34,24 @@ std::string formatDouble(double Value, int Decimals = 2);
 /// Renders a ratio change as a signed percentage string, e.g. 0.922 -> "-7.8%".
 /// \p NewOverOld is the ratio new/old.
 std::string formatPercentChange(double NewOverOld, int Decimals = 1);
+
+/// Appends integer \p V in decimal to \p Out: the bytes %u, %d, %llu or
+/// %lld print, without a printf call or a temporary string.
+template <typename Int> void appendDecimal(std::string &Out, Int V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+/// Appends \p V as lowercase hex zero-padded to \p Width digits, the
+/// bytes %0<Width>llx prints.
+inline void appendHex(std::string &Out, uint64_t V, unsigned Width) {
+  char Buf[16];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V, 16).ptr;
+  size_t Digits = static_cast<size_t>(End - Buf);
+  if (Width > Digits)
+    Out.append(Width - Digits, '0');
+  Out.append(Buf, End);
+}
 
 /// Left/right pads \p Text with spaces to \p Width columns.
 std::string padLeft(const std::string &Text, unsigned Width);

@@ -9,18 +9,54 @@
 
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 using namespace ramloc;
 
-std::string ramloc::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
+namespace {
+
+/// Reads the whole of \p S as strtod would, bit for bit; false where
+/// strtod would not consume all of it. from_chars takes every plain
+/// decimal; the rest goes to strtod on a NUL-terminated copy: overflow
+/// and underflow (where from_chars leaves the value unset), a leading
+/// '+' (which from_chars refuses) and malformed text.
+bool readDouble(std::string_view S, double &Out) {
+  const char *End = S.data() + S.size();
+  auto [Ptr, Ec] = std::from_chars(S.data(), End, Out);
+  if (Ec == std::errc() && Ptr == End)
+    return true;
+  std::string Copy(S);
+  char *Stop = nullptr;
+  Out = std::strtod(Copy.c_str(), &Stop);
+  return !Copy.empty() && Stop == Copy.c_str() + Copy.size();
+}
+
+/// Significant digits of the shortest decimal that reads back as \p V:
+/// to_chars' round-trip form, which is minimal, in scientific notation
+/// ([-]d[.ddd]e<exp>).
+size_t shortestDigits(double V) {
+  char Buf[32];
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V,
+                            std::chars_format::scientific)
+                  .ptr;
+  size_t Chars = std::find(Buf, End, 'e') - Buf - (std::signbit(V) ? 1 : 0);
+  return Chars > 1 ? Chars - 1 : Chars; // less the decimal point
+}
+
+/// Appends jsonEscape(S) to \p Out.
+void appendJsonEscaped(std::string &Out, std::string_view S) {
+  size_t Run = 0; // start of the pending run of bytes that need no escape
+  for (size_t I = 0, N = S.size(); I != N; ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -44,27 +80,57 @@ std::string ramloc::jsonEscape(const std::string &S) {
       Out += "\\t";
       break;
     default:
-      if (C < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += static_cast<char>(C);
+      Out += "\\u00";
+      Out += "0123456789abcdef"[C >> 4];
+      Out += "0123456789abcdef"[C & 0xF];
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
+}
+
+} // namespace
+
+std::string ramloc::jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendJsonEscaped(Out, S);
   return Out;
 }
 
-std::string ramloc::jsonNumber(double V) {
-  if (!std::isfinite(V))
-    return "null";
+void ramloc::appendJsonNumber(std::string &Out, double V) {
+  if (!std::isfinite(V)) {
+    Out += "null";
+    return;
+  }
+  char Buf[32];
+  char *const Cap = Buf + sizeof(Buf);
   // Integral values within the exact-double range print without a
   // fraction; everything else gets the shortest round-trippable form.
-  if (V == std::floor(V) && std::fabs(V) < 9.007199254740992e15)
-    return formatString("%.0f", V);
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.15g", V);
-  if (std::strtod(Buf, nullptr) != V)
-    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
+  if (V == std::floor(V) && std::fabs(V) < 9.007199254740992e15) {
+    Out.append(Buf,
+               std::to_chars(Buf, Cap, V, std::chars_format::fixed, 0).ptr);
+    return;
+  }
+  // %.15g can read back only if some decimal of at most 15 digits does,
+  // so a value whose shortest form is longer (most computed energies and
+  // times) skips the 15-digit attempt.
+  if (shortestDigits(V) <= 15) {
+    char *End =
+        std::to_chars(Buf, Cap, V, std::chars_format::general, 15).ptr;
+    double Back;
+    if (readDouble(std::string_view(Buf, End - Buf), Back) && Back == V) {
+      Out.append(Buf, End);
+      return;
+    }
+  }
+  Out.append(Buf,
+             std::to_chars(Buf, Cap, V, std::chars_format::general, 17).ptr);
+}
+
+std::string ramloc::jsonNumber(double V) {
+  std::string Out;
+  appendJsonNumber(Out, V);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -125,7 +191,7 @@ JsonWriter &JsonWriter::endArray() {
   return *this;
 }
 
-JsonWriter &JsonWriter::key(const std::string &K) {
+JsonWriter &JsonWriter::key(std::string_view K) {
   assert(!PendingKey && "two keys in a row");
   if (!Counts.empty() && Counts.back() > 0)
     Out += ',';
@@ -133,39 +199,35 @@ JsonWriter &JsonWriter::key(const std::string &K) {
   if (!Counts.empty())
     ++Counts.back();
   Out += '"';
-  Out += jsonEscape(K);
+  appendJsonEscaped(Out, K);
   Out += Pretty ? "\": " : "\":";
   PendingKey = true;
   return *this;
 }
 
-JsonWriter &JsonWriter::value(const std::string &S) {
+JsonWriter &JsonWriter::value(std::string_view S) {
   beforeValue();
   Out += '"';
-  Out += jsonEscape(S);
+  appendJsonEscaped(Out, S);
   Out += '"';
   return *this;
 }
 
-JsonWriter &JsonWriter::value(const char *S) {
-  return value(std::string(S));
-}
-
 JsonWriter &JsonWriter::value(double V) {
   beforeValue();
-  Out += jsonNumber(V);
+  appendJsonNumber(Out, V);
   return *this;
 }
 
 JsonWriter &JsonWriter::value(int64_t V) {
   beforeValue();
-  Out += formatString("%lld", static_cast<long long>(V));
+  appendDecimal(Out, V);
   return *this;
 }
 
 JsonWriter &JsonWriter::value(uint64_t V) {
   beforeValue();
-  Out += formatString("%llu", static_cast<unsigned long long>(V));
+  appendDecimal(Out, V);
   return *this;
 }
 
@@ -185,28 +247,7 @@ JsonWriter &JsonWriter::null() {
 // JsonValue / parser
 //===----------------------------------------------------------------------===//
 
-JsonValue JsonValue::makeBool(bool B) {
-  JsonValue V;
-  V.K = Kind::Bool;
-  V.Bool = B;
-  return V;
-}
-
-JsonValue JsonValue::makeNumber(double N) {
-  JsonValue V;
-  V.K = Kind::Number;
-  V.Num = N;
-  return V;
-}
-
-JsonValue JsonValue::makeString(std::string S) {
-  JsonValue V;
-  V.K = Kind::String;
-  V.Str = std::move(S);
-  return V;
-}
-
-const JsonValue *JsonValue::find(const std::string &Key) const {
+const JsonValue *JsonValue::find(std::string_view Key) const {
   if (K != Kind::Object)
     return nullptr;
   for (const auto &[Name, Val] : Members)
@@ -219,7 +260,7 @@ namespace ramloc {
 
 class JsonParser {
 public:
-  JsonParser(const std::string &Text) : Text(Text) {}
+  JsonParser(std::string_view Text) : Text(Text) {}
 
   bool run(JsonValue &Out) {
     skipWs();
@@ -254,11 +295,10 @@ private:
     return false;
   }
 
-  bool literal(const char *Word) {
-    size_t Len = std::string(Word).size();
-    if (Text.compare(Pos, Len, Word) != 0)
-      return fail(formatString("expected '%s'", Word));
-    Pos += Len;
+  bool literal(std::string_view Word) {
+    if (Text.substr(Pos, Word.size()) != Word)
+      return fail("expected '" + std::string(Word) + "'");
+    Pos += Word.size();
     return true;
   }
 
@@ -274,13 +314,15 @@ private:
       Out.K = JsonValue::Kind::String;
       return parseString(Out.Str);
     case 't':
-      Out = JsonValue::makeBool(true);
+      Out.K = JsonValue::Kind::Bool;
+      Out.Bool = true;
       return literal("true");
     case 'f':
-      Out = JsonValue::makeBool(false);
+      Out.K = JsonValue::Kind::Bool;
+      Out.Bool = false;
       return literal("false");
     case 'n':
-      Out = JsonValue::makeNull();
+      Out.K = JsonValue::Kind::Null;
       return literal("null");
     default:
       return parseNumber(Out);
@@ -295,19 +337,17 @@ private:
       return true;
     for (;;) {
       skipWs();
-      std::string Key;
       if (Pos >= Text.size() || Text[Pos] != '"')
         return fail("expected object key");
+      auto &[Key, Member] = Out.Members.emplace_back();
       if (!parseString(Key))
         return false;
       skipWs();
       if (!consume(':'))
         return fail("expected ':' after key");
       skipWs();
-      JsonValue Member;
       if (!parseValue(Member))
         return false;
-      Out.Members.emplace_back(std::move(Key), std::move(Member));
       skipWs();
       if (consume(','))
         continue;
@@ -325,10 +365,8 @@ private:
       return true;
     for (;;) {
       skipWs();
-      JsonValue Item;
-      if (!parseValue(Item))
+      if (!parseValue(Out.Items.emplace_back()))
         return false;
-      Out.Items.push_back(std::move(Item));
       skipWs();
       if (consume(','))
         continue;
@@ -342,13 +380,15 @@ private:
     ++Pos; // opening quote
     Out.clear();
     while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
-        return true;
-      if (C != '\\') {
-        Out += C;
-        continue;
+      size_t Stop = Text.find_first_of("\"\\", Pos);
+      if (Stop == std::string_view::npos) {
+        Pos = Text.size();
+        break;
       }
+      Out.append(Text.data() + Pos, Stop - Pos);
+      Pos = Stop + 1;
+      if (Text[Stop] == '"')
+        return true;
       if (Pos >= Text.size())
         return fail("unterminated escape");
       char E = Text[Pos++];
@@ -422,22 +462,21 @@ private:
       ++Pos;
     if (Pos == Start)
       return fail("expected a value");
-    std::string Num = Text.substr(Start, Pos - Start);
-    char *End = nullptr;
-    double V = std::strtod(Num.c_str(), &End);
-    if (End != Num.c_str() + Num.size())
+    double V;
+    if (!readDouble(Text.substr(Start, Pos - Start), V))
       return fail("malformed number");
-    Out = JsonValue::makeNumber(V);
+    Out.K = JsonValue::Kind::Number;
+    Out.Num = V;
     return true;
   }
 
-  const std::string &Text;
+  std::string_view Text;
   size_t Pos = 0;
 };
 
 } // namespace ramloc
 
-bool JsonValue::parse(const std::string &Text, JsonValue &Out,
+bool JsonValue::parse(std::string_view Text, JsonValue &Out,
                       std::string *Error) {
   JsonParser P(Text);
   JsonValue V;

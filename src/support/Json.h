@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,12 +29,17 @@ namespace ramloc {
 /// surrounding quotes): quote, backslash and control characters become
 /// their \-sequences; everything else (including UTF-8 bytes) passes
 /// through untouched.
-std::string jsonEscape(const std::string &S);
+std::string jsonEscape(std::string_view S);
 
 /// Shortest decimal representation of \p V that parses back to exactly
-/// the same double (tries %.15g, widens to %.17g when needed). Non-finite
-/// values, which JSON cannot represent, render as null.
+/// the same double: integral values below 2^53 as %.0f, else %.15g,
+/// widened to %.17g when that does not round-trip. Printed with
+/// std::to_chars, whose precision forms are specified to give printf's
+/// bytes. Non-finite values, which JSON cannot represent, render as null.
 std::string jsonNumber(double V);
+
+/// Appends jsonNumber(V) to \p Out without a temporary string.
+void appendJsonNumber(std::string &Out, double V);
 
 /// Streaming JSON writer. Usage:
 ///
@@ -57,10 +63,13 @@ public:
   JsonWriter &endArray();
 
   /// Emits an object key; the next emitted value becomes its value.
-  JsonWriter &key(const std::string &K);
+  JsonWriter &key(std::string_view K);
 
-  JsonWriter &value(const std::string &S);
-  JsonWriter &value(const char *S);
+  JsonWriter &value(std::string_view S);
+  JsonWriter &value(const std::string &S) {
+    return value(std::string_view(S));
+  }
+  JsonWriter &value(const char *S) { return value(std::string_view(S)); }
   JsonWriter &value(double V);
   JsonWriter &value(int64_t V);
   JsonWriter &value(uint64_t V);
@@ -70,13 +79,15 @@ public:
   JsonWriter &null();
 
   /// key(K) followed by value(V).
-  template <typename T> JsonWriter &field(const std::string &K, T &&V) {
+  template <typename T> JsonWriter &field(std::string_view K, T &&V) {
     key(K);
     return value(std::forward<T>(V));
   }
 
   /// The document produced so far.
-  const std::string &str() const { return Out; }
+  const std::string &str() const & { return Out; }
+  /// Moves the document out of a writer that is done.
+  std::string str() && { return std::move(Out); }
 
 private:
   void beforeValue();
@@ -106,18 +117,13 @@ public:
   }
 
   /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue *find(const std::string &Key) const;
+  const JsonValue *find(std::string_view Key) const;
 
   /// Parses \p Text (a complete document; trailing garbage is an error).
   /// On failure returns false and describes the problem in \p Error.
-  static bool parse(const std::string &Text, JsonValue &Out,
+  /// Numbers are read as strtod reads them, bit for bit.
+  static bool parse(std::string_view Text, JsonValue &Out,
                     std::string *Error = nullptr);
-
-  // Construction helpers (used by the parser; handy in tests).
-  static JsonValue makeNull() { return JsonValue(); }
-  static JsonValue makeBool(bool B);
-  static JsonValue makeNumber(double V);
-  static JsonValue makeString(std::string S);
 
 private:
   Kind K = Kind::Null;

@@ -67,7 +67,7 @@ std::string MetricsRegistry::toJson(bool Pretty) const {
   }
   W.endObject();
   W.endObject();
-  return W.str();
+  return std::move(W).str();
 }
 
 MetricsRegistry &ramloc::globalMetrics() {

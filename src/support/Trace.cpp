@@ -178,5 +178,5 @@ std::string ramloc::traceToChromeJson(const TraceSnapshot &S, bool Pretty) {
   }
   W.endArray();
   W.endObject();
-  return W.str();
+  return std::move(W).str();
 }

@@ -6,13 +6,61 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Json.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <optional>
 
 using namespace ramloc;
+
+namespace {
+
+/// The printf/strtod spelling jsonNumber had before it moved to
+/// std::to_chars: the oracle its bytes must match. Counts the values
+/// whose %.15g form does not read back (the %.17g path) in \p Widened.
+std::string printfJsonNumber(double V, size_t &Widened) {
+  if (!std::isfinite(V))
+    return "null";
+  char Buf[40];
+  if (V == std::floor(V) && std::fabs(V) < 9.007199254740992e15) {
+    std::snprintf(Buf, sizeof(Buf), "%.0f", V);
+    return Buf;
+  }
+  std::snprintf(Buf, sizeof(Buf), "%.15g", V);
+  if (std::strtod(Buf, nullptr) != V) {
+    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+    ++Widened;
+  }
+  return Buf;
+}
+
+/// strtod's verdict on a whole JSON number token: its bits, or nullopt
+/// where strtod would not consume all of \p Text.
+std::optional<uint64_t> strtodBits(const std::string &Text) {
+  char *End = nullptr;
+  double V = std::strtod(Text.c_str(), &End);
+  if (Text.empty() || End != Text.c_str() + Text.size())
+    return std::nullopt;
+  return std::bit_cast<uint64_t>(V);
+}
+
+/// JsonValue::parse's verdict on \p Text, in strtodBits' terms.
+std::optional<uint64_t> parsedBits(const std::string &Text) {
+  JsonValue V;
+  if (!JsonValue::parse(Text, V))
+    return std::nullopt;
+  EXPECT_EQ(V.kind(), JsonValue::Kind::Number) << Text;
+  return std::bit_cast<uint64_t>(V.number());
+}
+
+} // namespace
 
 TEST(Json, EscapingSpecialCharacters) {
   EXPECT_EQ(jsonEscape("plain"), "plain");
@@ -146,4 +194,81 @@ TEST(Json, ParseAcceptsWhitespaceEverywhere) {
   ASSERT_TRUE(
       JsonValue::parse("  { \"a\" : [ 1 , 2 ] , \"b\" : null }  ", V));
   EXPECT_EQ(V.find("a")->items().size(), 2u);
+}
+
+TEST(Json, NumberBytesMatchThePrintfOracle) {
+  SplitMix64 Rng(0x6a736f6e);
+  size_t Checked = 0, Widened = 0, Mismatches = 0;
+  auto check = [&](double V) {
+    std::string Want = printfJsonNumber(V, Widened);
+    std::string Got = jsonNumber(V);
+    if (Got != Want && ++Mismatches <= 5)
+      ADD_FAILURE() << std::hexfloat << V << ": got " << Got << ", want "
+                    << Want;
+    ++Checked;
+  };
+  // Random bit patterns: every exponent, NaNs and infinities included.
+  for (int I = 0; I != 400000; ++I)
+    check(std::bit_cast<double>(Rng.next()));
+  // Integers either side of 2^53, where the %.0f form stops.
+  for (int64_t K = -50000; K != 50000; ++K)
+    for (double Sign : {1.0, -1.0})
+      check(Sign * (9007199254740992.0 + static_cast<double>(K)));
+  // Decimal fractions k/10^d, the shape of the report's knobs and ratios.
+  for (int I = 0; I != 300000; ++I)
+    check(static_cast<double>(Rng.nextInRange(-2000000000, 2000000000)) /
+          std::pow(10.0, static_cast<double>(Rng.nextBelow(23))));
+  // Subnormals and the extremes.
+  for (int I = 0; I != 100000; ++I)
+    check(std::bit_cast<double>((Rng.next() & 0x800fffffffffffffULL)));
+  for (double V : {0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
+                   std::numeric_limits<double>::denorm_min(),
+                   -std::numeric_limits<double>::denorm_min(), DBL_EPSILON})
+    check(V);
+  // Neighbours of short decimals: %.15g does not read these back, so
+  // they take the %.17g path.
+  for (int I = 0; I != 200000; ++I) {
+    double V = static_cast<double>(Rng.nextInRange(1, 999999999)) /
+               std::pow(10.0, static_cast<double>(Rng.nextBelow(12)));
+    check(std::nextafter(V, Rng.nextBool() ? 1e300 : -1e300));
+  }
+  EXPECT_EQ(Mismatches, 0u);
+  EXPECT_GE(Checked, 1000000u);
+  EXPECT_GE(Widened, 100000u);
+}
+
+TEST(Json, AppendJsonNumberAppends) {
+  std::string Out = "x=";
+  appendJsonNumber(Out, 0.1);
+  appendJsonNumber(Out, 512.0);
+  EXPECT_EQ(Out, "x=0.1512");
+}
+
+TEST(Json, ParserReadsNumbersAsStrtodDoes) {
+  // Overflow and underflow (where from_chars leaves the value unset),
+  // signed zero, forms strtod takes that JSON would not, broken tokens.
+  std::vector<std::string> Table = {
+      "1e999", "-1e999", "1e-400", "-1e-400", "-0", "01", "1.", ".5",
+      "1e", "1e+", "--1", "1e5.5", "-", "+1", "+-1", "-+1", "1e-310",
+      "2e-324", "3e-324", "4.9e-324", "1.7976931348623157e308",
+      "1.7976931348623159e308", "2.2250738585072011e-308", "0.1",
+      "-1.5E+3", "1.e5", ".e5", "e5", "1-2", "0.30000000000000004"};
+  std::string Long = "1.";
+  for (int I = 0; I != 400; ++I)
+    Long += static_cast<char>('0' + (I * 7 + 3) % 10);
+  Table.push_back(Long);
+  Table.push_back(std::string(400, '9'));
+  for (const std::string &Text : Table)
+    EXPECT_EQ(parsedBits(Text), strtodBits(Text)) << Text;
+
+  // Every short string over the number alphabet: the same accept/reject
+  // verdict and the same bits.
+  const char Alphabet[] = "0159.eE+-";
+  SplitMix64 Rng(0x737472);
+  for (int I = 0; I != 100000; ++I) {
+    std::string Text;
+    for (uint64_t N = 1 + Rng.nextBelow(8); N != 0; --N)
+      Text += Alphabet[Rng.nextBelow(sizeof(Alphabet) - 1)];
+    ASSERT_EQ(parsedBits(Text), strtodBits(Text)) << Text;
+  }
 }

@@ -235,6 +235,16 @@ TEST(ExecutionProfile, ExecutionKeySeparatesImagesAndArguments) {
   EXPECT_EQ(A.fingerprint(), A2.fingerprint());
 }
 
+TEST(ExecutionProfile, BaselineExecutionKeysArePinned) {
+  // Stored profiles are keyed by these strings: a change to
+  // Image::fingerprint, the linker's layout or the key's format that
+  // moves them makes every store cold-start, and must be deliberate.
+  EXPECT_EQ(executionKey(linkBeebs("sha", OptLevel::O1, /*Repeat=*/0)),
+            "10d4bfd3b9036bec:00000000:00000000:00000000");
+  EXPECT_EQ(executionKey(linkBeebs("cubic", OptLevel::O2, /*Repeat=*/0)),
+            "ed1aaa2c8dfb56c3:00000000:00000000:00000000");
+}
+
 TEST(ExecutionProfile, SerializationRoundTripsExactly) {
   Image Img = linkBeebs("2dfir");
   ExecutionProfile Profile;

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Format.h"
+#include "support/Hash.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
@@ -126,4 +127,63 @@ TEST(Table, ShortRowsPadded) {
   Table T({"a", "b", "c"});
   T.addRow({"only"});
   EXPECT_NO_THROW({ std::string S = T.render(); });
+}
+
+TEST(Format, AppendDecimalAndHexMatchPrintf) {
+  SplitMix64 Rng(7);
+  for (int I = 0; I != 10000; ++I) {
+    uint64_t V = Rng.next() >> Rng.nextBelow(64);
+    std::string Out = "|";
+    appendDecimal(Out, V);
+    appendDecimal(Out, static_cast<unsigned>(V));
+    appendDecimal(Out, -static_cast<int64_t>(V >> 1));
+    appendHex(Out, V, 16);
+    appendHex(Out, V & 0xffff, 8);
+    EXPECT_EQ(Out, formatString("|%llu%u%lld%016llx%08llx",
+                                static_cast<unsigned long long>(V),
+                                static_cast<unsigned>(V),
+                                -static_cast<long long>(V >> 1),
+                                static_cast<unsigned long long>(V),
+                                static_cast<unsigned long long>(V & 0xffff)));
+  }
+}
+
+TEST(Hash, ZeroRunFoldEqualsByteFold) {
+  for (uint64_t H : {Fnv1aOffset, uint64_t{0x123456789abcdef}})
+    for (size_t N : {0, 1, 2, 7, 8, 9, 63, 64, 65, 200, 4096, 65536 + 3})
+      EXPECT_EQ(fnv1a64Zeros(H, N), fnv1a64(H, std::string(N, '\0'))) << N;
+}
+
+TEST(Hash, SparseFoldEqualsByteFold) {
+  SplitMix64 Rng(0xfa57);
+  auto nonZero = [&](size_t N) {
+    std::string S;
+    for (size_t I = 0; I != N; ++I)
+      S += static_cast<char>(1 + Rng.nextBelow(255));
+    return S;
+  };
+  auto expectSame = [](const std::string &Buf) {
+    for (uint64_t H : {Fnv1aOffset, uint64_t{0x0123456789abcdef}})
+      ASSERT_EQ(fnv1a64Sparse(H, Buf), fnv1a64(H, Buf)) << Buf.size();
+  };
+  expectSame("");
+  for (size_t N : {1, 7, 8, 9, 64, 1000})
+    expectSame(std::string(N, '\0'));
+  // A zero run of every length up to 80, starting at every offset within
+  // a word: between data, at the head and at the tail of the buffer.
+  for (size_t Off = 0; Off != 8; ++Off)
+    for (size_t Len = 0; Len <= 80; ++Len) {
+      std::string Zeros(Len, '\0');
+      expectSame(nonZero(Off) + Zeros + nonZero(13));
+      expectSame(Zeros + nonZero(Off + 1));
+      expectSame(nonZero(Off + 1) + Zeros);
+    }
+  // Mostly-zero buffers like a memory image, with scattered data bytes
+  // (some of them zero too).
+  for (int I = 0; I != 200; ++I) {
+    std::string Buf(1 + Rng.nextBelow(3000), '\0');
+    for (uint64_t K = Rng.nextBelow(40); K != 0; --K)
+      Buf[Rng.nextBelow(Buf.size())] = static_cast<char>(Rng.next());
+    expectSame(Buf);
+  }
 }

@@ -24,7 +24,7 @@ using namespace ramloc;
 int main(int Argc, char **Argv) {
   PipelineOptions Opts;
   std::string OutPath;
-  bool NoCalls = false, Quiet = false;
+  bool NoCalls = false, Quiet = false, Help = false;
   FlagTable Flags("usage: ramloc-opt [options] input.s\n");
   Flags.section("options");
   Flags.add("rspare", "N", "RAM bytes available for code (default 2048)",
@@ -37,10 +37,16 @@ int main(int Argc, char **Argv) {
   Flags.add("out", "FILE", "write optimized assembly here (default stdout)",
             bindValue(OutPath, parsePath));
   Flags.add("quiet", "suppress the report", Quiet);
+  Flags.add("help", "print this help and exit", Help);
 
   std::vector<std::string> Inputs;
   std::string Error, Text;
-  if (!Flags.parse(Argc, Argv, Inputs, Error) || Inputs.size() != 1) {
+  bool Parsed = Flags.parse(Argc, Argv, Inputs, Error);
+  if (Parsed && Help) {
+    std::fputs(Flags.help().c_str(), stdout);
+    return 0;
+  }
+  if (!Parsed || Inputs.size() != 1) {
     std::fprintf(stderr, "error: %s\n%s",
                  Error.empty() ? "expected one input file" : Error.c_str(),
                  Flags.help().c_str());

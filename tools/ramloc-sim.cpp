@@ -23,7 +23,7 @@
 using namespace ramloc;
 
 int main(int Argc, char **Argv) {
-  bool Profile = false, Breakdown = false, NoStartup = false;
+  bool Profile = false, Breakdown = false, NoStartup = false, Help = false;
   SimOptions Sim;
   FlagTable Flags("usage: ramloc-sim [options] input.s\n");
   Flags.section("options");
@@ -36,10 +36,16 @@ int main(int Argc, char **Argv) {
             "exceeds N fails with 'cycle limit exceeded' (default "
             "4000000000)",
             bindValue(Sim.MaxCycles, parseUInt64));
+  Flags.add("help", "print this help and exit", Help);
 
   std::vector<std::string> Inputs;
   std::string Error, Text;
-  if (!Flags.parse(Argc, Argv, Inputs, Error) || Inputs.size() != 1) {
+  bool Parsed = Flags.parse(Argc, Argv, Inputs, Error);
+  if (Parsed && Help) {
+    std::fputs(Flags.help().c_str(), stdout);
+    return 0;
+  }
+  if (!Parsed || Inputs.size() != 1) {
     std::fprintf(stderr, "error: %s\n%s",
                  Error.empty() ? "expected one input file" : Error.c_str(),
                  Flags.help().c_str());
