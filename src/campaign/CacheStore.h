@@ -126,7 +126,7 @@ public:
   /// Starts the journal (after open()). With \p Resume, entries under a
   /// matching header — fingerprint() plus \p ConfigToken, which must
   /// encode everything that can change a report's bytes
-  /// (solverConfigToken(): limits, pricing rule, node order, warm/cold;
+  /// (solverConfigToken(): limits, node order, warm/cold;
   /// not --jobs) — load into journalEntries(); a missing or mismatched
   /// journal yields none. Otherwise a fresh header replaces any journal.
   bool beginJournal(const std::string &ConfigToken, bool Resume,

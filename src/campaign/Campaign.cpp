@@ -274,18 +274,18 @@ struct SolveChain {
 using SolveChainMemo = OnceMap<uint64_t, std::shared_ptr<const SolveChain>>;
 
 /// Runs one solve group: jobs agreeing on everything but the
-/// Xlimit/Rspare knobs, visited in the order given. The module is built,
-/// the baseline measured and the parameters extracted once; each knob
-/// point is then an RHS patch solved with the previous point's basis and
-/// incumbent (PlacementSolver), and knob points whose placements coincide
-/// share one apply+measure call. Every per-job outcome — including every
-/// error string — is produced by the same staged functions the
-/// single-job path uses, so grouped and ungrouped runs cannot drift
-/// apart. With \p Chains, a group whose ILP another group already solves
-/// replays that group's solves instead of repeating them. \p OnDone is
-/// invoked after each job's slot in \p Results is final.
+/// Xlimit/Rspare knobs, visited loosest-first. The module is built, the
+/// baseline measured and the parameters extracted once; each knob point
+/// is then an RHS patch solved with the previous point's basis, incumbent
+/// and pseudo-costs (PlacementSolver), and knob points whose placements
+/// coincide share one apply+measure call. Every per-job outcome —
+/// including every error string — is produced by the same staged
+/// functions the single-job path uses, so grouped and ungrouped runs
+/// cannot drift apart. With \p Chains, a group whose ILP another group
+/// already solves replays that group's solves instead of repeating them.
+/// \p OnDone is invoked after each job's slot in \p Results is final.
 void runSolveGroup(const std::vector<JobSpec> &Jobs,
-                   const std::vector<size_t> &Indices,
+                   std::vector<size_t> Indices,
                    const PipelineOptions &Base,
                    std::vector<JobResult> &Results,
                    const std::function<void(size_t)> &OnDone,
@@ -293,6 +293,16 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                    IncumbentStore *Incumbents = nullptr,
                    bool SeedIncumbents = true,
                    SolveChainMemo *Chains = nullptr) {
+  // Loosest first (Rspare descending, then Xlimit descending; stable, so
+  // equal points keep their order): a point whose looser neighbour's
+  // proven optimum still fits is then settled without search. Reports do
+  // not depend on the order — every solve proves optimality — and chain
+  // followers sort the same way, so they still follow their donor.
+  std::stable_sort(Indices.begin(), Indices.end(), [&](size_t A, size_t B) {
+    if (Jobs[A].RspareBytes != Jobs[B].RspareBytes)
+      return Jobs[A].RspareBytes > Jobs[B].RspareBytes;
+    return Jobs[A].Xlimit > Jobs[B].Xlimit;
+  });
   const JobSpec &First = Jobs[Indices.front()];
   TraceSpan GroupSpan("solve-group", "campaign");
   if (GroupSpan.active()) {
@@ -376,6 +386,8 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
         .record(static_cast<double>(Sol.NodesExplored));
     Reg.histogram("campaign.solve.pivots")
         .record(static_cast<double>(Sol.primalPivots() + Sol.dualPivots()));
+    if (Sol.dominated())
+      Reg.counter("campaign.solve.dominated").add();
     if (Owned)
       Recording->Points.push_back({Knobs.RspareBytes, Knobs.Xlimit, Sol});
     return InRam;
@@ -440,9 +452,8 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
     // Offer the *opening* point's optimum, not every point's: a re-run
     // of the same grid seeds at the same opening point, where this
     // assignment re-validates exactly and opens the search with the true
-    // optimum. Later points' optima live under looser budgets (axes are
-    // conventionally ascending) and would mostly fail the zero-tolerance
-    // re-check at the next run's tighter opening point.
+    // optimum. The opening point is the group's loosest, so its optimum
+    // is the best-known placement of every point the group visits.
     if (Incumbents && FirstJob)
       Incumbents->offer(GroupKey, InRam,
                         evaluateAssignment(EM.MP, InRam).EnergyMilliJoules);
@@ -514,7 +525,8 @@ namespace {
 /// sequential campaigns (globalMetrics(), typically) still yields exact
 /// per-campaign summaries.
 struct CampaignBaseline {
-  uint64_t Extractions, ColdSolves, WarmSolves, IncumbentSeeds, Replayed;
+  uint64_t Extractions, ColdSolves, WarmSolves, IncumbentSeeds, Replayed,
+      Dominated;
   uint64_t FullSims, Recosts, CacheHits, UniqueRuns;
 
   explicit CampaignBaseline(const MetricsRegistry &Reg)
@@ -523,6 +535,7 @@ struct CampaignBaseline {
         WarmSolves(Reg.counterValue("campaign.solve.warm")),
         IncumbentSeeds(Reg.counterValue("campaign.solve.incumbent_seeds")),
         Replayed(Reg.counterValue("campaign.solve.replayed")),
+        Dominated(Reg.counterValue("campaign.solve.dominated")),
         FullSims(Reg.counterValue("campaign.sim.full_sims")),
         Recosts(Reg.counterValue("campaign.sim.recosts")),
         CacheHits(Reg.counterValue("campaign.cache.hits")),
@@ -695,6 +708,8 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
       Start.IncumbentSeeds;
   S.Replayed =
       Reg.counterValue("campaign.solve.replayed") - Start.Replayed;
+  S.Dominated =
+      Reg.counterValue("campaign.solve.dominated") - Start.Dominated;
   S.WallSeconds = Timer.stop();
   CR.Summary = S;
   return CR;

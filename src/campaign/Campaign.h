@@ -32,13 +32,16 @@
 /// The optimizer gets the same treatment on the knob axis: jobs that
 /// share everything but Xlimit/Rspare form a *solve group*. A group runs
 /// as one pool task that extracts parameters and builds the ILP once,
-/// then visits its knob points in expansion order, each solved as an RHS
-/// patch warm-started from the previous point's basis and incumbent
-/// (core/IlpModel's PlacementSolver), so a 3x3 knob grid pays 1
-/// extraction + 1 cold solve + 8 re-optimizations
-/// (Summary.Extractions/ColdSolves/WarmSolves assert it). Knob points
-/// whose optimal placements coincide — they often do — additionally share
-/// one apply+measure call, keyed by the assignment itself. Solve groups
+/// then visits its knob points loosest-first (Rspare descending, then
+/// Xlimit descending), each solved as an RHS patch warm-started from the
+/// previous point's basis, incumbent and pseudo-costs (core/IlpModel's
+/// PlacementSolver), so a 3x3 knob grid pays 1 extraction + 1 cold
+/// solve + 8 re-optimizations (Summary.Extractions/ColdSolves/WarmSolves
+/// assert it). Loosest-first lets a point whose looser neighbour's
+/// optimum still fits take that optimum without search
+/// (Summary.Dominated). Knob points whose optimal placements coincide —
+/// they often do — additionally share one apply+measure call, keyed by
+/// the assignment itself. Solve groups
 /// whose ILPs are bit-identical share one solve chain: Eqs. 1-9 see a
 /// placement only in cycles and per-memory power, so most BEEBS
 /// benchmarks pose the same ILP at O1 and O2, and a device that differs
@@ -53,11 +56,11 @@
 /// (Summary.Replayed counts the replayed jobs). Warm and cold
 /// solves are both exact, so reports are byte-identical with solve reuse
 /// on or off (CampaignOptions::ReuseSolves, `--reuse` without `solve`)
-/// whenever every solve proves optimality. A different pivot path can get
-/// numerically stuck where another does not and lose a proof — measured:
-/// `--pricing=dantzig` labels 2 of the 1080 canonical-grid configs
-/// feasible-limit that the default proves optimal — and a degraded label
-/// may then differ between the two runs.
+/// whenever every solve proves optimality. A dual simplex row stuck on
+/// round-off pivots used to cost some unlimited solves their proof (6
+/// feasible-limit labels on the tight model-only grid); such a row is
+/// now certified infeasible or repaired, and no grid measured since has
+/// a degraded label without a limit set.
 ///
 /// Even the group's first solve need not start from nothing: an
 /// IncumbentStore remembers the best-known placement per solve group —
@@ -352,8 +355,14 @@ struct CampaignSummary {
   /// Jobs whose solve was replayed from another solve group posing a
   /// bit-identical ILP instead of being solved (diagnostics only).
   /// ColdSolves/WarmSolves still count a replayed job under its donor's
-  /// label, so the live MIP solves are ColdSolves + WarmSolves - Replayed.
+  /// label, so the live MIP solves are ColdSolves + WarmSolves - Replayed
+  /// - Dominated.
   uint64_t Replayed = 0;
+  /// Live knob points settled without search because a looser point of
+  /// the same chain had a proven optimum that stays feasible there
+  /// (PlacementSolver; diagnostics only). Each is counted as a warm
+  /// solve, and none is a MIP solve.
+  uint64_t Dominated = 0;
   /// Succeeded jobs whose SolveOutcome is not Optimal — best-effort
   /// answers under a solver limit. Deterministic (derived from Results
   /// by computeSummary), surfaced in the CLI summary, excluded from

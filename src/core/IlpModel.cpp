@@ -9,6 +9,7 @@
 
 #include "support/Format.h"
 #include "support/Hash.h"
+#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -390,17 +391,54 @@ uint64_t PlacementSolver::chainKey(const SolverConfig &Cfg) const {
   return fnv1a64(H, solverConfigToken(Cfg));
 }
 
+const PlacementSolver::Optimum *
+PlacementSolver::dominatingOptimum(const ModelKnobs &Knobs) const {
+  const Optimum *Best = nullptr;
+  for (const Optimum &O : Optima) {
+    if (O.RspareBytes < Knobs.RspareBytes || O.Xlimit < Knobs.Xlimit ||
+        !PM.P.isFeasible(O.Values, /*Tol=*/0.0))
+      continue;
+    // Every candidate is optimal here; pick by the search's canonical
+    // incumbent order so the answer does not depend on visiting order.
+    if (!Best || O.Objective < Best->Objective ||
+        (O.Objective == Best->Objective && O.Values < Best->Values))
+      Best = &O;
+  }
+  return Best;
+}
+
 Assignment PlacementSolver::solve(const ModelKnobs &Knobs,
                                   const SolverConfig &Cfg,
                                   MipSolution *Out) {
   TraceSpan Span("solve", "solver");
   PM.patchKnobs(Knobs);
-  // With warm nodes disabled the caller asked for the cold reference
-  // path; keeping the cross-solve state out makes every call independent.
-  MipSolution Sol = solveMip(PM.P, Cfg, Cfg.WarmNodes ? &Warm : nullptr);
+  MipSolution Sol;
+  const Optimum *Donor = Cfg.WarmNodes ? dominatingOptimum(Knobs) : nullptr;
+  if (Donor) {
+    Sol.Status = LpStatus::Optimal;
+    Sol.Objective = Donor->Objective;
+    Sol.Values = Donor->Values;
+    Sol.Proven = true;
+    Sol.Outcome = SolveStatus::Optimal;
+    Sol.Stats.WarmStarted = true;
+    Sol.Stats.Dominated = true;
+    // The chain goes on as if this point had been searched: its optimum
+    // seeds the next solve.
+    Warm.Incumbent = Sol.Values;
+    globalMetrics().counter("mip.dominated").add();
+  } else {
+    // With warm nodes disabled the caller asked for the cold reference
+    // path; keeping the cross-solve state out makes every call
+    // independent.
+    Sol = solveMip(PM.P, Cfg, Cfg.WarmNodes ? &Warm : nullptr);
+    if (Cfg.WarmNodes && Sol.Outcome == SolveStatus::Optimal)
+      Optima.push_back({Knobs.RspareBytes, Knobs.Xlimit, Sol.Objective,
+                        Sol.Values});
+  }
   if (Span.active()) {
     Span.arg("warm", Sol.warmStarted() ? "1" : "0");
     Span.arg("seeded", Sol.seededIncumbent() ? "1" : "0");
+    Span.arg("dominated", Sol.dominated() ? "1" : "0");
     Span.arg("nodes", std::to_string(Sol.NodesExplored));
   }
   if (Out)

@@ -143,17 +143,27 @@ Assignment solvePlacement(const ModelParams &MP,
 
 /// The pipeline's solve stage, built once per (benchmark, device): knob
 /// points become RHS patches on one retained ILP, each solved with the
-/// previous point's basis and incumbent as warm start (solve once, branch
-/// cheap — the knob-axis analogue of the execute/recost split). The first
-/// solve is cold; every later solve re-optimizes, which
-/// MipSolution::WarmStarted reports and the campaign engine tallies as
-/// Summary.ColdSolves/WarmSolves. Warm and cold paths are both exact, so
-/// whenever the optimal placement is unique — two distinct placements
-/// with bit-equal modelled energy being the one case any pair of exact
-/// solvers may legitimately disagree on — results do not depend on the
-/// order knob points are visited in. The whole chain is a pure function
-/// of chainKey() and the knob points visited, which is what lets the
-/// campaign engine solve it once for every group posing the same ILP.
+/// previous point's basis, incumbent and pseudo-costs as warm start
+/// (solve once, branch cheap — the knob-axis analogue of the
+/// execute/recost split). The first solve is cold; every later solve
+/// re-optimizes, which MipSolution::WarmStarted reports and the campaign
+/// engine tallies as Summary.ColdSolves/WarmSolves. Warm and cold paths
+/// are both exact, so whenever the optimal placement is unique — two
+/// distinct placements with bit-equal modelled energy being the one case
+/// any pair of exact solvers may legitimately disagree on — results do
+/// not depend on the order knob points are visited in. The whole chain
+/// is a pure function of chainKey() and the knob points visited, which
+/// is what lets the campaign engine solve it once for every group posing
+/// the same ILP.
+///
+/// A warm chain also settles dominated points without search. Both knobs
+/// only bound the feasible set from above (Eq. 7 by Rspare, Eq. 9 by
+/// Xlimit), so a point K's feasible set lies inside that of any point P
+/// at least as loose on both. When P's proven optimum is feasible at K,
+/// it is optimal at K too: solve() returns it with no nodes explored,
+/// labelled warm-started and Stats.Dominated. Only proven optima serve as
+/// donors, and the cold reference path (WarmNodes off) never takes the
+/// shortcut. Visiting a chain loosest-first makes the most of it.
 /// Not thread-safe; the campaign engine runs one group per worker.
 class PlacementSolver {
 public:
@@ -189,8 +199,20 @@ public:
   const PlacementModel &model() const { return PM; }
 
 private:
+  /// A proven optimum of this chain and the knobs it was proven at.
+  struct Optimum {
+    unsigned RspareBytes;
+    double Xlimit;
+    double Objective;
+    std::vector<double> Values;
+  };
+  /// The canonically best recorded optimum at least as loose as \p Knobs
+  /// and feasible under the currently patched model, or null.
+  const Optimum *dominatingOptimum(const ModelKnobs &Knobs) const;
+
   PlacementModel PM;
   MipWarmStart Warm;
+  std::vector<Optimum> Optima;
 };
 
 } // namespace ramloc

@@ -131,36 +131,6 @@ void finalizeOutcome(MipSolution &Sol) {
     Sol.Outcome = SolveStatus::Aborted;
 }
 
-/// Per-variable branching history: average objective degradation per unit
-/// of fraction moved, one estimate per direction. Reset for every
-/// solveMip call so a solve's branching decisions depend only on its own
-/// tree, not on what a previous knob point explored.
-struct PseudoCosts {
-  std::vector<double> DownSum, UpSum;
-  std::vector<unsigned> DownCnt, UpCnt;
-
-  explicit PseudoCosts(unsigned N)
-      : DownSum(N, 0.0), UpSum(N, 0.0), DownCnt(N, 0), UpCnt(N, 0) {}
-
-  void observe(unsigned Var, bool Up, double Degradation, double Dist) {
-    double PerUnit = std::max(Degradation, 0.0) / std::max(Dist, 1e-6);
-    if (Up) {
-      UpSum[Var] += PerUnit;
-      ++UpCnt[Var];
-    } else {
-      DownSum[Var] += PerUnit;
-      ++DownCnt[Var];
-    }
-  }
-
-  double estimate(unsigned Var, bool Up, double Fallback) const {
-    unsigned Cnt = Up ? UpCnt[Var] : DownCnt[Var];
-    if (Cnt == 0)
-      return Fallback;
-    return (Up ? UpSum[Var] : DownSum[Var]) / Cnt;
-  }
-};
-
 /// Folds one node relaxation's effort into the search ledger.
 void accumulateLp(SolverStats &St, const LpSolution &Relax) {
   if (Relax.WarmStarted)
@@ -175,6 +145,7 @@ void accumulateLp(SolverStats &St, const LpSolution &Relax) {
   St.PricingUpdates += Relax.PricingUpdates;
   St.PricingRecomputes += Relax.PricingRecomputes;
   St.PricingDrift += Relax.PricingDrift;
+  St.StuckCertified += Relax.StuckCertified;
 }
 
 /// Picks the branching variable for a fractional relaxation point.
@@ -292,7 +263,11 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
     Best.Values = Warm->Incumbent;
   }
 
-  PseudoCosts PC(P.numVariables());
+  // Branching history rides along a knob chain: a later point's tree
+  // starts from what the earlier ones learned about each variable.
+  PseudoCosts LocalPc;
+  PseudoCosts &PC = Warm ? Warm->Branching : LocalPc;
+  PC.fitTo(P);
 
   // The open list doubles as a stack (diving mode) and a binary heap
   // (best-bound mode). Hybrid starts diving and heapifies once the first
@@ -413,6 +388,41 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
 
 } // namespace
 
+void PseudoCosts::fitTo(const LpProblem &P) {
+  size_t Terms = 0;
+  for (const LpConstraint &C : P.Constraints)
+    Terms += C.Terms.size();
+  if (NumVars == P.numVariables() && NumCons == P.numConstraints() &&
+      TermSum == Terms)
+    return;
+  NumVars = P.numVariables();
+  NumCons = P.numConstraints();
+  TermSum = Terms;
+  DownSum.assign(NumVars, 0.0);
+  UpSum.assign(NumVars, 0.0);
+  DownCnt.assign(NumVars, 0);
+  UpCnt.assign(NumVars, 0);
+}
+
+void PseudoCosts::observe(unsigned Var, bool Up, double Degradation,
+                          double Dist) {
+  double PerUnit = std::max(Degradation, 0.0) / std::max(Dist, 1e-6);
+  if (Up) {
+    UpSum[Var] += PerUnit;
+    ++UpCnt[Var];
+  } else {
+    DownSum[Var] += PerUnit;
+    ++DownCnt[Var];
+  }
+}
+
+double PseudoCosts::estimate(unsigned Var, bool Up, double Fallback) const {
+  unsigned Cnt = Up ? UpCnt[Var] : DownCnt[Var];
+  if (Cnt == 0)
+    return Fallback;
+  return (Up ? UpSum[Var] : DownSum[Var]) / Cnt;
+}
+
 MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
                              MipWarmStart *Warm) {
   MipSolution Sol = solveMipImpl(P, Cfg, Warm);
@@ -436,6 +446,7 @@ MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
   M.counter("mip.pricing.updates").add(Sol.Stats.PricingUpdates);
   M.counter("mip.pricing.recomputes").add(Sol.Stats.PricingRecomputes);
   M.counter("mip.pricing.drift").add(Sol.Stats.PricingDrift);
+  M.counter("mip.stuck_certified").add(Sol.Stats.StuckCertified);
   if (Sol.Stats.WarmStarted)
     M.counter("mip.warm_starts").add();
   if (Sol.Stats.SeededIncumbent)

@@ -43,12 +43,13 @@
 /// instead of a fresh solve (SolverConfig::WarmNodes; both paths are
 /// exact, so the answer is the same either way — MipSolution::Stats
 /// records how each node was satisfied). A MipWarmStart additionally
-/// carries that tableau and the previous optimum *across* solveMip calls,
-/// so a sweep that only patches bounds or constraint RHS values between
-/// solves — the knob axis of a placement campaign — re-optimizes from its
-/// neighbour instead of starting over, and an externally seeded incumbent
-/// (e.g. the persistent cache's best-known assignment) opens the search
-/// with most of the tree already pruned.
+/// carries that tableau, the branching pseudo-costs and the previous
+/// optimum *across* solveMip calls, so a sweep that only patches bounds
+/// or constraint RHS values between solves — the knob axis of a placement
+/// campaign — re-optimizes from its neighbour instead of starting over,
+/// and an externally seeded incumbent (e.g. the persistent cache's
+/// best-known assignment) opens the search with most of the tree already
+/// pruned.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,12 +91,33 @@ struct MipSolution {
   uint64_t refactorizations() const { return Stats.Refactorizations; }
   bool warmStarted() const { return Stats.WarmStarted; }
   bool seededIncumbent() const { return Stats.SeededIncumbent; }
+  bool dominated() const { return Stats.Dominated; }
+};
+
+/// Per-variable branching history: the average objective degradation per
+/// unit of fraction moved, one estimate per direction. A MipWarmStart
+/// carries it from one solve to the next, so a knob chain's later points
+/// branch on what the earlier trees learned; it is empty before the first
+/// solve and cleared whenever the problem's shape changes.
+struct PseudoCosts {
+  std::vector<double> DownSum, UpSum;
+  std::vector<unsigned> DownCnt, UpCnt;
+  /// The shape the history was gathered on (variable count, constraint
+  /// count, total terms: the test WarmStart applies to its tableau).
+  unsigned NumVars = 0, NumCons = 0;
+  size_t TermSum = 0;
+
+  /// Clears the history unless it was gathered on \p P's shape.
+  void fitTo(const LpProblem &P);
+  void observe(unsigned Var, bool Up, double Degradation, double Dist);
+  double estimate(unsigned Var, bool Up, double Fallback) const;
 };
 
 /// Cross-solve warm-start state for a structurally fixed problem whose
 /// bounds or constraint RHS values change between solves. The LP tableau
-/// evolves in place across the search trees, and the previous optimum —
-/// or an externally provided assignment, e.g. the persistent cache's
+/// and the pseudo-costs evolve in place across the search trees, and the
+/// previous optimum — or an externally provided assignment, e.g. the
+/// persistent cache's
 /// best-known placement — seeds the next solve's incumbent (after an
 /// exact, zero-tolerance feasibility re-check under the patched problem:
 /// admitting a point infeasible by even a whisker could prune the true
@@ -104,6 +126,7 @@ struct MipSolution {
 /// detected and degrades to a cold solve.
 struct MipWarmStart {
   WarmStart Lp;
+  PseudoCosts Branching;
   /// The incumbent seed for the next solve (empty when none): the
   /// previous solve's optimum, or a caller-planted assignment.
   std::vector<double> Incumbent;

@@ -115,6 +115,15 @@ constexpr double PivotTol = 1e-7;
 /// a full cold solve. Material stuck violations still fail hard.
 constexpr double StuckTol = 1e-7;
 
+/// The smallest stuck-row violation a certificate may prove infeasible
+/// (dualIterate); tableau round-off can fake a smaller one. Checked
+/// against a fresh cold solve of each certified node: at the 1e-9
+/// feasibility tolerance, certificates were wrong twice on the tight
+/// model-only grid and 14 times in LpTest's scaled-budget sweep; at
+/// StuckTol, once in the sweep; at this floor (with the 2x reach
+/// margin), never — 0 of 1891 on the campaign grids.
+constexpr double CertifyTol = 10 * StuckTol;
+
 /// Floor under every steepest-edge weight. In exact arithmetic a weight
 /// is >= the squared diagonal of B^-1 and cannot reach zero; the floor
 /// only catches recurrence round-off from dividing by it.
@@ -170,6 +179,7 @@ struct WarmState {
   }
 
   std::vector<int> ConsRow; ///< constraint index -> tableau row (-1 none)
+  std::vector<unsigned> RowCons; ///< tableau row -> constraint index
   /// Row -> the equilibration scale its original data was multiplied by;
   /// folds an original-orientation RHS delta into stored units.
   std::vector<double> RowScale;
@@ -181,6 +191,16 @@ struct WarmState {
   /// The constraint RHS values the state currently encodes (variable
   /// bounds are encoded directly in Lo/Hi).
   std::vector<double> AppliedRhs;
+
+  /// Per row, the least and greatest value of its scaled activity a.x
+  /// over the problem's own variable boxes (LpProblem::Variables), which
+  /// contain every box branch & bound or a knob patch can set. A row's
+  /// slack therefore lives in [S*b - MaxAct, S*b - MinAct] at every
+  /// feasible point; the stuck-row certificate reads that range. False
+  /// ActivityValid (a box wider than the problem's was applied) turns the
+  /// certificate off until the next build.
+  std::vector<double> MinAct, MaxAct;
+  bool ActivityValid = false;
 
   /// False until a solve leaves a re-optimizable (dual-feasible) basis.
   bool Usable = false;
@@ -214,23 +234,25 @@ struct WarmState {
   /// eliminate(); false makes eliminate() invalidate instead.
   bool DseEnabled = false;
 
-  /// Lifetime pricing-effort counters; entry points report per-solve
-  /// deltas via pricingSnap()/pricingDelta().
+  /// Lifetime effort counters; entry points report per-solve deltas via
+  /// effortSnap()/effortDelta().
   uint64_t DseUpdates = 0;
   uint64_t DseRecomputes = 0;
   uint64_t DseDrift = 0;
+  uint64_t StuckCerts = 0;
 
-  struct PricingSnap {
-    uint64_t Updates, Recomputes, Drift;
+  struct EffortSnap {
+    uint64_t Updates, Recomputes, Drift, Stuck;
   };
-  PricingSnap pricingSnap() const {
-    return {DseUpdates, DseRecomputes, DseDrift};
+  EffortSnap effortSnap() const {
+    return {DseUpdates, DseRecomputes, DseDrift, StuckCerts};
   }
-  void pricingDelta(const PricingSnap &S, LpSolution &Sol) const {
+  void effortDelta(const EffortSnap &S, LpSolution &Sol) const {
     Sol.PricingUpdates = static_cast<unsigned>(DseUpdates - S.Updates);
     Sol.PricingRecomputes =
         static_cast<unsigned>(DseRecomputes - S.Recomputes);
     Sol.PricingDrift = static_cast<unsigned>(DseDrift - S.Drift);
+    Sol.StuckCertified = StuckCerts != S.Stuck;
   }
 
   bool needsRefactor(const SolverConfig &Opts) const {
@@ -249,6 +271,23 @@ struct WarmState {
   }
 
   bool fixed(unsigned C) const { return Lo[C] == Hi[C]; }
+
+  /// The most nonbasic column \p C can move at any feasible point of the
+  /// current boxes: a structural's box span; for a slack, the distance
+  /// from its current value to the far end of its implied range (a
+  /// never-binding row's slack rests outside that range, so the range's
+  /// width alone would understate the move).
+  double reach(unsigned C) const {
+    if (C < NumVars)
+      return Stat[C] == VStat::Free ? Inf : Hi[C] - Lo[C];
+    if (!ActivityValid)
+      return Inf;
+    unsigned R = C - NumVars;
+    double Sb = AppliedRhs[RowCons[R]] * RowScale[R];
+    double V = nbVal(C);
+    return std::max(std::abs(V - (Sb - MaxAct[R])),
+                    std::abs(V - (Sb - MinAct[R])));
+  }
 
   /// The value a nonbasic column currently stands at.
   double nbVal(unsigned C) const {
@@ -305,6 +344,10 @@ bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
 
   ConsRow.assign(NumCons, -1);
   AppliedRhs.assign(NumCons, 0.0);
+  ActivityValid = true;
+  for (unsigned J = 0; J != NumVars; ++J)
+    ActivityValid &= Lower[J] >= P.Variables[J].Lower &&
+                     Upper[J] <= P.Variables[J].Upper;
   std::vector<double> Coef(NumVars, 0.0);
   for (unsigned I = 0; I != NumCons; ++I) {
     const LpConstraint &C = P.Constraints[I];
@@ -348,6 +391,9 @@ bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
   NumRows = static_cast<unsigned>(Rows.size());
   NumCols = NumVars + NumRows;
   RowScale.assign(NumRows, 1.0);
+  RowCons.assign(NumRows, 0);
+  MinAct.assign(NumRows, 0.0);
+  MaxAct.assign(NumRows, 0.0);
 
   T.assign(size_t(NumRows) * NumCols, 0.0);
   Obj.assign(NumCols, 0.0);
@@ -375,6 +421,7 @@ bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
   for (unsigned RI = 0; RI != NumRows; ++RI) {
     Row &R = Rows[RI];
     ConsRow[static_cast<unsigned>(R.Cons)] = static_cast<int>(RI);
+    RowCons[RI] = static_cast<unsigned>(R.Cons);
     // Equilibrate: normalize the row to unit max-coefficient.
     double MaxCoef = 0.0;
     for (const auto &[Col, C2] : R.Terms)
@@ -383,8 +430,13 @@ bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
     RowScale[RI] = S;
 
     double *Tr = row(RI);
-    for (const auto &[Col, C2] : R.Terms)
+    for (const auto &[Col, C2] : R.Terms) {
       Tr[Col] = C2 * S;
+      double AtLo = Tr[Col] * P.Variables[Col].Lower;
+      double AtHi = Tr[Col] * P.Variables[Col].Upper;
+      MinAct[RI] += std::min(AtLo, AtHi);
+      MaxAct[RI] += std::max(AtLo, AtHi);
+    }
     unsigned SlackCol = NumVars + RI;
     Tr[SlackCol] = 1.0;
     Basis[RI] = SlackCol;
@@ -424,10 +476,13 @@ bool WarmState::refactorFromBasis(const LpProblem &P,
   // against the fresh rows; steepest-edge weights are re-anchored with a
   // drift self-check. Returns false when the retained basis turns out
   // numerically singular against the pristine rows — the caller then
-  // falls back to the old rebuild-from-scratch path.
-  std::vector<double> NewT(size_t(NumRows) * NumCols, 0.0);
+  // discards this state and falls back to the rebuild-from-scratch path.
+  //
+  // Nothing reads the old rows, so they are overwritten in place: the
+  // cadence fires every few nodes, and neither a per-call allocation nor
+  // a second tableau-sized buffer is paid for it.
+  T.assign(size_t(NumRows) * NumCols, 0.0);
   std::vector<double> Rhs(NumRows, 0.0);
-  auto nrow = [&](unsigned R) { return NewT.data() + size_t(R) * NumCols; };
 
   // Refill each row in its original slot with original coefficients at
   // the same equilibration scale, so slack column NumVars+r keeps
@@ -441,7 +496,7 @@ bool WarmState::refactorFromBasis(const LpProblem &P,
     for (const auto &[Var, C2] : C.Terms)
       Coef[Var] += C2;
     double S = RowScale[static_cast<unsigned>(R0)];
-    double *Tr = nrow(static_cast<unsigned>(R0));
+    double *Tr = row(static_cast<unsigned>(R0));
     for (const auto &[Var, C2] : C.Terms) {
       (void)C2;
       if (Coef[Var] != 0.0) {
@@ -470,7 +525,7 @@ bool WarmState::refactorFromBasis(const LpProblem &P,
     for (unsigned R = 0; R != NumRows; ++R) {
       if (RowUsed[R])
         continue;
-      double Mag = std::abs(nrow(R)[Col]);
+      double Mag = std::abs(row(R)[Col]);
       if (Mag > BestMag) {
         BestMag = Mag;
         PivRow = static_cast<int>(R);
@@ -481,7 +536,7 @@ bool WarmState::refactorFromBasis(const LpProblem &P,
     unsigned PR = static_cast<unsigned>(PivRow);
     RowUsed[PR] = true;
     NewBasis[PR] = Col;
-    double *Prow = nrow(PR);
+    double *Prow = row(PR);
     double Piv = Prow[Col];
     for (unsigned C = 0; C != NumCols; ++C)
       Prow[C] /= Piv;
@@ -490,7 +545,7 @@ bool WarmState::refactorFromBasis(const LpProblem &P,
     for (unsigned R = 0; R != NumRows; ++R) {
       if (R == PR)
         continue;
-      double *Tr = nrow(R);
+      double *Tr = row(R);
       double F = Tr[Col];
       if (std::abs(F) < 1e-12) {
         Tr[Col] = 0.0;
@@ -503,7 +558,6 @@ bool WarmState::refactorFromBasis(const LpProblem &P,
     }
   }
 
-  T = std::move(NewT);
   Basis = std::move(NewBasis);
   // Basic values from first principles: row r now reads
   //   x_B[r] + sum_nonbasic T[r][c] x_c = Rhs[r].
@@ -670,7 +724,6 @@ bool WarmState::anyEmptyBox() const {
 LpStatus WarmState::primalIterate(const SolverConfig &Opts,
                                   unsigned &Iterations,
                                   unsigned &BoundFlips) {
-  const Pricing Rule = Opts.PricingRule;
   // Steepest-edge weights are a dual-side investment: maintaining them
   // through every primal pivot would cost O(rows^2) each, while the next
   // dual entry can recompute them all in one O(rows^2) pass. So primal
@@ -678,12 +731,12 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
   DseEnabled = false;
   unsigned StallCount = 0;
   while (Iterations < Opts.MaxIterations) {
-    bool Bland = Rule == Pricing::Bland || StallCount > NumRows + 16;
+    bool Bland = StallCount > NumRows + 16;
 
     // Entering column: an at-lower (or free) variable with negative
     // reduced cost moves up, an at-upper (or free) one with positive
-    // reduced cost moves down. Dantzig picks the worst violation over
-    // all columns; Bland the first.
+    // reduced cost moves down. The largest |reduced cost| wins; once
+    // stalled, Bland's first eligible column.
     int Entering = -1;
     double Dir = 0.0, Best = Opts.Tolerance;
     for (unsigned C = 0; C != NumCols; ++C) {
@@ -786,9 +839,8 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
 LpStatus WarmState::dualIterate(const SolverConfig &Opts,
                                 unsigned &Iterations,
                                 unsigned &BoundFlips) {
-  const Pricing Rule = Opts.PricingRule;
-  DseEnabled = Rule == Pricing::SteepestEdge;
-  if (DseEnabled && !DseValid)
+  DseEnabled = true;
+  if (!DseValid)
     computeDseWeights(); // first activation, or primal pivots intervened
   unsigned StallCount = 0;
   // Per-iteration candidate list for the bound-flipping ratio test:
@@ -797,15 +849,14 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
   std::vector<std::tuple<double, double, unsigned>> &Cands = CandScratch;
   Cands.reserve(NumCols);
   // Rows set aside within one iteration because every eligible entering
-  // coefficient was sub-threshold: other violated rows are repaired
-  // first, after which a deferred row is usually repairable again (or
-  // its violation gone). Only when *every* violated row is stuck does
-  // the repair give up.
+  // coefficient was sub-threshold and the row could not be certified
+  // infeasible: other violated rows are repaired first, after which a
+  // deferred row is usually repairable again (or its violation gone).
+  // Only when *every* violated row is stuck does the repair give up.
   std::vector<bool> &RowDeferred = DeferScratch;
   RowDeferred.assign(NumRows, false);
   while (Iterations < Opts.MaxIterations) {
-    bool Bland = Rule == Pricing::Bland || StallCount > NumRows + 16;
-    bool Dse = DseEnabled && DseValid && !Bland;
+    bool Bland = StallCount > NumRows + 16;
     std::fill(RowDeferred.begin(), RowDeferred.end(), false);
 
     unsigned LR = 0, P = 0;
@@ -815,12 +866,11 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
     for (;;) {
       // Leaving row: steepest-edge scores violation^2 per unit of
       // basis-inverse row norm — the row whose repair moves the true
-      // (unscaled) infeasibility most per pivot; Dantzig takes the raw
-      // worst violation; Bland the lowest basis index among violators.
-      // Deferred rows are skipped; ties keep the first (lowest row
-      // index) for determinism.
+      // (unscaled) infeasibility most per pivot; once stalled, Bland
+      // takes the lowest basis index among violators. Deferred rows are
+      // skipped; ties keep the first (lowest row index) for determinism.
       int Leaving = -1;
-      double Worst = Opts.Tolerance;
+      double LeaveViol = 0.0;
       double BestScore = 0.0;
       bool DeferredViolated = false;
       for (unsigned R = 0; R != NumRows; ++R) {
@@ -836,18 +886,16 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
           continue;
         }
         bool Take;
-        double Score = Dse ? V * V / DseWeight[R] : 0.0;
+        double Score = V * V / DseWeight[R];
         if (Leaving < 0)
           Take = true;
         else if (Bland)
           Take = B < Basis[static_cast<unsigned>(Leaving)];
-        else if (Dse)
-          Take = Score > BestScore;
         else
-          Take = V > Worst;
+          Take = Score > BestScore;
         if (Take) {
           Leaving = static_cast<int>(R);
-          Worst = std::max(V, Worst);
+          LeaveViol = V;
           BestScore = Score;
           BelowLb = ViolLo >= ViolHi;
         }
@@ -877,6 +925,7 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
       Cands.clear();
       BlandPick = -1;
       bool SawTiny = false;
+      double TinyReach = 0.0; // most the sub-threshold columns can repair
       for (unsigned C = 0; C != NumCols; ++C) {
         if (Stat[C] == VStat::Basic || fixed(C))
           continue;
@@ -897,6 +946,7 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
           continue;
         if (std::abs(A) < PivotTol) {
           SawTiny = true;
+          TinyReach += std::abs(A) * reach(C);
           continue;
         }
         if (Bland) {
@@ -914,6 +964,14 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
         break;
       if (!SawTiny)
         return LpStatus::Infeasible; // this row alone proves it
+      // Stuck-row certificate: only the round-off columns could repair
+      // this row, and together they cannot move its basic value as far
+      // as the violation at any feasible point. The 2x margin and the
+      // CertifyTol floor absorb the tableau's own rounding.
+      if (LeaveViol > CertifyTol && LeaveViol > 2.0 * TinyReach) {
+        ++StuckCerts;
+        return LpStatus::Infeasible;
+      }
       RowDeferred[LR] = true; // stuck for now: repair another row first
     }
 
@@ -1012,6 +1070,8 @@ bool WarmState::patchTo(const LpProblem &P, const std::vector<double> &Lower,
     bool WasBasic = Stat[J] == VStat::Basic;
     Lo[J] = Lower[J];
     Hi[J] = Upper[J];
+    ActivityValid &= Lo[J] >= P.Variables[J].Lower &&
+                     Hi[J] <= P.Variables[J].Upper;
     if (WasBasic)
       continue;
     // Re-derive the resting side; a forced side switch would break dual
@@ -1052,7 +1112,7 @@ void WarmState::extract(const LpProblem &P, LpSolution &Sol) const {
 LpSolution WarmState::solveFresh(const LpProblem &P,
                                  const SolverConfig &Opts) {
   LpSolution Sol;
-  PricingSnap Snap = pricingSnap();
+  EffortSnap Snap = effortSnap();
   // Feasibility phase: the all-slack start violates boxes exactly where
   // >=/== rows bite. Under the zero objective every status is dual
   // feasible, so the dual simplex is the artificial-free phase 1.
@@ -1060,13 +1120,13 @@ LpSolution WarmState::solveFresh(const LpProblem &P,
     LpStatus S = dualIterate(Opts, Sol.DualIterations, Sol.BoundFlips);
     if (S != LpStatus::Optimal) {
       Sol.Status = S;
-      pricingDelta(Snap, Sol);
+      effortDelta(Snap, Sol);
       return Sol;
     }
   }
   installObjective(P, Opts);
   Sol.Status = primalIterate(Opts, Sol.Iterations, Sol.BoundFlips);
-  pricingDelta(Snap, Sol);
+  effortDelta(Snap, Sol);
   if (Sol.Status != LpStatus::Optimal)
     return Sol;
   Usable = true;
@@ -1147,7 +1207,7 @@ LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
   SolverConfig DualOpts = Opts;
   DualOpts.MaxIterations =
       std::min(Opts.MaxIterations, std::max(128u, W.NumRows + W.NumVars));
-  WarmState::PricingSnap Snap = W.pricingSnap();
+  WarmState::EffortSnap Snap = W.effortSnap();
   LpStatus S = W.dualIterate(DualOpts, Sol.DualIterations, Sol.BoundFlips);
   if (S == LpStatus::Optimal) {
     // The dual ratio test keeps reduced costs sign-correct in exact
@@ -1157,7 +1217,7 @@ LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
     // saving, and the rebuild is cheaper than letting it wander.
     S = W.primalIterate(DualOpts, Sol.Iterations, Sol.BoundFlips);
   }
-  W.pricingDelta(Snap, Sol);
+  W.effortDelta(Snap, Sol);
   Sol.Status = S;
   if (S == LpStatus::Optimal) {
     W.extract(P, Sol);
@@ -1192,9 +1252,9 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
   // cold rebuild-from-scratch path.
   bool Refactorized = false;
   bool Resolvable = HadUsableMatch;
-  WarmState::PricingSnap Snap{};
+  WarmState::EffortSnap Snap{};
   if (HadUsableMatch)
-    Snap = Warm.S->pricingSnap();
+    Snap = Warm.S->effortSnap();
   if (Resolvable && Warm.S->needsRefactor(Opts)) {
     if (Warm.S->refactorFromBasis(P, Opts))
       Refactorized = true;
@@ -1208,7 +1268,7 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
       Sol.Refactorized = Refactorized;
       // Fold the refactorization's recomputes/drift (spent before the
       // resolve's own snapshot) into the reported per-solve delta.
-      Warm.S->pricingDelta(Snap, Sol);
+      Warm.S->effortDelta(Snap, Sol);
       return Sol;
     }
     // fall through: rebuild from scratch

@@ -9,9 +9,8 @@
 /// Dense bounded-variable tableau simplex. Integrality markers are ignored
 /// here; lp/BranchBound.h layers 0/1 search on top. Problem sizes in this
 /// project are small (tens to a few hundred variables), so a dense tableau
-/// is plenty; pivot selection is pluggable (SolverConfig::Pricing — dual
-/// steepest-edge by default, Dantzig / Bland behind the enum, all with the
-/// Bland anti-cycling fallback when stalled).
+/// is plenty. The dual simplex prices by dual steepest edge, the primal by
+/// largest reduced cost, and both fall back to Bland's rule when stalled.
 ///
 /// Variables carry their [lb, ub] box implicitly: a nonbasic variable sits
 /// *at* its lower or upper bound (or at zero when free) and the tableau
@@ -85,6 +84,17 @@ struct LpSolution {
   /// True when this solution was reached by re-optimizing a retained
   /// basis rather than solving from scratch.
   bool WarmStarted = false;
+  /// True when Infeasible was proved by a stuck-row certificate: the dual
+  /// simplex met a violated row whose only sign-eligible entries are
+  /// round-off (below the pivot tolerance), and the violation exceeds
+  /// twice the most those entries can move the row's basic value —
+  /// |entry| x the column's reach (a structural's box span; for a slack,
+  /// the distance from its value to the far end of the range the row's
+  /// activity can take over the problem's variable boxes). Without the
+  /// certificate such a row could only be given up on (IterLimit), and
+  /// the node would lose its warm tableau or, when a cold rebuild stuck
+  /// too, its optimality proof.
+  bool StuckCertified = false;
   /// True when a previously valid, structurally matching warm tableau was
   /// re-derived from original problem data for this solve — the periodic
   /// SolverConfig::RefactorInterval cadence (which re-eliminates against

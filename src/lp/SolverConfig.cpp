@@ -30,30 +30,6 @@ bool nodeOrderFromName(const std::string &Name, NodeOrder &Out) {
   return true;
 }
 
-const char *pricingName(Pricing P) {
-  switch (P) {
-  case Pricing::SteepestEdge:
-    return "steepest-edge";
-  case Pricing::Dantzig:
-    return "dantzig";
-  case Pricing::Bland:
-    return "bland";
-  }
-  return "steepest-edge";
-}
-
-bool pricingFromName(const std::string &Name, Pricing &Out) {
-  if (Name == "steepest-edge")
-    Out = Pricing::SteepestEdge;
-  else if (Name == "dantzig")
-    Out = Pricing::Dantzig;
-  else if (Name == "bland")
-    Out = Pricing::Bland;
-  else
-    return false;
-  return true;
-}
-
 const char *solveStatusName(SolveStatus S) {
   switch (S) {
   case SolveStatus::Optimal:
@@ -84,10 +60,10 @@ bool solveStatusFromName(const std::string &Name, SolveStatus &Out) {
 
 std::string solverConfigToken(const SolverConfig &Cfg) {
   return formatString(
-      "lp:tol%.17g:it%u:%s:rf%u;mip:itol%.17g:mn%u:gap%.17g:%s:%s:pc%d;"
+      "lp:tol%.17g:it%u:rf%u;mip:itol%.17g:mn%u:gap%.17g:%s:%s:pc%d;"
       "limits:t%u:n%llu:p%llu",
-      Cfg.Tolerance, Cfg.MaxIterations, pricingName(Cfg.PricingRule),
-      Cfg.RefactorInterval, Cfg.IntegerTolerance, Cfg.MaxNodes,
+      Cfg.Tolerance, Cfg.MaxIterations, Cfg.RefactorInterval,
+      Cfg.IntegerTolerance, Cfg.MaxNodes,
       Cfg.GapTolerance, Cfg.WarmNodes ? "warm" : "cold",
       nodeOrderName(Cfg.Order), Cfg.PseudoCostBranching ? 1 : 0,
       Cfg.TimeLimitMs, static_cast<unsigned long long>(Cfg.NodeLimit),

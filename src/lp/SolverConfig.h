@@ -16,10 +16,10 @@
 /// PlacementSolver down to resolveLpFromBasis. SolverConfig flattens the
 /// knobs into a single value that rides unchanged through
 /// PlacementSolver -> solveMip -> solveLpWarm -> resolveLpFromBasis;
-/// pricing rule, node order and refactorization cadence plug in here and
-/// nowhere else. SolverStats is the matching effort ledger: one instance
-/// per solve, mirrored into the mip.* metrics so concurrent solves
-/// aggregate through the registry instead of ad-hoc summing.
+/// node order and refactorization cadence plug in here and nowhere else.
+/// SolverStats is the matching effort ledger: one instance per solve,
+/// mirrored into the mip.* metrics so concurrent solves aggregate through
+/// the registry instead of ad-hoc summing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,37 +41,6 @@ enum class NodeOrder : uint8_t {
 
 const char *nodeOrderName(NodeOrder O);
 bool nodeOrderFromName(const std::string &Name, NodeOrder &Out);
-
-/// How the simplex prices its pivots. Every rule is exact: a solve that
-/// proves optimality returns the same optimum under any rule. What changes
-/// is how many pivots the search spends getting there, which is the
-/// solver's hot-path currency on warm re-solve chains — and, because a
-/// different pivot path can get numerically stuck where another does not,
-/// which solves lose their proof. Campaign reports are byte-identical
-/// across rules only when every solve proves optimality: on the canonical
-/// 1080-config grid, --pricing=dantzig labels 2 configs feasible-limit
-/// that the default proves optimal.
-enum class Pricing : uint8_t {
-  /// Dual steepest-edge (Forrest–Goldfarb): the leaving row is the one
-  /// whose box violation is largest *per unit of basis-inverse row norm*,
-  /// so one pivot repairs as much true infeasibility as possible instead
-  /// of chasing raw violation magnitudes. Reference weights are exact
-  /// (the dense tableau's slack block holds B^-1 outright), updated by a
-  /// per-pivot recurrence and self-checked against a fresh recompute at
-  /// every refactorization. The default: warm branch & bound re-solves
-  /// are dual-simplex dominated, and this is where their pivots go.
-  SteepestEdge,
-  /// Textbook most-violated selection, both simplexes. The pre-PR-10
-  /// behaviour, kept as the A/B baseline SolverEffortTest compares against.
-  Dantzig,
-  /// Bland's least-index rule everywhere. Immune to cycling by
-  /// construction; exists so the degenerate-pivot regressions can pin
-  /// the fallback every other rule switches to when stalled.
-  Bland,
-};
-
-const char *pricingName(Pricing P);
-bool pricingFromName(const std::string &Name, Pricing &Out);
 
 /// What a finished solve actually proved. LpStatus says what the final
 /// point is; SolveStatus says how much to trust it — the two are
@@ -101,9 +70,6 @@ struct SolverConfig {
   double Tolerance = 1e-9;
   /// Pivot budget per simplex phase.
   unsigned MaxIterations = 100000;
-  /// Pivot selection rule (see Pricing). Exact either way; SteepestEdge
-  /// spends the fewest dual pivots on warm chains.
-  Pricing PricingRule = Pricing::SteepestEdge;
   /// Refactorization cadence: after RefactorInterval * (rows + vars + 1)
   /// pivots, a retained warm tableau is re-derived *from its current
   /// basis* — the rows are rebuilt from original problem data and
@@ -115,7 +81,16 @@ struct SolverConfig {
   /// 1000-point knob chains and Pareto sweeps never pay a cold restart.
   /// Only a numerically singular basis degrades to the old
   /// rebuild-from-scratch path. 0 disables the cadence entirely.
-  unsigned RefactorInterval = 64;
+  ///
+  /// The default re-derives every 4 * (rows + vars + 1) pivots, a few
+  /// nodes' worth. A warm chain that no longer falls back to cold
+  /// rebuilds (stuck rows are certified instead) keeps one tableau for a
+  /// whole campaign, and fill-in then makes every elimination walk dense
+  /// rows; the old 64x cadence left the tight model-only grid ~1.3x
+  /// slower (ramloc-batch --jobs=1 wall on a shared 4-vCPU host, best of
+  /// 15: 79 vs 59 ms). 1x is as fast but spends 16% more dual pivots on
+  /// SolverEffortTest's mix (47529 vs 40845 at 4x; 44349 at 64x).
+  unsigned RefactorInterval = 4;
 
   //===--- MIP search (branch & bound) ------------------------------------===//
 
@@ -158,9 +133,9 @@ struct SolverConfig {
 };
 
 /// Spells every SolverConfig field as one string. Any field can move a
-/// solve's answer or its trust label (a limit truncates the proof; a
-/// pricing rule, node order or warm/cold switch takes a different pivot
-/// path that may get numerically stuck where another does not), so this
+/// solve's answer or its trust label (a limit truncates the proof; a node
+/// order or warm/cold switch takes a different search path, which may
+/// settle a tie between equal-energy placements differently), so this
 /// is the token a campaign progress journal pins: a resume under a
 /// different solver config replays nothing. Campaign parallelism (--jobs)
 /// is not a solver setting and does not appear.
@@ -187,6 +162,11 @@ struct SolverStats {
   /// current basis) plus repair bail-outs (iteration-limited or
   /// numerically stuck re-optimizations, which rebuild cold).
   uint64_t Refactorizations = 0;
+  /// Node relaxations proved infeasible by a stuck-row certificate: a
+  /// violated row whose only sign-eligible entries are round-off, and
+  /// whose violation exceeds the most those entries can move it (see
+  /// LpSolution::StuckCertified).
+  uint64_t StuckCertified = 0;
   /// Steepest-edge weight recurrence updates applied (one per pivot while
   /// dual steepest-edge pricing is active).
   uint64_t PricingUpdates = 0;
@@ -204,6 +184,10 @@ struct SolverStats {
   /// True when the caller-provided incumbent survived the zero-tolerance
   /// feasibility re-check and opened the search.
   bool SeededIncumbent = false;
+  /// True when the point was settled without search: a looser knob point
+  /// of the same chain had a proven optimum that stays feasible here, so
+  /// it is optimal here too (PlacementSolver). No solveMip call is made.
+  bool Dominated = false;
 };
 
 } // namespace ramloc

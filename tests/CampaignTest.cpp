@@ -750,31 +750,37 @@ TEST(Campaign, NodeOrdersProduceByteIdenticalReports) {
   EXPECT_EQ(Reports[0], Reports[2]);
 }
 
-TEST(Campaign, PricingRulesProduceByteIdenticalReports) {
-  // Pricing only picks which pivot the simplex takes next and every rule
-  // is exact, so on a grid where every solve proves optimality each rule
-  // must emit the same campaign report bytes — the same guarantee the CI
-  // batch smoke proves end-to-end through ramloc-batch --pricing.
-  GridSpec Grid;
-  Grid.Benchmarks = {"crc32", "int_matmult"};
-  Grid.Levels = {OptLevel::O1};
-  Grid.Repeat = 2;
-  Grid.RsparePoints = {128, 512};
-  Grid.XlimitPoints = {1.05, 1.5};
-  Grid.Kind = JobKind::ModelOnly;
-
-  std::string Reference;
-  for (Pricing Rule :
-       {Pricing::SteepestEdge, Pricing::Dantzig, Pricing::Bland}) {
-    CampaignOptions Opts;
-    Opts.Base.Solver.PricingRule = Rule;
-    CampaignResult CR = runCampaign(Grid, Opts);
-    ASSERT_EQ(CR.Summary.Failed, 0u) << pricingName(Rule);
-    std::string Report = campaignToJson(CR);
-    if (Reference.empty())
-      Reference = Report;
-    else
-      EXPECT_EQ(Report, Reference) << pricingName(Rule);
+TEST(Campaign, KnobAxisListingOrderDoesNotChangeReports) {
+  // A solve group visits its knob points loosest-first whatever order
+  // the axes are listed in, and every solve proves optimality, so
+  // listing the axes ascending, descending or shuffled only permutes the
+  // report's rows. Compared row by row, keyed by config.
+  auto Rows = [](std::vector<unsigned> Rspare, std::vector<double> Xlimit,
+                 JobKind Kind) {
+    GridSpec Grid;
+    Grid.Benchmarks = {"dijkstra", "crc32"};
+    Grid.Levels = {OptLevel::O1};
+    Grid.Repeat = 2;
+    Grid.RsparePoints = std::move(Rspare);
+    Grid.XlimitPoints = std::move(Xlimit);
+    Grid.Kind = Kind;
+    CampaignResult CR = runCampaign(Grid, {});
+    EXPECT_EQ(CR.Summary.Failed, 0u);
+    EXPECT_EQ(CR.Summary.Degraded, 0u);
+    std::map<std::string, std::string> ByKey;
+    for (const JobResult &R : CR.Results) {
+      JsonWriter W(/*Pretty=*/false);
+      writeJobResult(W, R);
+      ByKey[R.Spec.cacheKey()] = W.str();
+    }
+    return ByKey;
+  };
+  for (JobKind Kind : {JobKind::ModelOnly, JobKind::Measure}) {
+    SCOPED_TRACE(jobKindName(Kind));
+    auto Ascending = Rows({128, 256, 512, 1024}, {1.1, 1.2, 1.5}, Kind);
+    EXPECT_EQ(Ascending.size(), 24u);
+    EXPECT_EQ(Rows({1024, 512, 256, 128}, {1.5, 1.2, 1.1}, Kind), Ascending);
+    EXPECT_EQ(Rows({512, 128, 1024, 256}, {1.2, 1.5, 1.1}, Kind), Ascending);
   }
 }
 
@@ -859,7 +865,9 @@ std::map<std::string, JobResult> isolatedRows(const GridSpec &Grid) {
 /// solved point is cold and the rest warm-start from it — replayed or
 /// not, since a replayed job keeps its donor's label and a follower whose
 /// chain parts from its donor's re-solves the replayed prefix first —
-/// and the live MIP solves are cold + warm - replayed.
+/// and the live MIP solves are cold + warm - replayed - dominated (a
+/// point settled by a looser proven optimum is warm but never reaches
+/// solveMip).
 void expectSolveAccounting(const CampaignResult &CR, uint64_t LiveSolves) {
   std::set<std::string> Groups;
   uint64_t Solved = 0;
@@ -871,11 +879,11 @@ void expectSolveAccounting(const CampaignResult &CR, uint64_t LiveSolves) {
   EXPECT_EQ(CR.Summary.ColdSolves, Groups.size());
   EXPECT_EQ(CR.Summary.WarmSolves, Solved - Groups.size());
   EXPECT_EQ(LiveSolves, CR.Summary.ColdSolves + CR.Summary.WarmSolves -
-                            CR.Summary.Replayed);
+                            CR.Summary.Replayed - CR.Summary.Dominated);
 }
 
 /// Runs \p Grid and checks every row against \p Isolated and the solve
-/// accounting: live MIP solves == cold + warm - replayed.
+/// accounting: live MIP solves == cold + warm - replayed - dominated.
 CampaignResult runAgainstIsolated(const GridSpec &Grid,
                                   const CampaignOptions &Opts,
                                   const std::map<std::string, JobResult>
@@ -909,11 +917,13 @@ TEST(Campaign, GroupsWithIdenticalModelsReplayOneSolveChain) {
       Opts.Jobs = Jobs;
       uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
       CampaignResult CR = runAgainstIsolated(Grid, Opts, Isolated);
-      // 8 groups x 4 points, 2 distinct chains: 8 live solves, and the
-      // other 6 groups replay all 24 of theirs.
+      // 8 groups x 4 points, 2 distinct chains: 8 live points, and the
+      // other 6 groups replay all 24 of theirs. One live point is settled
+      // by its chain's looser optimum, so 7 reach the MIP solver.
       EXPECT_EQ(CR.Summary.Replayed, 24u);
+      EXPECT_EQ(CR.Summary.Dominated, 1u);
       EXPECT_EQ(globalMetrics().counterValue("mip.solves") - SolvesBefore,
-                8u);
+                7u);
       // Every group still extracts once; runAgainstIsolated checked the
       // donor-labelled 8 cold + 24 warm solves.
       EXPECT_EQ(CR.Summary.Extractions, 8u);
@@ -928,6 +938,7 @@ TEST(Campaign, SolveReuseOffSharesNoChain) {
   CampaignResult CR = runCampaign(sharedModelGrid(JobKind::ModelOnly), Opts);
   ASSERT_EQ(CR.Summary.Failed, 0u);
   EXPECT_EQ(CR.Summary.Replayed, 0u);
+  EXPECT_EQ(CR.Summary.Dominated, 0u); // every point is searched cold
   EXPECT_EQ(CR.Summary.ColdSolves, 32u);
 }
 
@@ -990,10 +1001,11 @@ TEST(Campaign, AbortedJobsRematerializeAndMatchIsolatedRuns) {
   ASSERT_GT(CR.Summary.Succeeded, 0u);
   expectSolveAccounting(CR, Solves);
   // Seed 11 aborts a middle point of the sha donor (every sha follower
-  // parts from it there) and points of several followers.
-  ASSERT_EQ(CR.Results[2].Spec.cacheKey(),
-            "sha|O1|r2|stm32f100|R512|X1.2|static|model-only");
-  EXPECT_FALSE(CR.Results[2].ok());
+  // parts from it there; the donor visits R512 X1.5, R512 X1.2, this
+  // point, R256 X1.2) and points of several followers.
+  ASSERT_EQ(CR.Results[1].Spec.cacheKey(),
+            "sha|O1|r2|stm32f100|R256|X1.5|static|model-only");
+  EXPECT_FALSE(CR.Results[1].ok());
   EXPECT_LT(CR.Summary.Replayed, 24u);
   for (const JobResult &R : CR.Results)
     if (R.ok())
@@ -1077,9 +1089,9 @@ TEST(Campaign, ContentKeyIdentifiesTheIlp) {
   std::set<uint64_t> Keys = {Unseeded.chainKey(Cfg), Seeded.chainKey(Cfg),
                              OtherSeed.chainKey(Cfg)};
   EXPECT_EQ(Keys.size(), 3u);
-  SolverConfig Dantzig = Cfg;
-  Dantzig.PricingRule = Pricing::Dantzig;
-  EXPECT_NE(Unseeded.chainKey(Cfg), Unseeded.chainKey(Dantzig));
+  SolverConfig BestBound = Cfg;
+  BestBound.Order = NodeOrder::BestBound;
+  EXPECT_NE(Unseeded.chainKey(Cfg), Unseeded.chainKey(BestBound));
   EXPECT_EQ(Unseeded.chainKey(Cfg),
             PlacementSolver(MP, PM.Knobs).chainKey(Cfg));
 }

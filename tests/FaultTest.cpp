@@ -442,9 +442,9 @@ TEST(Journal, ConfigTokenMismatchDiscardsTheJournal) {
 
 TEST(Journal, SolverConfigTokenPinsSolverSettingsButNotJobs) {
   // The token ramloc-batch pins: a resume at a different --jobs replays
-  // the journal, while one under a different pricing rule, node order or
-  // warm/cold switch — any of which can move a degraded label — replays
-  // nothing and recomputes under its own settings.
+  // the journal, while one under a different node order or warm/cold
+  // switch — either of which can move a tie or a label — replays nothing
+  // and recomputes under its own settings.
   std::string Dir = freshDir("journal-solver-token");
   CampaignOptions Written;
   Written.Jobs = 1;
@@ -471,11 +471,11 @@ TEST(Journal, SolverConfigTokenPinsSolverSettingsButNotJobs) {
   MoreJobs.Jobs = 4;
   EXPECT_EQ(replayed(MoreJobs), 1u);
 
-  CampaignOptions Dantzig = Written;
-  Dantzig.Base.Solver.PricingRule = Pricing::Dantzig;
-  EXPECT_EQ(replayed(Dantzig), 0u);
-  // That mismatched resume re-headed the journal under Dantzig's token,
-  // so the original settings now find nothing to replay either.
+  CampaignOptions BestBound = Written;
+  BestBound.Base.Solver.Order = NodeOrder::BestBound;
+  EXPECT_EQ(replayed(BestBound), 0u);
+  // That mismatched resume re-headed the journal under best-bound's
+  // token, so the original settings now find nothing to replay either.
   EXPECT_EQ(replayed(Written), 0u);
 }
 

@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 using namespace ramloc;
 
 TEST(Simplex, TextbookMaximization) {
@@ -100,10 +104,10 @@ TEST(Simplex, DegenerateProblemTerminates) {
 
 /// Beale's classic cycling example: under naive Dantzig pricing with the
 /// wrong tie-breaks, the simplex revisits the same degenerate bases
-/// forever. The regression pins termination and optimality under every
-/// pricing rule (each non-Bland rule falls back to Bland on a stall).
+/// forever. The regression pins termination and optimality (both
+/// simplexes fall back to Bland's rule on a stall).
 /// Optimum: x = (1/25, 0, 1, 0), objective -1/20.
-TEST(Simplex, BealeCyclingTerminatesUnderEveryPricingRule) {
+TEST(Simplex, BealeCyclingTerminates) {
   auto Build = [] {
     LpProblem P;
     double Inf = std::numeric_limits<double>::infinity();
@@ -119,56 +123,22 @@ TEST(Simplex, BealeCyclingTerminatesUnderEveryPricingRule) {
     return P;
   };
 
-  for (Pricing Rule :
-       {Pricing::SteepestEdge, Pricing::Dantzig, Pricing::Bland}) {
-    SolverConfig Opts;
-    Opts.PricingRule = Rule;
-    LpProblem P = Build();
-    LpSolution S = solveLp(P, Opts);
-    ASSERT_EQ(S.Status, LpStatus::Optimal)
-        << "pricing rule " << pricingName(Rule);
-    EXPECT_NEAR(S.Objective, -0.05, 1e-9);
-    EXPECT_NEAR(S.Values[0], 0.04, 1e-7);
-    EXPECT_NEAR(S.Values[2], 1.0, 1e-7);
-    // The warm path must agree on the same degenerate-prone problem.
-    WarmStart Ws;
-    std::vector<double> Lo(P.numVariables()), Hi(P.numVariables());
-    for (unsigned J = 0; J != P.numVariables(); ++J) {
-      Lo[J] = P.Variables[J].Lower;
-      Hi[J] = P.Variables[J].Upper;
-    }
-    LpSolution W = solveLpWarm(P, Lo, Hi, Ws, Opts);
-    ASSERT_EQ(W.Status, LpStatus::Optimal);
-    EXPECT_NEAR(W.Objective, -0.05, 1e-9);
-  }
-}
-
-TEST(Simplex, DegenerateProblemTerminatesUnderForcedBland) {
-  LpProblem P;
-  unsigned X = P.addVariable(0, 10, -1);
-  P.addConstraint({{X, 1.0}}, ConstraintSense::LessEq, 5);
-  P.addConstraint({{X, 2.0}}, ConstraintSense::LessEq, 10);
-  P.addConstraint({{X, 3.0}}, ConstraintSense::LessEq, 15);
-  SolverConfig Opts;
-  Opts.PricingRule = Pricing::Bland;
-  LpSolution S = solveLp(P, Opts);
+  LpProblem P = Build();
+  LpSolution S = solveLp(P);
   ASSERT_EQ(S.Status, LpStatus::Optimal);
-  EXPECT_NEAR(S.Values[X], 5.0, 1e-7);
-}
-
-/// Every pricing rule round-trips through its CLI spelling, and retired
-/// or unknown spellings are rejected.
-TEST(SolverConfig, PricingNamesRoundTrip) {
-  EXPECT_EQ(SolverConfig().PricingRule, Pricing::SteepestEdge);
-  for (Pricing Rule :
-       {Pricing::SteepestEdge, Pricing::Dantzig, Pricing::Bland}) {
-    Pricing Parsed = Pricing::SteepestEdge;
-    ASSERT_TRUE(pricingFromName(pricingName(Rule), Parsed));
-    EXPECT_EQ(Parsed, Rule);
+  EXPECT_NEAR(S.Objective, -0.05, 1e-9);
+  EXPECT_NEAR(S.Values[0], 0.04, 1e-7);
+  EXPECT_NEAR(S.Values[2], 1.0, 1e-7);
+  // The warm path must agree on the same degenerate-prone problem.
+  WarmStart Ws;
+  std::vector<double> Lo(P.numVariables()), Hi(P.numVariables());
+  for (unsigned J = 0; J != P.numVariables(); ++J) {
+    Lo[J] = P.Variables[J].Lower;
+    Hi[J] = P.Variables[J].Upper;
   }
-  Pricing Unused = Pricing::SteepestEdge;
-  EXPECT_FALSE(pricingFromName("newton", Unused));
-  EXPECT_FALSE(pricingFromName("partial", Unused));
+  LpSolution W = solveLpWarm(P, Lo, Hi, Ws);
+  ASSERT_EQ(W.Status, LpStatus::Optimal);
+  EXPECT_NEAR(W.Objective, -0.05, 1e-9);
 }
 
 /// The progress journal pins solverConfigToken(): every setting that can
@@ -183,10 +153,6 @@ TEST(SolverConfig, TokenChangesWithEverySolverSetting) {
     Mutate(Cfg);
     EXPECT_NE(solverConfigToken(Cfg), Base) << Field;
   };
-  Changes([](SolverConfig &C) { C.PricingRule = Pricing::Dantzig; },
-          "PricingRule=dantzig");
-  Changes([](SolverConfig &C) { C.PricingRule = Pricing::Bland; },
-          "PricingRule=bland");
   Changes([](SolverConfig &C) { C.Order = NodeOrder::BestBound; },
           "Order=best-bound");
   Changes([](SolverConfig &C) { C.Order = NodeOrder::Hybrid; },
@@ -683,70 +649,252 @@ TEST(Mip, BestBoundProvesWithoutExhaustingOpenList) {
   EXPECT_NEAR(SDfs.Objective, SBB.Objective, 1e-9);
 }
 
+
 namespace {
 
-/// Counts the exhaustive 0/1 optima of \p P at objective \p Best. The
-/// random knapsacks below have integer costs, so equality is exact.
-unsigned bruteForceOptimumCount(const LpProblem &P, double Best) {
-  unsigned N = P.numVariables();
-  unsigned Count = 0;
-  for (uint64_t Mask = 0; Mask != (1ULL << N); ++Mask) {
-    std::vector<double> X(N);
-    for (unsigned J = 0; J != N; ++J)
-      X[J] = (Mask >> J) & 1;
-    if (P.isFeasible(X) && P.objectiveValue(X) == Best)
-      ++Count;
+/// A placement-shaped random MIP (core/IlpModel's Eqs. 5, 7 and 9 in
+/// miniature): binaries x, crossing indicators y >= |x_j - x_succ| and
+/// McCormick products z = x * y, all on +-1 rows, beside a RAM budget row
+/// over byte sizes and a time budget row whose coefficients are block
+/// frequency x cycles, around 1e7. Two rows can never bind: one of each
+/// scale.
+struct ScaledModel {
+  LpProblem P;
+  unsigned NumX = 0;
+  unsigned RamRow = 0, TimeRow = 0;
+  double MaxRam = 0.0, MaxTime = 0.0; ///< budget RHS that never binds
+};
+
+ScaledModel scaledModel(SplitMix64 &Rng) {
+  ScaledModel M;
+  LpProblem &P = M.P;
+  M.NumX = 5 + static_cast<unsigned>(Rng.nextBelow(4)); // 5..8
+  std::vector<unsigned> X, Y, Z;
+  std::vector<double> Freq(M.NumX);
+  for (unsigned J = 0; J != M.NumX; ++J) {
+    Freq[J] = std::pow(10.0, 3.0 + 4.0 * Rng.nextDouble());
+    X.push_back(P.addBinary(-Freq[J] * double(Rng.nextInRange(1, 40))));
   }
-  return Count;
+  for (unsigned J = 0; J != M.NumX; ++J) {
+    Y.push_back(P.addVariable(0.0, 1.0, Freq[J] * double(Rng.nextInRange(2, 9)),
+                              /*Integer=*/false));
+    Z.push_back(P.addVariable(0.0, 1.0, -Freq[J] * double(Rng.nextInRange(0, 3)),
+                              /*Integer=*/false));
+  }
+  for (unsigned J = 0; J != M.NumX; ++J) {
+    unsigned S = X[(J + 1 + Rng.nextBelow(M.NumX - 1)) % M.NumX];
+    P.addConstraint({{X[J], 1.0}, {S, -1.0}, {Y[J], -1.0}},
+                    ConstraintSense::LessEq, 0.0);
+    P.addConstraint({{X[J], -1.0}, {S, 1.0}, {Y[J], -1.0}},
+                    ConstraintSense::LessEq, 0.0);
+    P.addConstraint({{Z[J], 1.0}, {X[J], -1.0}}, ConstraintSense::LessEq, 0.0);
+    P.addConstraint({{Z[J], 1.0}, {Y[J], -1.0}}, ConstraintSense::LessEq, 0.0);
+    P.addConstraint({{Z[J], -1.0}, {X[J], 1.0}, {Y[J], 1.0}},
+                    ConstraintSense::LessEq, 1.0);
+  }
+  std::vector<std::pair<unsigned, double>> Ram, Time, Loose, LooseTime;
+  for (unsigned J = 0; J != M.NumX; ++J) {
+    double Bytes = double(Rng.nextInRange(8, 400));
+    double Kb = double(Rng.nextInRange(2, 16));
+    Ram.push_back({X[J], Bytes});
+    Ram.push_back({Z[J], Kb});
+    M.MaxRam += Bytes + Kb;
+    double Tb = Freq[J] * double(Rng.nextInRange(2, 9));
+    Time.push_back({Y[J], Tb});
+    M.MaxTime += Tb;
+    // Wait-stated parts make RAM residence save cycles.
+    if (Rng.nextBool(0.3)) {
+      double Lb = -Freq[J] * double(Rng.nextInRange(1, 3));
+      Time.push_back({X[J], Lb});
+    }
+    Loose.push_back({X[J], 1.0});
+    LooseTime.push_back({Y[J], Tb});
+  }
+  M.RamRow = P.numConstraints();
+  P.addConstraint(std::move(Ram), ConstraintSense::LessEq, M.MaxRam);
+  M.TimeRow = P.numConstraints();
+  P.addConstraint(std::move(Time), ConstraintSense::LessEq, M.MaxTime);
+  P.addConstraint(std::move(Loose), ConstraintSense::LessEq,
+                  double(M.NumX) + 3.0);
+  P.addConstraint(std::move(LooseTime), ConstraintSense::LessEq,
+                  2.0 * M.MaxTime + 1.0);
+  return M;
+}
+
+/// The cheapest completion of the x's 0/1 assignment \p Mask: a cold
+/// solve with every x fixed (+inf when the assignment does not fit).
+double completion(const ScaledModel &M, uint64_t Mask) {
+  const LpProblem &P = M.P;
+  std::vector<double> Lo(P.numVariables()), Hi(P.numVariables());
+  for (unsigned J = 0; J != P.numVariables(); ++J) {
+    Lo[J] = P.Variables[J].Lower;
+    Hi[J] = P.Variables[J].Upper;
+  }
+  for (unsigned J = 0; J != M.NumX; ++J)
+    Lo[J] = Hi[J] = double((Mask >> J) & 1);
+  LpSolution S = solveLpWithBounds(P, Lo, Hi);
+  EXPECT_NE(S.Status, LpStatus::IterLimit) << "mask " << Mask;
+  return S.Status == LpStatus::Optimal
+             ? S.Objective
+             : std::numeric_limits<double>::infinity();
+}
+
+/// The cheapest completion over every 0/1 assignment of the x's.
+double bruteForceScaled(const ScaledModel &M) {
+  double Best = std::numeric_limits<double>::infinity();
+  for (uint64_t Mask = 0; Mask != (1ULL << M.NumX); ++Mask)
+    Best = std::min(Best, completion(M, Mask));
+  return Best;
 }
 
 } // namespace
 
-/// Property sweep for the pricing rules: every rule is exact (same
-/// objective as the brute-force enumerator), and when the optimum is
-/// unique the assignment is identical to the default config's. The rules
-/// take different pivot paths through the same polytopes; none may change
-/// an answer.
-class MipPricingRandomized : public ::testing::TestWithParam<int> {};
+/// Badly scaled budget rows beside +-1 rows are where the dual simplex
+/// meets rows whose only eligible pivots are round-off. Every knob point
+/// of a warm chain must still be proved optimal (no limit is set, so a
+/// FeasibleLimit label would be a lost proof) with an assignment whose
+/// cheapest completion is the brute-force optimum (the solve's own
+/// continuous values carry ~1e-9 relative round-off at this scale), and
+/// every node relaxation a stuck-row certificate calls infeasible must be
+/// infeasible to a fresh cold solve too.
+TEST(StuckRows, ScaledBudgetSweepProvesEveryPointAndCertifiesSoundly) {
+  unsigned Certified = 0, Points = 0;
+  for (uint64_t Seed = 0; Seed != 40; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    SplitMix64 Rng(Seed * 104729 + 7);
+    ScaledModel M = scaledModel(Rng);
+    LpProblem &P = M.P;
+    // Objectives are sums of ~1e7 terms: compare at that scale.
+    double Scale = 0.0;
+    for (const LpVariable &V : P.Variables)
+      Scale += std::abs(V.Objective);
 
-TEST_P(MipPricingRandomized, AllRulesAgreeWithBruteForce) {
-  SplitMix64 Rng(static_cast<uint64_t>(GetParam()) * 15485863 + 37);
-  unsigned N = 5 + static_cast<unsigned>(Rng.nextBelow(8)); // 5..12 vars
-  LpProblem P;
-  for (unsigned J = 0; J != N; ++J)
-    P.addBinary(static_cast<double>(Rng.nextInRange(-20, 5)));
-  unsigned NumCons = 1 + static_cast<unsigned>(Rng.nextBelow(3));
-  for (unsigned C = 0; C != NumCons; ++C) {
-    std::vector<std::pair<unsigned, double>> Terms;
-    for (unsigned J = 0; J != N; ++J)
-      if (Rng.nextBool(0.7))
-        Terms.push_back({J, static_cast<double>(Rng.nextInRange(1, 9))});
-    if (Terms.empty())
-      Terms.push_back({0, 1.0});
-    double Rhs = static_cast<double>(Rng.nextInRange(3, 25));
-    P.addConstraint(std::move(Terms), ConstraintSense::LessEq, Rhs);
-  }
-
-  double Reference = bruteForceOptimum(P);
-  bool Unique = bruteForceOptimumCount(P, Reference) == 1;
-  MipSolution Baseline = solveMip(P);
-  ASSERT_TRUE(Baseline.feasible()); // all-zeros is always feasible here
-  EXPECT_NEAR(Baseline.Objective, Reference, 1e-6);
-
-  for (Pricing Rule :
-       {Pricing::SteepestEdge, Pricing::Dantzig, Pricing::Bland}) {
-    SolverConfig Cfg;
-    Cfg.PricingRule = Rule;
-    MipSolution S = solveMip(P, Cfg);
-    ASSERT_TRUE(S.feasible());
-    EXPECT_TRUE(S.Proven);
-    EXPECT_NEAR(S.Objective, Reference, 1e-6) << pricingName(Rule);
-    EXPECT_TRUE(P.isFeasible(S.Values));
-    if (Unique) {
-      EXPECT_EQ(S.Values, Baseline.Values) << pricingName(Rule);
+    // A knob chain, loosest point first, then random budgets.
+    MipWarmStart Warm;
+    for (unsigned K = 0; K != 6; ++K) {
+      double RamShare = K == 0 ? 1.0 : 0.1 + 0.6 * Rng.nextDouble();
+      double TimeShare = K == 0 ? 1.0 : 0.02 + 0.5 * Rng.nextDouble();
+      P.Constraints[M.RamRow].Rhs = std::floor(RamShare * M.MaxRam);
+      P.Constraints[M.TimeRow].Rhs = TimeShare * M.MaxTime;
+      double Reference = bruteForceScaled(M);
+      MipSolution S = solveMip(P, {}, &Warm);
+      Certified += static_cast<unsigned>(S.Stats.StuckCertified);
+      ++Points;
+      ASSERT_TRUE(std::isfinite(Reference)); // all-flash always fits
+      EXPECT_EQ(S.Outcome, SolveStatus::Optimal) << "point " << K;
+      ASSERT_EQ(S.Values.size(), P.numVariables()) << "point " << K;
+      uint64_t Mask = 0;
+      for (unsigned J = 0; J != M.NumX; ++J)
+        Mask |= uint64_t(S.Values[J] > 0.5) << J;
+      EXPECT_NEAR(completion(M, Mask), Reference, 1e-9 * Scale)
+          << "point " << K;
     }
+
+    // Branch & bound's node sequence in miniature: dives that fix
+    // binaries one at a time on one warm tableau, backtracking to the
+    // root after an infeasible node, with budget patches in between.
+    WarmStart Ws;
+    std::vector<double> RootLo(P.numVariables()), RootHi(P.numVariables());
+    for (unsigned J = 0; J != P.numVariables(); ++J) {
+      RootLo[J] = P.Variables[J].Lower;
+      RootHi[J] = P.Variables[J].Upper;
+    }
+    std::vector<double> Lo = RootLo, Hi = RootHi;
+    for (unsigned Step = 0; Step != 120; ++Step) {
+      if (Rng.nextBool(0.1))
+        P.Constraints[M.TimeRow].Rhs =
+            (0.02 + 0.5 * Rng.nextDouble()) * M.MaxTime;
+      unsigned J = static_cast<unsigned>(Rng.nextBelow(M.NumX));
+      Lo[J] = Hi[J] = double(Rng.nextBelow(2));
+      LpSolution S = solveLpWarm(P, Lo, Hi, Ws);
+      EXPECT_NE(S.Status, LpStatus::IterLimit) << "step " << Step;
+      if (S.StuckCertified) {
+        ++Certified;
+        EXPECT_EQ(S.Status, LpStatus::Infeasible);
+        LpSolution Cold = solveLpWithBounds(P, Lo, Hi);
+        EXPECT_NE(Cold.Status, LpStatus::Optimal) << "step " << Step;
+      }
+      if (S.Status != LpStatus::Optimal) {
+        Lo = RootLo;
+        Hi = RootHi;
+      }
+    }
+  }
+  // The sweep must reach the certificate at all, or it proves nothing.
+  EXPECT_GT(Certified, 0u) << "over " << Points << " knob points";
+}
+
+/// A knob patch that loosens a binding budget past everything its row
+/// can hold leaves the row's slack nonbasic at 0, outside the range
+/// [b - maxAct, b - minAct] its activity allows. The slack's reach is
+/// measured from where it stands, so the re-solve repairs the row instead
+/// of certifying the (feasible) relaxation infeasible.
+TEST(StuckRows, LoosenedBudgetRowIsRepairedNotCertified) {
+  LpProblem P;
+  unsigned A = P.addVariable(0.0, 1.0, -1.0, /*Integer=*/false);
+  unsigned B = P.addVariable(0.0, 1.0, -1.0, /*Integer=*/false);
+  P.addConstraint({{A, 1.0}, {B, 1.0}}, ConstraintSense::LessEq, 1.5);
+  P.addConstraint({{A, 1e-8}, {B, 1.0}}, ConstraintSense::GreaterEq, 0.0);
+  std::vector<double> Lo = {0.0, 0.0}, Hi = {1.0, 1.0};
+  WarmStart Ws;
+  LpSolution Tight = solveLpWarm(P, Lo, Hi, Ws);
+  ASSERT_EQ(Tight.Status, LpStatus::Optimal);
+  EXPECT_NEAR(Tight.Objective, -1.5, 1e-12);
+  for (double Budget : {50.0, 1.5, 1e6, 0.25}) {
+    P.Constraints[0].Rhs = Budget;
+    LpSolution W = solveLpWarm(P, Lo, Hi, Ws);
+    LpSolution C = solveLpWithBounds(P, Lo, Hi);
+    ASSERT_EQ(W.Status, LpStatus::Optimal) << "budget " << Budget;
+    EXPECT_TRUE(W.WarmStarted) << "budget " << Budget;
+    EXPECT_FALSE(W.StuckCertified) << "budget " << Budget;
+    EXPECT_NEAR(W.Objective, C.Objective, 1e-12) << "budget " << Budget;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, MipPricingRandomized,
-                         ::testing::Range(0, 12));
+/// A MipWarmStart carries its branching history from one solve to the
+/// next while the problem keeps its shape, and drops it when the shape
+/// changes: a differently shaped problem then solves exactly as it would
+/// from a fresh warm start.
+TEST(Mip, PseudoCostsCarryAlongAChainAndResetOnShapeChange) {
+  auto Knapsack = [](unsigned N, double Budget) {
+    LpProblem P;
+    for (unsigned J = 0; J != N; ++J)
+      P.addBinary(-(3.0 + (J * 7) % 11));
+    std::vector<std::pair<unsigned, double>> Terms;
+    for (unsigned J = 0; J != N; ++J)
+      Terms.push_back({J, double(2 + (J * 5) % 7)});
+    P.addConstraint(std::move(Terms), ConstraintSense::LessEq, Budget);
+    return P;
+  };
+  auto Observations = [](const PseudoCosts &PC) {
+    unsigned N = 0;
+    for (unsigned J = 0; J != PC.DownCnt.size(); ++J)
+      N += PC.DownCnt[J] + PC.UpCnt[J];
+    return N;
+  };
+
+  MipWarmStart Chain;
+  LpProblem Wide = Knapsack(12, 23);
+  MipSolution First = solveMip(Wide, {}, &Chain);
+  ASSERT_TRUE(First.Proven);
+  unsigned Learned = Observations(Chain.Branching);
+  ASSERT_GT(Learned, 0u) << "the knapsack must branch";
+
+  // Same shape, new budget: the history is kept and grows.
+  Wide.Constraints[0].Rhs = 17;
+  MipSolution Second = solveMip(Wide, {}, &Chain);
+  ASSERT_TRUE(Second.Proven);
+  EXPECT_EQ(Chain.Branching.DownCnt.size(), 12u);
+  EXPECT_GE(Observations(Chain.Branching), Learned);
+
+  // New shape: the carried state solves like a fresh one.
+  LpProblem Narrow = Knapsack(9, 14);
+  MipWarmStart Fresh;
+  MipSolution Carried = solveMip(Narrow, {}, &Chain);
+  MipSolution Clean = solveMip(Narrow, {}, &Fresh);
+  EXPECT_EQ(Chain.Branching.DownCnt.size(), 9u);
+  EXPECT_EQ(Observations(Chain.Branching), Observations(Fresh.Branching));
+  EXPECT_EQ(Carried.NodesExplored, Clean.NodesExplored);
+  EXPECT_EQ(Carried.Values, Clean.Values);
+  EXPECT_EQ(Carried.Objective, Clean.Objective);
+}

@@ -132,6 +132,8 @@ TEST(Metrics, SummaryFieldsAreViewsOverTheRegistry) {
   EXPECT_EQ(CR.Summary.WarmSolves, Reg.counterValue("campaign.solve.warm"));
   EXPECT_EQ(CR.Summary.IncumbentSeeds,
             Reg.counterValue("campaign.solve.incumbent_seeds"));
+  EXPECT_EQ(CR.Summary.Dominated,
+            Reg.counterValue("campaign.solve.dominated"));
   EXPECT_EQ(CR.Summary.FullSims,
             Reg.counterValue("campaign.sim.full_sims"));
   EXPECT_EQ(CR.Summary.Recosts, Reg.counterValue("campaign.sim.recosts"));
@@ -148,17 +150,19 @@ TEST(Metrics, SummaryFieldsAreViewsOverTheRegistry) {
   EXPECT_EQ(Reg.histogram("campaign.wall_seconds").stats().Count, 1u);
 }
 
-TEST(Metrics, LiveSolvesAreColdPlusWarmMinusReplayed) {
+TEST(Metrics, LiveSolvesAreColdPlusWarmMinusReplayedMinusDominated) {
   // stm32f100-48mhz poses stm32f100's ILP exactly, so its group replays
   // the other's solve chain. campaign.solve.{cold,warm} keep counting
   // per job (a replayed job under its donor's label); mip.solves counts
-  // only the solver's live work.
+  // only the solver's live work, which skips a point its chain settled
+  // from a looser proven optimum.
   GridSpec Grid = modelOnlyGrid();
   Grid.Devices = {"stm32f100", "stm32f100-48mhz"};
   MetricsRegistry Reg;
   CampaignOptions Opts;
   Opts.Metrics = &Reg;
   uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
+  uint64_t DominatedBefore = globalMetrics().counterValue("mip.dominated");
   CampaignResult CR = runCampaign(Grid, Opts);
   uint64_t Solves = globalMetrics().counterValue("mip.solves") - SolvesBefore;
 
@@ -167,11 +171,18 @@ TEST(Metrics, LiveSolvesAreColdPlusWarmMinusReplayed) {
   EXPECT_EQ(CR.Summary.Replayed, 3u);
   EXPECT_EQ(Reg.counterValue("campaign.solve.cold"), 2u);
   EXPECT_EQ(Reg.counterValue("campaign.solve.warm"), 4u);
+  EXPECT_EQ(CR.Summary.Dominated, 1u);
+  EXPECT_EQ(globalMetrics().counterValue("mip.dominated") - DominatedBefore,
+            1u);
+  EXPECT_EQ(Solves, 2u);
   EXPECT_EQ(Solves, Reg.counterValue("campaign.solve.cold") +
                         Reg.counterValue("campaign.solve.warm") -
-                        Reg.counterValue("campaign.solve.replayed"));
-  // The effort histograms record live solves only.
-  EXPECT_EQ(Reg.histogram("campaign.solve.nodes").stats().Count, Solves);
+                        Reg.counterValue("campaign.solve.replayed") -
+                        Reg.counterValue("campaign.solve.dominated"));
+  // The effort histograms record live knob points only, settled or
+  // searched.
+  EXPECT_EQ(Reg.histogram("campaign.solve.nodes").stats().Count,
+            Solves + CR.Summary.Dominated);
 }
 
 TEST(Metrics, SharedRegistryStillYieldsPerCampaignSummaries) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 using namespace ramloc;
 
@@ -462,6 +463,123 @@ TEST(Model, SeededSolverMatchesUnseededBitForBit) {
     EXPECT_FALSE(StaleStats.seededIncumbent());
     EXPECT_EQ(FromStale, Truth);
   }
+}
+
+namespace {
+
+/// The loosest knobs the dominance tests start their chains from.
+ModelKnobs looseKnobs() {
+  ModelKnobs K;
+  K.RspareBytes = 400;
+  K.Xlimit = 2.0;
+  return K;
+}
+
+} // namespace
+
+TEST(Dominance, LooserOptimumThatStillFitsSettlesThePointWithoutSearch) {
+  // Both knobs only cap the feasible set, so a looser point's proven
+  // optimum that still fits a tighter point is optimal there too. The
+  // tighter point's budget is the loose optimum's own RAM use, so the
+  // optimum fits unless the solver's continuous values carry residue
+  // (then the point is searched, which is also exact).
+  unsigned Settled = 0;
+  for (uint64_t Seed = 0; Seed != 20; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    SplitMix64 Rng(Seed * 7607 + 3);
+    ModelParams MP = randomContinuousParams(Rng, 4 + unsigned(Seed % 6));
+    PlacementSolver Chain(MP, looseKnobs());
+    Assignment Loose = Chain.solve(looseKnobs());
+    ModelKnobs Tight = looseKnobs();
+    Tight.RspareBytes = evaluateAssignment(MP, Loose).RamBytes;
+
+    MipSolution Sol;
+    Assignment FromChain = Chain.solve(Tight, {}, &Sol);
+    SolverConfig Cold;
+    Cold.WarmNodes = false;
+    EXPECT_EQ(FromChain, solvePlacement(MP, Tight, Cold));
+    EXPECT_EQ(FromChain, enumeratorOptimum(MP, Tight));
+    EXPECT_EQ(Sol.Outcome, SolveStatus::Optimal);
+    EXPECT_TRUE(Sol.warmStarted());
+    if (!Sol.dominated())
+      continue;
+    ++Settled;
+    EXPECT_EQ(FromChain, Loose);
+    EXPECT_EQ(Sol.NodesExplored, 0u);
+    EXPECT_EQ(Sol.primalPivots() + Sol.dualPivots(), 0u);
+  }
+  EXPECT_GT(Settled, 10u);
+}
+
+TEST(Dominance, DonorThatNoLongerFitsFallsThroughToSearch) {
+  // A tighter RAM budget than the loose optimum uses: that optimum is
+  // infeasible here, so the point is searched.
+  unsigned Searched = 0;
+  for (uint64_t Seed = 0; Seed != 20; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    SplitMix64 Rng(Seed * 7607 + 3);
+    ModelParams MP = randomContinuousParams(Rng, 4 + unsigned(Seed % 6));
+    PlacementSolver Chain(MP, looseKnobs());
+    Assignment Loose = Chain.solve(looseKnobs());
+    unsigned Used = evaluateAssignment(MP, Loose).RamBytes;
+    if (Used == 0)
+      continue; // nothing moved: no tighter budget excludes it
+    ModelKnobs Tight = looseKnobs();
+    Tight.RspareBytes = Used - 1;
+    MipSolution Sol;
+    Assignment FromChain = Chain.solve(Tight, {}, &Sol);
+    ++Searched;
+    EXPECT_FALSE(Sol.dominated());
+    EXPECT_GT(Sol.NodesExplored, 0u);
+    EXPECT_EQ(Sol.Outcome, SolveStatus::Optimal);
+    EXPECT_EQ(FromChain, enumeratorOptimum(MP, Tight));
+  }
+  EXPECT_GT(Searched, 10u);
+}
+
+TEST(Dominance, LimitedAnswerIsNeverADonor) {
+  // A NodeLimit=1 solve that stops before its proof is labelled
+  // FeasibleLimit; revisiting the same knobs unlimited must search
+  // rather than take the unproven answer, although it trivially fits.
+  unsigned Limited = 0;
+  for (uint64_t Seed = 0; Seed != 20; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    SplitMix64 Rng(Seed * 7607 + 3);
+    ModelParams MP = randomContinuousParams(Rng, 6 + unsigned(Seed % 4));
+    ModelKnobs K;
+    K.RspareBytes = 60;
+    K.Xlimit = 1.2;
+    PlacementSolver Chain(MP, K);
+    SolverConfig OneNode;
+    OneNode.NodeLimit = 1;
+    MipSolution First;
+    Chain.solve(K, OneNode, &First);
+    if (First.Outcome != SolveStatus::FeasibleLimit)
+      continue; // proved at the root: nothing to check on this model
+    ++Limited;
+    MipSolution Again;
+    Assignment FromChain = Chain.solve(K, {}, &Again);
+    EXPECT_FALSE(Again.dominated());
+    EXPECT_EQ(Again.Outcome, SolveStatus::Optimal);
+    EXPECT_EQ(FromChain, enumeratorOptimum(MP, K));
+  }
+  EXPECT_GT(Limited, 0u);
+}
+
+TEST(Dominance, ColdReferencePathNeverDominates) {
+  // With warm nodes off (--reuse without 'solve') every point is an
+  // independent cold solve, even when a looser optimum would fit.
+  SplitMix64 Rng(91);
+  ModelParams MP = randomContinuousParams(Rng, 7);
+  SolverConfig Cold;
+  Cold.WarmNodes = false;
+  PlacementSolver Chain(MP, looseKnobs());
+  Chain.solve(looseKnobs(), Cold);
+  MipSolution Again;
+  Chain.solve(looseKnobs(), Cold, &Again);
+  EXPECT_FALSE(Again.dominated());
+  EXPECT_FALSE(Again.warmStarted());
+  EXPECT_GT(Again.NodesExplored, 0u);
 }
 
 TEST(Greedy, NeverBeatsIlpAndStaysFeasible) {

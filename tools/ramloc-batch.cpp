@@ -365,8 +365,10 @@ int main(int Argc, char **Argv) {
             "reuse layers that stay on: cache (persistent results), profile "
             "(recost shared execution profiles, and derive each optimized "
             "image's profile from its baseline's), solve (share the ILP "
-            "across a knob axis, warm-start from neighbouring solves, and "
-            "solve groups with bit-identical ILPs once), "
+            "across a knob axis visited loosest-first, warm-start from "
+            "neighbouring solves, settle a point a looser point's proven "
+            "optimum still fits without search, and solve groups with "
+            "bit-identical ILPs once), "
             "incumbent (open a group's first solve with the persisted "
             "best-known placement), or all (the default) / none (every "
             "image simulated). Every layer is exact: reports are "
@@ -377,13 +379,6 @@ int main(int Argc, char **Argv) {
             " best-bound, or hybrid (dive until an incumbent exists, then "
             "best-bound); every order is exact",
             bindValue(Solver.Order, nodeOrderFromName));
-  Flags.add("pricing", "RULE",
-            "simplex pivot pricing: steepest-edge (default; fewest pivots "
-            "on warm chains), dantzig or bland. Every rule is exact, but "
-            "reports are byte-identical only when every solve proves "
-            "optimality: dantzig labels 2 of the 1080 canonical configs "
-            "feasible-limit that the default proves optimal",
-            bindValue(Solver.PricingRule, pricingFromName));
 
   Flags.section("persistence and distribution");
   Flags.add("cache-dir", "DIR",
@@ -730,6 +725,9 @@ int main(int Argc, char **Argv) {
       std::printf("%llu solve(s) replayed from a group with an identical "
                   "model\n",
                   static_cast<unsigned long long>(CR.Summary.Replayed));
+    if (CR.Summary.Dominated > 0)
+      std::printf("%llu knob point(s) settled by a looser proven optimum\n",
+                  static_cast<unsigned long long>(CR.Summary.Dominated));
     if (CR.Summary.IncumbentSeeds > 0)
       std::printf("%llu solve group(s) seeded from persisted "
                   "incumbents\n",
@@ -756,6 +754,7 @@ int main(int Argc, char **Argv) {
       Row("campaign.solve.cold");
       Row("campaign.solve.warm");
       Row("campaign.solve.replayed");
+      Row("campaign.solve.dominated");
       Row("campaign.solve.incumbent_seeds");
       std::printf("%s", C.render().c_str());
     }
