@@ -126,9 +126,10 @@ public:
   /// Starts the journal (after open()). With \p Resume, entries under a
   /// matching header — fingerprint() plus \p ConfigToken, which must
   /// encode everything that can change a report's bytes
-  /// (solverConfigToken(): limits, node order, warm/cold;
-  /// not --jobs) — load into journalEntries(); a missing or mismatched
-  /// journal yields none. Otherwise a fresh header replaces any journal.
+  /// (solverConfigToken(): limits, warm/cold and the solver's fixed
+  /// constants; not --jobs) — load into journalEntries(); a missing or
+  /// mismatched journal yields none. Otherwise a fresh header replaces
+  /// any journal.
   bool beginJournal(const std::string &ConfigToken, bool Resume,
                     std::string *Error = nullptr);
 

@@ -611,9 +611,11 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   // each group runs as a single task that warm-starts successive knob
   // points (reports are byte-identical to per-job scheduling; the knob
   // points of one group just stop paying for repeated extractions and
-  // from-scratch solves). With reuse disabled every job is its own group.
+  // from-scratch solves). With reuse disabled (the cold reference solver)
+  // every job is its own group.
+  bool ReuseSolves = Opts.Base.Solver.WarmNodes;
   std::vector<std::vector<size_t>> Groups;
-  if (Opts.ReuseSolves) {
+  if (ReuseSolves) {
     std::unordered_map<std::string, size_t> GroupOf;
     for (size_t I : RunIndices) {
       auto [It, New] = GroupOf.emplace(Jobs[I].solveGroupKey(), Groups.size());
@@ -631,7 +633,7 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   // is off with solve reuse, so `--reuse` without `solve` stays the
   // all-solved reference.
   SolveChainMemo Chains;
-  SolveChainMemo *ChainMemo = Opts.ReuseSolves ? &Chains : nullptr;
+  SolveChainMemo *ChainMemo = ReuseSolves ? &Chains : nullptr;
 
   unsigned Workers = Opts.Jobs != 0 ? Opts.Jobs
                                     : std::thread::hardware_concurrency();

@@ -55,12 +55,10 @@
 /// offers are exactly what solving every group would give
 /// (Summary.Replayed counts the replayed jobs). Warm and cold
 /// solves are both exact, so reports are byte-identical with solve reuse
-/// on or off (CampaignOptions::ReuseSolves, `--reuse` without `solve`)
+/// on or off (Base.Solver.WarmNodes, `--reuse` without `solve`)
 /// whenever every solve proves optimality. A dual simplex row stuck on
-/// round-off pivots used to cost some unlimited solves their proof (6
-/// feasible-limit labels on the tight model-only grid); such a row is
-/// now certified infeasible or repaired, and no grid measured since has
-/// a degraded label without a limit set.
+/// round-off pivots is certified infeasible or repaired rather than
+/// given up on, so a solve with no limit set keeps its proof.
 ///
 /// Even the group's first solve need not start from nothing: an
 /// IncumbentStore remembers the best-known placement per solve group —
@@ -255,6 +253,20 @@ struct CampaignOptions {
   bool UseCache = true;
   /// Template for per-job pipeline options; each job snapshots this and
   /// overlays its own axes (knobs, device power model, frequency mode).
+  ///
+  /// Base.Solver.WarmNodes is also the campaign's solve-reuse switch. On
+  /// (the default), jobs that differ only in the Xlimit/Rspare knobs run
+  /// as one group task: parameters extracted and the ILP built once, knob
+  /// points solved as warm-started RHS patches, coinciding placements
+  /// measured once, and groups posing a bit-identical ILP sharing one
+  /// solve chain. The knob points of a group serialize on one worker by
+  /// design — that is what buys the 1-extraction/1-cold-solve guarantee —
+  /// so a grid's parallelism is its benchmark x level x device x freq
+  /// spread. Off is the fully cold reference solver (`--reuse` without
+  /// the `solve` token): every job is scheduled on its own and every
+  /// branch & bound node re-solves from scratch. Reports stay
+  /// byte-identical either way whenever every solve proves optimality
+  /// (see the file comment).
   PipelineOptions Base;
   /// Optional cross-campaign cache.
   ResultCache *Cache = nullptr;
@@ -264,20 +276,6 @@ struct CampaignOptions {
   /// baselines' (reports stay byte-identical either way; false simulates
   /// every run).
   bool ReuseProfiles = true;
-  /// Group jobs that differ only in the Xlimit/Rspare knobs and run each
-  /// group as one task: parameters extracted and the ILP built once, knob
-  /// points solved as warm-started RHS patches, coinciding placements
-  /// measured once, and groups posing a bit-identical ILP sharing one
-  /// solve chain (reports stay byte-identical either way whenever every
-  /// solve proves optimality; see the file comment). The knob
-  /// points of a group serialize on one worker by design — that is what
-  /// buys the 1-extraction/1-cold-solve guarantee — so a grid's
-  /// parallelism is its benchmark x level x device x freq spread; a grid
-  /// that is almost all knob axis on a many-core host may prefer
-  /// ReuseSolves = false, which schedules every job independently (pair
-  /// it with Base.Solver.WarmNodes = false for the fully cold reference
-  /// solver — `--reuse` without the `solve` token).
-  bool ReuseSolves = true;
   /// Optional cross-campaign profile cache (e.g. CacheStore::profiles()).
   /// When null and ReuseProfiles is true the campaign uses a private one.
   ProfileCache *Profiles = nullptr;

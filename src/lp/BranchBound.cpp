@@ -24,20 +24,10 @@ struct Node {
   std::vector<double> Lower;
   std::vector<double> Upper;
   double Bound;      ///< parent LP objective: lower bound on this subtree
-  uint64_t Seq = 0;  ///< creation order; heap tie-break towards diving
   int BranchVar = -1; ///< variable whose bound created this node
   bool BranchUp = false; ///< true: forced to 1; false: forced to 0
   double FracDist = 0.0; ///< fractional distance the branch moved it
 };
-
-/// Heap discipline for best-bound mode: the "largest" element (heap top)
-/// is the open node with the smallest parent bound; among equal bounds
-/// the youngest node wins, which keeps ties diving like Dfs would.
-bool worseThan(const Node &A, const Node &B) {
-  if (A.Bound != B.Bound)
-    return A.Bound > B.Bound;
-  return A.Seq < B.Seq;
-}
 
 /// Rounds an LP point to the nearest binary assignment; returns true if
 /// the rounded point is feasible. Cheap incumbent generator.
@@ -70,7 +60,7 @@ void snapIntegers(const LpProblem &P, std::vector<double> &V, double IntTol) {
 /// bit-equal objective with a lexicographically smaller assignment. The
 /// relation is a total order on candidate points, so the surviving
 /// incumbent is independent of the order candidates arrive in — which is
-/// what keeps the node orders' answers consistent with each other.
+/// what keeps the warm and cold paths' answers consistent with each other.
 bool canonicallyBetter(double Obj, const std::vector<double> &V, bool HaveCur,
                        double CurObj, const std::vector<double> &CurV) {
   if (!HaveCur)
@@ -86,9 +76,7 @@ bool canonicallyBetter(double Obj, const std::vector<double> &V, bool HaveCur,
 /// own completion — so hitting one loses the optimality proof but never
 /// corrupts state: the search simply stops expanding and keeps whatever
 /// incumbent it holds. The node cap folds SolverConfig::NodeLimit into
-/// the long-standing MaxNodes backstop (effective cap = min of the two),
-/// so with every limit at its 0 default the search behaves bit-for-bit
-/// as before.
+/// the MipMaxNodes backstop (effective cap = min of the two).
 struct SearchLimits {
   std::chrono::steady_clock::time_point Deadline{};
   bool HaveDeadline = false;
@@ -101,7 +89,7 @@ struct SearchLimits {
       Deadline = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(Cfg.TimeLimitMs);
     }
-    NodeCap = Cfg.MaxNodes;
+    NodeCap = MipMaxNodes;
     if (Cfg.NodeLimit && Cfg.NodeLimit < NodeCap)
       NodeCap = Cfg.NodeLimit;
     PivotCap = Cfg.PivotLimit;
@@ -151,25 +139,24 @@ void accumulateLp(SolverStats &St, const LpSolution &Relax) {
 /// Picks the branching variable for a fractional relaxation point.
 /// Pseudo-cost scoring multiplies the estimated degradation of the two
 /// children (the product rule); variables without history score with the
-/// tree-wide average so early decisions degrade to most-fractional.
+/// tree-wide average, so with no history at all the score is
+/// Down x Up and the most fractional variable wins.
 int pickBranchVariable(const LpProblem &P, const std::vector<double> &X,
-                       const SolverConfig &Opts, const PseudoCosts &PC) {
+                       const PseudoCosts &PC) {
   int BranchVar = -1;
   double BestScore = 0.0;
 
   // Tree-wide average per-unit degradation, the fallback estimate.
   double Sum = 0.0;
   unsigned Cnt = 0;
-  if (Opts.PseudoCostBranching) {
-    for (unsigned J = 0, E = P.numVariables(); J != E; ++J) {
-      if (PC.DownCnt[J]) {
-        Sum += PC.DownSum[J] / PC.DownCnt[J];
-        ++Cnt;
-      }
-      if (PC.UpCnt[J]) {
-        Sum += PC.UpSum[J] / PC.UpCnt[J];
-        ++Cnt;
-      }
+  for (unsigned J = 0, E = P.numVariables(); J != E; ++J) {
+    if (PC.DownCnt[J]) {
+      Sum += PC.DownSum[J] / PC.DownCnt[J];
+      ++Cnt;
+    }
+    if (PC.UpCnt[J]) {
+      Sum += PC.UpSum[J] / PC.UpCnt[J];
+      ++Cnt;
     }
   }
   double Fallback = Cnt ? Sum / Cnt : 1.0;
@@ -178,18 +165,12 @@ int pickBranchVariable(const LpProblem &P, const std::vector<double> &X,
     if (!P.Variables[J].Integer)
       continue;
     double V = X[J];
-    double Frac = std::min(V - std::floor(V), std::ceil(V) - V);
-    if (Frac <= Opts.IntegerTolerance)
+    double Down = V - std::floor(V);
+    double Up = std::ceil(V) - V;
+    if (std::min(Down, Up) <= MipIntegerTolerance)
       continue;
-    double Score;
-    if (Opts.PseudoCostBranching) {
-      double Down = V - std::floor(V);
-      double Up = std::ceil(V) - V;
-      Score = std::max(Down * PC.estimate(J, false, Fallback), 1e-12) *
-              std::max(Up * PC.estimate(J, true, Fallback), 1e-12);
-    } else {
-      Score = Frac;
-    }
+    double Score = std::max(Down * PC.estimate(J, false, Fallback), 1e-12) *
+                   std::max(Up * PC.estimate(J, true, Fallback), 1e-12);
     if (BranchVar < 0 || Score > BestScore) {
       BranchVar = static_cast<int>(J);
       BestScore = Score;
@@ -198,25 +179,23 @@ int pickBranchVariable(const LpProblem &P, const std::vector<double> &X,
   return BranchVar;
 }
 
-/// Splits \p N on \p BranchVar and hands both children to \p Push,
-/// closer side last: the stack pops the last pushed node, and the heap
-/// breaks bound ties towards the younger Seq — either way the search
-/// dives into the half the relaxation already leans towards.
-template <typename PushFn>
+/// Splits \p N on \p BranchVar and pushes both children onto the
+/// \p Open stack, closer side last: the search pops it next and dives
+/// into the half the relaxation already leans towards.
 void branchNode(Node &&N, int BranchVar, double Frac, double Bound,
-                PushFn &&Push) {
+                std::vector<Node> &Open) {
   unsigned BV = static_cast<unsigned>(BranchVar);
-  Node Zero{N.Lower, N.Upper, Bound, 0, BranchVar, false, Frac};
+  Node Zero{N.Lower, N.Upper, Bound, BranchVar, false, Frac};
   Zero.Upper[BV] = 0.0;
-  Node One{std::move(N.Lower), std::move(N.Upper), Bound, 0, BranchVar, true,
+  Node One{std::move(N.Lower), std::move(N.Upper), Bound, BranchVar, true,
            1.0 - Frac};
   One.Lower[BV] = 1.0;
   if (Frac >= 0.5) {
-    Push(std::move(Zero));
-    Push(std::move(One));
+    Open.push_back(std::move(Zero));
+    Open.push_back(std::move(One));
   } else {
-    Push(std::move(One));
-    Push(std::move(Zero));
+    Open.push_back(std::move(One));
+    Open.push_back(std::move(Zero));
   }
 }
 
@@ -229,7 +208,7 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
   Best.Proven = true; // until a node/pivot/time budget is hit
 
   // Resolve the cooperative limits once: the deadline anchors to this
-  // call's entry, and the node cap folds NodeLimit into MaxNodes.
+  // call's entry, and the node cap folds NodeLimit into MipMaxNodes.
   SearchLimits Limits(Cfg);
 
   for ([[maybe_unused]] const LpVariable &V : P.Variables)
@@ -269,18 +248,12 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
   PseudoCosts &PC = Warm ? Warm->Branching : LocalPc;
   PC.fitTo(P);
 
-  // The open list doubles as a stack (diving mode) and a binary heap
-  // (best-bound mode). Hybrid starts diving and heapifies once the first
-  // incumbent exists — from then on pops take the smallest-bound node.
+  // The open list is a stack: depth-first diving.
   std::vector<Node> Open;
-  uint64_t NextSeq = 0;
-  bool HeapMode = Cfg.Order == NodeOrder::BestBound ||
-                  (Cfg.Order == NodeOrder::Hybrid && HaveIncumbent);
   Node Root;
   Root.Lower = std::move(RootLo);
   Root.Upper = std::move(RootHi);
   Root.Bound = -std::numeric_limits<double>::infinity();
-  Root.Seq = NextSeq++;
   Open.push_back(std::move(Root));
 
   while (!Open.empty()) {
@@ -295,28 +268,17 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
       Best.Proven = false;
       break;
     }
-    if (!HeapMode && Cfg.Order == NodeOrder::Hybrid && HaveIncumbent) {
-      std::make_heap(Open.begin(), Open.end(), worseThan);
-      HeapMode = true;
-    }
-    if (HeapMode)
-      std::pop_heap(Open.begin(), Open.end(), worseThan);
     Node N = std::move(Open.back());
     Open.pop_back();
 
-    // Bound pruning against the incumbent. In best-bound mode the popped
-    // node has the smallest bound of the whole open list, so a prune
-    // here proves every remaining node away too.
-    if (HaveIncumbent && N.Bound >= Best.Objective - Cfg.GapTolerance) {
-      if (HeapMode)
-        break;
+    // Bound pruning against the incumbent.
+    if (HaveIncumbent && N.Bound >= Best.Objective - MipGapTolerance)
       continue;
-    }
 
     ++Best.NodesExplored;
     LpSolution Relax = Cfg.WarmNodes
-                           ? solveLpWarm(P, N.Lower, N.Upper, Ws, Cfg)
-                           : solveLpWithBounds(P, N.Lower, N.Upper, Cfg);
+                           ? solveLpWarm(P, N.Lower, N.Upper, Ws)
+                           : solveLpWithBounds(P, N.Lower, N.Upper);
     accumulateLp(Best.Stats, Relax);
 
     // Feed the branching history: this node's relaxation tells us what
@@ -339,16 +301,16 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
       continue;
     }
     if (HaveIncumbent &&
-        Relax.Objective >= Best.Objective - Cfg.GapTolerance)
+        Relax.Objective >= Best.Objective - MipGapTolerance)
       continue;
 
-    int BranchVar = pickBranchVariable(P, Relax.Values, Cfg, PC);
+    int BranchVar = pickBranchVariable(P, Relax.Values, PC);
 
     if (BranchVar < 0) {
       // Integral: candidate incumbent, installed under the canonical
       // order so the surviving point does not depend on arrival order.
       std::vector<double> Cand = std::move(Relax.Values);
-      snapIntegers(P, Cand, Cfg.IntegerTolerance);
+      snapIntegers(P, Cand, MipIntegerTolerance);
       double Obj = P.objectiveValue(Cand);
       if (canonicallyBetter(Obj, Cand, HaveIncumbent, Best.Objective,
                             Best.Values)) {
@@ -371,13 +333,7 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
     }
 
     double Frac = Relax.Values[static_cast<unsigned>(BranchVar)];
-    branchNode(std::move(N), BranchVar, Frac, Relax.Objective,
-               [&](Node &&Child) {
-                 Child.Seq = NextSeq++;
-                 Open.push_back(std::move(Child));
-                 if (HeapMode)
-                   std::push_heap(Open.begin(), Open.end(), worseThan);
-               });
+    branchNode(std::move(N), BranchVar, Frac, Relax.Objective, Open);
   }
 
   if (Warm)

@@ -49,6 +49,7 @@
 
 #include "lp/Simplex.h"
 
+#include "lp/SolverConfig.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
@@ -207,10 +208,10 @@ struct WarmState {
 
   /// Pivots performed since the tableau was last built or refactorized.
   /// Dense updates accumulate rounding with every pivot; past the
-  /// configured budget the handle is refactorized from its current basis
+  /// fixed budget the handle is refactorized from its current basis
   /// (the dense analogue of periodic product-form/LU refactorization),
   /// bounding worst-case drift at a cost of one re-elimination per
-  /// RefactorInterval * (rows + vars + 1) pivots.
+  /// LpRefactorInterval * (rows + vars + 1) pivots.
   uint64_t PivotsSinceBuild = 0;
 
   //===--- Dual steepest-edge pricing state -------------------------------===//
@@ -255,10 +256,9 @@ struct WarmState {
     Sol.StuckCertified = StuckCerts != S.Stuck;
   }
 
-  bool needsRefactor(const SolverConfig &Opts) const {
-    return Opts.RefactorInterval != 0 &&
-           PivotsSinceBuild >
-               uint64_t(Opts.RefactorInterval) * (NumRows + NumVars + 1);
+  bool needsRefactor() const {
+    return PivotsSinceBuild >
+           uint64_t(LpRefactorInterval) * (NumRows + NumVars + 1);
   }
 
   bool matches(const LpProblem &P) const {
@@ -302,13 +302,13 @@ struct WarmState {
   }
 
   bool build(const LpProblem &P, const std::vector<double> &Lower,
-             const std::vector<double> &Upper, const SolverConfig &Opts);
-  bool refactorFromBasis(const LpProblem &P, const SolverConfig &Opts);
-  void installObjective(const LpProblem &P, const SolverConfig &Opts);
+             const std::vector<double> &Upper);
+  bool refactorFromBasis(const LpProblem &P);
+  void installObjective(const LpProblem &P);
   void computeDseWeights();
-  LpStatus primalIterate(const SolverConfig &Opts, unsigned &Iterations,
+  LpStatus primalIterate(unsigned MaxIter, unsigned &Iterations,
                          unsigned &BoundFlips);
-  LpStatus dualIterate(const SolverConfig &Opts, unsigned &Iterations,
+  LpStatus dualIterate(unsigned MaxIter, unsigned &Iterations,
                        unsigned &BoundFlips);
   void eliminate(unsigned Row, unsigned Col);
   bool patchTo(const LpProblem &P, const std::vector<double> &Lower,
@@ -316,15 +316,13 @@ struct WarmState {
   bool anyEmptyBox() const;
   bool primalInfeasible(double Tol) const;
   void extract(const LpProblem &P, LpSolution &Sol) const;
-  LpSolution solveFresh(const LpProblem &P, const SolverConfig &Opts);
+  LpSolution solveFresh(const LpProblem &P);
 };
 
 } // namespace ramloc
 
 bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
-                      const std::vector<double> &Upper,
-                      const SolverConfig &Opts) {
-  (void)Opts;
+                      const std::vector<double> &Upper) {
   NumVars = P.numVariables();
   NumCons = P.numConstraints();
   TermSum = 0;
@@ -464,8 +462,7 @@ bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
   return true;
 }
 
-bool WarmState::refactorFromBasis(const LpProblem &P,
-                                  const SolverConfig &Opts) {
+bool WarmState::refactorFromBasis(const LpProblem &P) {
   // Re-derive the tableau from original problem data *at the current
   // basis*: rows are refilled with pristine coefficients (discarding the
   // rounding drift and fill-in dense in-place updates accumulate) and
@@ -573,7 +570,7 @@ bool WarmState::refactorFromBasis(const LpProblem &P,
     }
     Beta[R] = B;
   }
-  installObjective(P, Opts); // exact reduced costs against the new rows
+  installObjective(P); // exact reduced costs against the new rows
   PivotsSinceBuild = 0;
 
   // Steepest-edge self-check: compare the recurrence-maintained weights
@@ -594,8 +591,7 @@ bool WarmState::refactorFromBasis(const LpProblem &P,
   return true;
 }
 
-void WarmState::installObjective(const LpProblem &P,
-                                 const SolverConfig &Opts) {
+void WarmState::installObjective(const LpProblem &P) {
   double MaxC = 0.0;
   for (unsigned J = 0; J != NumVars; ++J)
     MaxC = std::max(MaxC, std::abs(P.Variables[J].Objective));
@@ -608,7 +604,7 @@ void WarmState::installObjective(const LpProblem &P,
   // columns, so one pass over the rows suffices.
   for (unsigned RI = 0; RI != NumRows; ++RI) {
     double Cost = Obj[Basis[RI]];
-    if (std::abs(Cost) < Opts.Tolerance * 1e-3)
+    if (std::abs(Cost) < LpTolerance * 1e-3)
       continue;
     const double *Tr = row(RI);
     for (unsigned C = 0; C != NumCols; ++C)
@@ -721,8 +717,7 @@ bool WarmState::anyEmptyBox() const {
   return false;
 }
 
-LpStatus WarmState::primalIterate(const SolverConfig &Opts,
-                                  unsigned &Iterations,
+LpStatus WarmState::primalIterate(unsigned MaxIter, unsigned &Iterations,
                                   unsigned &BoundFlips) {
   // Steepest-edge weights are a dual-side investment: maintaining them
   // through every primal pivot would cost O(rows^2) each, while the next
@@ -730,7 +725,7 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
   // pivots invalidate (via eliminate()) and the dual recomputes lazily.
   DseEnabled = false;
   unsigned StallCount = 0;
-  while (Iterations < Opts.MaxIterations) {
+  while (Iterations < MaxIter) {
     bool Bland = StallCount > NumRows + 16;
 
     // Entering column: an at-lower (or free) variable with negative
@@ -738,15 +733,15 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
     // reduced cost moves down. The largest |reduced cost| wins; once
     // stalled, Bland's first eligible column.
     int Entering = -1;
-    double Dir = 0.0, Best = Opts.Tolerance;
+    double Dir = 0.0, Best = LpTolerance;
     for (unsigned C = 0; C != NumCols; ++C) {
       if (Stat[C] == VStat::Basic || fixed(C))
         continue;
       double RC = Obj[C];
       double D = 0.0;
-      if (RC < -Opts.Tolerance && Stat[C] != VStat::AtUpper)
+      if (RC < -LpTolerance && Stat[C] != VStat::AtUpper)
         D = 1.0;
-      else if (RC > Opts.Tolerance && Stat[C] != VStat::AtLower)
+      else if (RC > LpTolerance && Stat[C] != VStat::AtLower)
         D = -1.0;
       if (D != 0.0 && std::abs(RC) > Best) {
         Entering = static_cast<int>(C);
@@ -789,10 +784,10 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
         ToLower = false;
       }
       t = std::max(t, 0.0); // clamp tiny feasibility residue
-      if (LeaveRow < 0 || t < BestT - Opts.Tolerance ||
-          (t < BestT + Opts.Tolerance &&
-           (Mag > BestMag + Opts.Tolerance ||
-            (std::abs(Mag - BestMag) <= Opts.Tolerance &&
+      if (LeaveRow < 0 || t < BestT - LpTolerance ||
+          (t < BestT + LpTolerance &&
+           (Mag > BestMag + LpTolerance ||
+            (std::abs(Mag - BestMag) <= LpTolerance &&
              Basis[R] < Basis[static_cast<unsigned>(LeaveRow)])))) {
         LeaveRow = static_cast<int>(R);
         LeaveToLower = ToLower;
@@ -828,7 +823,7 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
     }
 
     // Objective progress |rc * step| drives the anti-cycling switch.
-    if (std::abs(RcQ) * Step < Opts.Tolerance)
+    if (std::abs(RcQ) * Step < LpTolerance)
       ++StallCount;
     else
       StallCount = 0;
@@ -836,8 +831,7 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
   return LpStatus::IterLimit;
 }
 
-LpStatus WarmState::dualIterate(const SolverConfig &Opts,
-                                unsigned &Iterations,
+LpStatus WarmState::dualIterate(unsigned MaxIter, unsigned &Iterations,
                                 unsigned &BoundFlips) {
   DseEnabled = true;
   if (!DseValid)
@@ -855,7 +849,7 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
   // Only when *every* violated row is stuck does the repair give up.
   std::vector<bool> &RowDeferred = DeferScratch;
   RowDeferred.assign(NumRows, false);
-  while (Iterations < Opts.MaxIterations) {
+  while (Iterations < MaxIter) {
     bool Bland = StallCount > NumRows + 16;
     std::fill(RowDeferred.begin(), RowDeferred.end(), false);
 
@@ -878,7 +872,7 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
         double ViolLo = Lo[B] - Beta[R];
         double ViolHi = Beta[R] - Hi[B];
         double V = std::max(ViolLo, ViolHi);
-        if (V <= Opts.Tolerance)
+        if (V <= LpTolerance)
           continue;
         if (RowDeferred[R]) {
           if (V > StuckTol)
@@ -1027,7 +1021,7 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
     Beta[LR] = VQ;
     eliminate(LR, Q);
 
-    if (std::abs(DeltaQ) < Opts.Tolerance)
+    if (std::abs(DeltaQ) < LpTolerance)
       ++StallCount;
     else
       StallCount = 0;
@@ -1109,23 +1103,23 @@ void WarmState::extract(const LpProblem &P, LpSolution &Sol) const {
   Sol.Objective = P.objectiveValue(Sol.Values);
 }
 
-LpSolution WarmState::solveFresh(const LpProblem &P,
-                                 const SolverConfig &Opts) {
+LpSolution WarmState::solveFresh(const LpProblem &P) {
   LpSolution Sol;
   EffortSnap Snap = effortSnap();
   // Feasibility phase: the all-slack start violates boxes exactly where
   // >=/== rows bite. Under the zero objective every status is dual
   // feasible, so the dual simplex is the artificial-free phase 1.
-  if (primalInfeasible(Opts.Tolerance)) {
-    LpStatus S = dualIterate(Opts, Sol.DualIterations, Sol.BoundFlips);
+  if (primalInfeasible(LpTolerance)) {
+    LpStatus S =
+        dualIterate(LpMaxIterations, Sol.DualIterations, Sol.BoundFlips);
     if (S != LpStatus::Optimal) {
       Sol.Status = S;
       effortDelta(Snap, Sol);
       return Sol;
     }
   }
-  installObjective(P, Opts);
-  Sol.Status = primalIterate(Opts, Sol.Iterations, Sol.BoundFlips);
+  installObjective(P);
+  Sol.Status = primalIterate(LpMaxIterations, Sol.Iterations, Sol.BoundFlips);
   effortDelta(Snap, Sol);
   if (Sol.Status != LpStatus::Optimal)
     return Sol;
@@ -1136,26 +1130,25 @@ LpSolution WarmState::solveFresh(const LpProblem &P,
 
 LpSolution ramloc::solveLpWithBounds(const LpProblem &P,
                                      const std::vector<double> &Lower,
-                                     const std::vector<double> &Upper,
-                                     const SolverConfig &Opts) {
+                                     const std::vector<double> &Upper) {
   assert(Lower.size() == P.numVariables() &&
          Upper.size() == P.numVariables() && "bounds size mismatch");
   WarmState W;
-  if (!W.build(P, Lower, Upper, Opts)) {
+  if (!W.build(P, Lower, Upper)) {
     LpSolution Sol;
     Sol.Status = LpStatus::Infeasible;
     return Sol;
   }
-  return W.solveFresh(P, Opts);
+  return W.solveFresh(P);
 }
 
-LpSolution ramloc::solveLp(const LpProblem &P, const SolverConfig &Opts) {
+LpSolution ramloc::solveLp(const LpProblem &P) {
   std::vector<double> Lower(P.numVariables()), Upper(P.numVariables());
   for (unsigned J = 0, E = P.numVariables(); J != E; ++J) {
     Lower[J] = P.Variables[J].Lower;
     Upper[J] = P.Variables[J].Upper;
   }
-  return solveLpWithBounds(P, Lower, Upper, Opts);
+  return solveLpWithBounds(P, Lower, Upper);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1174,8 +1167,7 @@ void WarmStart::reset() { S.reset(); }
 LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
                                       const std::vector<double> &Lower,
                                       const std::vector<double> &Upper,
-                                      WarmStart &Warm,
-                                      const SolverConfig &Opts) {
+                                      WarmStart &Warm) {
   LpSolution Sol;
   if (!Warm.valid() || !Warm.S->matches(P))
     return Sol; // IterLimit: nothing to re-optimize from
@@ -1204,18 +1196,17 @@ LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
   // repair cut off *below* that line wastes its pivots and then pays the
   // rebuild anyway, which is how a too-tight budget quietly halves warm
   // throughput.
-  SolverConfig DualOpts = Opts;
-  DualOpts.MaxIterations =
-      std::min(Opts.MaxIterations, std::max(128u, W.NumRows + W.NumVars));
+  unsigned MaxIter =
+      std::min(LpMaxIterations, std::max(128u, W.NumRows + W.NumVars));
   WarmState::EffortSnap Snap = W.effortSnap();
-  LpStatus S = W.dualIterate(DualOpts, Sol.DualIterations, Sol.BoundFlips);
+  LpStatus S = W.dualIterate(MaxIter, Sol.DualIterations, Sol.BoundFlips);
   if (S == LpStatus::Optimal) {
     // The dual ratio test keeps reduced costs sign-correct in exact
     // arithmetic; a short primal pass mops up any numerical residue
     // (almost always zero iterations). It gets the same tight budget: a
     // polish that starts pivoting in earnest signals a basis not worth
     // saving, and the rebuild is cheaper than letting it wander.
-    S = W.primalIterate(DualOpts, Sol.Iterations, Sol.BoundFlips);
+    S = W.primalIterate(MaxIter, Sol.Iterations, Sol.BoundFlips);
   }
   W.effortDelta(Snap, Sol);
   Sol.Status = S;
@@ -1233,7 +1224,7 @@ LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
 LpSolution ramloc::solveLpWarm(const LpProblem &P,
                                const std::vector<double> &Lower,
                                const std::vector<double> &Upper,
-                               WarmStart &Warm, const SolverConfig &Opts) {
+                               WarmStart &Warm) {
   assert(Lower.size() == P.numVariables() &&
          Upper.size() == P.numVariables() && "bounds size mismatch");
   bool HadUsableMatch = Warm.valid() && Warm.S->matches(P);
@@ -1255,14 +1246,14 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
   WarmState::EffortSnap Snap{};
   if (HadUsableMatch)
     Snap = Warm.S->effortSnap();
-  if (Resolvable && Warm.S->needsRefactor(Opts)) {
-    if (Warm.S->refactorFromBasis(P, Opts))
+  if (Resolvable && Warm.S->needsRefactor()) {
+    if (Warm.S->refactorFromBasis(P))
       Refactorized = true;
     else
       Resolvable = false;
   }
   if (Resolvable) {
-    LpSolution Sol = resolveLpFromBasis(P, Lower, Upper, Warm, Opts);
+    LpSolution Sol = resolveLpFromBasis(P, Lower, Upper, Warm);
     if (Sol.Status != LpStatus::IterLimit &&
         Sol.Status != LpStatus::Unbounded) {
       Sol.Refactorized = Refactorized;
@@ -1274,13 +1265,13 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
     // fall through: rebuild from scratch
   }
   Warm.S = std::make_unique<WarmState>();
-  if (!Warm.S->build(P, Lower, Upper, Opts)) {
+  if (!Warm.S->build(P, Lower, Upper)) {
     LpSolution Sol;
     Sol.Status = LpStatus::Infeasible;
     Sol.Refactorized = HadUsableMatch;
     return Sol;
   }
-  LpSolution Sol = Warm.S->solveFresh(P, Opts);
+  LpSolution Sol = Warm.S->solveFresh(P);
   Sol.Refactorized = HadUsableMatch;
   return Sol;
 }

@@ -43,7 +43,6 @@
 #define RAMLOC_LP_SIMPLEX_H
 
 #include "lp/Problem.h"
-#include "lp/SolverConfig.h"
 
 #include <memory>
 
@@ -97,10 +96,10 @@ struct LpSolution {
   bool StuckCertified = false;
   /// True when a previously valid, structurally matching warm tableau was
   /// re-derived from original problem data for this solve — the periodic
-  /// SolverConfig::RefactorInterval cadence (which re-eliminates against
-  /// the *current* basis, so the solve still counts as warm) or a repair
-  /// after a failed re-optimization (which rebuilds cold). First builds
-  /// and structure changes don't count.
+  /// LpRefactorInterval cadence (which re-eliminates against the
+  /// *current* basis, so the solve still counts as warm) or a repair after
+  /// a failed re-optimization (which rebuilds cold). First builds and
+  /// structure changes don't count.
   bool Refactorized = false;
   /// The solved basis: one column index per tableau row (columns are
   /// variables first, then one slack per row). With implicit bounds the
@@ -140,31 +139,29 @@ private:
   friend LpSolution solveLpWarm(const LpProblem &P,
                                 const std::vector<double> &Lower,
                                 const std::vector<double> &Upper,
-                                WarmStart &Warm, const SolverConfig &Cfg);
+                                WarmStart &Warm);
   friend LpSolution resolveLpFromBasis(const LpProblem &P,
                                        const std::vector<double> &Lower,
                                        const std::vector<double> &Upper,
-                                       WarmStart &Warm,
-                                       const SolverConfig &Cfg);
+                                       WarmStart &Warm);
 };
 
 /// Solves the LP relaxation of \p P.
-LpSolution solveLp(const LpProblem &P, const SolverConfig &Cfg = {});
+LpSolution solveLp(const LpProblem &P);
 
 /// Solves with per-variable bound overrides (used by branch & bound to fix
 /// binaries). \p Lower/\p Upper must have one entry per variable. An empty
 /// box (Lower[j] > Upper[j]) is reported as Infeasible.
 LpSolution solveLpWithBounds(const LpProblem &P,
                              const std::vector<double> &Lower,
-                             const std::vector<double> &Upper,
-                             const SolverConfig &Cfg = {});
+                             const std::vector<double> &Upper);
 
 /// Warm-capable solve: on first use (or after a structure change /
 /// numerical failure) builds \p Warm's tableau at the given bounds and
 /// solves cold; on later calls re-optimizes the retained basis with the
 /// dual simplex (see resolveLpFromBasis). When the tableau reaches its
-/// SolverConfig::RefactorInterval cadence it is refactorized *in place
-/// from its current basis* — rows rebuilt from original data and
+/// LpRefactorInterval cadence it is refactorized *in place from its
+/// current basis* — rows rebuilt from original data and
 /// re-eliminated against the basis the chain has refined, statuses and
 /// steepest-edge weights re-anchored — and the re-optimization proceeds
 /// warm; only a numerically singular basis or a re-optimization that
@@ -173,8 +170,7 @@ LpSolution solveLpWithBounds(const LpProblem &P,
 /// which path satisfied the call and LpSolution::Refactorized whether a
 /// retained tableau was re-derived.
 LpSolution solveLpWarm(const LpProblem &P, const std::vector<double> &Lower,
-                       const std::vector<double> &Upper, WarmStart &Warm,
-                       const SolverConfig &Cfg = {});
+                       const std::vector<double> &Upper, WarmStart &Warm);
 
 /// Dual-simplex re-optimization entry point: diffs \p Lower/\p Upper and
 /// the constraint RHS values of \p P against the state retained in
@@ -188,8 +184,7 @@ LpSolution solveLpWarm(const LpProblem &P, const std::vector<double> &Lower,
 LpSolution resolveLpFromBasis(const LpProblem &P,
                               const std::vector<double> &Lower,
                               const std::vector<double> &Upper,
-                              WarmStart &Warm,
-                              const SolverConfig &Cfg);
+                              WarmStart &Warm);
 
 } // namespace ramloc
 

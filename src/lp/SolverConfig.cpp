@@ -6,30 +6,6 @@
 
 namespace ramloc {
 
-const char *nodeOrderName(NodeOrder O) {
-  switch (O) {
-  case NodeOrder::Dfs:
-    return "dfs";
-  case NodeOrder::BestBound:
-    return "best-bound";
-  case NodeOrder::Hybrid:
-    return "hybrid";
-  }
-  return "dfs";
-}
-
-bool nodeOrderFromName(const std::string &Name, NodeOrder &Out) {
-  if (Name == "dfs")
-    Out = NodeOrder::Dfs;
-  else if (Name == "best-bound")
-    Out = NodeOrder::BestBound;
-  else if (Name == "hybrid")
-    Out = NodeOrder::Hybrid;
-  else
-    return false;
-  return true;
-}
-
 const char *solveStatusName(SolveStatus S) {
   switch (S) {
   case SolveStatus::Optimal:
@@ -60,12 +36,10 @@ bool solveStatusFromName(const std::string &Name, SolveStatus &Out) {
 
 std::string solverConfigToken(const SolverConfig &Cfg) {
   return formatString(
-      "lp:tol%.17g:it%u:rf%u;mip:itol%.17g:mn%u:gap%.17g:%s:%s:pc%d;"
+      "lp:tol%.17g:it%u:rf%u;mip:itol%.17g:mn%u:gap%.17g:%s;"
       "limits:t%u:n%llu:p%llu",
-      Cfg.Tolerance, Cfg.MaxIterations, Cfg.RefactorInterval,
-      Cfg.IntegerTolerance, Cfg.MaxNodes,
-      Cfg.GapTolerance, Cfg.WarmNodes ? "warm" : "cold",
-      nodeOrderName(Cfg.Order), Cfg.PseudoCostBranching ? 1 : 0,
+      LpTolerance, LpMaxIterations, LpRefactorInterval, MipIntegerTolerance,
+      MipMaxNodes, MipGapTolerance, Cfg.WarmNodes ? "warm" : "cold",
       Cfg.TimeLimitMs, static_cast<unsigned long long>(Cfg.NodeLimit),
       static_cast<unsigned long long>(Cfg.PivotLimit));
 }

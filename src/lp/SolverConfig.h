@@ -6,20 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One configuration struct for the whole exact-solver stack and one
+/// The exact solver's four settings, the constants it runs at, and the
 /// counter struct for its effort accounting.
 ///
-/// Through PR 6 the stack threaded three structs individually —
-/// SimplexOptions into every simplex entry point, MipOptions (embedding a
-/// SimplexOptions) into solveMip, and ad-hoc counter fields on
-/// MipSolution — so adding a knob meant touching every call site from
-/// PlacementSolver down to resolveLpFromBasis. SolverConfig flattens the
-/// knobs into a single value that rides unchanged through
-/// PlacementSolver -> solveMip -> solveLpWarm -> resolveLpFromBasis;
-/// node order and refactorization cadence plug in here and nowhere else.
-/// SolverStats is the matching effort ledger: one instance per solve,
-/// mirrored into the mip.* metrics so concurrent solves aggregate through
-/// the registry instead of ad-hoc summing.
+/// The solver is one fixed algorithm: a bounded-variable simplex
+/// (lp/Simplex.h) under depth-first branch & bound with pseudo-cost
+/// branching (lp/BranchBound.h). Its tolerances, pivot budget,
+/// refactorization cadence and node backstop are constants below, not
+/// settings. SolverConfig holds only what a caller chooses: warm or cold
+/// node solves and the three cooperative limits. It rides unchanged
+/// through PlacementSolver -> solveMip. SolverStats is the matching
+/// effort ledger: one instance per solve, mirrored into the mip.*
+/// metrics so concurrent solves aggregate through the registry instead
+/// of ad-hoc summing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,17 +29,6 @@
 #include <string>
 
 namespace ramloc {
-
-/// Which open node the branch & bound search expands next. Every order is
-/// exact; see lp/BranchBound.h for the trade-offs.
-enum class NodeOrder : uint8_t {
-  Dfs,       ///< depth-first diving (warm-friendliest)
-  BestBound, ///< smallest parent bound first (smallest tree)
-  Hybrid,    ///< dive until an incumbent exists, then best-bound
-};
-
-const char *nodeOrderName(NodeOrder O);
-bool nodeOrderFromName(const std::string &Name, NodeOrder &Out);
 
 /// What a finished solve actually proved. LpStatus says what the final
 /// point is; SolveStatus says how much to trust it — the two are
@@ -60,58 +48,51 @@ enum class SolveStatus : uint8_t {
 const char *solveStatusName(SolveStatus S);
 bool solveStatusFromName(const std::string &Name, SolveStatus &Out);
 
-/// Every knob the exact-solver stack reads, LP engine and MIP search
-/// alike. One instance flows through the whole call chain; layers read
-/// the fields they own and pass the value on untouched.
+//===--- Fixed solver constants -------------------------------------------===//
+//
+// Every report is pinned to these values; solverConfigToken() spells them
+// out, so editing one still invalidates old resume journals.
+
+/// Reduced-cost / feasibility tolerance for both simplex ratio tests.
+inline constexpr double LpTolerance = 1e-9;
+/// Pivot budget per simplex phase.
+inline constexpr unsigned LpMaxIterations = 100000;
+/// Refactorization cadence: after LpRefactorInterval * (rows + vars + 1)
+/// pivots, a retained warm tableau is re-derived *from its current
+/// basis* — the rows are rebuilt from original problem data and
+/// re-eliminated against the basis the chain has refined, which
+/// re-sparsifies fill-in and discards the rounding drift dense in-place
+/// updates accumulate (the dense analogue of periodic product-form/LU
+/// refactorization) while keeping the basis, the nonbasic statuses and
+/// the re-anchored steepest-edge weights, so long knob chains never pay
+/// a cold restart. Only a numerically singular basis degrades to a
+/// rebuild from scratch.
+///
+/// A warm chain that no longer falls back to cold rebuilds (stuck rows
+/// are certified instead) keeps one tableau for a whole campaign, and
+/// fill-in then makes every elimination walk dense rows; a 64x cadence
+/// left the tight model-only grid ~1.3x slower (ramloc-batch --jobs=1
+/// wall on a shared 4-vCPU host, best of 15: 79 vs 59 ms). 1x is as fast
+/// but spends 16% more dual pivots on SolverEffortTest's mix (47529 vs
+/// 40845 at 4x; 44349 at 64x).
+inline constexpr unsigned LpRefactorInterval = 4;
+/// |value - round(value)| below which a binary is considered integral.
+inline constexpr double MipIntegerTolerance = 1e-6;
+/// Absolute optimality gap at which a node is pruned.
+inline constexpr double MipGapTolerance = 1e-9;
+/// Node backstop for one solveMip call; SolverConfig::NodeLimit can only
+/// lower it. Exceeding it returns the best incumbent with Proven = false.
+inline constexpr unsigned MipMaxNodes = 200000;
+
+/// What a caller chooses about a solve. One instance flows through
+/// PlacementSolver into solveMip.
 struct SolverConfig {
-  //===--- LP engine (simplex) --------------------------------------------===//
-
-  /// Reduced-cost / feasibility tolerance for both ratio tests.
-  double Tolerance = 1e-9;
-  /// Pivot budget per simplex phase.
-  unsigned MaxIterations = 100000;
-  /// Refactorization cadence: after RefactorInterval * (rows + vars + 1)
-  /// pivots, a retained warm tableau is re-derived *from its current
-  /// basis* — the rows are rebuilt from original problem data and
-  /// re-eliminated against the basis the chain has refined, which
-  /// re-sparsifies fill-in and discards the rounding drift dense
-  /// in-place updates accumulate (the dense analogue of periodic
-  /// product-form/LU refactorization) while keeping the basis, the
-  /// nonbasic statuses and the re-anchored steepest-edge weights, so
-  /// 1000-point knob chains and Pareto sweeps never pay a cold restart.
-  /// Only a numerically singular basis degrades to the old
-  /// rebuild-from-scratch path. 0 disables the cadence entirely.
-  ///
-  /// The default re-derives every 4 * (rows + vars + 1) pivots, a few
-  /// nodes' worth. A warm chain that no longer falls back to cold
-  /// rebuilds (stuck rows are certified instead) keeps one tableau for a
-  /// whole campaign, and fill-in then makes every elimination walk dense
-  /// rows; the old 64x cadence left the tight model-only grid ~1.3x
-  /// slower (ramloc-batch --jobs=1 wall on a shared 4-vCPU host, best of
-  /// 15: 79 vs 59 ms). 1x is as fast but spends 16% more dual pivots on
-  /// SolverEffortTest's mix (47529 vs 40845 at 4x; 44349 at 64x).
-  unsigned RefactorInterval = 4;
-
-  //===--- MIP search (branch & bound) ------------------------------------===//
-
-  /// |value - round(value)| below which a binary is considered integral.
-  double IntegerTolerance = 1e-6;
-  /// Node budget; exceeding it returns the best incumbent with
-  /// Proven = false.
-  unsigned MaxNodes = 200000;
-  /// Absolute optimality gap at which a node is pruned.
-  double GapTolerance = 1e-9;
   /// Warm-start each node's relaxation from its parent's basis (dual
-  /// simplex) instead of re-solving from scratch. Exact either way;
-  /// disable for the fully cold reference path (--reuse without 'solve').
+  /// simplex) instead of re-solving from scratch. Exact either way. False
+  /// is the fully cold reference path (`--reuse` without `solve`): a
+  /// campaign then also runs every job on its own, with no knob-axis
+  /// groups and no shared solve chains (campaign/Campaign.h).
   bool WarmNodes = true;
-  /// Node-selection policy (see NodeOrder). Every order is exact.
-  NodeOrder Order = NodeOrder::Dfs;
-  /// Branch on the variable with the best pseudo-cost score (estimated
-  /// objective degradation both ways), falling back to most-fractional
-  /// until a variable has observed degradations. Disable for plain
-  /// most-fractional branching.
-  bool PseudoCostBranching = true;
 
   //===--- Cooperative limits (graceful degradation) ----------------------===//
   //
@@ -124,21 +105,21 @@ struct SolverConfig {
 
   /// Wall-clock deadline for one solveMip call, in milliseconds.
   unsigned TimeLimitMs = 0;
-  /// Node cap for one solveMip call. Effectively min'ed with MaxNodes
-  /// (the long-standing safety backstop, which keeps its own default).
+  /// Node cap for one solveMip call. Effectively min'ed with MipMaxNodes
+  /// (the safety backstop).
   uint64_t NodeLimit = 0;
   /// Cap on total simplex pivots (primal + dual, summed over nodes) for
   /// one solveMip call.
   uint64_t PivotLimit = 0;
 };
 
-/// Spells every SolverConfig field as one string. Any field can move a
-/// solve's answer or its trust label (a limit truncates the proof; a node
-/// order or warm/cold switch takes a different search path, which may
-/// settle a tie between equal-energy placements differently), so this
-/// is the token a campaign progress journal pins: a resume under a
-/// different solver config replays nothing. Campaign parallelism (--jobs)
-/// is not a solver setting and does not appear.
+/// Spells every SolverConfig field, and the fixed constants above, as
+/// one string. Any of them can move a solve's answer or its trust label
+/// (a limit truncates the proof; the warm/cold switch takes a different
+/// search path, which may settle a tie between equal-energy placements
+/// differently), so this is the token a campaign progress journal pins:
+/// a resume under a different solver config replays nothing. Campaign
+/// parallelism (--jobs) is not a solver setting and does not appear.
 std::string solverConfigToken(const SolverConfig &Cfg);
 
 /// The solver's effort ledger: how each explored node's relaxation was
@@ -158,8 +139,8 @@ struct SolverStats {
   /// pivot (bounded-variable fast path).
   uint64_t BoundFlips = 0;
   /// Warm tableaux re-derived from original problem data mid-search: the
-  /// periodic SolverConfig::RefactorInterval cadence (which now keeps the
-  /// current basis) plus repair bail-outs (iteration-limited or
+  /// periodic LpRefactorInterval cadence (which keeps the current basis)
+  /// plus repair bail-outs (iteration-limited or
   /// numerically stuck re-optimizations, which rebuild cold).
   uint64_t Refactorizations = 0;
   /// Node relaxations proved infeasible by a stuck-row certificate: a

@@ -14,6 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "RandomMip.h"
+
 #include "campaign/CacheStore.h"
 #include "campaign/Campaign.h"
 #include "campaign/Report.h"
@@ -28,6 +30,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -442,7 +445,7 @@ TEST(Journal, ConfigTokenMismatchDiscardsTheJournal) {
 
 TEST(Journal, SolverConfigTokenPinsSolverSettingsButNotJobs) {
   // The token ramloc-batch pins: a resume at a different --jobs replays
-  // the journal, while one under a different node order or warm/cold
+  // the journal, while one under a different solver limit or warm/cold
   // switch — either of which can move a tie or a label — replays nothing
   // and recomputes under its own settings.
   std::string Dir = freshDir("journal-solver-token");
@@ -471,10 +474,10 @@ TEST(Journal, SolverConfigTokenPinsSolverSettingsButNotJobs) {
   MoreJobs.Jobs = 4;
   EXPECT_EQ(replayed(MoreJobs), 1u);
 
-  CampaignOptions BestBound = Written;
-  BestBound.Base.Solver.Order = NodeOrder::BestBound;
-  EXPECT_EQ(replayed(BestBound), 0u);
-  // That mismatched resume re-headed the journal under best-bound's
+  CampaignOptions NodeCapped = Written;
+  NodeCapped.Base.Solver.NodeLimit = 1000000;
+  EXPECT_EQ(replayed(NodeCapped), 0u);
+  // That mismatched resume re-headed the journal under the node cap's
   // token, so the original settings now find nothing to replay either.
   EXPECT_EQ(replayed(Written), 0u);
 }
@@ -549,59 +552,25 @@ TEST(Incumbents, TruncatedTailIsSkippedAndRecomputed) {
 
 namespace {
 
-/// Exhaustive 0/1 reference optimum for small problems.
-double bruteForceOptimum(const LpProblem &P) {
-  unsigned N = P.numVariables();
-  double Best = std::numeric_limits<double>::infinity();
-  for (uint64_t Mask = 0; Mask != (1ULL << N); ++Mask) {
-    std::vector<double> X(N);
-    for (unsigned J = 0; J != N; ++J)
-      X[J] = (Mask >> J) & 1;
-    if (P.isFeasible(X))
-      Best = std::min(Best, P.objectiveValue(X));
-  }
-  return Best;
-}
-
-LpProblem randomKnapsack(uint64_t Seed) {
+LpProblem knapsackForSeed(uint64_t Seed) {
   SplitMix64 Rng(Seed * 6151 + 29);
-  unsigned N = 6 + static_cast<unsigned>(Rng.nextBelow(7)); // 6..12 vars
-  LpProblem P;
-  for (unsigned J = 0; J != N; ++J)
-    P.addBinary(static_cast<double>(Rng.nextInRange(-20, 5)));
-  unsigned NumCons = 1 + static_cast<unsigned>(Rng.nextBelow(3));
-  for (unsigned C = 0; C != NumCons; ++C) {
-    std::vector<std::pair<unsigned, double>> Terms;
-    for (unsigned J = 0; J != N; ++J)
-      if (Rng.nextBool(0.7))
-        Terms.push_back({J, static_cast<double>(Rng.nextInRange(1, 9))});
-    if (Terms.empty())
-      Terms.push_back({0, 1.0});
-    P.addConstraint(std::move(Terms), ConstraintSense::LessEq,
-                    static_cast<double>(Rng.nextInRange(3, 25)));
-  }
-  return P;
+  return randomKnapsack(Rng, /*MinVars=*/6);
 }
 
-} // namespace
-
-/// Property sweep: under any node/pivot budget the solver returns its
-/// best incumbent, the objective never beats the true optimum, and the
-/// Outcome label is truthful — Optimal only with a completed proof.
-class LimitedMip : public ::testing::TestWithParam<int> {};
-
-TEST_P(LimitedMip, BestEffortNeverMislabelled) {
-  LpProblem P = randomKnapsack(static_cast<uint64_t>(GetParam()));
-  double Reference = bruteForceOptimum(P);
-
-  SolverConfig Unlimited;
-  MipSolution Full = solveMip(P, Unlimited);
+/// Solves \p P unlimited (on \p Chain's warm state when given) and then
+/// under three random node/pivot budgets, checking each answer's label
+/// against the true optimum \p Reference. \p Cost prices a returned
+/// point (+inf when it does not fit), and \p Tol is the tolerance on it.
+template <typename CostFn>
+void checkBestEffortLabels(const LpProblem &P, CostFn Cost, double Reference,
+                           double Tol, SplitMix64 &Rng,
+                           MipWarmStart *Chain = nullptr) {
+  MipSolution Full = solveMip(P, SolverConfig(), Chain);
   ASSERT_TRUE(Full.feasible()); // all-zeros is feasible by construction
   EXPECT_TRUE(Full.Proven);
   EXPECT_EQ(Full.Outcome, SolveStatus::Optimal);
-  EXPECT_NEAR(Full.Objective, Reference, 1e-6);
+  EXPECT_NEAR(Cost(Full.Values), Reference, Tol);
 
-  SplitMix64 Rng(static_cast<uint64_t>(GetParam()) * 31 + 5);
   for (int Budget = 0; Budget != 3; ++Budget) {
     SolverConfig Cfg;
     Cfg.NodeLimit = 1 + Rng.nextBelow(4);
@@ -614,14 +583,14 @@ TEST_P(LimitedMip, BestEffortNeverMislabelled) {
     case SolveStatus::Optimal:
       // A completed proof under a budget is still a proof.
       EXPECT_TRUE(S.Proven);
-      EXPECT_NEAR(S.Objective, Reference, 1e-6);
+      EXPECT_NEAR(Cost(S.Values), Reference, Tol);
       break;
     case SolveStatus::FeasibleLimit:
       // Best effort: feasible, and never better than the optimum.
       ASSERT_TRUE(S.feasible());
       EXPECT_FALSE(S.Proven);
-      EXPECT_TRUE(P.isFeasible(S.Values));
-      EXPECT_GE(S.Objective, Reference - 1e-6);
+      EXPECT_TRUE(std::isfinite(Cost(S.Values)));
+      EXPECT_GE(Cost(S.Values), Reference - Tol);
       break;
     case SolveStatus::Aborted:
       // No incumbent found before the budget ran out.
@@ -630,6 +599,59 @@ TEST_P(LimitedMip, BestEffortNeverMislabelled) {
     case SolveStatus::InfeasibleProven:
       ADD_FAILURE() << "feasible problem proven infeasible";
       break;
+    }
+  }
+}
+
+} // namespace
+
+/// Property sweep: under any node/pivot budget the solver returns its
+/// best incumbent, the objective never beats the true optimum, and the
+/// Outcome label is truthful — Optimal only with a completed proof. The
+/// inputs are a small knapsack and a placement-shaped model whose ~1e7
+/// time-row coefficients sit beside +-1 McCormick rows, with both budget
+/// rows tightened so they bind. The model's continuous values carry
+/// ~1e-8 round-off, so its points are priced by the cheapest completion
+/// of their binaries.
+class LimitedMip : public ::testing::TestWithParam<int> {};
+
+TEST_P(LimitedMip, BestEffortNeverMislabelled) {
+  SplitMix64 Rng(static_cast<uint64_t>(GetParam()) * 31 + 5);
+  {
+    SCOPED_TRACE("knapsack");
+    LpProblem P = knapsackForSeed(static_cast<uint64_t>(GetParam()));
+    auto Cost = [&P](const std::vector<double> &V) {
+      return P.isFeasible(V) ? P.objectiveValue(V)
+                             : std::numeric_limits<double>::infinity();
+    };
+    checkBestEffortLabels(P, Cost, bruteForceOptimum(P), 1e-6, Rng);
+  }
+  {
+    SplitMix64 ModelRng(static_cast<uint64_t>(GetParam()) * 104723 + 11);
+    ScaledModel M = scaledModel(ModelRng);
+    // Objectives are sums of ~1e7 terms: compare at that scale.
+    double Scale = 0.0;
+    for (const LpVariable &V : M.P.Variables)
+      Scale += std::abs(V.Objective);
+    auto Cost = [&M](const std::vector<double> &V) {
+      uint64_t Mask = 0;
+      for (unsigned J = 0; J != M.NumX; ++J)
+        Mask |= uint64_t(V[J] > 0.5) << J;
+      return completion(M, Mask);
+    };
+    // A knob chain, loosest point first, whose unlimited solves share one
+    // warm state as a campaign's do.
+    MipWarmStart Chain;
+    for (unsigned K = 0; K != 4; ++K) {
+      SCOPED_TRACE("scaled model, point " + std::to_string(K));
+      if (K != 0) {
+        M.P.Constraints[M.RamRow].Rhs =
+            std::floor((0.1 + 0.6 * ModelRng.nextDouble()) * M.MaxRam);
+        M.P.Constraints[M.TimeRow].Rhs =
+            (0.02 + 0.5 * ModelRng.nextDouble()) * M.MaxTime;
+      }
+      checkBestEffortLabels(M.P, Cost, bruteForceScaled(M), 1e-9 * Scale,
+                            Rng, &Chain);
     }
   }
 }
@@ -650,7 +672,7 @@ TEST(Limits, InfeasibleIsProvenEvenUnderBudgets) {
 TEST(Limits, GenerousDeadlineStaysOptimal) {
   // A wall-clock budget that is not hit must not perturb the result or
   // its label (the deadline is checked, never acted on).
-  LpProblem P = randomKnapsack(3);
+  LpProblem P = knapsackForSeed(3);
   SolverConfig Cfg;
   Cfg.TimeLimitMs = 60 * 1000;
   MipSolution S = solveMip(P, Cfg);

@@ -5,8 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomMip.h"
+
 #include "lp/BranchBound.h"
 #include "lp/Simplex.h"
+#include "support/Format.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -143,7 +146,9 @@ TEST(Simplex, BealeCyclingTerminates) {
 
 /// The progress journal pins solverConfigToken(): every setting that can
 /// move a degraded label must change the token, or a resume under a
-/// different config would replay the wrong labels.
+/// different config would replay the wrong labels. The fixed solver
+/// constants are spelled out too, so a build that edits one does not
+/// replay an older build's journal.
 TEST(SolverConfig, TokenChangesWithEverySolverSetting) {
   const std::string Base = solverConfigToken(SolverConfig());
   EXPECT_EQ(Base, solverConfigToken(SolverConfig())); // deterministic
@@ -153,24 +158,19 @@ TEST(SolverConfig, TokenChangesWithEverySolverSetting) {
     Mutate(Cfg);
     EXPECT_NE(solverConfigToken(Cfg), Base) << Field;
   };
-  Changes([](SolverConfig &C) { C.Order = NodeOrder::BestBound; },
-          "Order=best-bound");
-  Changes([](SolverConfig &C) { C.Order = NodeOrder::Hybrid; },
-          "Order=hybrid");
   Changes([](SolverConfig &C) { C.WarmNodes = false; }, "WarmNodes");
   Changes([](SolverConfig &C) { C.TimeLimitMs = 5; }, "TimeLimitMs");
   Changes([](SolverConfig &C) { C.NodeLimit = 5; }, "NodeLimit");
   Changes([](SolverConfig &C) { C.PivotLimit = 5; }, "PivotLimit");
-  Changes([](SolverConfig &C) { C.MaxNodes = 5; }, "MaxNodes");
-  Changes([](SolverConfig &C) { C.MaxIterations = 5; }, "MaxIterations");
-  Changes([](SolverConfig &C) { C.RefactorInterval = 5; },
-          "RefactorInterval");
-  Changes([](SolverConfig &C) { C.PseudoCostBranching = false; },
-          "PseudoCostBranching");
-  Changes([](SolverConfig &C) { C.Tolerance = 1e-8; }, "Tolerance");
-  Changes([](SolverConfig &C) { C.IntegerTolerance = 1e-5; },
-          "IntegerTolerance");
-  Changes([](SolverConfig &C) { C.GapTolerance = 1e-8; }, "GapTolerance");
+
+  for (const std::string &Part :
+       {formatString("tol%.17g:", LpTolerance),
+        formatString("it%u:", LpMaxIterations),
+        formatString("rf%u;", LpRefactorInterval),
+        formatString("itol%.17g:", MipIntegerTolerance),
+        formatString("mn%u:", MipMaxNodes),
+        formatString("gap%.17g:", MipGapTolerance)})
+    EXPECT_NE(Base.find(Part), std::string::npos) << Part << " in " << Base;
 }
 
 TEST(Simplex, SolvedBasisIsExposed) {
@@ -265,15 +265,15 @@ TEST(WarmLp, InfeasibleBoxPatchAndRecovery) {
   P.addConstraint({{A, 2.0}, {B, 3.0}}, ConstraintSense::LessEq, 4);
   std::vector<double> Lo = {0, 0}, Hi = {1, 1};
   WarmStart Ws;
-  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws, {}).Status, LpStatus::Optimal);
+  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws).Status, LpStatus::Optimal);
   Lo[A] = 1.0;
   Hi[A] = 0.0; // empty box
-  LpSolution Crossed = solveLpWarm(P, Lo, Hi, Ws, {});
+  LpSolution Crossed = solveLpWarm(P, Lo, Hi, Ws);
   EXPECT_EQ(Crossed.Status, LpStatus::Infeasible);
   EXPECT_TRUE(Crossed.WarmStarted);
   Lo[A] = 0.0;
   Hi[A] = 1.0;
-  LpSolution Back = solveLpWarm(P, Lo, Hi, Ws, {});
+  LpSolution Back = solveLpWarm(P, Lo, Hi, Ws);
   ASSERT_EQ(Back.Status, LpStatus::Optimal);
   EXPECT_NEAR(Back.Objective, -7.0, 1e-9); // A = 1, B = 2/3 again
 }
@@ -289,10 +289,10 @@ TEST(WarmLp, FixedVariableViaBoundsNeverEnters) {
                   9);
   std::vector<double> Lo = {0, 0, 0}, Hi = {1, 1, 1};
   WarmStart Ws;
-  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws, {}).Status, LpStatus::Optimal);
+  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws).Status, LpStatus::Optimal);
   for (double V : {1.0, 0.0}) {
     Lo[B] = Hi[B] = V; // fix B at each bound in turn
-    LpSolution Warm = solveLpWarm(P, Lo, Hi, Ws, {});
+    LpSolution Warm = solveLpWarm(P, Lo, Hi, Ws);
     LpSolution Cold = solveLpWithBounds(P, Lo, Hi);
     ASSERT_EQ(Warm.Status, LpStatus::Optimal);
     ASSERT_EQ(Cold.Status, LpStatus::Optimal);
@@ -316,13 +316,13 @@ TEST(WarmLp, ReoptimizesAfterBoundTightening) {
   std::vector<double> Lo = {0, 0, 0}, Hi = {1, 1, 1};
 
   WarmStart Ws;
-  LpSolution Root = solveLpWarm(P, Lo, Hi, Ws, {});
+  LpSolution Root = solveLpWarm(P, Lo, Hi, Ws);
   ASSERT_EQ(Root.Status, LpStatus::Optimal);
   EXPECT_FALSE(Root.WarmStarted);
   ASSERT_TRUE(Ws.valid());
 
   Hi[A] = 0.0; // branch A = 0
-  LpSolution Child = solveLpWarm(P, Lo, Hi, Ws, {});
+  LpSolution Child = solveLpWarm(P, Lo, Hi, Ws);
   ASSERT_EQ(Child.Status, LpStatus::Optimal);
   EXPECT_TRUE(Child.WarmStarted);
   LpSolution Cold = solveLpWithBounds(P, Lo, Hi);
@@ -331,7 +331,7 @@ TEST(WarmLp, ReoptimizesAfterBoundTightening) {
 
   Hi[A] = 1.0;
   Lo[A] = 1.0; // backtrack and branch A = 1
-  Child = solveLpWarm(P, Lo, Hi, Ws, {});
+  Child = solveLpWarm(P, Lo, Hi, Ws);
   ASSERT_EQ(Child.Status, LpStatus::Optimal);
   EXPECT_TRUE(Child.WarmStarted);
   Cold = solveLpWithBounds(P, Lo, Hi);
@@ -348,26 +348,26 @@ TEST(WarmLp, ReoptimizesAfterRhsPatch) {
   std::vector<double> Lo = {0, 0}, Hi = {1, 1};
 
   WarmStart Ws;
-  LpSolution First = solveLpWarm(P, Lo, Hi, Ws, {});
+  LpSolution First = solveLpWarm(P, Lo, Hi, Ws);
   ASSERT_EQ(First.Status, LpStatus::Optimal);
   EXPECT_NEAR(First.Objective, -16.0, 1e-9); // both fit
 
   P.Constraints[0].Rhs = 5.0; // tighten the budget
-  LpSolution Patched = resolveLpFromBasis(P, Lo, Hi, Ws, {});
+  LpSolution Patched = resolveLpFromBasis(P, Lo, Hi, Ws);
   ASSERT_EQ(Patched.Status, LpStatus::Optimal);
   EXPECT_TRUE(Patched.WarmStarted);
   LpSolution Cold = solveLp(P);
   EXPECT_NEAR(Patched.Objective, Cold.Objective, 1e-9);
 
   P.Constraints[0].Rhs = 9.0; // and loosen it again
-  Patched = resolveLpFromBasis(P, Lo, Hi, Ws, {});
+  Patched = resolveLpFromBasis(P, Lo, Hi, Ws);
   ASSERT_EQ(Patched.Status, LpStatus::Optimal);
   EXPECT_NEAR(Patched.Objective, -16.0, 1e-9);
 }
 
 TEST(WarmLp, RefactorizationPreservesBasisAcrossWarmChain) {
-  // With RefactorInterval = 1 the cadence rebuild fires after a handful
-  // of pivots. The rebuild must re-eliminate the *current* basis in
+  // The cadence rebuild fires after LpRefactorInterval * (rows + vars +
+  // 1) pivots. The rebuild must re-eliminate the *current* basis in
   // place -- the chained solves stay warm (dual re-optimization, not a
   // cold phase-1/2 restart) and keep matching the cold answers exactly.
   LpProblem P;
@@ -376,24 +376,25 @@ TEST(WarmLp, RefactorizationPreservesBasisAcrossWarmChain) {
   unsigned C = P.addBinary(-4);
   P.addConstraint({{A, 5.0}, {B, 4.0}, {C, 3.0}}, ConstraintSense::LessEq,
                   9);
-  SolverConfig Opts;
-  Opts.RefactorInterval = 1; // threshold: rows + vars + 1 = 5 pivots
+  // One row, three variables: the cadence fires past 4 x 5 = 20 pivots.
+  const unsigned Threshold = LpRefactorInterval * (1 + 3 + 1);
   std::vector<double> Lo = {0, 0, 0}, Hi = {1, 1, 1};
 
   WarmStart Ws;
-  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws, Opts).Status, LpStatus::Optimal);
+  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws).Status, LpStatus::Optimal);
 
   bool SawRefactor = false;
   unsigned Pivots = 0;
-  for (unsigned Round = 0; Round != 12; ++Round) {
+  for (unsigned Round = 0; Round != 48; ++Round) {
     unsigned V = Round % 3;
     Lo[V] = Hi[V] = double(Round % 2); // fix one binary, alternating
-    LpSolution Warm = solveLpWarm(P, Lo, Hi, Ws, Opts);
+    LpSolution Warm = solveLpWarm(P, Lo, Hi, Ws);
     LpSolution Cold = solveLpWithBounds(P, Lo, Hi);
     ASSERT_EQ(Warm.Status, Cold.Status) << "round " << Round;
-    if (Warm.Status == LpStatus::Optimal)
+    if (Warm.Status == LpStatus::Optimal) {
       EXPECT_NEAR(Warm.Objective, Cold.Objective, 1e-9)
           << "round " << Round;
+    }
     EXPECT_TRUE(Warm.WarmStarted) << "round " << Round;
     SawRefactor |= Warm.Refactorized;
     Pivots += Warm.Iterations + Warm.DualIterations;
@@ -402,8 +403,8 @@ TEST(WarmLp, RefactorizationPreservesBasisAcrossWarmChain) {
   }
   // The chain pivots well past the interval, so at least one solve must
   // have gone through the in-place refactorization.
+  EXPECT_GT(Pivots, Threshold);
   EXPECT_TRUE(SawRefactor);
-  EXPECT_GT(Pivots, 0u);
 }
 
 TEST(WarmLp, DetectsInfeasibilityAfterTightening) {
@@ -413,13 +414,13 @@ TEST(WarmLp, DetectsInfeasibilityAfterTightening) {
   P.addConstraint({{A, 1.0}, {B, 1.0}}, ConstraintSense::GreaterEq, 2);
   std::vector<double> Lo = {0, 0}, Hi = {1, 1};
   WarmStart Ws;
-  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws, {}).Status, LpStatus::Optimal);
+  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws).Status, LpStatus::Optimal);
   Hi[A] = 0.0; // now A + B >= 2 needs A = 1
-  EXPECT_EQ(solveLpWarm(P, Lo, Hi, Ws, {}).Status, LpStatus::Infeasible);
+  EXPECT_EQ(solveLpWarm(P, Lo, Hi, Ws).Status, LpStatus::Infeasible);
   // Loosening must recover, whichever path (dual-proven infeasibility
   // keeps the basis; a rebuild re-solves cold).
   Hi[A] = 1.0;
-  EXPECT_EQ(solveLpWarm(P, Lo, Hi, Ws, {}).Status, LpStatus::Optimal);
+  EXPECT_EQ(solveLpWarm(P, Lo, Hi, Ws).Status, LpStatus::Optimal);
 }
 
 TEST(WarmLp, ResolveWithoutBasisReportsIterLimit) {
@@ -428,7 +429,7 @@ TEST(WarmLp, ResolveWithoutBasisReportsIterLimit) {
   std::vector<double> Lo = {0}, Hi = {1};
   WarmStart Ws;
   EXPECT_FALSE(Ws.valid());
-  EXPECT_EQ(resolveLpFromBasis(P, Lo, Hi, Ws, {}).Status,
+  EXPECT_EQ(resolveLpFromBasis(P, Lo, Hi, Ws).Status,
             LpStatus::IterLimit);
 }
 
@@ -495,70 +496,31 @@ TEST(LpProblem, FeasibilityChecker) {
   EXPECT_DOUBLE_EQ(P.objectiveValue({1, 0}), -1.0);
 }
 
-namespace {
-
-/// Exhaustive 0/1 reference optimum for small problems.
-double bruteForceOptimum(const LpProblem &P) {
-  unsigned N = P.numVariables();
-  double Best = std::numeric_limits<double>::infinity();
-  for (uint64_t Mask = 0; Mask != (1ULL << N); ++Mask) {
-    std::vector<double> X(N);
-    for (unsigned J = 0; J != N; ++J)
-      X[J] = (Mask >> J) & 1;
-    if (P.isFeasible(X))
-      Best = std::min(Best, P.objectiveValue(X));
-  }
-  return Best;
-}
-
-} // namespace
-
 /// Property sweep: the MIP solver matches brute force on random knapsacks
 /// with side constraints.
 class MipRandomized : public ::testing::TestWithParam<int> {};
 
 TEST_P(MipRandomized, MatchesBruteForce) {
   SplitMix64 Rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
-  unsigned N = 4 + static_cast<unsigned>(Rng.nextBelow(9)); // 4..12 vars
-  LpProblem P;
-  for (unsigned J = 0; J != N; ++J)
-    P.addBinary(static_cast<double>(Rng.nextInRange(-20, 5)));
-  unsigned NumCons = 1 + static_cast<unsigned>(Rng.nextBelow(3));
-  for (unsigned C = 0; C != NumCons; ++C) {
-    std::vector<std::pair<unsigned, double>> Terms;
-    for (unsigned J = 0; J != N; ++J)
-      if (Rng.nextBool(0.7))
-        Terms.push_back({J, static_cast<double>(Rng.nextInRange(1, 9))});
-    if (Terms.empty())
-      Terms.push_back({0, 1.0});
-    double Rhs = static_cast<double>(Rng.nextInRange(3, 25));
-    P.addConstraint(std::move(Terms), ConstraintSense::LessEq, Rhs);
-  }
+  LpProblem P = randomKnapsack(Rng, /*MinVars=*/4);
 
   double Reference = bruteForceOptimum(P);
-  // Every node-solve strategy x node order x branching rule is exact and
-  // must agree with brute force.
-  for (bool WarmNodes : {false, true})
-    for (NodeOrder Order :
-         {NodeOrder::Dfs, NodeOrder::BestBound, NodeOrder::Hybrid})
-      for (bool PseudoCost : {false, true}) {
-        SolverConfig Opts;
-        Opts.WarmNodes = WarmNodes;
-        Opts.Order = Order;
-        Opts.PseudoCostBranching = PseudoCost;
-        MipSolution S = solveMip(P, Opts);
-        ASSERT_TRUE(S.feasible()); // all-zeros is always feasible here
-        EXPECT_TRUE(S.Proven);
-        EXPECT_NEAR(S.Objective, Reference, 1e-6)
-            << (WarmNodes ? "warm" : "cold") << " nodes, "
-            << nodeOrderName(Order) << " order, "
-            << (PseudoCost ? "pseudo-cost" : "most-fractional");
-        EXPECT_TRUE(P.isFeasible(S.Values));
-        if (WarmNodes)
-          EXPECT_EQ(S.coldNodeSolves() + S.warmNodeSolves(), S.NodesExplored);
-        else
-          EXPECT_EQ(S.coldNodeSolves(), S.NodesExplored);
-      }
+  // Warm and cold node solves are both exact and must agree with brute
+  // force.
+  for (bool WarmNodes : {false, true}) {
+    SolverConfig Opts;
+    Opts.WarmNodes = WarmNodes;
+    MipSolution S = solveMip(P, Opts);
+    ASSERT_TRUE(S.feasible()); // all-zeros is always feasible here
+    EXPECT_TRUE(S.Proven);
+    EXPECT_NEAR(S.Objective, Reference, 1e-6)
+        << (WarmNodes ? "warm" : "cold") << " nodes";
+    EXPECT_TRUE(P.isFeasible(S.Values));
+    if (WarmNodes)
+      EXPECT_EQ(S.coldNodeSolves() + S.warmNodeSolves(), S.NodesExplored);
+    else
+      EXPECT_EQ(S.coldNodeSolves(), S.NodesExplored);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MipRandomized, ::testing::Range(0, 25));
@@ -624,130 +586,6 @@ TEST(Mip, ExternallySeededIncumbentOpensTheSearch) {
   EXPECT_FALSE(R.seededIncumbent());
   EXPECT_NEAR(R.Objective, Plain.Objective, 1e-9);
 }
-
-TEST(Mip, BestBoundProvesWithoutExhaustingOpenList) {
-  // A chunkier knapsack: best-bound must reach the same optimum as Dfs
-  // and terminate by bound (the open list prunes wholesale once the top
-  // node cannot beat the incumbent).
-  LpProblem P;
-  for (int J = 0; J != 12; ++J)
-    P.addBinary(-(3.0 + (J * 7) % 11));
-  std::vector<std::pair<unsigned, double>> Terms;
-  for (unsigned J = 0; J != 12; ++J)
-    Terms.push_back({J, double(2 + (J * 5) % 7)});
-  P.addConstraint(std::move(Terms), ConstraintSense::LessEq, 23);
-
-  SolverConfig Dfs;
-  Dfs.Order = NodeOrder::Dfs;
-  SolverConfig BB;
-  BB.Order = NodeOrder::BestBound;
-  MipSolution SDfs = solveMip(P, Dfs);
-  MipSolution SBB = solveMip(P, BB);
-  ASSERT_TRUE(SDfs.feasible());
-  ASSERT_TRUE(SBB.feasible());
-  EXPECT_TRUE(SBB.Proven);
-  EXPECT_NEAR(SDfs.Objective, SBB.Objective, 1e-9);
-}
-
-
-namespace {
-
-/// A placement-shaped random MIP (core/IlpModel's Eqs. 5, 7 and 9 in
-/// miniature): binaries x, crossing indicators y >= |x_j - x_succ| and
-/// McCormick products z = x * y, all on +-1 rows, beside a RAM budget row
-/// over byte sizes and a time budget row whose coefficients are block
-/// frequency x cycles, around 1e7. Two rows can never bind: one of each
-/// scale.
-struct ScaledModel {
-  LpProblem P;
-  unsigned NumX = 0;
-  unsigned RamRow = 0, TimeRow = 0;
-  double MaxRam = 0.0, MaxTime = 0.0; ///< budget RHS that never binds
-};
-
-ScaledModel scaledModel(SplitMix64 &Rng) {
-  ScaledModel M;
-  LpProblem &P = M.P;
-  M.NumX = 5 + static_cast<unsigned>(Rng.nextBelow(4)); // 5..8
-  std::vector<unsigned> X, Y, Z;
-  std::vector<double> Freq(M.NumX);
-  for (unsigned J = 0; J != M.NumX; ++J) {
-    Freq[J] = std::pow(10.0, 3.0 + 4.0 * Rng.nextDouble());
-    X.push_back(P.addBinary(-Freq[J] * double(Rng.nextInRange(1, 40))));
-  }
-  for (unsigned J = 0; J != M.NumX; ++J) {
-    Y.push_back(P.addVariable(0.0, 1.0, Freq[J] * double(Rng.nextInRange(2, 9)),
-                              /*Integer=*/false));
-    Z.push_back(P.addVariable(0.0, 1.0, -Freq[J] * double(Rng.nextInRange(0, 3)),
-                              /*Integer=*/false));
-  }
-  for (unsigned J = 0; J != M.NumX; ++J) {
-    unsigned S = X[(J + 1 + Rng.nextBelow(M.NumX - 1)) % M.NumX];
-    P.addConstraint({{X[J], 1.0}, {S, -1.0}, {Y[J], -1.0}},
-                    ConstraintSense::LessEq, 0.0);
-    P.addConstraint({{X[J], -1.0}, {S, 1.0}, {Y[J], -1.0}},
-                    ConstraintSense::LessEq, 0.0);
-    P.addConstraint({{Z[J], 1.0}, {X[J], -1.0}}, ConstraintSense::LessEq, 0.0);
-    P.addConstraint({{Z[J], 1.0}, {Y[J], -1.0}}, ConstraintSense::LessEq, 0.0);
-    P.addConstraint({{Z[J], -1.0}, {X[J], 1.0}, {Y[J], 1.0}},
-                    ConstraintSense::LessEq, 1.0);
-  }
-  std::vector<std::pair<unsigned, double>> Ram, Time, Loose, LooseTime;
-  for (unsigned J = 0; J != M.NumX; ++J) {
-    double Bytes = double(Rng.nextInRange(8, 400));
-    double Kb = double(Rng.nextInRange(2, 16));
-    Ram.push_back({X[J], Bytes});
-    Ram.push_back({Z[J], Kb});
-    M.MaxRam += Bytes + Kb;
-    double Tb = Freq[J] * double(Rng.nextInRange(2, 9));
-    Time.push_back({Y[J], Tb});
-    M.MaxTime += Tb;
-    // Wait-stated parts make RAM residence save cycles.
-    if (Rng.nextBool(0.3)) {
-      double Lb = -Freq[J] * double(Rng.nextInRange(1, 3));
-      Time.push_back({X[J], Lb});
-    }
-    Loose.push_back({X[J], 1.0});
-    LooseTime.push_back({Y[J], Tb});
-  }
-  M.RamRow = P.numConstraints();
-  P.addConstraint(std::move(Ram), ConstraintSense::LessEq, M.MaxRam);
-  M.TimeRow = P.numConstraints();
-  P.addConstraint(std::move(Time), ConstraintSense::LessEq, M.MaxTime);
-  P.addConstraint(std::move(Loose), ConstraintSense::LessEq,
-                  double(M.NumX) + 3.0);
-  P.addConstraint(std::move(LooseTime), ConstraintSense::LessEq,
-                  2.0 * M.MaxTime + 1.0);
-  return M;
-}
-
-/// The cheapest completion of the x's 0/1 assignment \p Mask: a cold
-/// solve with every x fixed (+inf when the assignment does not fit).
-double completion(const ScaledModel &M, uint64_t Mask) {
-  const LpProblem &P = M.P;
-  std::vector<double> Lo(P.numVariables()), Hi(P.numVariables());
-  for (unsigned J = 0; J != P.numVariables(); ++J) {
-    Lo[J] = P.Variables[J].Lower;
-    Hi[J] = P.Variables[J].Upper;
-  }
-  for (unsigned J = 0; J != M.NumX; ++J)
-    Lo[J] = Hi[J] = double((Mask >> J) & 1);
-  LpSolution S = solveLpWithBounds(P, Lo, Hi);
-  EXPECT_NE(S.Status, LpStatus::IterLimit) << "mask " << Mask;
-  return S.Status == LpStatus::Optimal
-             ? S.Objective
-             : std::numeric_limits<double>::infinity();
-}
-
-/// The cheapest completion over every 0/1 assignment of the x's.
-double bruteForceScaled(const ScaledModel &M) {
-  double Best = std::numeric_limits<double>::infinity();
-  for (uint64_t Mask = 0; Mask != (1ULL << M.NumX); ++Mask)
-    Best = std::min(Best, completion(M, Mask));
-  return Best;
-}
-
-} // namespace
 
 /// Badly scaled budget rows beside +-1 rows are where the dual simplex
 /// meets rows whose only eligible pivots are round-off. Every knob point

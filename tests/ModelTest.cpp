@@ -371,23 +371,15 @@ TEST_P(WarmSolverVsEnumeration, ColdWarmAndChainedMatchExhaustive) {
     Assignment Truth = enumeratorOptimum(MP, K);
     double TruthEnergy = evaluateAssignment(MP, Truth).EnergyMilliJoules;
 
-    // Every node order must land on the enumerator's optimum, cold and
-    // warm alike.
-    for (NodeOrder Order :
-         {NodeOrder::Dfs, NodeOrder::BestBound, NodeOrder::Hybrid}) {
-      SolverConfig Cold;
-      Cold.WarmNodes = false;
-      Cold.Order = Order;
-      Assignment FromCold = solvePlacement(MP, K, Cold);
-      EXPECT_EQ(FromCold, Truth)
-          << "cold solver diverged (" << nodeOrderName(Order) << ")";
+    // The search must land on the enumerator's optimum, cold and warm
+    // alike.
+    SolverConfig Cold;
+    Cold.WarmNodes = false;
+    Assignment FromCold = solvePlacement(MP, K, Cold);
+    EXPECT_EQ(FromCold, Truth) << "cold solver diverged";
 
-      SolverConfig WarmOpts;
-      WarmOpts.Order = Order;
-      Assignment FromWarm = solvePlacement(MP, K, WarmOpts);
-      EXPECT_EQ(FromWarm, Truth)
-          << "warm-noded solver diverged (" << nodeOrderName(Order) << ")";
-    }
+    Assignment FromWarm = solvePlacement(MP, K, SolverConfig());
+    EXPECT_EQ(FromWarm, Truth) << "warm-noded solver diverged";
 
     MipSolution Stats;
     Assignment FromChain = Chain.solve(K, {}, &Stats);

@@ -12,7 +12,7 @@
 // benchmarks whose tight budgets keep branch & bound busy, plus two in
 // the paper's Section 8 "in the linker" mode, whose library-inclusive
 // models are the largest ILPs this codebase produces — over a 3x3 grid of
-// tight knobs, with each solve capped at MaxNodes nodes.
+// tight knobs, with each solve's NodeLimit set to NodeCap.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +38,7 @@ constexpr MixEntry Mix[] = {
     {"cubic", true},        {"float_matmult", true},
 };
 
-constexpr unsigned MaxNodes = 1500;
+constexpr unsigned NodeCap = 1500;
 
 const std::vector<ModelParams> &models() {
   static const std::vector<ModelParams> Models = [] {
@@ -100,7 +100,7 @@ template <typename Fn> Effort countEffort(Fn &&Body) {
 Effort solveEachPoint(bool WarmNodes) {
   SolverConfig Cfg;
   Cfg.WarmNodes = WarmNodes;
-  Cfg.MaxNodes = MaxNodes;
+  Cfg.NodeLimit = NodeCap;
   return countEffort([&] {
     for (const ModelParams &MP : models())
       for (const ModelKnobs &K : knobGrid())
@@ -182,7 +182,7 @@ TEST(SolverEffort, KnobAxisChainSpendsAtMostHalfTheRebuildPerPointPivots) {
   // RHS patch warm-started from its neighbour's basis and incumbent.
   Effort Axis = countEffort([] {
     SolverConfig Cfg;
-    Cfg.MaxNodes = MaxNodes;
+    Cfg.NodeLimit = NodeCap;
     for (const ModelParams &MP : models()) {
       PlacementSolver Solver(MP, knobGrid().front());
       for (const ModelKnobs &K : knobGrid())

@@ -183,8 +183,8 @@ int runDiff(const std::vector<std::string> &Files, double ThresholdPct,
     }
 
     // Every stored number is compared; how a result was obtained
-    // (cache hits, solver effort) is not part of the record, so a
-    // node-order or seeding change can never read as drift.
+    // (cache hits, reuse layers, solver effort) is not part of the
+    // record, so a change that moves only effort never reads as drift.
     for (const MetricChange &M : changedMetrics(A, B)) {
       double Delta = metricDeltaPct(M.Old, M.New);
       MaxDelta = std::max(MaxDelta, std::fabs(Delta));
@@ -374,11 +374,6 @@ int main(int Argc, char **Argv) {
             "image simulated). Every layer is exact: reports are "
             "byte-identical whenever every solve proves optimality",
             bindList(Reuse, isReuseLayer));
-  Flags.add("node-order", "ORDER",
-            "branch & bound node selection: dfs (default; warm-friendliest),"
-            " best-bound, or hybrid (dive until an incumbent exists, then "
-            "best-bound); every order is exact",
-            bindValue(Solver.Order, nodeOrderFromName));
 
   Flags.section("persistence and distribution");
   Flags.add("cache-dir", "DIR",
@@ -549,7 +544,7 @@ int main(int Argc, char **Argv) {
   // Disabling solve reuse is fully cold: no knob-axis grouping, and every
   // branch & bound node re-solves from scratch (which also leaves
   // incumbent seeds unread — they ride on the warm state).
-  Opts.ReuseSolves = Solver.WarmNodes = Reused("solve");
+  Solver.WarmNodes = Reused("solve");
   Opts.SeedIncumbents = Reused("incumbent");
 
   // Probe the report paths too: a bad --json/--csv must fail now, not
