@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "beebs/Beebs.h"
+#include "support/Format.h"
 
 using namespace ramloc;
 using namespace ramloc::beebs_detail;
@@ -98,7 +99,7 @@ Module ramloc::buildFdct(OptLevel L, unsigned Repeat) {
   // Hot-first: the eight butterfly lanes compete for the register pool;
   // the rest spill (as GCC does for this kernel at -O1/-O2).
   for (unsigned I = 0; I != 8; ++I)
-    S[I] = B.local("s" + std::to_string(I));
+    S[I] = B.local(formatString("s%u", I));
   Var T1 = B.local("t1");
   Var T2 = B.local("t2");
   Var K = B.local("k");

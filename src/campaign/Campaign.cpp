@@ -8,7 +8,6 @@
 #include "campaign/Campaign.h"
 
 #include "beebs/Beebs.h"
-#include "campaign/JobQueue.h"
 #include "power/DeviceRegistry.h"
 #include "sim/ProfileCache.h"
 #include "support/FaultInjector.h"
@@ -22,6 +21,8 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <unordered_map>
@@ -635,34 +636,54 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   SolveChainMemo Chains;
   SolveChainMemo *ChainMemo = ReuseSolves ? &Chains : nullptr;
 
-  unsigned Workers = Opts.Jobs != 0 ? Opts.Jobs
-                                    : std::thread::hardware_concurrency();
-  {
-    JobQueue Pool(Workers);
-    std::mutex ProgressMu;
-    unsigned Done = 0;
-    for (const std::vector<size_t> &Group : Groups)
-      Pool.submit([&, Group] {
-        runSolveGroup(
-            Jobs, Group, JobBase, CR.Results,
-            [&](size_t I) {
-              if (Opts.Progress || Opts.Journal) {
-                std::lock_guard<std::mutex> Lock(ProgressMu);
-                ++Done;
-                // Journal before reporting progress: once the user has
-                // seen a job finish, a kill must not lose it.
-                if (Opts.Journal) {
-                  Opts.Journal(CR.Results[I]);
-                  globalMetrics().counter("campaign.journal.appends").add();
-                }
-                if (Opts.Progress)
-                  Opts.Progress(CR.Results[I], Done, CR.Summary.UniqueRuns);
+  // Every group is known before the first one runs, so the workers share
+  // one cursor over Groups and each takes the next group until none is
+  // left. Results land in disjoint slots; only progress is serialized.
+  unsigned Workers = std::max(
+      1u, Opts.Jobs != 0 ? Opts.Jobs : std::thread::hardware_concurrency());
+  std::atomic<size_t> NextGroup{0};
+  std::mutex ProgressMu;
+  unsigned Done = 0;
+  std::vector<std::chrono::steady_clock::time_point> FinishedAt(Workers);
+  auto Work = [&](unsigned Self) {
+    if (TraceRecorder *R = TraceRecorder::current())
+      R->setThreadName(formatString("worker-%u", Self));
+    for (size_t G; (G = NextGroup.fetch_add(1)) < Groups.size();) {
+      TraceSpan Span("job", "queue");
+      runSolveGroup(
+          Jobs, Groups[G], JobBase, CR.Results,
+          [&](size_t I) {
+            if (Opts.Progress || Opts.Journal) {
+              std::lock_guard<std::mutex> Lock(ProgressMu);
+              ++Done;
+              // Journal before reporting progress: once the user has
+              // seen a job finish, a kill must not lose it.
+              if (Opts.Journal) {
+                Opts.Journal(CR.Results[I]);
+                globalMetrics().counter("campaign.journal.appends").add();
               }
-            },
-            Reg, Opts.Incumbents, Opts.SeedIncumbents, ChainMemo);
-      });
-    Pool.wait();
+              if (Opts.Progress)
+                Opts.Progress(CR.Results[I], Done, CR.Summary.UniqueRuns);
+            }
+          },
+          Reg, Opts.Incumbents, Opts.SeedIncumbents, ChainMemo);
+    }
+    FinishedAt[Self] = std::chrono::steady_clock::now();
+  };
+  {
+    std::vector<std::jthread> Threads; // joined on scope exit
+    for (unsigned W = 0; W != Workers; ++W)
+      Threads.emplace_back(Work, W);
   }
+  // Idle time: each worker's wait from its last group to the last
+  // worker's finish.
+  auto LastFinish = *std::max_element(FinishedAt.begin(), FinishedAt.end());
+  Counter &IdleNs = globalMetrics().counter("jobqueue.idle_ns");
+  for (auto At : FinishedAt)
+    IdleNs.add(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(LastFinish - At)
+            .count()));
+
   if (Profiles) {
     // The ProfileCache may be shared across campaigns (CacheStore's),
     // so its counters are windowed here rather than read raw.

@@ -11,8 +11,9 @@
 /// settings, and this subsystem makes such sweeps declarative. A GridSpec
 /// names axis values; expand() crosses them into an ordered job list; the
 /// engine deduplicates identical configurations through a config-keyed
-/// result cache, executes the unique jobs on a work-stealing thread pool,
-/// and aggregates summary statistics. Results are reported in expansion
+/// result cache, runs the unique jobs' solve groups on --jobs worker
+/// threads that take groups in order from one shared cursor, and
+/// aggregates summary statistics. Results are reported in expansion
 /// order and carry no wall-clock data, so a campaign's report is
 /// byte-identical whatever --jobs is.
 ///
@@ -31,7 +32,7 @@
 ///
 /// The optimizer gets the same treatment on the knob axis: jobs that
 /// share everything but Xlimit/Rspare form a *solve group*. A group runs
-/// as one pool task that extracts parameters and builds the ILP once,
+/// as one worker task that extracts parameters and builds the ILP once,
 /// then visits its knob points loosest-first (Rspare descending, then
 /// Xlimit descending), each solved as an RHS patch warm-started from the
 /// previous point's basis, incumbent and pseudo-costs (core/IlpModel's

@@ -26,7 +26,6 @@
 #define RAMLOC_LP_PROBLEM_H
 
 #include <cassert>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -54,13 +53,6 @@ struct LpVariable {
   double Objective = 0.0;
   bool Integer = false;
   std::string Name;
-
-  /// True when the box pins the variable to a single value.
-  bool isFixed() const { return Lower == Upper; }
-  /// True when both bounds are infinite.
-  bool isFree() const {
-    return !std::isfinite(Lower) && !std::isfinite(Upper);
-  }
 };
 
 /// A minimization LP/MIP.

@@ -58,20 +58,6 @@
 
 using namespace ramloc;
 
-const char *ramloc::lpStatusName(LpStatus S) {
-  switch (S) {
-  case LpStatus::Optimal:
-    return "optimal";
-  case LpStatus::Infeasible:
-    return "infeasible";
-  case LpStatus::Unbounded:
-    return "unbounded";
-  case LpStatus::IterLimit:
-    return "iteration-limit";
-  }
-  return "?";
-}
-
 bool LpProblem::isFeasible(const std::vector<double> &X, double Tol) const {
   if (X.size() != Variables.size())
     return false;

@@ -56,8 +56,6 @@ enum class LpStatus : uint8_t {
   IterLimit,
 };
 
-const char *lpStatusName(LpStatus S);
-
 /// An LP solution: variable values in original problem space.
 struct LpSolution {
   LpStatus Status = LpStatus::IterLimit;

@@ -30,10 +30,6 @@ enum class MemKind : uint8_t {
   Ram,
 };
 
-inline const char *memKindName(MemKind M) {
-  return M == MemKind::Flash ? "flash" : "ram";
-}
-
 /// A maximal straight-line code sequence; control enters at the top and
 /// leaves via the terminator (or falls through to the next block).
 struct BasicBlock {

@@ -134,8 +134,8 @@ TEST_P(BeebsChecksum, StableAcrossLevels) {
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BeebsChecksum,
                          ::testing::Range(0, 10), [](const auto &Info) {
-                           return "B" + std::string(
-                                            beebsSuite()[Info.param].Name);
+                           return std::string("B") +
+                                  beebsSuite()[Info.param].Name;
                          });
 
 TEST(Micro, AllVariantsRun) {

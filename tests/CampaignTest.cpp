@@ -978,10 +978,12 @@ TEST(Campaign, AbortedJobsRematerializeAndMatchIsolatedRuns) {
             "sha|O1|r2|stm32f100|R256|X1.5|static|model-only");
   EXPECT_FALSE(CR.Results[1].ok());
   EXPECT_LT(CR.Summary.Replayed, 24u);
-  for (const JobResult &R : CR.Results)
-    if (R.ok())
+  for (const JobResult &R : CR.Results) {
+    if (R.ok()) {
       EXPECT_EQ(rowJson(R), rowJson(Isolated.at(R.Spec.cacheKey())))
           << R.Spec.cacheKey();
+    }
+  }
 }
 
 namespace {

@@ -8,6 +8,7 @@
 #include "beebs/Codegen.h"
 #include "core/Pipeline.h"
 #include "mir/Verifier.h"
+#include "support/Format.h"
 
 #include <gtest/gtest.h>
 
@@ -102,7 +103,7 @@ TEST(Codegen, ScratchRegisterNeverAllocated) {
   FuncBuilder B(M, "f", OptLevel::O1);
   std::vector<Var> Vars;
   for (unsigned I = 0; I != 12; ++I)
-    Vars.push_back(B.local("v" + std::to_string(I)));
+    Vars.push_back(B.local(formatString("v%u", I)));
   B.prologue();
   for (unsigned I = 0; I != 12; ++I)
     B.setImm(Vars[I], I);

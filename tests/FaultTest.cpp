@@ -151,9 +151,10 @@ TEST_F(FaultTestGuard, SitesAreIndependent) {
   F.install();
   for (uint64_t I = 0; I != 100; ++I) {
     EXPECT_EQ(FaultInjector::shouldFail("a"), wouldFire("a", 7, I, 0.5));
-    if (I % 3 == 0) // uneven interleaving on purpose
+    if (I % 3 == 0) { // uneven interleaving on purpose
       EXPECT_EQ(FaultInjector::shouldFail("b"),
                 wouldFire("b", 7, I / 3, 0.5));
+    }
   }
 }
 

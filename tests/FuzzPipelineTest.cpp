@@ -20,6 +20,7 @@
 #include "beebs/Codegen.h"
 #include "core/Pipeline.h"
 #include "mir/Verifier.h"
+#include "support/Format.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -84,12 +85,12 @@ Module randomModule(uint64_t Seed, OptLevel L) {
 
   unsigned Funcs = 2 + static_cast<unsigned>(Rng.nextBelow(3));
   for (unsigned F = Funcs; F-- > 0;) {
-    FuncBuilder B(M, "f" + std::to_string(F), L);
+    FuncBuilder B(M, formatString("f%u", F), L);
     Var Arg = B.param("arg");
     std::vector<Var> Vars{Arg};
     unsigned Locals = 2 + static_cast<unsigned>(Rng.nextBelow(6));
     for (unsigned V = 0; V != Locals; ++V)
-      Vars.push_back(B.local("v" + std::to_string(V)));
+      Vars.push_back(B.local(formatString("v%u", V)));
     Var Cnt = B.local("cnt");
     Var Buf = B.local("buf");
     B.prologue();
@@ -105,7 +106,7 @@ Module randomModule(uint64_t Seed, OptLevel L) {
     // Occasionally call a later function (acyclic call graph).
     if (F + 1 < Funcs && Rng.nextBool(0.7)) {
       Var ArgV = Vars[Rng.nextBelow(Vars.size())];
-      B.callInto(Vars[1], "f" + std::to_string(F + 1), {ArgV});
+      B.callInto(Vars[1], formatString("f%u", F + 1), {ArgV});
     }
     B.opImm(BinOp::Sub, Cnt, Cnt, 1);
     B.brCmpImm(CmpOp::Ne, Cnt, 0, "loop");

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -220,4 +222,42 @@ TEST(Metrics, TelemetryNeverChangesReports) {
   EXPECT_EQ(campaignToJson(Plain), campaignToJson(Instrumented));
   EXPECT_GT(Recorder.eventCount(), 0u);
   EXPECT_GT(Reg.counterValue("campaign.solve.extractions"), 0u);
+}
+
+TEST(Metrics, TracedCampaignRecordsOneJobSpanPerSolveGroup) {
+  // What the per-layer benchmark ledger reads from a traced campaign:
+  // one `job` span per solve group, each on a `worker-N` lane, and the
+  // jobqueue.idle_ns counter.
+  GridSpec Grid = modelOnlyGrid();
+  Grid.Devices = {"stm32f100", "stm32f100-48mhz", "stm32l-lp"};
+  std::set<std::string> Groups;
+  for (const JobSpec &J : Grid.expand())
+    Groups.insert(J.solveGroupKey());
+  ASSERT_EQ(Groups.size(), 3u);
+
+  TraceRecorder Recorder;
+  Recorder.install();
+  CampaignOptions Opts;
+  Opts.Jobs = 2;
+  CampaignResult CR = runCampaign(Grid, Opts);
+  TraceRecorder::uninstall();
+  ASSERT_EQ(CR.Summary.Failed, 0u);
+
+  TraceSnapshot S = Recorder.snapshot();
+  std::map<unsigned, std::string> Lanes(S.ThreadNames.begin(),
+                                        S.ThreadNames.end());
+  size_t JobSpans = 0;
+  for (const TraceEvent &E : S.Events) {
+    if (std::string(E.Name) != "job")
+      continue;
+    ++JobSpans;
+    EXPECT_STREQ(E.Category, "queue");
+    ASSERT_TRUE(Lanes.count(E.Tid));
+    EXPECT_EQ(Lanes[E.Tid].rfind("worker-", 0), 0u) << Lanes[E.Tid];
+  }
+  EXPECT_EQ(JobSpans, Groups.size());
+
+  JsonValue V;
+  ASSERT_TRUE(JsonValue::parse(globalMetrics().toJson(), V));
+  EXPECT_NE(V.find("counters")->find("jobqueue.idle_ns"), nullptr);
 }

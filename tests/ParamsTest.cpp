@@ -138,9 +138,8 @@ TEST(Params, CmpBranchCosts) {
 
 TEST(Params, LoadCountsIntoLb) {
   Module M;
-  M.EntryFunction = "f";
   M.addBss("buf", 16);
-  Function F("f");
+  Function F("main");
   F.Blocks.push_back(makeBlock(
       "a", {ldrLitSym(R1, "buf"), ldrImm(R2, R1, 0), ldrImm(R3, R1, 4),
             strImm(R2, R1, 8), bx(LR)}));

@@ -145,8 +145,9 @@ TEST(Checksum, FrameRoundTripsAndRejectsDamage) {
   std::string Upper = Line;
   for (int I = 0; I != 8; ++I)
     Upper[I] = static_cast<char>(std::toupper(Upper[I]));
-  if (Upper != Line) // all-digit checksums have no case to flip
+  if (Upper != Line) { // all-digit checksums have no case to flip
     EXPECT_FALSE(unframeRecord(Upper, Out));
+  }
   std::string TornPayload = Line.substr(0, Line.size() - 1);
   EXPECT_FALSE(unframeRecord(TornPayload, Out));
   std::string Fused = Line + Line;

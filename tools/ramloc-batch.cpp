@@ -4,7 +4,7 @@
 // trade-off in deeply embedded systems" (Pallister et al., CGO 2015).
 //
 // Expands a benchmark x device x knob grid into jobs and runs them on the
-// campaign engine's thread pool: one command replays a whole figure's
+// campaign engine's worker threads: one command replays a whole figure's
 // worth of pipeline runs in parallel. Reports are deterministic: the same
 // grid produces byte-identical JSON/CSV whatever --jobs is, whether
 // results came from the persistent cache, and whether the grid ran whole
