@@ -259,32 +259,26 @@ void fillMeasureFields(JobResult &R, const PipelineResult &PR) {
   R.MovedBlocks = static_cast<unsigned>(PR.MovedBlocks.size());
 }
 
-/// One solve group's knob chain as it was solved live: the knob points in
-/// solve order and what each solve returned.
-struct SolveChain {
-  struct Point {
-    unsigned RspareBytes = 0;
-    double Xlimit = 0.0;
-    MipSolution Sol;
-  };
-  std::vector<Point> Points;
-};
-
-/// Campaign-scoped memo of solve chains by PlacementSolver::chainKey: one
-/// live chain per distinct ILP, replayed by every other group posing it.
-using SolveChainMemo = OnceMap<uint64_t, std::shared_ptr<const SolveChain>>;
+/// Campaign-scoped memo of solve chains by PlacementSolver::chainKey over
+/// the knob points a group visits: each distinct chain is solved once,
+/// and every other group posing the same ILP at the same points copies
+/// its solutions.
+using SolveChainMemo =
+    OnceMap<uint64_t, std::shared_ptr<const std::vector<MipSolution>>>;
 
 /// Runs one solve group: jobs agreeing on everything but the
 /// Xlimit/Rspare knobs, visited loosest-first. The module is built, the
-/// baseline measured and the parameters extracted once; each knob point
-/// is then an RHS patch solved with the previous point's basis, incumbent
-/// and pseudo-costs (PlacementSolver), and knob points whose placements
-/// coincide share one apply+measure call. Every per-job outcome —
-/// including every error string — is produced by the same staged
-/// functions the single-job path uses, so grouped and ungrouped runs
-/// cannot drift apart. With \p Chains, a group whose ILP another group
-/// already solves replays that group's solves instead of repeating them.
-/// \p OnDone is invoked after each job's slot in \p Results is final.
+/// baseline measured and the parameters extracted once; the surviving
+/// knob points are then solved as one chain of RHS patches, each starting
+/// from the previous point's basis, incumbent and pseudo-costs
+/// (PlacementSolver), and finally applied and labelled, with knob points
+/// whose placements coincide sharing one apply+measure call. Every
+/// per-job outcome — including every error string — is produced by the
+/// same staged functions the single-job path uses, so grouped and
+/// ungrouped runs cannot drift apart. With \p Chains, a group whose chain
+/// another group already solves copies that group's solutions instead of
+/// repeating them. \p OnDone is invoked after each job's slot in
+/// \p Results is final.
 void runSolveGroup(const std::vector<JobSpec> &Jobs,
                    std::vector<size_t> Indices,
                    const PipelineOptions &Base,
@@ -297,8 +291,9 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
   // Loosest first (Rspare descending, then Xlimit descending; stable, so
   // equal points keep their order): a point whose looser neighbour's
   // proven optimum still fits is then settled without search. Reports do
-  // not depend on the order — every solve proves optimality — and chain
-  // followers sort the same way, so they still follow their donor.
+  // not depend on the order — every solve proves optimality — and groups
+  // over the same points visit them in the same order, so they share a
+  // chain key.
   std::stable_sort(Indices.begin(), Indices.end(), [&](size_t A, size_t B) {
     if (Jobs[A].RspareBytes != Jobs[B].RspareBytes)
       return Jobs[A].RspareBytes > Jobs[B].RspareBytes;
@@ -353,6 +348,25 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
     return;
   }
 
+  // Fault site: this worker loses this one job mid-flight (a simulated
+  // per-job crash). The job fails with a distinctive error and the rest
+  // of the group carries on without its knob point.
+  std::vector<size_t> Live;
+  std::vector<ModelKnobs> Points;
+  for (size_t I : Indices) {
+    if (FaultInjector::shouldFail("job.abort")) {
+      Results[I] = JobResult();
+      Results[I].Spec = Jobs[I];
+      Results[I].Error = "injected fault: job aborted (job.abort)";
+      OnDone(I);
+      continue;
+    }
+    Live.push_back(I);
+    ModelKnobs &Knobs = Points.emplace_back(Opts.Knobs);
+    Knobs.RspareBytes = Jobs[I].RspareBytes;
+    Knobs.Xlimit = Jobs[I].Xlimit;
+  }
+
   PlacementSolver Solver(EM.MP, Opts.Knobs);
   // Open the group's first solve with the persisted best-known placement
   // (cross-process incumbent). The solver re-validates the seed at zero
@@ -368,94 +382,48 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
   }
 
   // Groups posing a bit-identical ILP under the same seed and solver
-  // config share one solve chain. The first group to reach the key owns
-  // it, solves live and records each point; every other group waits for
-  // the recording and replays it while its knob points follow the
-  // donor's. The wait sits after extraction has published the baseline
-  // profile and before any apply, so a waiting group owns no unpublished
-  // ProfileCache key and no wait cycle can form. The Claim publishes on
-  // every path out of an owner.
-  std::shared_ptr<const SolveChain> Donor;
+  // config at the same knob points share one solve chain: the first group
+  // to reach the key solves it, every other group waits for it and copies
+  // its solutions. A group waits after extraction has published its
+  // baseline profile and before any apply, and the owner publishes before
+  // its own applies, so no wait cycle with ProfileCache can form. The
+  // Claim publishes on every path out of an owner; a follower that gets
+  // no chain solves its own.
+  std::shared_ptr<const std::vector<MipSolution>> Chain;
   SolveChainMemo::Claim Owned =
-      Chains ? Chains->claim(Solver.chainKey(Opts.Solver), Donor)
+      Chains ? Chains->claim(Solver.chainKey(Opts.Solver, Points), Chain)
              : SolveChainMemo::Claim();
-  auto Recording = Owned ? std::make_shared<SolveChain>() : nullptr;
-  size_t Replayed = 0; // donor points replayed and not re-solved
-  auto solveLive = [&](const ModelKnobs &Knobs, MipSolution &Sol) {
-    Assignment InRam = Solver.solve(Knobs, Opts.Solver, &Sol);
-    Reg.histogram("campaign.solve.nodes")
-        .record(static_cast<double>(Sol.NodesExplored));
-    Reg.histogram("campaign.solve.pivots")
-        .record(static_cast<double>(Sol.primalPivots() + Sol.dualPivots()));
-    if (Sol.dominated())
-      Reg.counter("campaign.solve.dominated").add();
-    if (Owned)
-      Recording->Points.push_back({Knobs.RspareBytes, Knobs.Xlimit, Sol});
-    return InRam;
-  };
+  Reg.counter("campaign.solve.replayed").add(Chain ? Chain->size() : 0);
+  if (!Chain) {
+    auto Solved = std::make_shared<std::vector<MipSolution>>();
+    Solved->reserve(Points.size());
+    for (const ModelKnobs &Knobs : Points) {
+      MipSolution &Sol = Solved->emplace_back();
+      Solver.solve(Knobs, Opts.Solver, &Sol);
+      Reg.histogram("campaign.solve.nodes")
+          .record(static_cast<double>(Sol.NodesExplored));
+      Reg.histogram("campaign.solve.pivots")
+          .record(static_cast<double>(Sol.primalPivots() + Sol.dualPivots()));
+      if (Sol.dominated())
+        Reg.counter("campaign.solve.dominated").add();
+    }
+    Chain = Solved;
+    Owned.publish(Chain);
+  }
 
   // Knob points whose optimal placements coincide produce bit-identical
   // opt images; one apply+measure serves them all.
   std::map<Assignment, JobResult> ByPlacement;
-  bool FirstJob = true;
-  for (size_t I : Indices) {
-    const JobSpec &Spec = Jobs[I];
-
-    // Fault site: this worker loses this one job mid-flight (a simulated
-    // per-job crash). The job fails with a distinctive error — the rest
-    // of the group carries on, and FirstJob stays pending so the next
-    // surviving job still does the group's opening-point bookkeeping.
-    if (FaultInjector::shouldFail("job.abort")) {
-      JobResult R;
-      R.Spec = Spec;
-      R.Error = "injected fault: job aborted (job.abort)";
-      Results[I] = std::move(R);
-      OnDone(I);
-      continue;
-    }
-
-    ModelKnobs Knobs = Opts.Knobs;
-    Knobs.RspareBytes = Spec.RspareBytes;
-    Knobs.Xlimit = Spec.Xlimit;
-
-    MipSolution Sol;
-    Assignment InRam;
-    const SolveChain::Point *Next =
-        Donor && Replayed < Donor->Points.size() ? &Donor->Points[Replayed]
-                                                 : nullptr;
-    if (Next && Next->RspareBytes == Knobs.RspareBytes &&
-        Next->Xlimit == Knobs.Xlimit) {
-      Sol = Next->Sol;
-      InRam = Solver.model().decode(Sol);
-      ++Replayed;
-    } else {
-      if (Donor) {
-        // The chains part here (a cached or aborted job in either
-        // group). Re-solve the replayed prefix so this solver's warm
-        // basis and incumbent are exactly what solving it live would
-        // have left, then continue live.
-        for (size_t K = 0; K != Replayed; ++K) {
-          ModelKnobs Prefix = Knobs;
-          Prefix.RspareBytes = Donor->Points[K].RspareBytes;
-          Prefix.Xlimit = Donor->Points[K].Xlimit;
-          MipSolution Discard;
-          solveLive(Prefix, Discard);
-        }
-        Replayed = 0;
-        Donor.reset();
-      }
-      InRam = solveLive(Knobs, Sol);
-    }
-    // Followers need only the solves, so hand the chain over as soon as
-    // the last one is recorded rather than after the last apply.
-    if (I == Indices.back())
-      Owned.publish(Recording);
+  for (size_t K = 0; K != Live.size(); ++K) {
+    const JobSpec &Spec = Jobs[Live[K]];
+    const MipSolution &Sol = (*Chain)[K];
+    Assignment InRam = Solver.model().decode(Sol);
     // Offer the *opening* point's optimum, not every point's: a re-run
     // of the same grid seeds at the same opening point, where this
     // assignment re-validates exactly and opens the search with the true
     // optimum. The opening point is the group's loosest, so its optimum
     // is the best-known placement of every point the group visits.
-    if (Incumbents && FirstJob)
+    if (Incumbents && K == 0)
       Incumbents->offer(GroupKey, InRam,
                         evaluateAssignment(EM.MP, InRam).EnergyMilliJoules);
 
@@ -466,7 +434,7 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
         R = It->second;
       } else {
         PipelineOptions JobOpts = Opts;
-        JobOpts.Knobs = Knobs;
+        JobOpts.Knobs = Points[K];
         PipelineResult PR = applyAndMeasure(M, EM, InRam, Sol, JobOpts);
         if (!PR.ok())
           R.Error = PR.Error;
@@ -490,23 +458,20 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                          ? SolveStatus::InfeasibleProven
                          : SolveStatus::FeasibleLimit;
     // The registry is the campaign's book of record for solver effort;
-    // the Summary fields are read back out of it as deltas. A replayed
-    // job keeps its donor's labels. A group's later solves are seeded by
-    // the knob chain itself; only the first one can have been opened by
-    // the persistent store.
-    bool SeededHere = FirstJob && Seeded && Sol.seededIncumbent();
-    Reg.counter("campaign.solve.extractions").add(FirstJob ? 1 : 0);
+    // the Summary fields are read back out of it as deltas. A copied
+    // solution keeps its donor's labels. A group's later solves are
+    // seeded by the knob chain itself; only the first one can have been
+    // opened by the persistent store.
+    Reg.counter("campaign.solve.extractions").add(K == 0 ? 1 : 0);
     Reg.counter("campaign.solve.cold").add(Sol.warmStarted() ? 0 : 1);
     Reg.counter("campaign.solve.warm").add(Sol.warmStarted() ? 1 : 0);
-    Reg.counter("campaign.solve.incumbent_seeds").add(SeededHere ? 1 : 0);
+    Reg.counter("campaign.solve.incumbent_seeds")
+        .add(K == 0 && Seeded && Sol.seededIncumbent() ? 1 : 0);
     if (R.ok() && R.SolveOutcome != SolveStatus::Optimal)
       Reg.counter("campaign.solve.degraded").add();
-    Results[I] = std::move(R);
-    OnDone(I);
-    FirstJob = false;
+    Results[Live[K]] = std::move(R);
+    OnDone(Live[K]);
   }
-  Owned.publish(Recording);
-  Reg.counter("campaign.solve.replayed").add(Replayed);
 }
 
 } // namespace
@@ -629,18 +594,20 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
       Groups.push_back({I});
   }
 
-  // Solve groups that pose a bit-identical ILP share one solve chain
-  // (runSolveGroup). The memo lives and dies with this campaign, and it
-  // is off with solve reuse, so `--reuse` without `solve` stays the
-  // all-solved reference.
+  // Solve groups that pose a bit-identical ILP at the same knob points
+  // share one solve chain (runSolveGroup). The memo lives and dies with
+  // this campaign, and it is off with solve reuse, so `--reuse` without
+  // `solve` stays the all-solved reference.
   SolveChainMemo Chains;
   SolveChainMemo *ChainMemo = ReuseSolves ? &Chains : nullptr;
 
   // Every group is known before the first one runs, so the workers share
   // one cursor over Groups and each takes the next group until none is
-  // left. Results land in disjoint slots; only progress is serialized.
+  // left; a worker beyond the group count would have nothing to take.
+  // Results land in disjoint slots; only progress is serialized.
   unsigned Workers = std::max(
       1u, Opts.Jobs != 0 ? Opts.Jobs : std::thread::hardware_concurrency());
+  Workers = static_cast<unsigned>(std::min<size_t>(Workers, Groups.size()));
   std::atomic<size_t> NextGroup{0};
   std::mutex ProgressMu;
   unsigned Done = 0;
@@ -676,12 +643,12 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
       Threads.emplace_back(Work, W);
   }
   // Idle time: each worker's wait from its last group to the last
-  // worker's finish.
-  auto LastFinish = *std::max_element(FinishedAt.begin(), FinishedAt.end());
+  // worker's finish (no worker, no idle time, when every job was cached).
+  auto LastFinish = std::max_element(FinishedAt.begin(), FinishedAt.end());
   Counter &IdleNs = globalMetrics().counter("jobqueue.idle_ns");
   for (auto At : FinishedAt)
     IdleNs.add(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(LastFinish - At)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(*LastFinish - At)
             .count()));
 
   if (Profiles) {

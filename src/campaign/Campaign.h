@@ -47,14 +47,13 @@
 /// placement only in cycles and per-memory power, so most BEEBS
 /// benchmarks pose the same ILP at O1 and O2, and a device that differs
 /// only in clock rate poses its sibling's (the canonical grid's 180
-/// groups hold 96 distinct ILPs). The first group to reach a chain key
-/// (PlacementSolver::chainKey: model, seed incumbent, solver config)
-/// solves live and records each point; the others replay the recording
-/// while their knob points follow it, and at the first point that does
-/// not (a cached or aborted job) re-solve the replayed prefix on their
-/// own solver and continue live, so warm chains, labels and incumbent
-/// offers are exactly what solving every group would give
-/// (Summary.Replayed counts the replayed jobs). Warm and cold
+/// groups hold 96 distinct ILPs). A chain is a pure function of its key
+/// (PlacementSolver::chainKey: model, seed incumbent, solver config and
+/// the knob points visited, a cached or aborted job's point left out),
+/// so the first group to reach a key solves the whole chain and every
+/// other group with that key copies its solutions: warm chains, labels
+/// and incumbent offers are exactly what solving every group would give
+/// (Summary.Replayed counts the copied jobs). Warm and cold
 /// solves are both exact, so reports are byte-identical with solve reuse
 /// on or off (Base.Solver.WarmNodes, `--reuse` without `solve`)
 /// whenever every solve proves optimality. A dual simplex row stuck on

@@ -384,10 +384,17 @@ bool PlacementSolver::seedIncumbent(const ModelParams &MP,
   return true;
 }
 
-uint64_t PlacementSolver::chainKey(const SolverConfig &Cfg) const {
+uint64_t
+PlacementSolver::chainKey(const SolverConfig &Cfg,
+                          const std::vector<ModelKnobs> &Points) const {
   uint64_t H = mixBytes(PM.contentKey(), Warm.Incumbent.size());
   for (double V : Warm.Incumbent)
     H = mixBytes(H, V);
+  H = mixBytes(H, Points.size());
+  for (const ModelKnobs &K : Points) {
+    H = mixBytes(H, K.RspareBytes);
+    H = mixBytes(H, K.Xlimit);
+  }
   return fnv1a64(H, solverConfigToken(Cfg));
 }
 

@@ -152,9 +152,10 @@ Assignment solvePlacement(const ModelParams &MP,
 /// distinct placements with bit-equal modelled energy being the one case
 /// any pair of exact solvers may legitimately disagree on — results do
 /// not depend on the order knob points are visited in. The whole chain
-/// is a pure function of chainKey() and the knob points visited, which
-/// is what lets the campaign engine solve it once for every group posing
-/// the same ILP.
+/// is a pure function of the model, the seed, the solver config and the
+/// knob points visited, which is exactly what chainKey() hashes, so the
+/// campaign engine solves each chain once for every group that visits
+/// the same points of the same ILP.
 ///
 /// A warm chain also settles dominated points without search. Both knobs
 /// only bound the feasible set from above (Eq. 7 by Rspare, Eq. 9 by
@@ -188,13 +189,14 @@ public:
   bool seedIncumbent(const ModelParams &MP, const Assignment &InRam);
 
   /// The key of the solve chain this solver is about to run:
-  /// model().contentKey() plus the planted seed incumbent (if any) and
-  /// solverConfigToken(\p Cfg). Call it before the first solve. Two
-  /// solvers with equal keys return bit-identical MipSolutions for the
-  /// same sequence of knob points, so the campaign engine solves each
-  /// distinct chain once and replays it for every solve group that poses
-  /// the same ILP.
-  uint64_t chainKey(const SolverConfig &Cfg) const;
+  /// model().contentKey(), the planted seed incumbent (if any),
+  /// solverConfigToken(\p Cfg) and each of \p Points' Rspare and Xlimit
+  /// in visiting order. Call it before the first solve. Two solvers with
+  /// equal keys return bit-identical MipSolutions along the whole chain,
+  /// so the campaign engine solves each distinct chain once and copies
+  /// it for every solve group with the same key.
+  uint64_t chainKey(const SolverConfig &Cfg,
+                    const std::vector<ModelKnobs> &Points) const;
 
   const PlacementModel &model() const { return PM; }
 

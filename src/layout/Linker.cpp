@@ -53,11 +53,13 @@ public:
   LinkResult run() {
     layoutData();
     layoutCode();
+    // Before anything is written at a placed address: code laid out past
+    // the end of a memory must be diagnosed, not materialized.
+    checkBudgets();
     if (!Errors.empty())
       return {std::move(Img), std::move(Errors)};
     resolveSymbols();
     materialize();
-    checkBudgets();
     return {std::move(Img), std::move(Errors)};
   }
 

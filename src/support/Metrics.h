@@ -27,8 +27,9 @@
 /// byte-identical JSON. Metrics are a side channel — nothing read from
 /// a registry may influence results, the same contract tracing follows.
 ///
-/// Deep layers with no campaign plumbing (the LP solver, the job queue,
-/// the cache store) record into the process-wide globalMetrics();
+/// Deep layers with no campaign plumbing (the LP solver, the campaign's
+/// worker loop, the cache store) record into the process-wide
+/// globalMetrics();
 /// runCampaign additionally scopes its Summary-view counters to the
 /// registry the caller passes (CampaignOptions::Metrics), defaulting to
 /// a private one so concurrent campaigns do not mix.

@@ -12,8 +12,8 @@
 /// then reads the published value. Work keyed this way therefore runs
 /// once per distinct key however the scheduler interleaves its callers.
 /// sim/ProfileCache (one simulation per execution key) and the campaign
-/// engine's solve-chain memo (one branch & bound chain per distinct ILP)
-/// are both built on it.
+/// engine's solve-chain memo (one branch & bound chain per distinct ILP
+/// and knob-point list) are both built on it.
 ///
 /// The owner's duty is to publish exactly once, on every path out —
 /// including early returns and exceptions — or every later acquirer

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -835,11 +836,10 @@ std::map<std::string, JobResult> isolatedRows(const GridSpec &Grid) {
 
 /// A campaign's solve counters against its rows: every group's first
 /// solved point is cold and the rest warm-start from it — replayed or
-/// not, since a replayed job keeps its donor's label and a follower whose
-/// chain parts from its donor's re-solves the replayed prefix first —
-/// and the live MIP solves are cold + warm - replayed - dominated (a
-/// point settled by a looser proven optimum is warm but never reaches
-/// solveMip).
+/// not, since a replayed job keeps its donor's label and a group shares
+/// a chain only with groups visiting the same points — and the live MIP
+/// solves are cold + warm - replayed - dominated (a point settled by a
+/// looser proven optimum is warm but never reaches solveMip).
 void expectSolveAccounting(const CampaignResult &CR, uint64_t LiveSolves) {
   std::set<std::string> Groups;
   uint64_t Solved = 0;
@@ -915,8 +915,9 @@ TEST(Campaign, SolveReuseOffSharesNoChain) {
 
 TEST(Campaign, DivergingChainsRematerializeAndMatchIsolatedRuns) {
   // A persistent-cache hit drops a knob point from one group's chain, so
-  // the follower's points stop matching its donor's. Both sides must
-  // still give exactly the rows their groups give alone.
+  // that group visits other points than its twins and solves its own
+  // chain. Every side must still give exactly the rows its group gives
+  // alone.
   for (JobKind Kind : {JobKind::Measure, JobKind::ModelOnly}) {
     GridSpec Grid = sharedModelGrid(Kind);
     std::map<std::string, JobResult> Isolated = isolatedRows(Grid);
@@ -943,22 +944,21 @@ TEST(Campaign, DivergingChainsRematerializeAndMatchIsolatedRuns) {
         EXPECT_EQ(CR.Summary.CacheHits, 1u);
         if (Jobs != 1)
           continue; // which group owns a chain depends on scheduling
-        // Follower cached: it replays one point, then re-solves it and
-        // goes live (3 jobs, none replayed). Donor cached: each of the
-        // three sha followers does the same (12 jobs, none replayed).
+        // Either way the group missing the cached point solves its 3
+        // points live, the first of the other three sha groups solves
+        // the 4-point chain and the last two replay it (8 jobs), and
         // dijkstra's 12 replays are untouched.
-        EXPECT_EQ(CR.Summary.Replayed, Side == OptLevel::O2 ? 20u : 12u);
+        EXPECT_EQ(CR.Summary.Replayed, 20u);
       }
     }
   }
 }
 
 TEST(Campaign, AbortedJobsRematerializeAndMatchIsolatedRuns) {
-  // An aborted job drops a knob point from its group's chain: a follower
-  // losing a point re-solves its replayed prefix, and followers of a
-  // donor that lost one do too. Every surviving row still matches the
-  // isolated run, and the warm chains are what solving every group live
-  // gives.
+  // An aborted job drops a knob point from its group's chain, so that
+  // group shares a chain only with groups that lost the same points.
+  // Every surviving row still matches the isolated run, and the warm
+  // chains are what solving every group live gives.
   GridSpec Grid = sharedModelGrid(JobKind::ModelOnly);
   std::map<std::string, JobResult> Isolated = isolatedRows(Grid);
   FaultInjector F;
@@ -971,9 +971,9 @@ TEST(Campaign, AbortedJobsRematerializeAndMatchIsolatedRuns) {
   ASSERT_GT(CR.Summary.Failed, 0u);
   ASSERT_GT(CR.Summary.Succeeded, 0u);
   expectSolveAccounting(CR, Solves);
-  // Seed 11 aborts a middle point of the sha donor (every sha follower
-  // parts from it there; the donor visits R512 X1.5, R512 X1.2, this
-  // point, R256 X1.2) and points of several followers.
+  // Seed 11 aborts a middle point of the first sha group (it visits
+  // R512 X1.5, R512 X1.2, this point, R256 X1.2, so its twins cannot
+  // copy its chain) and points of several other groups.
   ASSERT_EQ(CR.Results[1].Spec.cacheKey(),
             "sha|O1|r2|stm32f100|R256|X1.5|static|model-only");
   EXPECT_FALSE(CR.Results[1].ok());
@@ -1045,11 +1045,18 @@ TEST(Campaign, ContentKeyIdentifiesTheIlp) {
   Renamed.P.Variables[0].Name += "_renamed";
   EXPECT_EQ(Renamed.contentKey(), Sha);
 
-  // The chain key adds the seed incumbent and the solver config.
+  // The chain key adds the seed incumbent, the solver config and the
+  // knob points visited, in order.
   PlacementSolver Unseeded(MP, PM.Knobs);
   PlacementSolver Seeded(MP, PM.Knobs);
   PlacementSolver OtherSeed(MP, PM.Knobs);
   SolverConfig Cfg;
+  ModelKnobs Loose = PM.Knobs, Tight = PM.Knobs;
+  Loose.RspareBytes = 512;
+  Loose.Xlimit = 1.5;
+  Tight.RspareBytes = 256;
+  Tight.Xlimit = 1.2;
+  const std::vector<ModelKnobs> Points = {Loose, Tight};
   Assignment AllFlash(MP.numBlocks(), false);
   Assignment OneMoved = AllFlash;
   for (unsigned B = 0; B != MP.numBlocks(); ++B)
@@ -1059,12 +1066,25 @@ TEST(Campaign, ContentKeyIdentifiesTheIlp) {
     }
   ASSERT_TRUE(Seeded.seedIncumbent(MP, AllFlash));
   ASSERT_TRUE(OtherSeed.seedIncumbent(MP, OneMoved));
-  std::set<uint64_t> Keys = {Unseeded.chainKey(Cfg), Seeded.chainKey(Cfg),
-                             OtherSeed.chainKey(Cfg)};
+  std::set<uint64_t> Keys = {Unseeded.chainKey(Cfg, Points),
+                             Seeded.chainKey(Cfg, Points),
+                             OtherSeed.chainKey(Cfg, Points)};
   EXPECT_EQ(Keys.size(), 3u);
   SolverConfig NodeCapped = Cfg;
   NodeCapped.NodeLimit = 1000000;
-  EXPECT_NE(Unseeded.chainKey(Cfg), Unseeded.chainKey(NodeCapped));
-  EXPECT_EQ(Unseeded.chainKey(Cfg),
-            PlacementSolver(MP, PM.Knobs).chainKey(Cfg));
+  EXPECT_NE(Unseeded.chainKey(Cfg, Points),
+            Unseeded.chainKey(NodeCapped, Points));
+  EXPECT_EQ(Unseeded.chainKey(Cfg, Points),
+            PlacementSolver(MP, PM.Knobs).chainKey(Cfg, Points));
+  // Dropping, reordering or moving a knob point names another chain.
+  Keys = {Unseeded.chainKey(Cfg, Points), Unseeded.chainKey(Cfg, {Loose}),
+          Unseeded.chainKey(Cfg, {Tight}), Unseeded.chainKey(Cfg, {}),
+          Unseeded.chainKey(Cfg, {Tight, Loose})};
+  ModelKnobs Moved = Tight;
+  Moved.Xlimit = std::nextafter(Tight.Xlimit, 2.0);
+  Keys.insert(Unseeded.chainKey(Cfg, {Loose, Moved}));
+  Moved = Tight;
+  Moved.RspareBytes += 1;
+  Keys.insert(Unseeded.chainKey(Cfg, {Loose, Moved}));
+  EXPECT_EQ(Keys.size(), 7u);
 }

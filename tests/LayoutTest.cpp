@@ -210,6 +210,24 @@ TEST(Linker, StackReserveRespected) {
   EXPECT_TRUE(LR.ok()) << (LR.Errors.empty() ? "" : LR.Errors.front());
 }
 
+TEST(Linker, RamCodePastTheEndOfRamIsDiagnosedBeforeMaterializing) {
+  // With no stack reserve the budget check is the only guard between RAM
+  // code running past the end of RAM and the per-address instruction map
+  // sized by the memory map.
+  Module M = simpleModule();
+  BasicBlock &Entry = M.Functions[0].Blocks[0];
+  Entry.Home = MemKind::Ram;
+  Entry.Instrs.insert(Entry.Instrs.begin(), 64, movImm(R4, 1));
+  LinkOptions Opts;
+  Opts.Map.RamSize = 64;
+  Opts.StackReserve = 0;
+  LinkResult LR = linkModule(M, Opts);
+  ASSERT_FALSE(LR.ok());
+  EXPECT_NE(LR.Errors[0].find("RAM overflow"), std::string::npos)
+      << LR.Errors[0];
+  EXPECT_TRUE(LR.Img.RamInstrAt.empty());
+}
+
 TEST(Linker, StartupCopyCycles) {
   Module M = simpleModule();
   LinkResult Base = linkModule(M);

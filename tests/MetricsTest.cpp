@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -227,7 +228,8 @@ TEST(Metrics, TelemetryNeverChangesReports) {
 TEST(Metrics, TracedCampaignRecordsOneJobSpanPerSolveGroup) {
   // What the per-layer benchmark ledger reads from a traced campaign:
   // one `job` span per solve group, each on a `worker-N` lane, and the
-  // jobqueue.idle_ns counter.
+  // jobqueue.idle_ns counter. A campaign starts no more workers than it
+  // has groups.
   GridSpec Grid = modelOnlyGrid();
   Grid.Devices = {"stm32f100", "stm32f100-48mhz", "stm32l-lp"};
   std::set<std::string> Groups;
@@ -235,27 +237,47 @@ TEST(Metrics, TracedCampaignRecordsOneJobSpanPerSolveGroup) {
     Groups.insert(J.solveGroupKey());
   ASSERT_EQ(Groups.size(), 3u);
 
-  TraceRecorder Recorder;
-  Recorder.install();
-  CampaignOptions Opts;
-  Opts.Jobs = 2;
-  CampaignResult CR = runCampaign(Grid, Opts);
-  TraceRecorder::uninstall();
-  ASSERT_EQ(CR.Summary.Failed, 0u);
+  // The last pass reruns the grid against the cache the pass before it
+  // filled: every job is a hit, no group is left to run, and no worker
+  // starts.
+  ResultCache Cache;
+  struct Pass {
+    unsigned Jobs;
+    ResultCache *Cache;
+    size_t GroupsRun;
+  };
+  for (Pass P : {Pass{2, nullptr, 3}, Pass{8, &Cache, 3}, Pass{8, &Cache, 0}}) {
+    SCOPED_TRACE("jobs " + std::to_string(P.Jobs) + ", groups run " +
+                 std::to_string(P.GroupsRun));
+    TraceRecorder Recorder;
+    Recorder.install();
+    CampaignOptions Opts;
+    Opts.Jobs = P.Jobs;
+    Opts.Cache = P.Cache;
+    CampaignResult CR = runCampaign(Grid, Opts);
+    TraceRecorder::uninstall();
+    ASSERT_EQ(CR.Summary.Failed, 0u);
+    EXPECT_EQ(CR.Summary.CacheHits, P.GroupsRun ? 0u : CR.Results.size());
 
-  TraceSnapshot S = Recorder.snapshot();
-  std::map<unsigned, std::string> Lanes(S.ThreadNames.begin(),
-                                        S.ThreadNames.end());
-  size_t JobSpans = 0;
-  for (const TraceEvent &E : S.Events) {
-    if (std::string(E.Name) != "job")
-      continue;
-    ++JobSpans;
-    EXPECT_STREQ(E.Category, "queue");
-    ASSERT_TRUE(Lanes.count(E.Tid));
-    EXPECT_EQ(Lanes[E.Tid].rfind("worker-", 0), 0u) << Lanes[E.Tid];
+    TraceSnapshot S = Recorder.snapshot();
+    std::map<unsigned, std::string> Lanes(S.ThreadNames.begin(),
+                                          S.ThreadNames.end());
+    size_t WorkerLanes = 0;
+    for (const auto &[Tid, Name] : Lanes)
+      if (Name.rfind("worker-", 0) == 0)
+        ++WorkerLanes;
+    EXPECT_EQ(WorkerLanes, std::min<size_t>(P.Jobs, P.GroupsRun));
+    size_t JobSpans = 0;
+    for (const TraceEvent &E : S.Events) {
+      if (std::string(E.Name) != "job")
+        continue;
+      ++JobSpans;
+      EXPECT_STREQ(E.Category, "queue");
+      ASSERT_TRUE(Lanes.count(E.Tid));
+      EXPECT_EQ(Lanes[E.Tid].rfind("worker-", 0), 0u) << Lanes[E.Tid];
+    }
+    EXPECT_EQ(JobSpans, P.GroupsRun);
   }
-  EXPECT_EQ(JobSpans, Groups.size());
 
   JsonValue V;
   ASSERT_TRUE(JsonValue::parse(globalMetrics().toJson(), V));

@@ -522,6 +522,16 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: %s needs --cache-dir\n", Name);
       return 2;
     }
+  auto Reused = [&Reuse](const char *Layer) {
+    return std::find(Reuse.begin(), Reuse.end(), Layer) != Reuse.end() ||
+           std::find(Reuse.begin(), Reuse.end(), "all") != Reuse.end();
+  };
+  // The journal is replayed into the result cache, so without that layer
+  // a resume would silently recompute every journaled job.
+  if (Resume && !Reused("cache")) {
+    std::fprintf(stderr, "error: --resume needs the 'cache' reuse layer\n");
+    return 2;
+  }
   // Install before any I/O so injection covers the initial cache load.
   if (!Faults.armedSites().empty())
     Faults.install();
@@ -535,10 +545,6 @@ int main(int Argc, char **Argv) {
 
   if (ModelOnly)
     Grid.Kind = JobKind::ModelOnly;
-  auto Reused = [&Reuse](const char *Layer) {
-    return std::find(Reuse.begin(), Reuse.end(), Layer) != Reuse.end() ||
-           std::find(Reuse.begin(), Reuse.end(), "all") != Reuse.end();
-  };
   Opts.UseCache = Reused("cache");
   Opts.ReuseProfiles = Reused("profile");
   // Disabling solve reuse is fully cold: no knob-axis grouping, and every
