@@ -33,6 +33,16 @@ double PipelineResult::powerChangePct() const {
                        MeasuredOpt.Energy.AvgMilliWatts);
 }
 
+namespace {
+
+/// Adds a full simulation's retired instructions to sim.steps, so that
+/// the fullsim span time over this count is the cost of one step.
+void countSteps(const RunStats &Stats) {
+  globalMetrics().counter("sim.steps").add(Stats.Instructions);
+}
+
+} // namespace
+
 Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
                                   const LinkOptions &Link,
                                   const SimOptions &Sim,
@@ -49,6 +59,7 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
   if (!Profiles) {
     TraceSpan Span("fullsim", "sim");
     Out.Stats = runImage(LR.Img, Sim);
+    countSteps(Out.Stats);
     Out.Energy = Power.integrate(Out.Stats);
     return Out;
   }
@@ -99,6 +110,7 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
       throw;
     }
     Profiles->noteFullSim();
+    countSteps(Out.Stats);
     if (Fresh->Valid)
       Used = std::move(Fresh);
     Profiles->publish(Key, Used);
@@ -117,6 +129,7 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
       TraceSpan Span("fullsim", "sim");
       Out.Stats = runImage(*Img, Sim);
       Profiles->noteFullSim();
+      countSteps(Out.Stats);
     }
   }
   if (Ran)

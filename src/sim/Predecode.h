@@ -1,4 +1,4 @@
-//===- sim/Predecode.h - pre-resolved interpreter dispatch ------*- C++ -*-===//
+//===- sim/Predecode.h - pre-resolved interpreter operands ------*- C++ -*-===//
 //
 // Part of ramloc, a reproduction of "Optimizing the flash-RAM energy
 // trade-off in deeply embedded systems" (Pallister et al., CGO 2015).
@@ -6,13 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The interpreter's per-step decode work — operand and successor lookup,
-/// condition-gate detection — depends only on the image, never on machine
-/// state. predecodeImage() hoists all of it out of the hot loop into a
-/// dense array parallel to Image::Instrs, built once per simulation, so
-/// each step is an index and a handler dispatch on the pre-resolved
-/// opcode. Nothing here is timed: cycles are priced afterwards from the
-/// run's ExecutionProfile (sim/ExecutionProfile.h).
+/// Everything the interpreter's dispatch loop reads about an instruction
+/// depends only on the image, never on machine state. predecodeImage()
+/// copies it, once per simulation, into a dense array parallel to
+/// Image::Instrs: the opcode, condition, operands and both successors,
+/// resolved to instruction indices. The loop in sim/Simulator.cpp reads
+/// one DecodedInstr per step and never the PlacedInstr behind it.
+/// Nothing here is timed: cycles are priced afterwards from the run's
+/// ExecutionProfile (sim/ExecutionProfile.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,27 +36,26 @@ inline uint32_t decodedIndexAt(const Image &Img, uint32_t Addr) {
   return Idx < 0 ? NoInstrIdx : static_cast<uint32_t>(Idx);
 }
 
-/// One pre-resolved instruction: everything the interpreter's hot loop
-/// needs that does not depend on machine state.
+/// One pre-resolved instruction: everything the dispatch loop needs that
+/// does not depend on machine state.
 struct DecodedInstr {
-  /// The placed instruction, for operand access in the handlers.
-  const PlacedInstr *P = nullptr;
+  /// Copies of the placed instruction's operands (Instr::Regs/Imm).
+  Reg Regs[4] = {R0, R0, R0, R0};
+  int32_t Imm = 0;
   /// Fall-through successor (Addr + Size).
   uint32_t NextAddr = 0;
-  /// Resolved branch target / literal-pool slot (copy of P->TargetAddr).
+  /// Resolved branch target / literal-pool slot (PlacedInstr::TargetAddr).
   uint32_t TargetAddr = 0;
   /// Indices of the instructions at NextAddr and TargetAddr, or
   /// NoInstrIdx: direct transfers follow them without an address lookup.
   uint32_t NextIdx = NoInstrIdx;
   uint32_t TargetIdx = NoInstrIdx;
-  uint16_t FuncIdx = 0;
-  uint16_t BlockIdx = 0;
   OpKind Kind = OpKind::Nop;
   Cond CondCode = Cond::AL;
-  /// True for predicated non-branch instructions: the hot loop must gate
-  /// them on condPasses before executing.
+  bool SetsFlags = false;
+  /// True for predicated non-branch instructions: the loop must gate
+  /// them on their condition before executing.
   bool CheckCond = false;
-  bool IsBlockHead = false;
 };
 
 /// The dense decode table: DecodedInstr[i] describes Image::Instrs[i].

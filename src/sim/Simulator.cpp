@@ -10,27 +10,74 @@
 #include "sim/ExecutionProfile.h"
 #include "support/Format.h"
 
-#include <cassert>
+#include <array>
+#include <bit>
 
 using namespace ramloc;
 
+/// Forces a helper lambda of the dispatch loop inline, so that the loop's
+/// locals it captures stay in registers.
+#define RAMLOC_INLINE __attribute__((always_inline))
+
 namespace {
 
-/// ADD with carry-in, producing NZCV the ARM way.
+/// NZCV packed into a nibble, N in bit 3 down to V in bit 0.
+constexpr unsigned FlagN = 8, FlagZ = 4, FlagC = 2, FlagV = 1;
+
+unsigned packFlags(const Flags &F) {
+  return (F.N ? FlagN : 0) | (F.Z ? FlagZ : 0) | (F.C ? FlagC : 0) |
+         (F.V ? FlagV : 0);
+}
+
+Flags unpackFlags(unsigned NZCV) {
+  Flags F;
+  F.N = NZCV & FlagN;
+  F.Z = NZCV & FlagZ;
+  F.C = NZCV & FlagC;
+  F.V = NZCV & FlagV;
+  return F;
+}
+
+/// PassMask[C] bit NZCV: whether condition C passes under those flags.
+/// Built from condPasses, which stays the one statement of the rules.
+const std::array<uint16_t, 15> PassMask = [] {
+  std::array<uint16_t, 15> Mask{};
+  for (unsigned C = 0; C != Mask.size(); ++C)
+    for (unsigned NZCV = 0; NZCV != 16; ++NZCV)
+      if (condPasses(static_cast<Cond>(C), unpackFlags(NZCV)))
+        Mask[C] |= 1u << NZCV;
+  return Mask;
+}();
+
+bool passes(Cond C, unsigned NZCV) {
+  return (PassMask[static_cast<unsigned>(C)] >> NZCV) & 1;
+}
+
+/// The N and Z flags of \p Result.
+unsigned flagsNZ(uint32_t Result) {
+  return (Result >> 31 ? FlagN : 0) | (Result == 0 ? FlagZ : 0);
+}
+
+/// ADD with carry-in: the sum and its NZCV flags, the ARM way.
 struct AddResult {
   uint32_t Value;
-  bool C;
-  bool V;
+  unsigned NZCV;
 };
 
-AddResult addWithCarry(uint32_t A, uint32_t B, bool CarryIn) {
-  uint64_t Unsigned =
-      static_cast<uint64_t>(A) + B + (CarryIn ? 1 : 0);
+AddResult addWithCarry(uint32_t A, uint32_t B, unsigned CarryIn) {
+  uint64_t Unsigned = static_cast<uint64_t>(A) + B + CarryIn;
   int64_t Signed = static_cast<int64_t>(static_cast<int32_t>(A)) +
-                   static_cast<int32_t>(B) + (CarryIn ? 1 : 0);
+                   static_cast<int32_t>(B) + CarryIn;
   uint32_t Result = static_cast<uint32_t>(Unsigned);
-  return {Result, Unsigned > 0xFFFFFFFFULL,
-          Signed != static_cast<int32_t>(Result)};
+  return {Result, flagsNZ(Result) |
+                      (Unsigned > 0xFFFFFFFFULL ? FlagC : 0) |
+                      (Signed != static_cast<int32_t>(Result) ? FlagV : 0)};
+}
+
+uint32_t asr(uint32_t V, uint32_t Amt) {
+  if (Amt >= 32)
+    return static_cast<int32_t>(V) < 0 ? 0xFFFFFFFFu : 0;
+  return static_cast<uint32_t>(static_cast<int32_t>(V) >> Amt);
 }
 
 } // namespace
@@ -58,545 +105,426 @@ void Simulator::fault(const std::string &Msg) {
   Halted = true;
 }
 
+void Simulator::accessFault(bool Write, uint32_t Addr, uint32_t Idx) {
+  fault(formatString("%s fault at 0x%08x (pc=0x%08x)",
+                     Write ? "write" : "read", Addr, Img.Instrs[Idx].Addr));
+}
+
 void Simulator::halt() {
   Prof.ExitCode = State.R[R0];
   Prof.Valid = Error.empty();
   Halted = true;
 }
 
-bool Simulator::checkAddr(uint32_t Addr, uint32_t Bytes, bool Write) {
-  if (Img.Map.inRam(Addr) &&
-      Addr + Bytes <= Img.Map.RamBase + Img.Map.RamSize) {
-    if (Addr + Bytes > Img.RamEnd && Addr < Prof.RamLow)
-      Prof.RamLow = Addr;
-    return true;
-  }
-  if (!Write && Img.Map.inFlash(Addr) &&
-      Addr + Bytes <= Img.Map.FlashBase + Img.Map.FlashSize)
-    return true;
-  fault(formatString("%s fault at 0x%08x (pc=0x%08x)",
-                     Write ? "write" : "read", Addr, PcAddr));
-  return false;
-}
-
-uint32_t Simulator::read32(uint32_t Addr) {
-  if (!checkAddr(Addr, 4, /*Write=*/false))
-    return 0;
-  const uint8_t *P;
-  if (Img.Map.inRam(Addr))
-    P = &Ram[Addr - Img.Map.RamBase];
-  else
-    P = &Img.FlashBytes[Addr - Img.Map.FlashBase];
-  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
-         (static_cast<uint32_t>(P[2]) << 16) |
-         (static_cast<uint32_t>(P[3]) << 24);
-}
-
-uint16_t Simulator::read16(uint32_t Addr) {
-  if (!checkAddr(Addr, 2, /*Write=*/false))
-    return 0;
-  const uint8_t *P;
-  if (Img.Map.inRam(Addr))
-    P = &Ram[Addr - Img.Map.RamBase];
-  else
-    P = &Img.FlashBytes[Addr - Img.Map.FlashBase];
-  return static_cast<uint16_t>(P[0] | (P[1] << 8));
-}
-
-uint8_t Simulator::read8(uint32_t Addr) {
-  if (!checkAddr(Addr, 1, /*Write=*/false))
-    return 0;
-  if (Img.Map.inRam(Addr))
-    return Ram[Addr - Img.Map.RamBase];
-  return Img.FlashBytes[Addr - Img.Map.FlashBase];
-}
-
-void Simulator::write32(uint32_t Addr, uint32_t Value) {
-  if (!checkAddr(Addr, 4, /*Write=*/true))
-    return;
-  uint8_t *P = &Ram[Addr - Img.Map.RamBase];
-  P[0] = static_cast<uint8_t>(Value);
-  P[1] = static_cast<uint8_t>(Value >> 8);
-  P[2] = static_cast<uint8_t>(Value >> 16);
-  P[3] = static_cast<uint8_t>(Value >> 24);
-}
-
-void Simulator::write16(uint32_t Addr, uint16_t Value) {
-  if (!checkAddr(Addr, 2, /*Write=*/true))
-    return;
-  uint8_t *P = &Ram[Addr - Img.Map.RamBase];
-  P[0] = static_cast<uint8_t>(Value);
-  P[1] = static_cast<uint8_t>(Value >> 8);
-}
-
-void Simulator::write8(uint32_t Addr, uint8_t Value) {
-  if (!checkAddr(Addr, 1, /*Write=*/true))
-    return;
-  Ram[Addr - Img.Map.RamBase] = Value;
-}
-
-void Simulator::countLoad(unsigned DataMem) {
-  ++Prof.Instrs[CurIdx].LoadData[DataMem];
-}
-
-void Simulator::countDataLoad(uint32_t Addr, uint32_t Bytes) {
-  // Code and pool bytes move with the placement; .rodata and RAM data
-  // do not.
-  if (Img.Map.inFlash(Addr)) {
-    Prof.ReadsCode |= Addr < Img.RodataBegin || Addr + Bytes > Img.RodataEnd;
-    countLoad(static_cast<unsigned>(MemKind::Flash));
-    return;
-  }
-  Prof.ReadsCode |= Addr + Bytes > Img.RamCodeBegin && Addr < Img.RamEnd;
-  // Unmapped addresses count as flash; the read itself faults.
-  countLoad(static_cast<unsigned>(Img.Map.inRam(Addr) ? MemKind::Ram
-                                                      : MemKind::Flash));
-}
-
-void Simulator::branchTo(uint32_t Addr) {
-  Addr &= ~1u; // ignore the Thumb bit
-  if (Addr == ExitAddress) {
-    halt();
-    return;
-  }
-  PcAddr = Addr;
-  PcIdx = decodedIndexAt(Img, Addr);
-}
-
-void Simulator::jumpTo(const DecodedInstr &D) {
-  if (D.TargetIdx == NoInstrIdx) {
-    branchTo(D.TargetAddr);
-    return;
-  }
-  PcAddr = D.TargetAddr & ~1u;
-  PcIdx = D.TargetIdx;
-}
-
-void Simulator::fallThrough(const DecodedInstr &D) {
-  PcAddr = D.NextAddr;
-  PcIdx = D.NextIdx;
+void Simulator::syncBlockCount(uint32_t Idx) {
+  const PlacedInstr &P = Img.Instrs[Idx];
+  if (P.IsBlockHead)
+    Prof.BlockCounts[P.FuncIdx][P.BlockIdx] =
+        Prof.Instrs[Idx].Exec + Prof.Instrs[Idx].Skipped;
 }
 
 bool Simulator::step() {
   if (Halted || Prof.Instructions >= MaxSteps)
     return false;
-
-  if (PcIdx == NoInstrIdx) {
-    fault(formatString("fetch fault at 0x%08x", PcAddr));
-    return false;
-  }
-  CurIdx = PcIdx;
-  const DecodedInstr &D = Dec[CurIdx];
-  if (D.IsBlockHead)
-    ++Prof.BlockCounts[D.FuncIdx][D.BlockIdx];
-  ++Prof.Instructions;
-
-  // Predicated non-branch instruction whose condition fails: no
-  // architectural effect, counted as a skip.
-  if (D.CheckCond && !condPasses(D.CondCode, State.F)) {
-    ++Prof.Instrs[CurIdx].Skipped;
-    fallThrough(D);
-    return !Halted;
-  }
-
-  execute(D);
+  uint64_t Before = Prof.Instructions;
+  exec(Before + 1);
+  if (Prof.Instructions != Before)
+    syncBlockCount(CurIdx);
   return !Halted;
 }
 
 void Simulator::run() {
-  while (step())
-    ;
+  if (Halted)
+    return;
+  exec(MaxSteps);
+  for (uint32_t I = 0, N = Img.Instrs.size(); I != N; ++I)
+    syncBlockCount(I);
 }
 
-void Simulator::execute(const DecodedInstr &D) {
-  const Instr &I = D.P->I;
-  ++Prof.Instrs[CurIdx].Exec;
+void Simulator::exec(uint64_t Limit) {
+  uint32_t *R = State.R;
+  InstrCounts *Counts = Prof.Instrs.data();
+  const DecodedInstr *Decoded = Dec.data();
+  uint64_t Steps = Prof.Instructions;
+  uint32_t RamLow = Prof.RamLow;
+  bool ReadsCode = Prof.ReadsCode;
+  unsigned NZCV = packFlags(State.F);
+  uint32_t Pc = PcIdx, Cur = CurIdx;
 
-  switch (D.Kind) {
-  // --- control flow -------------------------------------------------------
-  case OpKind::B:
-    jumpTo(D);
-    return;
-  case OpKind::BCond: {
-    bool Taken = condPasses(D.CondCode, State.F);
-    Prof.Instrs[CurIdx].Taken += Taken;
-    if (Taken)
-      jumpTo(D);
-    else
-      fallThrough(D);
-    return;
-  }
-  case OpKind::Cbz:
-  case OpKind::Cbnz: {
-    bool Zero = reg(I.Regs[0]) == 0;
-    bool Taken = D.Kind == OpKind::Cbz ? Zero : !Zero;
-    Prof.Instrs[CurIdx].Taken += Taken;
-    if (Taken)
-      jumpTo(D);
-    else
-      fallThrough(D);
-    return;
-  }
-  case OpKind::Bl:
-    reg(LR) = D.NextAddr;
-    jumpTo(D);
-    return;
-  case OpKind::Blx: {
-    uint32_t Target = reg(I.Regs[0]);
-    reg(LR) = D.NextAddr;
-    branchTo(Target);
-    return;
-  }
-  case OpKind::Bx:
-    branchTo(reg(I.Regs[0]));
-    return;
-  case OpKind::It:
-  case OpKind::Nop:
-    fallThrough(D);
-    return;
-  case OpKind::Wfi:
-    ++Prof.SleepEvents;
-    fallThrough(D);
-    return;
-  case OpKind::Bkpt:
-    halt();
-    return;
+  uint8_t *RamBytes = Ram.data();
+  const uint8_t *FlashBytes = Img.FlashBytes.data();
+  const uint32_t RamBase = Img.Map.RamBase, RamSize = Img.Map.RamSize;
+  const uint32_t FlashBase = Img.Map.FlashBase, FlashSize = Img.Map.FlashSize;
+  const uint32_t RodataBegin = Img.RodataBegin, RodataEnd = Img.RodataEnd;
+  const uint32_t RamCodeBegin = Img.RamCodeBegin, RamEnd = Img.RamEnd;
 
-  // --- memory -------------------------------------------------------------
-  case OpKind::LdrImm:
-  case OpKind::LdrReg:
-  case OpKind::StrImm:
-  case OpKind::StrReg:
-  case OpKind::LdrbImm:
-  case OpKind::LdrbReg:
-  case OpKind::StrbImm:
-  case OpKind::StrbReg:
-  case OpKind::LdrhImm:
-  case OpKind::StrhImm:
-  case OpKind::LdrLit:
-  case OpKind::Push:
-  case OpKind::Pop:
-    executeMem(D);
-    return;
+  // The helpers are lambdas over these locals. A helper captures the
+  // helpers it calls by value: a closure holding another closure's address
+  // would pin the locals they capture to memory.
 
-  default:
-    executeAlu(D);
-    return;
-  }
-}
-
-void Simulator::executeMem(const DecodedInstr &D) {
-  const Instr &I = D.P->I;
-  uint32_t Rt = reg(I.Regs[0]);
-  uint32_t Base = reg(I.Regs[1]);
-
-  auto effectiveAddr = [&](bool RegForm) {
-    return RegForm ? Base + reg(I.Regs[2])
-                   : Base + static_cast<uint32_t>(I.Imm);
+  // Ends the loop after the current instruction.
+  auto stop = [&] { Limit = Steps; };
+  // Host bytes of [Addr, Addr + Bytes) in RAM, or null.
+  auto ramAt = [&](uint32_t Addr,
+                   uint32_t Bytes) RAMLOC_INLINE -> uint8_t * {
+    if (Addr - RamBase > RamSize - Bytes)
+      return nullptr;
+    if (Addr + Bytes > RamEnd && Addr < RamLow)
+      RamLow = Addr;
+    return RamBytes + (Addr - RamBase);
+  };
+  auto load = [&, ramAt, stop](uint32_t Addr,
+                               uint32_t Bytes) RAMLOC_INLINE -> uint32_t {
+    const uint8_t *P = ramAt(Addr, Bytes);
+    if (!P) {
+      if (Addr - FlashBase > FlashSize - Bytes) {
+        accessFault(/*Write=*/false, Addr, Cur);
+        stop();
+        return 0;
+      }
+      P = FlashBytes + (Addr - FlashBase);
+    }
+    uint32_t V = 0;
+    for (uint32_t B = 0; B != Bytes; ++B)
+      V |= static_cast<uint32_t>(P[B]) << (8 * B);
+    return V;
+  };
+  auto store = [&, ramAt, stop](uint32_t Addr, uint32_t Bytes,
+                                uint32_t V) RAMLOC_INLINE {
+    uint8_t *P = ramAt(Addr, Bytes);
+    if (!P) {
+      accessFault(/*Write=*/true, Addr, Cur);
+      stop();
+      return;
+    }
+    for (uint32_t B = 0; B != Bytes; ++B)
+      P[B] = static_cast<uint8_t>(V >> (8 * B));
+  };
+  // A non-literal load: counts its data memory and whether it read code
+  // or pool bytes, which move with the placement (.rodata and RAM data
+  // do not). Unmapped addresses count as flash; the read itself faults.
+  auto dataLoad = [&, load](uint32_t Addr,
+                            uint32_t Bytes) RAMLOC_INLINE -> uint32_t {
+    MemKind Data = MemKind::Flash;
+    if (Addr - FlashBase < FlashSize) {
+      ReadsCode |= Addr < RodataBegin || Addr + Bytes > RodataEnd;
+    } else {
+      ReadsCode |= Addr + Bytes > RamCodeBegin && Addr < RamEnd;
+      if (Addr - RamBase < RamSize)
+        Data = MemKind::Ram;
+    }
+    ++Counts[Cur].LoadData[static_cast<unsigned>(Data)];
+    return load(Addr, Bytes);
+  };
+  // A computed transfer (or a direct one whose target is no instruction).
+  auto branchTo = [&, stop](uint32_t Addr) RAMLOC_INLINE {
+    Addr &= ~1u; // ignore the Thumb bit
+    if (Addr == ExitAddress) {
+      halt();
+      stop();
+      return;
+    }
+    Pc = decodedIndexAt(Img, Addr);
+    if (Pc == NoInstrIdx)
+      PcAddr = Addr;
   };
 
-  switch (D.Kind) {
-  case OpKind::LdrImm:
-  case OpKind::LdrReg: {
-    uint32_t EA = effectiveAddr(D.Kind == OpKind::LdrReg);
-    countDataLoad(EA, 4);
-    reg(I.Regs[0]) = read32(EA);
-    break;
-  }
-  case OpKind::LdrbImm:
-  case OpKind::LdrbReg: {
-    uint32_t EA = effectiveAddr(D.Kind == OpKind::LdrbReg);
-    countDataLoad(EA, 1);
-    reg(I.Regs[0]) = read8(EA);
-    break;
-  }
-  case OpKind::LdrhImm: {
-    uint32_t EA = effectiveAddr(false);
-    countDataLoad(EA, 2);
-    reg(I.Regs[0]) = read16(EA);
-    break;
-  }
-  case OpKind::StrImm:
-  case OpKind::StrReg: {
-    uint32_t EA = effectiveAddr(D.Kind == OpKind::StrReg);
-    write32(EA, Rt);
-    break;
-  }
-  case OpKind::StrbImm:
-  case OpKind::StrbReg: {
-    uint32_t EA = effectiveAddr(D.Kind == OpKind::StrbReg);
-    write8(EA, static_cast<uint8_t>(Rt));
-    break;
-  }
-  case OpKind::StrhImm: {
-    uint32_t EA = effectiveAddr(false);
-    write16(EA, static_cast<uint16_t>(Rt));
-    break;
-  }
-  case OpKind::LdrLit: {
-    // The pool slot was resolved by the linker; its memory determines the
-    // data-side power (RAM code with flash pools is the expensive Figure 1
-    // case; our pools co-locate with the code, so RAM code pools are RAM).
-    uint32_t Value = read32(D.TargetAddr);
-    countLoad(static_cast<unsigned>(Img.Map.inRam(D.TargetAddr)
-                                        ? MemKind::Ram
-                                        : MemKind::Flash));
-    if (I.Regs[0] == PC) {
-      branchTo(Value);
-      return;
+  while (Steps < Limit) {
+    if (Pc == NoInstrIdx) {
+      fault(formatString("fetch fault at 0x%08x", PcAddr));
+      break;
     }
-    reg(I.Regs[0]) = Value;
-    break;
-  }
-  case OpKind::Push: {
-    uint32_t Mask = static_cast<uint32_t>(I.Imm);
-    unsigned Count = regMaskCount(Mask);
-    uint32_t Addr = reg(SP) - 4 * Count;
-    reg(SP) = Addr;
-    for (unsigned R = 0; R < 16; ++R) {
-      if (!(Mask & (1u << R)))
-        continue;
-      write32(Addr, State.R[R]);
-      Addr += 4;
+    Cur = Pc;
+    const DecodedInstr &D = Decoded[Cur];
+    InstrCounts &C = Counts[Cur];
+    ++Steps;
+
+    auto fallThrough = [&] {
+      Pc = D.NextIdx;
+      if (Pc == NoInstrIdx)
+        PcAddr = D.NextAddr;
+    };
+    // A predicated non-branch instruction whose condition fails has no
+    // architectural effect; it counts as a skip.
+    if (D.CheckCond && !passes(D.CondCode, NZCV)) {
+      ++C.Skipped;
+      fallThrough();
+      continue;
     }
-    break;
-  }
-  case OpKind::Pop: {
-    uint32_t Mask = static_cast<uint32_t>(I.Imm);
-    countLoad(static_cast<unsigned>(MemKind::Ram));
-    uint32_t Addr = reg(SP);
-    uint32_t NewPC = 0;
-    bool HasPC = false;
-    for (unsigned R = 0; R < 16; ++R) {
-      if (!(Mask & (1u << R)))
+    ++C.Exec;
+
+    // A direct transfer to D's target; a conditional one counts as taken.
+    auto jump = [&, branchTo] {
+      if (D.TargetIdx == NoInstrIdx)
+        branchTo(D.TargetAddr);
+      else
+        Pc = D.TargetIdx;
+    };
+    auto taken = [&](bool Taken) {
+      C.Taken += Taken;
+      return Taken;
+    };
+    // Data processing writes its result to the first operand; an "s"
+    // form also sets NZ from it (logic keeps C and V, arith sets them).
+    auto logic = [&](uint32_t Result) {
+      R[D.Regs[0]] = Result;
+      if (D.SetsFlags)
+        NZCV = flagsNZ(Result) | (NZCV & (FlagC | FlagV));
+    };
+    auto arith = [&](AddResult A, bool Write = true) {
+      if (Write)
+        R[D.Regs[0]] = A.Value;
+      if (D.SetsFlags)
+        NZCV = A.NZCV;
+    };
+
+    // Cases that transfer control `continue`; the others fall through.
+    const uint32_t Rn = R[D.Regs[1]], Rm = R[D.Regs[2]];
+    const uint32_t Imm = static_cast<uint32_t>(D.Imm);
+    const unsigned Carry = (NZCV & FlagC) ? 1 : 0;
+    switch (D.Kind) {
+    // --- data processing ------------------------------------------------
+    case OpKind::MovImm:
+      logic(Imm);
+      break;
+    case OpKind::MovReg:
+      logic(Rn); // Regs[1] = rm for mov
+      break;
+    case OpKind::Mvn:
+      logic(~Rn);
+      break;
+    case OpKind::AddImm:
+      arith(addWithCarry(Rn, Imm, 0));
+      break;
+    case OpKind::AddReg:
+      arith(addWithCarry(Rn, Rm, 0));
+      break;
+    case OpKind::SubImm:
+      arith(addWithCarry(Rn, ~Imm, 1));
+      break;
+    case OpKind::SubReg:
+      arith(addWithCarry(Rn, ~Rm, 1));
+      break;
+    case OpKind::Rsb:
+      arith(addWithCarry(~Rn, Imm, 1));
+      break;
+    case OpKind::Adc:
+      arith(addWithCarry(Rn, Rm, Carry));
+      break;
+    case OpKind::Sbc:
+      arith(addWithCarry(Rn, ~Rm, Carry));
+      break;
+    case OpKind::Mul:
+      logic(Rn * Rm);
+      break;
+    case OpKind::Mla:
+      logic(Rn * Rm + R[D.Regs[3]]);
+      break;
+    case OpKind::Udiv:
+      logic(Rm == 0 ? 0 : Rn / Rm);
+      break;
+    case OpKind::Sdiv: {
+      int32_t N = static_cast<int32_t>(Rn), Dv = static_cast<int32_t>(Rm);
+      if (Dv == 0)
+        logic(0);
+      else if (N == INT32_MIN && Dv == -1)
+        logic(static_cast<uint32_t>(INT32_MIN));
+      else
+        logic(static_cast<uint32_t>(N / Dv));
+      break;
+    }
+    case OpKind::AndReg:
+      logic(Rn & Rm);
+      break;
+    case OpKind::OrrReg:
+      logic(Rn | Rm);
+      break;
+    case OpKind::EorReg:
+      logic(Rn ^ Rm);
+      break;
+    case OpKind::BicReg:
+      logic(Rn & ~Rm);
+      break;
+    case OpKind::AndImm:
+      logic(Rn & Imm);
+      break;
+    case OpKind::OrrImm:
+      logic(Rn | Imm);
+      break;
+    case OpKind::EorImm:
+      logic(Rn ^ Imm);
+      break;
+    case OpKind::BicImm:
+      logic(Rn & ~Imm);
+      break;
+    case OpKind::LslImm:
+      logic(Imm == 0 ? Rn : Rn << (Imm & 31));
+      break;
+    case OpKind::LsrImm:
+      logic(Imm >= 32 ? 0 : Rn >> Imm);
+      break;
+    case OpKind::AsrImm:
+      logic(asr(Rn, Imm));
+      break;
+    case OpKind::LslReg:
+      logic((Rm & 0xFF) >= 32 ? 0 : Rn << (Rm & 0xFF));
+      break;
+    case OpKind::LsrReg:
+      logic((Rm & 0xFF) >= 32 ? 0 : Rn >> (Rm & 0xFF));
+      break;
+    case OpKind::AsrReg:
+      logic(asr(Rn, Rm & 0xFF));
+      break;
+    case OpKind::RorReg:
+      logic(std::rotr(Rn, static_cast<int>(Rm & 31)));
+      break;
+    case OpKind::CmpImm:
+      arith(addWithCarry(R[D.Regs[0]], ~Imm, 1), /*Write=*/false);
+      break;
+    case OpKind::CmpReg:
+      arith(addWithCarry(R[D.Regs[0]], ~Rn, 1), /*Write=*/false);
+      break;
+    case OpKind::Tst:
+      if (D.SetsFlags)
+        NZCV = flagsNZ(R[D.Regs[0]] & Rn) | (NZCV & (FlagC | FlagV));
+      break;
+    case OpKind::Uxtb:
+      logic(Rn & 0xFF);
+      break;
+    case OpKind::Uxth:
+      logic(Rn & 0xFFFF);
+      break;
+    case OpKind::Sxtb:
+      logic(static_cast<uint32_t>(static_cast<int8_t>(Rn & 0xFF)));
+      break;
+    case OpKind::Sxth:
+      logic(static_cast<uint32_t>(static_cast<int16_t>(Rn & 0xFFFF)));
+      break;
+
+    // --- memory ---------------------------------------------------------
+    case OpKind::LdrImm:
+      R[D.Regs[0]] = dataLoad(Rn + Imm, 4);
+      break;
+    case OpKind::LdrReg:
+      R[D.Regs[0]] = dataLoad(Rn + Rm, 4);
+      break;
+    case OpKind::LdrbImm:
+      R[D.Regs[0]] = dataLoad(Rn + Imm, 1);
+      break;
+    case OpKind::LdrbReg:
+      R[D.Regs[0]] = dataLoad(Rn + Rm, 1);
+      break;
+    case OpKind::LdrhImm:
+      R[D.Regs[0]] = dataLoad(Rn + Imm, 2);
+      break;
+    case OpKind::StrImm:
+      store(Rn + Imm, 4, R[D.Regs[0]]);
+      break;
+    case OpKind::StrReg:
+      store(Rn + Rm, 4, R[D.Regs[0]]);
+      break;
+    case OpKind::StrbImm:
+      store(Rn + Imm, 1, R[D.Regs[0]]);
+      break;
+    case OpKind::StrbReg:
+      store(Rn + Rm, 1, R[D.Regs[0]]);
+      break;
+    case OpKind::StrhImm:
+      store(Rn + Imm, 2, R[D.Regs[0]]);
+      break;
+    case OpKind::LdrLit: {
+      // The pool slot was resolved by the linker; its memory determines
+      // the data-side power (RAM code with flash pools is the expensive
+      // Figure 1 case; our pools co-locate with the code, so RAM code
+      // pools are RAM).
+      uint32_t Value = load(D.TargetAddr, 4);
+      MemKind Pool = D.TargetAddr - RamBase < RamSize ? MemKind::Ram
+                                                       : MemKind::Flash;
+      ++C.LoadData[static_cast<unsigned>(Pool)];
+      if (D.Regs[0] == PC) {
+        branchTo(Value);
         continue;
-      uint32_t V = read32(Addr);
-      Addr += 4;
-      if (R == PC) {
-        NewPC = V;
-        HasPC = true;
-      } else {
-        State.R[R] = V;
       }
+      R[D.Regs[0]] = Value;
+      break;
     }
-    reg(SP) = Addr;
-    if (HasPC) {
-      branchTo(NewPC);
-      return;
+    case OpKind::Push: {
+      uint32_t Mask = Imm & 0xFFFF; // r0-r15
+      uint32_t Addr = R[SP] - 4 * std::popcount(Mask);
+      R[SP] = Addr;
+      for (; Mask; Mask &= Mask - 1, Addr += 4)
+        store(Addr, 4, R[std::countr_zero(Mask)]);
+      break;
     }
-    break;
-  }
-  default:
-    assert(false && "not a memory opcode");
-  }
-  fallThrough(D);
-}
-
-void Simulator::executeAlu(const DecodedInstr &D) {
-  const Instr &I = D.P->I;
-
-  uint32_t Rn = reg(I.Regs[1]);
-  uint32_t RmV = reg(I.Regs[2]);
-  uint32_t ImmU = static_cast<uint32_t>(I.Imm);
-  uint32_t Result = 0;
-  bool WroteResult = true;
-  bool UpdateCV = false;
-  bool NewC = State.F.C, NewV = State.F.V;
-
-  switch (D.Kind) {
-  case OpKind::MovImm:
-    Result = ImmU;
-    break;
-  case OpKind::MovReg:
-    Result = Rn; // Regs[1] = rm for mov
-    break;
-  case OpKind::Mvn:
-    Result = ~Rn;
-    break;
-  case OpKind::AddImm: {
-    AddResult A = addWithCarry(Rn, ImmU, false);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    break;
-  }
-  case OpKind::AddReg: {
-    AddResult A = addWithCarry(Rn, RmV, false);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    break;
-  }
-  case OpKind::SubImm: {
-    AddResult A = addWithCarry(Rn, ~ImmU, true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    break;
-  }
-  case OpKind::SubReg: {
-    AddResult A = addWithCarry(Rn, ~RmV, true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    break;
-  }
-  case OpKind::Rsb: {
-    AddResult A = addWithCarry(~Rn, ImmU, true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    break;
-  }
-  case OpKind::Adc: {
-    AddResult A = addWithCarry(Rn, RmV, State.F.C);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    break;
-  }
-  case OpKind::Sbc: {
-    AddResult A = addWithCarry(Rn, ~RmV, State.F.C);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    break;
-  }
-  case OpKind::Mul:
-    Result = Rn * RmV;
-    break;
-  case OpKind::Mla:
-    Result = Rn * RmV + reg(I.Regs[3]);
-    break;
-  case OpKind::Udiv:
-    Result = RmV == 0 ? 0 : Rn / RmV;
-    break;
-  case OpKind::Sdiv: {
-    int32_t N = static_cast<int32_t>(Rn);
-    int32_t Dv = static_cast<int32_t>(RmV);
-    if (Dv == 0)
-      Result = 0;
-    else if (N == INT32_MIN && Dv == -1)
-      Result = static_cast<uint32_t>(INT32_MIN);
-    else
-      Result = static_cast<uint32_t>(N / Dv);
-    break;
-  }
-  case OpKind::AndReg:
-    Result = Rn & RmV;
-    break;
-  case OpKind::OrrReg:
-    Result = Rn | RmV;
-    break;
-  case OpKind::EorReg:
-    Result = Rn ^ RmV;
-    break;
-  case OpKind::BicReg:
-    Result = Rn & ~RmV;
-    break;
-  case OpKind::AndImm:
-    Result = Rn & ImmU;
-    break;
-  case OpKind::OrrImm:
-    Result = Rn | ImmU;
-    break;
-  case OpKind::EorImm:
-    Result = Rn ^ ImmU;
-    break;
-  case OpKind::BicImm:
-    Result = Rn & ~ImmU;
-    break;
-  case OpKind::LslImm:
-    Result = ImmU == 0 ? Rn : Rn << (ImmU & 31);
-    break;
-  case OpKind::LsrImm:
-    Result = ImmU >= 32 ? 0 : Rn >> ImmU;
-    break;
-  case OpKind::AsrImm:
-    Result = ImmU >= 32
-                 ? (static_cast<int32_t>(Rn) < 0 ? 0xFFFFFFFFu : 0)
-                 : static_cast<uint32_t>(static_cast<int32_t>(Rn) >>
-                                         ImmU);
-    break;
-  case OpKind::LslReg: {
-    uint32_t Amt = RmV & 0xFF;
-    Result = Amt >= 32 ? 0 : Rn << Amt;
-    break;
-  }
-  case OpKind::LsrReg: {
-    uint32_t Amt = RmV & 0xFF;
-    Result = Amt >= 32 ? 0 : Rn >> Amt;
-    break;
-  }
-  case OpKind::AsrReg: {
-    uint32_t Amt = RmV & 0xFF;
-    if (Amt >= 32)
-      Result = static_cast<int32_t>(Rn) < 0 ? 0xFFFFFFFFu : 0;
-    else
-      Result = static_cast<uint32_t>(static_cast<int32_t>(Rn) >> Amt);
-    break;
-  }
-  case OpKind::RorReg: {
-    uint32_t Amt = RmV & 31;
-    Result = Amt == 0 ? Rn : (Rn >> Amt) | (Rn << (32 - Amt));
-    break;
-  }
-  case OpKind::CmpImm: {
-    AddResult A = addWithCarry(reg(I.Regs[0]), ~ImmU, true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    WroteResult = false;
-    break;
-  }
-  case OpKind::CmpReg: {
-    AddResult A = addWithCarry(reg(I.Regs[0]), ~reg(I.Regs[1]), true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
-    WroteResult = false;
-    break;
-  }
-  case OpKind::Tst:
-    Result = reg(I.Regs[0]) & reg(I.Regs[1]);
-    WroteResult = false;
-    break;
-  case OpKind::Uxtb:
-    Result = Rn & 0xFF;
-    break;
-  case OpKind::Uxth:
-    Result = Rn & 0xFFFF;
-    break;
-  case OpKind::Sxtb:
-    Result = static_cast<uint32_t>(
-        static_cast<int32_t>(static_cast<int8_t>(Rn & 0xFF)));
-    break;
-  case OpKind::Sxth:
-    Result = static_cast<uint32_t>(
-        static_cast<int32_t>(static_cast<int16_t>(Rn & 0xFFFF)));
-    break;
-  default:
-    assert(false && "not an ALU opcode");
-  }
-
-  if (WroteResult)
-    reg(I.Regs[0]) = Result;
-  if (I.SetsFlags) {
-    State.F.N = (Result >> 31) != 0;
-    State.F.Z = Result == 0;
-    if (UpdateCV) {
-      State.F.C = NewC;
-      State.F.V = NewV;
+    case OpKind::Pop: {
+      ++C.LoadData[static_cast<unsigned>(MemKind::Ram)];
+      uint32_t Addr = R[SP], NewPC = 0;
+      for (uint32_t Mask = Imm & 0xFFFF; Mask; Mask &= Mask - 1, Addr += 4) {
+        unsigned Reg = std::countr_zero(Mask);
+        uint32_t V = load(Addr, 4);
+        if (Reg == PC)
+          NewPC = V;
+        else
+          R[Reg] = V;
+      }
+      R[SP] = Addr;
+      if (Imm & (1u << PC)) {
+        branchTo(NewPC);
+        continue;
+      }
+      break;
     }
+
+    // --- control flow ---------------------------------------------------
+    case OpKind::B:
+      jump();
+      continue;
+    case OpKind::BCond:
+      if (!taken(passes(D.CondCode, NZCV)))
+        break;
+      jump();
+      continue;
+    case OpKind::Cbz:
+      if (!taken(R[D.Regs[0]] == 0))
+        break;
+      jump();
+      continue;
+    case OpKind::Cbnz:
+      if (!taken(R[D.Regs[0]] != 0))
+        break;
+      jump();
+      continue;
+    case OpKind::Bl:
+      R[LR] = D.NextAddr;
+      jump();
+      continue;
+    case OpKind::Blx: {
+      uint32_t Target = R[D.Regs[0]];
+      R[LR] = D.NextAddr;
+      branchTo(Target);
+      continue;
+    }
+    case OpKind::Bx:
+      branchTo(R[D.Regs[0]]);
+      continue;
+    case OpKind::Wfi:
+      ++Prof.SleepEvents;
+      break;
+    case OpKind::It:
+    case OpKind::Nop:
+      break;
+    case OpKind::Bkpt:
+      halt();
+      stop();
+      continue;
+    }
+    fallThrough();
   }
-  fallThrough(D);
+
+  Prof.Instructions = Steps;
+  Prof.RamLow = RamLow;
+  Prof.ReadsCode = ReadsCode;
+  State.F = unpackFlags(NZCV);
+  PcIdx = Pc;
+  CurIdx = Cur;
 }

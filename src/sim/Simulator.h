@@ -8,21 +8,29 @@
 /// \file
 /// A functional interpreter for linked images, standing in for the
 /// paper's power-instrumented STM32VLDISCOVERY board. It only counts: per
-/// block and per static instruction it records what executed (condition
-/// skips, taken branches, load data memories) into an ExecutionProfile.
-/// It knows nothing about cycles; every RunStats comes from pricing that
-/// profile under a TimingModel (runImage, recostProfile in
-/// sim/ExecutionProfile.h), so a run and a recost share one timing path.
+/// static instruction it records what executed (condition skips, taken
+/// branches, load data memories) into an ExecutionProfile. It knows
+/// nothing about cycles; every RunStats comes from pricing that profile
+/// under a TimingModel (runImage, recostProfile in sim/ExecutionProfile.h),
+/// so a run and a recost share one timing path.
 ///
-/// The hot loop dispatches over a predecoded image (sim/Predecode.h): the
-/// operand and successor lookups are resolved once per image instead of
-/// once per step.
+/// Execution is one dispatch loop (Simulator::exec) the compiler sees
+/// whole: one switch over the predecoded opcode (sim/Predecode.h) per
+/// step, with the register file, the step count, the packed NZCV flags,
+/// the memory-map bounds and the profile's counters held in locals and
+/// written back when the loop exits. run() and step() are that loop with
+/// different step limits, so stepping an image and running it agree on
+/// every count. A block's execution count is its head instruction's
+/// Exec + Skipped, so the loop keeps no block counter: the counts are
+/// copied into ExecutionProfile::BlockCounts when a call returns.
 ///
 /// Architectural conventions:
 ///  - Registers r0-r12, sp (full-descending), lr, pc; NZCV flags.
 ///  - The run starts at the image entry with lr = ExitAddress; returning
 ///    to ExitAddress or executing bkpt halts the run.
 ///  - r0 at halt is reported as the exit code (workload checksum).
+///  - A faulting access records the first fault and the instruction
+///    completes (a faulting load reads 0); the run stops after it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +54,11 @@ inline constexpr uint32_t ExitAddress = 0xFFFFFFF0;
 struct MachineState {
   uint32_t R[16] = {};
   Flags F;
+
+  bool operator==(const MachineState &O) const = default;
 };
 
-/// Single-stepping functional executor.
+/// Functional executor over one image.
 class Simulator {
 public:
   /// Binds \p Prof as the run's profile: it is (re)initialized to the
@@ -75,43 +85,30 @@ public:
   uint32_t lastIndex() const { return CurIdx; }
 
 private:
-  uint32_t read32(uint32_t Addr);
-  uint16_t read16(uint32_t Addr);
-  uint8_t read8(uint32_t Addr);
-  void write32(uint32_t Addr, uint32_t Value);
-  void write16(uint32_t Addr, uint16_t Value);
-  void write8(uint32_t Addr, uint8_t Value);
-  bool checkAddr(uint32_t Addr, uint32_t Bytes, bool Write);
+  /// The dispatch loop: executes until halt, fault, or Prof.Instructions
+  /// reaches \p Limit.
+  void exec(uint64_t Limit);
+  /// Copies the execution count of the block headed by instruction
+  /// \p Idx, if any, into Prof.BlockCounts.
+  void syncBlockCount(uint32_t Idx);
 
   void fault(const std::string &Msg);
+  /// A read or write of \p Addr by instruction \p Idx hit no mapped
+  /// memory that allows it.
+  void accessFault(bool Write, uint32_t Addr, uint32_t Idx);
   void halt();
-  /// Counts a load of data memory \p DataMem by the current instruction.
-  void countLoad(unsigned DataMem);
-  /// Counts a non-literal load of \p Bytes at \p Addr, noting a read of
-  /// code or pool bytes (ExecutionProfile::ReadsCode).
-  void countDataLoad(uint32_t Addr, uint32_t Bytes);
-  void execute(const DecodedInstr &D);
-  void executeAlu(const DecodedInstr &D);
-  void executeMem(const DecodedInstr &D);
-  /// A computed transfer: resolves \p Addr to an instruction (or halts on
-  /// ExitAddress).
-  void branchTo(uint32_t Addr);
-  /// A direct transfer to D's pre-resolved target.
-  void jumpTo(const DecodedInstr &D);
-  void fallThrough(const DecodedInstr &D);
-
-  uint32_t &reg(Reg R) { return State.R[R]; }
 
   const Image &Img;
   ExecutionProfile &Prof;
   uint64_t MaxSteps;
   MachineState State;
-  /// Pre-resolved handlers/operands, parallel to Img.Instrs.
+  /// Pre-resolved operands and successors, parallel to Img.Instrs.
   DecodedImage Dec;
-  uint32_t PcAddr = 0;
-  /// Index of the instruction at PcAddr, or NoInstrIdx (a fetch fault).
+  /// Index of the next instruction to execute, or NoInstrIdx (a fetch
+  /// fault at PcAddr, which is set only then).
   uint32_t PcIdx = NoInstrIdx;
-  /// Index of the instruction being executed (into Img.Instrs / Dec).
+  uint32_t PcAddr = 0;
+  /// Index of the instruction the last step fetched.
   uint32_t CurIdx = 0;
   bool Halted = false;
   std::string Error;

@@ -5,8 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "beebs/Beebs.h"
 #include "layout/Linker.h"
 #include "sim/ExecutionProfile.h"
+#include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
 
@@ -18,10 +20,8 @@ using namespace ramloc::build;
 namespace {
 
 /// Wraps a single block of instructions (ending in bkpt) into a runnable
-/// image and executes it; returns the final stats. r0..r2 preloadable.
-RunStats runSnippet(std::vector<Instr> Body, uint32_t R0V = 0,
-                    uint32_t R1V = 0, uint32_t R2V = 0,
-                    Module *Extra = nullptr) {
+/// image.
+Image linkSnippet(std::vector<Instr> Body, Module *Extra = nullptr) {
   Module M = Extra ? *Extra : Module();
   M.EntryFunction = "t";
   Function F("t");
@@ -33,9 +33,17 @@ RunStats runSnippet(std::vector<Instr> Body, uint32_t R0V = 0,
   M.Functions.insert(M.Functions.begin(), F);
   LinkResult LR = linkModule(M);
   EXPECT_TRUE(LR.ok()) << (LR.Errors.empty() ? "" : LR.Errors.front());
+  return LR.Img;
+}
+
+/// Links and executes a snippet; returns the final stats. r0..r2
+/// preloadable.
+RunStats runSnippet(std::vector<Instr> Body, uint32_t R0V = 0,
+                    uint32_t R1V = 0, uint32_t R2V = 0,
+                    Module *Extra = nullptr) {
   SimOptions SO;
   SO.IncludeStartupCopy = false;
-  return runImage(LR.Img, SO, R0V, R1V, R2V);
+  return runImage(linkSnippet(std::move(Body), Extra), SO, R0V, R1V, R2V);
 }
 
 uint32_t exitOf(std::vector<Instr> Body, uint32_t R0V = 0,
@@ -289,19 +297,107 @@ TEST(Sim, LongJumpViaLdrPc) {
   EXPECT_EQ(S.BlockCounts[0][1], 0u); // skipped never executes
 }
 
+/// The address of the first instruction of kind \p K in \p Img.
+uint32_t addrOfFirst(const Image &Img, OpKind K) {
+  for (const PlacedInstr &P : Img.Instrs)
+    if (P.I.Kind == K)
+      return P.Addr;
+  ADD_FAILURE() << "no " << opMnemonic(K) << " in the image";
+  return 0;
+}
+
+std::string accessFaultText(const char *What, uint32_t Addr, uint32_t Pc) {
+  char Text[64];
+  std::snprintf(Text, sizeof(Text), "%s fault at 0x%08x (pc=0x%08x)", What,
+                Addr, Pc);
+  return Text;
+}
+
 TEST(Sim, Faults) {
-  // Write to flash.
+  // Each message names the faulting address and the faulting
+  // instruction's own address. First, a write to flash.
   Module Extra;
   Extra.addRodataWords("tab", {1});
-  RunStats S = runSnippet({ldrLitSym(R1, "tab"), strImm(R0, R1, 0)}, 0, 0,
-                          0, &Extra);
+  Image Img = linkSnippet({ldrLitSym(R1, "tab"), strImm(R0, R1, 0)}, &Extra);
+  RunStats S = runImage(Img);
   EXPECT_FALSE(S.ok());
-  EXPECT_NE(S.Error.find("write fault"), std::string::npos);
+  EXPECT_EQ(S.Error, accessFaultText("write", Img.SymbolAddr.at("tab"),
+                                     addrOfFirst(Img, OpKind::StrImm)));
 
   // Read unmapped memory.
-  S = runSnippet({ldrLitConst(R1, 0x40000000), ldrImm(R0, R1, 0)});
+  Img = linkSnippet({ldrLitConst(R1, 0x40000000), ldrImm(R0, R1, 0)});
+  S = runImage(Img);
   EXPECT_FALSE(S.ok());
-  EXPECT_NE(S.Error.find("read fault"), std::string::npos);
+  EXPECT_EQ(S.Error, accessFaultText("read", 0x40000000,
+                                     addrOfFirst(Img, OpKind::LdrImm)));
+
+  // A push that runs off the top of RAM: two words land, the next two
+  // fault, and the message names the first of them.
+  Img = linkSnippet({push(0xF), movImm(R0, 1)});
+  ExecutionProfile Profile;
+  Simulator Sim(Img, Profile);
+  uint32_t Top = Img.Map.stackTop();
+  Sim.state().R[SP] = Top + 8;
+  Sim.run();
+  EXPECT_TRUE(Sim.halted());
+  EXPECT_FALSE(Profile.Valid);
+  EXPECT_EQ(Sim.error(),
+            accessFaultText("write", Top, addrOfFirst(Img, OpKind::Push)));
+  EXPECT_EQ(Sim.state().R[SP], Top - 8);
+  EXPECT_EQ(Profile.Instructions, 1u);
+}
+
+/// Runs \p Img twice, by run() and one step() at a time, from the entry
+/// state with sp at \p Sp (0: the stack top), and expects the two to agree
+/// on everything a caller can observe.
+void expectSteppingMatchesRun(const Image &Img, const std::string &Context,
+                              uint64_t MaxSteps = UINT64_MAX,
+                              uint32_t Sp = 0) {
+  ExecutionProfile Ran, Stepped;
+  Simulator Runner(Img, Ran, MaxSteps), Stepper(Img, Stepped, MaxSteps);
+  if (Sp) {
+    Runner.state().R[SP] = Sp;
+    Stepper.state().R[SP] = Sp;
+  }
+  Runner.run();
+  // Each step that returns true executed exactly one instruction.
+  for (uint64_t N = 1; Stepper.step(); ++N)
+    ASSERT_EQ(Stepped.Instructions, N) << Context;
+  EXPECT_FALSE(Stepper.step()) << Context;
+  EXPECT_EQ(Stepped, Ran) << Context;
+  EXPECT_EQ(Stepper.state(), Runner.state()) << Context;
+  EXPECT_EQ(Stepper.halted(), Runner.halted()) << Context;
+  EXPECT_EQ(Stepper.error(), Runner.error()) << Context;
+  EXPECT_EQ(Stepper.lastIndex(), Runner.lastIndex()) << Context;
+}
+
+TEST(Sim, SteppingMatchesRun) {
+  for (const BeebsInfo &Info : beebsSuite())
+    for (OptLevel Level : {OptLevel::O1, OptLevel::O2}) {
+      LinkResult LR = linkModule(buildBeebs(Info.Name, Level, 2));
+      ASSERT_TRUE(LR.ok()) << Info.Name;
+      expectSteppingMatchesRun(LR.Img, std::string(Info.Name) + " " +
+                                           optLevelName(Level));
+    }
+
+  Image ReadFault =
+      linkSnippet({ldrLitConst(R1, 0x40000000), ldrImm(R0, R1, 0)});
+  expectSteppingMatchesRun(ReadFault, "read fault");
+
+  Image Push = linkSnippet({push(0xF), movImm(R0, 1)});
+  expectSteppingMatchesRun(Push, "write fault in push", UINT64_MAX,
+                           Push.Map.stackTop() + 8);
+
+  Module M;
+  M.EntryFunction = "t";
+  Function F("t");
+  BasicBlock Spin("spin");
+  Spin.Instrs = {addImm(R0, R0, 1), b("spin")};
+  F.Blocks.push_back(Spin);
+  M.Functions.push_back(F);
+  LinkResult LR = linkModule(M);
+  ASSERT_TRUE(LR.ok());
+  expectSteppingMatchesRun(LR.Img, "capped spin loop", /*MaxSteps=*/1001);
 }
 
 TEST(Sim, FetchFaultsNameTheAddress) {
