@@ -8,6 +8,7 @@
 #include "campaign/Campaign.h"
 
 #include "beebs/Beebs.h"
+#include "mir/Verifier.h"
 #include "power/DeviceRegistry.h"
 #include "sim/ProfileCache.h"
 #include "support/FaultInjector.h"
@@ -24,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 
@@ -266,19 +268,144 @@ void fillMeasureFields(JobResult &R, const PipelineResult &PR) {
 using SolveChainMemo =
     OnceMap<uint64_t, std::shared_ptr<const std::vector<MipSolution>>>;
 
+/// Everything about one (benchmark, level, repeat) program that no
+/// device changes: the module, its baseline image and each placement's
+/// build. The paper's device enters only through power and timing
+/// coefficients, so every solve group over the program shares one.
+struct Program {
+  Module M;
+  /// "verifier: <first diagnostic>" when M does not verify.
+  std::string Error;
+  /// Placement builds by assignment; derived ones keep only the pricing
+  /// view of their image (see placementOf).
+  OnceMap<Assignment, std::shared_ptr<const PlacementBuild>> Placements;
+
+  /// The baseline image, and its execution key under profile reuse,
+  /// linked by the first caller; a model-only grid with static
+  /// frequencies links none.
+  const LinkedImage &baseline(const PipelineOptions &Opts) {
+    std::call_once(Linked, [&] {
+      Base = linkImage(M, Opts.Link, /*Keyed=*/Opts.Profiles != nullptr);
+    });
+    return Base;
+  }
+
+private:
+  std::once_flag Linked;
+  LinkedImage Base;
+};
+
+std::string programKey(const JobSpec &J) {
+  return J.Benchmark + "|" + optLevelName(J.Level) +
+         formatString("|r%u", J.Repeat);
+}
+
+std::shared_ptr<Program> buildProgram(const JobSpec &J, Counter &Built) {
+  auto P = std::make_shared<Program>();
+  P->M = buildBeebs(J.Benchmark, J.Level, J.Repeat);
+  std::vector<std::string> Diags = verifyModule(P->M);
+  if (!Diags.empty())
+    P->Error = "verifier: " + Diags.front();
+  Built.add();
+  return P;
+}
+
+/// Campaign-scoped programs under profile reuse: the first solve group
+/// over a program builds it and publishes at once, before it measures,
+/// solves or waits, so no wait cycle forms with ProfileCache or the
+/// solve-chain memo. Each program's groups are counted before any runs,
+/// and the last to finish releases it.
+class ProgramTable {
+public:
+  /// Counts one solve group over \p Key; called before any group runs.
+  void expect(const std::string &Key) { ++Pending[Key]; }
+
+  std::shared_ptr<Program> get(const std::string &Key, const JobSpec &J,
+                               Counter &Built) {
+    std::shared_ptr<Program> P;
+    Memo::Claim Owned = Map.claim(Key, P);
+    if (!P) {
+      P = buildProgram(J, Built);
+      Owned.publish(P);
+    }
+    return P;
+  }
+
+  /// One group over \p Key finished; the last one drops the program.
+  void release(const std::string &Key) {
+    if (Pending.at(Key).fetch_sub(1) == 1)
+      Map.erase(Key);
+  }
+
+  /// A solve group's hold on its program, released on every path out.
+  struct Lease {
+    Lease(ProgramTable *Table, std::string Key)
+        : Table(Table), Key(std::move(Key)) {}
+    Lease(const Lease &) = delete;
+    Lease &operator=(const Lease &) = delete;
+    ~Lease() {
+      if (Table)
+        Table->release(Key);
+    }
+
+    ProgramTable *const Table;
+    const std::string Key;
+  };
+
+private:
+  using Memo = OnceMap<std::string, std::shared_ptr<Program>>;
+  Memo Map;
+  std::unordered_map<std::string, std::atomic<unsigned>> Pending;
+};
+
+/// What recostProfile reads of \p Img: a derived placement's entry keeps
+/// only this, not the ~216 KB of memory images and instruction maps.
+std::shared_ptr<const Image> pricingView(const Image &Img) {
+  auto View = std::make_shared<Image>();
+  View->Map = Img.Map;
+  View->Instrs = Img.Instrs;
+  View->BlockAddr = Img.BlockAddr;
+  View->StartupCopyCycles = Img.StartupCopyCycles;
+  return View;
+}
+
+/// \p P's build of \p InRam: the first caller applies, verifies, links
+/// and derives under an "apply" span and publishes; every other caller
+/// reads it.
+std::shared_ptr<const PlacementBuild>
+placementOf(Program &P, const Assignment &InRam, const ExtractedModule &EM,
+            const LinkOptions &Link, MetricsRegistry &Reg) {
+  std::shared_ptr<const PlacementBuild> B;
+  auto Owned = P.Placements.claim(InRam, B);
+  if (!B) {
+    TraceSpan Span("apply", "pipeline");
+    auto Built = std::make_shared<PlacementBuild>(
+        buildPlacement(P.M, EM.MP, InRam, Link, &EM.Base));
+    Built->Optimized = Module();
+    if (Built->Derived)
+      Built->Linked.Img = pricingView(*Built->Linked.Img);
+    Reg.counter("campaign.build.placements").add();
+    B = std::move(Built);
+    Owned.publish(B);
+  }
+  return B;
+}
+
 /// Runs one solve group: jobs agreeing on everything but the
-/// Xlimit/Rspare knobs, visited loosest-first. The module is built, the
-/// baseline measured and the parameters extracted once; the surviving
-/// knob points are then solved as one chain of RHS patches, each starting
-/// from the previous point's basis, incumbent and pseudo-costs
-/// (PlacementSolver), and finally applied and labelled, with knob points
-/// whose placements coincide sharing one apply+measure call. Every
-/// per-job outcome — including every error string — is produced by the
-/// same staged functions the single-job path uses, so grouped and
-/// ungrouped runs cannot drift apart. With \p Chains, a group whose chain
-/// another group already solves copies that group's solutions instead of
-/// repeating them. \p OnDone is invoked after each job's slot in
-/// \p Results is final.
+/// Xlimit/Rspare knobs, visited loosest-first. The group takes its
+/// program from \p Programs (built once per campaign; without the table,
+/// which is how profile reuse off runs, it builds its own), measures the
+/// baseline and extracts the parameters under its device once; the
+/// surviving knob points are then solved as one chain of RHS patches,
+/// each starting from the previous point's basis, incumbent and
+/// pseudo-costs (PlacementSolver), and finally applied and labelled. Each
+/// distinct placement is built once per program and priced once per
+/// group under the group's device. Every per-job outcome — including
+/// every error string — is produced by the same staged functions the
+/// single-job path uses, so grouped and ungrouped runs cannot drift
+/// apart. With \p Chains, a group whose chain another group already
+/// solves copies that group's solutions instead of repeating them.
+/// \p OnDone is invoked after each job's slot in \p Results is final.
 void runSolveGroup(const std::vector<JobSpec> &Jobs,
                    std::vector<size_t> Indices,
                    const PipelineOptions &Base,
@@ -287,7 +414,8 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                    MetricsRegistry &Reg,
                    IncumbentStore *Incumbents = nullptr,
                    bool SeedIncumbents = true,
-                   SolveChainMemo *Chains = nullptr) {
+                   SolveChainMemo *Chains = nullptr,
+                   ProgramTable *Programs = nullptr) {
   // Loosest first (Rspare descending, then Xlimit descending; stable, so
   // equal points keep their order): a point whose looser neighbour's
   // proven optimum still fits is then settled without search. Reports do
@@ -300,6 +428,7 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
     return Jobs[A].Xlimit > Jobs[B].Xlimit;
   });
   const JobSpec &First = Jobs[Indices.front()];
+  ProgramTable::Lease Lease{Programs, programKey(First)};
   TraceSpan GroupSpan("solve-group", "campaign");
   if (GroupSpan.active()) {
     GroupSpan.arg("group", First.solveGroupKey());
@@ -337,12 +466,23 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
   Opts.Extract.Timing = Dev->Timing;
   Opts.UseProfiledFrequencies = First.Freq == FreqMode::Profiled;
 
-  Module M = buildBeebs(First.Benchmark, First.Level, First.Repeat);
-
-  // Measure jobs report the baseline; ModelOnly only simulates it when
-  // the frequency profile demands it (extractModule decides).
-  ExtractedModule EM =
-      extractModule(M, Opts, /*NeedBaseline=*/First.Kind == JobKind::Measure);
+  // Measure jobs report the baseline; ModelOnly only measures it when
+  // the frequency profile demands it.
+  bool Measured =
+      First.Kind == JobKind::Measure || Opts.UseProfiledFrequencies;
+  Counter &ProgramsBuilt = Reg.counter("campaign.build.programs");
+  std::shared_ptr<Program> P;
+  ExtractedModule EM;
+  {
+    TraceSpan Span("extract", "pipeline");
+    P = Programs ? Programs->get(Lease.Key, First, ProgramsBuilt)
+                 : buildProgram(First, ProgramsBuilt);
+    if (!P->Error.empty())
+      EM.Error = P->Error;
+    else
+      EM = extractModule(P->M, Measured ? P->baseline(Opts) : LinkedImage(),
+                         Opts, Measured);
+  }
   if (!EM.ok()) {
     failAll(EM.Error);
     return;
@@ -385,8 +525,9 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
   // config at the same knob points share one solve chain: the first group
   // to reach the key solves it, every other group waits for it and copies
   // its solutions. A group waits after extraction has published its
-  // baseline profile and before any apply, and the owner publishes before
-  // its own applies, so no wait cycle with ProfileCache can form. The
+  // baseline profile and before any placement build, the owner publishes
+  // before its own builds, and a build waits on nothing, so no wait cycle
+  // with ProfileCache or the program table can form. The
   // Claim publishes on every path out of an owner; a follower that gets
   // no chain solves its own.
   std::shared_ptr<const std::vector<MipSolution>> Chain;
@@ -411,9 +552,9 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
     Owned.publish(Chain);
   }
 
-  // Knob points whose optimal placements coincide produce bit-identical
-  // opt images; one apply+measure serves them all.
-  std::map<Assignment, JobResult> ByPlacement;
+  // Knob points whose optimal placements coincide share one build of it
+  // and, under this group's device, one price.
+  std::map<std::shared_ptr<const PlacementBuild>, JobResult> Priced;
   for (size_t K = 0; K != Live.size(); ++K) {
     const JobSpec &Spec = Jobs[Live[K]];
     const MipSolution &Sol = (*Chain)[K];
@@ -429,19 +570,25 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
 
     JobResult R;
     if (Spec.Kind == JobKind::Measure) {
-      auto It = ByPlacement.find(InRam);
-      if (It != ByPlacement.end()) {
-        R = It->second;
-      } else {
-        PipelineOptions JobOpts = Opts;
-        JobOpts.Knobs = Points[K];
-        PipelineResult PR = applyAndMeasure(M, EM, InRam, Sol, JobOpts);
+      auto B = placementOf(*P, InRam, EM, Opts.Link, Reg);
+      auto [It, New] = Priced.try_emplace(B);
+      if (New) {
+        // A derived build keeps only its pricing view; a run that needs
+        // the image itself rebuilds it, to the same bytes.
+        std::function<std::shared_ptr<const Image>()> FullImage;
+        if (B->Derived)
+          FullImage = [&] {
+            return buildPlacement(P->M, EM.MP, InRam, Opts.Link, nullptr)
+                .Linked.Img;
+          };
+        PipelineResult PR =
+            measurePlacement(EM, *B, InRam, Sol, Opts, FullImage);
         if (!PR.ok())
-          R.Error = PR.Error;
+          It->second.Error = PR.Error;
         else
-          fillMeasureFields(R, PR);
-        ByPlacement.emplace(std::move(InRam), R);
+          fillMeasureFields(It->second, PR);
       }
+      R = It->second;
     } else {
       fillModelFields(R, EM.MP, InRam);
     }
@@ -601,6 +748,16 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   SolveChainMemo Chains;
   SolveChainMemo *ChainMemo = ReuseSolves ? &Chains : nullptr;
 
+  // Under profile reuse every solve group over a program shares one
+  // build of it and of each distinct placement; a program is released
+  // when its last group finishes, so at --jobs=1 about one is resident.
+  // Without the profile layer each group builds its own.
+  ProgramTable Programs;
+  ProgramTable *ProgramMemo = Profiles ? &Programs : nullptr;
+  if (ProgramMemo)
+    for (const std::vector<size_t> &G : Groups)
+      Programs.expect(programKey(Jobs[G.front()]));
+
   // Every group is known before the first one runs, so the workers share
   // one cursor over Groups and each takes the next group until none is
   // left; a worker beyond the group count would have nothing to take.
@@ -633,7 +790,8 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
                 Opts.Progress(CR.Results[I], Done, CR.Summary.UniqueRuns);
             }
           },
-          Reg, Opts.Incumbents, Opts.SeedIncumbents, ChainMemo);
+          Reg, Opts.Incumbents, Opts.SeedIncumbents, ChainMemo,
+          ProgramMemo);
     }
     FinishedAt[Self] = std::chrono::steady_clock::now();
   };

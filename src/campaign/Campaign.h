@@ -30,6 +30,19 @@
 /// (deriveOptimizedProfile) and recost, so a Measure grid simulates only
 /// its distinct baselines.
 ///
+/// The program itself is device-independent too: the device enters only
+/// through power and timing coefficients. With profile reuse on, each
+/// (benchmark, level, repeat) program is built once per campaign —
+/// codegen, verify, baseline link and execution key — and so is each
+/// distinct placement of it (apply, verify, link, derived profile), on
+/// campaign-scoped compute-once maps; a solve group prices them under its
+/// device, once per distinct placement it chose. The first group to need
+/// a program or placement builds and publishes it before it measures,
+/// solves or waits, and a program is released when the last of its
+/// groups (counted before any runs) finishes. A derived placement keeps
+/// only the pricing view of its image, and a device whose price is over
+/// the cycle budget rebuilds the image it simulates.
+///
 /// The optimizer gets the same treatment on the knob axis: jobs that
 /// share everything but Xlimit/Rspare form a *solve group*. A group runs
 /// as one worker task that extracts parameters and builds the ILP once,
@@ -40,9 +53,7 @@
 /// solve + 8 re-optimizations (Summary.Extractions/ColdSolves/WarmSolves
 /// assert it). Loosest-first lets a point whose looser neighbour's
 /// optimum still fits take that optimum without search
-/// (Summary.Dominated). Knob points whose optimal placements coincide —
-/// they often do — additionally share one apply+measure call, keyed by
-/// the assignment itself. Solve groups
+/// (Summary.Dominated). Solve groups
 /// whose ILPs are bit-identical share one solve chain: Eqs. 1-9 see a
 /// placement only in cycles and per-memory power, so most BEEBS
 /// benchmarks pose the same ILP at O1 and O2, and a device that differs
@@ -273,8 +284,9 @@ struct CampaignOptions {
   /// Share device-independent execution profiles between jobs, so grid
   /// points differing only in device recost one simulation instead of
   /// re-executing, and derive optimized images' profiles from their
-  /// baselines' (reports stay byte-identical either way; false simulates
-  /// every run).
+  /// baselines', building each program and placement once for all
+  /// devices (reports stay byte-identical either way; false simulates
+  /// every run, and every solve group builds its own program).
   bool ReuseProfiles = true;
   /// Optional cross-campaign profile cache (e.g. CacheStore::profiles()).
   /// When null and ReuseProfiles is true the campaign uses a private one.

@@ -33,6 +33,20 @@ double PipelineResult::powerChangePct() const {
                        MeasuredOpt.Energy.AvgMilliWatts);
 }
 
+LinkedImage ramloc::linkImage(const Module &M, const LinkOptions &Link,
+                              bool Keyed) {
+  LinkedImage Out;
+  LinkResult LR = linkModule(M, Link);
+  if (!LR.ok()) {
+    Out.Error = "link failed: " + LR.Errors.front();
+    return Out;
+  }
+  Out.Img = std::make_shared<const Image>(std::move(LR.Img));
+  if (Keyed)
+    Out.Key = executionKey(*Out.Img);
+  return Out;
+}
+
 namespace {
 
 /// Adds a full simulation's retired instructions to sim.steps, so that
@@ -41,57 +55,22 @@ void countSteps(const RunStats &Stats) {
   globalMetrics().counter("sim.steps").add(Stats.Instructions);
 }
 
-} // namespace
-
-Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
-                                  const LinkOptions &Link,
-                                  const SimOptions &Sim,
-                                  ProfileCache *Profiles,
-                                  const ProfiledImage *Baseline,
-                                  ProfiledImage *Ran) {
+/// Runs \p Img (whose execution key is \p Key) as measureModule
+/// describes: simulated without a cache, else looked up by its key.
+Measurement measureImage(std::shared_ptr<const Image> Img,
+                         const std::string &Key, const PowerModel &Power,
+                         const SimOptions &Sim, ProfileCache *Profiles,
+                         ProfiledImage *Ran = nullptr) {
   Measurement Out;
-  LinkResult LR = linkModule(M, Link);
-  if (!LR.ok()) {
-    Out.Stats.Error = "link failed: " + LR.Errors.front();
-    return Out;
-  }
-
   if (!Profiles) {
     TraceSpan Span("fullsim", "sim");
-    Out.Stats = runImage(LR.Img, Sim);
+    Out.Stats = runImage(*Img, Sim);
     countSteps(Out.Stats);
     Out.Energy = Power.integrate(Out.Stats);
     return Out;
   }
 
-  if (Baseline && *Baseline) {
-    // A placement of a profiled baseline: derive its profile and price
-    // it, without simulating or even fingerprinting the image.
-    TraceSpan Span("recost", "sim");
-    ExecutionProfile Derived;
-    std::string Why;
-    if (deriveOptimizedProfile(*Baseline->Img, *Baseline->Profile, LR.Img,
-                               Derived, &Why)) {
-      RunStats RS;
-      bool Priced = recostProfile(LR.Img, Derived, Sim, RS);
-      assert(Priced && "a derived profile is shaped for its image");
-      (void)Priced;
-      if (!RS.HitCycleLimit) {
-        Span.arg("derived", "1");
-        Profiles->noteRecost(/*Derived=*/true);
-        Out.Stats = std::move(RS);
-        Out.Energy = Power.integrate(Out.Stats);
-        return Out;
-      }
-      Why = "over-budget";
-    }
-    Span.arg("fallback", Why);
-    globalMetrics().counter("sim.derive_fallback." + Why).add();
-  }
-
-  auto Img = std::make_shared<const Image>(std::move(LR.Img));
   std::shared_ptr<const ExecutionProfile> Used;
-  std::string Key = executionKey(*Img);
   bool Owner = false;
   std::shared_ptr<const ExecutionProfile> Shared =
       Profiles->acquire(Key, Owner);
@@ -138,24 +117,100 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
   return Out;
 }
 
+/// Derives the profile of B's linked image, a placement of \p Baseline,
+/// into B.Derived, or records why it is not exact in B.Fallback.
+void derivePlacement(PlacementBuild &B, const ProfiledImage &Baseline) {
+  auto Derived = std::make_shared<ExecutionProfile>();
+  if (deriveOptimizedProfile(*Baseline.Img, *Baseline.Profile,
+                             *B.Linked.Img, *Derived, &B.Fallback))
+    B.Derived = std::move(Derived);
+}
+
+/// Prices a linked placement: its derived profile recosted when it fits
+/// the budget, else measureImage on the full image (see measurePlacement).
+Measurement pricePlacement(
+    const PlacementBuild &B, const PowerModel &Power, const SimOptions &Sim,
+    ProfileCache *Profiles,
+    const std::function<std::shared_ptr<const Image>()> &FullImage) {
+  if (!B.Linked.ok()) {
+    Measurement Out;
+    Out.Stats.Error = B.Linked.Error;
+    return Out;
+  }
+  if (Profiles && (B.Derived || !B.Fallback.empty())) {
+    // A placement of a profiled baseline: price its derived profile,
+    // without simulating or even fingerprinting the image.
+    TraceSpan Span("recost", "sim");
+    std::string Why = B.Fallback;
+    if (B.Derived) {
+      RunStats RS;
+      bool Priced = recostProfile(*B.Linked.Img, *B.Derived, Sim, RS);
+      assert(Priced && "a derived profile is shaped for its image");
+      (void)Priced;
+      if (!RS.HitCycleLimit) {
+        Span.arg("derived", "1");
+        Profiles->noteRecost(/*Derived=*/true);
+        Measurement Out;
+        Out.Stats = std::move(RS);
+        Out.Energy = Power.integrate(Out.Stats);
+        return Out;
+      }
+      Why = "over-budget";
+    }
+    Span.arg("fallback", Why);
+    globalMetrics().counter("sim.derive_fallback." + Why).add();
+  }
+  std::shared_ptr<const Image> Img =
+      FullImage ? FullImage() : B.Linked.Img;
+  return measureImage(Img, Profiles ? executionKey(*Img) : std::string(),
+                      Power, Sim, Profiles);
+}
+
+} // namespace
+
+Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
+                                  const LinkOptions &Link,
+                                  const SimOptions &Sim,
+                                  ProfileCache *Profiles) {
+  LinkedImage L = linkImage(M, Link, /*Keyed=*/Profiles != nullptr);
+  if (!L.ok()) {
+    Measurement Out;
+    Out.Stats.Error = L.Error;
+    return Out;
+  }
+  return measureImage(std::move(L.Img), L.Key, Power, Sim, Profiles);
+}
+
 ExtractedModule ramloc::extractModule(const Module &M,
                                       const PipelineOptions &Opts,
                                       bool NeedBaseline) {
   TraceSpan Span("extract", "pipeline");
-  ExtractedModule EM;
-
   std::vector<std::string> Diags = verifyModule(M);
   if (!Diags.empty()) {
+    ExtractedModule EM;
     EM.Error = "verifier: " + Diags.front();
     return EM;
   }
+  LinkedImage Base;
+  if (NeedBaseline || Opts.UseProfiledFrequencies)
+    Base = linkImage(M, Opts.Link, /*Keyed=*/Opts.Profiles != nullptr);
+  return extractModule(M, Base, Opts, NeedBaseline);
+}
 
+ExtractedModule ramloc::extractModule(const Module &M,
+                                      const LinkedImage &Base,
+                                      const PipelineOptions &Opts,
+                                      bool NeedBaseline) {
+  ExtractedModule EM;
   // Measure the baseline first; it also provides the profile when
   // requested.
   ModuleFrequency Freq;
   if (NeedBaseline || Opts.UseProfiledFrequencies) {
-    EM.MeasuredBase = measureModule(M, Opts.Power, Opts.Link, Opts.Sim,
-                                    Opts.Profiles, nullptr, &EM.Base);
+    if (Base.ok())
+      EM.MeasuredBase = measureImage(Base.Img, Base.Key, Opts.Power,
+                                     Opts.Sim, Opts.Profiles, &EM.Base);
+    else
+      EM.MeasuredBase.Stats.Error = Base.Error;
     if (!EM.MeasuredBase.ok()) {
       EM.Error = "baseline run failed: " + EM.MeasuredBase.Stats.Error;
       return EM;
@@ -172,12 +227,28 @@ ExtractedModule ramloc::extractModule(const Module &M,
   return EM;
 }
 
-PipelineResult ramloc::applyAndMeasure(const Module &M,
-                                       const ExtractedModule &EM,
-                                       const Assignment &InRam,
-                                       const MipSolution &Solver,
-                                       const PipelineOptions &Opts) {
-  TraceSpan Span("apply", "pipeline");
+PlacementBuild ramloc::buildPlacement(const Module &M, const ModelParams &MP,
+                                      const Assignment &InRam,
+                                      const LinkOptions &Link,
+                                      const ProfiledImage *Baseline) {
+  PlacementBuild B;
+  B.Optimized = applyPlacement(M, MP, InRam, &B.Rewrites);
+  std::vector<std::string> Diags = verifyModule(B.Optimized);
+  if (!Diags.empty()) {
+    B.Error = "post-transform verifier: " + Diags.front();
+    return B;
+  }
+  B.Linked = linkImage(B.Optimized, Link, /*Keyed=*/false);
+  if (B.Linked.ok() && Baseline && *Baseline)
+    derivePlacement(B, *Baseline);
+  return B;
+}
+
+PipelineResult ramloc::measurePlacement(
+    const ExtractedModule &EM, const PlacementBuild &B,
+    const Assignment &InRam, const MipSolution &Solver,
+    const PipelineOptions &Opts,
+    const std::function<std::shared_ptr<const Image>()> &FullImage) {
   PipelineResult R;
   R.MeasuredBase = EM.MeasuredBase;
   R.PredictedBase = EM.PredictedBase;
@@ -185,20 +256,17 @@ PipelineResult ramloc::applyAndMeasure(const Module &M,
   R.InRam = InRam;
   R.PredictedOpt = evaluateAssignment(EM.MP, InRam);
 
-  for (unsigned B = 0, E = EM.MP.numBlocks(); B != E; ++B)
-    if (InRam[B])
-      R.MovedBlocks.push_back(EM.MP.Blocks[B].Name);
+  for (unsigned Blk = 0, E = EM.MP.numBlocks(); Blk != E; ++Blk)
+    if (InRam[Blk])
+      R.MovedBlocks.push_back(EM.MP.Blocks[Blk].Name);
 
-  R.Optimized = applyPlacement(M, EM.MP, InRam, &R.Rewrites);
-
-  std::vector<std::string> Diags = verifyModule(R.Optimized);
-  if (!Diags.empty()) {
-    R.Error = "post-transform verifier: " + Diags.front();
+  if (!B.Error.empty()) {
+    R.Error = B.Error;
     return R;
   }
 
-  R.MeasuredOpt = measureModule(R.Optimized, Opts.Power, Opts.Link,
-                                Opts.Sim, Opts.Profiles, &EM.Base);
+  R.MeasuredOpt =
+      pricePlacement(B, Opts.Power, Opts.Sim, Opts.Profiles, FullImage);
   if (!R.MeasuredOpt.ok()) {
     R.Error = "optimized run failed: " + R.MeasuredOpt.Stats.Error;
     return R;
@@ -208,6 +276,19 @@ PipelineResult ramloc::applyAndMeasure(const Module &M,
     R.Error = formatString(
         "transformation changed the program result: 0x%08x vs 0x%08x",
         R.MeasuredBase.Stats.ExitCode, R.MeasuredOpt.Stats.ExitCode);
+  return R;
+}
+
+PipelineResult ramloc::applyAndMeasure(const Module &M,
+                                       const ExtractedModule &EM,
+                                       const Assignment &InRam,
+                                       const MipSolution &Solver,
+                                       const PipelineOptions &Opts) {
+  TraceSpan Span("apply", "pipeline");
+  PlacementBuild B = buildPlacement(M, EM.MP, InRam, Opts.Link, &EM.Base);
+  PipelineResult R = measurePlacement(EM, B, InRam, Solver, Opts);
+  R.Optimized = std::move(B.Optimized);
+  R.Rewrites = B.Rewrites;
   return R;
 }
 

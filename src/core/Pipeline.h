@@ -11,16 +11,22 @@
 /// transformation, and measure both versions on the simulated SoC.
 ///
 /// The flow is exposed both as one call (optimizeModule) and as its
-/// stages — extractModule (verify + baseline + frequencies + parameter
-/// extraction, everything knob-independent), the solve stage
-/// (core/IlpModel's PlacementSolver: the ILP built once, knob points as
-/// warm-started RHS patches) and applyAndMeasure (transform + verify +
-/// measure). With a ProfileCache, extraction keeps the baseline's linked
-/// image and recorded profile, and each optimized image's profile is
-/// derived from them (deriveOptimizedProfile) and priced, not simulated. The campaign engine drives the stages directly so a knob
-/// grid pays one extraction and one cold solve per (benchmark, device)
-/// instead of one per grid point; optimizeModule is exactly the staged
-/// composition, so the two paths cannot drift apart.
+/// stages, split where the device enters. The device-free half builds:
+/// verification, the baseline link and execution key (linkImage), and
+/// per placement applyPlacement + verify + link + profile derivation
+/// (buildPlacement). The per-device half prices: the baseline's
+/// measurement and parameter extraction under the device's timing
+/// (extractModule), the solve stage (core/IlpModel's PlacementSolver: the
+/// ILP built once, knob points as warm-started RHS patches) and the
+/// optimized image's price (measurePlacement). With a ProfileCache,
+/// extraction keeps the baseline's linked image and recorded profile,
+/// each optimized image's profile is derived from them
+/// (deriveOptimizedProfile), and every device prices it rather than
+/// simulating it. The campaign engine drives the stages directly, so a
+/// grid builds each program and each distinct placement once and pays
+/// one extraction and one cold solve per (benchmark, device), not one per
+/// grid point; optimizeModule is exactly the staged composition, so the
+/// two paths cannot drift apart.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +40,7 @@
 #include "power/PowerModel.h"
 #include "sim/ExecutionProfile.h"
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,6 +66,21 @@ struct ProfiledImage {
   explicit operator bool() const { return Img && Profile; }
 };
 
+/// A linked program and its execution key: what a keyed measurement
+/// looks its profile up by. Device-free, so one serves every device.
+struct LinkedImage {
+  std::shared_ptr<const Image> Img;
+  /// executionKey(*Img); empty unless linked with \p Keyed.
+  std::string Key;
+  /// "link failed: <first error>" when the module did not link.
+  std::string Error;
+
+  bool ok() const { return Error.empty(); }
+};
+
+/// Links \p M and, when \p Keyed, computes its execution key.
+LinkedImage linkImage(const Module &M, const LinkOptions &Link, bool Keyed);
+
 /// Links and runs \p M, integrating energy with \p Power. Link or run
 /// failures are reported through Measurement::Stats.Error.
 ///
@@ -70,28 +92,10 @@ struct ProfiledImage {
 /// processes. A run over Sim.MaxCycles is priced and fails with
 /// HitCycleLimit like any other; only a key whose first run faulted or
 /// ran out of steps is simulated again.
-///
-/// With a cache and a profiled \p Baseline — the run of the module \p M
-/// is a placement of — the profile is first derived from the baseline's
-/// (deriveOptimizedProfile) and priced: a recost, counted as derived,
-/// with no execution key computed. Derivation is exact only when
-///  - every block matches its baseline block or a Figure 4 rewrite of it;
-///  - every RAM data/bss symbol keeps its address;
-///  - the baseline run touched no RAM between its static RAM end and the
-///    optimized image's (ExecutionProfile::RamLow);
-///  - no non-literal load read code or pool bytes (ReadsCode);
-///  - the priced total is within Sim.MaxCycles.
-/// Any failure counts under sim.derive_fallback.<reason> ("shape",
-/// "ram-overlap", "code-read", "no-mark", "over-budget") and takes the
-/// cache/simulation path above, unchanged. \p Ran, when given, receives
-/// the linked image and its valid profile (null when the run was
-/// simulated without one).
 Measurement measureModule(const Module &M, const PowerModel &Power,
                           const LinkOptions &Link = {},
                           const SimOptions &Sim = {},
-                          ProfileCache *Profiles = nullptr,
-                          const ProfiledImage *Baseline = nullptr,
-                          ProfiledImage *Ran = nullptr);
+                          ProfileCache *Profiles = nullptr);
 
 /// Pipeline configuration.
 struct PipelineOptions {
@@ -160,8 +164,8 @@ struct ExtractedModule {
   /// frequencies requested).
   Measurement MeasuredBase;
   /// The baseline's linked image and recorded profile, when it was
-  /// measured through a ProfileCache: applyAndMeasure derives every
-  /// optimized image's profile from them. Shared by every apply.
+  /// measured through a ProfileCache: buildPlacement derives every
+  /// optimized image's profile from them. Shared by every build.
   ProfiledImage Base;
   ModelParams MP;
   ModelEstimate PredictedBase;
@@ -170,18 +174,78 @@ struct ExtractedModule {
   bool ok() const { return Error.empty(); }
 };
 
-/// Extract stage. \p NeedBaseline requests the baseline measurement even
-/// when static frequencies make it unnecessary for extraction (Measure
-/// jobs report it; ModelOnly jobs skip it unless profiling).
+/// Extract stage: verifies \p M, links its baseline when it is measured
+/// and runs the overload below under an "extract" trace span.
+/// \p NeedBaseline requests the baseline measurement even when static
+/// frequencies make it unnecessary for extraction (Measure jobs report
+/// it; ModelOnly jobs skip it unless profiling).
 ExtractedModule extractModule(const Module &M, const PipelineOptions &Opts,
                               bool NeedBaseline = true);
 
-/// Apply-and-measure stage: applies \p InRam to \p M, re-verifies,
-/// measures the optimized module and assembles the PipelineResult
-/// (including the baseline numbers carried by \p EM). Deterministic in
-/// its arguments: two calls with the same module, extraction and
-/// assignment produce bit-identical results, which lets the campaign
-/// engine share one call across knob points whose placements coincide.
+/// Extract stage over an already verified \p M and its built baseline
+/// \p Base (linkImage with Opts.Link, keyed when Opts.Profiles is set),
+/// which is read only when the baseline is measured: the baseline's
+/// measurement under the device, block frequencies and parameter
+/// extraction. Opens no trace span of its own.
+ExtractedModule extractModule(const Module &M, const LinkedImage &Base,
+                              const PipelineOptions &Opts,
+                              bool NeedBaseline = true);
+
+/// The device-free half of the apply stage: \p InRam applied to \p M,
+/// the result verified and linked and, against a profiled \p Baseline,
+/// its profile derived (deriveOptimizedProfile). Deterministic in its
+/// arguments, and \p MP enters only through its block numbering, so one
+/// build serves every device and knob point that chose the placement.
+/// Derivation is exact only when
+///  - every block matches its baseline block or a Figure 4 rewrite of it;
+///  - every RAM data/bss symbol keeps its address;
+///  - the baseline run touched no RAM between its static RAM end and the
+///    optimized image's (ExecutionProfile::RamLow);
+///  - no non-literal load read code or pool bytes (ReadsCode);
+/// and each device's price must still fit its cycle budget
+/// (measurePlacement).
+struct PlacementBuild {
+  Module Optimized;
+  InstrumenterStats Rewrites;
+  /// "post-transform verifier: <first diagnostic>" when the placement
+  /// does not verify; nothing below is filled then.
+  std::string Error;
+  /// The linked optimized image (unkeyed), or why it did not link.
+  LinkedImage Linked;
+  /// The profile derived from the baseline's; null when it did not derive.
+  std::shared_ptr<const ExecutionProfile> Derived;
+  /// Why it did not derive ("shape", "ram-overlap", "code-read",
+  /// "no-mark"); empty when it did, or when there was no baseline profile.
+  std::string Fallback;
+};
+
+PlacementBuild buildPlacement(const Module &M, const ModelParams &MP,
+                              const Assignment &InRam,
+                              const LinkOptions &Link,
+                              const ProfiledImage *Baseline);
+
+/// The per-device half of the apply stage: prices \p B under Opts.Power
+/// and Opts.Sim and assembles the PipelineResult, including the baseline
+/// numbers carried by \p EM (Optimized and Rewrites are left empty).
+///
+/// With Opts.Profiles, a derived profile is recosted under Sim.Timing and
+/// counted as derived. A derived price over Sim.MaxCycles, or a
+/// placement that did not derive, counts under
+/// sim.derive_fallback.<reason> ("over-budget" or B.Fallback) and takes
+/// measureModule's keyed-cache path. Without a cache the image is
+/// simulated. \p FullImage, when set, rebuilds the image those paths run because
+/// B.Linked.Img holds only what recostProfile reads (Instrs, Map,
+/// BlockAddr, StartupCopyCycles); the apply + link is deterministic, so
+/// the bytes are the same.
+PipelineResult measurePlacement(
+    const ExtractedModule &EM, const PlacementBuild &B,
+    const Assignment &InRam, const MipSolution &Solver,
+    const PipelineOptions &Opts,
+    const std::function<std::shared_ptr<const Image>()> &FullImage = {});
+
+/// Apply-and-measure stage: buildPlacement against EM's baseline, then
+/// measurePlacement, under one "apply" trace span, with Optimized and
+/// Rewrites filled. Deterministic in its arguments.
 PipelineResult applyAndMeasure(const Module &M, const ExtractedModule &EM,
                                const Assignment &InRam,
                                const MipSolution &Solver,

@@ -12,8 +12,9 @@
 /// then reads the published value. Work keyed this way therefore runs
 /// once per distinct key however the scheduler interleaves its callers.
 /// sim/ProfileCache (one simulation per execution key) and the campaign
-/// engine's solve-chain memo (one branch & bound chain per distinct ILP
-/// and knob-point list) are both built on it.
+/// engine's memos (one build per program and per distinct placement of
+/// it, one branch & bound chain per distinct ILP and knob-point list) are
+/// all built on it.
 ///
 /// The owner's duty is to publish exactly once, on every path out —
 /// including early returns and exceptions — or every later acquirer
@@ -86,6 +87,14 @@ public:
     Slot = std::make_shared<Entry>();
     Slot->Value = std::move(Value);
     Slot->Done = true;
+  }
+
+  /// Drops \p Key's entry; a copy of its value a caller holds stays
+  /// valid. Only for a published key that no caller acquires again: an
+  /// owner publishing after the erase would never wake its waiters.
+  void erase(const K &Key) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Map.erase(Key);
   }
 
   /// Calls \p Fn(Key, Value) for every published entry, in map order.

@@ -1088,3 +1088,130 @@ TEST(Campaign, ContentKeyIdentifiesTheIlp) {
   Keys.insert(Unseeded.chainKey(Cfg, {Loose, Moved}));
   EXPECT_EQ(Keys.size(), 7u);
 }
+
+namespace {
+
+/// 2 programs x 3 devices x 2 Rspare x 2 Xlimit Measure grid whose knob
+/// points choose several placements, some shared across devices.
+GridSpec buildSharingGrid() {
+  GridSpec Grid;
+  Grid.Benchmarks = {"cubic", "crc32"};
+  Grid.Levels = {OptLevel::O1};
+  Grid.Devices = {"stm32f100", "stm32f100-slowcorner", "stm32f100-2ws"};
+  Grid.RsparePoints = {64, 128};
+  Grid.XlimitPoints = {1.1, 1.5};
+  Grid.Repeat = 2;
+  return Grid;
+}
+
+/// The distinct (program, placement) pairs of \p Grid, solved one knob
+/// point at a time outside the campaign.
+size_t distinctPlacements(const GridSpec &Grid) {
+  std::set<std::pair<std::string, Assignment>> Seen;
+  for (const std::string &Bench : Grid.Benchmarks)
+    for (OptLevel Level : Grid.Levels) {
+      Module M = buildBeebs(Bench, Level, Grid.Repeat);
+      for (const std::string &Device : Grid.Devices) {
+        const DeviceInfo *Dev = findDevice(Device);
+        PipelineOptions Opts;
+        Opts.Power = Dev->Model;
+        Opts.Sim.Timing = Dev->Timing;
+        Opts.Extract.Timing = Dev->Timing;
+        ExtractedModule EM = extractModule(M, Opts, /*NeedBaseline=*/false);
+        EXPECT_TRUE(EM.ok()) << EM.Error;
+        for (unsigned Rspare : Grid.RsparePoints)
+          for (double Xlimit : Grid.XlimitPoints) {
+            ModelKnobs Knobs = Opts.Knobs;
+            Knobs.RspareBytes = Rspare;
+            Knobs.Xlimit = Xlimit;
+            PlacementSolver Solver(EM.MP, Knobs);
+            Seen.emplace(Bench + optLevelName(Level),
+                         Solver.solve(Knobs, Opts.Solver));
+          }
+      }
+    }
+  return Seen.size();
+}
+
+} // namespace
+
+TEST(Campaign, ProgramsAndPlacementsAreBuiltOncePerCampaign) {
+  // Under profile reuse a program, its baseline image and each distinct
+  // placement are built once for the whole campaign, and every device
+  // only prices them; the rows must equal the per-group builds of the
+  // profile-off run.
+  GridSpec Grid = buildSharingGrid();
+  size_t Placements = distinctPlacements(Grid);
+  EXPECT_GE(Placements, 4u);
+
+  CampaignOptions Off;
+  Off.ReuseProfiles = false;
+  CampaignResult Reference = runCampaign(Grid, Off);
+  ASSERT_EQ(Reference.Summary.Failed, 0u);
+
+  for (unsigned Jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(Jobs));
+    MetricsRegistry Reg;
+    CampaignOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Metrics = &Reg;
+    uint64_t DerivedBefore = globalMetrics().counterValue("sim.derived");
+    CampaignResult CR = runCampaign(Grid, Opts);
+    EXPECT_EQ(campaignToJson(CR), campaignToJson(Reference));
+    EXPECT_EQ(campaignToCsv(CR), campaignToCsv(Reference));
+    EXPECT_EQ(Reg.counterValue("campaign.build.programs"), 2u);
+    EXPECT_EQ(Reg.counterValue("campaign.build.placements"), Placements);
+    EXPECT_GT(globalMetrics().counterValue("sim.derived"), DerivedBefore);
+  }
+}
+
+TEST(Campaign, AnOverBudgetDeviceRebuildsTheSharedPlacement) {
+  // cubic's placements run longer than its baseline on every device, and
+  // slower flash adds to both. With the budget one cycle under the
+  // 1-wait-state part's optimized run, the 0-wait-state part prices the
+  // shared, derived build within budget while the slow part's price is
+  // over it: that device rebuilds the full image the shared entry no
+  // longer holds and simulates it. Its rows must equal the profile-off
+  // run's.
+  GridSpec Grid = buildSharingGrid();
+  CampaignOptions Off;
+  Off.ReuseProfiles = false;
+  CampaignResult Uncapped = runCampaign(Grid, Off);
+  auto row = [&](const CampaignResult &CR, const std::string &Device) {
+    for (const JobResult &R : CR.Results)
+      if (R.Spec.Benchmark == "cubic" && R.Spec.Device == Device &&
+          R.Spec.RspareBytes == 64 && R.Spec.Xlimit == 1.1)
+        return R;
+    ADD_FAILURE() << "no cubic row on " << Device;
+    return JobResult();
+  };
+  JobResult Slow = row(Uncapped, "stm32f100-slowcorner");
+  JobResult Fast = row(Uncapped, "stm32f100");
+  ASSERT_TRUE(Slow.ok() && Fast.ok());
+  ASSERT_GT(Slow.OptCycles, Slow.BaseCycles);
+  ASSERT_LT(Fast.OptCycles, Slow.BaseCycles);
+  ASSERT_EQ(Fast.RamBytes, Slow.RamBytes); // the same placement
+
+  Off.Base.Sim.MaxCycles = Slow.OptCycles - 1;
+  CampaignResult Reference = runCampaign(Grid, Off);
+  EXPECT_TRUE(row(Reference, "stm32f100").ok());
+  EXPECT_EQ(row(Reference, "stm32f100-slowcorner").Error,
+            "optimized run failed: cycle limit exceeded");
+
+  for (unsigned Jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(Jobs));
+    CampaignOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.Base.Sim.MaxCycles = Off.Base.Sim.MaxCycles;
+    MetricsRegistry &Reg = globalMetrics();
+    uint64_t OverBefore =
+        Reg.counterValue("sim.derive_fallback.over-budget");
+    uint64_t DerivedBefore = Reg.counterValue("sim.derived");
+    CampaignResult CR = runCampaign(Grid, Opts);
+    EXPECT_EQ(campaignToJson(CR), campaignToJson(Reference));
+    EXPECT_EQ(campaignToCsv(CR), campaignToCsv(Reference));
+    EXPECT_GT(Reg.counterValue("sim.derive_fallback.over-budget"),
+              OverBefore);
+    EXPECT_GT(Reg.counterValue("sim.derived"), DerivedBefore);
+  }
+}

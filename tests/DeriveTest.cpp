@@ -332,9 +332,10 @@ TEST(Derive, AnOverBudgetDerivationFallsBackToTheSimulatedRow) {
   EXPECT_EQ(Derived.Error, "optimized run failed: cycle limit exceeded");
 }
 
-TEST(Derive, MeasureModuleDerivesWithoutTheCache) {
-  // Through measureModule: the baseline simulates once, the optimized
-  // image is a derived recost that leaves no profile in the cache.
+TEST(Derive, StagedPlacementDerivesWithoutTheCache) {
+  // Through the stages: the baseline simulates once, the placement's
+  // build derives its profile, and its price is a derived recost that
+  // leaves no profile in the cache.
   Module M = buildBeebs("crc32", OptLevel::O1, 2);
   PipelineOptions PO;
   PO.Knobs.RspareBytes = 1024;
@@ -342,15 +343,16 @@ TEST(Derive, MeasureModuleDerivesWithoutTheCache) {
   ASSERT_TRUE(PR.ok()) << PR.Error;
 
   ProfileCache Profiles;
-  ProfiledImage Base;
-  Measurement MB = measureModule(M, PO.Power, {}, {}, &Profiles, nullptr,
-                                 &Base);
-  ASSERT_TRUE(MB.ok());
-  ASSERT_TRUE(Base);
-  Measurement MO =
-      measureModule(PR.Optimized, PO.Power, {}, {}, &Profiles, &Base);
-  ASSERT_TRUE(MO.ok());
-  expectStatsEqual(PR.MeasuredOpt.Stats, MO.Stats, "derived crc32");
+  PO.Profiles = &Profiles;
+  ExtractedModule EM = extractModule(M, PO);
+  ASSERT_TRUE(EM.ok()) << EM.Error;
+  ASSERT_TRUE(EM.Base);
+  PlacementBuild B = buildPlacement(M, EM.MP, PR.InRam, PO.Link, &EM.Base);
+  ASSERT_TRUE(B.Derived) << B.Fallback;
+  PipelineResult Staged = measurePlacement(EM, B, PR.InRam, PR.Solver, PO);
+  ASSERT_TRUE(Staged.ok()) << Staged.Error;
+  expectStatsEqual(PR.MeasuredOpt.Stats, Staged.MeasuredOpt.Stats,
+                   "derived crc32");
   ProfileCache::Counters C = Profiles.counters();
   EXPECT_EQ(C.FullSims, 1u);
   EXPECT_EQ(C.Recosts, 1u);
