@@ -202,6 +202,8 @@ ramloc::computeSummary(const std::vector<JobResult> &Results) {
   S.Total = static_cast<unsigned>(Results.size());
   std::vector<double> Ratios, EnergyPcts, TimePcts, PowerPcts;
   for (const JobResult &R : Results) {
+    if (R.CacheHit)
+      ++S.CacheHits;
     if (!R.ok()) {
       ++S.Failed;
       continue;
@@ -222,6 +224,7 @@ ramloc::computeSummary(const std::vector<JobResult> &Results) {
     S.MeanTimePct = mean(TimePcts);
     S.MeanPowerPct = mean(PowerPcts);
   }
+  S.UniqueRuns = S.Total - S.CacheHits;
   return S;
 }
 
@@ -604,11 +607,10 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                      : Sol.Outcome == SolveStatus::InfeasibleProven
                          ? SolveStatus::InfeasibleProven
                          : SolveStatus::FeasibleLimit;
-    // The registry is the campaign's book of record for solver effort;
-    // the Summary fields are read back out of it as deltas. A copied
-    // solution keeps its donor's labels. A group's later solves are
-    // seeded by the knob chain itself; only the first one can have been
-    // opened by the persistent store.
+    // The registry is the campaign's book of record for solver effort.
+    // A copied solution keeps its donor's labels. A group's later solves
+    // are seeded by the knob chain itself; only the first one can have
+    // been opened by the persistent store.
     Reg.counter("campaign.solve.extractions").add(K == 0 ? 1 : 0);
     Reg.counter("campaign.solve.cold").add(Sol.warmStarted() ? 0 : 1);
     Reg.counter("campaign.solve.warm").add(Sol.warmStarted() ? 1 : 0);
@@ -631,41 +633,12 @@ JobResult ramloc::runJob(const JobSpec &Spec, const PipelineOptions &Base) {
   return Results[0];
 }
 
-namespace {
-
-/// The campaign.* counter values a Summary view is a delta over. Taken
-/// before any work, subtracted at the end, so a registry shared across
-/// sequential campaigns (globalMetrics(), typically) still yields exact
-/// per-campaign summaries.
-struct CampaignBaseline {
-  uint64_t Extractions, ColdSolves, WarmSolves, IncumbentSeeds, Replayed,
-      Dominated;
-  uint64_t FullSims, Recosts, CacheHits, UniqueRuns;
-
-  explicit CampaignBaseline(const MetricsRegistry &Reg)
-      : Extractions(Reg.counterValue("campaign.solve.extractions")),
-        ColdSolves(Reg.counterValue("campaign.solve.cold")),
-        WarmSolves(Reg.counterValue("campaign.solve.warm")),
-        IncumbentSeeds(Reg.counterValue("campaign.solve.incumbent_seeds")),
-        Replayed(Reg.counterValue("campaign.solve.replayed")),
-        Dominated(Reg.counterValue("campaign.solve.dominated")),
-        FullSims(Reg.counterValue("campaign.sim.full_sims")),
-        Recosts(Reg.counterValue("campaign.sim.recosts")),
-        CacheHits(Reg.counterValue("campaign.cache.hits")),
-        UniqueRuns(Reg.counterValue("campaign.jobs.unique")) {}
-};
-
-} // namespace
-
 CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
                                    const CampaignOptions &Opts) {
-  // The Summary counters are views over this registry: every count is
-  // recorded into Reg as it happens and read back out as a delta at the
-  // end, so `--metrics` snapshots and CampaignSummary can never drift
-  // apart. Without a caller-supplied registry a private one serves.
+  // Every effort count is recorded into Reg as it happens; without a
+  // caller-supplied registry a private one serves.
   MetricsRegistry LocalMetrics;
   MetricsRegistry &Reg = Opts.Metrics ? *Opts.Metrics : LocalMetrics;
-  const CampaignBaseline Start(Reg);
   ScopedTimer Timer(&Reg.histogram("campaign.wall_seconds"));
   TraceSpan CampaignSpan("campaign", "campaign");
   if (CampaignSpan.active())
@@ -701,9 +674,7 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   }
   Reg.counter("campaign.jobs.total").add(Jobs.size());
   Reg.counter("campaign.jobs.unique").add(RunIndices.size());
-  // The Progress callback needs the unique-run total while jobs are
-  // still finishing; the final Summary re-reads it from the registry.
-  CR.Summary.UniqueRuns = static_cast<unsigned>(RunIndices.size());
+  const unsigned UniqueRuns = static_cast<unsigned>(RunIndices.size());
 
   // Group jobs by execution key: every job shares one ProfileCache, so
   // grid points that execute the same image (the device axis, typically)
@@ -787,7 +758,7 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
                 globalMetrics().counter("campaign.journal.appends").add();
               }
               if (Opts.Progress)
-                Opts.Progress(CR.Results[I], Done, CR.Summary.UniqueRuns);
+                Opts.Progress(CR.Results[I], Done, UniqueRuns);
             }
           },
           Reg, Opts.Incumbents, Opts.SeedIncumbents, ChainMemo,
@@ -819,47 +790,18 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   }
 
   // Fill duplicates and feed the cross-campaign cache.
-  uint64_t CacheHits = 0;
-  for (size_t I = 0; I != Jobs.size(); ++I) {
+  for (size_t I = 0; I != Jobs.size(); ++I)
     if (CopyFrom[I] >= 0) {
       CR.Results[I] = CR.Results[CopyFrom[I]];
       CR.Results[I].Spec = Jobs[I];
       CR.Results[I].CacheHit = true;
     }
-    if (CR.Results[I].CacheHit)
-      ++CacheHits;
-  }
-  Reg.counter("campaign.cache.hits").add(CacheHits);
   if (Opts.Cache)
     for (size_t I : RunIndices)
       Opts.Cache->insert(Jobs[I].cacheKey(), CR.Results[I]);
 
-  // Aggregate the deterministic summary, then fill the scheduling
-  // diagnostics as views over the registry: each field is the counter's
-  // growth since this campaign started.
-  CampaignSummary S = computeSummary(CR.Results);
-  S.CacheHits = static_cast<unsigned>(
-      Reg.counterValue("campaign.cache.hits") - Start.CacheHits);
-  S.UniqueRuns = static_cast<unsigned>(
-      Reg.counterValue("campaign.jobs.unique") - Start.UniqueRuns);
-  S.FullSims =
-      Reg.counterValue("campaign.sim.full_sims") - Start.FullSims;
-  S.Recosts = Reg.counterValue("campaign.sim.recosts") - Start.Recosts;
-  S.Extractions =
-      Reg.counterValue("campaign.solve.extractions") - Start.Extractions;
-  S.ColdSolves =
-      Reg.counterValue("campaign.solve.cold") - Start.ColdSolves;
-  S.WarmSolves =
-      Reg.counterValue("campaign.solve.warm") - Start.WarmSolves;
-  S.IncumbentSeeds =
-      Reg.counterValue("campaign.solve.incumbent_seeds") -
-      Start.IncumbentSeeds;
-  S.Replayed =
-      Reg.counterValue("campaign.solve.replayed") - Start.Replayed;
-  S.Dominated =
-      Reg.counterValue("campaign.solve.dominated") - Start.Dominated;
-  S.WallSeconds = Timer.stop();
-  CR.Summary = S;
+  CR.Summary = computeSummary(CR.Results);
+  Reg.counter("campaign.cache.hits").add(CR.Summary.CacheHits);
   return CR;
 }
 

@@ -50,10 +50,10 @@
 /// Xlimit descending), each solved as an RHS patch warm-started from the
 /// previous point's basis, incumbent and pseudo-costs (core/IlpModel's
 /// PlacementSolver), so a 3x3 knob grid pays 1 extraction + 1 cold
-/// solve + 8 re-optimizations (Summary.Extractions/ColdSolves/WarmSolves
-/// assert it). Loosest-first lets a point whose looser neighbour's
-/// optimum still fits take that optimum without search
-/// (Summary.Dominated). Solve groups
+/// solve + 8 re-optimizations (the campaign.solve.extractions/cold/warm
+/// counters show it). Loosest-first lets a point whose looser
+/// neighbour's optimum still fits take that optimum without search
+/// (campaign.solve.dominated). Solve groups
 /// whose ILPs are bit-identical share one solve chain: Eqs. 1-9 see a
 /// placement only in cycles and per-memory power, so most BEEBS
 /// benchmarks pose the same ILP at O1 and O2, and a device that differs
@@ -64,7 +64,7 @@
 /// so the first group to reach a key solves the whole chain and every
 /// other group with that key copies its solutions: warm chains, labels
 /// and incumbent offers are exactly what solving every group would give
-/// (Summary.Replayed counts the copied jobs). Warm and cold
+/// (campaign.solve.replayed counts the copied jobs). Warm and cold
 /// solves are both exact, so reports are byte-identical with solve reuse
 /// on or off (Base.Solver.WarmNodes, `--reuse` without `solve`)
 /// whenever every solve proves optimality. A dual simplex row stuck on
@@ -303,16 +303,16 @@ struct CampaignOptions {
   /// warm knob chaining); `--reuse` without `incumbent` is the A/B
   /// escape hatch that proves it.
   bool SeedIncumbents = true;
-  /// Registry the campaign records its counters into (campaign.* keys:
-  /// extractions, cold/warm/replayed solves, incumbent seeds, full sims vs
-  /// recosts, cache hits, solve histograms). The Summary counter fields
-  /// are views over this registry — computed as before/after deltas, so
-  /// a registry shared across sequential campaigns still yields exact
-  /// per-campaign summaries. Null uses a campaign-private registry;
-  /// `ramloc-batch --metrics` passes globalMetrics() so one snapshot
-  /// carries the campaign.* keys next to the deep layers' mip.*/sim.*/
-  /// jobqueue.*/cache.* keys. Metrics are a side channel: reports are
-  /// byte-identical whether or not a registry is attached.
+  /// Registry the campaign records its effort counters into (campaign.*
+  /// keys: extractions, cold/warm/replayed/dominated solves, incumbent
+  /// seeds, full sims vs recosts, cache hits, solve histograms and
+  /// campaign.wall_seconds). It is the one record of that effort; the
+  /// Summary holds only what the results themselves determine. Null uses
+  /// a campaign-private registry; `ramloc-batch --metrics` passes
+  /// globalMetrics() so one snapshot carries the campaign.* keys next to
+  /// the deep layers' mip.*/sim.*/jobqueue.*/cache.* keys. Metrics are a
+  /// side channel: reports are byte-identical whether or not a registry
+  /// is attached.
   MetricsRegistry *Metrics = nullptr;
   /// Progress callback, invoked serialized (never concurrently) after
   /// each unique job finishes.
@@ -331,11 +331,15 @@ struct CampaignOptions {
   std::function<void(const JobResult &)> Journal;
 };
 
-/// Aggregate statistics over the Measure jobs that succeeded.
+/// Aggregate statistics over a campaign's results, and a pure function
+/// of them (computeSummary). How much work a run took is counted in the
+/// metrics registry (CampaignOptions::Metrics), not here.
 struct CampaignSummary {
   unsigned Total = 0;
   unsigned Succeeded = 0;
   unsigned Failed = 0;
+  /// Jobs served from the result cache or copied from a duplicate
+  /// (JobResult::CacheHit); the other Total - CacheHits jobs ran.
   unsigned CacheHits = 0;
   unsigned UniqueRuns = 0;
   /// Geometric mean of opt/base measured energy over succeeded Measure
@@ -344,39 +348,9 @@ struct CampaignSummary {
   double MeanEnergyPct = 0.0;
   double MeanTimePct = 0.0;
   double MeanPowerPct = 0.0;
-  /// Diagnostics only; excluded from serialized reports.
-  double WallSeconds = 0.0;
-  /// How this campaign's measurements were satisfied (diagnostics only,
-  /// excluded from serialized reports): interpreter executions vs
-  /// profile recosts. Zero when profile reuse is disabled.
-  uint64_t FullSims = 0;
-  uint64_t Recosts = 0;
-  /// How the optimizer was satisfied (diagnostics only, excluded from
-  /// serialized reports): parameter extractions run, MIP solves performed
-  /// from scratch, and MIP solves re-optimized from a neighbouring knob
-  /// point's basis. A knob grid with solve reuse does 1 extraction + 1
-  /// cold solve per (benchmark, device) and warm-solves the rest.
-  uint64_t Extractions = 0;
-  uint64_t ColdSolves = 0;
-  uint64_t WarmSolves = 0;
-  /// Solve groups whose first solve was opened by a persisted incumbent
-  /// (diagnostics only, excluded from serialized reports).
-  uint64_t IncumbentSeeds = 0;
-  /// Jobs whose solve was replayed from another solve group posing a
-  /// bit-identical ILP instead of being solved (diagnostics only).
-  /// ColdSolves/WarmSolves still count a replayed job under its donor's
-  /// label, so the live MIP solves are ColdSolves + WarmSolves - Replayed
-  /// - Dominated.
-  uint64_t Replayed = 0;
-  /// Live knob points settled without search because a looser point of
-  /// the same chain had a proven optimum that stays feasible there
-  /// (PlacementSolver; diagnostics only). Each is counted as a warm
-  /// solve, and none is a MIP solve.
-  uint64_t Dominated = 0;
   /// Succeeded jobs whose SolveOutcome is not Optimal — best-effort
-  /// answers under a solver limit. Deterministic (derived from Results
-  /// by computeSummary), surfaced in the CLI summary, excluded from
-  /// serialized reports like every other provenance field.
+  /// answers under a solver limit. Surfaced in the CLI summary, excluded
+  /// from serialized reports like every other provenance field.
   unsigned Degraded = 0;
 };
 
@@ -386,10 +360,8 @@ struct CampaignResult {
   CampaignSummary Summary;
 };
 
-/// Aggregates \p Results into the deterministic summary fields (Total,
-/// Succeeded, Failed, geomean and means). Scheduling-dependent fields
-/// (CacheHits, UniqueRuns, WallSeconds) are left zero; runCampaign fills
-/// them afterwards. Shard merging reuses this so a merged report carries
+/// Aggregates \p Results into their summary. runCampaign, report
+/// parsing and shard merging all use it, so a merged report carries
 /// exactly the summary an unsharded run would have produced.
 CampaignSummary computeSummary(const std::vector<JobResult> &Results);
 

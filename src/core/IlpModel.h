@@ -147,7 +147,7 @@ Assignment solvePlacement(const ModelParams &MP,
 /// (solve once, branch cheap — the knob-axis analogue of the
 /// execute/recost split). The first solve is cold; every later solve
 /// re-optimizes, which MipSolution::WarmStarted reports and the campaign
-/// engine tallies as Summary.ColdSolves/WarmSolves. Warm and cold paths
+/// engine counts as campaign.solve.cold/warm. Warm and cold paths
 /// are both exact, so whenever the optimal placement is unique — two
 /// distinct placements with bit-equal modelled energy being the one case
 /// any pair of exact solvers may legitimately disagree on — results do

@@ -217,9 +217,9 @@ ExtractedModule ramloc::extractModule(const Module &M,
     }
   }
   Freq = Opts.UseProfiledFrequencies
-             ? moduleFrequencyFromProfile(
-                   M, EM.MeasuredBase.Stats.profileMap(M), Opts.Freq)
-             : estimateModuleFrequency(M, Opts.Freq);
+             ? moduleFrequencyFromProfile(M,
+                                          EM.MeasuredBase.Stats.profileMap(M))
+             : estimateModuleFrequency(M);
 
   EM.MP = extractParams(M, Freq, Opts.Power, Opts.Extract);
   EM.PredictedBase =

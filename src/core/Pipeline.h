@@ -100,7 +100,6 @@ Measurement measureModule(const Module &M, const PowerModel &Power,
 /// Pipeline configuration.
 struct PipelineOptions {
   ModelKnobs Knobs;
-  FrequencyOptions Freq;
   ExtractOptions Extract;
   PowerModel Power = PowerModel::stm32f100();
   LinkOptions Link;

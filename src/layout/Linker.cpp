@@ -18,6 +18,11 @@ using namespace ramloc;
 
 namespace {
 
+/// Cycles per copied word for the startup .data/.ramcode copy loop, plus
+/// a fixed setup cost. ldr+str+add+cmp+branch over words ~ 8 cycles.
+constexpr uint32_t CopyCyclesPerWord = 8;
+constexpr uint32_t CopySetupCycles = 12;
+
 uint32_t alignUp(uint32_t V, uint32_t A) {
   assert(A != 0 && (A & (A - 1)) == 0 && "alignment must be a power of two");
   return (V + A - 1) & ~(A - 1);
@@ -342,8 +347,8 @@ private:
     uint32_t CopyBytes =
         Img.Sizes.Data + Img.Sizes.RamCode + Img.Sizes.RamPool;
     Img.StartupCopyCycles =
-        Opts.CopySetupCycles +
-        static_cast<uint64_t>((CopyBytes + 3) / 4) * Opts.CopyCyclesPerWord;
+        CopySetupCycles +
+        static_cast<uint64_t>((CopyBytes + 3) / 4) * CopyCyclesPerWord;
   }
 
   void checkBudgets() {

@@ -37,10 +37,6 @@ struct LinkOptions {
   /// Bytes reserved for the stack at the top of RAM; code+data placement
   /// overflowing into this reserve is a link error.
   uint32_t StackReserve = 1024;
-  /// Cycles per copied word for the startup .data/.ramcode copy loop, plus
-  /// a fixed setup cost. ldr+str+add+cmp+branch over words ~ 8 cycles.
-  uint32_t CopyCyclesPerWord = 8;
-  uint32_t CopySetupCycles = 12;
 };
 
 /// Result of linking: the image plus diagnostics (empty Errors == success).

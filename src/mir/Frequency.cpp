@@ -13,10 +13,20 @@
 
 using namespace ramloc;
 
+namespace {
+
+/// The static estimator's assumptions: iterations per loop level (Fb ~
+/// Iter^depth), the taken probability of a loop back edge, and that of
+/// any other conditional branch.
+constexpr double LoopIterations = 10.0;
+constexpr double BackEdgeProb = 0.9;
+constexpr double NeutralProb = 0.5;
+
+} // namespace
+
 FunctionFrequency
 ramloc::estimateFunctionFrequency(const Function &F, const CFG &G,
-                                  const LoopInfo &LI,
-                                  const FrequencyOptions &Opts) {
+                                  const LoopInfo &LI) {
   FunctionFrequency FF;
   unsigned N = F.Blocks.size();
   FF.BlockFreq.assign(N, 0.0);
@@ -26,7 +36,7 @@ ramloc::estimateFunctionFrequency(const Function &F, const CFG &G,
     if (!G.isReachable(B))
       continue;
     FF.BlockFreq[B] =
-        std::pow(Opts.LoopIterations, static_cast<double>(LI.depth(B)));
+        std::pow(LoopIterations, static_cast<double>(LI.depth(B)));
 
     const BlockEdges &E = G.edges(B);
     if (E.Term != TermKind::Cond && E.Term != TermKind::CmpBranch)
@@ -35,15 +45,15 @@ ramloc::estimateFunctionFrequency(const Function &F, const CFG &G,
     unsigned Taken = static_cast<unsigned>(E.TakenSucc);
     unsigned Fall = static_cast<unsigned>(E.FallSucc);
     if (LI.isBackEdge(B, Taken))
-      FF.TakenProb[B] = Opts.BackEdgeProb;
+      FF.TakenProb[B] = BackEdgeProb;
     else if (LI.isBackEdge(B, Fall))
-      FF.TakenProb[B] = 1.0 - Opts.BackEdgeProb;
+      FF.TakenProb[B] = 1.0 - BackEdgeProb;
     else if (LI.isExitEdge(B, Taken) && !LI.isExitEdge(B, Fall))
-      FF.TakenProb[B] = 1.0 - Opts.BackEdgeProb;
+      FF.TakenProb[B] = 1.0 - BackEdgeProb;
     else if (LI.isExitEdge(B, Fall) && !LI.isExitEdge(B, Taken))
-      FF.TakenProb[B] = Opts.BackEdgeProb;
+      FF.TakenProb[B] = BackEdgeProb;
     else
-      FF.TakenProb[B] = Opts.NeutralProb;
+      FF.TakenProb[B] = NeutralProb;
   }
   return FF;
 }
@@ -74,8 +84,7 @@ countCallsPerInvocation(const Module &M,
 
 } // namespace
 
-ModuleFrequency ramloc::estimateModuleFrequency(const Module &M,
-                                                const FrequencyOptions &Opts) {
+ModuleFrequency ramloc::estimateModuleFrequency(const Module &M) {
   ModuleFrequency MF;
   unsigned NF = M.Functions.size();
   MF.BlockFreq.resize(NF);
@@ -88,7 +97,7 @@ ModuleFrequency ramloc::estimateModuleFrequency(const Module &M,
     CFG G = CFG::build(Fn);
     DominatorTree DT = DominatorTree::build(G);
     LoopInfo LI = LoopInfo::build(G, DT);
-    Local[F] = estimateFunctionFrequency(Fn, G, LI, Opts);
+    Local[F] = estimateFunctionFrequency(Fn, G, LI);
   }
 
   auto Calls = countCallsPerInvocation(M, Local);
@@ -125,11 +134,10 @@ ModuleFrequency ramloc::estimateModuleFrequency(const Module &M,
 }
 
 ModuleFrequency ramloc::moduleFrequencyFromProfile(
-    const Module &M, const std::map<std::string, uint64_t> &Counts,
-    const FrequencyOptions &Opts) {
+    const Module &M, const std::map<std::string, uint64_t> &Counts) {
   // Start from the static estimate to inherit the taken probabilities,
   // then overwrite block frequencies with measured counts.
-  ModuleFrequency MF = estimateModuleFrequency(M, Opts);
+  ModuleFrequency MF = estimateModuleFrequency(M);
   for (unsigned F = 0, NF = M.Functions.size(); F != NF; ++F) {
     const Function &Fn = M.Functions[F];
     for (unsigned B = 0, NB = Fn.Blocks.size(); B != NB; ++B) {

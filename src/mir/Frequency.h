@@ -44,34 +44,24 @@ struct ModuleFrequency {
   std::vector<double> CallCount;
 };
 
-/// Tunables for the static estimator.
-struct FrequencyOptions {
-  /// Assumed iteration count per loop level (Fb ~ Iter^depth).
-  double LoopIterations = 10.0;
-  /// Taken probability assigned to loop back edges.
-  double BackEdgeProb = 0.9;
-  /// Taken probability assigned to non-loop conditional branches.
-  double NeutralProb = 0.5;
-};
-
-/// Loop-depth-based estimate of per-call block frequencies for \p F.
+/// Loop-depth-based estimate of per-call block frequencies for \p F:
+/// each loop level iterates 10 times (Fb ~ 10^depth), a loop's back edge
+/// is taken with probability 0.9 and any other conditional branch with
+/// 0.5.
 FunctionFrequency estimateFunctionFrequency(const Function &F, const CFG &G,
-                                            const LoopInfo &LI,
-                                            const FrequencyOptions &Opts = {});
+                                            const LoopInfo &LI);
 
 /// Whole-module estimate: combines per-function estimates through the call
 /// graph (entry function called once). Recursion is handled by a damped
 /// fixed-point iteration.
-ModuleFrequency estimateModuleFrequency(const Module &M,
-                                        const FrequencyOptions &Opts = {});
+ModuleFrequency estimateModuleFrequency(const Module &M);
 
 /// Builds a ModuleFrequency from measured per-block execution counts (the
 /// "w/Frequency" variant in Figure 5). \p Counts maps "func:label" to the
 /// observed execution count. Taken probabilities are estimated statically.
 ModuleFrequency
 moduleFrequencyFromProfile(const Module &M,
-                           const std::map<std::string, uint64_t> &Counts,
-                           const FrequencyOptions &Opts = {});
+                           const std::map<std::string, uint64_t> &Counts);
 
 } // namespace ramloc
 

@@ -1,4 +1,4 @@
-//===- support/Metrics.cpp - named counters/gauges/histograms ------------------===//
+//===- support/Metrics.cpp - named counters and histograms ---------------------===//
 //
 // Part of ramloc, a reproduction of "Optimizing the flash-RAM energy
 // trade-off in deeply embedded systems" (Pallister et al., CGO 2015).
@@ -16,14 +16,6 @@ Counter &MetricsRegistry::counter(const std::string &Name) {
   std::unique_ptr<Counter> &Slot = Counters[Name];
   if (!Slot)
     Slot = std::make_unique<Counter>();
-  return *Slot;
-}
-
-Gauge &MetricsRegistry::gauge(const std::string &Name) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::unique_ptr<Gauge> &Slot = Gauges[Name];
-  if (!Slot)
-    Slot = std::make_unique<Gauge>();
   return *Slot;
 }
 
@@ -49,10 +41,6 @@ std::string MetricsRegistry::toJson(bool Pretty) const {
   W.key("counters").beginObject();
   for (const auto &[Name, C] : Counters)
     W.field(Name, C->value());
-  W.endObject();
-  W.key("gauges").beginObject();
-  for (const auto &[Name, G] : Gauges)
-    W.field(Name, G->value());
   W.endObject();
   W.key("histograms").beginObject();
   for (const auto &[Name, H] : Histograms) {

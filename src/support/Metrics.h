@@ -1,4 +1,4 @@
-//===- support/Metrics.h - named counters/gauges/histograms ----*- C++ -*-===//
+//===- support/Metrics.h - named counters and histograms -------*- C++ -*-===//
 //
 // Part of ramloc, a reproduction of "Optimizing the flash-RAM energy
 // trade-off in deeply embedded systems" (Pallister et al., CGO 2015).
@@ -9,14 +9,13 @@
 /// A central registry of named metrics, the one source of truth for
 /// "how much work did that take": solver pivots and branch & bound
 /// nodes, simulation-vs-recost counts, cache traffic, queue idle time.
-/// The campaign engine's Summary counters are views over a registry
-/// (campaign.* keys), SolverEffortTest's count gates read the mip.*
-/// counters, and `ramloc-batch --metrics=FILE` snapshots everything to
+/// The campaign engine counts its effort into a registry (campaign.*
+/// keys), SolverEffortTest's count gates read the mip.* counters, and
+/// `ramloc-batch --metrics=FILE` snapshots everything to
 /// machine-readable JSON.
 ///
-/// Three instrument kinds:
+/// Two instrument kinds:
 ///  - Counter: monotonic uint64, lock-free add. The workhorse.
-///  - Gauge: last-written double (a level, not a rate).
 ///  - Histogram: running count/sum/min/max of recorded samples —
 ///    enough for "pivots per solve" style distributions without
 ///    bucket-boundary bikeshedding.
@@ -30,9 +29,9 @@
 /// Deep layers with no campaign plumbing (the LP solver, the campaign's
 /// worker loop, the cache store) record into the process-wide
 /// globalMetrics();
-/// runCampaign additionally scopes its Summary-view counters to the
-/// registry the caller passes (CampaignOptions::Metrics), defaulting to
-/// a private one so concurrent campaigns do not mix.
+/// runCampaign records its campaign.* counters into the registry the
+/// caller passes (CampaignOptions::Metrics), defaulting to a private one
+/// so concurrent campaigns do not mix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,16 +55,6 @@ public:
 
 private:
   std::atomic<uint64_t> V{0};
-};
-
-/// Last-written level.
-class Gauge {
-public:
-  void set(double X) { V.store(X, std::memory_order_relaxed); }
-  double value() const { return V.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<double> V{0.0};
 };
 
 /// Running summary statistics over recorded samples.
@@ -108,18 +97,16 @@ private:
 class MetricsRegistry {
 public:
   Counter &counter(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
   Histogram &histogram(const std::string &Name);
 
   /// Current value of counter \p Name; 0 when it was never created.
-  /// The non-creating read Summary views and tests use.
+  /// The non-creating read the CLI summary and tests use.
   uint64_t counterValue(const std::string &Name) const;
 
   /// Serializes every instrument, sorted by name within its kind:
   ///
   ///   { "schema": "ramloc-metrics-v1",
   ///     "counters": {"mip.nodes": 123, ...},
-  ///     "gauges": {...},
   ///     "histograms": {"campaign.solve.pivots":
   ///         {"count":9,"sum":...,"min":...,"max":...,"mean":...}, ...} }
   ///
@@ -131,13 +118,12 @@ private:
   // std::map: sorted iteration for deterministic serialization, and
   // node-stable addresses so returned references survive later inserts.
   std::map<std::string, std::unique_ptr<Counter>> Counters;
-  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
   std::map<std::string, std::unique_ptr<Histogram>> Histograms;
 };
 
 /// The process-wide registry deep layers record into (mip.*, sim.*,
 /// jobqueue.*, cache.* keys). Never cleared; consumers that need a
-/// window take counter deltas around it, exactly like the Summary views.
+/// window take counter deltas around it.
 MetricsRegistry &globalMetrics();
 
 } // namespace ramloc

@@ -9,6 +9,7 @@
 #include "campaign/Campaign.h"
 #include "campaign/Report.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -426,12 +427,14 @@ TEST(CacheStore, ProfilesPersistAndServeNewDevices) {
 
   CacheStore First;
   ASSERT_TRUE(First.open(Dir));
+  MetricsRegistry Reg1, Reg2;
   CampaignOptions Opts;
   Opts.Cache = &First.cache();
   Opts.Profiles = &First.profiles();
+  Opts.Metrics = &Reg1;
   CampaignResult CR1 = runCampaign(Grid, Opts);
   ASSERT_EQ(CR1.Summary.Failed, 0u);
-  EXPECT_EQ(CR1.Summary.FullSims, 1u);
+  EXPECT_EQ(Reg1.counterValue("campaign.sim.full_sims"), 1u);
   ASSERT_TRUE(First.save());
 
   CacheStore Second;
@@ -441,10 +444,11 @@ TEST(CacheStore, ProfilesPersistAndServeNewDevices) {
   CampaignOptions Opts2;
   Opts2.Cache = &Second.cache();
   Opts2.Profiles = &Second.profiles();
+  Opts2.Metrics = &Reg2;
   CampaignResult CR2 = runCampaign(Grid, Opts2);
   ASSERT_EQ(CR2.Summary.Failed, 0u);
-  EXPECT_EQ(CR2.Summary.FullSims, 0u);
-  EXPECT_EQ(CR2.Summary.Recosts, 1u);
+  EXPECT_EQ(Reg2.counterValue("campaign.sim.full_sims"), 0u);
+  EXPECT_EQ(Reg2.counterValue("campaign.sim.recosts"), 1u);
 }
 
 TEST(CacheStore, MeasureGridsPersistOnlyBaselineProfiles) {
@@ -456,14 +460,17 @@ TEST(CacheStore, MeasureGridsPersistOnlyBaselineProfiles) {
 
   CacheStore First;
   ASSERT_TRUE(First.open(Dir));
+  MetricsRegistry Reg1, Reg2;
   CampaignOptions Opts;
   Opts.Cache = &First.cache();
   Opts.Profiles = &First.profiles();
+  Opts.Metrics = &Reg1;
   CampaignResult CR1 = runCampaign(Grid, Opts);
   ASSERT_EQ(CR1.Summary.Failed, 0u);
-  EXPECT_EQ(CR1.Summary.FullSims, 1u);
-  EXPECT_GE(CR1.Summary.Recosts, 1u);
-  EXPECT_EQ(CR1.Summary.Recosts, First.profiles().counters().Derived);
+  EXPECT_EQ(Reg1.counterValue("campaign.sim.full_sims"), 1u);
+  EXPECT_GE(Reg1.counterValue("campaign.sim.recosts"), 1u);
+  EXPECT_EQ(Reg1.counterValue("campaign.sim.recosts"),
+            First.profiles().counters().Derived);
   EXPECT_EQ(First.profiles().size(), 1u);
   ASSERT_TRUE(First.save());
 
@@ -474,11 +481,12 @@ TEST(CacheStore, MeasureGridsPersistOnlyBaselineProfiles) {
   CampaignOptions Opts2;
   Opts2.Cache = &Second.cache();
   Opts2.Profiles = &Second.profiles();
+  Opts2.Metrics = &Reg2;
   CampaignResult CR2 = runCampaign(Grid, Opts2);
   ASSERT_EQ(CR2.Summary.Failed, 0u);
-  EXPECT_EQ(CR2.Summary.FullSims, 0u);
+  EXPECT_EQ(Reg2.counterValue("campaign.sim.full_sims"), 0u);
   EXPECT_GE(Second.profiles().counters().Derived, 1u);
-  EXPECT_EQ(CR2.Summary.Recosts,
+  EXPECT_EQ(Reg2.counterValue("campaign.sim.recosts"),
             1 + Second.profiles().counters().Derived);
   EXPECT_EQ(Second.profiles().size(), 1u);
 }
@@ -491,11 +499,14 @@ TEST(CacheStore, IncumbentsRoundTripAcrossProcesses) {
   CacheStore First;
   ASSERT_TRUE(First.open(Dir));
   EXPECT_EQ(First.loadedIncumbents(), 0u);
+  MetricsRegistry Reg1, Reg2;
   CampaignOptions Opts;
   Opts.Incumbents = &First.incumbents();
+  Opts.Metrics = &Reg1;
   CampaignResult CR1 = runCampaign(Grid, Opts);
   ASSERT_EQ(CR1.Summary.Failed, 0u);
-  EXPECT_EQ(CR1.Summary.IncumbentSeeds, 0u); // nothing persisted yet
+  // Nothing persisted yet.
+  EXPECT_EQ(Reg1.counterValue("campaign.solve.incumbent_seeds"), 0u);
   EXPECT_EQ(First.incumbents().size(), 1u);  // one solve group
   std::string Error;
   ASSERT_TRUE(First.save(&Error)) << Error;
@@ -507,9 +518,10 @@ TEST(CacheStore, IncumbentsRoundTripAcrossProcesses) {
   EXPECT_EQ(Second.loadedIncumbents(), 1u);
   CampaignOptions Opts2;
   Opts2.Incumbents = &Second.incumbents();
+  Opts2.Metrics = &Reg2;
   CampaignResult CR2 = runCampaign(Grid, Opts2);
   ASSERT_EQ(CR2.Summary.Failed, 0u);
-  EXPECT_EQ(CR2.Summary.IncumbentSeeds, 1u);
+  EXPECT_EQ(Reg2.counterValue("campaign.solve.incumbent_seeds"), 1u);
   EXPECT_EQ(campaignToJson(CR1), campaignToJson(CR2));
 
   // Unchanged incumbents append nothing on a re-save.

@@ -37,6 +37,27 @@ GridSpec smallMeasureGrid() {
   return Grid;
 }
 
+/// A campaign run with its own metrics registry attached, so a test
+/// reads that run's campaign.* effort counters.
+struct CountedRun {
+  MetricsRegistry Reg;
+  CampaignResult CR;
+  /// The searches the solver ran (growth of the global mip.solves).
+  uint64_t MipSolves = 0;
+
+  CountedRun(const std::vector<JobSpec> &Jobs, CampaignOptions Opts = {}) {
+    Opts.Metrics = &Reg;
+    uint64_t Before = globalMetrics().counterValue("mip.solves");
+    CR = runCampaign(Jobs, Opts);
+    MipSolves = globalMetrics().counterValue("mip.solves") - Before;
+  }
+  CountedRun(const GridSpec &Grid, CampaignOptions Opts = {})
+      : CountedRun(Grid.expand(), std::move(Opts)) {}
+  uint64_t operator[](const std::string &Counter) const {
+    return Reg.counterValue(Counter);
+  }
+};
+
 } // namespace
 
 TEST(Campaign, GridExpansionOrderAndCount) {
@@ -465,10 +486,10 @@ TEST(Campaign, DeviceAxisIsOneSimulationPlusRecosts) {
   CampaignOptions Reuse;
   Reuse.Jobs = 4;
   Reuse.Profiles = &Profiles;
-  CampaignResult WithReuse = runCampaign(Grid, Reuse);
-  ASSERT_EQ(WithReuse.Summary.Failed, 0u);
-  EXPECT_EQ(WithReuse.Summary.FullSims, 1u);
-  EXPECT_EQ(WithReuse.Summary.Recosts, Grid.Devices.size() - 1);
+  CountedRun WithReuse(Grid, Reuse);
+  ASSERT_EQ(WithReuse.CR.Summary.Failed, 0u);
+  EXPECT_EQ(WithReuse["campaign.sim.full_sims"], 1u);
+  EXPECT_EQ(WithReuse["campaign.sim.recosts"], Grid.Devices.size() - 1);
   auto Recosted = Profiles.snapshot();
   ASSERT_EQ(Recosted.size(), 1u);
   const ExecutionProfile &P = *Recosted.front().second;
@@ -479,11 +500,12 @@ TEST(Campaign, DeviceAxisIsOneSimulationPlusRecosts) {
   CampaignOptions NoReuse;
   NoReuse.Jobs = 4;
   NoReuse.ReuseProfiles = false;
-  CampaignResult AllSimulated = runCampaign(Grid, NoReuse);
-  EXPECT_EQ(AllSimulated.Summary.FullSims, 0u); // no cache, no counters
-  EXPECT_EQ(AllSimulated.Summary.Recosts, 0u);
-  EXPECT_EQ(campaignToJson(WithReuse), campaignToJson(AllSimulated));
-  EXPECT_EQ(campaignToCsv(WithReuse), campaignToCsv(AllSimulated));
+  CountedRun AllSimulated(Grid, NoReuse);
+  // No cache, no counters.
+  EXPECT_EQ(AllSimulated["campaign.sim.full_sims"], 0u);
+  EXPECT_EQ(AllSimulated["campaign.sim.recosts"], 0u);
+  EXPECT_EQ(campaignToJson(WithReuse.CR), campaignToJson(AllSimulated.CR));
+  EXPECT_EQ(campaignToCsv(WithReuse.CR), campaignToCsv(AllSimulated.CR));
 }
 
 TEST(Campaign, MeasureGridReportsUnchangedByProfileReuse) {
@@ -499,19 +521,20 @@ TEST(Campaign, MeasureGridReportsUnchangedByProfileReuse) {
 
   CampaignOptions Reuse;
   Reuse.Jobs = 4;
-  CampaignResult WithReuse = runCampaign(Grid, Reuse);
-  ASSERT_EQ(WithReuse.Summary.Failed, 0u);
+  CountedRun WithReuse(Grid, Reuse);
+  ASSERT_EQ(WithReuse.CR.Summary.Failed, 0u);
   // Every measurement was satisfied, all but the first by recost.
-  EXPECT_EQ(WithReuse.Summary.FullSims + WithReuse.Summary.Recosts,
+  EXPECT_EQ(WithReuse["campaign.sim.full_sims"] +
+                WithReuse["campaign.sim.recosts"],
             2 * Grid.Devices.size());
-  EXPECT_EQ(WithReuse.Summary.FullSims, 1u);
+  EXPECT_EQ(WithReuse["campaign.sim.full_sims"], 1u);
 
   CampaignOptions NoReuse;
   NoReuse.Jobs = 4;
   NoReuse.ReuseProfiles = false;
   CampaignResult AllSimulated = runCampaign(Grid, NoReuse);
-  EXPECT_EQ(campaignToJson(WithReuse), campaignToJson(AllSimulated));
-  EXPECT_EQ(campaignToCsv(WithReuse), campaignToCsv(AllSimulated));
+  EXPECT_EQ(campaignToJson(WithReuse.CR), campaignToJson(AllSimulated));
+  EXPECT_EQ(campaignToCsv(WithReuse.CR), campaignToCsv(AllSimulated));
 }
 
 TEST(Campaign, ExternalProfileCacheSpansCampaigns) {
@@ -528,15 +551,15 @@ TEST(Campaign, ExternalProfileCacheSpansCampaigns) {
   ProfileCache Profiles;
   CampaignOptions Opts;
   Opts.Profiles = &Profiles;
-  CampaignResult First = runCampaign(Grid, Opts);
-  ASSERT_EQ(First.Summary.Failed, 0u);
-  EXPECT_EQ(First.Summary.FullSims, 1u);
+  CountedRun First(Grid, Opts);
+  ASSERT_EQ(First.CR.Summary.Failed, 0u);
+  EXPECT_EQ(First["campaign.sim.full_sims"], 1u);
 
   Grid.Devices = {"stm32f100-2ws", "stm32f103-72mhz"};
-  CampaignResult Second = runCampaign(Grid, Opts);
-  ASSERT_EQ(Second.Summary.Failed, 0u);
-  EXPECT_EQ(Second.Summary.FullSims, 0u);
-  EXPECT_EQ(Second.Summary.Recosts, 2u);
+  CountedRun Second(Grid, Opts);
+  ASSERT_EQ(Second.CR.Summary.Failed, 0u);
+  EXPECT_EQ(Second["campaign.sim.full_sims"], 0u);
+  EXPECT_EQ(Second["campaign.sim.recosts"], 2u);
 }
 
 TEST(DeviceRegistry, FlashWaitStatesSlowFlashAndWidenTheGap) {
@@ -598,11 +621,11 @@ TEST(Campaign, KnobAxisIsOneExtractionOneColdSolve) {
 
   CampaignOptions Opts;
   Opts.Jobs = 4;
-  CampaignResult CR = runCampaign(Grid, Opts);
-  ASSERT_EQ(CR.Summary.Failed, 0u);
-  EXPECT_EQ(CR.Summary.Extractions, 1u);
-  EXPECT_EQ(CR.Summary.ColdSolves, 1u);
-  EXPECT_EQ(CR.Summary.WarmSolves, 8u);
+  CountedRun Run(Grid, Opts);
+  ASSERT_EQ(Run.CR.Summary.Failed, 0u);
+  EXPECT_EQ(Run["campaign.solve.extractions"], 1u);
+  EXPECT_EQ(Run["campaign.solve.cold"], 1u);
+  EXPECT_EQ(Run["campaign.solve.warm"], 8u);
 }
 
 TEST(Campaign, KnobGridReportsUnchangedBySolveReuse) {
@@ -618,23 +641,21 @@ TEST(Campaign, KnobGridReportsUnchangedBySolveReuse) {
 
   CampaignOptions Reuse;
   Reuse.Jobs = 4;
-  CampaignResult WithReuse = runCampaign(Grid, Reuse);
-  ASSERT_EQ(WithReuse.Summary.Failed, 0u);
-  EXPECT_GT(WithReuse.Summary.WarmSolves, 0u);
+  CountedRun WithReuse(Grid, Reuse);
+  ASSERT_EQ(WithReuse.CR.Summary.Failed, 0u);
+  EXPECT_GT(WithReuse["campaign.solve.warm"], 0u);
 
   CampaignOptions Cold;
   Cold.Jobs = 4;
   Cold.Base.Solver.WarmNodes = false;
-  CampaignResult AllCold = runCampaign(Grid, Cold);
-  ASSERT_EQ(AllCold.Summary.Failed, 0u);
-  EXPECT_EQ(AllCold.Summary.WarmSolves, 0u);
-  EXPECT_EQ(AllCold.Summary.ColdSolves,
-            static_cast<uint64_t>(Grid.jobCount()));
-  EXPECT_EQ(AllCold.Summary.Extractions,
-            static_cast<uint64_t>(Grid.jobCount()));
+  CountedRun AllCold(Grid, Cold);
+  ASSERT_EQ(AllCold.CR.Summary.Failed, 0u);
+  EXPECT_EQ(AllCold["campaign.solve.warm"], 0u);
+  EXPECT_EQ(AllCold["campaign.solve.cold"], Grid.jobCount());
+  EXPECT_EQ(AllCold["campaign.solve.extractions"], Grid.jobCount());
 
-  EXPECT_EQ(campaignToJson(WithReuse), campaignToJson(AllCold));
-  EXPECT_EQ(campaignToCsv(WithReuse), campaignToCsv(AllCold));
+  EXPECT_EQ(campaignToJson(WithReuse.CR), campaignToJson(AllCold.CR));
+  EXPECT_EQ(campaignToCsv(WithReuse.CR), campaignToCsv(AllCold.CR));
 }
 
 TEST(Campaign, ModelOnlyKnobGridGroupsToo) {
@@ -646,18 +667,18 @@ TEST(Campaign, ModelOnlyKnobGridGroupsToo) {
   Grid.XlimitPoints = {1.1, 1.6};
   Grid.Kind = JobKind::ModelOnly;
 
-  CampaignResult CR = runCampaign(Grid, {});
-  ASSERT_EQ(CR.Summary.Failed, 0u);
-  EXPECT_EQ(CR.Summary.Extractions, 1u);
-  EXPECT_EQ(CR.Summary.ColdSolves, 1u);
-  EXPECT_EQ(CR.Summary.WarmSolves, 3u);
+  CountedRun Run(Grid);
+  ASSERT_EQ(Run.CR.Summary.Failed, 0u);
+  EXPECT_EQ(Run["campaign.solve.extractions"], 1u);
+  EXPECT_EQ(Run["campaign.solve.cold"], 1u);
+  EXPECT_EQ(Run["campaign.solve.warm"], 3u);
   // ModelOnly with static frequencies never simulates.
-  EXPECT_EQ(CR.Summary.FullSims + CR.Summary.Recosts, 0u);
+  EXPECT_EQ(Run["campaign.sim.full_sims"] + Run["campaign.sim.recosts"], 0u);
 
   CampaignOptions Cold;
   Cold.Base.Solver.WarmNodes = false;
   CampaignResult AllCold = runCampaign(Grid, Cold);
-  EXPECT_EQ(campaignToJson(CR), campaignToJson(AllCold));
+  EXPECT_EQ(campaignToJson(Run.CR), campaignToJson(AllCold));
 }
 
 TEST(Campaign, IncumbentStoreKeepsTheBestAssignment) {
@@ -694,33 +715,33 @@ TEST(Campaign, IncumbentSeedingKeepsReportsByteIdentical) {
   Grid.XlimitPoints = {1.1, 1.8};
   Grid.Kind = JobKind::ModelOnly;
 
-  CampaignResult Baseline = runCampaign(Grid, {});
-  ASSERT_EQ(Baseline.Summary.Failed, 0u);
-  EXPECT_EQ(Baseline.Summary.IncumbentSeeds, 0u);
+  CountedRun Baseline(Grid);
+  ASSERT_EQ(Baseline.CR.Summary.Failed, 0u);
+  EXPECT_EQ(Baseline["campaign.solve.incumbent_seeds"], 0u);
 
   IncumbentStore Store;
   CampaignOptions Warmup;
   Warmup.Incumbents = &Store;
-  CampaignResult First = runCampaign(Grid, Warmup);
-  ASSERT_EQ(First.Summary.Failed, 0u);
-  EXPECT_EQ(First.Summary.IncumbentSeeds, 0u); // store was empty
-  EXPECT_EQ(Store.size(), 1u);                 // one solve group
+  CountedRun First(Grid, Warmup);
+  ASSERT_EQ(First.CR.Summary.Failed, 0u);
+  EXPECT_EQ(First["campaign.solve.incumbent_seeds"], 0u); // store was empty
+  EXPECT_EQ(Store.size(), 1u);                            // one solve group
 
   CampaignOptions Seeded;
   Seeded.Incumbents = &Store;
-  CampaignResult Second = runCampaign(Grid, Seeded);
-  ASSERT_EQ(Second.Summary.Failed, 0u);
-  EXPECT_EQ(Second.Summary.IncumbentSeeds, 1u);
+  CountedRun Second(Grid, Seeded);
+  ASSERT_EQ(Second.CR.Summary.Failed, 0u);
+  EXPECT_EQ(Second["campaign.solve.incumbent_seeds"], 1u);
 
   CampaignOptions NoSeed;
   NoSeed.Incumbents = &Store;
   NoSeed.SeedIncumbents = false;
-  CampaignResult Unseeded = runCampaign(Grid, NoSeed);
-  ASSERT_EQ(Unseeded.Summary.Failed, 0u);
-  EXPECT_EQ(Unseeded.Summary.IncumbentSeeds, 0u);
+  CountedRun Unseeded(Grid, NoSeed);
+  ASSERT_EQ(Unseeded.CR.Summary.Failed, 0u);
+  EXPECT_EQ(Unseeded["campaign.solve.incumbent_seeds"], 0u);
 
-  EXPECT_EQ(campaignToJson(Baseline), campaignToJson(Second));
-  EXPECT_EQ(campaignToJson(Baseline), campaignToJson(Unseeded));
+  EXPECT_EQ(campaignToJson(Baseline.CR), campaignToJson(Second.CR));
+  EXPECT_EQ(campaignToJson(Baseline.CR), campaignToJson(Unseeded.CR));
 }
 
 TEST(Campaign, KnobAxisListingOrderDoesNotChangeReports) {
@@ -826,9 +847,9 @@ std::map<std::string, JobResult> isolatedRows(const GridSpec &Grid) {
     Groups[J.solveGroupKey()].push_back(J);
   std::map<std::string, JobResult> Rows;
   for (const auto &[Key, Jobs] : Groups) {
-    CampaignResult CR = runCampaign(Jobs);
-    EXPECT_EQ(CR.Summary.Replayed, 0u) << Key;
-    for (const JobResult &R : CR.Results)
+    CountedRun Run(Jobs);
+    EXPECT_EQ(Run["campaign.solve.replayed"], 0u) << Key;
+    for (const JobResult &R : Run.CR.Results)
       Rows[R.Spec.cacheKey()] = R;
   }
   return Rows;
@@ -840,32 +861,29 @@ std::map<std::string, JobResult> isolatedRows(const GridSpec &Grid) {
 /// a chain only with groups visiting the same points — and the live MIP
 /// solves are cold + warm - replayed - dominated (a point settled by a
 /// looser proven optimum is warm but never reaches solveMip).
-void expectSolveAccounting(const CampaignResult &CR, uint64_t LiveSolves) {
+void expectSolveAccounting(const CountedRun &Run) {
   std::set<std::string> Groups;
   uint64_t Solved = 0;
-  for (const JobResult &R : CR.Results)
+  for (const JobResult &R : Run.CR.Results)
     if (R.ok() && !R.CacheHit) {
       Groups.insert(R.Spec.solveGroupKey());
       ++Solved;
     }
-  EXPECT_EQ(CR.Summary.ColdSolves, Groups.size());
-  EXPECT_EQ(CR.Summary.WarmSolves, Solved - Groups.size());
-  EXPECT_EQ(LiveSolves, CR.Summary.ColdSolves + CR.Summary.WarmSolves -
-                            CR.Summary.Replayed - CR.Summary.Dominated);
+  EXPECT_EQ(Run["campaign.solve.cold"], Groups.size());
+  EXPECT_EQ(Run["campaign.solve.warm"], Solved - Groups.size());
+  EXPECT_EQ(Run.MipSolves,
+            Run["campaign.solve.cold"] + Run["campaign.solve.warm"] -
+                Run["campaign.solve.replayed"] -
+                Run["campaign.solve.dominated"]);
 }
 
-/// Runs \p Grid and checks every row against \p Isolated and the solve
+/// Checks every row of \p Run against \p Isolated and the solve
 /// accounting: live MIP solves == cold + warm - replayed - dominated.
-CampaignResult runAgainstIsolated(const GridSpec &Grid,
-                                  const CampaignOptions &Opts,
-                                  const std::map<std::string, JobResult>
-                                      &Isolated) {
-  uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
-  CampaignResult CR = runCampaign(Grid, Opts);
-  uint64_t Solves = globalMetrics().counterValue("mip.solves") - SolvesBefore;
-  EXPECT_EQ(CR.Summary.Failed, 0u);
-  expectSolveAccounting(CR, Solves);
-  for (const JobResult &R : CR.Results) {
+void expectMatchesIsolated(const CountedRun &Run,
+                           const std::map<std::string, JobResult> &Isolated) {
+  EXPECT_EQ(Run.CR.Summary.Failed, 0u);
+  expectSolveAccounting(Run);
+  for (const JobResult &R : Run.CR.Results) {
     auto It = Isolated.find(R.Spec.cacheKey());
     if (It == Isolated.end()) {
       ADD_FAILURE() << "no isolated row for " << R.Spec.cacheKey();
@@ -873,7 +891,6 @@ CampaignResult runAgainstIsolated(const GridSpec &Grid,
     }
     EXPECT_EQ(rowJson(R), rowJson(It->second)) << R.Spec.cacheKey();
   }
-  return CR;
 }
 
 } // namespace
@@ -887,18 +904,17 @@ TEST(Campaign, GroupsWithIdenticalModelsReplayOneSolveChain) {
                    std::to_string(Jobs));
       CampaignOptions Opts;
       Opts.Jobs = Jobs;
-      uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
-      CampaignResult CR = runAgainstIsolated(Grid, Opts, Isolated);
+      CountedRun Run(Grid, Opts);
+      expectMatchesIsolated(Run, Isolated);
       // 8 groups x 4 points, 2 distinct chains: 8 live points, and the
       // other 6 groups replay all 24 of theirs. One live point is settled
       // by its chain's looser optimum, so 7 reach the MIP solver.
-      EXPECT_EQ(CR.Summary.Replayed, 24u);
-      EXPECT_EQ(CR.Summary.Dominated, 1u);
-      EXPECT_EQ(globalMetrics().counterValue("mip.solves") - SolvesBefore,
-                7u);
-      // Every group still extracts once; runAgainstIsolated checked the
-      // donor-labelled 8 cold + 24 warm solves.
-      EXPECT_EQ(CR.Summary.Extractions, 8u);
+      EXPECT_EQ(Run["campaign.solve.replayed"], 24u);
+      EXPECT_EQ(Run["campaign.solve.dominated"], 1u);
+      EXPECT_EQ(Run.MipSolves, 7u);
+      // Every group still extracts once; expectMatchesIsolated checked
+      // the donor-labelled 8 cold + 24 warm solves.
+      EXPECT_EQ(Run["campaign.solve.extractions"], 8u);
     }
   }
 }
@@ -906,11 +922,11 @@ TEST(Campaign, GroupsWithIdenticalModelsReplayOneSolveChain) {
 TEST(Campaign, SolveReuseOffSharesNoChain) {
   CampaignOptions Opts;
   Opts.Base.Solver.WarmNodes = false;
-  CampaignResult CR = runCampaign(sharedModelGrid(JobKind::ModelOnly), Opts);
-  ASSERT_EQ(CR.Summary.Failed, 0u);
-  EXPECT_EQ(CR.Summary.Replayed, 0u);
-  EXPECT_EQ(CR.Summary.Dominated, 0u); // every point is searched cold
-  EXPECT_EQ(CR.Summary.ColdSolves, 32u);
+  CountedRun Run(sharedModelGrid(JobKind::ModelOnly), Opts);
+  ASSERT_EQ(Run.CR.Summary.Failed, 0u);
+  EXPECT_EQ(Run["campaign.solve.replayed"], 0u);
+  EXPECT_EQ(Run["campaign.solve.dominated"], 0u); // every point searched cold
+  EXPECT_EQ(Run["campaign.solve.cold"], 32u);
 }
 
 TEST(Campaign, DivergingChainsRematerializeAndMatchIsolatedRuns) {
@@ -940,15 +956,16 @@ TEST(Campaign, DivergingChainsRematerializeAndMatchIsolatedRuns) {
         CampaignOptions Opts;
         Opts.Jobs = Jobs;
         Opts.Cache = &Cache;
-        CampaignResult CR = runAgainstIsolated(Grid, Opts, Isolated);
-        EXPECT_EQ(CR.Summary.CacheHits, 1u);
+        CountedRun Run(Grid, Opts);
+        expectMatchesIsolated(Run, Isolated);
+        EXPECT_EQ(Run.CR.Summary.CacheHits, 1u);
         if (Jobs != 1)
           continue; // which group owns a chain depends on scheduling
         // Either way the group missing the cached point solves its 3
         // points live, the first of the other three sha groups solves
         // the 4-point chain and the last two replay it (8 jobs), and
         // dijkstra's 12 replays are untouched.
-        EXPECT_EQ(CR.Summary.Replayed, 20u);
+        EXPECT_EQ(Run["campaign.solve.replayed"], 20u);
       }
     }
   }
@@ -964,20 +981,19 @@ TEST(Campaign, AbortedJobsRematerializeAndMatchIsolatedRuns) {
   FaultInjector F;
   F.arm("job.abort", 0.2, 11);
   F.install();
-  uint64_t SolvesBefore = globalMetrics().counterValue("mip.solves");
-  CampaignResult CR = runCampaign(Grid, CampaignOptions{});
-  uint64_t Solves = globalMetrics().counterValue("mip.solves") - SolvesBefore;
+  CountedRun Run(Grid);
   FaultInjector::uninstall();
+  const CampaignResult &CR = Run.CR;
   ASSERT_GT(CR.Summary.Failed, 0u);
   ASSERT_GT(CR.Summary.Succeeded, 0u);
-  expectSolveAccounting(CR, Solves);
+  expectSolveAccounting(Run);
   // Seed 11 aborts a middle point of the first sha group (it visits
   // R512 X1.5, R512 X1.2, this point, R256 X1.2, so its twins cannot
   // copy its chain) and points of several other groups.
   ASSERT_EQ(CR.Results[1].Spec.cacheKey(),
             "sha|O1|r2|stm32f100|R256|X1.5|static|model-only");
   EXPECT_FALSE(CR.Results[1].ok());
-  EXPECT_LT(CR.Summary.Replayed, 24u);
+  EXPECT_LT(Run["campaign.solve.replayed"], 24u);
   for (const JobResult &R : CR.Results) {
     if (R.ok()) {
       EXPECT_EQ(rowJson(R), rowJson(Isolated.at(R.Spec.cacheKey())))

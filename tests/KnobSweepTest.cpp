@@ -18,19 +18,25 @@
 //
 // Every row must carry the reference's numbers (changedMetrics, what
 // `--diff` compares) and its label, and no label may be degraded: no
-// solver limit is set, so every solve proves optimality.
+// solver limit is set, so every solve proves optimality. The reference
+// itself is checked against exhaustive enumeration (core/Enumerator):
+// wherever a model has at most 20 movable blocks, every row's model
+// energy is the least over all placements that fit its knobs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "beebs/Beebs.h"
 #include "campaign/Campaign.h"
 #include "campaign/Report.h"
+#include "core/Enumerator.h"
+#include "core/Pipeline.h"
 #include "power/DeviceRegistry.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,10 +110,92 @@ void expectMatchesReference(const CampaignResult &Ref,
   }
 }
 
+/// The most movable blocks a model may have for the enumerator check
+/// (2^20 placements).
+constexpr unsigned MaxEnumeratedBlocks = 20;
+
+/// Every placement of one model's movable blocks, priced by the model.
+struct EnumeratedModel {
+  bool Small = false; ///< at most MaxEnumeratedBlocks movable blocks
+  std::vector<EnumPoint> Points;
+  double BaseCycles = 0.0;
+};
+
+/// Enumerates the model \p Spec's solve group poses: the program
+/// extracted under its device's power and timing, as runSolveGroup does.
+EnumeratedModel enumerateModel(const JobSpec &Spec) {
+  EnumeratedModel E;
+  const DeviceInfo *Dev = findDevice(Spec.Device);
+  if (!Dev) {
+    ADD_FAILURE() << "unknown device " << Spec.Device;
+    return E;
+  }
+  PipelineOptions Opts;
+  Opts.Power = Dev->Model;
+  Opts.Sim.Timing = Dev->Timing;
+  Opts.Extract.Timing = Dev->Timing;
+  Module M = buildBeebs(Spec.Benchmark, Spec.Level, Spec.Repeat);
+  ExtractedModule EM = extractModule(M, Opts, /*NeedBaseline=*/false);
+  if (!EM.ok()) {
+    ADD_FAILURE() << Spec.cacheKey() << ": " << EM.Error;
+    return E;
+  }
+  std::vector<unsigned> Movable;
+  for (unsigned B = 0; B != EM.MP.numBlocks(); ++B)
+    if (EM.MP.Blocks[B].Movable)
+      Movable.push_back(B);
+  if (Movable.size() > MaxEnumeratedBlocks)
+    return E;
+  E.Small = true;
+  E.Points = enumerateSolutions(EM.MP, Movable);
+  E.BaseCycles =
+      evaluateAssignment(EM.MP, Assignment(EM.MP.numBlocks(), false)).Cycles;
+  return E;
+}
+
+/// Every Optimal row of \p Ref whose model is small enough carries the
+/// enumerator's least model energy at its knob point. \p Models caches
+/// the enumerations by model (the job kind does not change the model).
+/// Returns the number of rows checked.
+unsigned expectEnumeratorOptimum(const CampaignResult &Ref,
+                                 std::map<std::string, EnumeratedModel>
+                                     &Models) {
+  unsigned Checked = 0;
+  for (const JobResult &R : Ref.Results) {
+    if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal)
+      continue;
+    JobSpec ModelSpec = R.Spec;
+    ModelSpec.Kind = JobKind::ModelOnly;
+    auto [It, New] = Models.try_emplace(ModelSpec.solveGroupKey());
+    if (New)
+      It->second = enumerateModel(ModelSpec);
+    const EnumeratedModel &E = It->second;
+    if (!E.Small)
+      continue;
+    ModelKnobs Knobs;
+    Knobs.RspareBytes = R.Spec.RspareBytes;
+    Knobs.Xlimit = R.Spec.Xlimit;
+    int Best = bestFeasiblePoint(E.Points, E.BaseCycles, Knobs);
+    ++Checked;
+    if (Best < 0) {
+      ADD_FAILURE() << R.Spec.cacheKey() << ": no feasible placement";
+      continue;
+    }
+    double Want =
+        E.Points[static_cast<size_t>(Best)].Estimate.EnergyMilliJoules;
+    EXPECT_LE(std::fabs(R.PredictedOptEnergyMilliJoules - Want),
+              1e-9 * std::fabs(Want))
+        << R.Spec.cacheKey() << ": " << R.PredictedOptEnergyMilliJoules
+        << " vs enumerated " << Want;
+  }
+  return Checked;
+}
+
 class KnobSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(KnobSweep, EveryReuseSettingMatchesTheReference) {
   GridSpec Grid = drawGrid(GetParam());
+  std::map<std::string, EnumeratedModel> Models;
   for (JobKind Kind : {JobKind::Measure, JobKind::ModelOnly}) {
     Grid.Kind = Kind;
     std::vector<JobSpec> Jobs = Grid.expand();
@@ -115,6 +203,7 @@ TEST_P(KnobSweep, EveryReuseSettingMatchesTheReference) {
                  Jobs.front().cacheKey());
     CampaignResult Ref = runCampaign(Jobs, reuse(false, false, false, false));
     ASSERT_EQ(Ref.Summary.Failed, 0u);
+    EXPECT_GT(expectEnumeratorOptimum(Ref, Models), 0u);
 
     // The incumbent layer acts only through a store; the first run with
     // every layer on fills one as a --cache-dir would, and every later

@@ -590,8 +590,8 @@ int main(int Argc, char **Argv) {
 
   // Telemetry. The campaign records into the process-wide registry (the
   // same one the deep layers use), so one --metrics snapshot carries
-  // campaign.* next to mip.*/sim.*/jobqueue.*/cache.* — and the end-of-
-  // run counters table below reads from it too. The recorder installs
+  // campaign.* next to mip.*/sim.*/jobqueue.*/cache.*, and the summary
+  // lines below read the campaign's effort from it. The recorder installs
   // before the cache store opens so the load shows up in the trace.
   // Neither may affect reports: byte-identity on/off is CI-enforced.
   Opts.Metrics = &globalMetrics();
@@ -711,55 +711,39 @@ int main(int Argc, char **Argv) {
                           : "%u result(s) not proven optimal with no solver "
                             "limit set; their solve_status labels them\n",
                   CR.Summary.Degraded);
-    if (CR.Summary.FullSims + CR.Summary.Recosts > 0)
+    // A process runs one campaign, so the registry's campaign.* totals
+    // are this campaign's effort.
+    MetricsRegistry &M = globalMetrics();
+    auto Count = [&M](const char *Key) {
+      return static_cast<unsigned long long>(M.counterValue(Key));
+    };
+    if (Count("campaign.sim.full_sims") + Count("campaign.sim.recosts") > 0)
       std::printf("%llu full simulation(s), %llu recost(s) from shared "
                   "profiles\n",
-                  static_cast<unsigned long long>(CR.Summary.FullSims),
-                  static_cast<unsigned long long>(CR.Summary.Recosts));
-    if (CR.Summary.ColdSolves + CR.Summary.WarmSolves > 0)
+                  Count("campaign.sim.full_sims"),
+                  Count("campaign.sim.recosts"));
+    if (Count("campaign.solve.cold") + Count("campaign.solve.warm") > 0)
       std::printf("%llu extraction(s), %llu cold solve(s), %llu warm "
                   "solve(s) from neighbouring knob points\n",
-                  static_cast<unsigned long long>(CR.Summary.Extractions),
-                  static_cast<unsigned long long>(CR.Summary.ColdSolves),
-                  static_cast<unsigned long long>(CR.Summary.WarmSolves));
-    if (CR.Summary.Replayed > 0)
+                  Count("campaign.solve.extractions"),
+                  Count("campaign.solve.cold"), Count("campaign.solve.warm"));
+    if (Count("campaign.solve.replayed") > 0)
       std::printf("%llu solve(s) replayed from a group with an identical "
                   "model\n",
-                  static_cast<unsigned long long>(CR.Summary.Replayed));
-    if (CR.Summary.Dominated > 0)
+                  Count("campaign.solve.replayed"));
+    if (Count("campaign.solve.dominated") > 0)
       std::printf("%llu knob point(s) settled by a looser proven optimum\n",
-                  static_cast<unsigned long long>(CR.Summary.Dominated));
-    if (CR.Summary.IncumbentSeeds > 0)
-      std::printf("%llu solve group(s) seeded from persisted "
-                  "incumbents\n",
-                  static_cast<unsigned long long>(
-                      CR.Summary.IncumbentSeeds));
+                  Count("campaign.solve.dominated"));
+    if (Count("campaign.solve.incumbent_seeds") > 0)
+      std::printf("%llu solve group(s) seeded from persisted incumbents\n",
+                  Count("campaign.solve.incumbent_seeds"));
     if (CR.Summary.Succeeded > 0 && Grid.Kind == JobKind::Measure)
       std::printf("geomean energy ratio %.4f; mean energy %+.1f%%, "
                   "time %+.1f%%, power %+.1f%%\n",
                   CR.Summary.GeomeanEnergyRatio, CR.Summary.MeanEnergyPct,
                   CR.Summary.MeanTimePct, CR.Summary.MeanPowerPct);
-    // The counters table reads the metrics registry — the same snapshot
-    // --metrics serializes — not separately-kept Summary state; the two
-    // cannot disagree because the Summary fields are views over it.
-    {
-      MetricsRegistry &M = globalMetrics();
-      Table C({"counter", "value"});
-      auto Row = [&C, &M](const char *Key) {
-        C.addRow({Key, formatString("%llu", static_cast<unsigned long long>(
-                                                M.counterValue(Key)))});
-      };
-      Row("campaign.sim.full_sims");
-      Row("campaign.sim.recosts");
-      Row("campaign.solve.extractions");
-      Row("campaign.solve.cold");
-      Row("campaign.solve.warm");
-      Row("campaign.solve.replayed");
-      Row("campaign.solve.dominated");
-      Row("campaign.solve.incumbent_seeds");
-      std::printf("%s", C.render().c_str());
-    }
-    std::fprintf(stderr, "wall time %.2fs\n", CR.Summary.WallSeconds);
+    std::fprintf(stderr, "wall time %.2fs\n",
+                 M.histogram("campaign.wall_seconds").stats().Sum);
   }
 
   if (!writeReports(CR, JsonPath, CsvPath))
