@@ -755,7 +755,7 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
               // seen a job finish, a kill must not lose it.
               if (Opts.Journal) {
                 Opts.Journal(CR.Results[I]);
-                globalMetrics().counter("campaign.journal.appends").add();
+                Reg.counter("campaign.journal.appends").add();
               }
               if (Opts.Progress)
                 Opts.Progress(CR.Results[I], Done, UniqueRuns);
@@ -774,7 +774,7 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   // Idle time: each worker's wait from its last group to the last
   // worker's finish (no worker, no idle time, when every job was cached).
   auto LastFinish = std::max_element(FinishedAt.begin(), FinishedAt.end());
-  Counter &IdleNs = globalMetrics().counter("jobqueue.idle_ns");
+  Counter &IdleNs = Reg.counter("jobqueue.idle_ns");
   for (auto At : FinishedAt)
     IdleNs.add(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(*LastFinish - At)

@@ -323,7 +323,7 @@ struct CampaignOptions {
   /// `ramloc-batch --cache-dir` wires to CacheStore::appendJournal so a
   /// killed campaign's finished jobs survive and `--resume` replays
   /// them. Every invocation bumps the `campaign.journal.appends`
-  /// metric, so telemetry shows how much progress a kill would have
+  /// counter of the campaign's registry, so telemetry shows how much progress a kill would have
   /// preserved. Unlike the results cache, the journal also records
   /// failed and degraded jobs: its contract is "reproduce the
   /// interrupted run's report exactly", not "store only trustworthy

@@ -88,18 +88,18 @@ PlacementModel::encode(const ModelParams &MP, const Assignment &InRam) const {
     if (XVar[B] >= 0)
       X[static_cast<unsigned>(XVar[B])] = InRam[B] ? 1.0 : 0.0;
   }
-  // The continuous variables are pinned at integral x: y is the crossing
-  // indicator (its objective pressure is upward-positive), z = x * y (the
-  // McCormick rows and its negative objective coefficient meet exactly
-  // there), c the call-crossing indicator, w = x * c (only the RAM row
-  // pushes on w, from above via its lower bound).
+  // The continuous variables are pinned at integral x, where their
+  // objective or RAM-row pressure meets their lower-bounding rows: y is
+  // "in flash and instrumented", z "in RAM and instrumented", c the
+  // call-crossing indicator, w = x * c.
   std::vector<bool> Instrumented = computeInstrumented(MP, InRam);
   for (unsigned B = 0, E = XVar.size(); B != E; ++B) {
-    double Y = Instrumented[B] ? 1.0 : 0.0;
     if (YVar[B] >= 0)
-      X[static_cast<unsigned>(YVar[B])] = Y;
+      X[static_cast<unsigned>(YVar[B])] =
+          Instrumented[B] && !InRam[B] ? 1.0 : 0.0;
     if (ZVar[B] >= 0)
-      X[static_cast<unsigned>(ZVar[B])] = InRam[B] ? Y : 0.0;
+      X[static_cast<unsigned>(ZVar[B])] =
+          Instrumented[B] && InRam[B] ? 1.0 : 0.0;
     for (unsigned CI = 0, CE = CallVar[B].size(); CI != CE; ++CI) {
       if (CallVar[B][CI] < 0)
         continue;
@@ -195,30 +195,37 @@ PlacementModel ramloc::buildPlacementModel(const ModelParams &MP,
     }
   }
 
+  // Eq. 5 split by memory side: y_b is "b in flash and instrumented", z_b
+  // "b in RAM and instrumented", so Tb is charged at the rate of the
+  // memory b sits in without a product of x and an indicator. A row
+  // y_b >= x_s - x_b binds only when the successor has its own variable
+  // and z_b >= x_b - x_s only when b has one; the others are left out.
+  // Both objective coefficients are >= 0, so each continuous [0,1]
+  // indicator settles exactly at its value at integral x.
+  auto flashRow = [&PM](unsigned B, unsigned S) {
+    return PM.XVar[S] >= 0 && PM.XVar[S] != PM.XVar[B];
+  };
+  auto ramRow = [&PM](unsigned B, unsigned S) {
+    return PM.XVar[B] >= 0 && PM.XVar[S] != PM.XVar[B];
+  };
   if (Knobs.ClusteringAware) {
     for (unsigned B = 0; B != N; ++B) {
       const BlockParams &Blk = MP.Blocks[B];
-      if (Blk.Succs.empty() || costT(Blk) <= 0.0)
+      if (costT(Blk) <= 0.0)
         continue;
-      // y is only needed when the block or one of its successors can
-      // move; otherwise the edge can never cross.
-      bool AnyMovable = PM.XVar[B] >= 0;
-      for (unsigned S : Blk.Succs)
-        AnyMovable |= PM.XVar[S] >= 0;
-      if (!AnyMovable)
-        continue;
-      // y's objective pressure is upward-positive, so a continuous [0,1]
-      // variable settles exactly at the indicator value.
-      double YCoef = Blk.Fb * costT(Blk) * MP.EFlash;
-      PM.YVar[B] = static_cast<int>(P.addVariable(
-          0.0, 1.0, YCoef, /*Integer=*/false,
-          formatString("y_%s", Blk.Name.c_str())));
-      if (PM.XVar[B] >= 0) {
-        double ZCoef = Blk.Fb * costT(Blk) * DeltaE;
-        PM.ZVar[B] = static_cast<int>(P.addVariable(
-            0.0, 1.0, ZCoef, /*Integer=*/false,
-            formatString("z_%s", Blk.Name.c_str())));
+      bool FlashSide = false, RamSide = false;
+      for (unsigned S : Blk.Succs) {
+        FlashSide |= flashRow(B, S);
+        RamSide |= ramRow(B, S);
       }
+      if (FlashSide)
+        PM.YVar[B] = static_cast<int>(P.addVariable(
+            0.0, 1.0, Blk.Fb * costT(Blk) * MP.EFlash, /*Integer=*/false,
+            formatString("y_%s", Blk.Name.c_str())));
+      if (RamSide)
+        PM.ZVar[B] = static_cast<int>(P.addVariable(
+            0.0, 1.0, Blk.Fb * costT(Blk) * MP.ERam, /*Integer=*/false,
+            formatString("z_%s", Blk.Name.c_str())));
     }
   }
 
@@ -252,41 +259,24 @@ PlacementModel ramloc::buildPlacementModel(const ModelParams &MP,
   }
 
   // --- constraints ---------------------------------------------------------
-  // y_b >= x_b - x_s and y_b >= x_s - x_b  (Eq. 5 linearised).
-  auto addAbsRows = [&P](int AbsVar, int AVar, int BVar) {
-    // AbsVar >= AVar - BVar  <=>  AVar - BVar - AbsVar <= 0
-    std::vector<std::pair<unsigned, double>> T1, T2;
-    auto term = [](std::vector<std::pair<unsigned, double>> &T, int Var,
-                   double Coef) {
-      if (Var >= 0)
-        T.push_back({static_cast<unsigned>(Var), Coef});
-    };
-    term(T1, AVar, 1.0);
-    term(T1, BVar, -1.0);
-    term(T1, AbsVar, -1.0);
-    if (!T1.empty())
-      P.addConstraint(std::move(T1), ConstraintSense::LessEq, 0.0);
-    term(T2, AVar, -1.0);
-    term(T2, BVar, 1.0);
-    term(T2, AbsVar, -1.0);
-    if (!T2.empty())
-      P.addConstraint(std::move(T2), ConstraintSense::LessEq, 0.0);
+  // Ind >= x_Up - x_Down, an absent x counting as 0.
+  auto addAtLeastRow = [&P](int Ind, int Up, int Down) {
+    std::vector<std::pair<unsigned, double>> T;
+    if (Up >= 0)
+      T.push_back({static_cast<unsigned>(Up), 1.0});
+    if (Down >= 0)
+      T.push_back({static_cast<unsigned>(Down), -1.0});
+    T.push_back({static_cast<unsigned>(Ind), -1.0});
+    P.addConstraint(std::move(T), ConstraintSense::LessEq, 0.0);
   };
 
+  // Eq. 5, one side per indicator: y_b >= x_s - x_b, z_b >= x_b - x_s.
   for (unsigned B = 0; B != N; ++B) {
-    if (PM.YVar[B] < 0)
-      continue;
-    for (unsigned S : MP.Blocks[B].Succs)
-      addAbsRows(PM.YVar[B], PM.XVar[B], PM.XVar[S]);
-    // z = x * y (McCormick; x,y in [0,1] with x binary pins z exactly).
-    if (PM.ZVar[B] >= 0) {
-      unsigned Z = static_cast<unsigned>(PM.ZVar[B]);
-      unsigned X = static_cast<unsigned>(PM.XVar[B]);
-      unsigned Y = static_cast<unsigned>(PM.YVar[B]);
-      P.addConstraint({{Z, 1.0}, {X, -1.0}}, ConstraintSense::LessEq, 0.0);
-      P.addConstraint({{Z, 1.0}, {Y, -1.0}}, ConstraintSense::LessEq, 0.0);
-      P.addConstraint({{Z, -1.0}, {X, 1.0}, {Y, 1.0}},
-                      ConstraintSense::LessEq, 1.0);
+    for (unsigned S : MP.Blocks[B].Succs) {
+      if (PM.YVar[B] >= 0 && flashRow(B, S))
+        addAtLeastRow(PM.YVar[B], PM.XVar[S], PM.XVar[B]);
+      if (PM.ZVar[B] >= 0 && ramRow(B, S))
+        addAtLeastRow(PM.ZVar[B], PM.XVar[B], PM.XVar[S]);
     }
   }
 
@@ -294,8 +284,10 @@ PlacementModel ramloc::buildPlacementModel(const ModelParams &MP,
     for (unsigned CI = 0, CE = CallVar[B].size(); CI != CE; ++CI) {
       if (CallVar[B][CI] < 0)
         continue;
-      addAbsRows(CallVar[B][CI], PM.XVar[B],
-                 PM.XVar[MP.Blocks[B].Calls[CI].CalleeEntry]);
+      // c >= |x_caller - x_callee|.
+      int Callee = PM.XVar[MP.Blocks[B].Calls[CI].CalleeEntry];
+      addAtLeastRow(CallVar[B][CI], PM.XVar[B], Callee);
+      addAtLeastRow(CallVar[B][CI], Callee, PM.XVar[B]);
       // w >= x + c - 1: the only pressure on w is the RAM row, so the
       // lower bound pins it to the product at integral points.
       if (CallPoolVar[B][CI] >= 0) {
@@ -315,7 +307,7 @@ PlacementModel ramloc::buildPlacementModel(const ModelParams &MP,
       if (PM.XVar[B] >= 0)
         Terms.push_back({static_cast<unsigned>(PM.XVar[B]),
                          static_cast<double>(MP.Blocks[B].Sb)});
-      if (Knobs.ClusteringAware && PM.ZVar[B] >= 0)
+      if (PM.ZVar[B] >= 0)
         Terms.push_back({static_cast<unsigned>(PM.ZVar[B]),
                          static_cast<double>(MP.Blocks[B].Kb)});
       for (unsigned CI = 0, CE = CallPoolVar[B].size(); CI != CE; ++CI)
@@ -343,9 +335,9 @@ PlacementModel ramloc::buildPlacementModel(const ModelParams &MP,
       if (PM.XVar[B] >= 0 && costL(Blk) != 0.0)
         Terms.push_back({static_cast<unsigned>(PM.XVar[B]),
                          Blk.Fb * costL(Blk)});
-      if (PM.YVar[B] >= 0)
-        Terms.push_back({static_cast<unsigned>(PM.YVar[B]),
-                         Blk.Fb * costT(Blk)});
+      for (int Ind : {PM.YVar[B], PM.ZVar[B]})
+        if (Ind >= 0)
+          Terms.push_back({static_cast<unsigned>(Ind), Blk.Fb * costT(Blk)});
       for (unsigned CI = 0, CE = CallVar[B].size(); CI != CE; ++CI)
         if (CallVar[B][CI] >= 0)
           Terms.push_back({static_cast<unsigned>(CallVar[B][CI]),

@@ -8,16 +8,19 @@
 /// \file
 /// The paper's energy-minimisation ILP (Eqs. 1-9), linearised:
 ///
-///   minimise  sum_b Fb * (Cb + Tb*y_b + Lb*x_b) * M(x_b)
-///   s.t.      sum_b x_b*(Sb + Kb*y_b)  <=  Rspare          (Eq. 7)
+///   minimise  sum_b Fb * ((Cb + Lb*x_b) * M(x_b) + Tb*(EFlash*y_b + ERam*z_b))
+///   s.t.      sum_b (Sb*x_b + Kb*z_b)  <=  Rspare          (Eq. 7)
 ///             modelled time / base time <=  Xlimit          (Eq. 9)
 ///
-/// with binaries x_b ("b in RAM") and continuous indicator y_b >= |x_b -
-/// x_s| for every successor s (Eq. 5); the bilinear x*y and M(x)*(...)
-/// products are linearised through z_b = x_b * y_b with the standard
-/// McCormick rows. Cross-memory calls get the same treatment through
-/// per-call-site indicator variables (an extension the paper leaves to
-/// future work but which our linker enforces).
+/// with binaries x_b ("b in RAM") and the Eq. 5 instrumentation indicator
+/// split by memory side into two continuous ones: y_b ("b in flash and
+/// instrumented") >= x_s - x_b and z_b ("b in RAM and instrumented") >=
+/// x_b - x_s for every successor s. Each indicator is charged at its own
+/// memory's rate, so no x*y product needs linearising, and both settle at
+/// their 0/1 values at integral x. Cross-memory calls get an indicator
+/// c >= |x_caller - x_callee| per call site and a RAM literal-pool
+/// product w = x_caller * c (an extension the paper leaves to future work
+/// but which our linker enforces).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,8 +80,11 @@ ModelEstimate evaluateAssignment(const ModelParams &MP,
 /// The built ILP plus decode tables.
 struct PlacementModel {
   LpProblem P;
-  /// Per global block: variable indices, -1 when absent (fixed to flash /
-  /// never instrumented).
+  /// Per global block: variable indices, -1 when absent. XVar is "in RAM"
+  /// (absent: fixed to flash). YVar is "in flash and instrumented"
+  /// (absent: no successor can move to RAM), ZVar "in RAM and
+  /// instrumented" (absent: the block cannot move, or no successor can
+  /// stay behind).
   std::vector<int> XVar;
   std::vector<int> YVar;
   std::vector<int> ZVar;
@@ -108,9 +114,11 @@ struct PlacementModel {
   Assignment decode(const MipSolution &Sol) const;
 
   /// The inverse of decode: lifts an assignment to the canonical full
-  /// variable vector (x from the assignment; y/z/c/w at the values the
-  /// objective and constraint pressure pin them to at integral points —
-  /// the optimal completion of that x). Returns an empty vector when the
+  /// variable vector: x from the assignment, y = instrumented and in
+  /// flash, z = instrumented and in RAM, c = the call crosses, w = the
+  /// call crosses from RAM. These are the values objective and constraint
+  /// pressure pin them to at integral points, the optimal completion of
+  /// that x. Returns an empty vector when the
   /// assignment does not fit this model (wrong arity, or a block marked
   /// in-RAM that has no placement variable). Used to replant a persisted
   /// incumbent: feed the result to a MipWarmStart and solveMip re-checks

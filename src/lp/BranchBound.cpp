@@ -134,6 +134,7 @@ void accumulateLp(SolverStats &St, const LpSolution &Relax) {
   St.PricingRecomputes += Relax.PricingRecomputes;
   St.PricingDrift += Relax.PricingDrift;
   St.StuckCertified += Relax.StuckCertified;
+  St.UnconfirmedInfeasible += Relax.UnconfirmedInfeasible;
 }
 
 /// Picks the branching variable for a fractional relaxation point.
@@ -403,6 +404,8 @@ MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
   M.counter("mip.pricing.recomputes").add(Sol.Stats.PricingRecomputes);
   M.counter("mip.pricing.drift").add(Sol.Stats.PricingDrift);
   M.counter("mip.stuck_certified").add(Sol.Stats.StuckCertified);
+  M.counter("mip.unconfirmed_infeasible")
+      .add(Sol.Stats.UnconfirmedInfeasible);
   if (Sol.Stats.WarmStarted)
     M.counter("mip.warm_starts").add();
   if (Sol.Stats.SeededIncumbent)

@@ -40,7 +40,7 @@
 // dual simplex re-optimizes from where the parent left off.
 //
 // Rows are equilibrated to unit max-coefficient at build: the placement
-// model mixes +-1 McCormick rows with Fb*Tb cycle-budget rows around
+// model mixes +-1 indicator rows with Fb*Tb cycle-budget rows around
 // 1e7, and a tableau living across thousands of pivots cannot survive
 // that spread with absolute tolerances. Row scaling never moves the
 // feasible set, and the slack boxes (0 / +-inf) are scale-invariant.
@@ -192,6 +192,9 @@ struct WarmState {
   /// False until a solve leaves a re-optimizable (dual-feasible) basis.
   bool Usable = false;
 
+  /// The tableau row dualIterate's last Infeasible verdict rests on.
+  unsigned InfeasibleRow = 0;
+
   /// Pivots performed since the tableau was last built or refactorized.
   /// Dense updates accumulate rounding with every pivot; past the
   /// fixed budget the handle is refactorized from its current basis
@@ -300,6 +303,7 @@ struct WarmState {
   bool patchTo(const LpProblem &P, const std::vector<double> &Lower,
                const std::vector<double> &Upper);
   bool anyEmptyBox() const;
+  bool confirmInfeasible(const LpProblem &P) const;
   bool primalInfeasible(double Tol) const;
   void extract(const LpProblem &P, LpSolution &Sol) const;
   LpSolution solveFresh(const LpProblem &P);
@@ -696,6 +700,65 @@ bool WarmState::primalInfeasible(double Tol) const {
   return false;
 }
 
+/// Re-derives dualIterate's Infeasible verdict from the original rows, so
+/// a tableau that drifted cannot drop a feasible subtree. The slack block
+/// of the verdict's row holds multipliers u (row k of B^-1, in scaled row
+/// space): every point of the system satisfies
+///
+///   sum_j (sum_k u_k S_k a_kj) x_j + sum_k u_k s_k = sum_k u_k S_k b_k.
+///
+/// Each x_j ranges over its current box and each slack over its sense box
+/// cut down to the values its row's activity can reach over those boxes.
+/// The verdict stands when the right-hand side lies outside the range the
+/// left-hand side can take; the check is O(nnz) and reads no tableau
+/// entry but the multipliers.
+bool WarmState::confirmInfeasible(const LpProblem &P) const {
+  const double *Mult = row(InfeasibleRow) + NumVars;
+  std::vector<double> D(NumVars, 0.0);
+  double Rhs = 0.0, Min = 0.0, Max = 0.0, Mag = 0.0;
+  // Mag sums the finite magnitudes the sums are made of; the round-off
+  // of each sum is a small multiple of it.
+  auto addRange = [&](double Coef, double L, double H) {
+    if (Coef == 0.0)
+      return;
+    double A = Coef * L, B = Coef * H;
+    Min += std::min(A, B);
+    Max += std::max(A, B);
+    for (double V : {A, B})
+      if (std::isfinite(V))
+        Mag += std::abs(V);
+  };
+  for (unsigned R = 0; R != NumRows; ++R) {
+    if (Mult[R] == 0.0)
+      continue;
+    const LpConstraint &C = P.Constraints[RowCons[R]];
+    double U = Mult[R] * RowScale[R];
+    double ActLo = 0.0, ActHi = 0.0;
+    for (const auto &[Var, Coef] : C.Terms) {
+      if (Coef == 0.0)
+        continue;
+      D[Var] += U * Coef;
+      double A = Coef * RowScale[R] * Lo[Var];
+      double B = Coef * RowScale[R] * Hi[Var];
+      ActLo += std::min(A, B);
+      ActHi += std::max(A, B);
+    }
+    double Sb = AppliedRhs[RowCons[R]] * RowScale[R];
+    unsigned Slack = NumVars + R;
+    double SLo = std::max(Lo[Slack], Sb - ActHi);
+    double SHi = std::min(Hi[Slack], Sb - ActLo);
+    if (SLo > SHi)
+      return true; // the row alone cannot hold within the boxes
+    Rhs += Mult[R] * Sb;
+    Mag += std::abs(Mult[R] * Sb);
+    addRange(Mult[R], SLo, SHi);
+  }
+  for (unsigned J = 0; J != NumVars; ++J)
+    addRange(D[J], Lo[J], Hi[J]);
+  double Tol = LpTolerance * std::max(1.0, Mag);
+  return Rhs < Min - Tol || Rhs > Max + Tol;
+}
+
 bool WarmState::anyEmptyBox() const {
   for (unsigned J = 0; J != NumVars; ++J)
     if (Lo[J] > Hi[J])
@@ -942,6 +1005,7 @@ LpStatus WarmState::dualIterate(unsigned MaxIter, unsigned &Iterations,
       }
       if (BlandPick >= 0 || !Cands.empty())
         break;
+      InfeasibleRow = LR;
       if (!SawTiny)
         return LpStatus::Infeasible; // this row alone proves it
       // Stuck-row certificate: only the round-off columns could repair
@@ -1195,6 +1259,12 @@ LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
     S = W.primalIterate(MaxIter, Sol.Iterations, Sol.BoundFlips);
   }
   W.effortDelta(Snap, Sol);
+  if (S == LpStatus::Infeasible && !W.confirmInfeasible(P)) {
+    // The original rows do not bear the verdict out: the tableau has
+    // drifted, and only a fresh solve may drop this subtree.
+    Sol.UnconfirmedInfeasible = true;
+    S = LpStatus::IterLimit;
+  }
   Sol.Status = S;
   if (S == LpStatus::Optimal) {
     W.extract(P, Sol);
@@ -1228,6 +1298,7 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
   // re-optimization that exhausts its budget below falls back to the
   // cold rebuild-from-scratch path.
   bool Refactorized = false;
+  bool Unconfirmed = false;
   bool Resolvable = HadUsableMatch;
   WarmState::EffortSnap Snap{};
   if (HadUsableMatch)
@@ -1248,6 +1319,7 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
       Warm.S->effortDelta(Snap, Sol);
       return Sol;
     }
+    Unconfirmed = Sol.UnconfirmedInfeasible;
     // fall through: rebuild from scratch
   }
   Warm.S = std::make_unique<WarmState>();
@@ -1255,9 +1327,11 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
     LpSolution Sol;
     Sol.Status = LpStatus::Infeasible;
     Sol.Refactorized = HadUsableMatch;
+    Sol.UnconfirmedInfeasible = Unconfirmed;
     return Sol;
   }
   LpSolution Sol = Warm.S->solveFresh(P);
   Sol.Refactorized = HadUsableMatch;
+  Sol.UnconfirmedInfeasible = Unconfirmed;
   return Sol;
 }

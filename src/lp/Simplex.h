@@ -92,6 +92,12 @@ struct LpSolution {
   /// the node would lose its warm tableau or, when a cold rebuild stuck
   /// too, its optimality proof.
   bool StuckCertified = false;
+  /// True when a warm re-optimization ended Infeasible but the original
+  /// rows did not confirm it (the multipliers of the verdict's row, applied
+  /// to the problem's rows over the node's boxes, admit a solution), so
+  /// the node was re-solved cold. A drifted tableau can otherwise drop a
+  /// feasible subtree and let a worse incumbent read as optimal.
+  bool UnconfirmedInfeasible = false;
   /// True when a previously valid, structurally matching warm tableau was
   /// re-derived from original problem data for this solve — the periodic
   /// LpRefactorInterval cadence (which re-eliminates against the
@@ -177,7 +183,9 @@ LpSolution solveLpWarm(const LpProblem &P, const std::vector<double> &Lower,
 /// re-checked, and a constraint RHS shift lands through the row's slack
 /// column — then runs the dual simplex until every basic variable is back
 /// inside its box. Returns IterLimit without touching the state when
-/// \p Warm holds no re-optimizable basis; callers wanting automatic
+/// \p Warm holds no re-optimizable basis, and IterLimit with
+/// LpSolution::UnconfirmedInfeasible (the state dropped) when the original
+/// rows do not confirm an Infeasible verdict; callers wanting automatic
 /// fallback use solveLpWarm.
 LpSolution resolveLpFromBasis(const LpProblem &P,
                               const std::vector<double> &Lower,

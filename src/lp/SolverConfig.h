@@ -148,6 +148,9 @@ struct SolverStats {
   /// whose violation exceeds the most those entries can move it (see
   /// LpSolution::StuckCertified).
   uint64_t StuckCertified = 0;
+  /// Warm node relaxations whose Infeasible verdict the original rows did
+  /// not confirm, re-solved cold (LpSolution::UnconfirmedInfeasible).
+  uint64_t UnconfirmedInfeasible = 0;
   /// Steepest-edge weight recurrence updates applied (one per pivot while
   /// dual steepest-edge pricing is active).
   uint64_t PricingUpdates = 0;

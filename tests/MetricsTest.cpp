@@ -193,6 +193,7 @@ TEST(Metrics, TracedCampaignRecordsOneJobSpanPerSolveGroup) {
   // filled: every job is a hit, no group is left to run, and no worker
   // starts.
   ResultCache Cache;
+  MetricsRegistry Reg;
   struct Pass {
     unsigned Jobs;
     ResultCache *Cache;
@@ -206,6 +207,7 @@ TEST(Metrics, TracedCampaignRecordsOneJobSpanPerSolveGroup) {
     CampaignOptions Opts;
     Opts.Jobs = P.Jobs;
     Opts.Cache = P.Cache;
+    Opts.Metrics = &Reg;
     CampaignResult CR = runCampaign(Grid, Opts);
     TraceRecorder::uninstall();
     ASSERT_EQ(CR.Summary.Failed, 0u);
@@ -232,6 +234,34 @@ TEST(Metrics, TracedCampaignRecordsOneJobSpanPerSolveGroup) {
   }
 
   JsonValue V;
-  ASSERT_TRUE(JsonValue::parse(globalMetrics().toJson(), V));
+  ASSERT_TRUE(JsonValue::parse(Reg.toJson(), V));
   EXPECT_NE(V.find("counters")->find("jobqueue.idle_ns"), nullptr);
+}
+
+TEST(Metrics, JournalAndIdleCountsGoToTheCampaignsRegistry) {
+  // A campaign with its own registry keeps every campaign count there:
+  // two campaigns in one process do not mix their journal appends or
+  // their workers' idle time in the global registry.
+  MetricsRegistry &G = globalMetrics();
+  uint64_t AppendsBefore = G.counterValue("campaign.journal.appends");
+  uint64_t IdleBefore = G.counterValue("jobqueue.idle_ns");
+  MetricsRegistry Reg;
+  CampaignOptions Opts;
+  Opts.Metrics = &Reg;
+  Opts.Jobs = 2;
+  unsigned Journalled = 0;
+  Opts.Journal = [&](const JobResult &) { ++Journalled; };
+  GridSpec Grid = modelOnlyGrid();
+  Grid.Devices = {"stm32f100", "stm32l-lp"};
+  CampaignResult CR = runCampaign(Grid, Opts);
+
+  ASSERT_EQ(CR.Summary.Failed, 0u);
+  EXPECT_GT(Journalled, 0u);
+  EXPECT_EQ(Journalled, CR.Summary.UniqueRuns);
+  EXPECT_EQ(Reg.counterValue("campaign.journal.appends"), Journalled);
+  JsonValue V;
+  ASSERT_TRUE(JsonValue::parse(Reg.toJson(), V));
+  EXPECT_NE(V.find("counters")->find("jobqueue.idle_ns"), nullptr);
+  EXPECT_EQ(G.counterValue("campaign.journal.appends"), AppendsBefore);
+  EXPECT_EQ(G.counterValue("jobqueue.idle_ns"), IdleBefore);
 }

@@ -425,6 +425,90 @@ TEST(Model, EncodeIsTheInverseOfDecodeAndOptimallyComplete) {
   EXPECT_TRUE(PM.encode(MP, Assignment(MP.numBlocks() + 1, false)).empty());
 }
 
+TEST(Model, SideSplitIndicatorsAreExactAtEveryIntegralPoint) {
+  // Eq. 5 split by memory side needs no product rows: at every integral x
+  // each continuous variable settles at the value encode() gives it. Over
+  // the whole 2^k space of random models with immovable blocks,
+  // self-loops and call edges, the encoded point is feasible at zero
+  // tolerance and the LP over the continuous variables, x fixed, costs
+  // exactly what it does.
+  uint64_t Points = 0;
+  for (uint64_t Seed = 0; Seed != 30; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    SplitMix64 Rng(Seed * 7919 + 5);
+    unsigned N = 4 + static_cast<unsigned>(Rng.nextBelow(9)); // 4..12
+    ModelParams MP = randomContinuousParams(Rng, N);
+    MP.CallInstrBytes = 4;
+    unsigned NumMovable = 0;
+    for (unsigned I = 0; I != N; ++I) {
+      BlockParams &B = MP.Blocks[I];
+      B.Movable = NumMovable != 10 && !Rng.nextBool(0.2);
+      NumMovable += B.Movable;
+      if (Rng.nextBool(0.2))
+        B.Succs.push_back(I); // a self-loop never crosses
+      if (Rng.nextBool(0.4))
+        B.Calls.push_back({static_cast<unsigned>(Rng.nextBelow(N)),
+                           1 + static_cast<unsigned>(Rng.nextBelow(3))});
+    }
+    ModelKnobs K; // budgets every assignment fits
+    K.RspareBytes = 1u << 20;
+    K.Xlimit = 1e6;
+    PlacementModel PM = buildPlacementModel(MP, K);
+    const LpProblem &P = PM.P;
+
+    // An Eq. 5 row links its indicator to x alone: no McCormick row ties
+    // two continuous variables together.
+    std::vector<bool> Indicator(P.numVariables(), false);
+    for (unsigned B = 0; B != N; ++B)
+      for (int V : {PM.YVar[B], PM.ZVar[B]})
+        if (V >= 0)
+          Indicator[static_cast<unsigned>(V)] = true;
+    for (unsigned C = 0; C != P.numConstraints(); ++C) {
+      if (static_cast<int>(C) == PM.RamConstraint ||
+          static_cast<int>(C) == PM.TimeConstraint)
+        continue;
+      unsigned Continuous = 0;
+      bool HasIndicator = false;
+      for (const auto &[Var, Coef] : P.Constraints[C].Terms) {
+        Continuous += !P.Variables[Var].Integer;
+        HasIndicator |= Indicator[Var];
+      }
+      if (HasIndicator) {
+        EXPECT_EQ(Continuous, 1u) << "row " << C;
+      }
+    }
+
+    std::vector<unsigned> Movable;
+    for (unsigned B = 0; B != N; ++B)
+      if (PM.XVar[B] >= 0)
+        Movable.push_back(B);
+    std::vector<double> Lo(P.numVariables()), Hi(P.numVariables());
+    for (unsigned J = 0; J != P.numVariables(); ++J) {
+      Lo[J] = P.Variables[J].Lower;
+      Hi[J] = P.Variables[J].Upper;
+    }
+    Points += uint64_t(1) << Movable.size();
+    for (uint64_t Mask = 0; Mask != (uint64_t(1) << Movable.size());
+         ++Mask) {
+      Assignment A(N, false);
+      for (unsigned I = 0; I != Movable.size(); ++I) {
+        A[Movable[I]] = (Mask >> I) & 1;
+        unsigned X = static_cast<unsigned>(PM.XVar[Movable[I]]);
+        Lo[X] = Hi[X] = A[Movable[I]] ? 1.0 : 0.0;
+      }
+      std::vector<double> X = PM.encode(MP, A);
+      ASSERT_EQ(X.size(), P.numVariables());
+      EXPECT_TRUE(P.isFeasible(X, /*Tol=*/0.0)) << "mask " << Mask;
+      double Want = P.objectiveValue(X);
+      LpSolution S = solveLpWithBounds(P, Lo, Hi);
+      ASSERT_EQ(S.Status, LpStatus::Optimal) << "mask " << Mask;
+      EXPECT_NEAR(S.Objective, Want, 1e-9 * (std::abs(Want) + 1.0))
+          << "mask " << Mask;
+    }
+  }
+  EXPECT_GT(Points, 5000u); // the sweep reaches models at the k = 10 cap
+}
+
 TEST(Model, SeededSolverMatchesUnseededBitForBit) {
   // The persistent-incumbent path: seeding a fresh solver with the known
   // optimum must flag the solve as seeded and return the identical
