@@ -20,13 +20,25 @@ using namespace ramloc;
 
 namespace {
 
+/// An open node. Its box is the root's with the branchings on the path
+/// down to it applied; the search keeps that box in one working pair of
+/// bound vectors (see Fixing) instead of a copy per node.
 struct Node {
-  std::vector<double> Lower;
-  std::vector<double> Upper;
   double Bound;      ///< parent LP objective: lower bound on this subtree
   int BranchVar = -1; ///< variable whose bound created this node
   bool BranchUp = false; ///< true: forced to 1; false: forced to 0
   double FracDist = 0.0; ///< fractional distance the branch moved it
+  unsigned Depth = 0;    ///< branchings between the root and this node
+};
+
+/// One branching applied to the working bounds, with the box it
+/// overwrote. The trail of them is the path from the root to the node
+/// last solved; in a depth-first search the next node's parent is always
+/// on that path, so undoing the trail down to the parent's depth and
+/// applying the node's own branching gives exactly its box.
+struct Fixing {
+  unsigned Var;
+  double Lower, Upper;
 };
 
 /// Rounds an LP point to the nearest binary assignment; returns true if
@@ -183,20 +195,16 @@ int pickBranchVariable(const LpProblem &P, const std::vector<double> &X,
 /// Splits \p N on \p BranchVar and pushes both children onto the
 /// \p Open stack, closer side last: the search pops it next and dives
 /// into the half the relaxation already leans towards.
-void branchNode(Node &&N, int BranchVar, double Frac, double Bound,
+void branchNode(const Node &N, int BranchVar, double Frac, double Bound,
                 std::vector<Node> &Open) {
-  unsigned BV = static_cast<unsigned>(BranchVar);
-  Node Zero{N.Lower, N.Upper, Bound, BranchVar, false, Frac};
-  Zero.Upper[BV] = 0.0;
-  Node One{std::move(N.Lower), std::move(N.Upper), Bound, BranchVar, true,
-           1.0 - Frac};
-  One.Lower[BV] = 1.0;
+  Node Zero{Bound, BranchVar, false, Frac, N.Depth + 1};
+  Node One{Bound, BranchVar, true, 1.0 - Frac, N.Depth + 1};
   if (Frac >= 0.5) {
-    Open.push_back(std::move(Zero));
-    Open.push_back(std::move(One));
+    Open.push_back(Zero);
+    Open.push_back(One);
   } else {
-    Open.push_back(std::move(One));
-    Open.push_back(std::move(Zero));
+    Open.push_back(One);
+    Open.push_back(Zero);
   }
 }
 
@@ -216,11 +224,13 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
     assert((!V.Integer || (V.Lower >= 0.0 && V.Upper <= 1.0)) &&
            "only binary integer variables are supported");
 
-  std::vector<double> RootLo(P.numVariables()), RootHi(P.numVariables());
+  // The working box, the root's until a branching lands in it.
+  std::vector<double> Lo(P.numVariables()), Hi(P.numVariables());
   for (unsigned J = 0, E = P.numVariables(); J != E; ++J) {
-    RootLo[J] = P.Variables[J].Lower;
-    RootHi[J] = P.Variables[J].Upper;
+    Lo[J] = P.Variables[J].Lower;
+    Hi[J] = P.Variables[J].Upper;
   }
+  std::vector<Fixing> Trail;
 
   // Knob-axis / cross-process reuse: the LP basis survives from the
   // previous solve, and the seeded incumbent — when still feasible under
@@ -252,10 +262,8 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
   // The open list is a stack: depth-first diving.
   std::vector<Node> Open;
   Node Root;
-  Root.Lower = std::move(RootLo);
-  Root.Upper = std::move(RootHi);
   Root.Bound = -std::numeric_limits<double>::infinity();
-  Open.push_back(std::move(Root));
+  Open.push_back(Root);
 
   while (!Open.empty()) {
     // Cooperative limits, checked once per node between LP solves: the
@@ -269,17 +277,32 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
       Best.Proven = false;
       break;
     }
-    Node N = std::move(Open.back());
+    Node N = Open.back();
     Open.pop_back();
 
     // Bound pruning against the incumbent.
     if (HaveIncumbent && N.Bound >= Best.Objective - MipGapTolerance)
       continue;
 
+    // Move the working box to this node's.
+    if (N.BranchVar >= 0) {
+      while (Trail.size() >= N.Depth) {
+        const Fixing &F = Trail.back();
+        Lo[F.Var] = F.Lower;
+        Hi[F.Var] = F.Upper;
+        Trail.pop_back();
+      }
+      unsigned BV = static_cast<unsigned>(N.BranchVar);
+      Trail.push_back({BV, Lo[BV], Hi[BV]});
+      if (N.BranchUp)
+        Lo[BV] = 1.0;
+      else
+        Hi[BV] = 0.0;
+    }
+
     ++Best.NodesExplored;
-    LpSolution Relax = Cfg.WarmNodes
-                           ? solveLpWarm(P, N.Lower, N.Upper, Ws)
-                           : solveLpWithBounds(P, N.Lower, N.Upper);
+    LpSolution Relax = Cfg.WarmNodes ? solveLpWarm(P, Lo, Hi, Ws)
+                                     : solveLpWithBounds(P, Lo, Hi);
     accumulateLp(Best.Stats, Relax);
 
     // Feed the branching history: this node's relaxation tells us what
@@ -334,7 +357,7 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
     }
 
     double Frac = Relax.Values[static_cast<unsigned>(BranchVar)];
-    branchNode(std::move(N), BranchVar, Frac, Relax.Objective, Open);
+    branchNode(N, BranchVar, Frac, Relax.Objective, Open);
   }
 
   if (Warm)
@@ -389,23 +412,40 @@ MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
   // registry. The registry is the one source the campaign summaries,
   // SolverEffortTest's count gates and --metrics snapshots all read, so
   // nobody re-derives pivot counts by hand; recording happens once per
-  // solve (never per node or pivot), so the cost is a handful of relaxed
-  // atomic adds.
-  MetricsRegistry &M = globalMetrics();
-  M.counter("mip.solves").add();
-  M.counter("mip.nodes").add(Sol.NodesExplored);
-  M.counter("mip.cold_node_solves").add(Sol.Stats.ColdNodeSolves);
-  M.counter("mip.warm_node_solves").add(Sol.Stats.WarmNodeSolves);
-  M.counter("mip.primal_pivots").add(Sol.Stats.PrimalPivots);
-  M.counter("mip.dual_pivots").add(Sol.Stats.DualPivots);
-  M.counter("mip.bound_flips").add(Sol.Stats.BoundFlips);
-  M.counter("mip.refactorizations").add(Sol.Stats.Refactorizations);
-  M.counter("mip.pricing.updates").add(Sol.Stats.PricingUpdates);
-  M.counter("mip.pricing.recomputes").add(Sol.Stats.PricingRecomputes);
-  M.counter("mip.pricing.drift").add(Sol.Stats.PricingDrift);
-  M.counter("mip.stuck_certified").add(Sol.Stats.StuckCertified);
-  M.counter("mip.unconfirmed_infeasible")
-      .add(Sol.Stats.UnconfirmedInfeasible);
+  // solve (never per node or pivot). The registry is never cleared, so
+  // the unconditional counters are looked up by name once; the
+  // conditional ones are still created only when they first fire, which
+  // keeps the --metrics key set what it was.
+  struct Counters {
+    MetricsRegistry &M = globalMetrics();
+    Counter &Solves = M.counter("mip.solves"), &Nodes = M.counter("mip.nodes"),
+            &Cold = M.counter("mip.cold_node_solves"),
+            &Warm = M.counter("mip.warm_node_solves"),
+            &Primal = M.counter("mip.primal_pivots"),
+            &Dual = M.counter("mip.dual_pivots"),
+            &Flips = M.counter("mip.bound_flips"),
+            &Refactors = M.counter("mip.refactorizations"),
+            &PricingUpdates = M.counter("mip.pricing.updates"),
+            &PricingRecomputes = M.counter("mip.pricing.recomputes"),
+            &PricingDrift = M.counter("mip.pricing.drift"),
+            &Stuck = M.counter("mip.stuck_certified"),
+            &Unconfirmed = M.counter("mip.unconfirmed_infeasible");
+  };
+  static Counters C;
+  C.Solves.add();
+  C.Nodes.add(Sol.NodesExplored);
+  C.Cold.add(Sol.Stats.ColdNodeSolves);
+  C.Warm.add(Sol.Stats.WarmNodeSolves);
+  C.Primal.add(Sol.Stats.PrimalPivots);
+  C.Dual.add(Sol.Stats.DualPivots);
+  C.Flips.add(Sol.Stats.BoundFlips);
+  C.Refactors.add(Sol.Stats.Refactorizations);
+  C.PricingUpdates.add(Sol.Stats.PricingUpdates);
+  C.PricingRecomputes.add(Sol.Stats.PricingRecomputes);
+  C.PricingDrift.add(Sol.Stats.PricingDrift);
+  C.Stuck.add(Sol.Stats.StuckCertified);
+  C.Unconfirmed.add(Sol.Stats.UnconfirmedInfeasible);
+  MetricsRegistry &M = C.M;
   if (Sol.Stats.WarmStarted)
     M.counter("mip.warm_starts").add();
   if (Sol.Stats.SeededIncumbent)

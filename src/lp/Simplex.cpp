@@ -53,6 +53,7 @@
 #include "support/FaultInjector.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -148,15 +149,21 @@ struct WarmState {
   std::vector<unsigned> Basis;
   std::vector<VStat> Stat;  ///< per column
   std::vector<double> Lo, Hi; ///< per-column box (slacks included)
+  /// eliminate() scratch: the pivot row's nonzero columns, ascending,
+  /// and the rows it updates.
   std::vector<unsigned> NzScratch;
-  /// Slack-column subset of NzScratch, rebuilt per pivot while the
-  /// steepest-edge recurrence is live (eliminate()).
-  std::vector<unsigned> SlackNzScratch;
+  std::vector<unsigned> RowScratch;
   /// dualIterate scratch, member-owned like NzScratch: the dual runs
   /// once per branch & bound node, so per-call allocations would sit on
   /// the solver's hottest path.
   std::vector<std::tuple<double, double, unsigned>> CandScratch;
   std::vector<bool> DeferScratch;
+  /// The movable columns — nonbasic and not fixed, the only ones a
+  /// pricing scan or a ratio test can pick — as a bitset walked in
+  /// ascending order. build() fills it; eliminate() (a basis change) and
+  /// patchTo() (a box change) flip the bits they affect. A bound flip
+  /// keeps a column nonbasic and its box as it was, so it flips none.
+  std::vector<uint64_t> Movable;
   unsigned NumRows = 0;
   unsigned NumCols = 0;
 
@@ -260,6 +267,26 @@ struct WarmState {
   }
 
   bool fixed(unsigned C) const { return Lo[C] == Hi[C]; }
+
+  bool movable(unsigned C) const {
+    return Stat[C] != VStat::Basic && !fixed(C);
+  }
+
+  /// Calls \p F on each movable column in ascending order until it
+  /// returns true: the order a walk over every column skipping the rest
+  /// would take, so tie-breaks and sums cannot tell the two apart.
+  template <typename Fn> void scanMovable(Fn F) const {
+    for (size_t W = 0; W != Movable.size(); ++W)
+      for (uint64_t Bits = Movable[W]; Bits; Bits &= Bits - 1)
+        if (F(static_cast<unsigned>(W * 64 + std::countr_zero(Bits))))
+          return;
+  }
+
+  /// Re-derives column \p C's Movable bit from its status and box.
+  void refreshMovable(unsigned C) {
+    uint64_t Bit = uint64_t(1) << (C % 64);
+    Movable[C / 64] = (Movable[C / 64] & ~Bit) | (movable(C) ? Bit : 0);
+  }
 
   /// The most nonbasic column \p C can move at any feasible point of the
   /// current boxes: a structural's box span; for a slack, the distance
@@ -449,6 +476,9 @@ bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
       B -= C2 * S * nbVal(Col);
     Beta[RI] = B;
   }
+  Movable.assign((NumCols + 63) / 64, 0);
+  for (unsigned C = 0; C != NumCols; ++C)
+    refreshMovable(C);
   return true;
 }
 
@@ -621,22 +651,39 @@ void WarmState::computeDseWeights() {
   DseValid = true;
 }
 
+/// Tr -= Factor * PR over the whole row. The rows never overlap, and
+/// saying so lets the loop vectorize without a run-time alias check; each
+/// element is still one multiply and one subtract.
+static void subtractDense(double *__restrict__ Tr,
+                          const double *__restrict__ PR, double Factor,
+                          unsigned N) {
+  for (unsigned C = 0; C != N; ++C)
+    Tr[C] -= Factor * PR[C];
+}
+
 void WarmState::eliminate(unsigned Row, unsigned Col) {
   ++PivotsSinceBuild;
+  refreshMovable(Basis[Row]);
+  refreshMovable(Col);
   double *PR = row(Row);
   double Pivot = PR[Col];
   // A nonzero-index walk is arithmetically identical to the full-width
   // loop (subtracting Factor * 0 is a no-op) and much cheaper while the
   // pivot row is sparse; once fill-in has made it dense, the plain
-  // contiguous loop vectorizes better than the indirection.
-  NzScratch.clear();
+  // contiguous loop vectorizes better than the indirection. The index is
+  // ascending, so its slack columns are a suffix starting at SlackBegin.
+  NzScratch.resize(NumCols);
+  unsigned *Nz = NzScratch.data();
+  unsigned NumNz = 0, SlackBegin = 0;
   for (unsigned C = 0; C != NumCols; ++C) {
-    if (PR[C] == 0.0)
-      continue;
-    PR[C] /= Pivot;
-    NzScratch.push_back(C);
+    if (C == NumVars)
+      SlackBegin = NumNz;
+    Nz[NumNz] = C;
+    NumNz += PR[C] != 0.0;
   }
-  bool Sparse = NzScratch.size() * 2 < NumCols;
+  for (unsigned I = 0; I != NumNz; ++I)
+    PR[Nz[I]] /= Pivot;
+  bool Sparse = NumNz * 2 < NumCols;
 
   // Steepest-edge recurrence (Forrest–Goldfarb), phrased against the
   // *normalized* pivot row the elimination is about to subtract: with
@@ -644,51 +691,70 @@ void WarmState::eliminate(unsigned Row, unsigned Col) {
   // the pivot element) the Gauss-Jordan step maps rho_i' = rho_i - a_i u
   // and rho_r' = u, hence
   //   w_i' = w_i - 2 a_i (rho_i . u) + a_i^2 ||u||^2,   w_r' = ||u||^2.
-  // Both dot products ride the same nonzero walk as the subtraction
-  // (slack columns only), so the exact update costs a fraction of the
-  // elimination itself. A pivot without the recurrence live invalidates
-  // the weights; the next dual entry recomputes them in one pass.
+  // Both dot products walk only the pivot row's nonzero slack columns,
+  // so the exact update costs a fraction of the elimination itself. A
+  // pivot without the recurrence live invalidates the weights; the next
+  // dual entry recomputes them in one pass.
   bool Dse = DseValid && DseEnabled;
-  double U = 0.0;
-  if (Dse) {
-    SlackNzScratch.clear();
-    for (unsigned C : NzScratch)
-      if (C >= NumVars) {
-        SlackNzScratch.push_back(C);
-        U += PR[C] * PR[C];
-      }
-  } else if (DseValid) {
+  if (!Dse)
     DseValid = false;
+
+  // The rows the pivot column touches; the rest are left alone.
+  RowScratch.resize(NumRows);
+  unsigned *Rows = RowScratch.data();
+  unsigned NumUpd = 0;
+  for (unsigned R = 0; R != NumRows; ++R) {
+    Rows[NumUpd] = R;
+    NumUpd += (R != Row) & !(std::abs(row(R)[Col]) < 1e-12);
   }
 
-  auto apply = [&](double *Tr, double *W) {
-    double Factor = Tr[Col];
-    if (std::abs(Factor) < 1e-12)
-      return;
-    if (W) {
-      double S = 0.0;
-      for (unsigned C : SlackNzScratch)
-        S += Tr[C] * PR[C];
-      *W = std::max(*W - 2.0 * Factor * S + Factor * Factor * U, DseFloor);
-    }
-    if (Sparse) {
-      for (unsigned C : NzScratch)
-        Tr[C] -= Factor * PR[C];
-    } else {
-      for (unsigned C = 0; C != NumCols; ++C)
-        Tr[C] -= Factor * PR[C];
-    }
-    Tr[Col] = 0.0; // cut numerical drift
-  };
-  for (unsigned R = 0; R != NumRows; ++R)
-    if (R != Row)
-      apply(this->row(R), Dse ? &DseWeight[R] : nullptr);
-  apply(Obj.data(), nullptr);
-  Basis[Row] = Col;
+  // Weights first, while every row still holds its old values. Each sum
+  // is a chain of dependent adds, so Lanes rows share one walk of the
+  // slack suffix, each row's own sum still adding its terms in column
+  // order; a short last group repeats its final row and drops the copies.
+  // ||u||^2 rides the first walk as one more chain.
   if (Dse) {
+    constexpr unsigned Lanes = 8;
+    double U = 0.0;
+    for (unsigned K = 0; K == 0 || K < NumUpd; K += Lanes) {
+      const double *Tr[Lanes];
+      for (unsigned L = 0; L != Lanes; ++L)
+        Tr[L] = NumUpd ? row(Rows[std::min(K + L, NumUpd - 1)]) : PR;
+      double S[Lanes] = {}, Norm = 0.0;
+      for (unsigned I = SlackBegin; I != NumNz; ++I) {
+        unsigned C = Nz[I];
+        double P = PR[C];
+        Norm += P * P;
+        for (unsigned L = 0; L != Lanes; ++L)
+          S[L] += Tr[L][C] * P;
+      }
+      if (K == 0)
+        U = Norm;
+      for (unsigned L = 0; L != Lanes && K + L < NumUpd; ++L) {
+        double Factor = Tr[L][Col];
+        double &W = DseWeight[Rows[K + L]];
+        W = std::max(W - 2.0 * Factor * S[L] + Factor * Factor * U, DseFloor);
+      }
+    }
     DseWeight[Row] = std::max(U, DseFloor);
     ++DseUpdates;
   }
+
+  auto apply = [&](double *Tr) {
+    double Factor = Tr[Col];
+    if (Sparse) {
+      for (unsigned I = 0; I != NumNz; ++I)
+        Tr[Nz[I]] -= Factor * PR[Nz[I]];
+    } else {
+      subtractDense(Tr, PR, Factor, NumCols);
+    }
+    Tr[Col] = 0.0; // cut numerical drift
+  };
+  for (unsigned K = 0; K != NumUpd; ++K)
+    apply(row(Rows[K]));
+  if (!(std::abs(Obj[Col]) < 1e-12))
+    apply(Obj.data());
+  Basis[Row] = Col;
 }
 
 bool WarmState::primalInfeasible(double Tol) const {
@@ -783,9 +849,7 @@ LpStatus WarmState::primalIterate(unsigned MaxIter, unsigned &Iterations,
     // stalled, Bland's first eligible column.
     int Entering = -1;
     double Dir = 0.0, Best = LpTolerance;
-    for (unsigned C = 0; C != NumCols; ++C) {
-      if (Stat[C] == VStat::Basic || fixed(C))
-        continue;
+    scanMovable([&](unsigned C) {
       double RC = Obj[C];
       double D = 0.0;
       if (RC < -LpTolerance && Stat[C] != VStat::AtUpper)
@@ -796,10 +860,11 @@ LpStatus WarmState::primalIterate(unsigned MaxIter, unsigned &Iterations,
         Entering = static_cast<int>(C);
         Dir = D;
         if (Bland)
-          break;
+          return true;
         Best = std::abs(RC);
       }
-    }
+      return false;
+    });
     if (Entering < 0)
       return LpStatus::Optimal;
     unsigned Q = static_cast<unsigned>(Entering);
@@ -887,20 +952,26 @@ LpStatus WarmState::dualIterate(unsigned MaxIter, unsigned &Iterations,
     computeDseWeights(); // first activation, or primal pivots intervened
   unsigned StallCount = 0;
   // Per-iteration candidate list for the bound-flipping ratio test:
-  // {ratio, -|a|, column}, sorted ascending so ties prefer the larger
-  // pivot element and then the lower column index — deterministic.
+  // {ratio, -|a|, column}, taken in ascending order so ties prefer the
+  // larger pivot element and then the lower column index — deterministic.
   std::vector<std::tuple<double, double, unsigned>> &Cands = CandScratch;
-  Cands.reserve(NumCols);
+  Cands.resize(NumCols);
+  size_t NumCands = 0;
   // Rows set aside within one iteration because every eligible entering
   // coefficient was sub-threshold and the row could not be certified
   // infeasible: other violated rows are repaired first, after which a
   // deferred row is usually repairable again (or its violation gone).
   // Only when *every* violated row is stuck does the repair give up.
+  // Deferrals are rare, so only an iteration that made one clears them.
   std::vector<bool> &RowDeferred = DeferScratch;
   RowDeferred.assign(NumRows, false);
+  bool AnyDeferred = false;
   while (Iterations < MaxIter) {
     bool Bland = StallCount > NumRows + 16;
-    std::fill(RowDeferred.begin(), RowDeferred.end(), false);
+    if (AnyDeferred) {
+      std::fill(RowDeferred.begin(), RowDeferred.end(), false);
+      AnyDeferred = false;
+    }
 
     unsigned LR = 0, P = 0;
     double Target = 0.0;
@@ -965,49 +1036,55 @@ LpStatus WarmState::dualIterate(unsigned MaxIter, unsigned &Iterations,
       // test would happily divide by one, so pivoting requires a minimum
       // magnitude.
       const double *Lrow = row(LR);
-      Cands.clear();
+      NumCands = 0;
       BlandPick = -1;
       bool SawTiny = false;
-      double TinyReach = 0.0; // most the sub-threshold columns can repair
-      for (unsigned C = 0; C != NumCols; ++C) {
-        if (Stat[C] == VStat::Basic || fixed(C))
-          continue;
-        double A = Lrow[C];
-        bool Eligible;
-        switch (Stat[C]) {
-        case VStat::AtLower:
-          Eligible = BelowLb ? A < 0.0 : A > 0.0;
-          break;
-        case VStat::AtUpper:
-          Eligible = BelowLb ? A > 0.0 : A < 0.0;
-          break;
-        default: // Free
-          Eligible = A != 0.0;
-          break;
-        }
-        if (!Eligible)
-          continue;
-        if (std::abs(A) < PivotTol) {
-          SawTiny = true;
-          TinyReach += std::abs(A) * reach(C);
-          continue;
-        }
-        if (Bland) {
+      // A column can move the leaving row towards its violated bound when
+      // its entry, oriented by its side (+1 at lower, -1 at upper; a free
+      // column either way), points away from the violation. Multiplying
+      // by +-1 is exact, so this is the plain sign test.
+      double Away = BelowLb ? -1.0 : 1.0;
+      auto side = [&](unsigned C) {
+        return Stat[C] == VStat::AtLower   ? 1.0
+               : Stat[C] == VStat::AtUpper ? -1.0
+                                           : 0.0;
+      };
+      auto eligible = [&](double A, double Side) {
+        return Side != 0.0 ? A * Away * Side > 0.0 : A != 0.0;
+      };
+      // Every column's candidate is written and kept only when eligible:
+      // a division more, but no unpredictable branch per column.
+      scanMovable([&](unsigned C) {
+        double A = Lrow[C], AbsA = std::abs(A);
+        double Side = side(C);
+        bool Eligible = eligible(A, Side), Tiny = AbsA < PivotTol;
+        if (Bland && Eligible && !Tiny) {
           BlandPick = static_cast<int>(C);
-          break; // first eligible wins, no flips: termination first
+          return true; // first eligible wins, no flips: termination first
         }
+        SawTiny |= Eligible & Tiny;
         // Dual-feasibility residue is clamped: at-lower costs are >= 0
         // and at-upper <= 0 in exact arithmetic.
-        double RC = Stat[C] == VStat::AtLower   ? std::max(Obj[C], 0.0)
-                    : Stat[C] == VStat::AtUpper ? std::max(-Obj[C], 0.0)
-                                                : std::abs(Obj[C]);
-        Cands.push_back({RC / std::abs(A), -std::abs(A), C});
-      }
-      if (BlandPick >= 0 || !Cands.empty())
+        double RC = Side != 0.0 ? std::max(Side * Obj[C], 0.0)
+                                : std::abs(Obj[C]);
+        Cands[NumCands] = {RC / AbsA, -AbsA, C};
+        NumCands += Eligible & !Tiny;
+        return false;
+      });
+      if (BlandPick >= 0 || NumCands != 0)
         break;
       InfeasibleRow = LR;
       if (!SawTiny)
         return LpStatus::Infeasible; // this row alone proves it
+      // The most the sub-threshold columns can repair, summed in column
+      // order; only a row without candidates needs it.
+      double TinyReach = 0.0;
+      scanMovable([&](unsigned C) {
+        double A = Lrow[C];
+        if (eligible(A, side(C)) && std::abs(A) < PivotTol)
+          TinyReach += std::abs(A) * reach(C);
+        return false;
+      });
       // Stuck-row certificate: only the round-off columns could repair
       // this row, and together they cannot move its basic value as far
       // as the violation at any feasible point. The 2x margin and the
@@ -1017,6 +1094,7 @@ LpStatus WarmState::dualIterate(unsigned MaxIter, unsigned &Iterations,
         return LpStatus::Infeasible;
       }
       RowDeferred[LR] = true; // stuck for now: repair another row first
+      AnyDeferred = true;
     }
 
     ++Iterations;
@@ -1032,19 +1110,24 @@ LpStatus WarmState::dualIterate(unsigned MaxIter, unsigned &Iterations,
     // elimination — and the first column that can absorb the rest
     // pivots. Dual feasibility is preserved exactly because a flipped
     // column's reduced cost crosses zero at the chosen pivot ratio: its
-    // new sign matches its new side.
-    unsigned Q;
+    // new sign matches its new side. Most iterations flip nothing, so the
+    // candidates are ordered lazily: each step selects the least of the
+    // ones not yet taken, the order a full sort would give them.
+    unsigned Q = 0;
     if (BlandPick >= 0) {
       Q = static_cast<unsigned>(BlandPick);
     } else {
-      std::sort(Cands.begin(), Cands.end());
-      Q = std::get<2>(Cands.back()); // fallback: worst-ratio column
-      for (size_t I = 0; I != Cands.size(); ++I) {
+      for (size_t I = 0; I != NumCands; ++I) {
+        size_t Least = I;
+        for (size_t K = I + 1; K != NumCands; ++K)
+          if (Cands[K] < Cands[Least])
+            Least = K;
+        std::swap(Cands[I], Cands[Least]);
         unsigned C = std::get<2>(Cands[I]);
         double AbsA = -std::get<1>(Cands[I]);
         double Span = Stat[C] == VStat::Free ? Inf : Hi[C] - Lo[C];
         double Remaining = std::abs(Beta[LR] - Target);
-        if (AbsA * Span >= Remaining || I + 1 == Cands.size()) {
+        if (AbsA * Span >= Remaining || I + 1 == NumCands) {
           Q = C;
           break;
         }
@@ -1116,6 +1199,7 @@ bool WarmState::patchTo(const LpProblem &P, const std::vector<double> &Lower,
     Hi[J] = Upper[J];
     ActivityValid &= Lo[J] >= P.Variables[J].Lower &&
                      Hi[J] <= P.Variables[J].Upper;
+    refreshMovable(J);
     if (WasBasic)
       continue;
     // Re-derive the resting side; a forced side switch would break dual
@@ -1142,7 +1226,6 @@ bool WarmState::patchTo(const LpProblem &P, const std::vector<double> &Lower,
 }
 
 void WarmState::extract(const LpProblem &P, LpSolution &Sol) const {
-  Sol.Basis = Basis;
   Sol.Values.assign(NumVars, 0.0);
   for (unsigned J = 0; J != NumVars; ++J)
     if (Stat[J] != VStat::Basic)
@@ -1189,7 +1272,10 @@ LpSolution ramloc::solveLpWithBounds(const LpProblem &P,
     Sol.Status = LpStatus::Infeasible;
     return Sol;
   }
-  return W.solveFresh(P);
+  LpSolution Sol = W.solveFresh(P);
+  if (Sol.Status == LpStatus::Optimal)
+    Sol.Basis = std::move(W.Basis);
+  return Sol;
 }
 
 LpSolution ramloc::solveLp(const LpProblem &P) {

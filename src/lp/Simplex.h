@@ -22,6 +22,25 @@
 /// variable's own span is the binding limit it jumps to its opposite
 /// bound with no pivot at all (LpSolution::BoundFlips counts these).
 ///
+/// Each pivot is kept cheap without changing what it computes; every
+/// floating-point operation runs in the same order, so pivots, flips
+/// and values are bit-for-bit what a plain full scan and sort give:
+///
+///  - The movable columns (nonbasic, not fixed) are kept as a bitset,
+///    built with the tableau and updated by each basis change and box
+///    patch. The dual entering scan, the primal pricing scan and both
+///    Bland fallbacks walk it in ascending column order, so every
+///    tie-break and every sum sees the columns in the same order as a
+///    walk over all columns would.
+///  - The dual bound-flipping ratio test takes its candidates in
+///    (ratio, -|a|, column) order lazily, selecting the least remaining
+///    one per step, instead of sorting them all: most iterations flip
+///    nothing and need only the first.
+///  - Elimination collects the pivot row's nonzero columns without
+///    branches, updates dense rows through a non-aliasing loop, and
+///    walks the slack block once for eight rows' steepest-edge dot
+///    products, each row's sum still adding its terms in column order.
+///
 /// Two solving modes share this header:
 ///
 ///  - solveLp / solveLpWithBounds: build a fresh tableau and solve from
@@ -107,7 +126,9 @@ struct LpSolution {
   bool Refactorized = false;
   /// The solved basis: one column index per tableau row (columns are
   /// variables first, then one slack per row). With implicit bounds the
-  /// tableau has exactly one row per non-degenerate constraint.
+  /// tableau has exactly one row per non-degenerate constraint. Filled by
+  /// an Optimal solveLp / solveLpWithBounds only; the warm entry points
+  /// keep their basis in the WarmStart and leave this empty.
   std::vector<unsigned> Basis;
 };
 

@@ -221,6 +221,95 @@ TEST(Simplex, BoundFlipInterleavesWithPivots) {
   EXPECT_GE(S.BoundFlips, 1u);
 }
 
+TEST(DualRatioTest, TiesBreakByLargerEntryThenLowerColumn) {
+  // One >= row over five [0, 1] columns whose entries tie in pairs:
+  //   0.5 x0 + x1 + 0.5 x2 + 0.25 x3 + x4 >= 2.75.
+  // From x = 0 the row's slack is 2.75 over its bound, and every column
+  // can repair it. The bound-flipping ratio test must take the
+  // candidates in (ratio, -|a|, column) order: x1 and x4 (|a| = 1, x1
+  // first), then x0 before x2 (|a| = 0.5, lower column first). x1, x4
+  // and x0 flip to 1, leaving 0.25 of the violation, and x2 pivots in
+  // at 0.5. Taking x2 before x0 would end with x0 = 0.5 and x2 = 1;
+  // taking the smaller entries first would pivot x4 in instead. The
+  // values are sums of powers of two, so they are exact.
+  auto build = [](double X0Cost, double X1Cost, double X2Cost,
+                  double X3Cost, double X4Cost, double Rhs) {
+    LpProblem P;
+    unsigned X0 = P.addVariable(0, 1, X0Cost);
+    unsigned X1 = P.addVariable(0, 1, X1Cost);
+    unsigned X2 = P.addVariable(0, 1, X2Cost);
+    unsigned X3 = P.addVariable(0, 1, X3Cost);
+    unsigned X4 = P.addVariable(0, 1, X4Cost);
+    P.addConstraint({{X0, 0.5}, {X1, 1.0}, {X2, 0.5}, {X3, 0.25}, {X4, 1.0}},
+                    ConstraintSense::GreaterEq, Rhs);
+    return P;
+  };
+  const std::vector<double> Expected = {1.0, 1.0, 0.5, 0.0, 1.0};
+
+  // Cold: the feasibility phase runs the dual under a zero objective, so
+  // every candidate's ratio is 0 and only the entry and column order.
+  LpSolution Cold = solveLp(build(0, 0, 0, 0, 0, 2.75));
+  ASSERT_EQ(Cold.Status, LpStatus::Optimal);
+  EXPECT_EQ(Cold.DualIterations, 1u);
+  EXPECT_EQ(Cold.Iterations, 0u);
+  EXPECT_EQ(Cold.BoundFlips, 3u);
+  EXPECT_EQ(Cold.Values, Expected);
+
+  // Warm: an RHS patch re-optimized by the dual with real reduced costs.
+  // Costs 1, 2, 1, 1, 2 give ratios 2, 2, 2, 4, 2: x3 falls behind on
+  // ratio, and the other four tie on it and order as above.
+  LpProblem P = build(1, 2, 1, 1, 2, -1);
+  std::vector<double> Lo(5, 0.0), Hi(5, 1.0);
+  WarmStart Ws;
+  LpSolution First = solveLpWarm(P, Lo, Hi, Ws);
+  ASSERT_EQ(First.Status, LpStatus::Optimal);
+  EXPECT_EQ(First.Values, std::vector<double>(5, 0.0));
+  P.Constraints[0].Rhs = 2.75;
+  LpSolution Warm = resolveLpFromBasis(P, Lo, Hi, Ws);
+  ASSERT_EQ(Warm.Status, LpStatus::Optimal);
+  EXPECT_TRUE(Warm.WarmStarted);
+  EXPECT_EQ(Warm.DualIterations, 1u);
+  EXPECT_EQ(Warm.Iterations, 0u);
+  EXPECT_EQ(Warm.BoundFlips, 3u);
+  EXPECT_EQ(Warm.Values, Expected);
+  EXPECT_EQ(Warm.Objective, 5.5);
+}
+
+TEST(DualRatioTest, StalledRepairsFallBackToBland) {
+  // Twelve columns in boxes 1.4e-9 wide and three >= rows with small
+  // integer coefficients (right-hand sides 3.3, 3.3 and 1.3 box widths).
+  // The rows are infeasible: 0.75, 0.75 and 1 times them sum to a row
+  // whose left side reaches at most 2.5 box widths below its right side.
+  // The feasibility phase (zero objective, so every ratio ties at 0)
+  // cycles: each repair flips up to two columns and pivots one in, and
+  // no pivot can move a column by as much as the 1e-9 stall threshold.
+  // After rows + 16 = 19 stalled pivots in a row the dual switches to
+  // Bland's pick (the first eligible movable column, no flips), which
+  // breaks the cycle, and the next repair meets a row nothing can fix.
+  // Without the switch the phase would spend its 100000-pivot budget.
+  // The LP came from a search over such models; the counts are the
+  // trace that search recorded.
+  constexpr double W = 1.4e-9;
+  LpProblem P;
+  for (unsigned J = 0; J != 12; ++J)
+    P.addVariable(0, W, 0.0);
+  P.addConstraint({{0, 3}, {1, 3}, {2, -4}, {3, 2}, {4, -4}, {5, -1}, {7, -2},
+                   {8, 3}, {9, -4}, {11, 3}},
+                  ConstraintSense::GreaterEq, 4.6199999999999993e-09);
+  P.addConstraint({{0, 1}, {1, 1}, {2, -2}, {3, 3}, {4, -3}, {5, 2}, {6, -4},
+                   {7, 2}, {8, -4}, {9, 4}, {10, 2}, {11, -1}},
+                  ConstraintSense::GreaterEq, 4.6199999999999993e-09);
+  P.addConstraint({{0, -3}, {1, -3}, {2, 4}, {3, -3}, {4, 2}, {5, 2}, {6, -4},
+                   {8, 1}, {9, -4}, {10, -4}, {11, -3}},
+                  ConstraintSense::GreaterEq, 1.8199999999999999e-09);
+  LpSolution S = solveLp(P);
+  EXPECT_EQ(S.Status, LpStatus::Infeasible);
+  EXPECT_EQ(S.DualIterations, 22u);
+  EXPECT_EQ(S.Iterations, 0u);
+  EXPECT_EQ(S.BoundFlips, 20u);
+  EXPECT_FALSE(S.StuckCertified);
+}
+
 TEST(Simplex, FreeVariableSettlesInterior) {
   // min y st y >= x - 3, y >= 1 - x, x free, y free: optimum at the
   // kink x = 2, y = -1. Both variables start nonbasic-free at 0.

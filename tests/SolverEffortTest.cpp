@@ -19,10 +19,12 @@
 #include "beebs/Beebs.h"
 #include "core/IlpModel.h"
 #include "core/Pipeline.h"
+#include "support/Hash.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 using namespace ramloc;
@@ -203,38 +205,87 @@ TEST(SolverEffort, KnobAxisChainSpendsAtMostHalfTheRebuildPerPointPivots) {
       << " chained points";
 }
 
+namespace {
+
+/// One BEEBS model at one knob point, solved warm and cold.
+struct BeebsPoint {
+  std::string Label;
+  MipSolution Warm, Cold;
+  double WarmEnergy = 0.0, ColdEnergy = 0.0;
+};
+
+/// Every BEEBS model, at O1 and O2 and in both extraction modes, over the
+/// mix's knob grid (360 points), each solved once warm and once cold by
+/// solvePlacement. The energy is the encoded completion's, which is free
+/// of the solves' simplex residue.
+const std::vector<BeebsPoint> &beebsPoints() {
+  static const std::vector<BeebsPoint> Points = [] {
+    std::vector<BeebsPoint> Out;
+    SolverConfig Warm, Cold;
+    Cold.WarmNodes = false;
+    for (const std::string &Name : beebsNames())
+      for (OptLevel L : {OptLevel::O1, OptLevel::O2})
+        for (bool LinkerMode : {false, true}) {
+          Module M = buildBeebs(Name, L, 2);
+          ExtractOptions EO;
+          EO.TreatLibraryAsMovable = LinkerMode;
+          ModelParams MP = extractParams(M, estimateModuleFrequency(M),
+                                         PowerModel::stm32f100(), EO);
+          PlacementModel PM = buildPlacementModel(MP);
+          auto energy = [&](const Assignment &A) {
+            return PM.P.objectiveValue(PM.encode(MP, A));
+          };
+          for (const ModelKnobs &K : knobGrid()) {
+            BeebsPoint Pt;
+            Pt.Label = Name + (L == OptLevel::O1 ? " O1" : " O2") +
+                       (LinkerMode ? " linker" : "") + " R" +
+                       std::to_string(K.RspareBytes) + " X" +
+                       std::to_string(K.Xlimit);
+            Pt.WarmEnergy = energy(solvePlacement(MP, K, Warm, &Pt.Warm));
+            Pt.ColdEnergy = energy(solvePlacement(MP, K, Cold, &Pt.Cold));
+            Out.push_back(std::move(Pt));
+          }
+        }
+    return Out;
+  }();
+  return Points;
+}
+
+} // namespace
+
+TEST(SolverEffort, KernelTraceIsPinned) {
+  // The simplex kernel's arithmetic, pinned: a change that only makes a
+  // pivot cheaper keeps every floating-point operation and its order, so
+  // every solve of the 360-point mix must reach the bit-identical
+  // objective through the same nodes, pivots, bound flips and stuck-row
+  // certificates. One FNV-1a value over all of them; a change that means
+  // to move the search re-pins it and says why.
+  uint64_t H = Fnv1aOffset;
+  auto fold = [&H](uint64_t V) {
+    H = fnv1a64(H, std::string_view(reinterpret_cast<const char *>(&V),
+                                    sizeof V));
+  };
+  for (const BeebsPoint &Pt : beebsPoints())
+    for (const MipSolution *S : {&Pt.Warm, &Pt.Cold}) {
+      fold(std::bit_cast<uint64_t>(S->Objective));
+      fold(S->NodesExplored);
+      fold(S->Stats.PrimalPivots);
+      fold(S->Stats.DualPivots);
+      fold(S->Stats.BoundFlips);
+      fold(S->Stats.StuckCertified);
+    }
+  EXPECT_EQ(H, 0x154d44852363f7ddULL) << std::hex << H;
+}
+
 TEST(WarmVsCold, EveryBeebsPointAgreesOnLabelAndObjective) {
   // A warm node relaxation that wrongly reports Infeasible drops a
   // feasible subtree, and the worse incumbent left standing still reads
   // as optimal (float_matmult in linker mode at tight budgets did). Every
-  // BEEBS model, at O1 and O2 and in both extraction modes, must get the
-  // same label and the same optimal energy from warm and cold branch &
-  // bound over the mix's knob grid. The energy is the encoded
-  // completion's, which is free of the solves' simplex residue.
-  SolverConfig Warm, Cold;
-  Cold.WarmNodes = false;
-  for (const std::string &Name : beebsNames())
-    for (OptLevel L : {OptLevel::O1, OptLevel::O2})
-      for (bool LinkerMode : {false, true}) {
-        Module M = buildBeebs(Name, L, 2);
-        ExtractOptions EO;
-        EO.TreatLibraryAsMovable = LinkerMode;
-        ModelParams MP = extractParams(M, estimateModuleFrequency(M),
-                                       PowerModel::stm32f100(), EO);
-        PlacementModel PM = buildPlacementModel(MP);
-        auto energy = [&](const Assignment &A) {
-          return PM.P.objectiveValue(PM.encode(MP, A));
-        };
-        for (const ModelKnobs &K : knobGrid()) {
-          SCOPED_TRACE(Name + (L == OptLevel::O1 ? " O1" : " O2") +
-                       (LinkerMode ? " linker" : "") + " R" +
-                       std::to_string(K.RspareBytes) + " X" +
-                       std::to_string(K.Xlimit));
-          MipSolution W, C;
-          double EW = energy(solvePlacement(MP, K, Warm, &W));
-          double EC = energy(solvePlacement(MP, K, Cold, &C));
-          EXPECT_EQ(W.Outcome, C.Outcome);
-          EXPECT_NEAR(EW, EC, 1e-9 * std::abs(EC));
-        }
-      }
+  // point of the BEEBS mix must get the same label and the same optimal
+  // energy from warm and cold branch & bound.
+  for (const BeebsPoint &Pt : beebsPoints()) {
+    SCOPED_TRACE(Pt.Label);
+    EXPECT_EQ(Pt.Warm.Outcome, Pt.Cold.Outcome);
+    EXPECT_NEAR(Pt.WarmEnergy, Pt.ColdEnergy, 1e-9 * std::abs(Pt.ColdEnergy));
+  }
 }
