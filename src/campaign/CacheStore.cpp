@@ -264,7 +264,7 @@ bool CacheStore::persist(FramedLog &Log, bool Rewrite, std::string *Error) {
   }
   if (&Log == &ProfileLog)
     return persistSnapshot(
-        Log, Profiles.snapshot(), NoRank,
+        Log, profileSnapshot(Profiles), NoRank,
         [](const std::string &Key, const auto &Profile) {
           JsonWriter W(/*Pretty=*/false);
           writeExecutionProfile(W, Key, *Profile);

@@ -10,7 +10,6 @@
 #include "beebs/Beebs.h"
 #include "mir/Verifier.h"
 #include "power/DeviceRegistry.h"
-#include "sim/ProfileCache.h"
 #include "support/FaultInjector.h"
 #include "support/Format.h"
 #include "support/Hash.h"
@@ -18,7 +17,6 @@
 #include "support/Metrics.h"
 #include "support/OnceMap.h"
 #include "support/Statistics.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -246,7 +244,7 @@ void fillModelFields(JobResult &R, const ModelParams &MP,
       ++R.MovedBlocks;
 }
 
-/// Fills the measured + model fields from a finished pipeline run.
+/// Fills the measured fields from a finished pipeline run.
 void fillMeasureFields(JobResult &R, const PipelineResult &PR) {
   R.BaseEnergyMilliJoules = PR.MeasuredBase.Energy.MilliJoules;
   R.OptEnergyMilliJoules = PR.MeasuredOpt.Energy.MilliJoules;
@@ -256,12 +254,6 @@ void fillMeasureFields(JobResult &R, const PipelineResult &PR) {
   R.OptAvgMilliWatts = PR.MeasuredOpt.Energy.AvgMilliWatts;
   R.BaseCycles = PR.MeasuredBase.Stats.Cycles;
   R.OptCycles = PR.MeasuredOpt.Stats.Cycles;
-  R.PredictedBaseEnergyMilliJoules = PR.PredictedBase.EnergyMilliJoules;
-  R.PredictedOptEnergyMilliJoules = PR.PredictedOpt.EnergyMilliJoules;
-  R.PredictedBaseCycles = PR.PredictedBase.Cycles;
-  R.PredictedOptCycles = PR.PredictedOpt.Cycles;
-  R.RamBytes = PR.PredictedOpt.RamBytes;
-  R.MovedBlocks = static_cast<unsigned>(PR.MovedBlocks.size());
 }
 
 /// Campaign-scoped memo of solve chains by PlacementSolver::chainKey over
@@ -586,10 +578,12 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
           };
         PipelineResult PR =
             measurePlacement(EM, *B, InRam, Sol, Opts, FullImage);
-        if (!PR.ok())
+        if (!PR.ok()) {
           It->second.Error = PR.Error;
-        else
+        } else {
           fillMeasureFields(It->second, PR);
+          fillModelFields(It->second, EM.MP, InRam);
+        }
       }
       R = It->second;
     } else {
@@ -639,7 +633,12 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   // caller-supplied registry a private one serves.
   MetricsRegistry LocalMetrics;
   MetricsRegistry &Reg = Opts.Metrics ? *Opts.Metrics : LocalMetrics;
-  ScopedTimer Timer(&Reg.histogram("campaign.wall_seconds"));
+  const auto Start = std::chrono::steady_clock::now();
+  // Full simulations and recosts are counted process-wide where they
+  // happen (sim.*); the campaign's share is the growth over its run.
+  const MetricsRegistry &Global = globalMetrics();
+  const uint64_t FullSimsBefore = Global.counterValue("sim.full_sims");
+  const uint64_t RecostsBefore = Global.counterValue("sim.recosts");
   TraceSpan CampaignSpan("campaign", "campaign");
   if (CampaignSpan.active())
     CampaignSpan.arg("jobs", std::to_string(Jobs.size()));
@@ -679,16 +678,14 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   // Group jobs by execution key: every job shares one ProfileCache, so
   // grid points that execute the same image (the device axis, typically)
   // fan out over a single simulation. The cache's compute-once semantics
-  // keep the grouping exact under any worker interleaving.
+  // keep the grouping exact under any worker interleaving. The campaign
+  // decides the cache alone; Base.Profiles is not consulted.
   ProfileCache CampaignProfiles;
   ProfileCache *Profiles =
       Opts.Profiles ? Opts.Profiles
                     : (Opts.ReuseProfiles ? &CampaignProfiles : nullptr);
   PipelineOptions JobBase = Opts.Base;
-  if (Profiles)
-    JobBase.Profiles = Profiles;
-  ProfileCache::Counters Before =
-      Profiles ? Profiles->counters() : ProfileCache::Counters{};
+  JobBase.Profiles = Profiles;
 
   // Partition the jobs that will run into solve groups: jobs differing
   // only in the Xlimit/Rspare knobs share one extraction and one ILP, so
@@ -780,14 +777,10 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
         std::chrono::duration_cast<std::chrono::nanoseconds>(*LastFinish - At)
             .count()));
 
-  if (Profiles) {
-    // The ProfileCache may be shared across campaigns (CacheStore's),
-    // so its counters are windowed here rather than read raw.
-    ProfileCache::Counters After = Profiles->counters();
-    Reg.counter("campaign.sim.full_sims").add(After.FullSims -
-                                              Before.FullSims);
-    Reg.counter("campaign.sim.recosts").add(After.Recosts - Before.Recosts);
-  }
+  Reg.counter("campaign.sim.full_sims")
+      .add(Global.counterValue("sim.full_sims") - FullSimsBefore);
+  Reg.counter("campaign.sim.recosts")
+      .add(Global.counterValue("sim.recosts") - RecostsBefore);
 
   // Fill duplicates and feed the cross-campaign cache.
   for (size_t I = 0; I != Jobs.size(); ++I)
@@ -802,6 +795,10 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
 
   CR.Summary = computeSummary(CR.Results);
   Reg.counter("campaign.cache.hits").add(CR.Summary.CacheHits);
+  Reg.histogram("campaign.wall_seconds")
+      .record(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - Start)
+                  .count());
   return CR;
 }
 

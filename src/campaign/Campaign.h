@@ -93,6 +93,7 @@
 #include "beebs/Codegen.h"
 #include "core/Pipeline.h"
 #include "lp/SolverConfig.h"
+#include "sim/ProfileCache.h"
 
 #include <cstdint>
 #include <functional>
@@ -105,7 +106,6 @@
 namespace ramloc {
 
 class MetricsRegistry;
-class ProfileCache;
 
 /// How block frequencies Fb are obtained (the Figure 5 estimated-vs-
 /// "w/Frequency" axis).
@@ -289,7 +289,9 @@ struct CampaignOptions {
   /// every run, and every solve group builds its own program).
   bool ReuseProfiles = true;
   /// Optional cross-campaign profile cache (e.g. CacheStore::profiles()).
-  /// When null and ReuseProfiles is true the campaign uses a private one.
+  /// When null and ReuseProfiles is true the campaign uses a private one;
+  /// when null and ReuseProfiles is false every run simulates. Either
+  /// way this decides the jobs' cache: Base.Profiles is overwritten.
   ProfileCache *Profiles = nullptr;
   /// Optional cross-campaign incumbent store (e.g.
   /// CacheStore::incumbents()): solve groups offer their optimal
@@ -305,8 +307,10 @@ struct CampaignOptions {
   bool SeedIncumbents = true;
   /// Registry the campaign records its effort counters into (campaign.*
   /// keys: extractions, cold/warm/replayed/dominated solves, incumbent
-  /// seeds, full sims vs recosts, cache hits, solve histograms and
-  /// campaign.wall_seconds). It is the one record of that effort; the
+  /// seeds, cache hits, solve histograms, one campaign.wall_seconds
+  /// sample, and campaign.sim.full_sims / campaign.sim.recosts, the
+  /// growth of the global sim.* counters over the run, with or without
+  /// profile reuse). It is the one record of that effort; the
   /// Summary holds only what the results themselves determine. Null uses
   /// a campaign-private registry; `ramloc-batch --metrics` passes
   /// globalMetrics() so one snapshot carries the campaign.* keys next to

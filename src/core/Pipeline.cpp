@@ -49,10 +49,20 @@ LinkedImage ramloc::linkImage(const Module &M, const LinkOptions &Link,
 
 namespace {
 
-/// Adds a full simulation's retired instructions to sim.steps, so that
-/// the fullsim span time over this count is the cost of one step.
-void countSteps(const RunStats &Stats) {
+/// Counts one full simulation in sim.full_sims and its retired
+/// instructions in sim.steps, so that the fullsim span time over the
+/// latter is the cost of one step.
+void countFullSim(const RunStats &Stats) {
+  globalMetrics().counter("sim.full_sims").add();
   globalMetrics().counter("sim.steps").add(Stats.Instructions);
+}
+
+/// Counts one run priced from a profile instead of simulated: one
+/// shared through the cache, or one derived from a profiled baseline's.
+void countRecost(bool Derived) {
+  globalMetrics().counter("sim.recosts").add();
+  if (Derived)
+    globalMetrics().counter("sim.derived").add();
 }
 
 /// Runs \p Img (whose execution key is \p Key) as measureModule
@@ -65,34 +75,26 @@ Measurement measureImage(std::shared_ptr<const Image> Img,
   if (!Profiles) {
     TraceSpan Span("fullsim", "sim");
     Out.Stats = runImage(*Img, Sim);
-    countSteps(Out.Stats);
+    countFullSim(Out.Stats);
     Out.Energy = Power.integrate(Out.Stats);
     return Out;
   }
 
   std::shared_ptr<const ExecutionProfile> Used;
-  bool Owner = false;
-  std::shared_ptr<const ExecutionProfile> Shared =
-      Profiles->acquire(Key, Owner);
-  if (Owner) {
+  std::shared_ptr<const ExecutionProfile> Shared;
+  if (ProfileCache::Claim Owned = Profiles->claim(Key, Shared)) {
     // First run of this execution: simulate once, recording the
     // device-independent profile every later device recosts from. The
-    // owner must publish (null on a faulted run) or waiters block
-    // forever, so publish on every path out.
+    // claim publishes nullptr if the run throws, so waiters never block
+    // forever.
     TraceSpan Span("fullsim", "sim");
     Span.arg("profiled", "1");
     auto Fresh = std::make_shared<ExecutionProfile>();
-    try {
-      Out.Stats = runImageProfiled(*Img, Sim, *Fresh);
-    } catch (...) {
-      Profiles->publish(Key, nullptr);
-      throw;
-    }
-    Profiles->noteFullSim();
-    countSteps(Out.Stats);
+    Out.Stats = runImageProfiled(*Img, Sim, *Fresh);
+    countFullSim(Out.Stats);
     if (Fresh->Valid)
       Used = std::move(Fresh);
-    Profiles->publish(Key, Used);
+    Owned.publish(Used);
   } else {
     bool Recosted = false;
     if (Shared) {
@@ -100,15 +102,14 @@ Measurement measureImage(std::shared_ptr<const Image> Img,
       Recosted = recostProfile(*Img, *Shared, Sim, Out.Stats);
     }
     if (Recosted) {
-      Profiles->noteRecost();
+      countRecost(/*Derived=*/false);
       Used = std::move(Shared);
     } else {
       // No usable profile (the owner's run faulted or ran out of steps,
       // or a stored profile is mis-shaped): simulate this run.
       TraceSpan Span("fullsim", "sim");
       Out.Stats = runImage(*Img, Sim);
-      Profiles->noteFullSim();
-      countSteps(Out.Stats);
+      countFullSim(Out.Stats);
     }
   }
   if (Ran)
@@ -149,7 +150,7 @@ Measurement pricePlacement(
       (void)Priced;
       if (!RS.HitCycleLimit) {
         Span.arg("derived", "1");
-        Profiles->noteRecost(/*Derived=*/true);
+        countRecost(/*Derived=*/true);
         Measurement Out;
         Out.Stats = std::move(RS);
         Out.Energy = Power.integrate(Out.Stats);

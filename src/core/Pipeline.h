@@ -39,6 +39,7 @@
 #include "layout/Linker.h"
 #include "power/PowerModel.h"
 #include "sim/ExecutionProfile.h"
+#include "sim/ProfileCache.h"
 
 #include <functional>
 #include <memory>
@@ -46,8 +47,6 @@
 #include <vector>
 
 namespace ramloc {
-
-class ProfileCache;
 
 /// One measured execution: hardware-style numbers from the simulator.
 struct Measurement {

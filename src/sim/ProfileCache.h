@@ -10,17 +10,17 @@
 /// execution key (image fingerprint + initial arguments). "Compute-once"
 /// is the load-bearing property: when a campaign fans one benchmark
 /// across N devices concurrently, the first worker to reach an execution
-/// key becomes its owner and simulates; every other worker blocks on that
-/// key until the profile is published, then recosts. The grid therefore
+/// key claims it and simulates; every other worker blocks on that key
+/// until the profile is published, then recosts. The grid therefore
 /// performs exactly one full simulation per distinct execution no matter
-/// how the scheduler interleaves the device axis — the invariant the
-/// campaign run counters assert. The compute-once mechanics are
-/// support/OnceMap's; this class adds the profile-specific counters and
-/// persistence views.
+/// how the scheduler interleaves the device axis. The cache is
+/// support/OnceMap itself; a published nullptr means the owning run
+/// could not produce a valid profile, and waiters then simulate their
+/// own runs.
 ///
-/// The cache also tallies how runs were satisfied (full simulations vs
-/// recosts), which the campaign engine surfaces as diagnostics and
-/// CampaignTest's DeviceAxisIsOneSimulationPlusRecosts gates on.
+/// How runs were satisfied (sim.full_sims, sim.recosts, sim.derived) is
+/// counted in the metrics registry where the work happens
+/// (core/Pipeline.cpp), with or without a cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,63 +31,34 @@
 
 #include "support/OnceMap.h"
 
-#include <cstdint>
+#include <algorithm>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace ramloc {
 
-class ProfileCache {
-public:
-  /// How measurements through this cache were satisfied.
-  struct Counters {
-    uint64_t FullSims = 0; ///< runs that executed the interpreter
-    /// Runs priced from a profile instead: one shared through this cache,
-    /// or one derived from a profiled baseline's (deriveOptimizedProfile
-    /// in core/Instrumenter.h), which the cache never holds.
-    uint64_t Recosts = 0;
-    uint64_t Derived = 0; ///< the recosts of derived profiles
-  };
+using ProfileCache =
+    OnceMap<std::string, std::shared_ptr<const ExecutionProfile>>;
 
-  /// Looks \p Key up. If another caller owns the key's computation, blocks
-  /// until it publishes, then returns the profile (possibly nullptr when
-  /// the owning run could not produce a valid one). If the key is
-  /// untouched, returns nullptr with \p Owner set: the caller must
-  /// simulate and then publish() exactly once (nullptr on failure), or
-  /// every later acquirer of the key deadlocks.
-  std::shared_ptr<const ExecutionProfile> acquire(const std::string &Key,
-                                                  bool &Owner);
-
-  /// Publishes the owner's result for \p Key and wakes all waiters.
-  /// \p Profile may be nullptr (the run faulted or hit the cycle limit);
-  /// waiters then fall back to their own full simulations.
-  void publish(const std::string &Key,
-               std::shared_ptr<const ExecutionProfile> Profile);
-
-  /// Non-blocking insert of an already-computed profile (disk preload).
-  /// Keys already present are left untouched.
-  void preload(const std::string &Key,
-               std::shared_ptr<const ExecutionProfile> Profile);
-
-  void noteFullSim();
-  void noteRecost(bool Derived = false);
-  Counters counters() const;
-
-  /// Valid, ready profiles sorted by key (the persistence order).
+/// \p Cache's valid, published profiles sorted by key: what CacheStore
+/// persists, in its order.
+inline std::vector<
+    std::pair<std::string, std::shared_ptr<const ExecutionProfile>>>
+profileSnapshot(const ProfileCache &Cache) {
   std::vector<std::pair<std::string, std::shared_ptr<const ExecutionProfile>>>
-  snapshot() const;
-
-  /// Number of valid, ready profiles.
-  size_t size() const;
-
-private:
-  OnceMap<std::string, std::shared_ptr<const ExecutionProfile>> Map;
-  mutable std::mutex Mu; ///< guards Stats
-  Counters Stats;
-};
+      Out;
+  Cache.forEachPublished(
+      [&Out](const std::string &Key,
+             const std::shared_ptr<const ExecutionProfile> &P) {
+        if (P && P->Valid)
+          Out.emplace_back(Key, P);
+      });
+  std::sort(Out.begin(), Out.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  return Out;
+}
 
 } // namespace ramloc
 

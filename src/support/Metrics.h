@@ -26,12 +26,16 @@
 /// byte-identical JSON. Metrics are a side channel — nothing read from
 /// a registry may influence results, the same contract tracing follows.
 ///
-/// Deep layers with no campaign plumbing (the LP solver, the campaign's
-/// worker loop, the cache store) record into the process-wide
-/// globalMetrics();
-/// runCampaign records its campaign.* counters into the registry the
-/// caller passes (CampaignOptions::Metrics), defaulting to a private one
-/// so concurrent campaigns do not mix.
+/// Deep layers with no campaign plumbing (the LP solver, the
+/// measurement pipeline's simulations and recosts, the campaign's worker
+/// loop, the cache store) record into the process-wide globalMetrics(),
+/// each where its work happens, so sim.full_sims counts every full
+/// simulation with or without a profile cache. runCampaign records its
+/// campaign.* counters into the registry the caller passes
+/// (CampaignOptions::Metrics), defaulting to a private one;
+/// campaign.sim.* is the growth of the global sim.* counters over the
+/// campaign's run, so two campaigns running at once in one process
+/// count each other's runs.
 ///
 //===----------------------------------------------------------------------===//
 

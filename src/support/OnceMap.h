@@ -11,10 +11,12 @@
 /// every later acquirer of that key blocks until the owner publishes,
 /// then reads the published value. Work keyed this way therefore runs
 /// once per distinct key however the scheduler interleaves its callers.
-/// sim/ProfileCache (one simulation per execution key) and the campaign
-/// engine's memos (one build per program and per distinct placement of
-/// it, one branch & bound chain per distinct ILP and knob-point list) are
-/// all built on it.
+/// sim/ProfileCache is this map under another name (one simulation per
+/// execution key), and the campaign engine's memos (one build per
+/// program and per distinct placement of it, one branch & bound chain per
+/// distinct ILP and knob-point list) are built on it too. The map counts
+/// nothing: what the owners compute is counted in the metrics registry
+/// where the work happens.
 ///
 /// The owner's duty is to publish exactly once, on every path out —
 /// including early returns and exceptions — or every later acquirer

@@ -490,7 +490,7 @@ TEST(Campaign, DeviceAxisIsOneSimulationPlusRecosts) {
   ASSERT_EQ(WithReuse.CR.Summary.Failed, 0u);
   EXPECT_EQ(WithReuse["campaign.sim.full_sims"], 1u);
   EXPECT_EQ(WithReuse["campaign.sim.recosts"], Grid.Devices.size() - 1);
-  auto Recosted = Profiles.snapshot();
+  auto Recosted = profileSnapshot(Profiles);
   ASSERT_EQ(Recosted.size(), 1u);
   const ExecutionProfile &P = *Recosted.front().second;
   EXPECT_GE(P.Instructions, 5 * P.Instrs.size())
@@ -500,9 +500,13 @@ TEST(Campaign, DeviceAxisIsOneSimulationPlusRecosts) {
   CampaignOptions NoReuse;
   NoReuse.Jobs = 4;
   NoReuse.ReuseProfiles = false;
+  // The campaign alone decides the jobs' cache: a template that points
+  // at a warm one does not bring reuse back.
+  NoReuse.Base.Profiles = &Profiles;
   CountedRun AllSimulated(Grid, NoReuse);
-  // No cache, no counters.
-  EXPECT_EQ(AllSimulated["campaign.sim.full_sims"], 0u);
+  // Without a cache every job simulates its own baseline, and the
+  // registry counts each of those runs.
+  EXPECT_EQ(AllSimulated["campaign.sim.full_sims"], Grid.Devices.size());
   EXPECT_EQ(AllSimulated["campaign.sim.recosts"], 0u);
   EXPECT_EQ(campaignToJson(WithReuse.CR), campaignToJson(AllSimulated.CR));
   EXPECT_EQ(campaignToCsv(WithReuse.CR), campaignToCsv(AllSimulated.CR));
@@ -532,9 +536,12 @@ TEST(Campaign, MeasureGridReportsUnchangedByProfileReuse) {
   CampaignOptions NoReuse;
   NoReuse.Jobs = 4;
   NoReuse.ReuseProfiles = false;
-  CampaignResult AllSimulated = runCampaign(Grid, NoReuse);
-  EXPECT_EQ(campaignToJson(WithReuse.CR), campaignToJson(AllSimulated));
-  EXPECT_EQ(campaignToCsv(WithReuse.CR), campaignToCsv(AllSimulated));
+  CountedRun AllSimulated(Grid, NoReuse);
+  // Without reuse both measurements of every job are full simulations.
+  EXPECT_EQ(AllSimulated["campaign.sim.full_sims"], 2 * Grid.Devices.size());
+  EXPECT_EQ(AllSimulated["campaign.sim.recosts"], 0u);
+  EXPECT_EQ(campaignToJson(WithReuse.CR), campaignToJson(AllSimulated.CR));
+  EXPECT_EQ(campaignToCsv(WithReuse.CR), campaignToCsv(AllSimulated.CR));
 }
 
 TEST(Campaign, ExternalProfileCacheSpansCampaigns) {
@@ -626,6 +633,8 @@ TEST(Campaign, KnobAxisIsOneExtractionOneColdSolve) {
   EXPECT_EQ(Run["campaign.solve.extractions"], 1u);
   EXPECT_EQ(Run["campaign.solve.cold"], 1u);
   EXPECT_EQ(Run["campaign.solve.warm"], 8u);
+  // One campaign records exactly one wall-clock sample.
+  EXPECT_EQ(Run.Reg.histogram("campaign.wall_seconds").stats().Count, 1u);
 }
 
 TEST(Campaign, KnobGridReportsUnchangedBySolveReuse) {

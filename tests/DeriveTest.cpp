@@ -316,12 +316,13 @@ TEST(Derive, AnOverBudgetDerivationFallsBackToTheSimulatedRow) {
 
   MetricsRegistry &Reg = globalMetrics();
   uint64_t Before = Reg.counterValue("sim.derive_fallback.over-budget");
+  uint64_t DerivedBefore = Reg.counterValue("sim.derived");
   ProfileCache Profiles;
   Capped.Profiles = &Profiles;
   JobResult Derived = runJob(Spec, Capped);
   EXPECT_EQ(Reg.counterValue("sim.derive_fallback.over-budget"),
             Before + 1);
-  EXPECT_EQ(Profiles.counters().Derived, 0u);
+  EXPECT_EQ(Reg.counterValue("sim.derived"), DerivedBefore);
 
   auto row = [](const JobResult &R) {
     JsonWriter W(/*Pretty=*/false);
@@ -344,6 +345,10 @@ TEST(Derive, StagedPlacementDerivesWithoutTheCache) {
 
   ProfileCache Profiles;
   PO.Profiles = &Profiles;
+  const MetricsRegistry &Reg = globalMetrics();
+  uint64_t FullSims = Reg.counterValue("sim.full_sims");
+  uint64_t Recosts = Reg.counterValue("sim.recosts");
+  uint64_t Derived = Reg.counterValue("sim.derived");
   ExtractedModule EM = extractModule(M, PO);
   ASSERT_TRUE(EM.ok()) << EM.Error;
   ASSERT_TRUE(EM.Base);
@@ -353,9 +358,8 @@ TEST(Derive, StagedPlacementDerivesWithoutTheCache) {
   ASSERT_TRUE(Staged.ok()) << Staged.Error;
   expectStatsEqual(PR.MeasuredOpt.Stats, Staged.MeasuredOpt.Stats,
                    "derived crc32");
-  ProfileCache::Counters C = Profiles.counters();
-  EXPECT_EQ(C.FullSims, 1u);
-  EXPECT_EQ(C.Recosts, 1u);
-  EXPECT_EQ(C.Derived, 1u);
-  EXPECT_EQ(Profiles.size(), 1u);
+  EXPECT_EQ(Reg.counterValue("sim.full_sims") - FullSims, 1u);
+  EXPECT_EQ(Reg.counterValue("sim.recosts") - Recosts, 1u);
+  EXPECT_EQ(Reg.counterValue("sim.derived") - Derived, 1u);
+  EXPECT_EQ(profileSnapshot(Profiles).size(), 1u);
 }

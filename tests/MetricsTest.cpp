@@ -10,7 +10,6 @@
 #include "campaign/Campaign.h"
 #include "campaign/Report.h"
 #include "support/Json.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -63,23 +62,6 @@ TEST(Metrics, HistogramTracksRunningStats) {
   EXPECT_EQ(S.Min, 1.0);
   EXPECT_EQ(S.Max, 7.0);
   EXPECT_EQ(S.mean(), 4.0);
-}
-
-TEST(Metrics, ScopedTimerRecordsExactlyOnce) {
-  MetricsRegistry Reg;
-  Histogram &H = Reg.histogram("phase.seconds");
-  {
-    ScopedTimer T(&H);
-    EXPECT_GE(T.seconds(), 0.0);
-    EXPECT_EQ(H.stats().Count, 0u); // polling must not record
-    double Elapsed = T.stop();
-    EXPECT_EQ(T.stop(), Elapsed); // idempotent
-  }
-  // stop() recorded; destruction must not double-record.
-  EXPECT_EQ(H.stats().Count, 1u);
-  { ScopedTimer T(&H); } // destructor path records too
-  EXPECT_EQ(H.stats().Count, 2u);
-  { ScopedTimer NoSink; } // and no sink is fine
 }
 
 TEST(Metrics, SnapshotIsSortedAndDeterministic) {

@@ -102,7 +102,8 @@ int runMerge(const std::vector<std::string> &Files,
     else if (!Quiet)
       std::fprintf(stderr, "cache: compacted %zu result(s), %zu "
                            "profile(s), %zu incumbent(s)\n",
-                   Store.cache().size(), Store.profiles().size(),
+                   Store.cache().size(),
+                   profileSnapshot(Store.profiles()).size(),
                    Store.incumbents().size());
   }
   return 0;
