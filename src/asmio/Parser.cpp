@@ -10,6 +10,8 @@
 #include "support/Format.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <optional>
 
@@ -26,27 +28,15 @@ std::vector<std::string> tokenizeLine(std::string_view Line) {
   for (char C : Line) {
     if (C == ';') // comment to end of line
       break;
-    if (C == '[' || C == '{') {
-      ++GroupDepth;
+    GroupDepth += (C == '[' || C == '{') - (C == ']' || C == '}');
+    bool Space = std::isspace(static_cast<unsigned char>(C));
+    if (GroupDepth == 0 && (Space || C == ',')) {
+      if (!Cur.empty())
+        Tokens.push_back(std::move(Cur));
+      Cur.clear();
+    } else if (!Space || GroupDepth < 0) { // drop spaces inside groups
       Cur += C;
-      continue;
     }
-    if (C == ']' || C == '}') {
-      --GroupDepth;
-      Cur += C;
-      continue;
-    }
-    if (GroupDepth == 0 && (std::isspace(static_cast<unsigned char>(C)) ||
-                            C == ',')) {
-      if (!Cur.empty()) {
-        Tokens.push_back(Cur);
-        Cur.clear();
-      }
-      continue;
-    }
-    if (GroupDepth > 0 && std::isspace(static_cast<unsigned char>(C)))
-      continue; // normalize inside groups
-    Cur += C;
   }
   if (!Cur.empty())
     Tokens.push_back(Cur);
@@ -133,8 +123,8 @@ private:
       Obj.Name = Tok[1];
       Obj.Sect = D == ".rodata" ? DataObject::Section::Rodata
                                 : DataObject::Section::Data;
-      Obj.Align = static_cast<uint32_t>(std::strtoul(Tok[2].c_str(),
-                                                     nullptr, 10));
+      if (!parseField(LineNo, Tok[2], Obj.Align))
+        return;
       if (Tok.size() == 4 && !parseHexBytes(Tok[3], Obj.Bytes)) {
         error(LineNo, "bad hex byte string");
         return;
@@ -150,10 +140,9 @@ private:
       DataObject Obj;
       Obj.Name = Tok[1];
       Obj.Sect = DataObject::Section::Bss;
-      Obj.Size = static_cast<uint32_t>(std::strtoul(Tok[1 + 1].c_str(),
-                                                    nullptr, 10));
-      Obj.Align = static_cast<uint32_t>(std::strtoul(Tok[3].c_str(),
-                                                     nullptr, 10));
+      if (!parseField(LineNo, Tok[2], Obj.Size) ||
+          !parseField(LineNo, Tok[3], Obj.Align))
+        return;
       Result.M.Data.push_back(std::move(Obj));
       return;
     }
@@ -201,107 +190,71 @@ private:
                             std::vector<uint8_t> &Out) {
     if (S.size() % 2 != 0)
       return false;
-    auto hexVal = [](char C) -> int {
-      if (C >= '0' && C <= '9')
-        return C - '0';
-      if (C >= 'a' && C <= 'f')
-        return C - 'a' + 10;
-      if (C >= 'A' && C <= 'F')
-        return C - 'A' + 10;
-      return -1;
-    };
-    for (size_t I = 0; I < S.size(); I += 2) {
-      int Hi = hexVal(S[I]), Lo = hexVal(S[I + 1]);
-      if (Hi < 0 || Lo < 0)
+    for (const char *P = S.data(), *End = P + S.size(); P != End; P += 2) {
+      uint8_t Byte = 0;
+      if (std::from_chars(P, P + 2, Byte, 16).ptr != P + 2)
         return false;
-      Out.push_back(static_cast<uint8_t>(Hi * 16 + Lo));
+      Out.push_back(Byte);
     }
     return true;
   }
 
-  // --- operand scanning ---------------------------------------------------
-
-  struct Mnemonic {
-    std::string Base;
-    bool S = false;
-    Cond C = Cond::AL;
-  };
-
-  static std::optional<Mnemonic> splitMnemonic(const std::string &Word) {
-    // Exact matches that would otherwise be eaten by suffix stripping.
-    static const char *const Exact[] = {"bl",  "blx", "bx",  "bkpt", "nop",
-                                        "wfi", "it",  "ite", "push", "pop",
-                                        "cbz", "cbnz", "b"};
-    for (const char *E : Exact)
-      if (Word == E)
-        return Mnemonic{Word, false, Cond::AL};
-
-    static const char *const Bases[] = {
-        "udiv", "sdiv", "uxtb", "uxth", "sxtb", "sxth", "ldrb", "ldrh",
-        "strb", "strh", "ldr",  "str",  "mov",  "mvn",  "add",  "sub",
-        "rsb",  "adc",  "sbc",  "mul",  "mla",  "and",  "orr",  "eor",
-        "bic",  "lsl",  "lsr",  "asr",  "ror",  "cmp",  "tst"};
-    for (const char *Base : Bases) {
-      std::string B(Base);
-      if (Word.rfind(B, 0) != 0)
-        continue;
-      std::string Rest = Word.substr(B.size());
-      Mnemonic Mn{B, false, Cond::AL};
-      if (!Rest.empty() && Rest[0] == 's' &&
-          (Rest.size() == 1 || Rest.size() == 3)) {
-        Mn.S = true;
-        Rest = Rest.substr(1);
-      }
-      if (!Rest.empty()) {
-        if (!parseCondName(Rest, Mn.C))
-          continue;
-      }
-      return Mn;
+  /// Parses a whole token as a 32-bit integer, read as strtol's base 0
+  /// reads it (decimal, 0x hex, 0 octal, optional sign); "0xffffffff" is
+  /// -1. Text past the number or bits past 32 are an error.
+  bool parseInt(unsigned LineNo, const std::string &Text, int32_t &Out) {
+    errno = 0;
+    char *End = nullptr;
+    long long V = std::strtoll(Text.c_str(), &End, 0);
+    if (End == Text.c_str() || *End || errno == ERANGE || V < INT32_MIN ||
+        V > static_cast<long long>(UINT32_MAX)) {
+      error(LineNo, "bad integer '" + Text + "'");
+      return false;
     }
-    // Conditional branch: "b" + condition.
-    if (Word.size() == 3 && Word[0] == 'b') {
-      Cond C;
-      if (parseCondName(Word.substr(1), C))
-        return Mnemonic{"b", false, C};
-    }
-    return std::nullopt;
+    Out = static_cast<int32_t>(static_cast<uint32_t>(V));
+    return true;
   }
 
+  /// Parses a whole token as an unsigned decimal 32-bit directive field.
+  bool parseField(unsigned LineNo, const std::string &Text, uint32_t &Out) {
+    const char *End = Text.data() + Text.size();
+    auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+    if (Ec == std::errc() && Ptr == End)
+      return true;
+    error(LineNo, "bad number '" + Text + "'");
+    return false;
+  }
+
+  // --- operands -----------------------------------------------------------
+
+  /// One operand. Its kind is the letter of the form slot it fills (see
+  /// RAMLOC_OP_FORMS); a bare identifier is 'l'.
   struct Operand {
-    enum class Kind {
-      Register,
-      Immediate, ///< #n
-      Literal,   ///< =sym or =const (Sym empty when constant)
-      Memory,    ///< [rn] / [rn, #off] / [rn, rm]
-      RegList,   ///< {r4-r7, lr}
-      Symbol,    ///< bare identifier
-    } K;
-    Reg R = R0;
-    Reg MemBase = R0;
-    Reg MemIndex = NumRegs; ///< NumRegs when the offset is immediate
-    int32_t Imm = 0;
-    uint32_t Mask = 0;
-    std::string Sym;
+    char K = 0;
+    Reg R = R0;      ///< register, or a memory operand's base
+    Reg Index = R0;  ///< a memory operand's index register ('x')
+    int32_t Imm = 0; ///< immediate, offset, literal constant or list mask
+    std::string Sym; ///< label, condition or literal symbol
   };
 
   std::optional<Operand> parseOperand(unsigned LineNo,
                                       const std::string &Tok) {
     Operand Op;
+    Op.K = Tok[0];
     if (Tok[0] == '#') {
-      Op.K = Operand::Kind::Immediate;
-      Op.Imm = static_cast<int32_t>(std::strtol(Tok.c_str() + 1, nullptr, 0));
+      if (!parseInt(LineNo, Tok.substr(1), Op.Imm))
+        return std::nullopt;
       return Op;
     }
     if (Tok[0] == '=') {
-      Op.K = Operand::Kind::Literal;
-      std::string Rest = Tok.substr(1);
-      if (!Rest.empty() &&
-          (std::isdigit(static_cast<unsigned char>(Rest[0])) ||
-           Rest[0] == '-')) {
-        Op.Imm = static_cast<int32_t>(std::strtoul(Rest.c_str(), nullptr, 0));
-      } else {
-        Op.Sym = Rest;
-      }
+      Op.Sym = Tok.substr(1);
+      if (Op.Sym.empty() ||
+          !(std::isdigit(static_cast<unsigned char>(Op.Sym[0])) ||
+            Op.Sym[0] == '-'))
+        return Op;
+      if (!parseInt(LineNo, Op.Sym, Op.Imm))
+        return std::nullopt;
+      Op.Sym.clear();
       return Op;
     }
     if (Tok[0] == '[') {
@@ -314,27 +267,26 @@ private:
       size_t Comma = Inner.find(',');
       std::string BaseText =
           Comma == std::string::npos ? Inner : Inner.substr(0, Comma);
-      Reg Base = parseRegName(BaseText);
-      if (Base == NumRegs) {
+      Op.R = parseRegName(BaseText);
+      if (Op.R == NumRegs) {
         error(LineNo, "bad base register '" + BaseText + "'");
         return std::nullopt;
       }
-      Op.K = Operand::Kind::Memory;
-      Op.MemBase = Base;
+      Op.K = 'm';
       if (Comma == std::string::npos)
         return Op;
       std::string OffText = Inner.substr(Comma + 1);
       if (!OffText.empty() && OffText[0] == '#') {
-        Op.Imm = static_cast<int32_t>(
-            std::strtol(OffText.c_str() + 1, nullptr, 0));
+        if (!parseInt(LineNo, OffText.substr(1), Op.Imm))
+          return std::nullopt;
         return Op;
       }
-      Reg Index = parseRegName(OffText);
-      if (Index == NumRegs) {
+      Op.K = 'x';
+      Op.Index = parseRegName(OffText);
+      if (Op.Index == NumRegs) {
         error(LineNo, "bad index '" + OffText + "'");
         return std::nullopt;
       }
-      Op.MemIndex = Index;
       return Op;
     }
     if (Tok[0] == '{') {
@@ -342,7 +294,6 @@ private:
         error(LineNo, "unterminated register list");
         return std::nullopt;
       }
-      Op.K = Operand::Kind::RegList;
       std::string Inner = Tok.substr(1, Tok.size() - 2);
       size_t Pos = 0;
       while (Pos < Inner.size()) {
@@ -357,7 +308,7 @@ private:
             error(LineNo, "bad register '" + Item + "' in list");
             return std::nullopt;
           }
-          Op.Mask |= 1u << R;
+          Op.Imm |= 1 << R;
         } else {
           Reg Lo = parseRegName(Item.substr(0, Dash));
           Reg Hi = parseRegName(Item.substr(Dash + 1));
@@ -366,7 +317,7 @@ private:
             return std::nullopt;
           }
           for (unsigned R = Lo; R <= Hi; ++R)
-            Op.Mask |= 1u << R;
+            Op.Imm |= 1 << R;
         }
         if (Comma == std::string::npos)
           break;
@@ -374,254 +325,173 @@ private:
       }
       return Op;
     }
-    Reg R = parseRegName(Tok);
-    if (R != NumRegs) {
-      Op.K = Operand::Kind::Register;
-      Op.R = R;
-      return Op;
-    }
-    Op.K = Operand::Kind::Symbol;
+    Op.R = parseRegName(Tok);
+    Op.K = Op.R == NumRegs ? 'l' : 'r';
     Op.Sym = Tok;
     return Op;
   }
 
   // --- instructions -------------------------------------------------------
 
+  struct Suffix {
+    bool S = false;
+    Cond C = Cond::AL;
+    bool Else = false; ///< "ite" rather than "it"
+  };
+
+  /// Reads what follows a mnemonic as \p Form allows (see RAMLOC_OP_FORMS):
+  /// "s" and a condition for data and memory forms, a condition for
+  /// CondLabel, "e" for CondOp (ite) and nothing for the rest.
+  static std::optional<Suffix> splitSuffix(OpForm Form,
+                                           std::string_view Rest) {
+    Suffix Out;
+    if (Form == OpForm::CondOp) {
+      Out.Else = Rest == "e";
+      return Rest.empty() || Out.Else ? std::optional(Out) : std::nullopt;
+    }
+    bool DataOrMemory = Form < OpForm::RegList;
+    if (DataOrMemory && !Rest.empty() && Rest[0] == 's') {
+      Out.S = true;
+      Rest.remove_prefix(1);
+    }
+    if (Rest.empty() ? Form == OpForm::CondLabel
+                     : !DataOrMemory && Form != OpForm::CondLabel)
+      return std::nullopt;
+    if (!parseCondName(std::string(Rest), Out.C))
+      return std::nullopt;
+    return Out;
+  }
+
+  /// True when \p Ops are the operand kinds \p Form spells.
+  static bool fits(OpForm Form, const std::vector<Operand> &Ops) {
+    std::string_view Slots = formOperands(Form);
+    if (Slots.size() != Ops.size())
+      return false;
+    for (size_t I = 0; I != Ops.size(); ++I)
+      if (Ops[I].K != Slots[I] && !(Slots[I] == 'n' && Ops[I].K == 'r') &&
+          !(Slots[I] == 'c' && Ops[I].K == 'l'))
+        return false;
+    return true;
+  }
+
+  /// The operands \p Form expects, as an error message spells them.
+  static std::string expectedText(OpForm Form) {
+    static constexpr std::string_view Slots = "rn#mx={lc";
+    static const char *const Names[] = {
+        "reg",  "r0-r7", "#imm",   "[rn, #imm]", "[rn, rm]",
+        "=lit", "{regs}", "label", "cond"};
+    std::string Out;
+    for (const char *Slot = formOperands(Form); *Slot; ++Slot)
+      Out += (Out.empty() ? "" : ", ") + std::string(Names[Slots.find(*Slot)]);
+    return Out.empty() ? "no operands" : Out;
+  }
+
+  /// The opcodes whose mnemonic and suffix spell \p Word. The longest
+  /// mnemonic wins, so "ldrhs" is ldrh + s rather than ldr + hs.
+  static std::vector<std::pair<OpKind, Suffix>>
+  opcodesSpelling(std::string_view Word) {
+    std::vector<std::pair<OpKind, Suffix>> Rows;
+    size_t Len = 0;
+    for (unsigned K = 0; K != NumOpKinds; ++K) {
+      const OpSyntax &Syn = OpSyntaxTable[K];
+      std::string_view Mn = Syn.Mnemonic;
+      if (Mn.size() < Len || Word.substr(0, Mn.size()) != Mn)
+        continue;
+      auto Sfx = splitSuffix(Syn.Form, Word.substr(Mn.size()));
+      if (!Sfx)
+        continue;
+      if (Mn.size() > Len)
+        Rows.clear();
+      Len = Mn.size();
+      Rows.emplace_back(static_cast<OpKind>(K), *Sfx);
+    }
+    return Rows;
+  }
+
+  /// Parses one instruction: the first opcode spelling the mnemonic whose
+  /// form fits the operands, filled slot by slot.
   std::optional<Instr> parseInstr(unsigned LineNo,
                                   const std::vector<std::string> &Tok) {
-    auto Mn = splitMnemonic(Tok[0]);
-    if (!Mn) {
+    auto Fail = [&](const std::string &Msg) -> std::optional<Instr> {
+      error(LineNo, formatString("%s: %s", Tok[0].c_str(), Msg.c_str()));
+      return std::nullopt;
+    };
+    auto Rows = opcodesSpelling(Tok[0]);
+    if (Rows.empty()) {
       error(LineNo, "unknown mnemonic '" + Tok[0] + "'");
       return std::nullopt;
     }
-    std::vector<Operand> Ops;
+
+    std::vector<Operand> Ops, Shorthand;
     for (unsigned I = 1, E = Tok.size(); I != E; ++I) {
       auto Op = parseOperand(LineNo, Tok[I]);
       if (!Op)
         return std::nullopt;
       Ops.push_back(std::move(*Op));
     }
-    auto Fail = [&](const char *Msg) -> std::optional<Instr> {
-      error(LineNo, formatString("%s: %s", Tok[0].c_str(), Msg));
-      return std::nullopt;
-    };
-    auto isReg = [&](unsigned I) {
-      return I < Ops.size() && Ops[I].K == Operand::Kind::Register;
-    };
-    auto isImm = [&](unsigned I) {
-      return I < Ops.size() && Ops[I].K == Operand::Kind::Immediate;
-    };
+    // "add rd, x" is short for "add rd, rd, x".
+    if (Ops.size() == 2 && Ops[0].K == 'r')
+      Shorthand = {Ops[0], Ops[0], Ops[1]};
 
-    Instr Out = buildInstr(*Mn, Ops, Fail, isReg, isImm);
-    if (Out.Kind == OpKind::Bkpt && Mn->Base != "bkpt")
-      return std::nullopt; // buildInstr signalled failure
-    Out.SetsFlags |= Mn->S;
-    if (Mn->C != Cond::AL)
-      Out.CondCode = Mn->C;
-    return Out;
-  }
-
-  template <typename FailT, typename IsRegT, typename IsImmT>
-  Instr buildInstr(const Mnemonic &Mn, std::vector<Operand> &Ops, FailT Fail,
-                   IsRegT isReg, IsImmT isImm) {
-    using namespace build;
-    const std::string &B = Mn.Base;
-    // Error sentinel: a bkpt from a non-bkpt mnemonic (checked by caller).
-    Instr Bad = bkpt();
-    auto R = [&](unsigned I) { return Ops[I].R; };
-
-    if (B == "nop")
-      return nop();
-    if (B == "wfi")
-      return wfi();
-    if (B == "bkpt")
-      return bkpt();
-    if (B == "it" || B == "ite") {
-      if (Ops.size() != 1 || Ops[0].K != Operand::Kind::Symbol)
-        return Fail("expects a condition"), Bad;
-      Cond C;
-      if (!parseCondName(Ops[0].Sym, C) || C == Cond::AL)
-        return Fail("bad condition"), Bad;
-      return B == "it" ? it(C) : ite(C);
-    }
-    if (B == "push" || B == "pop") {
-      if (Ops.size() != 1 || Ops[0].K != Operand::Kind::RegList)
-        return Fail("expects a register list"), Bad;
-      return B == "push" ? push(Ops[0].Mask) : pop(Ops[0].Mask);
-    }
-    if (B == "b") {
-      if (Ops.size() != 1 || Ops[0].K != Operand::Kind::Symbol)
-        return Fail("expects a label"), Bad;
-      return Mn.C == Cond::AL ? b(Ops[0].Sym) : bCond(Mn.C, Ops[0].Sym);
-    }
-    if (B == "bl") {
-      if (Ops.size() != 1 || Ops[0].K != Operand::Kind::Symbol)
-        return Fail("expects a function name"), Bad;
-      return bl(Ops[0].Sym);
-    }
-    if (B == "blx" || B == "bx") {
-      if (Ops.size() != 1 || !isReg(0))
-        return Fail("expects a register"), Bad;
-      return B == "blx" ? blx(R(0)) : bx(R(0));
-    }
-    if (B == "cbz" || B == "cbnz") {
-      if (Ops.size() != 2 || !isReg(0) ||
-          Ops[1].K != Operand::Kind::Symbol)
-        return Fail("expects: rn, label"), Bad;
-      if (!isLowReg(R(0)))
-        return Fail("requires a low register"), Bad;
-      return B == "cbz" ? cbz(R(0), Ops[1].Sym) : cbnz(R(0), Ops[1].Sym);
-    }
-    if (B == "mov") {
-      if (Ops.size() != 2 || !isReg(0))
-        return Fail("expects: rd, (rm|#imm)"), Bad;
-      if (isImm(1)) {
-        if (Ops[1].Imm < 0 || Ops[1].Imm > 0xFFFF)
-          return Fail("immediate out of range"), Bad;
-        return movImm(R(0), Ops[1].Imm);
+    for (const auto &[Kind, Sfx] : Rows) {
+      const OpSyntax &Syn = opSyntax(Kind);
+      bool Short = !Shorthand.empty() && (Syn.Form == OpForm::RdRnImm ||
+                                          Syn.Form == OpForm::RdRnRm);
+      const std::vector<Operand> &Use = Short ? Shorthand : Ops;
+      if (!fits(Syn.Form, Use))
+        continue;
+      Instr I;
+      I.Kind = Kind;
+      I.CondCode = Sfx.C;
+      I.SetsFlags =
+          Sfx.S || Syn.Form == OpForm::RnImm || Syn.Form == OpForm::RnRm;
+      if (Syn.Form == OpForm::CondOp)
+        I.Imm = Sfx.Else ? 2 | 4 : 1;
+      unsigned NextReg = 0;
+      for (size_t S = 0; S != Use.size(); ++S) {
+        const Operand &Op = Use[S];
+        switch (formOperands(Syn.Form)[S]) {
+        case 'n':
+          if (!isLowReg(Op.R))
+            return Fail("requires a low register");
+          [[fallthrough]];
+        case 'r':
+          I.Regs[NextReg++] = Op.R;
+          break;
+        case 'x':
+          I.Regs[NextReg++] = Op.R;
+          I.Regs[NextReg++] = Op.Index;
+          break;
+        case 'm':
+          I.Regs[NextReg++] = Op.R;
+          [[fallthrough]];
+        case '#':
+          if (Op.Imm < Syn.ImmLo || Op.Imm > Syn.ImmHi)
+            return Fail(formatString("#%d out of range [%d, %d]", Op.Imm,
+                                     Syn.ImmLo, Syn.ImmHi));
+          I.Imm = Op.Imm;
+          break;
+        case '=':
+        case '{':
+          I.Imm = Op.Imm;
+          I.Sym = Op.Sym;
+          break;
+        case 'l':
+          I.Sym = Op.Sym;
+          break;
+        case 'c':
+          if (!parseCondName(Op.Sym, I.CondCode) || I.CondCode == Cond::AL)
+            return Fail("bad condition '" + Op.Sym + "'");
+          break;
+        }
       }
-      if (!isReg(1))
-        return Fail("expects: rd, (rm|#imm)"), Bad;
-      return movReg(R(0), R(1));
+      return I;
     }
-    if (B == "mvn" || B == "uxtb" || B == "uxth" || B == "sxtb" ||
-        B == "sxth") {
-      if (Ops.size() != 2 || !isReg(0) || !isReg(1))
-        return Fail("expects: rd, rm"), Bad;
-      if (B == "mvn")
-        return mvn(R(0), R(1));
-      if (B == "uxtb")
-        return uxtb(R(0), R(1));
-      if (B == "uxth")
-        return uxth(R(0), R(1));
-      if (B == "sxtb")
-        return sxtb(R(0), R(1));
-      return sxth(R(0), R(1));
-    }
-    if (B == "cmp") {
-      if (Ops.size() != 2 || !isReg(0))
-        return Fail("expects: rn, (rm|#imm)"), Bad;
-      if (isImm(1)) {
-        if (Ops[1].Imm < 0 || Ops[1].Imm > 4095)
-          return Fail("immediate out of range"), Bad;
-        return cmpImm(R(0), Ops[1].Imm);
-      }
-      if (!isReg(1))
-        return Fail("expects: rn, (rm|#imm)"), Bad;
-      return cmpReg(R(0), R(1));
-    }
-    if (B == "tst") {
-      if (Ops.size() != 2 || !isReg(0) || !isReg(1))
-        return Fail("expects: rn, rm"), Bad;
-      return tst(R(0), R(1));
-    }
-    if (B == "mla") {
-      if (Ops.size() != 4 || !isReg(0) || !isReg(1) || !isReg(2) ||
-          !isReg(3))
-        return Fail("expects: rd, rn, rm, ra"), Bad;
-      return mla(R(0), R(1), R(2), R(3));
-    }
-    if (B == "ldr" || B == "str" || B == "ldrb" || B == "strb" ||
-        B == "ldrh" || B == "strh")
-      return buildMemInstr(B, Ops, Fail, Bad);
-
-    // Three-operand (or two-operand shorthand) data processing.
-    if (Ops.size() == 2 && isReg(0)) {
-      // "add r0, r1" means "add r0, r0, r1".
-      Ops.insert(Ops.begin() + 1, Ops[0]);
-    }
-    if (Ops.size() != 3 || !isReg(0) || !isReg(1))
-      return Fail("expects: rd, rn, (rm|#imm)"), Bad;
-    bool ImmForm = isImm(2);
-    if (!ImmForm && !isReg(2))
-      return Fail("expects: rd, rn, (rm|#imm)"), Bad;
-    int32_t Imm = ImmForm ? Ops[2].Imm : 0;
-
-    if (ImmForm && (B == "add" || B == "sub") && (Imm < 0 || Imm > 4095))
-      return Fail("immediate out of range"), Bad;
-    if (ImmForm && B == "lsl" && (Imm < 0 || Imm > 31))
-      return Fail("shift out of range"), Bad;
-    if (ImmForm && (B == "lsr" || B == "asr") && (Imm < 1 || Imm > 32))
-      return Fail("shift out of range"), Bad;
-
-    if (B == "add")
-      return ImmForm ? addImm(R(0), R(1), Imm) : addReg(R(0), R(1), R(2));
-    if (B == "sub")
-      return ImmForm ? subImm(R(0), R(1), Imm) : subReg(R(0), R(1), R(2));
-    if (B == "rsb")
-      return ImmForm ? rsb(R(0), R(1), Imm)
-                     : (Fail("rsb requires an immediate"), Bad);
-    if (B == "adc")
-      return ImmForm ? (Fail("adc requires registers"), Bad)
-                     : adc(R(0), R(1), R(2));
-    if (B == "sbc")
-      return ImmForm ? (Fail("sbc requires registers"), Bad)
-                     : sbc(R(0), R(1), R(2));
-    if (B == "mul")
-      return ImmForm ? (Fail("mul requires registers"), Bad)
-                     : mul(R(0), R(1), R(2));
-    if (B == "udiv")
-      return ImmForm ? (Fail("udiv requires registers"), Bad)
-                     : udiv(R(0), R(1), R(2));
-    if (B == "sdiv")
-      return ImmForm ? (Fail("sdiv requires registers"), Bad)
-                     : sdiv(R(0), R(1), R(2));
-    if (B == "and")
-      return ImmForm ? andImm(R(0), R(1), Imm) : andReg(R(0), R(1), R(2));
-    if (B == "orr")
-      return ImmForm ? orrImm(R(0), R(1), Imm) : orrReg(R(0), R(1), R(2));
-    if (B == "eor")
-      return ImmForm ? eorImm(R(0), R(1), Imm) : eorReg(R(0), R(1), R(2));
-    if (B == "bic")
-      return ImmForm ? bicImm(R(0), R(1), Imm) : bicReg(R(0), R(1), R(2));
-    if (B == "lsl")
-      return ImmForm ? lslImm(R(0), R(1), Imm) : lslReg(R(0), R(1), R(2));
-    if (B == "lsr")
-      return ImmForm ? lsrImm(R(0), R(1), Imm) : lsrReg(R(0), R(1), R(2));
-    if (B == "asr")
-      return ImmForm ? asrImm(R(0), R(1), Imm) : asrReg(R(0), R(1), R(2));
-    if (B == "ror")
-      return ImmForm ? (Fail("ror requires registers"), Bad)
-                     : rorReg(R(0), R(1), R(2));
-    return Fail("unhandled mnemonic"), Bad;
-  }
-
-  template <typename FailT>
-  Instr buildMemInstr(const std::string &B, std::vector<Operand> &Ops,
-                      FailT Fail, Instr Bad) {
-    using namespace build;
-    if (Ops.size() != 2 || Ops[0].K != Operand::Kind::Register)
-      return Fail("expects: rt, (mem|=lit)"), Bad;
-    Reg Rt = Ops[0].R;
-    if (Ops[1].K == Operand::Kind::Literal) {
-      if (B != "ldr")
-        return Fail("only ldr supports literals"), Bad;
-      return Ops[1].Sym.empty() ? ldrLitConst(Rt, Ops[1].Imm)
-                                : ldrLitSym(Rt, Ops[1].Sym);
-    }
-    if (Ops[1].K != Operand::Kind::Memory)
-      return Fail("expects a memory operand"), Bad;
-    Reg Rn = Ops[1].MemBase;
-    bool HasIndex = Ops[1].MemIndex != NumRegs;
-    Reg Rm = HasIndex ? Ops[1].MemIndex : R0;
-    int32_t Off = Ops[1].Imm;
-    if (!HasIndex && (Off < 0 || Off > 4095))
-      return Fail("offset out of range"), Bad;
-    if (B == "ldr")
-      return HasIndex ? ldrReg(Rt, Rn, Rm) : ldrImm(Rt, Rn, Off);
-    if (B == "str")
-      return HasIndex ? strReg(Rt, Rn, Rm) : strImm(Rt, Rn, Off);
-    if (B == "ldrb")
-      return HasIndex ? ldrbReg(Rt, Rn, Rm) : ldrbImm(Rt, Rn, Off);
-    if (B == "strb")
-      return HasIndex ? strbReg(Rt, Rn, Rm) : strbImm(Rt, Rn, Off);
-    if (B == "ldrh")
-      return HasIndex ? (Fail("ldrh has no register form"), Bad)
-                      : ldrhImm(Rt, Rn, Off);
-    if (B == "strh")
-      return HasIndex ? (Fail("strh has no register form"), Bad)
-                      : strhImm(Rt, Rn, Off);
-    return Fail("unhandled memory mnemonic"), Bad;
+    std::string Expected;
+    for (const auto &Row : Rows)
+      Expected += (Expected.empty() ? "" : " | ") +
+                  expectedText(opSyntax(Row.first).Form);
+    return Fail("expects " + Expected);
   }
 
   std::string_view Text;

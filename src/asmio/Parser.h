@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Parses the project's UAL-like assembly dialect into a Module. The
-/// dialect is what asmio/Printer.h emits:
+/// dialect is what asmio/Printer.h emits, and both read each opcode's
+/// syntax from its RAMLOC_OPCODES row (isa/OpKind.h):
 ///
 ///   .module demo
 ///   .entry main

@@ -9,8 +9,6 @@
 
 #include "support/Format.h"
 
-#include <cassert>
-
 using namespace ramloc;
 
 namespace {
@@ -44,124 +42,63 @@ std::string regListText(uint32_t Mask) {
 }
 
 std::string mnemonicText(const Instr &I) {
+  const OpSyntax &Syn = opSyntax(I.Kind);
+  std::string Out = Syn.Mnemonic;
   // The it/ite condition is printed as the operand, not as a suffix.
-  if (I.Kind == OpKind::It)
-    return (I.Imm & 4) ? "ite" : "it";
-  std::string Out = opMnemonic(I.Kind);
-  if (I.SetsFlags && I.Kind != OpKind::CmpImm && I.Kind != OpKind::CmpReg &&
-      I.Kind != OpKind::Tst)
+  if (Syn.Form == OpForm::CondOp)
+    return (I.Imm & 4) ? Out + "e" : Out;
+  // Compares always set flags; the "s" is implied.
+  if (I.SetsFlags && Syn.Form != OpForm::RnImm && Syn.Form != OpForm::RnRm)
     Out += "s";
   if (I.CondCode != Cond::AL)
     Out += condName(I.CondCode);
   return Out;
 }
 
-std::string r(const Instr &I, unsigned Idx) {
-  return regName(I.Regs[Idx]);
-}
-
 } // namespace
 
 std::string ramloc::printInstr(const Instr &I) {
-  std::string M = mnemonicText(I);
-  switch (I.Kind) {
-  case OpKind::MovImm:
-    return formatString("%s %s, #%d", M.c_str(), r(I, 0).c_str(), I.Imm);
-  case OpKind::MovReg:
-  case OpKind::Mvn:
-  case OpKind::Uxtb:
-  case OpKind::Uxth:
-  case OpKind::Sxtb:
-  case OpKind::Sxth:
-    return formatString("%s %s, %s", M.c_str(), r(I, 0).c_str(),
-                        r(I, 1).c_str());
-  case OpKind::AddImm:
-  case OpKind::SubImm:
-  case OpKind::Rsb:
-  case OpKind::AndImm:
-  case OpKind::OrrImm:
-  case OpKind::EorImm:
-  case OpKind::BicImm:
-    return formatString("%s %s, %s, #%d", M.c_str(), r(I, 0).c_str(),
-                        r(I, 1).c_str(), I.Imm);
-  case OpKind::AddReg:
-  case OpKind::SubReg:
-  case OpKind::Adc:
-  case OpKind::Sbc:
-  case OpKind::Mul:
-  case OpKind::Udiv:
-  case OpKind::Sdiv:
-  case OpKind::AndReg:
-  case OpKind::OrrReg:
-  case OpKind::EorReg:
-  case OpKind::BicReg:
-  case OpKind::LslReg:
-  case OpKind::LsrReg:
-  case OpKind::AsrReg:
-  case OpKind::RorReg:
-    return formatString("%s %s, %s, %s", M.c_str(), r(I, 0).c_str(),
-                        r(I, 1).c_str(), r(I, 2).c_str());
-  case OpKind::Mla:
-    return formatString("%s %s, %s, %s, %s", M.c_str(), r(I, 0).c_str(),
-                        r(I, 1).c_str(), r(I, 2).c_str(), r(I, 3).c_str());
-  case OpKind::LslImm:
-  case OpKind::LsrImm:
-  case OpKind::AsrImm:
-    return formatString("%s %s, %s, #%d", M.c_str(), r(I, 0).c_str(),
-                        r(I, 1).c_str(), I.Imm);
-  case OpKind::CmpImm:
-    return formatString("%s %s, #%d", M.c_str(), r(I, 0).c_str(), I.Imm);
-  case OpKind::CmpReg:
-  case OpKind::Tst:
-    return formatString("%s %s, %s", M.c_str(), r(I, 0).c_str(),
-                        r(I, 1).c_str());
-  case OpKind::LdrImm:
-  case OpKind::StrImm:
-  case OpKind::LdrbImm:
-  case OpKind::StrbImm:
-  case OpKind::LdrhImm:
-  case OpKind::StrhImm:
-    if (I.Imm == 0)
-      return formatString("%s %s, [%s]", M.c_str(), r(I, 0).c_str(),
-                          r(I, 1).c_str());
-    return formatString("%s %s, [%s, #%d]", M.c_str(), r(I, 0).c_str(),
-                        r(I, 1).c_str(), I.Imm);
-  case OpKind::LdrReg:
-  case OpKind::StrReg:
-  case OpKind::LdrbReg:
-  case OpKind::StrbReg:
-    return formatString("%s %s, [%s, %s]", M.c_str(), r(I, 0).c_str(),
-                        r(I, 1).c_str(), r(I, 2).c_str());
-  case OpKind::LdrLit:
-    if (!I.Sym.empty())
-      return formatString("%s %s, =%s", M.c_str(), r(I, 0).c_str(),
-                          I.Sym.c_str());
-    return formatString("%s %s, =0x%x", M.c_str(), r(I, 0).c_str(),
-                        static_cast<unsigned>(I.Imm));
-  case OpKind::Push:
-  case OpKind::Pop:
-    return formatString("%s %s", M.c_str(),
-                        regListText(static_cast<uint32_t>(I.Imm)).c_str());
-  case OpKind::B:
-  case OpKind::BCond:
-  case OpKind::Bl:
-    return formatString("%s %s", M.c_str(), I.Sym.c_str());
-  case OpKind::Cbz:
-  case OpKind::Cbnz:
-    return formatString("%s %s, %s", M.c_str(), r(I, 0).c_str(),
-                        I.Sym.c_str());
-  case OpKind::Blx:
-  case OpKind::Bx:
-    return formatString("%s %s", M.c_str(), r(I, 0).c_str());
-  case OpKind::It:
-    return formatString("%s %s", M.c_str(), condName(I.CondCode).c_str());
-  case OpKind::Nop:
-  case OpKind::Wfi:
-  case OpKind::Bkpt:
-    return M;
+  std::string Out = mnemonicText(I);
+  unsigned NextReg = 0;
+  auto reg = [&] { return regName(I.Regs[NextReg++]); };
+  const char *Sep = " ";
+  for (const char *Op = formOperands(opSyntax(I.Kind).Form); *Op;
+       ++Op, Sep = ", ") {
+    Out += Sep;
+    switch (*Op) {
+    case 'r':
+    case 'n':
+      Out += reg();
+      break;
+    case '#':
+      Out += formatString("#%d", I.Imm);
+      break;
+    case 'm':
+      Out += I.Imm ? formatString("[%s, #%d]", reg().c_str(), I.Imm)
+                   : formatString("[%s]", reg().c_str());
+      break;
+    case 'x': {
+      std::string Rn = reg();
+      Out += formatString("[%s, %s]", Rn.c_str(), reg().c_str());
+      break;
+    }
+    case '=':
+      Out += I.Sym.empty()
+                 ? formatString("=0x%x", static_cast<unsigned>(I.Imm))
+                 : formatString("=%s", I.Sym.c_str());
+      break;
+    case '{':
+      Out += regListText(static_cast<uint32_t>(I.Imm));
+      break;
+    case 'l':
+      Out += I.Sym;
+      break;
+    case 'c':
+      Out += condName(I.CondCode);
+      break;
+    }
   }
-  assert(false && "invalid opcode");
-  return "";
+  return Out;
 }
 
 std::string ramloc::printModule(const Module &M) {

@@ -13,7 +13,7 @@ using namespace ramloc;
 
 const char *ramloc::opMnemonic(OpKind Kind) {
   switch (Kind) {
-#define X(Name, Mnemonic, Class)                                             \
+#define X(Name, Mnemonic, Class, Form, Lo, Hi)                               \
   case OpKind::Name:                                                         \
     return Mnemonic;
     RAMLOC_OPCODES(X)
@@ -25,7 +25,7 @@ const char *ramloc::opMnemonic(OpKind Kind) {
 
 InstrClass ramloc::opClass(OpKind Kind) {
   switch (Kind) {
-#define X(Name, Mnemonic, Class)                                             \
+#define X(Name, Mnemonic, Class, Form, Lo, Hi)                               \
   case OpKind::Name:                                                         \
     return InstrClass::Class;
     RAMLOC_OPCODES(X)

@@ -25,19 +25,12 @@
 
 namespace ramloc {
 
-/// A single machine instruction.
-///
-/// Operand conventions:
-///  - data ops:        Regs[0]=rd, Regs[1]=rn, Regs[2]=rm, Regs[3]=ra (mla)
-///  - compares:        Regs[0]=rn, Regs[1]=rm / Imm
-///  - loads/stores:    Regs[0]=rt, Regs[1]=rn, Regs[2]=rm or Imm offset
-///  - ldr rt, =X:      Regs[0]=rt; Sym names a symbol, else Imm constant
-///  - push/pop:        Imm is a register bitmask (bit 14 = lr, bit 15 = pc)
-///  - branches:        Sym is the target label / callee name; bx/blx use
-///                     Regs[0]
-///  - it:              Imm encodes the pattern length (1 or 2) in bits 0-1
-///                     and then-else mask in bit 2 (0 = IT, 1 = ITE);
-///                     CondCode holds the condition
+/// A single machine instruction. Its operands fill Regs, Imm and Sym in
+/// the order its form writes them (RAMLOC_OP_FORMS in isa/OpKind.h):
+/// "mla rd, rn, rm, ra" is Regs[0..3], "ldr rt, [rn, #imm]" is Regs[0..1]
+/// and Imm, "ldr rt, =X" names X in Sym or holds it in Imm. push/pop's Imm
+/// is a register mask (bit 14 = lr, bit 15 = pc); it/ite's Imm is the
+/// pattern length (1 or 2) in bits 0-1 and the else bit in bit 2.
 struct Instr {
   OpKind Kind = OpKind::Nop;
   /// Execution condition. AL unless the instruction sits in an IT block or

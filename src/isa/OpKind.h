@@ -8,8 +8,11 @@
 /// \file
 /// The opcode set of the Thumb-2-like target: the subset of the Cortex-M3
 /// Thumb-2 instruction set the BEEBS-style workloads and the Figure 4
-/// instrumentation sequences need. Each opcode carries an InstrClass used
-/// by the power model (Figure 1 groups power by instruction type).
+/// instrumentation sequences need. An opcode is one RAMLOC_OPCODES row,
+/// and its syntax is that row alone: mnemonic, InstrClass (for the power
+/// model; Figure 1 groups power by instruction type), operand form and,
+/// where the form has an immediate or offset, its bounds. The assembly
+/// printer and parser (asmio/) both read the row through opSyntax().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,76 +24,108 @@
 
 namespace ramloc {
 
-// X-macro: RAMLOC_OPCODE(enumerator, mnemonic, instr-class)
+// X-macro: RAMLOC_OP_FORM(enumerator, operands). An operand form spells
+// its operands one letter each, in the order they are written and fill
+// Instr::Regs:
+//   r register      n low register (r0-r7)   # immediate (Instr::Imm)
+//   m [rn] or [rn, #imm]   x [rn, rm]   = =symbol or =constant
+//   { register list (Imm is the mask)   l label (Instr::Sym)
+//   c condition (Instr::CondCode)
+// Mnemonics of the forms before RegList (data and memory) take an
+// optional "s" and an optional condition suffix; CondLabel's mnemonic
+// takes a condition and the others take no suffix. it/ite (CondOp) is
+// the one special case: "ite" is "it" plus an else instruction.
+#define RAMLOC_OP_FORMS(X)                                                   \
+  X(RdImm, "r#")     /* mov rd, #imm */                                     \
+  X(RdRm, "rr")      /* mvn rd, rm */                                       \
+  X(RdRnImm, "rr#")  /* add rd, rn, #imm; "add rd, #imm" has rn = rd */     \
+  X(RdRnRm, "rrr")   /* add rd, rn, rm; "add rd, rm" has rn = rd */         \
+  X(RdRnRmRa, "rrrr") /* mla rd, rn, rm, ra */                              \
+  X(RnImm, "r#")     /* cmp rn, #imm: compares always set flags */          \
+  X(RnRm, "rr")      /* cmp rn, rm */                                       \
+  X(RtMem, "rm")     /* ldr rt, [rn, #imm] */                               \
+  X(RtMemReg, "rx")  /* ldr rt, [rn, rm] */                                 \
+  X(RtLit, "r=")     /* ldr rt, =sym */                                     \
+  X(RegList, "{")    /* push {r4-r7, lr} */                                 \
+  X(Label, "l")      /* b label */                                          \
+  X(CondLabel, "l")  /* bne label */                                        \
+  X(RnLabel, "nl")   /* cbz rn, label */                                    \
+  X(Rm, "r")         /* bx rm */                                            \
+  X(CondOp, "c")     /* it eq */                                            \
+  X(None, "")        /* nop */
+
+// X-macro: RAMLOC_OPCODE(enumerator, mnemonic, instr-class, operand-form,
+// lo, hi), where [lo, hi] bounds the immediate or offset of a form that
+// has one (0, 0 for the others).
 #define RAMLOC_OPCODES(X)                                                    \
   /* --- data processing ------------------------------------------------ */ \
-  X(MovImm, "mov", Alu)                                                      \
-  X(MovReg, "mov", Alu)                                                      \
-  X(Mvn, "mvn", Alu)                                                         \
-  X(AddImm, "add", Alu)                                                      \
-  X(AddReg, "add", Alu)                                                      \
-  X(SubImm, "sub", Alu)                                                      \
-  X(SubReg, "sub", Alu)                                                      \
-  X(Rsb, "rsb", Alu)                                                         \
-  X(Adc, "adc", Alu)                                                         \
-  X(Sbc, "sbc", Alu)                                                         \
-  X(Mul, "mul", Mul)                                                         \
-  X(Mla, "mla", Mul)                                                         \
-  X(Udiv, "udiv", Div)                                                       \
-  X(Sdiv, "sdiv", Div)                                                       \
-  X(AndReg, "and", Alu)                                                      \
-  X(OrrReg, "orr", Alu)                                                      \
-  X(EorReg, "eor", Alu)                                                      \
-  X(BicReg, "bic", Alu)                                                      \
-  X(AndImm, "and", Alu)                                                      \
-  X(OrrImm, "orr", Alu)                                                      \
-  X(EorImm, "eor", Alu)                                                      \
-  X(BicImm, "bic", Alu)                                                      \
-  X(LslImm, "lsl", Alu)                                                      \
-  X(LsrImm, "lsr", Alu)                                                      \
-  X(AsrImm, "asr", Alu)                                                      \
-  X(LslReg, "lsl", Alu)                                                      \
-  X(LsrReg, "lsr", Alu)                                                      \
-  X(AsrReg, "asr", Alu)                                                      \
-  X(RorReg, "ror", Alu)                                                      \
-  X(CmpImm, "cmp", Alu)                                                      \
-  X(CmpReg, "cmp", Alu)                                                      \
-  X(Tst, "tst", Alu)                                                         \
-  X(Uxtb, "uxtb", Alu)                                                       \
-  X(Uxth, "uxth", Alu)                                                       \
-  X(Sxtb, "sxtb", Alu)                                                       \
-  X(Sxth, "sxth", Alu)                                                       \
+  X(MovImm, "mov", Alu, RdImm, 0, 0xFFFF)                                    \
+  X(MovReg, "mov", Alu, RdRm, 0, 0)                                          \
+  X(Mvn, "mvn", Alu, RdRm, 0, 0)                                             \
+  X(AddImm, "add", Alu, RdRnImm, 0, 4095)                                    \
+  X(AddReg, "add", Alu, RdRnRm, 0, 0)                                        \
+  X(SubImm, "sub", Alu, RdRnImm, 0, 4095)                                    \
+  X(SubReg, "sub", Alu, RdRnRm, 0, 0)                                        \
+  X(Rsb, "rsb", Alu, RdRnImm, INT32_MIN, INT32_MAX)                          \
+  X(Adc, "adc", Alu, RdRnRm, 0, 0)                                           \
+  X(Sbc, "sbc", Alu, RdRnRm, 0, 0)                                           \
+  X(Mul, "mul", Mul, RdRnRm, 0, 0)                                           \
+  X(Mla, "mla", Mul, RdRnRmRa, 0, 0)                                         \
+  X(Udiv, "udiv", Div, RdRnRm, 0, 0)                                         \
+  X(Sdiv, "sdiv", Div, RdRnRm, 0, 0)                                         \
+  X(AndReg, "and", Alu, RdRnRm, 0, 0)                                        \
+  X(OrrReg, "orr", Alu, RdRnRm, 0, 0)                                        \
+  X(EorReg, "eor", Alu, RdRnRm, 0, 0)                                        \
+  X(BicReg, "bic", Alu, RdRnRm, 0, 0)                                        \
+  X(AndImm, "and", Alu, RdRnImm, INT32_MIN, INT32_MAX)                       \
+  X(OrrImm, "orr", Alu, RdRnImm, INT32_MIN, INT32_MAX)                       \
+  X(EorImm, "eor", Alu, RdRnImm, INT32_MIN, INT32_MAX)                       \
+  X(BicImm, "bic", Alu, RdRnImm, INT32_MIN, INT32_MAX)                       \
+  X(LslImm, "lsl", Alu, RdRnImm, 0, 31)                                      \
+  X(LsrImm, "lsr", Alu, RdRnImm, 1, 32)                                      \
+  X(AsrImm, "asr", Alu, RdRnImm, 1, 32)                                      \
+  X(LslReg, "lsl", Alu, RdRnRm, 0, 0)                                        \
+  X(LsrReg, "lsr", Alu, RdRnRm, 0, 0)                                        \
+  X(AsrReg, "asr", Alu, RdRnRm, 0, 0)                                        \
+  X(RorReg, "ror", Alu, RdRnRm, 0, 0)                                        \
+  X(CmpImm, "cmp", Alu, RnImm, 0, 4095)                                      \
+  X(CmpReg, "cmp", Alu, RnRm, 0, 0)                                          \
+  X(Tst, "tst", Alu, RnRm, 0, 0)                                             \
+  X(Uxtb, "uxtb", Alu, RdRm, 0, 0)                                           \
+  X(Uxth, "uxth", Alu, RdRm, 0, 0)                                           \
+  X(Sxtb, "sxtb", Alu, RdRm, 0, 0)                                           \
+  X(Sxth, "sxth", Alu, RdRm, 0, 0)                                           \
   /* --- memory ---------------------------------------------------------- */ \
-  X(LdrImm, "ldr", Load)                                                     \
-  X(LdrReg, "ldr", Load)                                                     \
-  X(StrImm, "str", Store)                                                    \
-  X(StrReg, "str", Store)                                                    \
-  X(LdrbImm, "ldrb", Load)                                                   \
-  X(LdrbReg, "ldrb", Load)                                                   \
-  X(StrbImm, "strb", Store)                                                  \
-  X(StrbReg, "strb", Store)                                                  \
-  X(LdrhImm, "ldrh", Load)                                                   \
-  X(StrhImm, "strh", Store)                                                  \
-  X(LdrLit, "ldr", Load)                                                     \
-  X(Push, "push", Store)                                                     \
-  X(Pop, "pop", Load)                                                        \
+  X(LdrImm, "ldr", Load, RtMem, 0, 4095)                                     \
+  X(LdrReg, "ldr", Load, RtMemReg, 0, 0)                                     \
+  X(StrImm, "str", Store, RtMem, 0, 4095)                                    \
+  X(StrReg, "str", Store, RtMemReg, 0, 0)                                    \
+  X(LdrbImm, "ldrb", Load, RtMem, 0, 4095)                                   \
+  X(LdrbReg, "ldrb", Load, RtMemReg, 0, 0)                                   \
+  X(StrbImm, "strb", Store, RtMem, 0, 4095)                                  \
+  X(StrbReg, "strb", Store, RtMemReg, 0, 0)                                  \
+  X(LdrhImm, "ldrh", Load, RtMem, 0, 4095)                                   \
+  X(StrhImm, "strh", Store, RtMem, 0, 4095)                                  \
+  X(LdrLit, "ldr", Load, RtLit, 0, 0)                                        \
+  X(Push, "push", Store, RegList, 0, 0)                                      \
+  X(Pop, "pop", Load, RegList, 0, 0)                                         \
   /* --- control flow ---------------------------------------------------- */ \
-  X(B, "b", Branch)                                                          \
-  X(BCond, "b", Branch)                                                      \
-  X(Cbz, "cbz", Branch)                                                      \
-  X(Cbnz, "cbnz", Branch)                                                    \
-  X(Bl, "bl", Branch)                                                        \
-  X(Blx, "blx", Branch)                                                      \
-  X(Bx, "bx", Branch)                                                        \
-  X(It, "it", Nop)                                                           \
+  X(B, "b", Branch, Label, 0, 0)                                             \
+  X(BCond, "b", Branch, CondLabel, 0, 0)                                     \
+  X(Cbz, "cbz", Branch, RnLabel, 0, 0)                                       \
+  X(Cbnz, "cbnz", Branch, RnLabel, 0, 0)                                     \
+  X(Bl, "bl", Branch, Label, 0, 0)                                           \
+  X(Blx, "blx", Branch, Rm, 0, 0)                                            \
+  X(Bx, "bx", Branch, Rm, 0, 0)                                              \
+  X(It, "it", Nop, CondOp, 0, 0)                                             \
   /* --- misc ------------------------------------------------------------ */ \
-  X(Nop, "nop", Nop)                                                         \
-  X(Wfi, "wfi", Nop)                                                         \
-  X(Bkpt, "bkpt", Nop)
+  X(Nop, "nop", Nop, None, 0, 0)                                             \
+  X(Wfi, "wfi", Nop, None, 0, 0)                                             \
+  X(Bkpt, "bkpt", Nop, None, 0, 0)
 
 /// Opcode enumeration.
 enum class OpKind : uint8_t {
-#define X(Name, Mnemonic, Class) Name,
+#define X(Name, Mnemonic, Class, Form, Lo, Hi) Name,
   RAMLOC_OPCODES(X)
 #undef X
 };
@@ -119,10 +154,45 @@ const char *instrClassName(InstrClass Class);
 
 /// The number of opcode enumerators (for table sizing).
 constexpr unsigned NumOpKinds = 0
-#define X(Name, Mnemonic, Class) +1
+#define X(Name, Mnemonic, Class, Form, Lo, Hi) +1
     RAMLOC_OPCODES(X)
 #undef X
     ;
+
+/// How an opcode's operands are written.
+enum class OpForm : uint8_t {
+#define X(Name, Operands) Name,
+  RAMLOC_OP_FORMS(X)
+#undef X
+};
+
+/// The operand letters of \p Form (see RAMLOC_OP_FORMS).
+constexpr const char *formOperands(OpForm Form) {
+  constexpr const char *Operands[] = {
+#define X(Name, Operands) Operands,
+      RAMLOC_OP_FORMS(X)
+#undef X
+  };
+  return Operands[static_cast<unsigned>(Form)];
+}
+
+/// An opcode's syntax: its RAMLOC_OPCODES row less the power class.
+struct OpSyntax {
+  const char *Mnemonic;
+  OpForm Form;
+  int32_t ImmLo, ImmHi;
+};
+
+/// Every opcode's syntax, indexed by OpKind.
+inline constexpr OpSyntax OpSyntaxTable[] = {
+#define X(Name, Mnemonic, Class, Form, Lo, Hi) {Mnemonic, OpForm::Form, Lo, Hi},
+    RAMLOC_OPCODES(X)
+#undef X
+};
+
+constexpr const OpSyntax &opSyntax(OpKind Kind) {
+  return OpSyntaxTable[static_cast<unsigned>(Kind)];
+}
 
 } // namespace ramloc
 

@@ -16,13 +16,82 @@ using namespace ramloc::build;
 
 namespace {
 
-/// print -> parse -> print must be a fixed point.
+/// print -> parse -> print must be a fixed point, and the parsed module
+/// must hold the very instructions that were printed.
 void expectRoundTrip(const Module &M) {
   std::string First = printModule(M);
   ParseResult PR = parseAssembly(First);
   ASSERT_TRUE(PR.ok()) << PR.Errors.front() << "\nin:\n" << First;
   std::string Second = printModule(PR.M);
   EXPECT_EQ(First, Second);
+  ASSERT_EQ(PR.M.Functions.size(), M.Functions.size());
+  for (size_t F = 0; F != M.Functions.size(); ++F) {
+    const auto &Want = M.Functions[F].Blocks, &Got = PR.M.Functions[F].Blocks;
+    ASSERT_EQ(Got.size(), Want.size()) << M.Functions[F].Name;
+    for (size_t B = 0; B != Want.size(); ++B) {
+      ASSERT_EQ(Got[B].Instrs.size(), Want[B].Instrs.size());
+      for (size_t I = 0; I != Want[B].Instrs.size(); ++I)
+        EXPECT_TRUE(Got[B].Instrs[I] == Want[B].Instrs[I])
+            << Want[B].Label << "[" << I
+            << "]: " << printInstr(Want[B].Instrs[I]);
+    }
+  }
+}
+
+/// Parses \p Line as the fourth line of a module, after a valid `nop`.
+ParseResult parseLine(const std::string &Line) {
+  return parseAssembly(".func f\n.block a\n    nop\n    " + Line + "\n");
+}
+
+/// One builder-made sample of every opcode, plus the set-flags and
+/// condition variants the printer spells as suffixes.
+std::vector<Instr> opcodeSamples() {
+  return {
+      movImm(R0, 0xFFFF),      movReg(R1, R2),
+      mvn(R3, R4),             addImm(R0, R1, 4095),
+      addReg(R0, R1, R2),      subImm(R2, R3, 1),
+      subReg(R4, R5, R6),      rsb(R0, R1, -5),
+      adc(R0, R1, R2),         sbc(R3, R4, R5),
+      mul(R0, R1, R2),         mla(R0, R1, R2, R3),
+      udiv(R8, R9, R10),       sdiv(R11, R12, R0),
+      andReg(R0, R1, R2),      orrReg(R0, R1, R2),
+      eorReg(R0, R1, R2),      bicReg(R0, R1, R2),
+      andImm(R0, R1, 0xFF),    orrImm(R0, R1, -1),
+      eorImm(R0, R1, 0x7FFFFFFF), bicImm(R0, R1, 3),
+      lslImm(R0, R1, 31),      lsrImm(R0, R1, 32),
+      asrImm(R0, R1, 1),       lslReg(R0, R1, R2),
+      lsrReg(R0, R1, R2),      asrReg(R0, R1, R2),
+      rorReg(R0, R1, R2),      cmpImm(R0, 4095),
+      cmpReg(R0, R1),          tst(R2, R3),
+      uxtb(R0, R1),            uxth(R0, R1),
+      sxtb(R0, R1),            sxth(R0, R1),
+      ldrImm(R0, R1, 0),       ldrImm(R0, SP, 4095),
+      ldrReg(R0, R1, R2),      strImm(R0, SP, 4),
+      strReg(R0, R1, R2),      ldrbImm(R0, R1, 1),
+      ldrbReg(R0, R1, R2),     strbImm(R0, R1, 3),
+      strbReg(R0, R1, R2),     ldrhImm(R0, R1, 2),
+      strhImm(R0, R1, 4094),   ldrLitSym(R5, "tab"),
+      ldrLitConst(R5, -1),     ldrLitConst(R6, 0x1234),
+      push((1u << R4) | (1u << R5) | (1u << LR)),
+      pop(0xF0 | (1u << PC)),  push(0x1FFF | (1u << LR)),
+      b("x"),                  bCond(Cond::LE, "x"),
+      cbz(R7, "x"),            cbnz(R0, "x"),
+      bl("f"),                 blx(R3),
+      bx(LR),                  it(Cond::NE),
+      ite(Cond::EQ),           nop(),
+      wfi(),                   bkpt(),
+      // Suffixes: "adds", "lsls", "moveq", "ldrne pc", "subsgt",
+      // "ldrhcs" (ldrh + cs), "ldrhs" (ldrh + s, not ldr + hs),
+      // "strhi" (str + hi), "cmpeq".
+      setS(addImm(R0, R0, 1)), setS(lslImm(R0, R1, 2)),
+      setS(ldrhImm(R0, R1, 2)),
+      withCond(movImm(R0, 1), Cond::EQ),
+      withCond(ldrLitSym(PC, "x"), Cond::NE),
+      setS(withCond(subReg(R0, R1, R2), Cond::GT)),
+      withCond(ldrhImm(R0, R1, 2), Cond::CS),
+      withCond(strImm(R0, R1, 8), Cond::HI),
+      withCond(cmpImm(R0, 1), Cond::EQ),
+  };
 }
 
 } // namespace
@@ -136,6 +205,106 @@ TEST(Parser, HomeAndLibraryAttributes) {
   EXPECT_EQ(PR.M.Functions[0].Blocks[0].Home, MemKind::Ram);
 }
 
+TEST(Parser, RejectsEachMalformedLine) {
+  // One line per way the parser refuses an instruction. Each must be
+  // refused and the error must name line 4, where the line sits.
+  const char *const Lines[] = {
+      // operand syntax
+      "ldr r0, [r1", "ldr r0, [q1]", "ldr r0, [r1, q2]", "push {r4",
+      "push {q4}", "push {r7-r4}", "frobnicate r0", "bleq f", "pushs {r4}",
+      // immediates out of range
+      "mov r0, #65536", "mov r0, #-1", "cmp r0, #4096", "cmp r0, #-1",
+      "add r0, r1, #4096", "sub r0, r1, #-1", "add r0, #4096",
+      "lsl r0, r1, #32", "lsl r0, r1, #-1", "lsr r0, r1, #0",
+      "lsr r0, r1, #33", "asr r0, r1, #0", "asr r0, r1, #33",
+      "ldr r0, [r1, #4096]", "str r0, [r1, #-4]", "ldrb r0, [r1, #5000]",
+      "strb r0, [r1, #-1]", "ldrh r0, [r1, #4096]", "strh r0, [r1, #-2]",
+      // operand kinds the opcode has no form for
+      "rsb r0, r1, r2", "adc r0, r1, #1", "sbc r0, r1, #1",
+      "mul r0, r1, #1", "udiv r0, r1, #1", "sdiv r0, r1, #1",
+      "ror r0, r1, #1", "mvn r0, #1", "tst r0, #1", "mla r0, r1, r2, #3",
+      "ldrh r0, [r1, r2]", "strh r0, [r1, r2]", "str r0, =x",
+      "strb r0, =4", "ldr r0, r1", "ldr #1, [r1]", "mov #1, r0",
+      "mov r0, =x", "cmp r0, =x", "add r0, r1, =x", "add #1, r0, r1",
+      "b r0", "bne #4", "bl r0", "bx foo", "cbnz r0, r1", "it r0",
+      "push r4", "pop lr",
+      // register and condition constraints
+      "cbz r8, x", "cbnz sp, x", "it al", "ite xx",
+      // wrong operand counts
+      "mov r0", "mov r0, r1, r2", "mvn r0", "uxtb r0", "sxth r0, r1, r2",
+      "cmp r0", "tst r0, r1, r2", "mla r0, r1, r2", "add r0",
+      "add r0, r1, r2, r3", "ldr r0", "ldr r0, [r1], r2", "push",
+      "pop {r4}, {r5}", "b", "b x, y", "bl", "bx", "blx lr, r0", "cbz r0",
+      "it", "it eq, ne",
+  };
+  for (const char *Line : Lines) {
+    ParseResult PR = parseLine(Line);
+    ASSERT_FALSE(PR.ok()) << "accepted: " << Line;
+    EXPECT_NE(PR.Errors.front().find("line 4:"), std::string::npos)
+        << Line << " -> " << PR.Errors.front();
+  }
+}
+
+TEST(Parser, IntegersAreWholeTokensOf32Bits) {
+  // Digits past a number and bits past 32 are errors, not dropped.
+  const char *const Bad[] = {
+      "    mov r0, #4294967297\n",     "    mov r0, #12abc\n",
+      "    and r0, r0, #0x100000000\n", "    ldr r0, [r1, #4294967300]\n",
+      "    ldr r0, [r1, #4x]\n",        "    ldr r0, =4294967296\n",
+      "    ldr r0, =12abc\n",           "    ldr r0, =-\n",
+      "    mov r0, #\n",                ".data d 4x 00\n",
+      ".rodata r 4294967296 00\n",    ".bss b 12abc 4\n",
+      ".bss b 4 4294967300\n",        ".bss b -4 4\n",
+  };
+  for (const char *Text : Bad) {
+    ParseResult PR = parseAssembly(std::string(".func f\n.block a\n") + Text);
+    ASSERT_FALSE(PR.ok()) << "accepted: " << Text;
+    EXPECT_NE(PR.Errors.front().find("line 3:"), std::string::npos)
+        << Text << " -> " << PR.Errors.front();
+  }
+
+  ParseResult PR = parseAssembly(
+      ".module m\n.entry f\n.rodata r 4 00\n.bss b 4294967295 8\n"
+      ".func f\n.block a\n    mov r0, #0x10\n    and r0, r0, #0xffffffff\n"
+      "    ldr r1, =0x1234\n    ldr r2, =0xffffffff\n    bx lr\n");
+  ASSERT_TRUE(PR.ok()) << PR.Errors.front();
+  EXPECT_EQ(PR.M.Data[1].Size, 4294967295u);
+  const std::vector<Instr> &Is = PR.M.Functions[0].Blocks[0].Instrs;
+  EXPECT_TRUE(Is[0] == movImm(R0, 16));
+  EXPECT_TRUE(Is[1] == andImm(R0, R0, -1));
+  EXPECT_TRUE(Is[2] == ldrLitConst(R1, 0x1234));
+  EXPECT_TRUE(Is[3] == ldrLitConst(R2, -1));
+}
+
+TEST(Parser, OperandlessOpcodesTakeNoOperands) {
+  for (const char *Line : {"nop r0", "wfi lr", "bkpt #3"}) {
+    ParseResult PR = parseLine(Line);
+    ASSERT_FALSE(PR.ok()) << "accepted: " << Line;
+    EXPECT_NE(PR.Errors.front().find("line 4:"), std::string::npos)
+        << Line << " -> " << PR.Errors.front();
+  }
+}
+
+TEST(RoundTrip, EveryOpcodeParsesBackToTheSameInstr) {
+  std::vector<Instr> Samples = opcodeSamples();
+  std::vector<bool> Seen(NumOpKinds);
+  for (const Instr &I : Samples)
+    Seen[static_cast<unsigned>(I.Kind)] = true;
+  for (unsigned K = 0; K != NumOpKinds; ++K)
+    EXPECT_TRUE(Seen[K]) << "no sample of " << opMnemonic(OpKind(K))
+                         << " (OpKind " << K << ")";
+
+  Module M;
+  M.Name = "every_opcode";
+  M.EntryFunction = "f";
+  Function F("f");
+  BasicBlock A("entry");
+  A.Instrs = Samples;
+  F.Blocks = {A};
+  M.Functions.push_back(F);
+  expectRoundTrip(M);
+}
+
 TEST(RoundTrip, HandWrittenKitchenSink) {
   Module M;
   M.Name = "sink";
@@ -174,7 +343,7 @@ TEST(RoundTrip, HandWrittenKitchenSink) {
 class BeebsRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(BeebsRoundTrip, PrintParsePrintIsFixedPoint) {
+TEST_P(BeebsRoundTrip, ParsesBackToTheSameInstrs) {
   const BeebsInfo &Info = beebsSuite()[std::get<0>(GetParam())];
   OptLevel L = AllOptLevels[std::get<1>(GetParam())];
   Module M = Info.Build(L, 2);
