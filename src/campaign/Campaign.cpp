@@ -539,8 +539,9 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
       Reg.histogram("campaign.solve.nodes")
           .record(static_cast<double>(Sol.NodesExplored));
       Reg.histogram("campaign.solve.pivots")
-          .record(static_cast<double>(Sol.primalPivots() + Sol.dualPivots()));
-      if (Sol.dominated())
+          .record(static_cast<double>(Sol.Stats.PrimalPivots +
+                                      Sol.Stats.DualPivots));
+      if (Sol.Stats.Dominated)
         Reg.counter("campaign.solve.dominated").add();
     }
     Chain = Solved;
@@ -606,10 +607,10 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
     // are seeded by the knob chain itself; only the first one can have
     // been opened by the persistent store.
     Reg.counter("campaign.solve.extractions").add(K == 0 ? 1 : 0);
-    Reg.counter("campaign.solve.cold").add(Sol.warmStarted() ? 0 : 1);
-    Reg.counter("campaign.solve.warm").add(Sol.warmStarted() ? 1 : 0);
+    Reg.counter("campaign.solve.cold").add(Sol.Stats.WarmStarted ? 0 : 1);
+    Reg.counter("campaign.solve.warm").add(Sol.Stats.WarmStarted ? 1 : 0);
     Reg.counter("campaign.solve.incumbent_seeds")
-        .add(K == 0 && Seeded && Sol.seededIncumbent() ? 1 : 0);
+        .add(K == 0 && Seeded && Sol.Stats.SeededIncumbent ? 1 : 0);
     if (R.ok() && R.SolveOutcome != SolveStatus::Optimal)
       Reg.counter("campaign.solve.degraded").add();
     Results[Live[K]] = std::move(R);

@@ -435,9 +435,9 @@ Assignment PlacementSolver::solve(const ModelKnobs &Knobs,
                         Sol.Values});
   }
   if (Span.active()) {
-    Span.arg("warm", Sol.warmStarted() ? "1" : "0");
-    Span.arg("seeded", Sol.seededIncumbent() ? "1" : "0");
-    Span.arg("dominated", Sol.dominated() ? "1" : "0");
+    Span.arg("warm", Sol.Stats.WarmStarted ? "1" : "0");
+    Span.arg("seeded", Sol.Stats.SeededIncumbent ? "1" : "0");
+    Span.arg("dominated", Sol.Stats.Dominated ? "1" : "0");
     Span.arg("nodes", std::to_string(Sol.NodesExplored));
   }
   if (Out)

@@ -10,9 +10,11 @@
 #include "support/Metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -129,24 +131,6 @@ void finalizeOutcome(MipSolution &Sol) {
     Sol.Outcome = SolveStatus::InfeasibleProven;
   else
     Sol.Outcome = SolveStatus::Aborted;
-}
-
-/// Folds one node relaxation's effort into the search ledger.
-void accumulateLp(SolverStats &St, const LpSolution &Relax) {
-  if (Relax.WarmStarted)
-    ++St.WarmNodeSolves;
-  else
-    ++St.ColdNodeSolves;
-  St.PrimalPivots += Relax.Iterations;
-  St.DualPivots += Relax.DualIterations;
-  St.BoundFlips += Relax.BoundFlips;
-  if (Relax.Refactorized)
-    ++St.Refactorizations;
-  St.PricingUpdates += Relax.PricingUpdates;
-  St.PricingRecomputes += Relax.PricingRecomputes;
-  St.PricingDrift += Relax.PricingDrift;
-  St.StuckCertified += Relax.StuckCertified;
-  St.UnconfirmedInfeasible += Relax.UnconfirmedInfeasible;
 }
 
 /// Picks the branching variable for a fractional relaxation point.
@@ -303,7 +287,7 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
     ++Best.NodesExplored;
     LpSolution Relax = Cfg.WarmNodes ? solveLpWarm(P, Lo, Hi, Ws)
                                      : solveLpWithBounds(P, Lo, Hi);
-    accumulateLp(Best.Stats, Relax);
+    Best.Stats += Relax.Effort;
 
     // Feed the branching history: this node's relaxation tells us what
     // its creating branch actually cost per unit of fraction moved.
@@ -409,43 +393,23 @@ MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
   finalizeOutcome(Sol);
 
   // Publish this solve's effort and outcome into the global metrics
-  // registry. The registry is the one source the campaign summaries,
-  // SolverEffortTest's count gates and --metrics snapshots all read, so
-  // nobody re-derives pivot counts by hand; recording happens once per
-  // solve (never per node or pivot). The registry is never cleared, so
-  // the unconditional counters are looked up by name once; the
-  // conditional ones are still created only when they first fire, which
-  // keeps the --metrics key set what it was.
-  struct Counters {
-    MetricsRegistry &M = globalMetrics();
-    Counter &Solves = M.counter("mip.solves"), &Nodes = M.counter("mip.nodes"),
-            &Cold = M.counter("mip.cold_node_solves"),
-            &Warm = M.counter("mip.warm_node_solves"),
-            &Primal = M.counter("mip.primal_pivots"),
-            &Dual = M.counter("mip.dual_pivots"),
-            &Flips = M.counter("mip.bound_flips"),
-            &Refactors = M.counter("mip.refactorizations"),
-            &PricingUpdates = M.counter("mip.pricing.updates"),
-            &PricingRecomputes = M.counter("mip.pricing.recomputes"),
-            &PricingDrift = M.counter("mip.pricing.drift"),
-            &Stuck = M.counter("mip.stuck_certified"),
-            &Unconfirmed = M.counter("mip.unconfirmed_infeasible");
-  };
-  static Counters C;
-  C.Solves.add();
-  C.Nodes.add(Sol.NodesExplored);
-  C.Cold.add(Sol.Stats.ColdNodeSolves);
-  C.Warm.add(Sol.Stats.WarmNodeSolves);
-  C.Primal.add(Sol.Stats.PrimalPivots);
-  C.Dual.add(Sol.Stats.DualPivots);
-  C.Flips.add(Sol.Stats.BoundFlips);
-  C.Refactors.add(Sol.Stats.Refactorizations);
-  C.PricingUpdates.add(Sol.Stats.PricingUpdates);
-  C.PricingRecomputes.add(Sol.Stats.PricingRecomputes);
-  C.PricingDrift.add(Sol.Stats.PricingDrift);
-  C.Stuck.add(Sol.Stats.StuckCertified);
-  C.Unconfirmed.add(Sol.Stats.UnconfirmedInfeasible);
-  MetricsRegistry &M = C.M;
+  // registry, the one source campaign summaries, SolverEffortTest and
+  // --metrics read, once per solve. The unconditional counters (one per
+  // ledger row) are looked up by name once; the conditional ones are
+  // created only when they first fire.
+  MetricsRegistry &M = globalMetrics();
+  static Counter &Solves = M.counter("mip.solves");
+  static Counter &Nodes = M.counter("mip.nodes");
+  static const auto Effort = [&M] {
+    std::array<Counter *, std::size(SolverEffortRows)> C;
+    for (size_t I = 0; I != C.size(); ++I)
+      C[I] = &M.counter(SolverEffortRows[I].Key);
+    return C;
+  }();
+  Solves.add();
+  Nodes.add(Sol.NodesExplored);
+  for (size_t I = 0; I != Effort.size(); ++I)
+    Effort[I]->add(Sol.Stats.*SolverEffortRows[I].Member);
   if (Sol.Stats.WarmStarted)
     M.counter("mip.warm_starts").add();
   if (Sol.Stats.SeededIncumbent)

@@ -70,20 +70,10 @@ struct MipSolution {
   SolveStatus Outcome = SolveStatus::Aborted;
 
   /// The solve's effort ledger, also published into the mip.* metrics
-  /// counters. Use the accessors below for the common reads.
+  /// counters.
   SolverStats Stats;
 
   bool feasible() const { return Status == LpStatus::Optimal; }
-
-  unsigned coldNodeSolves() const { return Stats.ColdNodeSolves; }
-  unsigned warmNodeSolves() const { return Stats.WarmNodeSolves; }
-  uint64_t primalPivots() const { return Stats.PrimalPivots; }
-  uint64_t dualPivots() const { return Stats.DualPivots; }
-  uint64_t boundFlips() const { return Stats.BoundFlips; }
-  uint64_t refactorizations() const { return Stats.Refactorizations; }
-  bool warmStarted() const { return Stats.WarmStarted; }
-  bool seededIncumbent() const { return Stats.SeededIncumbent; }
-  bool dominated() const { return Stats.Dominated; }
 };
 
 /// Per-variable branching history: the average objective degradation per

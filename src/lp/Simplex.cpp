@@ -231,25 +231,18 @@ struct WarmState {
   /// eliminate(); false makes eliminate() invalidate instead.
   bool DseEnabled = false;
 
-  /// Lifetime effort counters; entry points report per-solve deltas via
-  /// effortSnap()/effortDelta().
-  uint64_t DseUpdates = 0;
-  uint64_t DseRecomputes = 0;
-  uint64_t DseDrift = 0;
-  uint64_t StuckCerts = 0;
+  /// This tableau's lifetime effort. Pricing work and certificates are
+  /// counted as they happen; an entry point adds its pivots and flips as
+  /// it returns, and reports what the ledger gained across its call.
+  SolverEffort Spent;
 
-  struct EffortSnap {
-    uint64_t Updates, Recomputes, Drift, Stuck;
-  };
-  EffortSnap effortSnap() const {
-    return {DseUpdates, DseRecomputes, DseDrift, StuckCerts};
-  }
-  void effortDelta(const EffortSnap &S, LpSolution &Sol) const {
-    Sol.PricingUpdates = static_cast<unsigned>(DseUpdates - S.Updates);
-    Sol.PricingRecomputes =
-        static_cast<unsigned>(DseRecomputes - S.Recomputes);
-    Sol.PricingDrift = static_cast<unsigned>(DseDrift - S.Drift);
-    Sol.StuckCertified = StuckCerts != S.Stuck;
+  /// Adds an entry point's counts and returns the gain since \p Before.
+  SolverEffort charge(const SolverEffort &Before, unsigned Primal,
+                      unsigned Dual, unsigned Flips) {
+    Spent.PrimalPivots += Primal;
+    Spent.DualPivots += Dual;
+    Spent.BoundFlips += Flips;
+    return Spent - Before;
   }
 
   bool needsRefactor() const {
@@ -333,7 +326,8 @@ struct WarmState {
   bool confirmInfeasible(const LpProblem &P) const;
   bool primalInfeasible(double Tol) const;
   void extract(const LpProblem &P, LpSolution &Sol) const;
-  LpSolution solveFresh(const LpProblem &P);
+  LpSolution solveCold(const LpProblem &P, const std::vector<double> &Lower,
+                       const std::vector<double> &Upper);
 };
 
 } // namespace ramloc
@@ -605,7 +599,7 @@ bool WarmState::refactorFromBasis(const LpProblem &P) {
       double Old = OldBySlot[Basis[R]];
       double New = DseWeight[R];
       if (std::abs(Old - New) > DseDriftTol * std::max(1.0, New))
-        ++DseDrift;
+        ++Spent.PricingDrift;
     }
   }
   return true;
@@ -647,7 +641,7 @@ void WarmState::computeDseWeights() {
     }
     DseWeight[R] = std::max(W, DseFloor);
   }
-  ++DseRecomputes;
+  ++Spent.PricingRecomputes;
   DseValid = true;
 }
 
@@ -737,7 +731,6 @@ void WarmState::eliminate(unsigned Row, unsigned Col) {
       }
     }
     DseWeight[Row] = std::max(U, DseFloor);
-    ++DseUpdates;
   }
 
   auto apply = [&](double *Tr) {
@@ -1090,7 +1083,7 @@ LpStatus WarmState::dualIterate(unsigned MaxIter, unsigned &Iterations,
       // as the violation at any feasible point. The 2x margin and the
       // CertifyTol floor absorb the tableau's own rounding.
       if (LeaveViol > CertifyTol && LeaveViol > 2.0 * TinyReach) {
-        ++StuckCerts;
+        ++Spent.StuckCertified;
         return LpStatus::Infeasible;
       }
       RowDeferred[LR] = true; // stuck for now: repair another row first
@@ -1236,28 +1229,31 @@ void WarmState::extract(const LpProblem &P, LpSolution &Sol) const {
   Sol.Objective = P.objectiveValue(Sol.Values);
 }
 
-LpSolution WarmState::solveFresh(const LpProblem &P) {
+/// Builds the tableau at the given bounds and solves it from scratch:
+/// one cold node solve.
+LpSolution WarmState::solveCold(const LpProblem &P,
+                                const std::vector<double> &Lower,
+                                const std::vector<double> &Upper) {
   LpSolution Sol;
-  EffortSnap Snap = effortSnap();
+  SolverEffort Before = Spent;
+  ++Spent.ColdNodeSolves;
+  unsigned Primal = 0, Dual = 0, Flips = 0;
+  Sol.Status = build(P, Lower, Upper) ? LpStatus::Optimal
+                                      : LpStatus::Infeasible;
   // Feasibility phase: the all-slack start violates boxes exactly where
   // >=/== rows bite. Under the zero objective every status is dual
   // feasible, so the dual simplex is the artificial-free phase 1.
-  if (primalInfeasible(LpTolerance)) {
-    LpStatus S =
-        dualIterate(LpMaxIterations, Sol.DualIterations, Sol.BoundFlips);
-    if (S != LpStatus::Optimal) {
-      Sol.Status = S;
-      effortDelta(Snap, Sol);
-      return Sol;
-    }
+  if (Sol.Status == LpStatus::Optimal && primalInfeasible(LpTolerance))
+    Sol.Status = dualIterate(LpMaxIterations, Dual, Flips);
+  if (Sol.Status == LpStatus::Optimal) {
+    installObjective(P);
+    Sol.Status = primalIterate(LpMaxIterations, Primal, Flips);
   }
-  installObjective(P);
-  Sol.Status = primalIterate(LpMaxIterations, Sol.Iterations, Sol.BoundFlips);
-  effortDelta(Snap, Sol);
-  if (Sol.Status != LpStatus::Optimal)
-    return Sol;
-  Usable = true;
-  extract(P, Sol);
+  Sol.Effort = charge(Before, Primal, Dual, Flips);
+  if (Sol.Status == LpStatus::Optimal) {
+    Usable = true;
+    extract(P, Sol);
+  }
   return Sol;
 }
 
@@ -1267,12 +1263,7 @@ LpSolution ramloc::solveLpWithBounds(const LpProblem &P,
   assert(Lower.size() == P.numVariables() &&
          Upper.size() == P.numVariables() && "bounds size mismatch");
   WarmState W;
-  if (!W.build(P, Lower, Upper)) {
-    LpSolution Sol;
-    Sol.Status = LpStatus::Infeasible;
-    return Sol;
-  }
-  LpSolution Sol = W.solveFresh(P);
+  LpSolution Sol = W.solveCold(P, Lower, Upper);
   if (Sol.Status == LpStatus::Optimal)
     Sol.Basis = std::move(W.Basis);
   return Sol;
@@ -1318,40 +1309,41 @@ LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
     W.Usable = false;
     return Sol;
   }
-  Sol.WarmStarted = true;
-  if (W.anyEmptyBox()) {
-    // A crossed box is infeasible by inspection; the state stays
-    // coherent, so a later widening patch can continue from here.
-    Sol.Status = LpStatus::Infeasible;
-    return Sol;
-  }
-  // Re-optimization earns its keep only while it is cheaper than a fresh
-  // solve; a repair that drags on (a far jump across the search tree, or
-  // a tableau gone dense) is cut off and rebuilt cold instead. The
-  // budget is sized just above what a cold solve typically costs — a
-  // repair cut off *below* that line wastes its pivots and then pays the
-  // rebuild anyway, which is how a too-tight budget quietly halves warm
-  // throughput.
-  unsigned MaxIter =
-      std::min(LpMaxIterations, std::max(128u, W.NumRows + W.NumVars));
-  WarmState::EffortSnap Snap = W.effortSnap();
-  LpStatus S = W.dualIterate(MaxIter, Sol.DualIterations, Sol.BoundFlips);
-  if (S == LpStatus::Optimal) {
-    // The dual ratio test keeps reduced costs sign-correct in exact
-    // arithmetic; a short primal pass mops up any numerical residue
-    // (almost always zero iterations). It gets the same tight budget: a
-    // polish that starts pivoting in earnest signals a basis not worth
-    // saving, and the rebuild is cheaper than letting it wander.
-    S = W.primalIterate(MaxIter, Sol.Iterations, Sol.BoundFlips);
-  }
-  W.effortDelta(Snap, Sol);
-  if (S == LpStatus::Infeasible && !W.confirmInfeasible(P)) {
-    // The original rows do not bear the verdict out: the tableau has
-    // drifted, and only a fresh solve may drop this subtree.
-    Sol.UnconfirmedInfeasible = true;
-    S = LpStatus::IterLimit;
+  SolverEffort Before = W.Spent;
+  unsigned Primal = 0, Dual = 0, Flips = 0;
+  LpStatus S = LpStatus::Infeasible;
+  // A crossed box is infeasible by inspection; the state stays coherent,
+  // so a later widening patch can continue from here.
+  if (!W.anyEmptyBox()) {
+    // Re-optimization earns its keep only while it is cheaper than a
+    // fresh solve; a repair that drags on (a far jump across the search
+    // tree, or a tableau gone dense) is cut off and rebuilt cold instead.
+    // The budget is sized just above what a cold solve typically costs —
+    // a repair cut off *below* that line wastes its pivots and then pays
+    // the rebuild anyway, which is how a too-tight budget quietly halves
+    // warm throughput.
+    unsigned MaxIter =
+        std::min(LpMaxIterations, std::max(128u, W.NumRows + W.NumVars));
+    S = W.dualIterate(MaxIter, Dual, Flips);
+    if (S == LpStatus::Optimal) {
+      // The dual ratio test keeps reduced costs sign-correct in exact
+      // arithmetic; a short primal pass mops up any numerical residue
+      // (almost always zero iterations). It gets the same tight budget:
+      // a polish that starts pivoting in earnest signals a basis not
+      // worth saving, and the rebuild is cheaper than letting it wander.
+      S = W.primalIterate(MaxIter, Primal, Flips);
+    }
+    if (S == LpStatus::Infeasible && !W.confirmInfeasible(P)) {
+      // The original rows do not bear the verdict out: the tableau has
+      // drifted, and only a fresh solve may drop this subtree.
+      ++W.Spent.UnconfirmedInfeasible;
+      S = LpStatus::IterLimit;
+    }
   }
   Sol.Status = S;
+  if (S == LpStatus::Optimal || S == LpStatus::Infeasible)
+    ++W.Spent.WarmNodeSolves;
+  Sol.Effort = W.charge(Before, Primal, Dual, Flips);
   if (S == LpStatus::Optimal) {
     W.extract(P, Sol);
   } else if (S != LpStatus::Infeasible) {
@@ -1376,48 +1368,32 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
   // FaultTest suite pins exactly that.
   if (HadUsableMatch && FaultInjector::shouldFail("solver.degrade"))
     HadUsableMatch = false;
-  // A retained tableau past its refactorization cadence is re-derived
-  // *in place from its current basis* — pristine rows re-eliminated
-  // against the refined basis, Beta and steepest-edge weights
-  // re-anchored — and the re-optimization then proceeds warm as usual.
-  // Only a numerically singular basis (refactorFromBasis false) or a
-  // re-optimization that exhausts its budget below falls back to the
-  // cold rebuild-from-scratch path.
-  bool Refactorized = false;
-  bool Unconfirmed = false;
-  bool Resolvable = HadUsableMatch;
-  WarmState::EffortSnap Snap{};
-  if (HadUsableMatch)
-    Snap = Warm.S->effortSnap();
-  if (Resolvable && Warm.S->needsRefactor()) {
-    if (Warm.S->refactorFromBasis(P))
-      Refactorized = true;
-    else
-      Resolvable = false;
-  }
-  if (Resolvable) {
-    LpSolution Sol = resolveLpFromBasis(P, Lower, Upper, Warm);
-    if (Sol.Status != LpStatus::IterLimit &&
-        Sol.Status != LpStatus::Unbounded) {
-      Sol.Refactorized = Refactorized;
-      // Fold the refactorization's recomputes/drift (spent before the
-      // resolve's own snapshot) into the reported per-solve delta.
-      Warm.S->effortDelta(Snap, Sol);
-      return Sol;
+  // Refactorize in place when due, then repair warm. A singular basis or
+  // a repair that gives up falls back to a cold rebuild, which reports
+  // the effort of both attempts.
+  SolverEffort Failed;
+  if (HadUsableMatch) {
+    WarmState &W = *Warm.S;
+    SolverEffort Before = W.Spent;
+    bool Resolvable = true;
+    if (W.needsRefactor()) {
+      Resolvable = W.refactorFromBasis(P);
+      W.Spent.Refactorizations += Resolvable;
     }
-    Unconfirmed = Sol.UnconfirmedInfeasible;
-    // fall through: rebuild from scratch
+    if (Resolvable) {
+      LpSolution Sol = resolveLpFromBasis(P, Lower, Upper, Warm);
+      if (Sol.Status != LpStatus::IterLimit &&
+          Sol.Status != LpStatus::Unbounded) {
+        // Fold the refactorization's work in with the resolve's.
+        Sol.Effort = W.Spent - Before;
+        return Sol;
+      }
+    }
+    Failed = W.Spent - Before;
   }
   Warm.S = std::make_unique<WarmState>();
-  if (!Warm.S->build(P, Lower, Upper)) {
-    LpSolution Sol;
-    Sol.Status = LpStatus::Infeasible;
-    Sol.Refactorized = HadUsableMatch;
-    Sol.UnconfirmedInfeasible = Unconfirmed;
-    return Sol;
-  }
-  LpSolution Sol = Warm.S->solveFresh(P);
-  Sol.Refactorized = HadUsableMatch;
-  Sol.UnconfirmedInfeasible = Unconfirmed;
+  LpSolution Sol = Warm.S->solveCold(P, Lower, Upper);
+  Sol.Effort += Failed;
+  Sol.Effort.Refactorizations += HadUsableMatch;
   return Sol;
 }

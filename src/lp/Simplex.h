@@ -20,7 +20,7 @@
 /// box update plus an O(rows) basic-value refresh instead of a row edit.
 /// The primal ratio test gains the bound-flip case: when the entering
 /// variable's own span is the binding limit it jumps to its opposite
-/// bound with no pivot at all (LpSolution::BoundFlips counts these).
+/// bound with no pivot at all (SolverEffort::BoundFlips counts these).
 ///
 /// Each pivot is kept cheap without changing what it computes; every
 /// floating-point operation runs in the same order, so pivots, flips
@@ -62,6 +62,7 @@
 #define RAMLOC_LP_SIMPLEX_H
 
 #include "lp/Problem.h"
+#include "lp/SolverConfig.h"
 
 #include <memory>
 
@@ -80,50 +81,12 @@ struct LpSolution {
   LpStatus Status = LpStatus::IterLimit;
   double Objective = 0.0;
   std::vector<double> Values;
-  /// Primal simplex pivots this solve performed (the optimality phase, or
-  /// the post-reoptimization clean-up pass on the warm path).
-  unsigned Iterations = 0;
-  /// Dual simplex pivots performed: the cold path's feasibility phase, or
-  /// the warm path's re-optimization.
-  unsigned DualIterations = 0;
-  /// Ratio-test outcomes where the entering variable jumped to its other
-  /// bound without a basis change (bounded-variable fast path: no pivot,
-  /// no elimination, just an O(rows) value update).
-  unsigned BoundFlips = 0;
-  /// Steepest-edge pricing effort this solve: weight-recurrence updates
-  /// applied per pivot, exact recomputes from the basis-inverse block,
-  /// and self-check repairs where a recurrence weight had drifted from
-  /// its recompute (see the mip.pricing.* counters).
-  unsigned PricingUpdates = 0;
-  unsigned PricingRecomputes = 0;
-  unsigned PricingDrift = 0;
-  /// True when this solution was reached by re-optimizing a retained
-  /// basis rather than solving from scratch.
-  bool WarmStarted = false;
-  /// True when Infeasible was proved by a stuck-row certificate: the dual
-  /// simplex met a violated row whose only sign-eligible entries are
-  /// round-off (below the pivot tolerance), and the violation exceeds
-  /// twice the most those entries can move the row's basic value —
-  /// |entry| x the column's reach (a structural's box span; for a slack,
-  /// the distance from its value to the far end of the range the row's
-  /// activity can take over the problem's variable boxes). Without the
-  /// certificate such a row could only be given up on (IterLimit), and
-  /// the node would lose its warm tableau or, when a cold rebuild stuck
-  /// too, its optimality proof.
-  bool StuckCertified = false;
-  /// True when a warm re-optimization ended Infeasible but the original
-  /// rows did not confirm it (the multipliers of the verdict's row, applied
-  /// to the problem's rows over the node's boxes, admit a solution), so
-  /// the node was re-solved cold. A drifted tableau can otherwise drop a
-  /// feasible subtree and let a worse incumbent read as optimal.
-  bool UnconfirmedInfeasible = false;
-  /// True when a previously valid, structurally matching warm tableau was
-  /// re-derived from original problem data for this solve — the periodic
-  /// LpRefactorInterval cadence (which re-eliminates against the
-  /// *current* basis, so the solve still counts as warm) or a repair after
-  /// a failed re-optimization (which rebuilds cold). First builds and
-  /// structure changes don't count.
-  bool Refactorized = false;
+  /// What this call spent (the RAMLOC_SOLVER_EFFORT ledger): one cold or
+  /// one warm node solve, its pivots, bound flips, pricing work, and
+  /// whether a stuck-row certificate proved it Infeasible. A warm repair
+  /// that gives up counts no node solve; solveLpWarm then rebuilds cold
+  /// and reports the effort of both attempts.
+  SolverEffort Effort;
   /// The solved basis: one column index per tableau row (columns are
   /// variables first, then one slack per row). With implicit bounds the
   /// tableau has exactly one row per non-degenerate constraint. Filled by
@@ -186,14 +149,12 @@ LpSolution solveLpWithBounds(const LpProblem &P,
 /// solves cold; on later calls re-optimizes the retained basis with the
 /// dual simplex (see resolveLpFromBasis). When the tableau reaches its
 /// LpRefactorInterval cadence it is refactorized *in place from its
-/// current basis* — rows rebuilt from original data and
-/// re-eliminated against the basis the chain has refined, statuses and
-/// steepest-edge weights re-anchored — and the re-optimization proceeds
-/// warm; only a numerically singular basis or a re-optimization that
-/// hits its iteration limit degrades to a fresh cold build. Either way
-/// the result is the exact LP optimum; LpSolution::WarmStarted records
-/// which path satisfied the call and LpSolution::Refactorized whether a
-/// retained tableau was re-derived.
+/// current basis* — rows rebuilt from original data and re-eliminated
+/// against the basis the chain has refined, statuses and steepest-edge
+/// weights re-anchored — and the re-optimization proceeds warm; only a
+/// numerically singular basis or a repair that gives up degrades to a
+/// fresh cold build, whose Effort includes the failed attempt's. Either
+/// way the result is the exact LP optimum.
 LpSolution solveLpWarm(const LpProblem &P, const std::vector<double> &Lower,
                        const std::vector<double> &Upper, WarmStart &Warm);
 
@@ -205,9 +166,9 @@ LpSolution solveLpWarm(const LpProblem &P, const std::vector<double> &Lower,
 /// column — then runs the dual simplex until every basic variable is back
 /// inside its box. Returns IterLimit without touching the state when
 /// \p Warm holds no re-optimizable basis, and IterLimit with
-/// LpSolution::UnconfirmedInfeasible (the state dropped) when the original
-/// rows do not confirm an Infeasible verdict; callers wanting automatic
-/// fallback use solveLpWarm.
+/// SolverEffort::UnconfirmedInfeasible (the state dropped) when the
+/// original rows do not confirm an Infeasible verdict; callers wanting
+/// automatic fallback use solveLpWarm.
 LpSolution resolveLpFromBasis(const LpProblem &P,
                               const std::vector<double> &Lower,
                               const std::vector<double> &Upper,

@@ -4,34 +4,29 @@
 
 #include "support/Format.h"
 
+#include <iterator>
+
 namespace ramloc {
 
+namespace {
+/// Indexed by SolveStatus.
+constexpr const char *StatusNames[] = {"optimal", "feasible-limit",
+                                       "infeasible-proven", "aborted"};
+static_assert(std::size(StatusNames) ==
+              static_cast<size_t>(SolveStatus::Aborted) + 1);
+} // namespace
+
 const char *solveStatusName(SolveStatus S) {
-  switch (S) {
-  case SolveStatus::Optimal:
-    return "optimal";
-  case SolveStatus::FeasibleLimit:
-    return "feasible-limit";
-  case SolveStatus::InfeasibleProven:
-    return "infeasible-proven";
-  case SolveStatus::Aborted:
-    return "aborted";
-  }
-  return "aborted";
+  return StatusNames[static_cast<size_t>(S)];
 }
 
 bool solveStatusFromName(const std::string &Name, SolveStatus &Out) {
-  if (Name == "optimal")
-    Out = SolveStatus::Optimal;
-  else if (Name == "feasible-limit")
-    Out = SolveStatus::FeasibleLimit;
-  else if (Name == "infeasible-proven")
-    Out = SolveStatus::InfeasibleProven;
-  else if (Name == "aborted")
-    Out = SolveStatus::Aborted;
-  else
-    return false;
-  return true;
+  for (size_t I = 0; I != std::size(StatusNames); ++I)
+    if (Name == StatusNames[I]) {
+      Out = static_cast<SolveStatus>(I);
+      return true;
+    }
+  return false;
 }
 
 std::string solverConfigToken(const SolverConfig &Cfg) {

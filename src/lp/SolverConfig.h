@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The exact solver's four settings, the constants it runs at, and the
-/// counter struct for its effort accounting.
+/// The exact solver's four settings, the constants it runs at, and its
+/// effort ledger.
 ///
 /// The solver is one fixed algorithm: a bounded-variable simplex
 /// (lp/Simplex.h) under depth-first branch & bound with pseudo-cost
@@ -15,10 +15,14 @@
 /// refactorization cadence and node backstop are constants below, not
 /// settings. SolverConfig holds only what a caller chooses: warm or cold
 /// node solves and the three cooperative limits. It rides unchanged
-/// through PlacementSolver -> solveMip. SolverStats is the matching
-/// effort ledger: one instance per solve, mirrored into the mip.*
-/// metrics so concurrent solves aggregate through the registry instead
-/// of ad-hoc summing.
+/// through PlacementSolver -> solveMip.
+///
+/// The RAMLOC_SOLVER_EFFORT table is the effort ledger: one row per
+/// counter, naming its SolverEffort member and its mip.* metrics key.
+/// The simplex keeps one SolverEffort per tableau, each LP call reports
+/// what it added, branch & bound sums them per solve (SolverStats), and
+/// solveMip publishes the sum by walking the table, so concurrent solves
+/// aggregate through the metrics registry. A new counter is one row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,46 +126,75 @@ struct SolverConfig {
 /// parallelism (--jobs) is not a solver setting and does not appear.
 std::string solverConfigToken(const SolverConfig &Cfg);
 
-/// The solver's effort ledger: how each explored node's relaxation was
-/// satisfied and what the simplex spent doing it. One instance per
-/// solveMip call, published into the mip.* metrics registry counters by
-/// the solve itself, so campaign summaries, SolverEffortTest's count
-/// gates and --metrics snapshots all read one source.
-struct SolverStats {
-  /// A cold search has ColdNodeSolves == NodesExplored; the warm path
-  /// pays one cold solve (the root, unless a MipWarmStart seeded it) and
-  /// re-optimizes the rest.
-  unsigned ColdNodeSolves = 0;
-  unsigned WarmNodeSolves = 0;
-  uint64_t PrimalPivots = 0;
-  uint64_t DualPivots = 0;
-  /// Ratio-test outcomes that moved a variable across its box without a
-  /// pivot (bounded-variable fast path).
-  uint64_t BoundFlips = 0;
-  /// Warm tableaux re-derived from original problem data mid-search: the
-  /// periodic LpRefactorInterval cadence (which keeps the current basis)
-  /// plus repair bail-outs (iteration-limited or
-  /// numerically stuck re-optimizations, which rebuild cold).
-  uint64_t Refactorizations = 0;
-  /// Node relaxations proved infeasible by a stuck-row certificate: a
-  /// violated row whose only sign-eligible entries are round-off, and
-  /// whose violation exceeds the most those entries can move it (see
-  /// LpSolution::StuckCertified).
-  uint64_t StuckCertified = 0;
-  /// Warm node relaxations whose Infeasible verdict the original rows did
-  /// not confirm, re-solved cold (LpSolution::UnconfirmedInfeasible).
-  uint64_t UnconfirmedInfeasible = 0;
-  /// Steepest-edge weight recurrence updates applied (one per pivot while
-  /// dual steepest-edge pricing is active).
-  uint64_t PricingUpdates = 0;
-  /// Exact weight recomputes from the tableau's basis-inverse block:
-  /// first activations plus the per-refactorization re-anchoring.
-  uint64_t PricingRecomputes = 0;
-  /// Refactorization self-checks where a recurrence-maintained weight had
-  /// drifted materially from its exact recompute. Drift is repaired on
-  /// the spot (the recompute wins); a nonzero count is a numerics canary,
-  /// not an error.
-  uint64_t PricingDrift = 0;
+/// The effort ledger, one row per counter: X(member, mip.* key). Every
+/// counter is a uint64_t that only grows; an LP call's share is the
+/// growth of its tableau's ledger across the call. A warm repair that
+/// gives up counts its pivots but no node solve; its cold rebuild counts
+/// one cold node solve and one refactorization. The stuck-row
+/// certificate and the confirmation of warm Infeasible verdicts are
+/// described at dualIterate and confirmInfeasible (lp/Simplex.cpp).
+#define RAMLOC_SOLVER_EFFORT(X)                                              \
+  /* relaxations solved from scratch (warm path: roots, rebuilds)        */  \
+  X(ColdNodeSolves, "mip.cold_node_solves")                                  \
+  /* relaxations settled by re-optimizing a retained basis               */  \
+  X(WarmNodeSolves, "mip.warm_node_solves")                                  \
+  /* primal pivots (cold optimality phase, warm clean-up pass)           */  \
+  X(PrimalPivots, "mip.primal_pivots")                                       \
+  /* dual pivots (cold feasibility phase, warm repair)                   */  \
+  X(DualPivots, "mip.dual_pivots")                                           \
+  /* bounded-variable moves across a box without a pivot                 */  \
+  X(BoundFlips, "mip.bound_flips")                                           \
+  /* warm tableaux re-derived (in place, or rebuilt cold)                */  \
+  X(Refactorizations, "mip.refactorizations")                                \
+  /* exact steepest-edge weight recomputes                               */  \
+  X(PricingRecomputes, "mip.pricing.recomputes")                             \
+  /* weights found drifted at a refactorization (a canary)               */  \
+  X(PricingDrift, "mip.pricing.drift")                                       \
+  /* relaxations proved infeasible by a stuck-row certificate            */  \
+  X(StuckCertified, "mip.stuck_certified")                                   \
+  /* warm Infeasible verdicts the rows did not confirm                   */  \
+  X(UnconfirmedInfeasible, "mip.unconfirmed_infeasible")
+
+/// What the solver spent: one member per RAMLOC_SOLVER_EFFORT row.
+struct SolverEffort {
+#define X(Member, Key) uint64_t Member = 0;
+  RAMLOC_SOLVER_EFFORT(X)
+#undef X
+
+  SolverEffort &operator+=(const SolverEffort &O) {
+#define X(Member, Key) Member += O.Member;
+    RAMLOC_SOLVER_EFFORT(X)
+#undef X
+    return *this;
+  }
+
+  /// What the ledger gained since \p Before.
+  SolverEffort operator-(const SolverEffort &Before) const {
+    SolverEffort D;
+#define X(Member, Key) D.Member = Member - Before.Member;
+    RAMLOC_SOLVER_EFFORT(X)
+#undef X
+    return D;
+  }
+};
+
+/// A ledger row as data, for code that walks the table.
+struct SolverEffortRow {
+  const char *Key;
+  uint64_t SolverEffort::*Member;
+};
+
+inline constexpr SolverEffortRow SolverEffortRows[] = {
+#define X(Member, Key) {Key, &SolverEffort::Member},
+    RAMLOC_SOLVER_EFFORT(X)
+#undef X
+};
+
+/// One solveMip call's ledger: its node relaxations' effort summed, plus
+/// how the solve itself started. solveMip publishes the effort into the
+/// mip.* metrics counters, so campaign summaries, SolverEffortTest's
+/// count gates and --metrics snapshots all read one source.
+struct SolverStats : SolverEffort {
   /// True when the solve itself started from a caller-provided
   /// MipWarmStart basis (knob-axis reuse) rather than a cold root.
   bool WarmStarted = false;

@@ -150,6 +150,8 @@ private:
         break;
       }
 
+      checkOperands(FN, BN, In);
+
       // Scratch-register discipline (r7 reserved for the instrumenter).
       if (Opts.EnforceScratchDiscipline && F.Optimizable &&
           writesScratch(In))
@@ -162,6 +164,36 @@ private:
 
     if (IsLast && !BB.Instrs.back().isTerminator())
       error("%s:%s: function falls through past its last block", FN, BN);
+  }
+
+  /// The operand rules the build:: factories assert (isa/Instr.cpp),
+  /// which a parsed module can still break.
+  void checkOperands(const char *FN, const char *BN, const Instr &In) {
+    const char *Name = opMnemonic(In.Kind);
+    uint32_t Banned = 0;
+    switch (In.Kind) {
+    case OpKind::Push:
+      Banned = (1u << SP) | (1u << PC);
+      break;
+    case OpKind::Pop:
+      Banned = (1u << SP) | (1u << LR);
+      break;
+    case OpKind::LdrhImm:
+    case OpKind::StrhImm:
+      if (In.Imm % 2 != 0)
+        error("%s:%s: %s offset #%d is not halfword aligned", FN, BN, Name,
+              In.Imm);
+      return;
+    default:
+      return;
+    }
+    uint32_t Mask = static_cast<uint32_t>(In.Imm);
+    if (Mask == 0)
+      error("%s:%s: %s with an empty register list", FN, BN, Name);
+    for (Reg R : {SP, LR, PC})
+      if (Mask & Banned & (1u << R))
+        error("%s:%s: %s may not name %s", FN, BN, Name,
+              regName(R).c_str());
   }
 
   /// True if \p In writes ScratchReg. Instrumenter-emitted sequences load

@@ -201,7 +201,7 @@ TEST(Simplex, BoundFlipReachesOptimumWithoutPivots) {
   EXPECT_NEAR(S.Values[X], 1.0, 1e-9);
   EXPECT_NEAR(S.Values[Y], 1.0, 1e-9);
   EXPECT_NEAR(S.Objective, -2.0, 1e-9);
-  EXPECT_EQ(S.BoundFlips, 2u);
+  EXPECT_EQ(S.Effort.BoundFlips, 2u);
   EXPECT_EQ(S.Basis, std::vector<unsigned>{2u}); // the slack never left
 }
 
@@ -218,7 +218,7 @@ TEST(Simplex, BoundFlipInterleavesWithPivots) {
   EXPECT_NEAR(S.Values[A], 1.0, 1e-9);
   EXPECT_NEAR(S.Values[B], 0.0, 1e-9);
   EXPECT_NEAR(S.Objective, -3.0, 1e-9);
-  EXPECT_GE(S.BoundFlips, 1u);
+  EXPECT_GE(S.Effort.BoundFlips, 1u);
 }
 
 TEST(DualRatioTest, TiesBreakByLargerEntryThenLowerColumn) {
@@ -250,9 +250,9 @@ TEST(DualRatioTest, TiesBreakByLargerEntryThenLowerColumn) {
   // every candidate's ratio is 0 and only the entry and column order.
   LpSolution Cold = solveLp(build(0, 0, 0, 0, 0, 2.75));
   ASSERT_EQ(Cold.Status, LpStatus::Optimal);
-  EXPECT_EQ(Cold.DualIterations, 1u);
-  EXPECT_EQ(Cold.Iterations, 0u);
-  EXPECT_EQ(Cold.BoundFlips, 3u);
+  EXPECT_EQ(Cold.Effort.DualPivots, 1u);
+  EXPECT_EQ(Cold.Effort.PrimalPivots, 0u);
+  EXPECT_EQ(Cold.Effort.BoundFlips, 3u);
   EXPECT_EQ(Cold.Values, Expected);
 
   // Warm: an RHS patch re-optimized by the dual with real reduced costs.
@@ -267,10 +267,10 @@ TEST(DualRatioTest, TiesBreakByLargerEntryThenLowerColumn) {
   P.Constraints[0].Rhs = 2.75;
   LpSolution Warm = resolveLpFromBasis(P, Lo, Hi, Ws);
   ASSERT_EQ(Warm.Status, LpStatus::Optimal);
-  EXPECT_TRUE(Warm.WarmStarted);
-  EXPECT_EQ(Warm.DualIterations, 1u);
-  EXPECT_EQ(Warm.Iterations, 0u);
-  EXPECT_EQ(Warm.BoundFlips, 3u);
+  EXPECT_EQ(Warm.Effort.WarmNodeSolves, 1u);
+  EXPECT_EQ(Warm.Effort.DualPivots, 1u);
+  EXPECT_EQ(Warm.Effort.PrimalPivots, 0u);
+  EXPECT_EQ(Warm.Effort.BoundFlips, 3u);
   EXPECT_EQ(Warm.Values, Expected);
   EXPECT_EQ(Warm.Objective, 5.5);
 }
@@ -304,10 +304,10 @@ TEST(DualRatioTest, StalledRepairsFallBackToBland) {
                   ConstraintSense::GreaterEq, 1.8199999999999999e-09);
   LpSolution S = solveLp(P);
   EXPECT_EQ(S.Status, LpStatus::Infeasible);
-  EXPECT_EQ(S.DualIterations, 22u);
-  EXPECT_EQ(S.Iterations, 0u);
-  EXPECT_EQ(S.BoundFlips, 20u);
-  EXPECT_FALSE(S.StuckCertified);
+  EXPECT_EQ(S.Effort.DualPivots, 22u);
+  EXPECT_EQ(S.Effort.PrimalPivots, 0u);
+  EXPECT_EQ(S.Effort.BoundFlips, 20u);
+  EXPECT_EQ(S.Effort.StuckCertified, 0u);
 }
 
 TEST(Simplex, FreeVariableSettlesInterior) {
@@ -359,7 +359,7 @@ TEST(WarmLp, InfeasibleBoxPatchAndRecovery) {
   Hi[A] = 0.0; // empty box
   LpSolution Crossed = solveLpWarm(P, Lo, Hi, Ws);
   EXPECT_EQ(Crossed.Status, LpStatus::Infeasible);
-  EXPECT_TRUE(Crossed.WarmStarted);
+  EXPECT_EQ(Crossed.Effort.WarmNodeSolves, 1u);
   Lo[A] = 0.0;
   Hi[A] = 1.0;
   LpSolution Back = solveLpWarm(P, Lo, Hi, Ws);
@@ -407,13 +407,13 @@ TEST(WarmLp, ReoptimizesAfterBoundTightening) {
   WarmStart Ws;
   LpSolution Root = solveLpWarm(P, Lo, Hi, Ws);
   ASSERT_EQ(Root.Status, LpStatus::Optimal);
-  EXPECT_FALSE(Root.WarmStarted);
+  EXPECT_EQ(Root.Effort.WarmNodeSolves, 0u);
   ASSERT_TRUE(Ws.valid());
 
   Hi[A] = 0.0; // branch A = 0
   LpSolution Child = solveLpWarm(P, Lo, Hi, Ws);
   ASSERT_EQ(Child.Status, LpStatus::Optimal);
-  EXPECT_TRUE(Child.WarmStarted);
+  EXPECT_EQ(Child.Effort.WarmNodeSolves, 1u);
   LpSolution Cold = solveLpWithBounds(P, Lo, Hi);
   EXPECT_NEAR(Child.Objective, Cold.Objective, 1e-9);
   EXPECT_NEAR(Child.Values[A], 0.0, 1e-9);
@@ -422,7 +422,7 @@ TEST(WarmLp, ReoptimizesAfterBoundTightening) {
   Lo[A] = 1.0; // backtrack and branch A = 1
   Child = solveLpWarm(P, Lo, Hi, Ws);
   ASSERT_EQ(Child.Status, LpStatus::Optimal);
-  EXPECT_TRUE(Child.WarmStarted);
+  EXPECT_EQ(Child.Effort.WarmNodeSolves, 1u);
   Cold = solveLpWithBounds(P, Lo, Hi);
   EXPECT_NEAR(Child.Objective, Cold.Objective, 1e-9);
   EXPECT_NEAR(Child.Values[A], 1.0, 1e-9);
@@ -444,7 +444,7 @@ TEST(WarmLp, ReoptimizesAfterRhsPatch) {
   P.Constraints[0].Rhs = 5.0; // tighten the budget
   LpSolution Patched = resolveLpFromBasis(P, Lo, Hi, Ws);
   ASSERT_EQ(Patched.Status, LpStatus::Optimal);
-  EXPECT_TRUE(Patched.WarmStarted);
+  EXPECT_EQ(Patched.Effort.WarmNodeSolves, 1u);
   LpSolution Cold = solveLp(P);
   EXPECT_NEAR(Patched.Objective, Cold.Objective, 1e-9);
 
@@ -484,9 +484,9 @@ TEST(WarmLp, RefactorizationPreservesBasisAcrossWarmChain) {
       EXPECT_NEAR(Warm.Objective, Cold.Objective, 1e-9)
           << "round " << Round;
     }
-    EXPECT_TRUE(Warm.WarmStarted) << "round " << Round;
-    SawRefactor |= Warm.Refactorized;
-    Pivots += Warm.Iterations + Warm.DualIterations;
+    EXPECT_EQ(Warm.Effort.WarmNodeSolves, 1u) << "round " << Round;
+    SawRefactor |= Warm.Effort.Refactorizations != 0;
+    Pivots += Warm.Effort.PrimalPivots + Warm.Effort.DualPivots;
     Lo[V] = 0.0;
     Hi[V] = 1.0; // backtrack for the next round
   }
@@ -510,6 +510,49 @@ TEST(WarmLp, DetectsInfeasibilityAfterTightening) {
   // keeps the basis; a rebuild re-solves cold).
   Hi[A] = 1.0;
   EXPECT_EQ(solveLpWarm(P, Lo, Hi, Ws).Status, LpStatus::Optimal);
+}
+
+TEST(WarmLp, RepairThatGivesUpIsCountedWithItsRebuild) {
+  // Two >= rows, both met at RHS 0 by the all-zero root. Patching them
+  // to 1.5 and 5e-7 leaves the dual two rows to repair: x0 + x1 >= 1.5
+  // takes one pivot (x0 flips to 1, x1 enters at 0.5), and the second
+  // row, whose only movable entry is x2's 1e-12, is stuck: its 5e-7
+  // violation is above what a repair may leave but below what a
+  // certificate may prove. The warm repair gives up (IterLimit), and
+  // solveLpWarm rebuilds cold, which meets the same stuck row. The
+  // reported effort is both attempts' and one refactorization.
+  LpProblem P;
+  unsigned X0 = P.addVariable(0, 1, 1, /*Integer=*/false);
+  unsigned X1 = P.addVariable(0, 1, 1, /*Integer=*/false);
+  unsigned X2 = P.addVariable(0, 1, 1, /*Integer=*/false);
+  unsigned Y = P.addVariable(0, 0, 0, /*Integer=*/false);
+  P.addConstraint({{X0, 1.0}, {X1, 1.0}}, ConstraintSense::GreaterEq, 0);
+  P.addConstraint({{Y, 1.0}, {X2, 1e-12}}, ConstraintSense::GreaterEq, 0);
+  std::vector<double> Lo = {0, 0, 0, 0}, Hi = {1, 1, 1, 0};
+  WarmStart Ws, Twin;
+  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Ws).Status, LpStatus::Optimal);
+  ASSERT_EQ(solveLpWarm(P, Lo, Hi, Twin).Status, LpStatus::Optimal);
+  P.Constraints[0].Rhs = 1.5;
+  P.Constraints[1].Rhs = 5e-7;
+
+  // The warm attempt on its own, from an identical tableau.
+  LpSolution Attempt = resolveLpFromBasis(P, Lo, Hi, Twin);
+  ASSERT_EQ(Attempt.Status, LpStatus::IterLimit);
+  EXPECT_EQ(Attempt.Effort.DualPivots, 1u);
+  EXPECT_EQ(Attempt.Effort.BoundFlips, 1u);
+  EXPECT_EQ(Attempt.Effort.WarmNodeSolves, 0u);
+  LpSolution Rebuild = solveLpWithBounds(P, Lo, Hi);
+  ASSERT_EQ(Rebuild.Status, LpStatus::IterLimit);
+
+  LpSolution S = solveLpWarm(P, Lo, Hi, Ws);
+  ASSERT_EQ(S.Status, LpStatus::IterLimit);
+  SolverEffort Expected = Attempt.Effort;
+  Expected += Rebuild.Effort;
+  ++Expected.Refactorizations;
+  for (const SolverEffortRow &Row : SolverEffortRows)
+    EXPECT_EQ(S.Effort.*Row.Member, Expected.*Row.Member) << Row.Key;
+  EXPECT_EQ(S.Effort.DualPivots, 2u);
+  EXPECT_EQ(S.Effort.ColdNodeSolves, 1u);
 }
 
 TEST(WarmLp, ResolveWithoutBasisReportsIterLimit) {
@@ -606,9 +649,10 @@ TEST_P(MipRandomized, MatchesBruteForce) {
         << (WarmNodes ? "warm" : "cold") << " nodes";
     EXPECT_TRUE(P.isFeasible(S.Values));
     if (WarmNodes)
-      EXPECT_EQ(S.coldNodeSolves() + S.warmNodeSolves(), S.NodesExplored);
+      EXPECT_EQ(S.Stats.ColdNodeSolves + S.Stats.WarmNodeSolves,
+                S.NodesExplored);
     else
-      EXPECT_EQ(S.coldNodeSolves(), S.NodesExplored);
+      EXPECT_EQ(S.Stats.ColdNodeSolves, S.NodesExplored);
   }
 }
 
@@ -641,7 +685,7 @@ TEST(Mip, WarmStartChainsAcrossRhsPatches) {
     MipSolution W = solveMip(P, {}, &Warm);
     ASSERT_EQ(Cold.feasible(), W.feasible()) << "budget " << Budget;
     EXPECT_NEAR(W.Objective, Cold.Objective, 1e-9) << "budget " << Budget;
-    EXPECT_EQ(W.warmStarted(), !First);
+    EXPECT_EQ(W.Stats.WarmStarted, !First);
     First = false;
   }
 }
@@ -658,13 +702,13 @@ TEST(Mip, ExternallySeededIncumbentOpensTheSearch) {
                   9);
   MipSolution Plain = solveMip(P);
   ASSERT_TRUE(Plain.feasible());
-  EXPECT_FALSE(Plain.seededIncumbent());
+  EXPECT_FALSE(Plain.Stats.SeededIncumbent);
 
   MipWarmStart Seeded;
   Seeded.Incumbent = {1.0, 1.0, 0.0}; // the known optimum
   MipSolution S = solveMip(P, {}, &Seeded);
   ASSERT_TRUE(S.feasible());
-  EXPECT_TRUE(S.seededIncumbent());
+  EXPECT_TRUE(S.Stats.SeededIncumbent);
   EXPECT_NEAR(S.Objective, Plain.Objective, 1e-9);
   EXPECT_EQ(S.Values, Plain.Values);
 
@@ -672,7 +716,7 @@ TEST(Mip, ExternallySeededIncumbentOpensTheSearch) {
   Bogus.Incumbent = {1.0, 1.0, 1.0}; // weight 12 > 9: infeasible
   MipSolution R = solveMip(P, {}, &Bogus);
   ASSERT_TRUE(R.feasible());
-  EXPECT_FALSE(R.seededIncumbent());
+  EXPECT_FALSE(R.Stats.SeededIncumbent);
   EXPECT_NEAR(R.Objective, Plain.Objective, 1e-9);
 }
 
@@ -735,7 +779,7 @@ TEST(StuckRows, ScaledBudgetSweepProvesEveryPointAndCertifiesSoundly) {
       Lo[J] = Hi[J] = double(Rng.nextBelow(2));
       LpSolution S = solveLpWarm(P, Lo, Hi, Ws);
       EXPECT_NE(S.Status, LpStatus::IterLimit) << "step " << Step;
-      if (S.StuckCertified) {
+      if (S.Effort.StuckCertified) {
         ++Certified;
         EXPECT_EQ(S.Status, LpStatus::Infeasible);
         LpSolution Cold = solveLpWithBounds(P, Lo, Hi);
@@ -772,8 +816,8 @@ TEST(StuckRows, LoosenedBudgetRowIsRepairedNotCertified) {
     LpSolution W = solveLpWarm(P, Lo, Hi, Ws);
     LpSolution C = solveLpWithBounds(P, Lo, Hi);
     ASSERT_EQ(W.Status, LpStatus::Optimal) << "budget " << Budget;
-    EXPECT_TRUE(W.WarmStarted) << "budget " << Budget;
-    EXPECT_FALSE(W.StuckCertified) << "budget " << Budget;
+    EXPECT_EQ(W.Effort.WarmNodeSolves, 1u) << "budget " << Budget;
+    EXPECT_EQ(W.Effort.StuckCertified, 0u) << "budget " << Budget;
     EXPECT_NEAR(W.Objective, C.Objective, 1e-12) << "budget " << Budget;
   }
 }

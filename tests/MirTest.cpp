@@ -389,3 +389,31 @@ TEST(Verifier, BssWithBytesRejected) {
   M.Data.push_back(D);
   EXPECT_FALSE(moduleIsValid(M));
 }
+
+TEST(Verifier, RejectsOperandsTheFactoriesAssertAgainst) {
+  // A parsed module is built without the build:: factories, so the
+  // verifier checks what their asserts would have: one line per rule.
+  auto accepts = [](OpKind Kind, int32_t Imm) {
+    Module M = figure2Module();
+    Instr In;
+    In.Kind = Kind;
+    In.Regs[1] = SP;
+    In.Imm = Imm;
+    auto &Entry = M.Functions[0].Blocks[0].Instrs;
+    Entry.insert(Entry.begin(), In);
+    return moduleIsValid(M);
+  };
+  EXPECT_FALSE(accepts(OpKind::Push, 0));
+  EXPECT_FALSE(accepts(OpKind::Push, 1 << SP));
+  EXPECT_FALSE(accepts(OpKind::Push, 1 << PC));
+  EXPECT_FALSE(accepts(OpKind::Pop, 0));
+  EXPECT_FALSE(accepts(OpKind::Pop, 1 << SP));
+  EXPECT_FALSE(accepts(OpKind::Pop, 1 << LR));
+  EXPECT_FALSE(accepts(OpKind::LdrhImm, 3));
+  EXPECT_FALSE(accepts(OpKind::StrhImm, 3));
+  // What the factories allow still verifies.
+  EXPECT_TRUE(accepts(OpKind::Push, (1 << R4) | (1 << LR)));
+  EXPECT_TRUE(accepts(OpKind::Pop, 1 << R4));
+  EXPECT_TRUE(accepts(OpKind::LdrhImm, 4094));
+  EXPECT_TRUE(accepts(OpKind::StrhImm, 2));
+}

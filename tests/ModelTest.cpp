@@ -526,7 +526,7 @@ TEST(Model, SeededSolverMatchesUnseededBitForBit) {
   ASSERT_TRUE(Seeded.seedIncumbent(MP, Truth));
   MipSolution Stats;
   Assignment FromSeeded = Seeded.solve(K, {}, &Stats);
-  EXPECT_TRUE(Stats.seededIncumbent());
+  EXPECT_TRUE(Stats.Stats.SeededIncumbent);
   EXPECT_EQ(FromSeeded, Truth);
 
   // An over-stuffed assignment (everything in RAM) fails the RAM budget
@@ -536,7 +536,7 @@ TEST(Model, SeededSolverMatchesUnseededBitForBit) {
   if (Stale.seedIncumbent(MP, Everything)) {
     MipSolution StaleStats;
     Assignment FromStale = Stale.solve(K, {}, &StaleStats);
-    EXPECT_FALSE(StaleStats.seededIncumbent());
+    EXPECT_FALSE(StaleStats.Stats.SeededIncumbent);
     EXPECT_EQ(FromStale, Truth);
   }
 }
@@ -576,13 +576,13 @@ TEST(Dominance, LooserOptimumThatStillFitsSettlesThePointWithoutSearch) {
     EXPECT_EQ(FromChain, solvePlacement(MP, Tight, Cold));
     EXPECT_EQ(FromChain, enumeratorOptimum(MP, Tight));
     EXPECT_EQ(Sol.Outcome, SolveStatus::Optimal);
-    EXPECT_TRUE(Sol.warmStarted());
-    if (!Sol.dominated())
+    EXPECT_TRUE(Sol.Stats.WarmStarted);
+    if (!Sol.Stats.Dominated)
       continue;
     ++Settled;
     EXPECT_EQ(FromChain, Loose);
     EXPECT_EQ(Sol.NodesExplored, 0u);
-    EXPECT_EQ(Sol.primalPivots() + Sol.dualPivots(), 0u);
+    EXPECT_EQ(Sol.Stats.PrimalPivots + Sol.Stats.DualPivots, 0u);
   }
   EXPECT_GT(Settled, 10u);
 }
@@ -605,7 +605,7 @@ TEST(Dominance, DonorThatNoLongerFitsFallsThroughToSearch) {
     MipSolution Sol;
     Assignment FromChain = Chain.solve(Tight, {}, &Sol);
     ++Searched;
-    EXPECT_FALSE(Sol.dominated());
+    EXPECT_FALSE(Sol.Stats.Dominated);
     EXPECT_GT(Sol.NodesExplored, 0u);
     EXPECT_EQ(Sol.Outcome, SolveStatus::Optimal);
     EXPECT_EQ(FromChain, enumeratorOptimum(MP, Tight));
@@ -635,7 +635,7 @@ TEST(Dominance, LimitedAnswerIsNeverADonor) {
     ++Limited;
     MipSolution Again;
     Assignment FromChain = Chain.solve(K, {}, &Again);
-    EXPECT_FALSE(Again.dominated());
+    EXPECT_FALSE(Again.Stats.Dominated);
     EXPECT_EQ(Again.Outcome, SolveStatus::Optimal);
     EXPECT_EQ(FromChain, enumeratorOptimum(MP, K));
   }
@@ -653,8 +653,8 @@ TEST(Dominance, ColdReferencePathNeverDominates) {
   Chain.solve(looseKnobs(), Cold);
   MipSolution Again;
   Chain.solve(looseKnobs(), Cold, &Again);
-  EXPECT_FALSE(Again.dominated());
-  EXPECT_FALSE(Again.warmStarted());
+  EXPECT_FALSE(Again.Stats.Dominated);
+  EXPECT_FALSE(Again.Stats.WarmStarted);
   EXPECT_GT(Again.NodesExplored, 0u);
 }
 

@@ -20,12 +20,15 @@
 #include "core/IlpModel.h"
 #include "core/Pipeline.h"
 #include "support/Hash.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <set>
 
 using namespace ramloc;
 
@@ -125,6 +128,83 @@ const Effort &warmPass() {
 
 } // namespace
 
+namespace {
+
+/// The mip.* counter names globalMetrics() holds.
+std::set<std::string> mipCounterKeys() {
+  JsonValue Doc;
+  EXPECT_TRUE(JsonValue::parse(globalMetrics().toJson(false), Doc));
+  std::set<std::string> Keys;
+  if (const JsonValue *Counters = Doc.find("counters"))
+    for (const auto &[Key, Value] : Counters->members())
+      if (Key.rfind("mip.", 0) == 0)
+        Keys.insert(Key);
+  return Keys;
+}
+
+} // namespace
+
+// Declared first, so that in a whole-suite run no solve precedes it and
+// every key it checks is one the mix creates.
+TEST(SolverEffort, LedgerRowsArePublishedOnceEach) {
+  // Every solveMip call publishes each RAMLOC_SOLVER_EFFORT row into its
+  // mip.* counter. A row dropped from the publishing walk, counted twice
+  // or published under a stale key fails here; so does a counter added
+  // outside the table.
+  static const char *const Published[] = {
+      "mip.bound_flips",
+      "mip.cold_node_solves",
+      "mip.dual_pivots",
+      "mip.nodes",
+      "mip.pricing.drift",
+      "mip.pricing.recomputes",
+      "mip.primal_pivots",
+      "mip.refactorizations",
+      "mip.solves",
+      "mip.status.optimal",
+      "mip.stuck_certified",
+      "mip.unconfirmed_infeasible",
+      "mip.warm_node_solves",
+      "mip.warm_starts",
+  };
+  std::set<std::string> Before = mipCounterKeys();
+  std::vector<uint64_t> RowsBefore;
+  for (const SolverEffortRow &Row : SolverEffortRows)
+    RowsBefore.push_back(globalMetrics().counterValue(Row.Key));
+
+  // A cold solve and a warm knob chain per model, loosest point first.
+  std::vector<MipSolution> Solves;
+  SolverConfig Cold;
+  Cold.WarmNodes = false;
+  Cold.NodeLimit = NodeCap;
+  SolverConfig Warm;
+  Warm.NodeLimit = NodeCap;
+  for (const ModelParams &MP : {models()[0], models()[1]}) {
+    (void)solvePlacement(MP, knobGrid()[4], Cold, &Solves.emplace_back());
+    PlacementSolver Chain(MP, knobGrid().back());
+    for (unsigned K : {8u, 4u, 0u})
+      Chain.solve(knobGrid()[K], Warm, &Solves.emplace_back());
+  }
+
+  std::set<std::string> Gained, Expected;
+  for (const std::string &Key : mipCounterKeys())
+    if (!Before.count(Key))
+      Gained.insert(Key);
+  for (const char *Key : Published)
+    if (!Before.count(Key))
+      Expected.insert(Key);
+  EXPECT_EQ(Gained, Expected);
+
+  for (size_t I = 0; I != std::size(SolverEffortRows); ++I) {
+    const SolverEffortRow &Row = SolverEffortRows[I];
+    uint64_t Sum = 0;
+    for (const MipSolution &S : Solves)
+      Sum += S.Stats.*Row.Member;
+    EXPECT_EQ(globalMetrics().counterValue(Row.Key) - RowsBefore[I], Sum)
+        << Row.Key;
+  }
+}
+
 TEST(SolverEffort, BoundedTableauKeepsAtMostSixTenthsOfExplicitBoundRows) {
   // The bounded-variable simplex keeps one row per constraint; variable
   // boxes are data. The explicit-bound-row formulation carried, on top,
@@ -178,8 +258,10 @@ TEST(SolverEffort, SteepestEdgeDualPivotsStayWithinThePinnedBudget) {
   // 0.7 x 77394 = 54176. Splitting the Eq. 5 indicator by memory side
   // took it to 36151, with warm Infeasible verdicts confirmed against
   // the original rows. Nodes rose (3661 to 4507) while pivots fell
-  // (53767 to 45763), so the gate is on pivots, not nodes.
-  EXPECT_LE(warmPass().Dual, 36151u) << "steepest-edge dual pivots";
+  // (53767 to 45763), so the gate is on pivots, not nodes. Counting the
+  // pivots of warm repairs that give up before their cold rebuild made
+  // it 36256: the same pivots, 105 of which had gone uncounted.
+  EXPECT_LE(warmPass().Dual, 36256u) << "steepest-edge dual pivots";
 }
 
 TEST(SolverEffort, KnobAxisChainSpendsAtMostHalfTheRebuildPerPointPivots) {
@@ -259,7 +341,9 @@ TEST(SolverEffort, KernelTraceIsPinned) {
   // every solve of the 360-point mix must reach the bit-identical
   // objective through the same nodes, pivots, bound flips and stuck-row
   // certificates. One FNV-1a value over all of them; a change that means
-  // to move the search re-pins it and says why.
+  // to move the search re-pins it and says why. (Last re-pinned when the
+  // pivots of warm repairs that give up were first counted: 8 bail-outs
+  // on two points, same search.)
   uint64_t H = Fnv1aOffset;
   auto fold = [&H](uint64_t V) {
     H = fnv1a64(H, std::string_view(reinterpret_cast<const char *>(&V),
@@ -274,7 +358,7 @@ TEST(SolverEffort, KernelTraceIsPinned) {
       fold(S->Stats.BoundFlips);
       fold(S->Stats.StuckCertified);
     }
-  EXPECT_EQ(H, 0x154d44852363f7ddULL) << std::hex << H;
+  EXPECT_EQ(H, 0xf92c463e6a69548dULL) << std::hex << H;
 }
 
 TEST(WarmVsCold, EveryBeebsPointAgreesOnLabelAndObjective) {
