@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 
 using namespace ramloc;
 
@@ -27,7 +28,6 @@ namespace {
 constexpr const char *StoreSchema = "ramloc-cache-v2";
 constexpr const char *ReportSchema = "ramloc-campaign-v2";
 constexpr const char *ProfileSchema = "ramloc-profiles-v2";
-constexpr const char *IncumbentSchema = "ramloc-incumbents-v2";
 constexpr const char *JournalSchema = "ramloc-progress-v2";
 /// Bump when the interpreter's architectural behaviour (instruction
 /// semantics, block accounting, halt conventions) changes in a way that
@@ -46,8 +46,7 @@ void hashDouble(uint64_t &H, double V) {
   hashBytes(H, jsonNumber(V));
 }
 
-/// Hashes every device's power table and timing model into \p H: the
-/// shared ingredient of the result and incumbent fingerprints.
+/// Hashes every device's power table and timing model into \p H.
 void hashDeviceRegistry(uint64_t &H) {
   for (const DeviceInfo &D : deviceRegistry()) {
     hashBytes(H, D.Name);
@@ -65,48 +64,6 @@ void hashDeviceRegistry(uint64_t &H) {
   }
 }
 
-/// One serialized incumbent payload: the solve-group key, the model
-/// energy its assignment achieves, and the assignment as a block
-/// bitstring. Framing is the caller's job.
-std::string incumbentPayload(const std::string &Group,
-                             const IncumbentStore::Entry &E) {
-  std::string Bits(E.InRam.size(), '0');
-  for (size_t I = 0; I != E.InRam.size(); ++I)
-    if (E.InRam[I])
-      Bits[I] = '1';
-  JsonWriter W(/*Pretty=*/false);
-  W.beginObject();
-  W.field("group", Group);
-  W.field("energy_mj", E.EnergyMilliJoules);
-  W.field("blocks", Bits);
-  W.endObject();
-  return std::move(W).str();
-}
-
-bool parseIncumbent(const JsonValue &V, std::string &Group,
-                    IncumbentStore::Entry &E) {
-  if (V.kind() != JsonValue::Kind::Object)
-    return false;
-  const JsonValue *G = V.find("group");
-  const JsonValue *En = V.find("energy_mj");
-  const JsonValue *B = V.find("blocks");
-  if (!G || G->kind() != JsonValue::Kind::String || !En ||
-      En->kind() != JsonValue::Kind::Number || !B ||
-      B->kind() != JsonValue::Kind::String)
-    return false;
-  Group = G->string();
-  E.EnergyMilliJoules = En->number();
-  const std::string &Bits = B->string();
-  E.InRam.assign(Bits.size(), false);
-  for (size_t I = 0; I != Bits.size(); ++I) {
-    if (Bits[I] == '1')
-      E.InRam[I] = true;
-    else if (Bits[I] != '0')
-      return false;
-  }
-  return !Group.empty();
-}
-
 std::string resultJson(const JobResult &R) {
   JsonWriter W(/*Pretty=*/false);
   writeJobResult(W, R);
@@ -120,42 +77,31 @@ bool servable(const JobResult &R) {
 // Decoders stash the typed value in \p Out for the visitor that runs
 // right after them (FramedLog::Visitor).
 FramedLog::Decoder decodeResult(JobResult &Out, bool ServableOnly) {
-  return [&Out, ServableOnly](const JsonValue &V, FramedLog::Record &K) {
+  return [&Out, ServableOnly](const JsonValue &V, std::string &Key) {
     Out = JobResult();
     if (!parseJobResult(V, Out) || (ServableOnly && !servable(Out)))
       return false;
-    K.Key = Out.Spec.cacheKey();
+    Key = Out.Spec.cacheKey();
     return true;
   };
 }
 
 FramedLog::Decoder decodeProfile(std::shared_ptr<ExecutionProfile> &Out) {
-  return [&Out](const JsonValue &V, FramedLog::Record &K) {
+  return [&Out](const JsonValue &V, std::string &Key) {
     Out = std::make_shared<ExecutionProfile>();
-    return parseExecutionProfile(V, K.Key, *Out);
+    return parseExecutionProfile(V, Key, *Out);
   };
 }
 
-FramedLog::Decoder decodeIncumbent(IncumbentStore::Entry &Out) {
-  return [&Out](const JsonValue &V, FramedLog::Record &K) {
-    bool Ok = parseIncumbent(V, K.Key, Out);
-    K.Rank = Out.EnergyMilliJoules;
-    return Ok;
-  };
-}
-
-/// Hands a sorted in-memory snapshot to FramedLog::persist: \p Rank
-/// gives each entry's merge rank, \p Encode its payload.
-template <typename Entry, typename RankFn, typename EncodeFn>
+/// Hands a sorted in-memory snapshot to FramedLog::persist: \p Encode
+/// gives each entry's payload.
+template <typename Entry, typename EncodeFn>
 bool persistSnapshot(FramedLog &Log,
                      const std::vector<std::pair<std::string, Entry>> &Snap,
-                     RankFn Rank, EncodeFn Encode, bool Rewrite,
-                     unsigned LockWaitMs, std::string *Error) {
+                     EncodeFn Encode, bool Rewrite, unsigned LockWaitMs,
+                     std::string *Error) {
   return Log.persist(
-      Snap.size(),
-      [&](size_t I) {
-        return FramedLog::Record{Snap[I].first, Rank(Snap[I].second)};
-      },
+      Snap.size(), [&](size_t I) { return Snap[I].first; },
       [&](size_t I) { return Encode(Snap[I].first, Snap[I].second); },
       Rewrite, LockWaitMs, Error);
 }
@@ -167,8 +113,6 @@ CacheStore::CacheStore()
               MergePolicy::FirstWins),
       ProfileLog("profiles", "profiles.jsonl", ProfileSchema,
                  profileFingerprint(), MergePolicy::NewestWins),
-      IncumbentLog("incumbents", "incumbents.jsonl", IncumbentSchema,
-                   incumbentFingerprint(), MergePolicy::BestWins),
       Journal("progress", "progress.jsonl", JournalSchema, fingerprint(),
               MergePolicy::FirstWins) {
   // The journal's header also pins the run configuration: resuming under
@@ -180,13 +124,6 @@ std::string CacheStore::fingerprint() {
   uint64_t H = Fnv1aOffset;
   hashBytes(H, StoreSchema);
   hashBytes(H, ReportSchema);
-  hashDeviceRegistry(H);
-  return formatString("%016llx", static_cast<unsigned long long>(H));
-}
-
-std::string CacheStore::incumbentFingerprint() {
-  uint64_t H = Fnv1aOffset;
-  hashBytes(H, IncumbentSchema);
   hashDeviceRegistry(H);
   return formatString("%016llx", static_cast<unsigned long long>(H));
 }
@@ -223,7 +160,7 @@ bool CacheStore::open(const std::string &Dir, std::string *Error) {
   }
   CrcMismatches = 0;
   SweptTemps.clear();
-  for (FramedLog *Log : {&Results, &ProfileLog, &IncumbentLog, &Journal})
+  for (FramedLog *Log : {&Results, &ProfileLog, &Journal})
     Log->bind(Dir, SweptTemps);
   std::sort(SweptTemps.begin(), SweptTemps.end());
 
@@ -233,63 +170,48 @@ bool CacheStore::open(const std::string &Dir, std::string *Error) {
   JobResult R;
   ResultStats = tally(Results.scan(
       decodeResult(R, /*ServableOnly=*/true),
-      [&](const FramedLog::Record &K, const std::string &) {
-        Cache.insert(K.Key, R);
+      [&](const std::string &Key, const std::string &) {
+        Cache.insert(Key, R);
       }));
   std::shared_ptr<ExecutionProfile> P;
   ProfileStats = tally(ProfileLog.scan(
-      decodeProfile(P), [&](const FramedLog::Record &K, const std::string &) {
-        Profiles.preload(K.Key, std::move(P));
-      }));
-  // offer() keeps the best assignment whatever order records arrive in.
-  IncumbentStore::Entry E;
-  IncumbentStats = tally(IncumbentLog.scan(
-      decodeIncumbent(E), [&](const FramedLog::Record &K, const std::string &) {
-        Incumbents.offer(K.Key, E.InRam, E.EnergyMilliJoules);
+      decodeProfile(P), [&](const std::string &Key, const std::string &) {
+        Profiles.preload(Key, std::move(P));
       }));
   return true;
 }
 
 bool CacheStore::persist(FramedLog &Log, bool Rewrite, std::string *Error) {
-  auto NoRank = [](const auto &) { return 0.0; };
   if (&Log == &Results) {
     // Failed and degraded results are not durable (see save()); the
     // journal, not this cache, is where degraded results persist.
     auto Snap = Cache.snapshot();
     std::erase_if(Snap, [](const auto &KV) { return !servable(KV.second); });
     return persistSnapshot(
-        Log, Snap, NoRank,
+        Log, Snap,
         [](const std::string &, const JobResult &R) { return resultJson(R); },
         Rewrite, LockWaitMs, Error);
   }
-  if (&Log == &ProfileLog)
-    return persistSnapshot(
-        Log, profileSnapshot(Profiles), NoRank,
-        [](const std::string &Key, const auto &Profile) {
-          JsonWriter W(/*Pretty=*/false);
-          writeExecutionProfile(W, Key, *Profile);
-          return std::move(W).str();
-        },
-        Rewrite, LockWaitMs, Error);
-  // Only improvements hit the disk on append: the load-time best-wins
-  // fold lets a re-appended better entry supersede the old line.
   return persistSnapshot(
-      Log, Incumbents.snapshot(),
-      [](const IncumbentStore::Entry &E) { return E.EnergyMilliJoules; },
-      incumbentPayload, Rewrite, LockWaitMs, Error);
+      Log, profileSnapshot(Profiles),
+      [](const std::string &Key, const auto &Profile) {
+        JsonWriter W(/*Pretty=*/false);
+        writeExecutionProfile(W, Key, *Profile);
+        return std::move(W).str();
+      },
+      Rewrite, LockWaitMs, Error);
 }
 
 bool CacheStore::save(std::string *Error) {
   TraceSpan Span("cache.append", "cache");
   return opened(Error) && persist(Results, false, Error) &&
-         persist(ProfileLog, false, Error) &&
-         persist(IncumbentLog, false, Error);
+         persist(ProfileLog, false, Error);
 }
 
 bool CacheStore::compact(std::string *Error) {
   TraceSpan Span("cache.compact", "cache");
   return opened(Error) && persist(Results, true, Error) &&
-         persist(ProfileLog, true, Error) && persist(IncumbentLog, true, Error);
+         persist(ProfileLog, true, Error);
 }
 
 bool CacheStore::beginJournal(const std::string &ConfigToken, bool Resume,
@@ -306,7 +228,7 @@ bool CacheStore::beginJournal(const std::string &ConfigToken, bool Resume,
     JobResult R;
     JournalStats = tally(Journal.scan(
         decodeResult(R, /*ServableOnly=*/false),
-        [&](const FramedLog::Record &, const std::string &) {
+        [&](const std::string &, const std::string &) {
           JournalResults.push_back(std::move(R));
         }));
     // Extend a journal whose header matches; any torn tail there is
@@ -339,13 +261,11 @@ bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
 
   JobResult R;
   std::shared_ptr<ExecutionProfile> P;
-  IncumbentStore::Entry E;
   std::string JournalLines;
   std::pair<FramedLog *, FramedLog::Decoder> Walks[] = {
       {&Results, decodeResult(R, /*ServableOnly=*/true)},
-      {&ProfileLog, decodeProfile(P)},
-      {&IncumbentLog, decodeIncumbent(E)}};
-  auto Ignore = [](const FramedLog::Record &, const std::string &) {};
+      {&ProfileLog, decodeProfile(P)}};
+  auto Ignore = [](const std::string &, const std::string &) {};
   for (auto &[Log, Decode] : Walks)
     Report.Files.push_back(Log->summarize(tally(Log->scan(Decode, Ignore))));
   // The journal is checked under any configuration token (which solver
@@ -353,7 +273,7 @@ bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
   // first-wins survivors are collected for its repair.
   ScanStats J = tally(Journal.scan(
       decodeResult(R, /*ServableOnly=*/false),
-      [&](const FramedLog::Record &, const std::string &Raw) {
+      [&](const std::string &, const std::string &Raw) {
         JournalLines += Raw + "\n";
       },
       /*AnyExtraValues=*/true));
@@ -363,7 +283,7 @@ bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
 
   // The record files repair from what open() served: the compaction
   // rewrite. Lines stranded under an untrusted header fall with it.
-  for (size_t I = 0; I != 3; ++I)
+  for (size_t I = 0; I != std::size(Walks); ++I)
     if (Report.Files[I].damaged() && !persist(*Walks[I].first, true, Error))
       return false;
 

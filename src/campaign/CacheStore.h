@@ -12,7 +12,7 @@
 /// produced it is unchanged, and a benchmark simulated once is recosted —
 /// not re-executed — even across processes and device-table changes.
 ///
-/// Format: four JSON-lines files inside the cache directory, each a
+/// Format: three JSON-lines files inside the cache directory, each a
 /// FramedLog (campaign/FramedLog.h: CRC32C-framed lines, fingerprinted
 /// header, quarantine, lock-free appends, locked atomic rewrites, orphan
 /// sweep, fsck walk).
@@ -25,13 +25,10 @@
 ///    device-independent, so the fingerprint covers only the simulator
 ///    semantics: a power recalibration retires every cached *result* yet
 ///    keeps every *profile*, turning the re-sweep into recosts.
-///  - `incumbents.jsonl`: the best-known placement per solve group
-///    (block bitstring + model energy), best wins — the seed for a later
-///    process's first cold MIP solve. Staleness is harmless: a seed is
-///    re-validated at zero tolerance before it may prune anything, and
-///    can only steer which of several bit-equal-energy optima wins (the
-///    unique-optimum caveat every exact-solver reuse path shares).
 ///  - `progress.jsonl`: the resume journal (see beginJournal()).
+///
+/// Any other file in the directory (one an older build wrote, say) is
+/// not the store's: it is never read, quarantined, listed or rewritten.
 ///
 /// save() appends only entries not yet on disk, so concurrent writers
 /// sharing a directory interleave whole lines instead of losing each
@@ -69,14 +66,10 @@ public:
   /// since execution profiles are device-independent.
   static std::string profileFingerprint();
 
-  /// The incumbent fingerprint: its own schema plus the device registry
-  /// (the registry shapes the placement models).
-  static std::string incumbentFingerprint();
-
-  /// Binds the store to the four files under \p Dir (created when
-  /// missing), sweeps dead writers' temporaries, and loads the results,
-  /// profile and incumbent files. Returns false only when the directory
-  /// cannot be created; invalid content merely yields an empty cache.
+  /// Binds the store to the three files under \p Dir (created when
+  /// missing), sweeps dead writers' temporaries, and loads the results
+  /// and profile files. Returns false only when the directory cannot be
+  /// created; invalid content merely yields an empty cache.
   bool open(const std::string &Dir, std::string *Error = nullptr);
 
   /// Persists every *successful* entry not yet on disk. Healthy files
@@ -87,9 +80,8 @@ public:
   /// Invalid profiles are never persisted.
   bool save(std::string *Error = nullptr);
 
-  /// Sorted, deduplicated atomic rewrite of the results, profile and
-  /// incumbent files — the repair path for stores grown by many
-  /// appenders.
+  /// Sorted, deduplicated atomic rewrite of the results and profile
+  /// files — the repair path for stores grown by many appenders.
   bool compact(std::string *Error = nullptr);
 
   using FsckFile = ramloc::FsckFile;
@@ -106,7 +98,7 @@ public:
     }
   };
 
-  /// Walks all four store files (after open()) into \p Report,
+  /// Walks all three store files (after open()) into \p Report,
   /// quarantining damaged lines. With \p Repair, every damaged file is
   /// rewritten under its lock — valid records only, deduplicated — and a
   /// journal whose header cannot be trusted is removed. Returns false
@@ -150,25 +142,23 @@ public:
   const std::string &journalPath() const { return JournalPath; }
 
   /// The in-memory caches backing the store; point CampaignOptions'
-  /// Cache, Profiles and Incumbents here.
+  /// Cache and Profiles here.
   ResultCache &cache() { return Cache; }
   const ResultCache &cache() const { return Cache; }
   ProfileCache &profiles() { return Profiles; }
+  /// Retired and unread (see IncumbentStore in campaign/Campaign.h);
+  /// deleted together with e2ebench/driver.cpp's line that calls it.
   IncumbentStore &incumbents() { return Incumbents; }
 
   const std::string &path() const { return Results.path(); }
   const std::string &profilePath() const { return ProfileLog.path(); }
-  const std::string &incumbentPath() const { return IncumbentLog.path(); }
 
-  /// Diagnostics from the last open(): per file, the records served
-  /// (incumbents: each record that set or improved its group's best)
+  /// Diagnostics from the last open(): per file, the distinct keys served
   /// and the lines skipped as corrupt or unservable.
-  size_t loadedEntries() const { return ResultStats.Kept; }
+  size_t loadedEntries() const { return ResultStats.Keys; }
   size_t skippedLines() const { return ResultStats.skipped(); }
-  size_t loadedProfiles() const { return ProfileStats.Kept; }
+  size_t loadedProfiles() const { return ProfileStats.Keys; }
   size_t skippedProfileLines() const { return ProfileStats.skipped(); }
-  size_t loadedIncumbents() const { return IncumbentStats.Kept; }
-  size_t skippedIncumbentLines() const { return IncumbentStats.skipped(); }
   /// A results store existed under another header; nothing was served.
   bool invalidated() const { return ResultStats.invalidated(); }
   /// Frame/CRC failures across every scan since open(); each also bumps
@@ -196,13 +186,11 @@ private:
   IncumbentStore Incumbents;
   FramedLog Results;
   FramedLog ProfileLog;
-  FramedLog IncumbentLog;
   FramedLog Journal;
   std::string JournalPath; ///< Set while a journal is in flight.
   std::vector<JobResult> JournalResults;
   ScanStats ResultStats;
   ScanStats ProfileStats;
-  ScanStats IncumbentStats;
   ScanStats JournalStats;
   size_t CrcMismatches = 0;
   std::vector<std::string> SweptTemps;

@@ -148,45 +148,6 @@ ResultCache::snapshot() const {
   return Entries;
 }
 
-bool IncumbentStore::lookup(const std::string &GroupKey, Entry &Out) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Map.find(GroupKey);
-  if (It == Map.end())
-    return false;
-  Out = It->second;
-  return true;
-}
-
-void IncumbentStore::offer(const std::string &GroupKey,
-                           const Assignment &InRam,
-                           double EnergyMilliJoules) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Map.find(GroupKey);
-  // Strictly-better-wins makes the stored entry independent of offer
-  // order: ties keep the earlier assignment.
-  if (It == Map.end()) {
-    Map.emplace(GroupKey, Entry{InRam, EnergyMilliJoules});
-    return;
-  }
-  if (EnergyMilliJoules < It->second.EnergyMilliJoules)
-    It->second = Entry{InRam, EnergyMilliJoules};
-}
-
-size_t IncumbentStore::size() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Map.size();
-}
-
-std::vector<std::pair<std::string, IncumbentStore::Entry>>
-IncumbentStore::snapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::pair<std::string, Entry>> Entries(Map.begin(),
-                                                     Map.end());
-  std::sort(Entries.begin(), Entries.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  return Entries;
-}
-
 std::pair<size_t, size_t> ramloc::shardRange(size_t Total, unsigned Index,
                                              unsigned Count) {
   if (Count == 0 || Index == 0 || Index > Count)
@@ -392,8 +353,8 @@ placementOf(Program &P, const Assignment &InRam, const ExtractedModule &EM,
 /// which is how profile reuse off runs, it builds its own), measures the
 /// baseline and extracts the parameters under its device once; the
 /// surviving knob points are then solved as one chain of RHS patches,
-/// each starting from the previous point's basis, incumbent and
-/// pseudo-costs (PlacementSolver), and finally applied and labelled. Each
+/// each starting from the previous point's basis and pseudo-costs
+/// (PlacementSolver), and finally applied and labelled. Each
 /// distinct placement is built once per program and priced once per
 /// group under the group's device. Every per-job outcome — including
 /// every error string — is produced by the same staged functions the
@@ -407,8 +368,6 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                    std::vector<JobResult> &Results,
                    const std::function<void(size_t)> &OnDone,
                    MetricsRegistry &Reg,
-                   IncumbentStore *Incumbents = nullptr,
-                   bool SeedIncumbents = true,
                    SolveChainMemo *Chains = nullptr,
                    ProgramTable *Programs = nullptr) {
   // Loosest first (Rspare descending, then Xlimit descending; stable, so
@@ -503,28 +462,15 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
   }
 
   PlacementSolver Solver(EM.MP, Opts.Knobs);
-  // Open the group's first solve with the persisted best-known placement
-  // (cross-process incumbent). The solver re-validates the seed at zero
-  // tolerance under the patched knobs, so a stale entry merely misses;
-  // with warm nodes disabled the cross-solve state is off by design and
-  // the seed would never be read.
-  const std::string GroupKey = First.solveGroupKey();
-  bool Seeded = false;
-  if (Incumbents && SeedIncumbents && Opts.Solver.WarmNodes) {
-    IncumbentStore::Entry Known;
-    if (Incumbents->lookup(GroupKey, Known))
-      Seeded = Solver.seedIncumbent(EM.MP, Known.InRam);
-  }
-
-  // Groups posing a bit-identical ILP under the same seed and solver
-  // config at the same knob points share one solve chain: the first group
-  // to reach the key solves it, every other group waits for it and copies
-  // its solutions. A group waits after extraction has published its
-  // baseline profile and before any placement build, the owner publishes
-  // before its own builds, and a build waits on nothing, so no wait cycle
-  // with ProfileCache or the program table can form. The
-  // Claim publishes on every path out of an owner; a follower that gets
-  // no chain solves its own.
+  // Groups posing a bit-identical ILP under the same solver config at
+  // the same knob points share one solve chain: the first group to reach
+  // the key solves it, every other group waits for it and copies its
+  // solutions. A group waits after extraction has published its baseline
+  // profile and before any placement build, the owner publishes before
+  // its own builds, and a build waits on nothing, so no wait cycle with
+  // ProfileCache or the program table can form. The Claim publishes on
+  // every path out of an owner; a follower that gets no chain solves its
+  // own.
   std::shared_ptr<const std::vector<MipSolution>> Chain;
   SolveChainMemo::Claim Owned =
       Chains ? Chains->claim(Solver.chainKey(Opts.Solver, Points), Chain)
@@ -555,14 +501,6 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
     const JobSpec &Spec = Jobs[Live[K]];
     const MipSolution &Sol = (*Chain)[K];
     Assignment InRam = Solver.model().decode(Sol);
-    // Offer the *opening* point's optimum, not every point's: a re-run
-    // of the same grid seeds at the same opening point, where this
-    // assignment re-validates exactly and opens the search with the true
-    // optimum. The opening point is the group's loosest, so its optimum
-    // is the best-known placement of every point the group visits.
-    if (Incumbents && K == 0)
-      Incumbents->offer(GroupKey, InRam,
-                        evaluateAssignment(EM.MP, InRam).EnergyMilliJoules);
 
     JobResult R;
     if (Spec.Kind == JobKind::Measure) {
@@ -603,14 +541,10 @@ void runSolveGroup(const std::vector<JobSpec> &Jobs,
                          ? SolveStatus::InfeasibleProven
                          : SolveStatus::FeasibleLimit;
     // The registry is the campaign's book of record for solver effort.
-    // A copied solution keeps its donor's labels. A group's later solves
-    // are seeded by the knob chain itself; only the first one can have
-    // been opened by the persistent store.
+    // A copied solution keeps its donor's labels.
     Reg.counter("campaign.solve.extractions").add(K == 0 ? 1 : 0);
     Reg.counter("campaign.solve.cold").add(Sol.Stats.WarmStarted ? 0 : 1);
     Reg.counter("campaign.solve.warm").add(Sol.Stats.WarmStarted ? 1 : 0);
-    Reg.counter("campaign.solve.incumbent_seeds")
-        .add(K == 0 && Seeded && Sol.Stats.SeededIncumbent ? 1 : 0);
     if (R.ok() && R.SolveOutcome != SolveStatus::Optimal)
       Reg.counter("campaign.solve.degraded").add();
     Results[Live[K]] = std::move(R);
@@ -759,8 +693,7 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
                 Opts.Progress(CR.Results[I], Done, UniqueRuns);
             }
           },
-          Reg, Opts.Incumbents, Opts.SeedIncumbents, ChainMemo,
-          ProgramMemo);
+          Reg, ChainMemo, ProgramMemo);
     }
     FinishedAt[Self] = std::chrono::steady_clock::now();
   };

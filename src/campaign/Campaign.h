@@ -48,7 +48,7 @@
 /// as one worker task that extracts parameters and builds the ILP once,
 /// then visits its knob points loosest-first (Rspare descending, then
 /// Xlimit descending), each solved as an RHS patch warm-started from the
-/// previous point's basis, incumbent and pseudo-costs (core/IlpModel's
+/// previous point's basis and pseudo-costs (core/IlpModel's
 /// PlacementSolver), so a 3x3 knob grid pays 1 extraction + 1 cold
 /// solve + 8 re-optimizations (the campaign.solve.extractions/cold/warm
 /// counters show it). Loosest-first lets a point whose looser
@@ -59,31 +59,22 @@
 /// benchmarks pose the same ILP at O1 and O2, and a device that differs
 /// only in clock rate poses its sibling's (the canonical grid's 180
 /// groups hold 96 distinct ILPs). A chain is a pure function of its key
-/// (PlacementSolver::chainKey: model, seed incumbent, solver config and
-/// the knob points visited, a cached or aborted job's point left out),
-/// so the first group to reach a key solves the whole chain and every
-/// other group with that key copies its solutions: warm chains, labels
-/// and incumbent offers are exactly what solving every group would give
-/// (campaign.solve.replayed counts the copied jobs). Warm and cold
+/// (PlacementSolver::chainKey: model, solver config and the knob points
+/// visited, a cached or aborted job's point left out), so the first
+/// group to reach a key solves the whole chain and every other group with
+/// that key copies its solutions: warm chains and labels are exactly what
+/// solving every group would give (campaign.solve.replayed counts the
+/// copied jobs). Warm and cold
 /// solves are both exact, so reports are byte-identical with solve reuse
 /// on or off (Base.Solver.WarmNodes, `--reuse` without `solve`)
 /// whenever every solve proves optimality. A dual simplex row stuck on
 /// round-off pivots is certified infeasible or repaired rather than
 /// given up on, so a solve with no limit set keeps its proof.
 ///
-/// Even the group's first solve need not start from nothing: an
-/// IncumbentStore remembers the best-known placement per solve group —
-/// persisted across processes by campaign/CacheStore — and the group
-/// seeds its first cold solve with it. The seed is re-validated at zero
-/// tolerance under the actual knobs before it may prune anything, so a
-/// stale assignment costs nothing and results stay byte-identical with
-/// seeding on or off (CampaignOptions::SeedIncumbents, `--reuse` without
-/// `incumbent`) whenever every solve proves optimality and the optimal
-/// placement is unique — two distinct placements with bit-equal modelled
-/// energy being the one case any pair of exact solvers may legitimately
-/// disagree on, the same caveat warm knob chaining has carried since
-/// PR 4; what a fresh grid gains is a proven-quality incumbent before the
-/// first node is explored.
+/// A solve starts from its chain's basis and branching history alone:
+/// warm chains, dominated points and chain replay settle every point, so
+/// no known placement is planted in the search, within a chain or across
+/// processes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -223,39 +214,11 @@ private:
   std::unordered_map<std::string, JobResult> Map;
 };
 
-/// Thread-safe best-known-placement memory, keyed by solveGroupKey(). A
-/// solve group offers its *opening* knob point's optimum (a re-run of
-/// the same grid seeds at that same point, where the entry re-validates
-/// exactly; later points' looser-budget optima would mostly fail the
-/// zero-tolerance re-check there); across offers the store keeps the one
-/// with the lowest model energy, which is knob-independent, so "best" is
-/// well defined. A later campaign — or, through CacheStore's
-/// incumbents.jsonl, a later process — seeds its first cold solve from
-/// it. Entries are hints, not truth: the solver re-validates a seed at
-/// zero tolerance against the actual model before it may prune anything.
-class IncumbentStore {
-public:
-  struct Entry {
-    Assignment InRam;
-    double EnergyMilliJoules = 0.0;
-  };
-
-  /// Best-known assignment for \p GroupKey; false when none.
-  bool lookup(const std::string &GroupKey, Entry &Out) const;
-  /// Offers an optimal assignment; kept only when strictly better (lower
-  /// model energy) than the stored one, so the store converges whatever
-  /// order offers arrive in.
-  void offer(const std::string &GroupKey, const Assignment &InRam,
-             double EnergyMilliJoules);
-  size_t size() const;
-
-  /// All entries ordered by key: the deterministic persistence order.
-  std::vector<std::pair<std::string, Entry>> snapshot() const;
-
-private:
-  mutable std::mutex Mu;
-  std::unordered_map<std::string, Entry> Map;
-};
+/// Retired and unread. It stays only because e2ebench/driver.cpp still
+/// sets `Opts.Incumbents = &Store.incumbents()`; the next benchmark
+/// change deletes it, CampaignOptions::Incumbents and
+/// CacheStore::incumbents() together with that line.
+struct IncumbentStore {};
 
 struct CampaignOptions {
   /// Worker threads. 0 picks std::thread::hardware_concurrency().
@@ -293,21 +256,12 @@ struct CampaignOptions {
   /// when null and ReuseProfiles is false every run simulates. Either
   /// way this decides the jobs' cache: Base.Profiles is overwritten.
   ProfileCache *Profiles = nullptr;
-  /// Optional cross-campaign incumbent store (e.g.
-  /// CacheStore::incumbents()): solve groups offer their optimal
-  /// placements into it and — with SeedIncumbents — open their first cold
-  /// solve from its best-known entry.
+  /// Retired and unread (see IncumbentStore): nothing is planted.
+  /// Deleted together with e2ebench/driver.cpp's line that sets it.
   IncumbentStore *Incumbents = nullptr;
-  /// Seed each solve group's first solve from Incumbents. Results are
-  /// byte-identical either way whenever the optimal placement is unique
-  /// (seeds are re-validated at zero tolerance and both paths are exact;
-  /// bit-equal-energy ties are the one legitimate divergence, as for
-  /// warm knob chaining); `--reuse` without `incumbent` is the A/B
-  /// escape hatch that proves it.
-  bool SeedIncumbents = true;
   /// Registry the campaign records its effort counters into (campaign.*
-  /// keys: extractions, cold/warm/replayed/dominated solves, incumbent
-  /// seeds, cache hits, solve histograms, one campaign.wall_seconds
+  /// keys: extractions, cold/warm/replayed/dominated solves, cache hits,
+  /// solve histograms, one campaign.wall_seconds
   /// sample, and campaign.sim.full_sims / campaign.sim.recosts, the
   /// growth of the global sim.* counters over the run, with or without
   /// profile reuse). It is the one record of that effort; the

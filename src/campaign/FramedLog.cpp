@@ -239,23 +239,17 @@ ScanStats FramedLog::scan(const Decoder &Decode, const Visitor &Visit,
       quarantine(Line);
       continue;
     }
-    Record R;
-    if (!Decode(V, R)) {
+    std::string Key;
+    if (!Decode(V, Key)) {
       ++S.Rejected;
       continue;
     }
     ++S.Records;
-    auto [It, New] = Durable.try_emplace(R.Key, R.Rank);
-    bool Improves = Policy == MergePolicy::BestWins && R.Rank < It->second;
-    if (New || Improves)
-      ++S.Kept;
-    if (New)
+    if (Durable.insert(Key).second)
       ++S.Keys;
-    else if (Improves || Policy == MergePolicy::NewestWins)
-      It->second = R.Rank;
-    else
+    else if (Policy != MergePolicy::NewestWins)
       continue;
-    Visit(R, Line);
+    Visit(Key, Line);
   }
   return S;
 }
@@ -275,7 +269,8 @@ FsckFile FramedLog::summarize(const ScanStats &S) const {
   return F;
 }
 
-bool FramedLog::persist(size_t N, const std::function<Record(size_t)> &Key,
+bool FramedLog::persist(size_t N,
+                        const std::function<std::string(size_t)> &Key,
                         const std::function<std::string(size_t)> &Encode,
                         bool Rewrite, unsigned LockWaitMs,
                         std::string *Error) {
@@ -289,11 +284,10 @@ bool FramedLog::persist(size_t N, const std::function<Record(size_t)> &Key,
   if (Rewrite || !std::getline(In, First) || !unframeRecord(First, Payload) ||
       !JsonValue::parse(Payload, V) || !headerMatches(V, false)) {
     std::string Doc = header();
-    std::map<std::string, double> Keys;
+    std::set<std::string> Keys;
     for (size_t I = 0; I != N; ++I) {
       Doc += framedLine(Encode(I));
-      Record R = Key(I);
-      Keys.emplace(std::move(R.Key), R.Rank);
+      Keys.insert(Key(I));
     }
     if (!rewrite(Doc, LockWaitMs, Error))
       return false;
@@ -301,22 +295,20 @@ bool FramedLog::persist(size_t N, const std::function<Record(size_t)> &Key,
     return true;
   }
   std::string Doc;
-  std::vector<Record> Fresh;
+  std::vector<std::string> Fresh;
   for (size_t I = 0; I != N; ++I) {
-    Record R = Key(I);
-    auto It = Durable.find(R.Key);
-    if (It != Durable.end() &&
-        !(Policy == MergePolicy::BestWins && R.Rank < It->second))
+    std::string K = Key(I);
+    if (Durable.count(K))
       continue;
     Doc += framedLine(Encode(I));
-    Fresh.push_back(std::move(R));
+    Fresh.push_back(std::move(K));
   }
   if (Doc.empty())
     return true;
   if (!append(Doc, Error))
     return false;
-  for (Record &R : Fresh)
-    Durable[std::move(R.Key)] = R.Rank;
+  Durable.insert(std::make_move_iterator(Fresh.begin()),
+                 std::make_move_iterator(Fresh.end()));
   return true;
 }
 

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The storage contract every cache-store file follows, stated once.
-/// CacheStore is four FramedLogs plus the typed encode/decode of each
+/// CacheStore is three FramedLogs plus the typed encode/decode of each
 /// record kind.
 ///
 /// Layout: one JSON object per line, each line CRC32C-framed
@@ -44,6 +44,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,8 +58,6 @@ enum class MergePolicy {
   FirstWins,
   /// Each later occurrence replaces the earlier one.
   NewestWins,
-  /// The lowest-ranked occurrence stands; ties go to the earliest.
-  BestWins,
 };
 
 /// What one scan of a log saw.
@@ -73,7 +72,6 @@ struct ScanStats {
   size_t Rejected = 0;        ///< Valid frames the decoder refused.
   size_t Records = 0;         ///< Decoded records, duplicates included.
   size_t Keys = 0;            ///< Distinct keys among them.
-  size_t Kept = 0;            ///< Records that set or improved their key.
   std::string RawHeader;      ///< The matched header line, verbatim.
 
   /// Lines a load could not serve.
@@ -84,7 +82,7 @@ struct ScanStats {
 
 /// One store file's health as seen by an fsck walk.
 struct FsckFile {
-  std::string Name; ///< "results", "profiles", "incumbents", "progress".
+  std::string Name; ///< "results", "profiles", "progress".
   std::string Path;
   bool Present = false; ///< The file exists (possibly empty).
   /// The first line framed, parsed, and matched the expected schema and
@@ -102,18 +100,14 @@ struct FsckFile {
 
 class FramedLog {
 public:
-  /// A decoded record's merge identity. Rank matters only to BestWins.
-  struct Record {
-    std::string Key;
-    double Rank = 0;
-  };
-  /// Decodes one payload; false refuses the record (unreadable, or not
-  /// servable from this log).
-  using Decoder = std::function<bool(const JsonValue &, Record &)>;
+  /// Decodes one payload and sets its merge key; false refuses the
+  /// record (unreadable, or not servable from this log).
+  using Decoder = std::function<bool(const JsonValue &, std::string &Key)>;
   /// Receives each record the policy lets replace its key's holder, right
   /// after the Decoder accepted that same line — so a decoder may stash
   /// the typed value for the visitor. \p Raw is the framed line.
-  using Visitor = std::function<void(const Record &, const std::string &Raw)>;
+  using Visitor =
+      std::function<void(const std::string &Key, const std::string &Raw)>;
 
   FramedLog(const char *Name, const char *FileName, const char *Schema,
             std::string Fingerprint, MergePolicy Policy);
@@ -143,9 +137,9 @@ public:
   /// Persists an in-memory snapshot of \p N records: Key(I) is the I-th
   /// one's identity, Encode(I) its payload, run only for records that go
   /// to disk. A file under our header grows by the records not yet
-  /// durable (BestWins: or better than their durable rank); otherwise, or
-  /// with \p Rewrite, the whole snapshot replaces the file.
-  bool persist(size_t N, const std::function<Record(size_t)> &Key,
+  /// durable; otherwise, or with \p Rewrite, the whole snapshot replaces
+  /// the file.
+  bool persist(size_t N, const std::function<std::string(size_t)> &Key,
                const std::function<std::string(size_t)> &Encode,
                bool Rewrite, unsigned LockWaitMs, std::string *Error);
 
@@ -171,8 +165,8 @@ private:
   MergePolicy Policy;
   std::map<std::string, std::string> Extra;
   std::string Path;
-  /// Key -> rank of what this process knows to be on disk.
-  std::map<std::string, double> Durable;
+  /// The keys this process knows to be on disk.
+  std::set<std::string> Durable;
 };
 
 /// Frames \p Payload as one newline-terminated store line.

@@ -367,22 +367,10 @@ Assignment ramloc::solvePlacement(const ModelParams &MP,
   return PM.decode(Sol);
 }
 
-bool PlacementSolver::seedIncumbent(const ModelParams &MP,
-                                    const Assignment &InRam) {
-  std::vector<double> Seed = PM.encode(MP, InRam);
-  if (Seed.empty())
-    return false;
-  Warm.Incumbent = std::move(Seed);
-  return true;
-}
-
 uint64_t
 PlacementSolver::chainKey(const SolverConfig &Cfg,
                           const std::vector<ModelKnobs> &Points) const {
-  uint64_t H = mixBytes(PM.contentKey(), Warm.Incumbent.size());
-  for (double V : Warm.Incumbent)
-    H = mixBytes(H, V);
-  H = mixBytes(H, Points.size());
+  uint64_t H = mixBytes(PM.contentKey(), Points.size());
   for (const ModelKnobs &K : Points) {
     H = mixBytes(H, K.RspareBytes);
     H = mixBytes(H, K.Xlimit);
@@ -421,9 +409,6 @@ Assignment PlacementSolver::solve(const ModelKnobs &Knobs,
     Sol.Outcome = SolveStatus::Optimal;
     Sol.Stats.WarmStarted = true;
     Sol.Stats.Dominated = true;
-    // The chain goes on as if this point had been searched: its optimum
-    // seeds the next solve.
-    Warm.Incumbent = Sol.Values;
     globalMetrics().counter("mip.dominated").add();
   } else {
     // With warm nodes disabled the caller asked for the cold reference
@@ -436,7 +421,6 @@ Assignment PlacementSolver::solve(const ModelKnobs &Knobs,
   }
   if (Span.active()) {
     Span.arg("warm", Sol.Stats.WarmStarted ? "1" : "0");
-    Span.arg("seeded", Sol.Stats.SeededIncumbent ? "1" : "0");
     Span.arg("dominated", Sol.Stats.Dominated ? "1" : "0");
     Span.arg("nodes", std::to_string(Sol.NodesExplored));
   }

@@ -118,11 +118,9 @@ struct PlacementModel {
   /// flash, z = instrumented and in RAM, c = the call crosses, w = the
   /// call crosses from RAM. These are the values objective and constraint
   /// pressure pin them to at integral points, the optimal completion of
-  /// that x. Returns an empty vector when the
-  /// assignment does not fit this model (wrong arity, or a block marked
-  /// in-RAM that has no placement variable). Used to replant a persisted
-  /// incumbent: feed the result to a MipWarmStart and solveMip re-checks
-  /// it at zero tolerance before letting it prune anything.
+  /// that x. Returns an empty vector when the assignment does not fit
+  /// this model (wrong arity, or a block marked in-RAM that has no
+  /// placement variable).
   std::vector<double> encode(const ModelParams &MP,
                              const Assignment &InRam) const;
 
@@ -151,7 +149,7 @@ Assignment solvePlacement(const ModelParams &MP,
 
 /// The pipeline's solve stage, built once per (benchmark, device): knob
 /// points become RHS patches on one retained ILP, each solved with the
-/// previous point's basis, incumbent and pseudo-costs as warm start
+/// previous point's basis and pseudo-costs as warm start
 /// (solve once, branch cheap — the knob-axis analogue of the
 /// execute/recost split). The first solve is cold; every later solve
 /// re-optimizes, which MipSolution::WarmStarted reports and the campaign
@@ -160,8 +158,8 @@ Assignment solvePlacement(const ModelParams &MP,
 /// distinct placements with bit-equal modelled energy being the one case
 /// any pair of exact solvers may legitimately disagree on — results do
 /// not depend on the order knob points are visited in. The whole chain
-/// is a pure function of the model, the seed, the solver config and the
-/// knob points visited, which is exactly what chainKey() hashes, so the
+/// is a pure function of the model, the solver config and the knob
+/// points visited, which is exactly what chainKey() hashes, so the
 /// campaign engine solves each chain once for every group that visits
 /// the same points of the same ILP.
 ///
@@ -185,21 +183,9 @@ public:
   Assignment solve(const ModelKnobs &Knobs, const SolverConfig &Cfg = {},
                    MipSolution *Out = nullptr);
 
-  /// Plants \p InRam as the next solve's starting incumbent — the
-  /// cross-process analogue of the knob-chain's previous-optimum seed
-  /// (typically the persistent cache's best-known assignment for this
-  /// solve group). The seed is only a pruning hint: solveMip re-validates
-  /// it at zero tolerance under the solve's actual knobs, so a stale or
-  /// infeasible seed costs nothing and cannot change the answer. Returns
-  /// false (and plants nothing) when the assignment does not fit the
-  /// model. Only honoured by warm-noded solves (a cold reference solve
-  /// carries no cross-solve state by design).
-  bool seedIncumbent(const ModelParams &MP, const Assignment &InRam);
-
   /// The key of the solve chain this solver is about to run:
-  /// model().contentKey(), the planted seed incumbent (if any),
-  /// solverConfigToken(\p Cfg) and each of \p Points' Rspare and Xlimit
-  /// in visiting order. Call it before the first solve. Two solvers with
+  /// model().contentKey(), solverConfigToken(\p Cfg) and each of
+  /// \p Points' Rspare and Xlimit in visiting order. Two solvers with
   /// equal keys return bit-identical MipSolutions along the whole chain,
   /// so the campaign engine solves each distinct chain once and copies
   /// it for every solve group with the same key.

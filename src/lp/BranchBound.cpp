@@ -216,26 +216,12 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
   }
   std::vector<Fixing> Trail;
 
-  // Knob-axis / cross-process reuse: the LP basis survives from the
-  // previous solve, and the seeded incumbent — when still feasible under
-  // the patched bounds/RHS — opens the search with a proven-quality
-  // point, so most of the new tree prunes immediately. The feasibility
-  // re-check is exact (zero tolerance): admitting a point that is
-  // infeasible by even a whisker could prune the true optimum, whereas
-  // spuriously rejecting a boundary-tight seed merely loses a head start.
+  // Knob-axis reuse: the LP basis survives from the previous solve.
   WarmStart LocalWs;
   WarmStart &Ws = Warm ? Warm->Lp : LocalWs;
   Best.Stats.WarmStarted = Cfg.WarmNodes && Ws.valid();
 
   bool HaveIncumbent = false;
-  if (Warm && Warm->Incumbent.size() == P.numVariables() &&
-      P.isFeasible(Warm->Incumbent, /*Tol=*/0.0)) {
-    HaveIncumbent = true;
-    Best.Stats.SeededIncumbent = true;
-    Best.Status = LpStatus::Optimal;
-    Best.Objective = P.objectiveValue(Warm->Incumbent);
-    Best.Values = Warm->Incumbent;
-  }
 
   // Branching history rides along a knob chain: a later point's tree
   // starts from what the earlier ones learned about each variable.
@@ -344,9 +330,6 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
     branchNode(N, BranchVar, Frac, Relax.Objective, Open);
   }
 
-  if (Warm)
-    Warm->Incumbent =
-        Best.feasible() ? Best.Values : std::vector<double>();
   return Best;
 }
 
@@ -412,8 +395,6 @@ MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
     Effort[I]->add(Sol.Stats.*SolverEffortRows[I].Member);
   if (Sol.Stats.WarmStarted)
     M.counter("mip.warm_starts").add();
-  if (Sol.Stats.SeededIncumbent)
-    M.counter("mip.seeded_incumbents").add();
   M.counter(std::string("mip.status.") + solveStatusName(Sol.Outcome)).add();
   return Sol;
 }

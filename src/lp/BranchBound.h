@@ -34,13 +34,10 @@
 /// instead of a fresh solve (SolverConfig::WarmNodes; both paths are
 /// exact, so the answer is the same either way — MipSolution::Stats
 /// records how each node was satisfied). A MipWarmStart additionally
-/// carries that tableau, the branching pseudo-costs and the previous
-/// optimum *across* solveMip calls, so a sweep that only patches bounds
-/// or constraint RHS values between solves — the knob axis of a placement
-/// campaign — re-optimizes from its neighbour instead of starting over,
-/// and an externally seeded incumbent (e.g. the persistent cache's
-/// best-known assignment) opens the search with most of the tree already
-/// pruned.
+/// carries that tableau and the branching pseudo-costs *across* solveMip
+/// calls, so a sweep that only patches bounds or constraint RHS values
+/// between solves — the knob axis of a placement campaign — re-optimizes
+/// from its neighbour instead of starting over.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,26 +94,17 @@ struct PseudoCosts {
 
 /// Cross-solve warm-start state for a structurally fixed problem whose
 /// bounds or constraint RHS values change between solves. The LP tableau
-/// and the pseudo-costs evolve in place across the search trees, and the
-/// previous optimum — or an externally provided assignment, e.g. the
-/// persistent cache's
-/// best-known placement — seeds the next solve's incumbent (after an
-/// exact, zero-tolerance feasibility re-check under the patched problem:
-/// admitting a point infeasible by even a whisker could prune the true
-/// optimum, whereas spuriously rejecting a boundary-tight seed merely
-/// loses a head start). Reuse with a *structurally* different problem is
-/// detected and degrades to a cold solve.
+/// and the pseudo-costs evolve in place across the search trees. Reuse
+/// with a *structurally* different problem is detected and degrades to a
+/// cold solve.
 struct MipWarmStart {
   WarmStart Lp;
   PseudoCosts Branching;
-  /// The incumbent seed for the next solve (empty when none): the
-  /// previous solve's optimum, or a caller-planted assignment.
-  std::vector<double> Incumbent;
 };
 
 /// Solves \p P to optimality (integer variables must be binary). With
-/// \p Warm, re-optimizes from the previous solve's basis and incumbent
-/// and leaves the state primed for the next call.
+/// \p Warm, re-optimizes from the previous solve's basis and branching
+/// history and leaves the state primed for the next call.
 MipSolution solveMip(const LpProblem &P, const SolverConfig &Cfg = {},
                      MipWarmStart *Warm = nullptr);
 

@@ -198,9 +198,6 @@ struct SolverStats : SolverEffort {
   /// True when the solve itself started from a caller-provided
   /// MipWarmStart basis (knob-axis reuse) rather than a cold root.
   bool WarmStarted = false;
-  /// True when the caller-provided incumbent survived the zero-tolerance
-  /// feasibility re-check and opened the search.
-  bool SeededIncumbent = false;
   /// True when the point was settled without search: a looser knob point
   /// of the same chain had a proven optimum that stays feasible here, so
   /// it is optimal here too (PlacementSolver). No solveMip call is made.

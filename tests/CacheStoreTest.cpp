@@ -494,132 +494,64 @@ TEST(CacheStore, MeasureGridsPersistOnlyBaselineProfiles) {
   EXPECT_EQ(profileSnapshot(Second.profiles()).size(), 1u);
 }
 
-TEST(CacheStore, IncumbentsRoundTripAcrossProcesses) {
-  std::string Dir = freshDir("incumbents");
-  GridSpec Grid = tinyGrid();
-  Grid.Kind = JobKind::ModelOnly;
-
-  CacheStore First;
-  ASSERT_TRUE(First.open(Dir));
-  EXPECT_EQ(First.loadedIncumbents(), 0u);
-  MetricsRegistry Reg1, Reg2;
-  CampaignOptions Opts;
-  Opts.Incumbents = &First.incumbents();
-  Opts.Metrics = &Reg1;
-  CampaignResult CR1 = runCampaign(Grid, Opts);
-  ASSERT_EQ(CR1.Summary.Failed, 0u);
-  // Nothing persisted yet.
-  EXPECT_EQ(Reg1.counterValue("campaign.solve.incumbent_seeds"), 0u);
-  EXPECT_EQ(First.incumbents().size(), 1u);  // one solve group
-  std::string Error;
-  ASSERT_TRUE(First.save(&Error)) << Error;
-
-  // "Next process": the store reloads the incumbent and the same grid's
-  // first cold solve opens from it — with a byte-identical report.
-  CacheStore Second;
-  ASSERT_TRUE(Second.open(Dir));
-  EXPECT_EQ(Second.loadedIncumbents(), 1u);
-  CampaignOptions Opts2;
-  Opts2.Incumbents = &Second.incumbents();
-  Opts2.Metrics = &Reg2;
-  CampaignResult CR2 = runCampaign(Grid, Opts2);
-  ASSERT_EQ(CR2.Summary.Failed, 0u);
-  EXPECT_EQ(Reg2.counterValue("campaign.solve.incumbent_seeds"), 1u);
-  EXPECT_EQ(campaignToJson(CR1), campaignToJson(CR2));
-
-  // Unchanged incumbents append nothing on a re-save.
-  std::string Before = slurp(Second.incumbentPath());
-  ASSERT_TRUE(Second.save(&Error)) << Error;
-  EXPECT_EQ(slurp(Second.incumbentPath()), Before);
-}
-
-TEST(CacheStore, StaleIncumbentFingerprintIsDiscarded) {
-  std::string Dir = freshDir("incstale");
+TEST(CacheStore, LeftoverIncumbentFileIsNeitherReadNorTouched) {
+  // Older builds kept a best-known placement per solve group in
+  // incumbents.jsonl. A store they filled opens as if the file were not
+  // there: the same counts, no quarantine, no fsck line, and neither a
+  // repair nor a compaction rewrites it.
+  std::string Dir = freshDir("leftover-incumbents");
   {
-    CacheStore Store;
-    ASSERT_TRUE(Store.open(Dir));
-    Store.incumbents().offer("crc32|O1|r2|stm32f100|static|model-only",
-                             {true, false}, 1.0);
-    ASSERT_TRUE(Store.save());
+    CacheStore Seed;
+    ASSERT_TRUE(Seed.open(Dir));
+    CampaignOptions Opts;
+    Opts.Cache = &Seed.cache();
+    Opts.Profiles = &Seed.profiles();
+    runCampaign(tinyGrid(), Opts);
+    ASSERT_TRUE(Seed.save());
   }
-  // Corrupt the header fingerprint: a different model world.
-  std::string Path =
+  CacheStore Without;
+  ASSERT_TRUE(Without.open(Dir));
+
+  // The bytes such a build wrote, plus a torn fragment it would have
+  // quarantined.
+  std::string Leftover =
       (std::filesystem::path(Dir) / "incumbents.jsonl").string();
-  std::string Doc = slurp(Path);
-  ASSERT_TRUE(writeTextFile(
-      Path,
-      "{\"schema\": \"ramloc-incumbents-v1\", \"fingerprint\": "
-      "\"0000000000000000\"}\n" +
-          Doc.substr(Doc.find('\n') + 1)));
+  const std::string Doc =
+      "25462ab6 {\"schema\":\"ramloc-incumbents-v2\",\"fingerprint\":"
+      "\"68e15f2919c88df0\"}\n"
+      "55e82a3e {\"group\":\"crc32|O1|r0|stm32f100|static|model-only\","
+      "\"energy_mj\":0.00076523333333333309,\"blocks\":\"111111\"}\n"
+      "\n55e82a3e {\"group\":\"crc";
+  ASSERT_TRUE(writeTextFile(Leftover, Doc));
 
-  CacheStore Reload;
-  ASSERT_TRUE(Reload.open(Dir));
-  EXPECT_EQ(Reload.loadedIncumbents(), 0u);
-  EXPECT_EQ(Reload.incumbents().size(), 0u);
-}
+  CacheStore With;
+  ASSERT_TRUE(With.open(Dir));
+  EXPECT_EQ(With.loadedEntries(), Without.loadedEntries());
+  EXPECT_EQ(With.skippedLines(), Without.skippedLines());
+  EXPECT_EQ(With.loadedProfiles(), Without.loadedProfiles());
+  EXPECT_EQ(With.skippedProfileLines(), Without.skippedProfileLines());
+  EXPECT_EQ(With.crcMismatches(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(Leftover + ".quarantine"));
 
-TEST(CacheStore, CorruptIncumbentLinesAreSkippedNotFatal) {
-  std::string Dir = freshDir("inccorrupt");
+  CacheStore::FsckReport Report;
+  ASSERT_TRUE(With.fsck(/*Repair=*/false, Report));
+  EXPECT_FALSE(Report.damaged());
+  std::vector<std::string> Names;
+  for (const CacheStore::FsckFile &F : Report.Files)
+    Names.push_back(F.Name);
+  EXPECT_EQ(Names, (std::vector<std::string>{"results", "profiles",
+                                             "progress"}));
+
+  // A repair of a damaged results file, then a compaction: both rewrite
+  // store files, neither the leftover.
   {
-    CacheStore Store;
-    ASSERT_TRUE(Store.open(Dir));
-    Store.incumbents().offer("groupA", {true, false, true}, 2.5);
-    Store.incumbents().offer("groupB", {false, true}, 1.5);
-    ASSERT_TRUE(Store.save());
+    std::ofstream Out(With.path(), std::ios::binary | std::ios::app);
+    Out << "never framed\n";
   }
-  std::string Path =
-      (std::filesystem::path(Dir) / "incumbents.jsonl").string();
-  std::string Doc = slurp(Path);
-  // A torn tail line (killed writer) and a wrong-typed record.
-  ASSERT_TRUE(writeTextFile(
-      Path, Doc + "{\"group\": \"groupC\", \"energy_mj\": \"nan\", "
-                  "\"blocks\": 7}\n{\"group\": \"groupD\", \"ener"));
-
-  CacheStore Reload;
-  ASSERT_TRUE(Reload.open(Dir));
-  EXPECT_EQ(Reload.loadedIncumbents(), 2u);
-  EXPECT_EQ(Reload.skippedIncumbentLines(), 2u);
-  IncumbentStore::Entry E;
-  ASSERT_TRUE(Reload.incumbents().lookup("groupA", E));
-  EXPECT_EQ(E.InRam, Assignment({true, false, true}));
-}
-
-TEST(CacheStore, AppendedImprovementWinsOnLoadAndCompactFolds) {
-  std::string Dir = freshDir("incimprove");
-  {
-    CacheStore Store;
-    ASSERT_TRUE(Store.open(Dir));
-    Store.incumbents().offer("g", {false, false}, 9.0);
-    ASSERT_TRUE(Store.save());
-    // An improvement re-appends: two lines for "g" on disk, best wins
-    // at the next load.
-    Store.incumbents().offer("g", {true, false}, 3.0);
-    ASSERT_TRUE(Store.save());
-  }
-  std::string Path =
-      (std::filesystem::path(Dir) / "incumbents.jsonl").string();
-  // Appends lead with a newline, so count non-empty lines.
-  std::string TwoAppends = slurp(Path);
-  size_t NonEmpty = 0;
-  for (size_t I = 0; I != TwoAppends.size(); ++I)
-    NonEmpty += TwoAppends[I] == '\n' && I != 0 && TwoAppends[I - 1] != '\n';
-  EXPECT_EQ(NonEmpty, 3u);
-
-  CacheStore Reload;
-  ASSERT_TRUE(Reload.open(Dir));
-  EXPECT_EQ(Reload.loadedIncumbents(), 2u); // both lines parsed
-  IncumbentStore::Entry E;
-  ASSERT_TRUE(Reload.incumbents().lookup("g", E));
-  EXPECT_EQ(E.EnergyMilliJoules, 3.0);
-  EXPECT_EQ(E.InRam, Assignment({true, false}));
-
-  // compact() folds the duplicates to one line per group.
-  ASSERT_TRUE(Reload.compact());
-  std::string Compacted = slurp(Path);
-  EXPECT_EQ(std::count(Compacted.begin(), Compacted.end(), '\n'), 2);
-  CacheStore Again;
-  ASSERT_TRUE(Again.open(Dir));
-  EXPECT_EQ(Again.loadedIncumbents(), 1u);
-  ASSERT_TRUE(Again.incumbents().lookup("g", E));
-  EXPECT_EQ(E.EnergyMilliJoules, 3.0);
+  ASSERT_TRUE(With.fsck(/*Repair=*/true, Report));
+  EXPECT_TRUE(Report.damaged());
+  EXPECT_EQ(slurp(Leftover), Doc);
+  ASSERT_TRUE(With.compact());
+  EXPECT_EQ(slurp(Leftover), Doc);
+  EXPECT_FALSE(std::filesystem::exists(Leftover + ".quarantine"));
 }

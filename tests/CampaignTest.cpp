@@ -690,69 +690,6 @@ TEST(Campaign, ModelOnlyKnobGridGroupsToo) {
   EXPECT_EQ(campaignToJson(Run.CR), campaignToJson(AllCold));
 }
 
-TEST(Campaign, IncumbentStoreKeepsTheBestAssignment) {
-  IncumbentStore Store;
-  Assignment A = {true, false, true};
-  Assignment B = {false, true, false};
-  Store.offer("g", A, 5.0);
-  Store.offer("g", B, 7.0); // worse: ignored
-  IncumbentStore::Entry E;
-  ASSERT_TRUE(Store.lookup("g", E));
-  EXPECT_EQ(E.InRam, A);
-  EXPECT_EQ(E.EnergyMilliJoules, 5.0);
-  Store.offer("g", B, 4.0); // better: replaces
-  ASSERT_TRUE(Store.lookup("g", E));
-  EXPECT_EQ(E.InRam, B);
-  // Ties keep the earlier entry, so the store is offer-order independent.
-  Store.offer("g", A, 4.0);
-  ASSERT_TRUE(Store.lookup("g", E));
-  EXPECT_EQ(E.InRam, B);
-  EXPECT_FALSE(Store.lookup("other", E));
-  EXPECT_EQ(Store.size(), 1u);
-}
-
-TEST(Campaign, IncumbentSeedingKeepsReportsByteIdentical) {
-  // The cross-process pattern in-process: campaign 1 populates the
-  // store, campaign 2 opens its solve groups from it. Reports must be
-  // byte-identical with and without seeding, and the seeded run must
-  // say it seeded.
-  GridSpec Grid;
-  Grid.Benchmarks = {"crc32"};
-  Grid.Levels = {OptLevel::O1};
-  Grid.Repeat = 2;
-  Grid.RsparePoints = {256, 1024};
-  Grid.XlimitPoints = {1.1, 1.8};
-  Grid.Kind = JobKind::ModelOnly;
-
-  CountedRun Baseline(Grid);
-  ASSERT_EQ(Baseline.CR.Summary.Failed, 0u);
-  EXPECT_EQ(Baseline["campaign.solve.incumbent_seeds"], 0u);
-
-  IncumbentStore Store;
-  CampaignOptions Warmup;
-  Warmup.Incumbents = &Store;
-  CountedRun First(Grid, Warmup);
-  ASSERT_EQ(First.CR.Summary.Failed, 0u);
-  EXPECT_EQ(First["campaign.solve.incumbent_seeds"], 0u); // store was empty
-  EXPECT_EQ(Store.size(), 1u);                            // one solve group
-
-  CampaignOptions Seeded;
-  Seeded.Incumbents = &Store;
-  CountedRun Second(Grid, Seeded);
-  ASSERT_EQ(Second.CR.Summary.Failed, 0u);
-  EXPECT_EQ(Second["campaign.solve.incumbent_seeds"], 1u);
-
-  CampaignOptions NoSeed;
-  NoSeed.Incumbents = &Store;
-  NoSeed.SeedIncumbents = false;
-  CountedRun Unseeded(Grid, NoSeed);
-  ASSERT_EQ(Unseeded.CR.Summary.Failed, 0u);
-  EXPECT_EQ(Unseeded["campaign.solve.incumbent_seeds"], 0u);
-
-  EXPECT_EQ(campaignToJson(Baseline.CR), campaignToJson(Second.CR));
-  EXPECT_EQ(campaignToJson(Baseline.CR), campaignToJson(Unseeded.CR));
-}
-
 TEST(Campaign, KnobAxisListingOrderDoesNotChangeReports) {
   // A solve group visits its knob points loosest-first whatever order
   // the axes are listed in, and every solve proves optimality, so
@@ -1070,11 +1007,9 @@ TEST(Campaign, ContentKeyIdentifiesTheIlp) {
   Renamed.P.Variables[0].Name += "_renamed";
   EXPECT_EQ(Renamed.contentKey(), Sha);
 
-  // The chain key adds the seed incumbent, the solver config and the
-  // knob points visited, in order.
-  PlacementSolver Unseeded(MP, PM.Knobs);
-  PlacementSolver Seeded(MP, PM.Knobs);
-  PlacementSolver OtherSeed(MP, PM.Knobs);
+  // The chain key adds the solver config and the knob points visited,
+  // in order.
+  PlacementSolver Solver(MP, PM.Knobs);
   SolverConfig Cfg;
   ModelKnobs Loose = PM.Knobs, Tight = PM.Knobs;
   Loose.RspareBytes = 512;
@@ -1082,35 +1017,22 @@ TEST(Campaign, ContentKeyIdentifiesTheIlp) {
   Tight.RspareBytes = 256;
   Tight.Xlimit = 1.2;
   const std::vector<ModelKnobs> Points = {Loose, Tight};
-  Assignment AllFlash(MP.numBlocks(), false);
-  Assignment OneMoved = AllFlash;
-  for (unsigned B = 0; B != MP.numBlocks(); ++B)
-    if (PM.XVar[B] >= 0) {
-      OneMoved[B] = true;
-      break;
-    }
-  ASSERT_TRUE(Seeded.seedIncumbent(MP, AllFlash));
-  ASSERT_TRUE(OtherSeed.seedIncumbent(MP, OneMoved));
-  std::set<uint64_t> Keys = {Unseeded.chainKey(Cfg, Points),
-                             Seeded.chainKey(Cfg, Points),
-                             OtherSeed.chainKey(Cfg, Points)};
-  EXPECT_EQ(Keys.size(), 3u);
   SolverConfig NodeCapped = Cfg;
   NodeCapped.NodeLimit = 1000000;
-  EXPECT_NE(Unseeded.chainKey(Cfg, Points),
-            Unseeded.chainKey(NodeCapped, Points));
-  EXPECT_EQ(Unseeded.chainKey(Cfg, Points),
+  EXPECT_NE(Solver.chainKey(Cfg, Points), Solver.chainKey(NodeCapped, Points));
+  EXPECT_EQ(Solver.chainKey(Cfg, Points),
             PlacementSolver(MP, PM.Knobs).chainKey(Cfg, Points));
   // Dropping, reordering or moving a knob point names another chain.
-  Keys = {Unseeded.chainKey(Cfg, Points), Unseeded.chainKey(Cfg, {Loose}),
-          Unseeded.chainKey(Cfg, {Tight}), Unseeded.chainKey(Cfg, {}),
-          Unseeded.chainKey(Cfg, {Tight, Loose})};
+  std::set<uint64_t> Keys = {
+      Solver.chainKey(Cfg, Points), Solver.chainKey(Cfg, {Loose}),
+      Solver.chainKey(Cfg, {Tight}), Solver.chainKey(Cfg, {}),
+      Solver.chainKey(Cfg, {Tight, Loose})};
   ModelKnobs Moved = Tight;
   Moved.Xlimit = std::nextafter(Tight.Xlimit, 2.0);
-  Keys.insert(Unseeded.chainKey(Cfg, {Loose, Moved}));
+  Keys.insert(Solver.chainKey(Cfg, {Loose, Moved}));
   Moved = Tight;
   Moved.RspareBytes += 1;
-  Keys.insert(Unseeded.chainKey(Cfg, {Loose, Moved}));
+  Keys.insert(Solver.chainKey(Cfg, {Loose, Moved}));
   EXPECT_EQ(Keys.size(), 7u);
 }
 

@@ -8,7 +8,7 @@
 /// \file
 /// The robustness contract end to end: the deterministic fault injector
 /// itself, retry-with-backoff around the cache store's I/O, torn-tail
-/// recovery of the progress journal and incumbent store, cooperative
+/// recovery of the progress journal and the result store, cooperative
 /// solver limits that degrade to truthfully-labelled best-effort
 /// answers, and campaign-level behaviour under injected job aborts.
 ///
@@ -308,27 +308,25 @@ TEST_F(FaultTestGuard, StoreOperationsConsultEachSiteAFixedNumberOfTimes) {
   std::string Dir = freshDir("site-sequence");
   CacheStore Store;
   ASSERT_TRUE(Store.open(Dir));
-  EXPECT_EQ(counts(), (Counts{3, 0, 0, 0, 0, 0})) << "open";
+  EXPECT_EQ(counts(), (Counts{2, 0, 0, 0, 0, 0})) << "open";
 
-  // Fresh files: three locked rewrites.
+  // Fresh files: two locked rewrites.
   Store.cache().insert(makeResult(256).Spec.cacheKey(), makeResult(256));
   Store.profiles().preload("p1", profile(10));
-  Store.incumbents().offer("g", {false, true}, 9.0);
   std::string Error;
   ASSERT_TRUE(Store.save(&Error)) << Error;
-  EXPECT_EQ(counts(), (Counts{3, 0, 0, 0, 3, 3})) << "first save";
+  EXPECT_EQ(counts(), (Counts{2, 0, 0, 0, 2, 2})) << "first save";
 
   // Healthy files: one append per file with new records.
   Store.cache().insert(makeResult(512).Spec.cacheKey(), makeResult(512));
   Store.profiles().preload("p2", profile(20));
-  Store.incumbents().offer("g", {true, true}, 3.0);
   ASSERT_TRUE(Store.save(&Error)) << Error;
-  EXPECT_EQ(counts(), (Counts{3, 0, 3, 3, 3, 3})) << "appending save";
+  EXPECT_EQ(counts(), (Counts{2, 0, 2, 2, 2, 2})) << "appending save";
 
   ASSERT_TRUE(Store.compact(&Error)) << Error;
-  EXPECT_EQ(counts(), (Counts{3, 0, 3, 3, 6, 6})) << "compact";
+  EXPECT_EQ(counts(), (Counts{2, 0, 2, 2, 4, 4})) << "compact";
 
-  // One damaged results line: fsck walks all four files (the journal is
+  // One damaged results line: fsck walks all three files (the journal is
   // absent) and repair rewrites results alone.
   {
     std::ofstream Out(Store.path(), std::ios::binary | std::ios::app);
@@ -336,21 +334,21 @@ TEST_F(FaultTestGuard, StoreOperationsConsultEachSiteAFixedNumberOfTimes) {
   }
   CacheStore::FsckReport Report;
   ASSERT_TRUE(Store.fsck(/*Repair=*/true, Report, &Error)) << Error;
-  EXPECT_EQ(counts(), (Counts{7, 9, 3, 3, 7, 7})) << "fsck --repair";
+  EXPECT_EQ(counts(), (Counts{5, 7, 2, 2, 5, 5})) << "fsck --repair";
 
   ASSERT_TRUE(Store.beginJournal("cfg", /*Resume=*/false, &Error)) << Error;
-  EXPECT_EQ(counts(), (Counts{7, 9, 3, 3, 8, 8})) << "fresh journal";
+  EXPECT_EQ(counts(), (Counts{5, 7, 2, 2, 6, 6})) << "fresh journal";
   ASSERT_TRUE(Store.appendJournal(makeResult(256), &Error)) << Error;
   ASSERT_TRUE(Store.appendJournal(makeResult(512), &Error)) << Error;
-  EXPECT_EQ(counts(), (Counts{7, 9, 5, 5, 8, 8})) << "journal appends";
+  EXPECT_EQ(counts(), (Counts{5, 7, 4, 4, 6, 6})) << "journal appends";
   ASSERT_TRUE(Store.beginJournal("cfg", /*Resume=*/true, &Error)) << Error;
   EXPECT_EQ(Store.journalEntries().size(), 2u);
-  EXPECT_EQ(counts(), (Counts{8, 12, 5, 5, 8, 8})) << "resumed journal";
+  EXPECT_EQ(counts(), (Counts{6, 10, 4, 4, 6, 6})) << "resumed journal";
 
-  // A reload reads every line of the three record files once.
+  // A reload reads every line of the two record files once.
   CacheStore Reload;
   ASSERT_TRUE(Reload.open(Dir));
-  EXPECT_EQ(counts(), (Counts{11, 20, 5, 5, 8, 8})) << "reload";
+  EXPECT_EQ(counts(), (Counts{8, 16, 4, 4, 6, 6})) << "reload";
 }
 
 //===----------------------------------------------------------------------===//
@@ -495,56 +493,54 @@ TEST(Journal, ClearRemovesTheFile) {
   EXPECT_FALSE(std::filesystem::exists(Path));
 }
 
-TEST(Incumbents, TruncatedTailIsSkippedAndRecomputed) {
-  // The incumbent store shares the torn-tail discipline: a killed writer
+TEST(Results, TruncatedTailIsSkippedAndRecomputed) {
+  // The result store shares the torn-tail discipline: a killed writer
   // costs the final line, never the file.
-  std::string Dir = freshDir("inc-torn");
+  std::string Dir = freshDir("results-torn");
   GridSpec Grid;
   Grid.Benchmarks = {"crc32"};
   Grid.Levels = {OptLevel::O1};
   Grid.Kind = JobKind::ModelOnly;
+  Grid.RsparePoints = {256, 512};
   {
     CacheStore Store;
     ASSERT_TRUE(Store.open(Dir));
     CampaignOptions Opts;
     Opts.Cache = &Store.cache();
-    Opts.Incumbents = &Store.incumbents();
     runCampaign(Grid, Opts);
     std::string Error;
     ASSERT_TRUE(Store.save(&Error)) << Error;
   }
-  std::string IncPath = (std::filesystem::path(Dir) / "incumbents.jsonl").string();
-  std::string Doc = slurp(IncPath);
+  std::string Path = (std::filesystem::path(Dir) / "results.jsonl").string();
+  std::string Doc = slurp(Path);
   ASSERT_GT(Doc.size(), 20u);
-  std::ofstream(IncPath, std::ios::binary) << Doc.substr(0, Doc.size() - 10);
+  std::ofstream(Path, std::ios::binary) << Doc.substr(0, Doc.size() - 10);
 
   CacheStore Reload;
   ASSERT_TRUE(Reload.open(Dir)); // no abort, no poisoned state
-  EXPECT_EQ(Reload.loadedIncumbents(), 0u);
-  EXPECT_EQ(Reload.skippedIncumbentLines(), 1u);
+  EXPECT_EQ(Reload.loadedEntries(), 1u);
+  EXPECT_EQ(Reload.skippedLines(), 1u);
 
-  // The next campaign recomputes and re-offers; save appends past the
+  // The next campaign recomputes the lost job; save appends past the
   // torn fragment — it must NOT rewrite, a rewrite would discard lines
   // other writers appended since we opened. The fragment stays behind
-  // as one quarantined line until a compaction removes it. (No result
-  // cache on purpose: a served hit would skip the solve and with it the
-  // incumbent offer we are testing for.)
+  // as one quarantined line until a compaction removes it.
   CampaignOptions Opts;
-  Opts.Incumbents = &Reload.incumbents();
-  runCampaign(Grid, Opts);
+  Opts.Cache = &Reload.cache();
+  EXPECT_EQ(runCampaign(Grid, Opts).Summary.UniqueRuns, 1u);
   std::string Error;
   ASSERT_TRUE(Reload.save(&Error)) << Error;
   CacheStore Healed;
   ASSERT_TRUE(Healed.open(Dir));
-  EXPECT_EQ(Healed.loadedIncumbents(), 1u);
-  EXPECT_EQ(Healed.skippedIncumbentLines(), 1u); // the torn fragment
+  EXPECT_EQ(Healed.loadedEntries(), 2u);
+  EXPECT_EQ(Healed.skippedLines(), 1u); // the torn fragment
 
   // Compaction is the repair path: afterwards the store is pristine.
   ASSERT_TRUE(Healed.compact(&Error)) << Error;
   CacheStore Clean;
   ASSERT_TRUE(Clean.open(Dir));
-  EXPECT_EQ(Clean.loadedIncumbents(), 1u);
-  EXPECT_EQ(Clean.skippedIncumbentLines(), 0u);
+  EXPECT_EQ(Clean.loadedEntries(), 2u);
+  EXPECT_EQ(Clean.skippedLines(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -80,12 +80,11 @@ GridSpec drawGrid(uint64_t Seed) {
 }
 
 /// Campaign options with the named reuse layers on (`--reuse=LIST`).
-CampaignOptions reuse(bool Cache, bool Profile, bool Solve, bool Incumbent) {
+CampaignOptions reuse(bool Cache, bool Profile, bool Solve) {
   CampaignOptions Opts;
   Opts.UseCache = Cache;
   Opts.ReuseProfiles = Profile;
   Opts.Base.Solver.WarmNodes = Solve;
-  Opts.SeedIncumbents = Incumbent;
   return Opts;
 }
 
@@ -201,28 +200,22 @@ TEST_P(KnobSweep, EveryReuseSettingMatchesTheReference) {
     std::vector<JobSpec> Jobs = Grid.expand();
     SCOPED_TRACE(std::string(jobKindName(Kind)) + " grid, first job " +
                  Jobs.front().cacheKey());
-    CampaignResult Ref = runCampaign(Jobs, reuse(false, false, false, false));
+    CampaignResult Ref = runCampaign(Jobs, reuse(false, false, false));
     ASSERT_EQ(Ref.Summary.Failed, 0u);
     EXPECT_GT(expectEnumeratorOptimum(Ref, Models), 0u);
 
-    // The incumbent layer acts only through a store; the first run with
-    // every layer on fills one as a --cache-dir would, and every later
-    // run with the layer on opens its groups from it.
-    IncumbentStore Known;
     auto check = [&](const std::string &Name, CampaignOptions Opts,
                      unsigned Workers, ResultCache *Cache = nullptr) {
       SCOPED_TRACE(Name + " jobs " + std::to_string(Workers));
       Opts.Jobs = Workers;
       Opts.Cache = Cache;
-      Opts.Incumbents = &Known;
       expectMatchesReference(Ref, runCampaign(Jobs, Opts));
     };
-    check("all", reuse(true, true, true, true), 1);
-    check("all", reuse(true, true, true, true), 4);
-    check("no cache", reuse(false, true, true, true), 1);
-    check("no profile", reuse(true, false, true, true), 1);
-    check("no solve", reuse(true, true, false, true), 1);
-    check("no incumbent", reuse(true, true, true, false), 1);
+    check("all", reuse(true, true, true), 1);
+    check("all", reuse(true, true, true), 4);
+    check("no cache", reuse(false, true, true), 1);
+    check("no profile", reuse(true, false, true), 1);
+    check("no solve", reuse(true, true, false), 1);
 
     // A seeded third of the reference's servable rows, as a store left
     // by an earlier run would hold them.
@@ -235,7 +228,7 @@ TEST_P(KnobSweep, EveryReuseSettingMatchesTheReference) {
       ResultCache Cache;
       for (const JobResult *R : Stored)
         Cache.insert(R->Spec.cacheKey(), *R);
-      check("pre-filled cache", reuse(true, true, true, true), Workers,
+      check("pre-filled cache", reuse(true, true, true), Workers,
             &Cache);
     }
   }

@@ -660,8 +660,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MipRandomized, ::testing::Range(0, 25));
 
 TEST(Mip, WarmStartChainsAcrossRhsPatches) {
   // The knob-axis shape: one problem, the budget row's RHS swept; each
-  // solve after the first re-optimizes the previous basis and seeds its
-  // incumbent from the previous optimum.
+  // solve after the first re-optimizes the previous basis.
   LpProblem P = [] {
     LpProblem Q;
     for (int J = 0; J != 8; ++J)
@@ -688,36 +687,6 @@ TEST(Mip, WarmStartChainsAcrossRhsPatches) {
     EXPECT_EQ(W.Stats.WarmStarted, !First);
     First = false;
   }
-}
-
-TEST(Mip, ExternallySeededIncumbentOpensTheSearch) {
-  // Planting a feasible assignment in the warm state before the first
-  // solve marks the solution as seeded and cannot change the answer; an
-  // infeasible plant is rejected by the zero-tolerance re-check.
-  LpProblem P;
-  unsigned A = P.addBinary(-10);
-  unsigned B = P.addBinary(-6);
-  unsigned C = P.addBinary(-4);
-  P.addConstraint({{A, 5.0}, {B, 4.0}, {C, 3.0}}, ConstraintSense::LessEq,
-                  9);
-  MipSolution Plain = solveMip(P);
-  ASSERT_TRUE(Plain.feasible());
-  EXPECT_FALSE(Plain.Stats.SeededIncumbent);
-
-  MipWarmStart Seeded;
-  Seeded.Incumbent = {1.0, 1.0, 0.0}; // the known optimum
-  MipSolution S = solveMip(P, {}, &Seeded);
-  ASSERT_TRUE(S.feasible());
-  EXPECT_TRUE(S.Stats.SeededIncumbent);
-  EXPECT_NEAR(S.Objective, Plain.Objective, 1e-9);
-  EXPECT_EQ(S.Values, Plain.Values);
-
-  MipWarmStart Bogus;
-  Bogus.Incumbent = {1.0, 1.0, 1.0}; // weight 12 > 9: infeasible
-  MipSolution R = solveMip(P, {}, &Bogus);
-  ASSERT_TRUE(R.feasible());
-  EXPECT_FALSE(R.Stats.SeededIncumbent);
-  EXPECT_NEAR(R.Objective, Plain.Objective, 1e-9);
 }
 
 /// Badly scaled budget rows beside +-1 rows are where the dual simplex

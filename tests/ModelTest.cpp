@@ -509,38 +509,6 @@ TEST(Model, SideSplitIndicatorsAreExactAtEveryIntegralPoint) {
   EXPECT_GT(Points, 5000u); // the sweep reaches models at the k = 10 cap
 }
 
-TEST(Model, SeededSolverMatchesUnseededBitForBit) {
-  // The persistent-incumbent path: seeding a fresh solver with the known
-  // optimum must flag the solve as seeded and return the identical
-  // assignment; seeding with a stale/infeasible assignment must be
-  // harmless.
-  SplitMix64 Rng(777);
-  ModelParams MP = randomContinuousParams(Rng, 9);
-  ModelKnobs K;
-  K.RspareBytes = 120;
-  K.Xlimit = 1.4;
-
-  Assignment Truth = enumeratorOptimum(MP, K);
-
-  PlacementSolver Seeded(MP, K);
-  ASSERT_TRUE(Seeded.seedIncumbent(MP, Truth));
-  MipSolution Stats;
-  Assignment FromSeeded = Seeded.solve(K, {}, &Stats);
-  EXPECT_TRUE(Stats.Stats.SeededIncumbent);
-  EXPECT_EQ(FromSeeded, Truth);
-
-  // An over-stuffed assignment (everything in RAM) fails the RAM budget
-  // re-check and is discarded, not trusted.
-  PlacementSolver Stale(MP, K);
-  Assignment Everything(MP.numBlocks(), true);
-  if (Stale.seedIncumbent(MP, Everything)) {
-    MipSolution StaleStats;
-    Assignment FromStale = Stale.solve(K, {}, &StaleStats);
-    EXPECT_FALSE(StaleStats.Stats.SeededIncumbent);
-    EXPECT_EQ(FromStale, Truth);
-  }
-}
-
 namespace {
 
 /// The loosest knobs the dominance tests start their chains from.

@@ -266,7 +266,7 @@ TEST(SolverEffort, SteepestEdgeDualPivotsStayWithinThePinnedBudget) {
 
 TEST(SolverEffort, KnobAxisChainSpendsAtMostHalfTheRebuildPerPointPivots) {
   // The campaign's knob axis: one PlacementSolver per model, each point an
-  // RHS patch warm-started from its neighbour's basis and incumbent.
+  // RHS patch warm-started from its neighbour's basis.
   Effort Axis = countEffort([] {
     SolverConfig Cfg;
     Cfg.NodeLimit = NodeCap;

@@ -235,31 +235,25 @@ TEST(StoreIntegrity, FlippedProfileBitIsNeverServed) {
   EXPECT_TRUE(std::filesystem::exists(Path + ".quarantine"));
 }
 
-TEST(StoreIntegrity, FlippedIncumbentBitIsNeverServed) {
-  std::string Dir = freshDir("flip-incumbents");
-  {
-    CacheStore Store;
-    ASSERT_TRUE(Store.open(Dir));
-    Store.incumbents().offer("g", {true, false}, 3.0);
-    ASSERT_TRUE(Store.save());
-  }
-  std::string Path = storeFile(Dir, "incumbents.jsonl");
-  std::string Doc = slurp(Path);
-  // Flip the energy's leading digit: without the CRC this still parses
-  // as JSON and would silently seed a *wrong* energy — the exact silent
-  // corruption the frame exists to stop.
-  size_t Pos = Doc.find("\"energy_mj\":");
+TEST(StoreIntegrity, SwappedResultDigitIsNeverServed) {
+  SeededStore S = seedResults("swap-results");
+  std::string Path = storeFile(S.Dir, "results.jsonl");
+  std::string Doc = S.ResultsDoc;
+  // Swap a digit of the final record's RAM bytes: without the CRC this
+  // still parses as JSON and would silently serve a *wrong* number — the
+  // exact silent corruption the frame exists to stop.
+  size_t Pos = Doc.rfind("\"ram_bytes\":");
   ASSERT_NE(Pos, std::string::npos);
-  Pos += std::string("\"energy_mj\":").size();
+  Pos += std::string("\"ram_bytes\":").size();
   ASSERT_TRUE(std::isdigit(static_cast<unsigned char>(Doc[Pos])));
   Doc[Pos] = Doc[Pos] == '3' ? '7' : '3';
   ASSERT_TRUE(writeTextFile(Path, Doc));
 
   CacheStore Store;
-  ASSERT_TRUE(Store.open(Dir));
-  EXPECT_EQ(Store.loadedIncumbents(), 0u);
-  EXPECT_EQ(Store.skippedIncumbentLines(), 1u);
-  EXPECT_EQ(Store.incumbents().size(), 0u);
+  ASSERT_TRUE(Store.open(S.Dir));
+  EXPECT_EQ(Store.loadedEntries(), 1u);
+  EXPECT_EQ(Store.skippedLines(), 1u);
+  EXPECT_EQ(Store.cache().size(), 1u);
   EXPECT_EQ(Store.crcMismatches(), 1u);
 }
 
@@ -348,29 +342,34 @@ TEST(StoreIntegrity, DamagedResultHeadersYieldEmptyUsableStore) {
   }
 }
 
-TEST(StoreIntegrity, DamagedProfileAndIncumbentHeadersYieldEmptyStore) {
+TEST(StoreIntegrity, DamagedProfileHeadersYieldEmptyStore) {
+  auto profile = [](uint64_t Instructions) {
+    auto P = std::make_shared<ExecutionProfile>();
+    P->Instructions = Instructions;
+    P->Valid = true;
+    return P;
+  };
   for (HeaderTamper Mode : {HeaderTamper::Stale, HeaderTamper::Truncated,
                             HeaderTamper::Flipped}) {
     std::string Dir = freshDir("hdr-side");
     {
       CacheStore Store;
       ASSERT_TRUE(Store.open(Dir));
-      Store.incumbents().offer("g", {true}, 1.0);
+      Store.profiles().preload("p1", profile(10));
       ASSERT_TRUE(Store.save());
     }
-    tamperHeader(storeFile(Dir, "incumbents.jsonl"), Mode);
     tamperHeader(storeFile(Dir, "profiles.jsonl"), Mode);
     CacheStore Store;
     ASSERT_TRUE(Store.open(Dir));
-    EXPECT_EQ(Store.loadedIncumbents(), 0u);
     EXPECT_EQ(Store.loadedProfiles(), 0u);
-    EXPECT_EQ(Store.incumbents().size(), 0u);
-    // Usable: save rewrites both sidecar files cleanly.
-    Store.incumbents().offer("h", {false, true}, 2.0);
+    EXPECT_TRUE(profileSnapshot(Store.profiles()).empty());
+    // Usable: save rewrites the profile file cleanly.
+    Store.profiles().preload("p2", profile(20));
     ASSERT_TRUE(Store.save());
     CacheStore After;
     ASSERT_TRUE(After.open(Dir));
-    EXPECT_EQ(After.loadedIncumbents(), 1u);
+    EXPECT_EQ(After.loadedProfiles(), 1u);
+    EXPECT_EQ(After.skippedProfileLines(), 0u);
   }
 }
 
@@ -600,24 +599,25 @@ TEST_F(FaultTestGuard, InjectedLoadFlipsAreCaughtByTheCrc) {
 //===----------------------------------------------------------------------===//
 
 TEST(StoreIntegrity, FsckReportsCleanStoresAndToleratesDuplicates) {
-  std::string Dir = freshDir("fsck-clean");
+  // Both records appended again, as a second writer that opened the
+  // store before the first one saved would append them.
+  SeededStore S = seedResults("fsck-clean");
+  std::string Records = S.ResultsDoc.substr(S.ResultsDoc.find('\n'));
+  ASSERT_TRUE(writeTextFile(storeFile(S.Dir, "results.jsonl"),
+                            S.ResultsDoc + Records));
   CacheStore Store;
-  ASSERT_TRUE(Store.open(Dir));
-  Store.incumbents().offer("g", {false, false}, 9.0);
-  ASSERT_TRUE(Store.save());
-  Store.incumbents().offer("g", {true, false}, 3.0);
-  ASSERT_TRUE(Store.save()); // improvement re-appends: duplicate group
+  ASSERT_TRUE(Store.open(S.Dir));
 
   CacheStore::FsckReport Report;
   ASSERT_TRUE(Store.fsck(false, Report));
-  ASSERT_EQ(Report.Files.size(), 4u);
+  ASSERT_EQ(Report.Files.size(), 3u);
   EXPECT_FALSE(Report.damaged());
-  const CacheStore::FsckFile &Inc = Report.Files[2];
-  EXPECT_EQ(Inc.Name, "incumbents");
-  EXPECT_EQ(Inc.Valid, 1u);
-  EXPECT_EQ(Inc.Duplicate, 1u); // benign: best-wins folds it on load
-  EXPECT_FALSE(Inc.damaged());
-  EXPECT_FALSE(Report.Files[3].Present); // no journal in flight
+  const CacheStore::FsckFile &Results = Report.Files[0];
+  EXPECT_EQ(Results.Name, "results");
+  EXPECT_EQ(Results.Valid, 2u);
+  EXPECT_EQ(Results.Duplicate, 2u); // benign: first-wins folds it on load
+  EXPECT_FALSE(Results.damaged());
+  EXPECT_FALSE(Report.Files[2].Present); // no journal in flight
 }
 
 TEST(StoreIntegrity, FsckDetectsRepairsAndConverges) {
@@ -673,8 +673,8 @@ TEST(StoreIntegrity, FsckRepairsTheJournalKeepingItsHeaderVerbatim) {
   ASSERT_TRUE(Store.open(Dir));
   CacheStore::FsckReport Report;
   ASSERT_TRUE(Store.fsck(/*Repair=*/true, Report, &Error)) << Error;
-  EXPECT_EQ(Report.Files[3].Corrupt, 1u);
-  EXPECT_EQ(Report.Files[3].Valid, 1u);
+  EXPECT_EQ(Report.Files[2].Corrupt, 1u);
+  EXPECT_EQ(Report.Files[2].Valid, 1u);
 
   // The pinned configuration survived untouched and the valid entry
   // still replays.
@@ -704,7 +704,7 @@ TEST(StoreIntegrity, FsckRemovesAJournalWithAnUntrustedHeader) {
   ASSERT_TRUE(Store.open(Dir));
   CacheStore::FsckReport Report;
   ASSERT_TRUE(Store.fsck(/*Repair=*/true, Report, &Error)) << Error;
-  EXPECT_FALSE(Report.Files[3].HeaderOk);
+  EXPECT_FALSE(Report.Files[2].HeaderOk);
   EXPECT_FALSE(std::filesystem::exists(Path));
 }
 

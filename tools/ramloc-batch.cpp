@@ -101,10 +101,9 @@ int runMerge(const std::vector<std::string> &Files,
                    Error.c_str());
     else if (!Quiet)
       std::fprintf(stderr, "cache: compacted %zu result(s), %zu "
-                           "profile(s), %zu incumbent(s)\n",
+                           "profile(s)\n",
                    Store.cache().size(),
-                   profileSnapshot(Store.profiles()).size(),
-                   Store.incumbents().size());
+                   profileSnapshot(Store.profiles()).size());
   }
   return 0;
 }
@@ -292,8 +291,8 @@ bool isKnownDevice(const std::string &Name) { return findDevice(Name); }
 
 bool isReuseLayer(const std::string &S, std::string &Out) {
   Out = S;
-  return S == "cache" || S == "profile" || S == "solve" ||
-         S == "incumbent" || S == "all" || S == "none";
+  return S == "cache" || S == "profile" || S == "solve" || S == "all" ||
+         S == "none";
 }
 
 /// "K/N" with 1 <= K <= N.
@@ -369,17 +368,15 @@ int main(int Argc, char **Argv) {
             "across a knob axis visited loosest-first, warm-start from "
             "neighbouring solves, settle a point a looser point's proven "
             "optimum still fits without search, and solve groups with "
-            "bit-identical ILPs once), "
-            "incumbent (open a group's first solve with the persisted "
-            "best-known placement), or all (the default) / none (every "
+            "bit-identical ILPs once), or all (the default) / none (every "
             "image simulated). Every layer is exact: reports are "
             "byte-identical whenever every solve proves optimality",
             bindList(Reuse, isReuseLayer));
 
   Flags.section("persistence and distribution");
   Flags.add("cache-dir", "DIR",
-            "persistent store of results, profiles, incumbents and the "
-            "resume journal: loaded before the run and appended after, so "
+            "persistent store of results, profiles and the resume "
+            "journal: loaded before the run and appended after, so "
             "repeated runs are incremental",
             bindValue(CacheDir, parsePath));
   Flags.add("shard", "K/N",
@@ -549,10 +546,8 @@ int main(int Argc, char **Argv) {
   Opts.UseCache = Reused("cache");
   Opts.ReuseProfiles = Reused("profile");
   // Disabling solve reuse is fully cold: no knob-axis grouping, and every
-  // branch & bound node re-solves from scratch (which also leaves
-  // incumbent seeds unread — they ride on the warm state).
+  // branch & bound node re-solves from scratch.
   Solver.WarmNodes = Reused("solve");
-  Opts.SeedIncumbents = Reused("incumbent");
 
   // Probe the report paths too: a bad --json/--csv must fail now, not
   // after a multi-hour grid has run and its results are about to be lost.
@@ -614,14 +609,12 @@ int main(int Argc, char **Argv) {
     if (Store.invalidated())
       std::fprintf(stderr,
                    "cache: fingerprint changed, discarding old store\n");
-    size_t Skipped = Store.skippedLines() + Store.skippedProfileLines() +
-                     Store.skippedIncumbentLines();
+    size_t Skipped = Store.skippedLines() + Store.skippedProfileLines();
     if (Skipped > 0)
       std::fprintf(stderr,
                    "cache: skipped %zu corrupt line(s): %zu result, %zu "
-                   "profile, %zu incumbent\n",
-                   Skipped, Store.skippedLines(), Store.skippedProfileLines(),
-                   Store.skippedIncumbentLines());
+                   "profile\n",
+                   Skipped, Store.skippedLines(), Store.skippedProfileLines());
     if (Store.crcMismatches() > 0)
       std::fprintf(stderr,
                    "cache: %zu checksum-failed line(s) quarantined "
@@ -637,9 +630,6 @@ int main(int Argc, char **Argv) {
     // into recosts wherever the images match.
     if (Opts.ReuseProfiles)
       Opts.Profiles = &Store.profiles();
-    // Incumbents always collect (offers keep the store fresh); --reuse
-    // without 'incumbent' only stops them opening new searches.
-    Opts.Incumbents = &Store.incumbents();
 
     // Progress journal: every finished job is appended as it completes,
     // so a kill loses at most one torn line. The config token pins every
@@ -735,9 +725,6 @@ int main(int Argc, char **Argv) {
     if (Count("campaign.solve.dominated") > 0)
       std::printf("%llu knob point(s) settled by a looser proven optimum\n",
                   Count("campaign.solve.dominated"));
-    if (Count("campaign.solve.incumbent_seeds") > 0)
-      std::printf("%llu solve group(s) seeded from persisted incumbents\n",
-                  Count("campaign.solve.incumbent_seeds"));
     if (CR.Summary.Succeeded > 0 && Grid.Kind == JobKind::Measure)
       std::printf("geomean energy ratio %.4f; mean energy %+.1f%%, "
                   "time %+.1f%%, power %+.1f%%\n",
