@@ -1335,8 +1335,11 @@ LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
     }
     if (S == LpStatus::Infeasible && !W.confirmInfeasible(P)) {
       // The original rows do not bear the verdict out: the tableau has
-      // drifted, and only a fresh solve may drop this subtree.
+      // drifted, and only a fresh solve may drop this subtree. A stuck-row
+      // certificate behind the verdict (dualIterate returns on it, so at
+      // most one per call) falls with it.
       ++W.Spent.UnconfirmedInfeasible;
+      W.Spent.StuckCertified = Before.StuckCertified;
       S = LpStatus::IterLimit;
     }
   }
