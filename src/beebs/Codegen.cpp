@@ -397,8 +397,6 @@ void FuncBuilder::haltWith(Var V) {
   cur().Instrs.push_back(bkpt());
 }
 
-void FuncBuilder::emit(Instr I) { cur().Instrs.push_back(std::move(I)); }
-
 void FuncBuilder::finish() {
   assert(!Finished && "finish() called twice");
   Finished = true;

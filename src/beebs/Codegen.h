@@ -134,9 +134,6 @@ public:
   /// mov r0, V; bkpt — halts the simulation with V as the exit checksum.
   void haltWith(Var V);
 
-  /// Escape hatch for special sequences; must respect the r7 discipline.
-  void emit(Instr I);
-
   /// Appends the finished function to the module.
   void finish();
 

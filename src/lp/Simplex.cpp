@@ -1289,8 +1289,6 @@ WarmStart &WarmStart::operator=(WarmStart &&) noexcept = default;
 
 bool WarmStart::valid() const { return S && S->Usable; }
 
-void WarmStart::reset() { S.reset(); }
-
 LpSolution ramloc::resolveLpFromBasis(const LpProblem &P,
                                       const std::vector<double> &Lower,
                                       const std::vector<double> &Upper,

@@ -119,8 +119,6 @@ public:
   /// True when the handle holds a basis that resolveLpFromBasis can
   /// re-optimize from.
   bool valid() const;
-  /// Drops the retained state; the next solveLpWarm builds from scratch.
-  void reset();
 
 private:
   std::unique_ptr<WarmState> S;

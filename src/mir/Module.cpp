@@ -18,16 +18,6 @@ int Function::blockIndex(const std::string &Label) const {
   return -1;
 }
 
-BasicBlock *Function::findBlock(const std::string &Label) {
-  int Idx = blockIndex(Label);
-  return Idx < 0 ? nullptr : &Blocks[static_cast<unsigned>(Idx)];
-}
-
-const BasicBlock *Function::findBlock(const std::string &Label) const {
-  int Idx = blockIndex(Label);
-  return Idx < 0 ? nullptr : &Blocks[static_cast<unsigned>(Idx)];
-}
-
 unsigned Function::codeSizeBytes() const {
   unsigned Size = 0;
   for (const auto &BB : Blocks)

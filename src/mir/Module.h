@@ -69,9 +69,6 @@ struct Function {
   /// Index of the block labelled \p Label, or -1.
   int blockIndex(const std::string &Label) const;
 
-  BasicBlock *findBlock(const std::string &Label);
-  const BasicBlock *findBlock(const std::string &Label) const;
-
   /// Total code bytes of all blocks (excludes literal pools).
   unsigned codeSizeBytes() const;
 };
