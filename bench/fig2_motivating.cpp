@@ -12,7 +12,7 @@
 
 #include "asmio/Parser.h"
 #include "asmio/Printer.h"
-#include "core/BlockParams.h"
+#include "core/Figure4.h"
 #include "core/Pipeline.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -68,39 +68,35 @@ int main() {
   std::printf("== Figure 4: instrumentation costs per rewritten "
               "control transfer ==\n\n");
 
-  // Extract Kb/Tb for representative blocks and compare with Figure 4.
+  // Each row's sequence priced from the Figure 4 table with the default
+  // timing model, against the published cycles / bytes.
+  TimingModel TM;
+  Table T({"transfer kind", "sequence", "cycles", "bytes",
+           "paper cyc/B"});
+  bool Fig4OK = true;
+  auto addRow = [&](const char *Name, const char *Seq, Figure4Kind Kind,
+                    unsigned PaperCycles, unsigned PaperBytes) {
+    Figure4Price P = priceFigure4(figure4Row(Kind), TM);
+    T.addRow({Name, Seq, formatString("%u", P.Cycles),
+              formatString("%u", P.Bytes),
+              formatString("%u / %u", PaperCycles, PaperBytes)});
+    Fig4OK = Fig4OK && P.Cycles == PaperCycles && P.Bytes == PaperBytes;
+  };
+  addRow("unconditional", "ldr pc, =label", Figure4Kind::Branch, 4, 4);
+  addRow("conditional", "ite; ldrcc; ldrcc; bx", Figure4Kind::CondBranch,
+         7, 8);
+  addRow("short conditional", "cmp; ite; ldrcc; ldrcc; bx",
+         Figure4Kind::CmpBranch, 8, 10);
+  addRow("fall-through", "ldr pc, =label", Figure4Kind::FallThrough, 4, 4);
+  std::printf("%s\n", T.render().c_str());
+  std::printf("Figure 4 cycle counts reproduced exactly: %s\n\n",
+              Fig4OK ? "YES" : "NO");
+
   ParseResult PR = parseAssembly(Fig2Program);
   if (!PR.ok()) {
     std::printf("parse: %s\n", PR.Errors.front().c_str());
     return 1;
   }
-  ModuleFrequency Freq = estimateModuleFrequency(PR.M);
-  ExtractOptions EO;
-  EO.CountLiteralPoolInKb = false; // Figure 4 counts instruction bytes
-  ModelParams MP = extractParams(PR.M, Freq, PowerModel::stm32f100(), EO);
-
-  Table T({"transfer kind", "sequence", "cycles", "bytes",
-           "paper cyc/B"});
-  // Figure 4 absolute sequence costs with the default timing model.
-  TimingModel TM;
-  using namespace ramloc::build;
-  unsigned LongJmpCyc = TM.cycles(ldrLitSym(PC, "x"), false);
-  unsigned CondCyc = TM.cycles(ite(Cond::NE), false) +
-                     TM.cycles(ldrLitSym(ScratchReg, "x"), false) +
-                     TM.SkippedCycles + TM.cycles(bx(ScratchReg), false);
-  unsigned CmpCyc = TM.cycles(cmpImm(R0, 0), false) + CondCyc;
-  T.addRow({"unconditional", "ldr pc, =label",
-            formatString("%u", LongJmpCyc), "4", "4 / 4"});
-  T.addRow({"conditional", "ite; ldrcc; ldrcc; bx",
-            formatString("%u", CondCyc), "8", "7 / 8"});
-  T.addRow({"short conditional", "cmp; ite; ldrcc; ldrcc; bx",
-            formatString("%u", CmpCyc), "10", "8 / 10"});
-  T.addRow({"fall-through", "ldr pc, =label",
-            formatString("%u", LongJmpCyc), "4", "4 / 4"});
-  std::printf("%s\n", T.render().c_str());
-  bool Fig4OK = LongJmpCyc == 4 && CondCyc == 7 && CmpCyc == 8;
-  std::printf("Figure 4 cycle counts reproduced exactly: %s\n\n",
-              Fig4OK ? "YES" : "NO");
 
   std::printf("== Figure 2: the motivating function, optimized ==\n\n");
   PipelineOptions Opts;

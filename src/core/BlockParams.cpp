@@ -7,89 +7,42 @@
 
 #include "core/BlockParams.h"
 
+#include "core/Figure4.h"
 #include "isa/Encoding.h"
 
 #include <cassert>
+#include <optional>
 
 using namespace ramloc;
 
 namespace {
 
-/// Figure 4 instrumentation costs. Each entry is the delta between the
-/// rewritten sequence and the original terminator.
-struct InstrumentCost {
-  unsigned Bytes = 0;      ///< extra instruction bytes
-  unsigned PoolBytes = 0;  ///< extra literal-pool words (bytes)
-  double Cycles = 0.0;     ///< extra cycles per execution
+/// What a Figure 4 row adds to the transfer it replaces, priced once
+/// per extraction.
+struct RowCost {
+  Figure4Price Seq;
+  double Instrs;
+  std::optional<Instr> Original;
+
+  RowCost(const Figure4Row &Row, const TimingModel &T)
+      : Seq(priceFigure4(Row, T)), Instrs(Row.Slots.size()) {
+    if (Row.Original) {
+      Original.emplace().Kind = *Row.Original;
+      Seq.Bytes -= encodingSizeBytes(*Original);
+      Instrs -= 1.0;
+    }
+  }
+
+  /// Extra cycles per execution when the transfer is taken with
+  /// probability \p TakenProb.
+  double tb(double TakenProb, const TimingModel &T) const {
+    double Orig = !Original ? 0.0
+                  : Original->isCondBranch()
+                      ? T.expectedBranchCycles(*Original, TakenProb)
+                      : static_cast<double>(T.cycles(*Original, true));
+    return static_cast<double>(Seq.Cycles) - Orig;
+  }
 };
-
-/// Instrumentation delta in *instruction counts* (the Steinke-style cost
-/// metric used by the UseCycleCost=false ablation).
-double terminatorInstrDelta(TermKind Term) {
-  switch (Term) {
-  case TermKind::Uncond:
-    return 0.0; // b -> ldr pc: still one instruction
-  case TermKind::Cond:
-    return 3.0; // bcc -> ite+ldr+ldr+bx
-  case TermKind::CmpBranch:
-    return 4.0; // cbz -> cmp+ite+ldr+ldr+bx
-  case TermKind::Fallthrough:
-    return 1.0; // nothing -> ldr pc
-  case TermKind::Return:
-  case TermKind::Halt:
-  case TermKind::IndirectJump:
-    return 0.0;
-  }
-  return 0.0;
-}
-
-InstrumentCost terminatorCost(TermKind Term, double TakenProb,
-                              const TimingModel &T) {
-  InstrumentCost C;
-  const double Refill = T.BranchRefillCycles;
-  const double Issue = T.BranchIssueCycles;
-  // Expected cost of the original conditional branch (taken vs not).
-  const double CondOrig = TakenProb * (Issue + Refill) +
-                          (1.0 - TakenProb) * Issue;
-  // Rewritten sequences (Figure 4), with the default timing: ldr pc = 4,
-  // it+ldr+ldr+bx = 7, cmp+it+ldr+ldr+bx = 8.
-  const double LongJump = T.LoadCycles + Refill;                // ldr pc
-  const double CondSeq = T.ItCycles + T.LoadCycles +
-                         T.SkippedCycles + T.BxCycles;          // 7
-  const double CmpSeq = T.AluCycles + CondSeq;                  // 8
-
-  switch (Term) {
-  case TermKind::Uncond:
-    // b (2 bytes, issue+refill) -> ldr pc, =label (4 bytes, 4 cycles).
-    C.Bytes = 4 - 2;
-    C.PoolBytes = 4;
-    C.Cycles = LongJump - (Issue + Refill);
-    break;
-  case TermKind::Cond:
-    // bcc (2 bytes) -> ite; ldrcc r7; ldrcc r7; bx r7 (8 bytes, 7cy).
-    C.Bytes = 8 - 2;
-    C.PoolBytes = 8;
-    C.Cycles = CondSeq - CondOrig;
-    break;
-  case TermKind::CmpBranch:
-    // cbz (2 bytes) -> cmp; ite; ldr; ldr; bx (10 bytes, 8 cycles).
-    C.Bytes = 10 - 2;
-    C.PoolBytes = 8;
-    C.Cycles = CmpSeq - CondOrig;
-    break;
-  case TermKind::Fallthrough:
-    // nothing -> ldr pc, =label (4 bytes, 4 cycles).
-    C.Bytes = 4;
-    C.PoolBytes = 4;
-    C.Cycles = LongJump;
-    break;
-  case TermKind::Return:
-  case TermKind::Halt:
-  case TermKind::IndirectJump:
-    break; // already long-range; no instrumentation needed
-  }
-  return C;
-}
 
 } // namespace
 
@@ -101,13 +54,14 @@ ModelParams ramloc::extractParams(const Module &M,
   MP.EFlash = Power.eFlash();
   MP.ERam = Power.eRam();
   MP.ClockHz = Power.ClockHz;
-  // bl (CallCycles) becomes ldr (LoadCycles) + blx (CallRegCycles).
-  MP.CallInstrCycles =
-      static_cast<double>(Opts.Timing.LoadCycles +
-                          Opts.Timing.CallRegCycles) -
-      static_cast<double>(Opts.Timing.CallCycles);
-  MP.CallInstrBytes = 0; // 2-byte ldr r7 + 2-byte blx replaces 4-byte bl
-  MP.CallInstrPoolBytes = 4;
+  const TimingModel &T = Opts.Timing;
+  std::vector<RowCost> Costs;
+  for (const Figure4Row &Row : Figure4Table)
+    Costs.emplace_back(Row, T);
+  const RowCost &Call = Costs[static_cast<unsigned>(Figure4Kind::Call)];
+  MP.CallInstrCycles = Call.tb(1.0, T); // a call is always taken
+  MP.CallInstrBytes = Call.Seq.Bytes;
+  MP.CallInstrPoolBytes = 4 * Call.Seq.Literals;
 
   // Global numbering.
   MP.FuncOffset.resize(M.Functions.size());
@@ -117,8 +71,6 @@ ModelParams ramloc::extractParams(const Module &M,
     Total += M.Functions[F].Blocks.size();
   }
   MP.Blocks.resize(Total);
-
-  const TimingModel &T = Opts.Timing;
 
   for (unsigned F = 0, NF = M.Functions.size(); F != NF; ++F) {
     const Function &Fn = M.Functions[F];
@@ -140,9 +92,7 @@ ModelParams ramloc::extractParams(const Module &M,
         if (I.Kind == OpKind::LdrLit)
           P.Sb += 4; // the block's own literal-pool word moves with it
 
-        if (&I == &BB.Instrs.back() &&
-            (I.Kind == OpKind::BCond || I.Kind == OpKind::Cbz ||
-             I.Kind == OpKind::Cbnz))
+        if (&I == &BB.Instrs.back() && I.isCondBranch())
           P.Cb += T.expectedBranchCycles(I, TakenProb);
         else
           P.Cb += T.cycles(I, /*Taken=*/true);
@@ -182,11 +132,14 @@ ModelParams ramloc::extractParams(const Module &M,
       for (unsigned S : G.edges(B).Succs)
         P.Succs.push_back(MP.globalIndex(F, S));
 
-      // Kb / Tb from the Figure 4 rewriting for this terminator kind.
-      InstrumentCost IC = terminatorCost(P.Term, TakenProb, T);
-      P.Kb = IC.Bytes + (Opts.CountLiteralPoolInKb ? IC.PoolBytes : 0);
-      P.Tb = IC.Cycles;
-      P.TbInstr = terminatorInstrDelta(P.Term);
+      // Kb / Tb from the Figure 4 row rewriting this block's terminator.
+      if (const Figure4Row *Row = figure4RowEnding(BB)) {
+        const RowCost &C = Costs[Row - Figure4Table];
+        P.Kb = C.Seq.Bytes +
+               (Opts.CountLiteralPoolInKb ? 4 * C.Seq.Literals : 0);
+        P.Tb = C.tb(TakenProb, T);
+        P.TbInstr = C.Instrs;
+      }
     }
   }
 

@@ -72,7 +72,7 @@ struct ModelParams {
   double EFlash = 15.0;
   double ERam = 9.0;
   double ClockHz = 24e6;
-  /// Cross-memory call rewriting (bl -> ldr r7,=f; blx r7) costs.
+  /// Cross-memory call rewriting costs (the Figure 4 call row).
   double CallInstrCycles = 1.0;
   unsigned CallInstrBytes = 0;
   unsigned CallInstrPoolBytes = 4;

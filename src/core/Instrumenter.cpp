@@ -7,6 +7,7 @@
 
 #include "core/Instrumenter.h"
 
+#include "core/Figure4.h"
 #include "mir/CFG.h"
 
 #include <cassert>
@@ -15,149 +16,20 @@
 #include <unordered_set>
 
 using namespace ramloc;
-using namespace ramloc::build;
 
 namespace {
 
-/// Emits the Figure 4 conditional sequence: ite CC; ldrCC r7, =Taken;
-/// ldr!CC r7, =Fall; bx r7.
-void emitCondSequence(std::vector<Instr> &Out, Cond CC,
-                      const std::string &Taken, const std::string &Fall) {
-  Out.push_back(ite(CC));
-  Out.push_back(withCond(ldrLitSym(ScratchReg, Taken), CC));
-  Out.push_back(withCond(ldrLitSym(ScratchReg, Fall), invertCond(CC)));
-  Out.push_back(bx(ScratchReg));
+/// Appends \p Row's sequence replacing \p Transfer (a default Instr for
+/// a fall-through), falling through to the block labelled \p Fall.
+void emit(std::vector<Instr> &Out, const Figure4Row &Row,
+          const Instr &Transfer, const std::string &Fall) {
+  for (const Figure4Slot &S : Row.Slots)
+    Out.push_back(figure4Instr(S, Transfer,
+                               S.Literal == Figure4Literal::Taken ? Transfer.Sym
+                               : S.Literal == Figure4Literal::Fall
+                                   ? Fall
+                                   : std::string()));
 }
-
-class Rewriter {
-public:
-  Rewriter(const Module &M, const ModelParams &MP, const Assignment &InRam,
-           InstrumenterStats &Stats)
-      : M(M), MP(MP), InRam(InRam), Stats(Stats) {}
-
-  Module run() {
-    Module Out = M;
-    for (unsigned F = 0, NF = Out.Functions.size(); F != NF; ++F)
-      rewriteFunction(Out, F);
-    return Out;
-  }
-
-private:
-  bool blockInRam(unsigned F, unsigned B) const {
-    return InRam[MP.globalIndex(F, B)];
-  }
-
-  bool calleeInRam(const std::string &Callee) const {
-    int FIdx = M.functionIndex(Callee);
-    assert(FIdx >= 0 && "call to unknown function");
-    return blockInRam(static_cast<unsigned>(FIdx), 0);
-  }
-
-  void rewriteFunction(Module &Out, unsigned F) {
-    Function &Fn = Out.Functions[F];
-    CFG G = CFG::build(M.Functions[F]);
-
-    for (unsigned B = 0, NB = Fn.Blocks.size(); B != NB; ++B) {
-      BasicBlock &BB = Fn.Blocks[B];
-      bool Home = blockInRam(F, B);
-      if (Home) {
-        BB.Home = MemKind::Ram;
-        ++Stats.BlocksMoved;
-      }
-
-      rewriteCalls(BB, Home);
-      rewriteTerminator(Fn, F, G, B, Home);
-    }
-  }
-
-  /// Replaces cross-memory `bl f` with `ldr r7, =f; blx r7`.
-  void rewriteCalls(BasicBlock &BB, bool Home) {
-    std::vector<Instr> Out;
-    Out.reserve(BB.Instrs.size());
-    for (Instr &I : BB.Instrs) {
-      if (I.Kind == OpKind::Bl && calleeInRam(I.Sym) != Home) {
-        Out.push_back(ldrLitSym(ScratchReg, I.Sym));
-        Out.push_back(blx(ScratchReg));
-        ++Stats.CallsRewritten;
-        continue;
-      }
-      Out.push_back(std::move(I));
-    }
-    BB.Instrs = std::move(Out);
-  }
-
-  void rewriteTerminator(Function &Fn, unsigned F, const CFG &G,
-                         unsigned B, bool Home) {
-    BasicBlock &BB = Fn.Blocks[B];
-    const BlockEdges &E = G.edges(B);
-
-    auto succInRam = [&](int Succ) {
-      assert(Succ >= 0 && "successor expected");
-      return blockInRam(F, static_cast<unsigned>(Succ));
-    };
-
-    switch (E.Term) {
-    case TermKind::Uncond: {
-      if (succInRam(E.TakenSucc) == Home)
-        return;
-      // b label -> ldr pc, =label.
-      Instr &Term = BB.Instrs.back();
-      std::string Target = Term.Sym;
-      BB.Instrs.pop_back();
-      BB.Instrs.push_back(ldrLitSym(PC, Target));
-      ++Stats.BranchesRewritten;
-      return;
-    }
-    case TermKind::Cond: {
-      bool TakenCrosses = succInRam(E.TakenSucc) != Home;
-      bool FallCrosses = succInRam(E.FallSucc) != Home;
-      if (!TakenCrosses && !FallCrosses)
-        return;
-      Instr Term = BB.Instrs.back();
-      BB.Instrs.pop_back();
-      std::string Taken = Term.Sym;
-      std::string Fall = Fn.Blocks[static_cast<unsigned>(E.FallSucc)].Label;
-      emitCondSequence(BB.Instrs, Term.CondCode, Taken, Fall);
-      ++Stats.BranchesRewritten;
-      return;
-    }
-    case TermKind::CmpBranch: {
-      bool TakenCrosses = succInRam(E.TakenSucc) != Home;
-      bool FallCrosses = succInRam(E.FallSucc) != Home;
-      if (!TakenCrosses && !FallCrosses)
-        return;
-      Instr Term = BB.Instrs.back();
-      BB.Instrs.pop_back();
-      std::string Taken = Term.Sym;
-      std::string Fall = Fn.Blocks[static_cast<unsigned>(E.FallSucc)].Label;
-      // cbz -> taken when zero (eq); cbnz -> taken when non-zero (ne).
-      Cond CC = Term.Kind == OpKind::Cbz ? Cond::EQ : Cond::NE;
-      BB.Instrs.push_back(cmpImm(Term.Regs[0], 0));
-      emitCondSequence(BB.Instrs, CC, Taken, Fall);
-      ++Stats.BranchesRewritten;
-      return;
-    }
-    case TermKind::Fallthrough: {
-      if (succInRam(E.FallSucc) == Home)
-        return;
-      const std::string &Target =
-          Fn.Blocks[static_cast<unsigned>(E.FallSucc)].Label;
-      BB.Instrs.push_back(ldrLitSym(PC, Target));
-      ++Stats.FallthroughsRewritten;
-      return;
-    }
-    case TermKind::Return:
-    case TermKind::Halt:
-    case TermKind::IndirectJump:
-      return; // already long-range or no successors
-    }
-  }
-
-  const Module &M;
-  const ModelParams &MP;
-  const Assignment &InRam;
-  InstrumenterStats &Stats;
-};
 
 } // namespace
 
@@ -166,8 +38,59 @@ Module ramloc::applyPlacement(const Module &M, const ModelParams &MP,
                               InstrumenterStats *Stats) {
   assert(InRam.size() == MP.numBlocks() && "assignment size mismatch");
   InstrumenterStats Local;
-  Rewriter RW(M, MP, InRam, Stats ? *Stats : Local);
-  return RW.run();
+  InstrumenterStats &St = Stats ? *Stats : Local;
+  auto inRam = [&](unsigned F, int B) {
+    assert(B >= 0 && "block expected");
+    return InRam[MP.globalIndex(F, static_cast<unsigned>(B))];
+  };
+  Module Out = M;
+  for (unsigned F = 0, NF = Out.Functions.size(); F != NF; ++F) {
+    Function &Fn = Out.Functions[F];
+    CFG G = CFG::build(M.Functions[F]);
+    for (unsigned B = 0, NB = Fn.Blocks.size(); B != NB; ++B) {
+      BasicBlock &BB = Fn.Blocks[B];
+      bool Home = inRam(F, B);
+      if (Home) {
+        BB.Home = MemKind::Ram;
+        ++St.BlocksMoved;
+      }
+
+      // Each call into the other memory.
+      std::vector<Instr> Instrs;
+      Instrs.reserve(BB.Instrs.size());
+      for (Instr &I : BB.Instrs) {
+        int Callee = I.Kind == OpKind::Bl ? M.functionIndex(I.Sym) : -1;
+        assert((I.Kind != OpKind::Bl || Callee >= 0) &&
+               "call to unknown function");
+        if (Callee >= 0 && inRam(Callee, 0) != Home) {
+          emit(Instrs, figure4Row(Figure4Kind::Call), I, {});
+          ++St.CallsRewritten;
+        } else {
+          Instrs.push_back(std::move(I));
+        }
+      }
+      BB.Instrs = std::move(Instrs);
+
+      // The block's end, when an edge out of it crosses.
+      const BlockEdges &E = G.edges(B);
+      auto crosses = [&](int Succ) {
+        return Succ >= 0 && inRam(F, Succ) != Home;
+      };
+      const Figure4Row *Row = figure4RowEnding(M.Functions[F].Blocks[B]);
+      if (!Row || (!crosses(E.TakenSucc) && !crosses(E.FallSucc)))
+        continue;
+      Instr Transfer;
+      if (Row->Original) {
+        Transfer = std::move(BB.Instrs.back());
+        BB.Instrs.pop_back();
+      }
+      emit(BB.Instrs, *Row, Transfer,
+           E.FallSucc < 0 ? std::string()
+                          : Fn.Blocks[static_cast<unsigned>(E.FallSucc)].Label);
+      ++(Row->Original ? St.BranchesRewritten : St.FallthroughsRewritten);
+    }
+  }
+  return Out;
 }
 
 namespace {
@@ -303,11 +226,12 @@ private:
           Opt.Map.regionOf(Opt.Instrs[J].TargetAddr))] = Exec;
   }
 
-  /// Opt instruction \p J is `ldr Rt, =X` under \p CC with X == \p Want.
-  bool isLiteral(size_t J, Reg Rt, Cond CC, uint32_t Want) const {
+  /// Opt instruction \p J is \p Shape's `ldr Rt, =X` with X == \p Want.
+  bool isLiteral(size_t J, const Instr &Shape, uint32_t Want) const {
     const PlacedInstr &Q = Opt.Instrs[J];
-    return Want != 0 && Q.I.Kind == OpKind::LdrLit && Q.I.Regs[0] == Rt &&
-           Q.I.CondCode == CC && !Q.I.SetsFlags &&
+    return Want != 0 && Q.I.Kind == Shape.Kind &&
+           Q.I.Regs[0] == Shape.Regs[0] && Q.I.CondCode == Shape.CondCode &&
+           Q.I.SetsFlags == Shape.SetsFlags &&
            Opt.Map.isMapped(Q.TargetAddr) &&
            Opt.Map.isMapped(Q.TargetAddr + 3) &&
            Opt.initialWord(Q.TargetAddr) == Want;
@@ -340,85 +264,75 @@ private:
     return J + 1 == JE && fallThrough(F, B, IE - 1, J);
   }
 
+  /// Opt [J, JE) starts with \p Row replacing \p Transfer, whose
+  /// literals hold \p Taken and \p Fall.
+  bool matches(const Figure4Row &Row, const Instr &Transfer, uint32_t Taken,
+               uint32_t Fall, size_t J, size_t JE) const {
+    if (JE - J < Row.Slots.size())
+      return false;
+    for (const Figure4Slot &S : Row.Slots) {
+      Instr Shape = figure4Instr(S, Transfer, "x");
+      bool Match =
+          S.Literal == Figure4Literal::None
+              ? Opt.Instrs[J].I == Shape
+              : isLiteral(J, Shape,
+                          S.Literal == Figure4Literal::Taken ? Taken : Fall);
+      if (!Match)
+        return false;
+      ++J;
+    }
+    return true;
+  }
+
+  /// Counts \p Row at opt \p J, replacing a transfer run \p E times and
+  /// taken \p T of them.
+  void count(const Figure4Row &Row, size_t J, uint64_t E, uint64_t T) {
+    for (const Figure4Slot &S : Row.Slots) {
+      uint64_t Run = S.Count == Figure4Count::Every   ? E
+                     : S.Count == Figure4Count::Taken ? T
+                                                      : E - T;
+      set(J++, Run, E - Run);
+    }
+  }
+
   /// Matches the Figure 4 sequence replacing base instruction \p I at opt
   /// \p J; returns the number of opt instructions it spans, 0 if none.
   size_t rewrite(unsigned F, unsigned B, size_t I, bool Last, size_t J,
                  size_t JE) {
     const PlacedInstr &P = Base.Instrs[I];
     const InstrCounts &C = BP.Instrs[I];
-    if (C.Skipped != 0 ||
+    const Figure4Row *Row = figure4RowFor(P.I.Kind);
+    if (!Row || C.Skipped != 0 ||
         (P.I.CondCode != Cond::AL && P.I.Kind != OpKind::BCond))
       return 0;
-    uint32_t Target = optAddr(P.TargetAddr);
-    size_t Room = JE - J;
-    switch (P.I.Kind) {
-    case OpKind::Bl:
-      if (Room < 2 || !isLiteral(J, ScratchReg, Cond::AL, Target) ||
-          Opt.Instrs[J + 1].I != blx(ScratchReg))
-        return 0;
-      set(J, C.Exec);
-      set(J + 1, C.Exec);
-      return 2;
-    case OpKind::B:
-      if (Room < 1 || !isLiteral(J, PC, Cond::AL, Target))
-        return 0;
-      set(J, C.Exec);
-      return 1;
-    case OpKind::BCond:
-      return Last && condSequence(F, B, J, JE, P.I.CondCode, Target, C)
-                 ? 4
-                 : 0;
-    case OpKind::Cbz:
-    case OpKind::Cbnz: {
+    // Only a block's last transfer falls through to the next block.
+    uint32_t Fall = Last && B + 1 < Opt.BlockAddr[F].size()
+                        ? Opt.BlockAddr[F][B + 1]
+                        : 0;
+    if (!matches(*Row, P.I, optAddr(P.TargetAddr), Fall, J, JE))
+      return 0;
+    if (P.I.Kind == OpKind::Cbz || P.I.Kind == OpKind::Cbnz) {
       // The inserted cmp clobbers the flags cbz leaves alone.
       auto It = Blocks.find(P.TargetAddr);
-      if (!Last || Room < 1 || It == Blocks.end() ||
-          B + 1 >= Base.BlockAddr[F].size() ||
-          Opt.Instrs[J].I != cmpImm(P.I.Regs[0], 0) ||
-          !setsFlagsFirst(It->second.F, It->second.B) ||
+      if (It == Blocks.end() || !setsFlagsFirst(It->second.F, It->second.B) ||
           !setsFlagsFirst(F, B + 1))
         return 0;
-      Cond CC = P.I.Kind == OpKind::Cbz ? Cond::EQ : Cond::NE;
-      if (!condSequence(F, B, J + 1, JE, CC, Target, C))
-        return 0;
-      set(J, C.Exec);
-      return 5;
     }
-    default:
-      return 0;
-    }
+    count(*Row, J, C.Exec, C.Taken);
+    return Row->Slots.size();
   }
 
-  /// ite CC; ldrCC r7,=Taken; ldr!CC r7,=next block; bx r7 at opt \p J,
-  /// replacing a conditional transfer with counts \p C.
-  bool condSequence(unsigned F, unsigned B, size_t J, size_t JE, Cond CC,
-                    uint32_t Taken, const InstrCounts &C) {
-    if (JE - J < 4 || B + 1 >= Opt.BlockAddr[F].size() ||
-        Opt.Instrs[J].I != ite(CC) ||
-        !isLiteral(J + 1, ScratchReg, CC, Taken) ||
-        !isLiteral(J + 2, ScratchReg, invertCond(CC),
-                   Opt.BlockAddr[F][B + 1]) ||
-        Opt.Instrs[J + 3].I != bx(ScratchReg))
-      return false;
-    uint64_t E = C.Exec, T = C.Taken;
-    // Predicated on CC like the loads, ite itself is skipped when CC fails.
-    set(J, T, E - T);
-    set(J + 1, T, E - T);
-    set(J + 2, E - T, T);
-    set(J + 3, E);
-    return true;
-  }
-
-  /// The appended `ldr pc, =next` at opt \p J after base block (F, B),
+  /// The appended fall-through row at opt \p J after base block (F, B),
   /// whose last instruction is \p K.
   bool fallThrough(unsigned F, unsigned B, size_t K, size_t J) {
+    const Figure4Row &Row = figure4Row(Figure4Kind::FallThrough);
     const PlacedInstr &Last = Base.Instrs[K];
     if (Last.I.isTerminator() || B + 1 >= Base.BlockAddr[F].size() ||
-        !isLiteral(J, PC, Cond::AL, Opt.BlockAddr[F][B + 1]))
+        !matches(Row, Instr(), 0, Opt.BlockAddr[F][B + 1], J, J + 1))
       return false;
     uint64_t Reached = BP.Instrs[K].Exec + BP.Instrs[K].Skipped;
     if (!Last.I.isCall()) {
-      set(J, Reached);
+      count(Row, J, Reached, 0);
       return true;
     }
     // A call falls through only when it returns, and the run's halt may
@@ -437,7 +351,7 @@ private:
     uint64_t Entries = BP.BlockCounts[F][B + 1];
     if (Branched > Entries || Entries - Branched > Reached)
       return false;
-    set(J, Entries - Branched);
+    count(Row, J, Entries - Branched, 0);
     return true;
   }
 
@@ -464,23 +378,12 @@ private:
     for (size_t I = 0, N = Base.Instrs.size(); I != N; ++I) {
       const PlacedInstr &P = Base.Instrs[I];
       const InstrCounts &C = BP.Instrs[I];
-      switch (P.I.Kind) {
-      case OpKind::B:
-      case OpKind::Bl:
+      if (P.I.Kind == OpKind::B || P.I.Kind == OpKind::Bl)
         DirectIn[P.TargetAddr] += C.Exec;
-        break;
-      case OpKind::BCond:
-      case OpKind::Cbz:
-      case OpKind::Cbnz:
+      else if (P.I.isCondBranch())
         DirectIn[P.TargetAddr] += C.Taken;
-        break;
-      case OpKind::LdrLit:
-        if (Base.Map.isMapped(P.TargetAddr))
-          LiteralTargets.insert(Base.initialWord(P.TargetAddr) & ~1u);
-        break;
-      default:
-        break;
-      }
+      else if (P.I.Kind == OpKind::LdrLit && Base.Map.isMapped(P.TargetAddr))
+        LiteralTargets.insert(Base.initialWord(P.TargetAddr) & ~1u);
     }
   }
 

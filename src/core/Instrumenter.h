@@ -7,21 +7,10 @@
 ///
 /// \file
 /// Applies a placement to a module: sets each selected block's home to
-/// RAM and rewrites every control transfer that crosses the flash/RAM
-/// boundary with the Figure 4 sequences:
-///
-///   unconditional:  b label            ->  ldr pc, =label
-///   conditional:    bcc label          ->  ite cc
-///                                          ldrcc  r7, =label
-///                                          ldr!cc r7, =fallthrough
-///                                          bx r7
-///   short cond.:    cbz rn, label      ->  cmp rn, #0 ; (as conditional)
-///   fall-through:   (nothing)          ->  ldr pc, =next
-///   call:           bl f               ->  ldr r7, =f ; blx r7
-///
-/// r7 is the reserved scratch register (see isa/Register.h). The rewritten
-/// module still passes the verifier and, by construction, the linker's
-/// cross-memory range checks.
+/// RAM and replaces every control transfer that crosses the flash/RAM
+/// boundary with its Figure 4 sequence (the rows of core/Figure4.h). The
+/// rewritten module still passes the verifier and, by construction, the
+/// linker's cross-memory range checks.
 ///
 /// Because every sequence is fixed, the dynamic counts of a rewritten
 /// image follow from its baseline's: deriveOptimizedProfile turns the
@@ -63,18 +52,11 @@ Module applyPlacement(const Module &M, const ModelParams &MP,
 /// block by block and compared instruction by instruction — the rewrite
 /// is checked, not trusted. An identical instruction copies its counts
 /// (a literal load's data memory follows its pool slot); each Figure 4
-/// sequence takes its counts from the transfer it replaces, with
-/// E = Exec and T = Taken of that transfer:
-///
-///   bl f    -> ldr r7,=f: E; blx r7: E
-///   b L     -> ldr pc,=L: E
-///   bcc L   -> ite cc: T (E-T skipped); ldrcc: T (E-T skipped);
-///              ldr!cc: E-T (T skipped); bx r7: E
-///   cbz/cbnz   the same, after cmp rn,#0: E (both successors must set
-///              the flags before reading them)
-///   fall-through ldr pc,=next: Exec + Skipped of the block's last
-///              instruction; after a call, its successor's entries minus
-///              the direct branches into it (a call may never return)
+/// sequence takes its counts from the transfer it replaces, slot by slot
+/// per its row's count rule. A cbz/cbnz rewrite also needs both
+/// successors to set the flags before reading them (its cmp clobbers
+/// them), and a fall-through after a call counts the next block's entries
+/// minus the direct branches into it (a call may never return).
 ///
 /// Returns false when exactness cannot be proven, naming the reason in
 /// \p Why: "no-mark" (an invalid profile, or one without RamLow),

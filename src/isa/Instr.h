@@ -53,6 +53,12 @@ struct Instr {
   /// True for bl / blx call instructions.
   bool isCall() const { return Kind == OpKind::Bl || Kind == OpKind::Blx; }
 
+  /// True for bcc / cbz / cbnz, whose cost depends on the direction taken.
+  bool isCondBranch() const {
+    return Kind == OpKind::BCond || Kind == OpKind::Cbz ||
+           Kind == OpKind::Cbnz;
+  }
+
   /// True when this is `ldr pc, =sym`, the indirect long-range jump the
   /// instrumenter emits (Figure 4).
   bool isLongJump() const {

@@ -197,10 +197,7 @@ private:
       return;
     const BasicBlock &Prev = Fn.Blocks[B - 1];
     const Instr *Term = Prev.terminator();
-    bool PrevFallsThrough =
-        !Term || Term->Kind == OpKind::BCond || Term->Kind == OpKind::Cbz ||
-        Term->Kind == OpKind::Cbnz;
-    if (!PrevFallsThrough)
+    if (Term && !Term->isCondBranch())
       return;
     if (Prev.Home != Fn.Blocks[B].Home)
       error("%s: block '%s' falls through to '%s' in a different memory "

@@ -47,8 +47,7 @@ bool priceInstr(const Image &Img, size_t I, const InstrCounts &C,
   uint64_t Wait =
       F == static_cast<unsigned>(MemKind::Flash) ? T.FlashWaitStates : 0;
   OpKind K = P.I.Kind;
-  bool CondBranch =
-      K == OpKind::BCond || K == OpKind::Cbz || K == OpKind::Cbnz;
+  bool CondBranch = P.I.isCondBranch();
 
   // A condition-failed instruction costs a skip cycle (plus the fetch's
   // wait states) against its own class, with no load side effects.

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "beebs/Beebs.h"
 #include "core/Instrumenter.h"
 #include "core/Pipeline.h"
 #include "mir/Verifier.h"
@@ -42,6 +43,20 @@ Module figure2Module() {
 ModelParams paramsFor(const Module &M) {
   return extractParams(M, estimateModuleFrequency(M),
                        PowerModel::stm32f100());
+}
+
+/// The RAM bytes the linker emits for \p InRam applied to \p M (code and
+/// literal pools, without alignment padding), and the model's Eq. 7
+/// figure for the same placement.
+std::pair<unsigned, unsigned> linkedAndModelRamBytes(const Module &M,
+                                                     const ModelParams &MP,
+                                                     const Assignment &InRam) {
+  Module Out = applyPlacement(M, MP, InRam);
+  EXPECT_TRUE(moduleIsValid(Out)) << verifyModule(Out).front();
+  LinkResult LR = linkModule(Out);
+  EXPECT_TRUE(LR.ok()) << (LR.ok() ? "" : LR.Errors.front());
+  return {LR.Img.Sizes.RamCode + LR.Img.Sizes.RamPool,
+          evaluateAssignment(MP, InRam).RamBytes};
 }
 
 } // namespace
@@ -206,4 +221,67 @@ TEST(Instrumenter, StatsCountRewrites) {
   EXPECT_EQ(Stats.FallthroughsRewritten, 1u);
   EXPECT_EQ(Stats.BranchesRewritten, 1u);
   EXPECT_EQ(Stats.BlocksMoved, 1u);
+}
+
+TEST(Instrumenter, ModelRamBytesCoverTheLinkedImageOverBeebs) {
+  // The model may over-count (identical literals share a pool slot) but
+  // never under-count the RAM the linker fills with code and pools.
+  unsigned Points = 0, WithRamCode = 0;
+  for (const BeebsInfo &Info : beebsSuite())
+    for (OptLevel Level : AllOptLevels) {
+      std::string Name = std::string(Info.Name) + " " + optLevelName(Level);
+      Module M = buildBeebs(Info.Name, Level, 2);
+      PipelineOptions PO;
+      ExtractedModule EM = extractModule(M, PO, /*NeedBaseline=*/false);
+      ASSERT_TRUE(EM.ok()) << Name << ": " << EM.Error;
+      PlacementSolver Solver(EM.MP, PO.Knobs);
+      for (unsigned Rspare : {32u, 64u, 128u, 256u, 384u, 512u, 768u, 1024u,
+                              2048u})
+        for (double Xlimit : {1.1, 1.5, 3.0}) {
+          ModelKnobs Knobs = PO.Knobs;
+          Knobs.RspareBytes = Rspare;
+          Knobs.Xlimit = Xlimit;
+          Assignment InRam = Solver.solve(Knobs, PO.Solver);
+          auto [Linked, Model] = linkedAndModelRamBytes(M, EM.MP, InRam);
+          EXPECT_LE(Linked, Model) << Name << " rspare " << Rspare
+                                   << " xlimit " << Xlimit;
+          ++Points;
+          WithRamCode += Linked > 0;
+        }
+    }
+  EXPECT_EQ(Points, 1350u);
+  EXPECT_GE(WithRamCode, 1000u);
+}
+
+TEST(Instrumenter, ModelRamBytesEqualTheLinkedImageForEachRewrite) {
+  // One RAM block per Figure 4 row, each literal naming a distinct
+  // symbol, so no pool slot is shared and the two figures must agree.
+  Module M;
+  M.EntryFunction = "main";
+  Function Main("main");
+  Main.Blocks.push_back(makeBlock("call", {movImm(R0, 1), bl("leaf")}));
+  Main.Blocks.push_back(makeBlock("fall", {movImm(R1, 2)}));
+  Main.Blocks.push_back(makeBlock("cond", {cmpImm(R0, 0), bCond(Cond::NE,
+                                                                "far")}));
+  Main.Blocks.push_back(makeBlock("short", {cbz(R0, "far")}));
+  Main.Blocks.push_back(makeBlock("uncond", {b("far")}));
+  Main.Blocks.push_back(makeBlock("near", {movImm(R0, 3), bkpt()}));
+  Main.Blocks.push_back(makeBlock("far", {movImm(R0, 4), bkpt()}));
+  M.Functions.push_back(Main);
+  Function Leaf("leaf");
+  Leaf.Blocks.push_back(makeBlock("entry", {addImm(R0, R0, 1), bx(LR)}));
+  M.Functions.push_back(Leaf);
+  ASSERT_TRUE(moduleIsValid(M)) << verifyModule(M).front();
+  ModelParams MP = paramsFor(M);
+
+  // Each block alone in RAM: its code and its own rewrites are all the
+  // RAM holds (the rewrites into it sit in flash).
+  for (const char *Label : {"call", "fall", "cond", "short", "uncond"}) {
+    Assignment InRam(MP.numBlocks(), false);
+    InRam[MP.globalIndex(0, static_cast<unsigned>(
+                                Main.blockIndex(Label)))] = true;
+    auto [Linked, Model] = linkedAndModelRamBytes(M, MP, InRam);
+    EXPECT_GT(Linked, 0u) << Label;
+    EXPECT_EQ(Linked, Model) << Label;
+  }
 }
